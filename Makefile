@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet lint lint-facts race bench bench-compare faults trace-determinism check fuzz-smoke profile-smoke
+.PHONY: verify build test vet lint lint-facts race bench bench-compare bench-verify faults trace-determinism check fuzz-smoke profile-smoke
 
 # Tier-1 verification: everything CI and reviewers gate on.
 verify: vet build race lint
@@ -42,6 +42,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The repository benchmark's own tests (perfbench/): pass digests at the
+# default and a non-default master seed, and BENCHMARK.json against the
+# program's metric list. perfbench is a separate module that needs go
+# 1.24, so the root `go test ./...` never runs them. About 40 s on 2 CPUs.
+bench-verify:
+	cd perfbench && $(GO) test .
 
 # Record sequential vs parallel wall-clock (and verify the two produce
 # identical results) for Fig. 4, the S22 fleet simulation, the pipeline

@@ -410,9 +410,9 @@ func main() {
 
 // hotPathAllocsPerOp measures steady-state allocations of the
 // telemetry-enabled scheduling path: a warmed closed loop of jobs
-// circulating through a station, a link and a churning flow table with a
-// Recorder observing everything — the same loop internal/sim pins at
-// zero in TestHotPathZeroAllocs.
+// circulating through a station, a link with a standing backlog and a
+// churning flow table with a Recorder observing everything — the same
+// loop internal/sim pins at zero in TestHotPathZeroAllocs.
 func hotPathAllocsPerOp() float64 {
 	eng := sim.NewEngine()
 	st := sim.NewStation(eng, 2)
@@ -443,6 +443,13 @@ func hotPathAllocsPerOp() float64 {
 			st.Submit(j)
 		}
 		st.Submit(j)
+	}
+	// 32 frames of 100 ns circulating on a 1 µs link keep its in-flight
+	// ring backlogged and compacting.
+	var resend func()
+	resend = func() { link.Send(1250, resend) }
+	for i := 0; i < 32; i++ {
+		link.Send(1250, resend)
 	}
 	for i := 0; i < 20000; i++ {
 		eng.Step()

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Engine is a single-threaded discrete-event simulation kernel.
 //
@@ -13,14 +10,19 @@ import (
 // not safe for concurrent use: determinism is the whole point, and all
 // model code runs on the event loop.
 type Engine struct {
-	now    Time
-	queue  eventHeap
-	seq    uint64
-	nextID uint64
+	now   Time
+	queue eventHeap
+	// seq numbers scheduled events in submission order. An event's seq
+	// breaks timestamp ties and doubles as its EventID.
+	seq uint64
 	// cancelled holds the IDs of scheduled events that were cancelled
 	// before firing. Entries are dropped lazily when popped.
 	cancelled map[uint64]struct{}
 	executed  uint64
+	// held counts link frames waiting behind their link's head frame.
+	// They are pending events whose slots were reserved at Send time, but
+	// the links hold them, not the queue (see Link).
+	held int
 	// tickerPending counts queued Ticker events so a firing ticker can
 	// tell whether anything besides tickers is left (see Ticker).
 	tickerPending int
@@ -46,21 +48,24 @@ func (e *Engine) Now() Time { return e.now }
 // accounting and for asserting that a model actually did work.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending reports how many events are waiting in the queue (including
-// cancelled events that have not yet been lazily discarded).
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports how many events are waiting to fire, including
+// cancelled events that have not yet been lazily discarded. A link's
+// frames count once each: only its head frame sits in the event queue,
+// and the frames behind it are held by the link, not by the queue.
+func (e *Engine) Pending() int { return len(e.queue) + e.held }
 
-// LivePending reports how many queued events will actually fire —
-// Pending minus cancelled-but-not-yet-discarded ghosts. It scans the
-// queue (O(pending)), so it is for progress and profile reporting, not
-// per-event hot paths; Pending stays the O(1) raw count.
+// LivePending reports how many pending events will actually fire —
+// Pending minus cancelled-but-not-yet-discarded ghosts. Frames held
+// behind a link's head cannot be cancelled, so they are all live. It
+// scans the queue (O(queue)), so it is for progress and profile
+// reporting, not per-event hot paths; Pending stays the O(1) raw count.
 func (e *Engine) LivePending() int {
 	if len(e.cancelled) == 0 {
-		return len(e.queue)
+		return e.Pending()
 	}
-	n := 0
+	n := e.held
 	for _, ev := range e.queue {
-		if _, dead := e.cancelled[ev.id]; !dead {
+		if _, dead := e.cancelled[ev.seq]; !dead {
 			n++
 		}
 	}
@@ -73,7 +78,9 @@ func (e *Engine) LivePending() int {
 type Profile struct {
 	// Executed is the number of events fired so far.
 	Executed uint64
-	// HeapPeak is the event queue's high-water mark.
+	// HeapPeak is the event queue's high-water mark. Frames held behind
+	// a link's head are not in the queue, so a saturated link adds one
+	// entry here however deep its backlog grows.
 	HeapPeak int
 	// CancelSweeps counts eager sweeps of cancelled entries.
 	CancelSweeps uint64
@@ -156,31 +163,57 @@ func (e *Engine) schedule(t Time, fn func(), h EventHandler, arg any) (EventID, 
 		//snicvet:ignore hotpath -- error path: a past timestamp aborts the schedule, not the event budget
 		return 0, &PastEventError{At: t, Now: e.now}
 	}
-	e.nextID++
-	id := e.nextID
+	seq := e.reserve()
+	e.push(e.newEvent(t, seq, fn, h, arg))
+	return EventID(seq), nil
+}
+
+// reserve claims the sequence number (and so the EventID) that an event
+// scheduled right now would get, without queuing anything. A Link
+// reserves each frame's slot at Send time and queues it with
+// scheduleReserved only when the frame reaches the head of the link, so
+// its frames fire in exactly the order per-frame scheduling would have
+// given them, ties included.
+//
+//snicvet:hotpath
+func (e *Engine) reserve() uint64 {
 	e.seq++
-	heap.Push(&e.queue, e.newEvent(t, e.seq, id, fn, h, arg))
+	return e.seq
+}
+
+// scheduleReserved queues a handler event at t under a sequence number
+// taken earlier by reserve. t must not be before now.
+//
+//snicvet:hotpath
+func (e *Engine) scheduleReserved(t Time, seq uint64, h EventHandler) {
+	e.push(e.newEvent(t, seq, nil, h, nil))
+}
+
+// push adds a record to the queue and tracks its high-water mark.
+//
+//snicvet:hotpath
+func (e *Engine) push(ev *event) {
+	e.queue.push(ev)
 	if len(e.queue) > e.heapPeak {
 		e.heapPeak = len(e.queue)
 	}
-	return EventID(id), nil
 }
 
 // newEvent takes a record off the free list, or allocates when the pool
 // is dry (cold start, or the heap growing past its previous peak).
 //
 //snicvet:hotpath
-func (e *Engine) newEvent(at Time, seq, id uint64, fn func(), h EventHandler, arg any) *event {
+func (e *Engine) newEvent(at Time, seq uint64, fn func(), h EventHandler, arg any) *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.id = at, seq, id
+		ev.at, ev.seq = at, seq
 		ev.fn, ev.h, ev.arg = fn, h, arg
 		return ev
 	}
 	//snicvet:ignore hotpath -- cold start or heap growth past its previous peak; steady state reuses the free list
-	return &event{at: at, seq: seq, id: id, fn: fn, h: h, arg: arg}
+	return &event{at: at, seq: seq, fn: fn, h: h, arg: arg}
 }
 
 // recycle returns a popped event record to the free list. The closure,
@@ -243,11 +276,11 @@ func (e *Engine) AfterCall(d Duration, h EventHandler, arg any) EventID {
 // cancel-heavy workload (timeout guards disarmed on every completion over
 // a long fault run) would grow the cancelled set without bound: IDs of
 // already-fired events are never popped again. When the set outgrows the
-// queue, Cancel sweeps both — dead entries leave the heap and the set is
-// reset — so memory stays proportional to live events.
+// pending events, Cancel sweeps both — dead entries leave the heap and
+// the set is reset — so memory stays proportional to live events.
 func (e *Engine) Cancel(id EventID) {
 	e.cancelled[uint64(id)] = struct{}{}
-	if len(e.cancelled) > cancelSweepFloor && len(e.cancelled) > len(e.queue) {
+	if len(e.cancelled) > cancelSweepFloor && len(e.cancelled) > e.Pending() {
 		e.sweepCancelled()
 	}
 }
@@ -263,7 +296,7 @@ const cancelSweepFloor = 64
 func (e *Engine) sweepCancelled() {
 	kept := e.queue[:0]
 	for _, ev := range e.queue {
-		if _, dead := e.cancelled[ev.id]; !dead {
+		if _, dead := e.cancelled[ev.seq]; !dead {
 			kept = append(kept, ev)
 		} else {
 			e.recycle(ev)
@@ -273,7 +306,7 @@ func (e *Engine) sweepCancelled() {
 		e.queue[i] = nil
 	}
 	e.queue = kept
-	heap.Init(&e.queue)
+	e.queue.init()
 	e.cancelled = make(map[uint64]struct{})
 	e.cancelSweeps++
 }
@@ -286,11 +319,21 @@ func (e *Engine) CancelledPending() int { return len(e.cancelled) }
 // the queue is empty.
 //
 //snicvet:hotpath
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if _, dead := e.cancelled[ev.id]; dead {
-			delete(e.cancelled, ev.id)
+func (e *Engine) Step() bool { return e.stepUntil(maxTime) }
+
+// maxTime is the latest representable virtual time: Step's deadline.
+const maxTime = Time(1<<63 - 1)
+
+// stepUntil executes the earliest live event if it is due by deadline,
+// discarding cancelled ghosts ahead of it, and reports whether one fired.
+// A ghost never lets a later live event slip past the deadline.
+//
+//snicvet:hotpath
+func (e *Engine) stepUntil(deadline Time) bool {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+		ev := e.queue.pop()
+		if _, dead := e.cancelled[ev.seq]; dead {
+			delete(e.cancelled, ev.seq)
 			e.recycle(ev)
 			continue
 		}
@@ -318,12 +361,12 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() {
 	for {
 		if e.tickerPending > 0 && len(e.cancelled) > 0 &&
-			len(e.queue)-len(e.cancelled) <= e.tickerPending {
+			e.Pending()-len(e.cancelled) <= e.tickerPending {
 			// Cancelled ghosts may be masking the only-tickers condition;
 			// sweep so the count below reflects live events.
 			e.sweepCancelled()
 		}
-		if len(e.queue) <= e.tickerPending {
+		if e.Pending() <= e.tickerPending {
 			return
 		}
 		if !e.Step() {
@@ -335,8 +378,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled after the deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
+	for e.stepUntil(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -345,45 +387,98 @@ func (e *Engine) RunUntil(deadline Time) {
 
 // event is a queue entry. seq breaks timestamp ties so that events
 // scheduled earlier run earlier, which keeps FIFO semantics for models that
-// schedule several events "now". Exactly one of fn and h is set: fn for
-// closure events, h (with its arg) for handler events.
+// schedule several events "now"; it is also the event's EventID. Exactly
+// one of fn and h is set: fn for closure events, h (with its arg) for
+// handler events.
 type event struct {
 	at  Time
 	seq uint64
-	id  uint64
 	fn  func()
 	h   EventHandler
 	arg any
 }
 
+// before reports whether a fires ahead of b: earlier time first, then
+// earlier submission. seq is unique, so this is a total order and every
+// valid heap pops the same sequence.
+//
+//snicvet:hotpath
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of pooled event records under before.
+// Compares are direct calls rather than interface dispatch, and sifts
+// move a hole instead of swapping pairs.
 type eventHeap []*event
 
 //snicvet:hotpath
-func (h eventHeap) Len() int { return len(h) }
-
-//snicvet:hotpath
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-//snicvet:hotpath
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-//snicvet:hotpath
-func (h *eventHeap) Push(x any) {
+func (h *eventHeap) push(ev *event) {
 	//snicvet:ignore hotpath -- reuses capacity once the heap reaches its high-water mark
-	*h = append(*h, x.(*event))
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
 
+// pop removes and returns the earliest record. The heap must not be
+// empty.
+//
 //snicvet:hotpath
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	*h = q[:n]
+	if n > 0 {
+		h.down(0, last)
+	}
+	return top
+}
+
+// up sifts the record at i toward the root.
+//
+//snicvet:hotpath
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// down fills the hole at i with ev, sifting it toward the leaves.
+//
+//snicvet:hotpath
+func (h eventHeap) down(i int, ev *event) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = ev
+}
+
+// init restores the heap order over arbitrary contents.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, h[i])
+	}
 }

@@ -111,6 +111,30 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// A cancelled ghost at the head of the queue must not let RunUntil fire
+// the next live event when that event lies past the deadline.
+func TestEngineRunUntilStopsBehindCancelledHead(t *testing.T) {
+	e := NewEngine()
+	e.Cancel(e.At(5, func() { t.Fatal("cancelled event fired") }))
+	var fired []Time
+	e.At(20, func() { fired = append(fired, e.Now()) })
+	e.RunUntil(10)
+	if len(fired) != 0 {
+		t.Fatalf("RunUntil(10) fired the t=20 event (at %v)", fired)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("clock = %v after RunUntil(10), want 10ns", e.Now())
+	}
+	if e.Pending() != 1 || e.CancelledPending() != 0 {
+		t.Fatalf("pending = %d, cancelled = %d; want the live event queued and the ghost gone",
+			e.Pending(), e.CancelledPending())
+	}
+	e.Run()
+	if len(fired) != 1 || fired[0] != 20 {
+		t.Fatalf("later Run fired at %v, want [20ns]", fired)
+	}
+}
+
 func TestEngineStepOnEmptyQueue(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {

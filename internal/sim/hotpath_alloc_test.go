@@ -6,6 +6,8 @@ package sim_test
 // a Link, and a flow.Table with a Recorder installed as the telemetry
 // observer; once warm (free lists filled, rings at capacity, metric and
 // resource names interned) one simulated event must not allocate at all.
+// Frames also circulate on the Link faster than it can carry them, so
+// its in-flight ring holds a standing backlog and keeps compacting.
 
 import (
 	"testing"
@@ -16,8 +18,9 @@ import (
 )
 
 // closedLoop is a self-sustaining workload: every completion re-submits
-// its job, so the engine never drains and every scheduling path (Submit,
-// start, HandleEvent, dispatch, Send, Lookup, RequestInsert,
+// its job and every delivered frame is re-sent, so the engine never
+// drains and every scheduling path (Submit, start, HandleEvent,
+// dispatch, Send, the link's ring and compaction, Lookup, RequestInsert,
 // completeInsert, evictions) stays hot.
 type closedLoop struct {
 	eng   *sim.Engine
@@ -27,7 +30,15 @@ type closedLoop struct {
 	rec   *obs.Recorder
 	jobs  []*sim.Job
 	next  uint64 // rotating flow ID driving table churn
+	// resend re-sends a delivered frame, keeping circulatingFrames on
+	// the link.
+	resend func()
 }
+
+// circulatingFrames is how many 100 ns frames circulate on the 1 µs
+// link: 3.2 µs of serialization per 1.1 µs round, so the link always
+// has a backlog.
+const circulatingFrames = 32
 
 func newClosedLoop(nJobs int) *closedLoop {
 	eng := sim.NewEngine()
@@ -66,6 +77,10 @@ func newClosedLoop(nJobs int) *closedLoop {
 			cl.st.Submit(j)
 		}
 		cl.st.Submit(j)
+	}
+	cl.resend = func() { cl.link.Send(1250, cl.resend) }
+	for i := 0; i < circulatingFrames; i++ {
+		cl.link.Send(1250, cl.resend)
 	}
 	return cl
 }
@@ -109,6 +124,9 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}
 	if cl.link.FramesSent() == 0 {
 		t.Error("link sent no frames")
+	}
+	if cl.link.Backlog() <= 0 {
+		t.Error("link has no standing backlog")
 	}
 }
 

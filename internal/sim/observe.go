@@ -58,7 +58,7 @@ func (e *Engine) Ticker(period Duration, fn func()) {
 	var tick func()
 	tick = func() {
 		e.tickerPending--
-		if len(e.queue) <= e.tickerPending {
+		if e.Pending() <= e.tickerPending {
 			// Only other tickers (or cancelled residue) remain: stop
 			// silently so the chain of tickers collapses and Run exits.
 			return
