@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: verify build test vet lint lint-facts race bench bench-compare bench-verify faults trace-determinism check fuzz-smoke profile-smoke
+.PHONY: verify build test vet fmt-check lint lint-facts race bench bench-compare bench-verify faults trace-determinism check fuzz-smoke profile-smoke
 
 # Tier-1 verification: everything CI and reviewers gate on.
-verify: vet build race lint
+verify: vet build race lint fmt-check
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the tree, the perfbench module included, is gofmt
+# clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Build the repo's own analysis suite and run it through the standard
 # vet driver. The seven analyzers (wallclock, seedrand, maporder,

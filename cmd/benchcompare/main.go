@@ -347,9 +347,9 @@ func main() {
 	}
 
 	ec := eventsComparison{
-		Experiment:  "fig4/software-events",
-		Benchmarks:  len(subset),
-		CPUs:        runtime.NumCPU(),
+		Experiment: "fig4/software-events",
+		Benchmarks: len(subset),
+		CPUs:       runtime.NumCPU(),
 		// The enabled leg executes more events — the gauge sampler's
 		// virtual-time tickers are real heap traffic — so the two
 		// counts are reported separately and only the results must

@@ -118,14 +118,15 @@ func NewByteEngine(eng *sim.Engine, cfg ByteEngineConfig) *ByteEngine {
 // Submit queues one task of size bytes; done fires when its batch
 // retires. Submitting to a crashed engine returns an *EngineError
 // (matching ErrEngineDown) and done never fires — callers that can
-// failover reroute on the rejection.
+// failover reroute on the rejection. Task jobs are pooled, so accepted
+// submissions allocate nothing in steady state.
 func (b *ByteEngine) Submit(size int, done func(start, end sim.Time)) error {
 	if b.down {
 		b.rejected++
 		return &EngineError{Engine: b.Name, State: Down}
 	}
 	svc := sim.DurationOf(size, b.effectiveRate()) + b.PerTaskOverhead
-	b.batch.Submit(&sim.Job{Service: svc, Done: done, Size: size})
+	b.batch.Exec(svc, done)
 	return nil
 }
 
@@ -292,7 +293,7 @@ func (p *PKAEngine) SubmitBulk(algo PKAAlgo, size int, done func(start, end sim.
 		rate *= p.rateFactor
 	}
 	svc := sim.DurationOf(size, rate) + p.CommandOverhead
-	p.station.Submit(&sim.Job{Service: svc, Done: done, Size: size})
+	p.station.Exec(svc, done)
 	return nil
 }
 
@@ -311,7 +312,7 @@ func (p *PKAEngine) SubmitOp(algo PKAAlgo, done func(start, end sim.Time)) error
 		rate *= p.rateFactor
 	}
 	svc := sim.Duration(float64(sim.Second)/rate) + p.CommandOverhead
-	p.station.Submit(&sim.Job{Service: svc, Done: done})
+	p.station.Exec(svc, done)
 	return nil
 }
 

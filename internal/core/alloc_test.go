@@ -1,0 +1,86 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// Dynamic counterpart of the hotpath annotations on the request path:
+// every driver the Fig. 4 and fleet workloads run takes its request
+// records, client packets and jobs from per-run free lists, so once the
+// lists cover a run's peak in flight a request allocates nothing. What
+// is left is per-run set-up (testbed, histogram, free-list growth),
+// which a few thousand requests amortize to a few hundredths of an
+// allocation per event.
+
+// maxAllocsPerEvent bounds heap allocations per simulated event on one
+// warmed run of each driver. The drivers measure 0.002–0.035 here,
+// while a closure per hop costs these runs 1.6–5.2, so the bound sits
+// well clear of both.
+const maxAllocsPerEvent = 0.1
+
+// allocsPerEvent runs w once to warm process-wide state (the catalog,
+// compiled rule sets, interned names), then again on a fresh runner with
+// a profiler attached, and returns the second run's heap allocations per
+// profiled engine event.
+func allocsPerEvent(t *testing.T, w Workload) float64 {
+	t.Helper()
+	if _, err := NewRunner().Execute(w); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner()
+	prof := NewProfiler()
+	r.SetProfiler(prof)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := r.Execute(w); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	events := prof.Snapshot().Events
+	if events == 0 {
+		t.Fatal("run fired no events")
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(events)
+}
+
+func TestRequestPathAllocsPerEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs six simulations")
+	}
+	point := func(function, variant string, plat Platform, gbps float64) Workload {
+		cfg, err := Lookup(function, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Workload{Kind: WorkloadPoint, Config: cfg, Platform: plat,
+			Opts: RunOpts{Requests: 20000, WarmupFrac: 0.1, Seed: 3, OfferedGbps: gbps}}
+	}
+	nat, err := Lookup("nat", "10K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := []float64{0.3, 1, 0, 0.6, 1.2, 0.2}
+	for _, tc := range []struct {
+		driver string
+		w      Workload
+	}{
+		{"netserve on host cores", point("nat", "10K", HostCPU, 2)},
+		{"netserve through the REM engine", point("rem", "file_executable", SNICAccel, 20)},
+		{"local through the Deflate engine", point("compress", "app", SNICAccel, 0)},
+		{"storage", point("fio", "read", HostCPU, 40)},
+		{"switched", point("ovs", "load10", HostCPU, 9)},
+		{"fleet server replay", Workload{Kind: WorkloadServer, Config: nat, Platform: HostCPU,
+			Rates: rates, Interval: sim.Millisecond, Seed: 5}},
+	} {
+		got := allocsPerEvent(t, tc.w)
+		t.Logf("%s: %.4f allocs/event", tc.driver, got)
+		if got > maxAllocsPerEvent {
+			t.Errorf("%s allocates %.3f times per event, want at most %v",
+				tc.driver, got, maxAllocsPerEvent)
+		}
+	}
+}

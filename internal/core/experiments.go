@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/netstack"
-	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -253,7 +252,26 @@ func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 	r.sims.Add(1)
 	rkey := replayKey(cfg, plat, r.TBConfig, tr, seed)
 	rlabel := fmt.Sprintf("replay %s @ %s | seed %d", cfg.Name(), plat, seed)
-	seed = r.runSeed(seed)
+	ctx := r.newReplayCtx(cfg, plat, r.runSeed(seed), rkey, rlabel)
+	ctx.warmupN = 1 // no warmup: the whole trace is the measurement
+	ctx.replay(tr.RatesGbps, tr.Interval)
+	r.finishChecks(ctx)
+	r.finishRecorder(ctx)
+
+	res := TraceReplayResult{Platform: plat, P99: ctx.hist.P99(), Dropped: ctx.pool.Dropped(),
+		Sent: uint64(ctx.sent), Completed: uint64(ctx.done)}
+	if ctx.meter != nil {
+		ctx.meter.Close(ctx.lastSend)
+		res.AvgTputGbps = ctx.meter.Gbps()
+	}
+	res.AvgPowerW = float64(ctx.tb.Power.Server.Power())
+	return res
+}
+
+// newReplayCtx wires a fresh testbed for a trace or fleet-server replay
+// of cfg on plat: pools poll as on a deployed server, the eSwitch feeds
+// the platform's sink, and key and label name the run's telemetry.
+func (r *Runner) newReplayCtx(cfg *Config, plat Platform, seed uint64, key, label string) *runctx {
 	tbc := r.TBConfig
 	tbc.Seed ^= seed
 	if cfg.HostCores > 0 {
@@ -265,12 +283,11 @@ func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 	tb := NewTestbed(tbc)
 	ctx := &runctx{
 		tb: tb, cfg: cfg, plat: plat,
-		opts:     RunOpts{Requests: 1 << 62, Seed: seed}, // trace decides the end
+		opts:     RunOpts{Requests: 1 << 62, Seed: seed}, // the rate series decides the end
 		prof:     netstack.ByKind(cfg.Stack),
 		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
 		jit:      sim.NewRNG(seed ^ 0x1234),
 		hist:     stats.NewHistogram(),
-		warmupN:  1, // no warmup: the whole trace is the measurement
 	}
 	ctx.sizes = trace.Fixed(cfg.ReqSize)
 	ctx.pool = tb.PoolFor(plat)
@@ -278,8 +295,8 @@ func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 	ctx.pool.SetQueueCapacity(4096)
 	ctx.ep = netstack.NewEndpoint(tb.Eng, ctx.prof, ctx.pool, seed^0x77)
 
-	ctx.rec = r.newRecorder(rkey, rlabel)
-	ctx.chk = r.newChecker(rlabel)
+	ctx.rec = r.newRecorder(key, label)
+	ctx.chk = r.newChecker(label)
 	instrumentTestbed(tb, ctx.rec, ctx.chk)
 
 	switch plat {
@@ -296,61 +313,55 @@ func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 		tb.SetPolling(SNICCPU, true)
 		tb.SetHostTrafficShare(0)
 	}
+	ctx.connectSinks()
+	return ctx
+}
 
-	dest := nic.ToHostCPU
-	switch plat {
-	case SNICCPU:
-		dest = nic.ToSNICCPU
-	case SNICAccel:
-		dest = nic.ToAccelerator
-	}
-	tb.Sw.Program(func(*nic.Packet) nic.Destination { return dest })
-	tb.Sw.Connect(nic.ToHostCPU, ctx.cpuSink)
-	tb.Sw.Connect(nic.ToSNICCPU, ctx.cpuSink)
-	tb.Sw.Connect(nic.ToAccelerator, ctx.accelSink)
+// replay runs the open-loop client over a rate series, one entry per
+// interval, until the series ends and the testbed drains.
+func (ctx *runctx) replay(rates []float64, interval sim.Duration) {
+	ctx.tb.Eng.AtCall(0, &replaySource{ctx: ctx, rates: rates, interval: interval, i: -1}, nil)
+	ctx.tb.Eng.Run()
+	ctx.finishEngineUtil()
+}
 
-	eng := tb.Eng
-	interval := tr.Interval
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= len(tr.RatesGbps) {
+// replaySource is the replays' client: Poisson arrivals at each
+// interval's rate, none while the rate is zero. An interval starts at
+// the first arrival at or after the previous one's end.
+type replaySource struct {
+	ctx      *runctx
+	rates    []float64
+	interval sim.Duration
+	// i is the current interval (-1 before the first) and end is when
+	// it ends.
+	i   int
+	end sim.Time
+}
+
+// HandleEvent enters the next interval when the current one has ended,
+// then issues one request, or waits out an idle interval.
+//
+//snicvet:hotpath
+func (s *replaySource) HandleEvent(any) {
+	ctx := s.ctx
+	eng := ctx.tb.Eng
+	if eng.Now() >= s.end {
+		s.i++
+		if s.i >= len(s.rates) {
 			ctx.lastSend = eng.Now()
 			return
 		}
-		rate := tr.RatesGbps[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				ctx.sent++
-				size := ctx.sizes.Next(ctx.jit)
-				pkt := &nic.Packet{Seq: uint64(ctx.sent), Size: size, SentAt: eng.Now(),
-					Span: uint32(ctx.openRequest())}
-				ctx.noteInject(pkt.Seq, size)
-				tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
-				eng.After(ctx.arrivals.Gap(size, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
+		s.end = eng.Now().Add(s.interval)
 	}
-	eng.At(0, func() { runInterval(0) })
-	eng.Run()
-	ctx.finishEngineUtil()
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
-
-	res := TraceReplayResult{Platform: plat, P99: ctx.hist.P99(), Dropped: ctx.pool.Dropped(),
-		Sent: uint64(ctx.sent), Completed: uint64(ctx.done)}
-	if ctx.meter != nil {
-		ctx.meter.Close(ctx.lastSend)
-		res.AvgTputGbps = ctx.meter.Gbps()
+	rate := s.rates[s.i]
+	if rate <= 0 {
+		eng.AtCall(s.end, s, nil)
+		return
 	}
-	res.AvgPowerW = float64(tb.Power.Server.Power())
-	return res
+	ctx.sent++
+	size := ctx.sizes.Next(ctx.jit)
+	pkt := ctx.newPacket(uint64(ctx.sent), size, ctx.openRequest())
+	ctx.noteInject(pkt.Seq, size)
+	ctx.tb.Wire.SendToServer(pkt, ctx.ingress)
+	eng.AfterCall(ctx.arrivals.Gap(size, rate*1e9), s, nil)
 }

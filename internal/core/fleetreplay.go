@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/netstack"
-	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -83,97 +81,12 @@ func (r *Runner) replayServer(cfg *Config, plat Platform, rates []float64, inter
 	tr := &trace.HyperscalerTrace{Interval: interval, RatesGbps: rates}
 	label := fmt.Sprintf("fleet server %s @ %s | tr %s | seed %d",
 		cfg.Name(), plat, traceFingerprint(tr), seed)
-	seed = r.runSeed(seed)
-	tbc := r.TBConfig
-	tbc.Seed ^= seed
-	if cfg.HostCores > 0 {
-		tbc.HostCores = cfg.HostCores
-	}
-	if cfg.SNICCores > 0 {
-		tbc.SNICCores = cfg.SNICCores
-	}
-	tb := NewTestbed(tbc)
-	ctx := &runctx{
-		tb: tb, cfg: cfg, plat: plat,
-		opts:     RunOpts{Requests: 1 << 62, Seed: seed}, // the rate series decides the end
-		prof:     netstack.ByKind(cfg.Stack),
-		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
-		jit:      sim.NewRNG(seed ^ 0x1234),
-		hist:     stats.NewHistogram(),
-		// Every completion counts: fleet attainment must see the whole
-		// trace, so the meter opens at t=0 and warmup never triggers.
-		meter:   stats.NewMeter(0),
-		warmupN: -1,
-	}
-	ctx.sizes = trace.Fixed(cfg.ReqSize)
-	ctx.pool = tb.PoolFor(plat)
-	ctx.pool.JitterSigma = 0
-	ctx.pool.SetQueueCapacity(4096)
-	ctx.ep = netstack.NewEndpoint(tb.Eng, ctx.prof, ctx.pool, seed^0x77)
-
-	ctx.rec = r.newRecorder(key, label)
-	ctx.chk = r.newChecker(label)
-	instrumentTestbed(tb, ctx.rec, ctx.chk)
-
-	switch plat {
-	case HostCPU:
-		tb.ActivateSNICPools(0, 0)
-		tb.SetPolling(HostCPU, true)
-		tb.SetHostTrafficShare(1)
-	case SNICCPU:
-		tb.ActivateSNICPools(1, 0)
-		tb.SetPolling(SNICCPU, true)
-		tb.SetHostTrafficShare(0)
-	case SNICAccel:
-		tb.ActivateSNICPools(0, 1)
-		tb.SetPolling(SNICCPU, true)
-		tb.SetHostTrafficShare(0)
-	}
-
-	dest := nic.ToHostCPU
-	switch plat {
-	case SNICCPU:
-		dest = nic.ToSNICCPU
-	case SNICAccel:
-		dest = nic.ToAccelerator
-	}
-	tb.Sw.Program(func(*nic.Packet) nic.Destination { return dest })
-	tb.Sw.Connect(nic.ToHostCPU, ctx.cpuSink)
-	tb.Sw.Connect(nic.ToSNICCPU, ctx.cpuSink)
-	tb.Sw.Connect(nic.ToAccelerator, ctx.accelSink)
-
-	eng := tb.Eng
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= len(rates) {
-			ctx.lastSend = eng.Now()
-			return
-		}
-		rate := rates[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				ctx.sent++
-				size := ctx.sizes.Next(ctx.jit)
-				pkt := &nic.Packet{Seq: uint64(ctx.sent), Size: size, SentAt: eng.Now(),
-					Span: uint32(ctx.openRequest())}
-				ctx.noteInject(pkt.Seq, size)
-				tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
-				eng.After(ctx.arrivals.Gap(size, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
-	}
-	eng.At(0, func() { runInterval(0) })
-	eng.Run()
-	ctx.finishEngineUtil()
+	ctx := r.newReplayCtx(cfg, plat, r.runSeed(seed), key, label)
+	// Every completion counts: fleet attainment must see the whole
+	// trace, so the meter opens at t=0 and warmup never triggers.
+	ctx.meter = stats.NewMeter(0)
+	ctx.warmupN = -1
+	ctx.replay(rates, interval)
 	r.finishChecks(ctx)
 	r.finishRecorder(ctx)
 
@@ -184,6 +97,7 @@ func (r *Runner) replayServer(cfg *Config, plat Platform, rates []float64, inter
 	if len(rates) > 0 {
 		offered /= float64(len(rates))
 	}
+	tb := ctx.tb
 	res := ServerReplay{
 		Platform:    plat,
 		OfferedGbps: offered,

@@ -229,11 +229,11 @@ type OffloadResult struct {
 	AvgPowerW     float64
 
 	// Flow-plane accounting.
-	FlowsStarted, FlowsChurned uint64
-	Inserts, Evictions         uint64
+	FlowsStarted, FlowsChurned  uint64
+	Inserts, Evictions          uint64
 	InsertRejects, InsertAborts uint64
-	Thrash                     uint64
-	OccupancyPeak              int
+	Thrash                      uint64
+	OccupancyPeak               int
 	// ThresholdMin/Max/Final trace the policy's K over the run.
 	ThresholdMin, ThresholdMax, ThresholdFinal int
 }

@@ -150,6 +150,17 @@ type runctx struct {
 	rec *obs.Recorder
 	// chk is the run's invariant checker; nil when checks are off.
 	chk *invariant.Checker
+
+	// freeReqs and freePkts are the run's free lists of request records
+	// and client packets (see request.go).
+	freeReqs *request
+	freePkts []*nic.Packet
+	// ingress is tb.Sw.Ingress, bound once per run (see connectSinks).
+	ingress func(*nic.Packet)
+	// upcall draws the switched mode's control-plane upcalls, and
+	// swArrived is switchedArrival bound once per run.
+	upcall    *sim.RNG
+	swArrived func(*nic.Packet)
 }
 
 // noteSent records a request issue; at the final request it arranges the
@@ -344,7 +355,38 @@ func (ctx *runctx) record(rtt sim.Duration, bytes int) {
 // ---- ModeNetServe ----
 
 func (ctx *runctx) runNetServe() {
-	eng := ctx.tb.Eng
+	ctx.connectSinks()
+	ctx.tb.Eng.AtCall(0, (*netSubmit)(ctx), nil)
+	ctx.tb.Eng.Run()
+	ctx.finishEngineUtil()
+}
+
+// netSubmit issues the open-loop client's next request, then re-arms
+// itself one arrival gap later.
+type netSubmit runctx
+
+// HandleEvent sends one request toward the eSwitch.
+//
+//snicvet:hotpath
+func (s *netSubmit) HandleEvent(any) {
+	ctx := (*runctx)(s)
+	if ctx.sent >= ctx.opts.Requests {
+		return
+	}
+	ctx.noteSent()
+	size := ctx.sizes.Next(ctx.jit)
+	pkt := ctx.newPacket(uint64(ctx.sent), size, ctx.openRequest())
+	ctx.noteInject(pkt.Seq, size)
+	ctx.reqBytesSent += uint64(size)
+	ctx.tb.Wire.SendToServer(pkt, ctx.ingress)
+	ctx.tb.Eng.AfterCall(ctx.arrivals.Gap(size, ctx.opts.OfferedGbps*1e9), s, nil)
+}
+
+// connectSinks steers every ingress packet to the platform's sink and
+// binds the receiver the client loops send with. Evaluating a method
+// value allocates, so the loops reuse this one instead of naming
+// tb.Sw.Ingress per packet.
+func (ctx *runctx) connectSinks() {
 	dest := nic.ToHostCPU
 	switch ctx.plat {
 	case SNICCPU:
@@ -353,63 +395,52 @@ func (ctx *runctx) runNetServe() {
 		dest = nic.ToAccelerator
 	}
 	ctx.tb.Sw.Program(func(*nic.Packet) nic.Destination { return dest })
+	ctx.tb.Sw.ConnectSink(nic.ToHostCPU, (*cpuSink)(ctx))
+	ctx.tb.Sw.ConnectSink(nic.ToSNICCPU, (*cpuSink)(ctx))
+	ctx.tb.Sw.ConnectSink(nic.ToAccelerator, (*accelSink)(ctx))
+	ctx.ingress = ctx.tb.Sw.Ingress
+}
 
-	ctx.tb.Sw.Connect(nic.ToHostCPU, ctx.cpuSink)
-	ctx.tb.Sw.Connect(nic.ToSNICCPU, ctx.cpuSink)
-	ctx.tb.Sw.Connect(nic.ToAccelerator, ctx.accelSink)
-
-	var submit func()
-	submit = func() {
-		if ctx.sent >= ctx.opts.Requests {
-			return
-		}
-		ctx.noteSent()
-		size := ctx.sizes.Next(ctx.jit)
-		pkt := &nic.Packet{Seq: uint64(ctx.sent), Size: size, SentAt: eng.Now(),
-			Span: uint32(ctx.openRequest())}
-		ctx.noteInject(pkt.Seq, size)
-		ctx.reqBytesSent += uint64(size)
-		ctx.tb.Wire.SendToServer(pkt, ctx.tb.Sw.Ingress)
-		eng.After(ctx.arrivals.Gap(size, ctx.opts.OfferedGbps*1e9), submit)
-	}
-	eng.At(0, submit)
-	eng.Run()
-	ctx.finishEngineUtil()
+// receive takes a record for a packet arriving at a sink and closes the
+// request's ingress stage.
+//
+//snicvet:hotpath
+func (ctx *runctx) receive(p *nic.Packet) *request {
+	r := ctx.take(p)
+	now := ctx.tb.Eng.Now()
+	ctx.stage(r.root, spanIngress, r.sentAt, now)
+	r.mark = now
+	return r
 }
 
 // cpuSink serves a packet on the platform's core pool (run to
 // completion: stack RX + application + stack TX on one core).
-func (ctx *runctx) cpuSink(pkt *nic.Packet) {
-	eng := ctx.tb.Eng
-	root := obs.SpanID(pkt.Span)
-	ctx.stage(root, spanIngress, pkt.SentAt, eng.Now())
-	respSize := ctx.cfg.RespSize
-	svc := ctx.svcTime(pkt.Size, respSize)
+type cpuSink runctx
+
+// HandleEvent draws the request's service time and RX-side fixed
+// delay, then waits out the delay in cpuRx.
+//
+//snicvet:hotpath
+func (s *cpuSink) HandleEvent(arg any) {
+	ctx := (*runctx)(s)
+	r := ctx.receive(arg.(*nic.Packet))
+	r.svc = ctx.svcTime(r.size, ctx.cfg.RespSize)
 	inFixed := ctx.ep.FixedDelay() + ctx.extraLatency()
-	rxDone := eng.Now()
-	eng.After(inFixed, func() {
-		enq := eng.Now()
-		ctx.stage(root, spanStackRx, rxDone, enq)
-		ok := ctx.pool.ExecDuration(svc, func(s, e sim.Time) {
-			if root != 0 && s > enq {
-				ctx.stage(root, spanQueue, enq, s)
-			}
-			ctx.stage(root, spanService, s, e)
-			eng.After(ctx.ep.FixedDelay(), func() {
-				txAt := eng.Now()
-				resp := &nic.Packet{Seq: pkt.Seq, Size: respSize, SentAt: pkt.SentAt}
-				ctx.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-					ctx.stage(root, spanReturn, txAt, eng.Now())
-					ctx.closeRequest(root)
-					ctx.noteComplete(pkt.Seq, pkt.Size)
-					ctx.record(eng.Now().Sub(p.SentAt), pkt.Size)
-				})
-			})
-		})
-		if !ok {
-			ctx.noteDrop(pkt.Seq, pkt.Size)
-		}
-	})
+	ctx.tb.Eng.AfterCall(inFixed, (*cpuRx)(r), nil)
+}
+
+// cpuRx queues a request for a core once its RX stack delay has passed.
+type cpuRx request
+
+// HandleEvent submits the request's service job.
+//
+//snicvet:hotpath
+func (h *cpuRx) HandleEvent(any) {
+	r := (*request)(h)
+	enq := r.ctx.tb.Eng.Now()
+	r.ctx.stage(r.root, spanStackRx, r.mark, enq)
+	r.mark = enq
+	r.exec(hopServed, r.svc)
 }
 
 // accelSink routes a packet through the staging cores into the bound
@@ -417,37 +448,33 @@ func (ctx *runctx) cpuSink(pkt *nic.Packet) {
 // includes the result pickup work (~100 cycles), so completions ride a
 // small fixed delay rather than re-entering the staging queue — a
 // dropped RX must never be able to orphan a finished engine task.
-func (ctx *runctx) accelSink(pkt *nic.Packet) {
-	eng := ctx.tb.Eng
-	root := obs.SpanID(pkt.Span)
-	ctx.stage(root, spanIngress, pkt.SentAt, eng.Now())
-	arrive := eng.Now()
+type accelSink runctx
+
+// HandleEvent submits the packet's staging job.
+//
+//snicvet:hotpath
+func (s *accelSink) HandleEvent(arg any) {
+	ctx := (*runctx)(s)
+	r := ctx.receive(arg.(*nic.Packet))
 	spec := ctx.tb.SNICSpec
-	stageCycles := (ctx.prof.RxCycles(spec.Arch, pkt.Size) +
-		accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(pkt.Size) + 100)
-	stageSvc := ctx.jit.LogNormalDur(sim.Cycles(stageCycles/spec.IPC, spec.BaseHz), 0.15)
-	ok := ctx.pool.ExecDuration(stageSvc, func(s, e sim.Time) {
-		if root != 0 && s > arrive {
-			ctx.stage(root, spanQueue, arrive, s)
-		}
-		ctx.stage(root, spanStaging, s, e)
-		ctx.engineSubmit(pkt.Size, func(es, ee sim.Time) {
-			ctx.stage(root, spanEngine, es, ee)
-			eng.After(200*sim.Nanosecond, func() {
-				txAt := eng.Now()
-				resp := &nic.Packet{Seq: pkt.Seq, Size: ctx.cfg.RespSize, SentAt: pkt.SentAt}
-				ctx.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-					ctx.stage(root, spanReturn, txAt, eng.Now())
-					ctx.closeRequest(root)
-					ctx.noteComplete(pkt.Seq, pkt.Size)
-					ctx.record(eng.Now().Sub(p.SentAt), pkt.Size)
-				})
-			})
-		})
-	})
-	if !ok {
-		ctx.noteDrop(pkt.Seq, pkt.Size)
-	}
+	stageCycles := (ctx.prof.RxCycles(spec.Arch, r.size) +
+		accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(r.size) + 100)
+	r.exec(hopStaged, ctx.jit.LogNormalDur(sim.Cycles(stageCycles/spec.IPC, spec.BaseHz), 0.15))
+}
+
+// reqTx sends a served request's response toward the client.
+type reqTx request
+
+// HandleEvent puts the response on the wire.
+//
+//snicvet:hotpath
+func (h *reqTx) HandleEvent(any) {
+	r := (*request)(h)
+	ctx := r.ctx
+	r.mark = ctx.tb.Eng.Now()
+	r.resp = nic.Packet{Seq: r.seq, Size: ctx.cfg.RespSize, SentAt: r.sentAt}
+	r.hop = hopReturned
+	ctx.tb.Wire.SendToClient(&r.resp, r.arrived)
 }
 
 // engineSubmit dispatches one task to the config's engine; done receives
@@ -491,52 +518,51 @@ func (ctx *runctx) finishEngineUtil() {
 // ---- ModeLocal (crypto, compression) ----
 
 func (ctx *runctx) runLocal() {
-	eng := ctx.tb.Eng
-	size := ctx.cfg.LocalOpBytes
-	var worker func()
-	worker = func() {
-		if ctx.sent >= ctx.opts.Requests {
-			return
-		}
-		ctx.sent++
-		seq := uint64(ctx.sent)
-		start := eng.Now()
-		root := ctx.openRequest()
-		ctx.noteInject(seq, size)
-		finish := func() {
-			ctx.closeRequest(root)
-			ctx.noteComplete(seq, size)
-			ctx.record(eng.Now().Sub(start), size)
-			worker()
-		}
-		switch ctx.plat {
-		case HostCPU, SNICCPU:
-			if !ctx.pool.ExecDuration(ctx.localSvcTime(size), func(s, e sim.Time) {
-				ctx.stage(root, spanService, s, e)
-				finish()
-			}) {
-				ctx.noteDrop(seq, size)
-			}
-		case SNICAccel:
-			// One staging core programs the engine's command registers.
-			spec := ctx.tb.SNICSpec
-			prep := sim.Cycles(400/spec.IPC, spec.BaseHz)
-			if !ctx.pool.ExecDuration(prep, func(s, e sim.Time) {
-				ctx.stage(root, spanStaging, s, e)
-				ctx.engineSubmit(size, func(es, ee sim.Time) {
-					ctx.stage(root, spanEngine, es, ee)
-					finish()
-				})
-			}) {
-				ctx.noteDrop(seq, size)
-			}
-		}
-	}
 	for i := 0; i < ctx.closedDepth(); i++ {
-		eng.At(0, worker)
+		ctx.tb.Eng.AtCall(0, (*localWorker)(ctx), nil)
 	}
-	eng.Run()
+	ctx.tb.Eng.Run()
 	ctx.finishEngineUtil()
+}
+
+// localWorker starts one closed-loop worker; each completion issues
+// the worker's next operation.
+type localWorker runctx
+
+// HandleEvent issues the worker's first operation.
+//
+//snicvet:hotpath
+func (w *localWorker) HandleEvent(any) { (*runctx)(w).localIssue() }
+
+// localIssue issues one closed-loop operation.
+//
+//snicvet:hotpath
+func (ctx *runctx) localIssue() {
+	if ctx.sent >= ctx.opts.Requests {
+		return
+	}
+	ctx.sent++
+	r := ctx.newRequest()
+	r.seq, r.size, r.sentAt = uint64(ctx.sent), ctx.cfg.LocalOpBytes, ctx.tb.Eng.Now()
+	r.root = ctx.openRequest()
+	ctx.noteInject(r.seq, r.size)
+	switch ctx.plat {
+	case HostCPU, SNICCPU:
+		r.exec(hopLocalServed, ctx.localSvcTime(r.size))
+	case SNICAccel:
+		// One staging core programs the engine's command registers.
+		spec := ctx.tb.SNICSpec
+		r.exec(hopLocalStaged, sim.Cycles(400/spec.IPC, spec.BaseHz))
+	}
+}
+
+// finishLocal completes an operation and issues the worker's next one.
+//
+//snicvet:hotpath
+func (r *request) finishLocal() {
+	ctx := r.ctx
+	r.finish()
+	ctx.localIssue()
 }
 
 // closedDepth returns the closed-loop depth for the current platform.
@@ -576,113 +602,137 @@ func (ctx *runctx) localSvcTime(size int) sim.Duration {
 
 // ---- ModeStorage (fio over NVMe-oF) ----
 
+// Block I/O geometry: every request moves one 64 KB block, and the
+// RAMDisk target behind the NVMe-oF offload engine serves it in a fixed
+// device time.
+const (
+	storageBlock     = 64 << 10
+	storageDeviceLat = 9 * sim.Microsecond
+)
+
 // runStorage drives block I/O open-loop at the offered data rate: fio
 // keeps the configured iodepth outstanding, which against a RAMDisk
 // target behind the NVMe-oF offload engine keeps the wire, not the
 // round trip, the bottleneck.
 func (ctx *runctx) runStorage() {
-	eng := ctx.tb.Eng
-	const block = 64 << 10
-	deviceLat := 9 * sim.Microsecond
-	spec := ctx.tb.SpecFor(ctx.plat)
+	ctx.tb.Eng.AtCall(0, (*storageIssue)(ctx), nil)
+	ctx.tb.Eng.Run()
+}
 
-	serveIO := func(start sim.Time, root obs.SpanID, seq uint64) {
-		// Initiator CPU posts the command.
-		post := ctx.jit.LogNormalDur(
-			sim.Cycles(ctx.appCycles(ctx.cfg.ReqSize)/spec.IPC, spec.BaseHz), 0.15)
-		ok := ctx.pool.ExecDuration(post, func(s, e sim.Time) {
-			ctx.stage(root, spanService, s, e)
-			fixed := ctx.ep.FixedDelay() + ctx.extraLatency()
-			eng.After(fixed, func() {
-				// Command crosses the wire; the target's NVMe-oF offload
-				// engine serves it with no CPU, then the data block
-				// crosses back (read) or is written (write) — either way
-				// one 64 KB transfer occupies the wire.
-				cmdAt := eng.Now()
-				cmd := &nic.Packet{Size: 96, SentAt: start}
-				ctx.tb.Wire.SendToClient(cmd, func(*nic.Packet) {
-					ctx.stage(root, spanIngress, cmdAt, eng.Now())
-					devAt := eng.Now()
-					eng.After(deviceLat, func() {
-						ctx.stage(root, spanDevice, devAt, eng.Now())
-						dataAt := eng.Now()
-						data := &nic.Packet{Size: block, SentAt: start}
-						ctx.tb.Wire.SendToServer(data, func(p *nic.Packet) {
-							ctx.stage(root, spanReturn, dataAt, eng.Now())
-							// Completion interrupt/poll on the initiator.
-							comp := sim.Cycles(600/spec.IPC, spec.BaseHz)
-							if !ctx.pool.ExecDuration(comp, func(_, _ sim.Time) {
-								ctx.closeRequest(root)
-								ctx.noteComplete(seq, block)
-								ctx.record(eng.Now().Sub(p.SentAt), block)
-							}) {
-								ctx.noteDrop(seq, block)
-							}
-						})
-					})
-				})
-			})
-		})
-		if !ok {
-			ctx.noteDrop(seq, block)
-		}
+// storageIssue issues the next block I/O, then re-arms itself one
+// arrival gap later.
+type storageIssue runctx
+
+// HandleEvent has the initiator CPU post one command.
+//
+//snicvet:hotpath
+func (s *storageIssue) HandleEvent(any) {
+	ctx := (*runctx)(s)
+	if ctx.sent >= ctx.opts.Requests {
+		return
 	}
-	var issue func()
-	issue = func() {
-		if ctx.sent >= ctx.opts.Requests {
-			return
-		}
-		ctx.noteSent()
-		seq := uint64(ctx.sent)
-		ctx.noteInject(seq, block)
-		serveIO(eng.Now(), ctx.openRequest(), seq)
-		eng.After(ctx.arrivals.Gap(block, ctx.opts.OfferedGbps*1e9), issue)
-	}
-	eng.At(0, issue)
-	eng.Run()
+	ctx.noteSent()
+	r := ctx.newRequest()
+	r.seq, r.size, r.sentAt = uint64(ctx.sent), storageBlock, ctx.tb.Eng.Now()
+	ctx.noteInject(r.seq, storageBlock)
+	r.root = ctx.openRequest()
+	spec := ctx.tb.SpecFor(ctx.plat)
+	r.exec(hopPosted, ctx.jit.LogNormalDur(
+		sim.Cycles(ctx.appCycles(ctx.cfg.ReqSize)/spec.IPC, spec.BaseHz), 0.15))
+	ctx.tb.Eng.AfterCall(ctx.arrivals.Gap(storageBlock, ctx.opts.OfferedGbps*1e9), s, nil)
+}
+
+// ioCommand puts a posted command on the wire. The target's NVMe-oF
+// offload engine serves it with no CPU, then the data block crosses
+// back (read) or is written (write) — either way one 64 KB transfer
+// occupies the wire.
+type ioCommand request
+
+// HandleEvent sends the command.
+//
+//snicvet:hotpath
+func (h *ioCommand) HandleEvent(any) {
+	r := (*request)(h)
+	r.mark = r.ctx.tb.Eng.Now()
+	r.resp = nic.Packet{Size: 96, SentAt: r.sentAt}
+	r.hop = hopCommanded
+	r.ctx.tb.Wire.SendToClient(&r.resp, r.arrived)
+}
+
+// ioDevice sends the data block once the target device has served the
+// command.
+type ioDevice request
+
+// HandleEvent sends the data block.
+//
+//snicvet:hotpath
+func (h *ioDevice) HandleEvent(any) {
+	r := (*request)(h)
+	now := r.ctx.tb.Eng.Now()
+	r.ctx.stage(r.root, spanDevice, r.mark, now)
+	r.mark = now
+	r.resp = nic.Packet{Size: storageBlock, SentAt: r.sentAt}
+	r.hop = hopStored
+	r.ctx.tb.Wire.SendToServer(&r.resp, r.arrived)
 }
 
 // ---- ModeSwitched (OvS) ----
 
 func (ctx *runctx) runSwitched() {
-	eng := ctx.tb.Eng
-	spec := ctx.tb.SpecFor(ctx.plat)
-	upcall := ctx.jit.Fork(5)
+	ctx.upcall = ctx.jit.Fork(5)
+	ctx.swArrived = ctx.switchedArrival
+	ctx.tb.Eng.AtCall(0, (*switchedSubmit)(ctx), nil)
+	ctx.tb.Eng.Run()
+}
 
-	var submit func()
-	submit = func() {
-		if ctx.sent >= ctx.opts.Requests {
-			return
-		}
-		ctx.noteSent()
-		seq := uint64(ctx.sent)
-		size := ctx.cfg.ReqSize
-		pkt := &nic.Packet{Seq: seq, Size: size, SentAt: eng.Now(), Span: uint32(ctx.openRequest())}
-		ctx.noteInject(seq, size)
-		ctx.tb.Wire.SendToServer(pkt, func(p *nic.Packet) {
-			root := obs.SpanID(p.Span)
-			// Hardware datapath: eSwitch forwards at line rate.
-			eng.After(ctx.tb.Sw.SwitchDelay, func() {
-				ctx.stage(root, spanIngress, p.SentAt, eng.Now())
-				txAt := eng.Now()
-				resp := &nic.Packet{Size: size, SentAt: p.SentAt}
-				ctx.tb.Wire.SendToClient(resp, func(q *nic.Packet) {
-					ctx.stage(root, spanReturn, txAt, eng.Now())
-					ctx.closeRequest(root)
-					ctx.noteComplete(seq, size)
-					ctx.record(eng.Now().Sub(q.SentAt), size)
-				})
-			})
-			// Control-plane upcall for cache-miss flows.
-			if upcall.Float64() < ctx.cfg.UpcallFrac {
-				c := ctx.appCycles(size)
-				ctx.pool.ExecDuration(sim.Cycles(c/spec.IPC, spec.BaseHz), nil)
-			}
-		})
-		eng.After(ctx.arrivals.Gap(size+nic.EthernetOverhead, ctx.opts.OfferedGbps*1e9), submit)
+// switchedSubmit sends the client's next frame, then re-arms itself
+// one arrival gap later.
+type switchedSubmit runctx
+
+// HandleEvent sends one frame toward the eSwitch's hardware datapath.
+//
+//snicvet:hotpath
+func (s *switchedSubmit) HandleEvent(any) {
+	ctx := (*runctx)(s)
+	if ctx.sent >= ctx.opts.Requests {
+		return
 	}
-	eng.At(0, submit)
-	eng.Run()
+	ctx.noteSent()
+	size := ctx.cfg.ReqSize
+	pkt := ctx.newPacket(uint64(ctx.sent), size, ctx.openRequest())
+	ctx.noteInject(pkt.Seq, size)
+	ctx.tb.Wire.SendToServer(pkt, ctx.swArrived)
+	ctx.tb.Eng.AfterCall(ctx.arrivals.Gap(size+nic.EthernetOverhead, ctx.opts.OfferedGbps*1e9), s, nil)
+}
+
+// switchedArrival forwards an arrived frame in hardware and draws the
+// control-plane upcall a cache-miss flow costs the platform's cores.
+//
+//snicvet:hotpath
+func (ctx *runctx) switchedArrival(p *nic.Packet) {
+	r := ctx.take(p)
+	// Hardware datapath: eSwitch forwards at line rate.
+	ctx.tb.Eng.AfterCall(ctx.tb.Sw.SwitchDelay, (*switchedForward)(r), nil)
+	if ctx.upcall.Float64() < ctx.cfg.UpcallFrac {
+		spec := ctx.tb.SpecFor(ctx.plat)
+		ctx.pool.ExecDuration(sim.Cycles(ctx.appCycles(r.size)/spec.IPC, spec.BaseHz), nil)
+	}
+}
+
+// switchedForward reflects a switched frame back toward the client.
+type switchedForward request
+
+// HandleEvent sends the forwarded frame.
+//
+//snicvet:hotpath
+func (h *switchedForward) HandleEvent(any) {
+	r := (*request)(h)
+	now := r.ctx.tb.Eng.Now()
+	r.ctx.stage(r.root, spanIngress, r.sentAt, now)
+	r.mark = now
+	r.resp = nic.Packet{Size: r.size, SentAt: r.sentAt}
+	r.hop = hopReturned
+	r.ctx.tb.Wire.SendToClient(&r.resp, r.arrived)
 }
 
 // ---- Results ----

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -119,6 +120,9 @@ func (w *Workload) Validate() error {
 	fail := func(field, reason string) error {
 		return &WorkloadError{Kind: w.Kind, Field: field, Reason: reason}
 	}
+	if !finite(w.Opts.OfferedGbps) {
+		return fail("Opts.OfferedGbps", "must be finite")
+	}
 	if w.Opts.OfferedGbps < 0 {
 		return fail("Opts.OfferedGbps", "must not be negative")
 	}
@@ -138,6 +142,12 @@ func (w *Workload) Validate() error {
 		}
 		if !w.Config.HasPlatform(w.Platform) {
 			return fail("Platform", fmt.Sprintf("%s does not run on %s", w.Config.Name(), w.Platform))
+		}
+		switch w.Config.Mode {
+		case ModeNetServe, ModeStorage, ModeSwitched:
+			if w.Opts.OfferedGbps == 0 {
+				return fail("Opts.OfferedGbps", fmt.Sprintf("must be positive for the open-loop %s mode", w.Config.Mode))
+			}
 		}
 	case WorkloadReplay:
 		if w.Config == nil {
@@ -160,6 +170,9 @@ func (w *Workload) Validate() error {
 			return fail("Rates", "must have at least one interval")
 		}
 		for _, rate := range w.Rates {
+			if !finite(rate) {
+				return fail("Rates", "must contain only finite rates")
+			}
 			if rate < 0 {
 				return fail("Rates", "must not contain negative rates")
 			}
@@ -193,6 +206,9 @@ func (w *Workload) Validate() error {
 		}
 		if err := w.Pipeline.Validate(); err != nil {
 			return err
+		}
+		if w.Opts.OfferedGbps == 0 {
+			return fail("Opts.OfferedGbps", "must be positive: pipelines are driven open loop")
 		}
 	case WorkloadSaturation:
 		if w.Pipeline == nil {
@@ -238,12 +254,18 @@ func validTrace(kind WorkloadKind, tr *trace.HyperscalerTrace) error {
 		return fail("Trace.RatesGbps", "must have at least one interval")
 	}
 	for _, rate := range tr.RatesGbps {
+		if !finite(rate) {
+			return fail("Trace.RatesGbps", "must contain only finite rates")
+		}
 		if rate < 0 {
 			return fail("Trace.RatesGbps", "must not contain negative rates")
 		}
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Execute validates w and runs it, returning the family's result in the
 // matching Result field. Every family is memoized and byte-identical at

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // The unified API contract: Execute dispatches to the same memoized
@@ -68,6 +70,15 @@ func TestWorkloadValidateTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = accel
+	fio, err := Lookup("fio", "read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ovs, err := Lookup("ovs", "load10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name  string
 		w     Workload
@@ -90,6 +101,30 @@ func TestWorkloadValidateTypedErrors(t *testing.T) {
 		{"pipeline missing", Workload{Kind: WorkloadPipeline}, "Pipeline"},
 		{"saturation negative bounds", Workload{Kind: WorkloadSaturation, Pipeline: NATIDSPipeline(),
 			Saturation: SaturationOpts{MinGbps: -5}}, "Saturation"},
+		// Open-loop drivers draw arrival gaps from the offered rate, so a
+		// zero rate cannot run; closed-loop local mode ignores it.
+		{"netserve zero rate", Workload{Kind: WorkloadPoint, Config: cfg, Platform: HostCPU,
+			Opts: RunOpts{Requests: 50}}, "Opts.OfferedGbps"},
+		{"storage zero rate", Workload{Kind: WorkloadPoint, Config: fio, Platform: HostCPU,
+			Opts: RunOpts{Requests: 50}}, "Opts.OfferedGbps"},
+		{"switched zero rate", Workload{Kind: WorkloadPoint, Config: ovs, Platform: HostCPU,
+			Opts: RunOpts{Requests: 50}}, "Opts.OfferedGbps"},
+		{"pipeline zero rate", Workload{Kind: WorkloadPipeline, Pipeline: NATIDSPipeline(),
+			Opts: RunOpts{Requests: 50}}, "Opts.OfferedGbps"},
+		{"NaN rate", Workload{Kind: WorkloadPoint, Config: cfg, Platform: HostCPU,
+			Opts: RunOpts{Requests: 50, OfferedGbps: nan}}, "Opts.OfferedGbps"},
+		{"infinite rate", Workload{Kind: WorkloadPoint, Config: cfg, Platform: HostCPU,
+			Opts: RunOpts{Requests: 50, OfferedGbps: inf}}, "Opts.OfferedGbps"},
+		{"negative infinite rate", Workload{Kind: WorkloadPipeline, Pipeline: NATIDSPipeline(),
+			Opts: RunOpts{Requests: 50, OfferedGbps: -inf}}, "Opts.OfferedGbps"},
+		{"infinite rate on any kind", Workload{Kind: WorkloadOffload,
+			Opts: RunOpts{OfferedGbps: inf}}, "Opts.OfferedGbps"},
+		{"server NaN rate", Workload{Kind: WorkloadServer, Config: cfg, Platform: HostCPU,
+			Rates: []float64{1, nan}, Interval: sim.Millisecond}, "Rates"},
+		{"server infinite rate", Workload{Kind: WorkloadServer, Config: cfg, Platform: HostCPU,
+			Rates: []float64{inf}, Interval: sim.Millisecond}, "Rates"},
+		{"replay NaN trace rate", Workload{Kind: WorkloadReplay, Config: cfg, Platform: HostCPU,
+			Trace: &trace.HyperscalerTrace{Interval: sim.Millisecond, RatesGbps: []float64{nan}}}, "Trace.RatesGbps"},
 	}
 	r := NewRunner()
 	for _, tc := range cases {
@@ -101,6 +136,27 @@ func TestWorkloadValidateTypedErrors(t *testing.T) {
 		}
 		if we.Field != tc.field {
 			t.Errorf("%s: flagged field %q, want %q", tc.name, we.Field, tc.field)
+		}
+	}
+}
+
+// A zero rate stays valid where nothing is driven open loop: a
+// closed-loop local point runs, and a fleet server may idle an interval.
+func TestWorkloadValidateAcceptsZeroRateWhereMeaningful(t *testing.T) {
+	compress, err := Lookup("compress", "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nat, err := Lookup("nat", "10K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []Workload{
+		{Kind: WorkloadPoint, Config: compress, Platform: HostCPU, Opts: RunOpts{Requests: 50}},
+		{Kind: WorkloadServer, Config: nat, Platform: HostCPU, Rates: []float64{0, 1}, Interval: sim.Millisecond},
+	} {
+		if err := w.Validate(); err != nil {
+			t.Errorf("%s workload with a zero rate rejected: %v", w.Kind, err)
 		}
 	}
 }

@@ -138,13 +138,17 @@ func (p *Pool) ExecCycles(cycles float64, done func(start, end sim.Time)) bool {
 	if p.JitterSigma > 0 {
 		svc = p.jitter.LogNormalDur(svc, p.JitterSigma)
 	}
-	return p.station.Submit(&sim.Job{Service: svc, Done: done})
+	return p.station.Exec(svc, done)
 }
 
 // ExecDuration schedules a job with an explicit pre-computed service time
-// (already jittered or deliberately deterministic).
+// (already jittered or deliberately deterministic). The job record is
+// the station's pooled one, so a steady-state submission allocates
+// nothing.
+//
+//snicvet:hotpath
 func (p *Pool) ExecDuration(svc sim.Duration, done func(start, end sim.Time)) bool {
-	return p.station.Submit(&sim.Job{Service: svc, Done: done})
+	return p.station.Exec(svc, done)
 }
 
 // SetQueueCapacity bounds the pool's run queue; zero means unbounded.

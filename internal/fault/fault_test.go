@@ -16,9 +16,9 @@ type fakeEngine struct {
 	rate              float64
 }
 
-func (f *fakeEngine) Fail()                 { f.failed++ }
-func (f *fakeEngine) Recover()              { f.recovered++ }
-func (f *fakeEngine) Stall(t sim.Time)      { f.stalledUntil = t }
+func (f *fakeEngine) Fail()                   { f.failed++ }
+func (f *fakeEngine) Recover()                { f.recovered++ }
+func (f *fakeEngine) Stall(t sim.Time)        { f.stalledUntil = t }
 func (f *fakeEngine) SetRateFactor(v float64) { f.rate = v }
 
 type fakeLink struct {
@@ -26,8 +26,8 @@ type fakeLink struct {
 	rate float64
 }
 
-func (f *fakeLink) SetDown(d bool)           { f.down = d }
-func (f *fakeLink) SetRateFactor(v float64)  { f.rate = v }
+func (f *fakeLink) SetDown(d bool)          { f.down = d }
+func (f *fakeLink) SetRateFactor(v float64) { f.rate = v }
 
 type fakePool struct{ throttle float64 }
 

@@ -132,7 +132,7 @@ func TestFleetValidation(t *testing.T) {
 	r := core.NewRunner()
 	bad := []Config{
 		{},
-		{Classes: []Class{NICHosts(2)}},                        // no trace
+		{Classes: []Class{NICHosts(2)}}, // no trace
 		{Classes: []Class{NICHosts(2)}, Trace: flatTrace(1, 4)}, // no policy
 		{Classes: []Class{NICHosts(1)}, Trace: flatTrace(1, 4), Policy: RoundRobin,
 			Outages: []Outage{{Server: 5}}},

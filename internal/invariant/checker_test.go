@@ -373,7 +373,9 @@ func TestViolationErrorFormatting(t *testing.T) {
 // recording observers for the tee tests.
 type recordingStation struct{ events []string }
 
-func (r *recordingStation) JobQueued(s string, _ sim.Time, _ int) { r.events = append(r.events, "q:"+s) }
+func (r *recordingStation) JobQueued(s string, _ sim.Time, _ int) {
+	r.events = append(r.events, "q:"+s)
+}
 func (r *recordingStation) JobStarted(s string, _ sim.Time, _ sim.Duration) {
 	r.events = append(r.events, "s:"+s)
 }

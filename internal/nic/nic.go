@@ -38,6 +38,11 @@ type Packet struct {
 	// Payload carries the application-level object (a KVS request, a
 	// chunk to compress, ...). The simulator moves it; functions parse it.
 	Payload any
+
+	// recv is the receiver a Wire delivers the packet to, held here from
+	// send to arrival so the in-flight frame needs no closure. A packet
+	// is in flight on at most one wire direction at a time.
+	recv func(*Packet)
 }
 
 // Destination names the on-NIC steering targets of Fig. 2.
@@ -57,7 +62,15 @@ const (
 	// per-flow offload fast path: a resident eSwitch rule rewrites and
 	// reflects the packet with no CPU anywhere touching it.
 	ToWire
+
+	// numDestinations sizes the eSwitch's per-destination arrays.
+	numDestinations = iota
 )
+
+// valid reports whether d is one of the destinations above.
+//
+//snicvet:hotpath
+func (d Destination) valid() bool { return d >= 0 && d < numDestinations }
 
 func (d Destination) String() string {
 	switch d {
@@ -100,8 +113,20 @@ func (m Mode) String() string {
 // the control plane installs.
 type SteerFunc func(*Packet) Destination
 
-// Sink consumes steered packets.
-type Sink func(*Packet)
+// Sink consumes steered packets. The eSwitch schedules a delivery as an
+// engine event with the sink as handler and the *Packet as argument, so
+// a pointer-receiver sink costs no allocation per packet.
+type Sink interface {
+	sim.EventHandler
+}
+
+// SinkFunc adapts a plain function to a Sink.
+type SinkFunc func(*Packet)
+
+// HandleEvent delivers the packet to the function.
+//
+//snicvet:hotpath
+func (f SinkFunc) HandleEvent(arg any) { f(arg.(*Packet)) }
 
 // ESwitch is the embedded switch: hardware match-action steering at line
 // rate. Forwarding adds a small fixed latency; host-destined packets pay
@@ -110,7 +135,9 @@ type ESwitch struct {
 	eng   *sim.Engine
 	mode  Mode
 	steer SteerFunc
-	sinks map[Destination]Sink
+	// sinks holds each destination's Sink as the engine handler it is
+	// scheduled with, converted once at connect time.
+	sinks [numDestinations]sim.EventHandler
 
 	// SwitchDelay is the hardware match-action latency.
 	SwitchDelay sim.Duration
@@ -118,7 +145,7 @@ type ESwitch struct {
 	// deliveries (the packet must cross the interconnect to host DRAM).
 	HostExtraDelay sim.Duration
 
-	forwarded map[Destination]uint64
+	forwarded [numDestinations]uint64
 }
 
 // NewESwitch returns an eSwitch in on-path mode with typical ConnectX-6
@@ -128,10 +155,8 @@ func NewESwitch(eng *sim.Engine) *ESwitch {
 		eng:            eng,
 		mode:           OnPath,
 		steer:          func(*Packet) Destination { return Drop },
-		sinks:          make(map[Destination]Sink),
 		SwitchDelay:    300 * sim.Nanosecond,
 		HostExtraDelay: 700 * sim.Nanosecond,
-		forwarded:      make(map[Destination]uint64),
 	}
 }
 
@@ -149,36 +174,65 @@ func (sw *ESwitch) Program(f SteerFunc) {
 	sw.steer = f
 }
 
-// Connect registers the consumer for a destination.
-func (sw *ESwitch) Connect(d Destination, s Sink) {
+// Connect registers a function as the consumer for a destination. It
+// is ConnectSink with the function adapted by SinkFunc.
+func (sw *ESwitch) Connect(d Destination, s func(*Packet)) {
 	if s == nil {
 		panic("nic: connecting nil sink")
+	}
+	sw.ConnectSink(d, SinkFunc(s))
+}
+
+// ConnectSink registers the consumer for a destination. A destination
+// outside the enum above is a wiring bug and panics, as a nil sink does.
+func (sw *ESwitch) ConnectSink(d Destination, s Sink) {
+	if s == nil {
+		panic("nic: connecting nil sink")
+	}
+	if !d.valid() {
+		panic(fmt.Sprintf("nic: connecting sink to unknown destination %v", d))
 	}
 	sw.sinks[d] = s
 }
 
 // Ingress accepts a packet from the wire and steers it.
+//
+//snicvet:hotpath
 func (sw *ESwitch) Ingress(p *Packet) {
 	d := sw.steer(p)
+	if !d.valid() {
+		panic(noSinkError(d))
+	}
 	sw.forwarded[d]++
 	if d == Drop {
 		return
+	}
+	sink := sw.sinks[d]
+	if sink == nil {
+		// A rule steering to an unconnected destination is a
+		// configuration bug; drop loudly.
+		panic(noSinkError(d))
 	}
 	delay := sw.SwitchDelay
 	if d == ToHostCPU {
 		delay += sw.HostExtraDelay
 	}
-	sink, ok := sw.sinks[d]
-	if !ok {
-		// A rule steering to an unconnected destination is a
-		// configuration bug; drop loudly.
-		panic(fmt.Sprintf("nic: no sink connected for %v", d))
-	}
-	sw.eng.After(delay, func() { sink(p) })
+	sw.eng.AfterCall(delay, sink, p)
 }
 
-// Forwarded returns how many packets were steered to d (including drops).
-func (sw *ESwitch) Forwarded(d Destination) uint64 { return sw.forwarded[d] }
+// noSinkError describes a packet steered to a destination with no sink.
+func noSinkError(d Destination) error {
+	return fmt.Errorf("nic: no sink connected for %v", d)
+}
+
+// Forwarded returns how many packets were steered to d (including
+// drops); zero for a destination outside the enum.
+func (sw *ESwitch) Forwarded(d Destination) uint64 {
+	if !d.valid() {
+		return 0
+	}
+	return sw.forwarded[d]
+}
 
 // Wire is a full-duplex 100 GbE cable between client and server. Each
 // direction is an independent serializing link; per-frame Ethernet
@@ -210,14 +264,37 @@ func NewWireRate(eng *sim.Engine, rateBits float64, propagation sim.Duration) *W
 }
 
 // SendToServer transmits a frame toward the server and delivers it to
-// recv at arrival.
+// recv at arrival. recv rides on the packet until then, so the frame is
+// the packet itself and a send allocates nothing; callers in a hot loop
+// pass a receiver they bound once.
+//
+//snicvet:hotpath
 func (w *Wire) SendToServer(p *Packet, recv func(*Packet)) {
-	w.clientToServer.Send(p.Size+EthernetOverhead, func() { recv(p) })
+	p.recv = recv
+	w.clientToServer.SendCall(p.Size+EthernetOverhead, (*arrival)(p))
 }
 
-// SendToClient transmits a frame toward the client.
+// SendToClient transmits a frame toward the client, like SendToServer.
+//
+//snicvet:hotpath
 func (w *Wire) SendToClient(p *Packet, recv func(*Packet)) {
-	w.serverToClient.Send(p.Size+EthernetOverhead, func() { recv(p) })
+	p.recv = recv
+	w.serverToClient.SendCall(p.Size+EthernetOverhead, (*arrival)(p))
+}
+
+// arrival is a packet's link-delivery handler: the Packet under another
+// method set, which keeps HandleEvent off Packet's API.
+type arrival Packet
+
+// HandleEvent hands the arrived packet to its receiver. The receiver is
+// cleared first, so the packet can be sent again from inside it.
+//
+//snicvet:hotpath
+func (a *arrival) HandleEvent(any) {
+	p := (*Packet)(a)
+	recv := p.recv
+	p.recv = nil
+	recv(p)
 }
 
 // SetDown flaps both directions of the cable (carrier loss): frames sent

@@ -137,3 +137,84 @@ func TestDestinationStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestConnectRejectsUnknownDestination(t *testing.T) {
+	sw := NewESwitch(sim.NewEngine())
+	for _, d := range []Destination{-1, ToWire + 1, 99} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Connect(%v) did not panic", d)
+				}
+			}()
+			sw.Connect(d, func(*Packet) {})
+		}()
+	}
+}
+
+func TestForwardedUnknownDestinationIsZero(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewESwitch(eng)
+	sw.Connect(ToWire, func(*Packet) {})
+	sw.Program(func(*Packet) Destination { return ToWire })
+	sw.Ingress(&Packet{})
+	eng.Run()
+	if sw.Forwarded(ToWire) != 1 {
+		t.Fatalf("Forwarded(ToWire) = %d, want 1", sw.Forwarded(ToWire))
+	}
+	for _, d := range []Destination{-1, ToWire + 1, 99} {
+		if n := sw.Forwarded(d); n != 0 {
+			t.Errorf("Forwarded(%v) = %d, want 0", d, n)
+		}
+	}
+}
+
+// echoSink bounces every packet it receives back to the client, the
+// shape of a server's request path: a pointer-receiver Sink and a
+// return receiver bound once.
+type echoSink struct {
+	w        *Wire
+	back     func(*Packet)
+	returned int
+}
+
+func (s *echoSink) HandleEvent(arg any) { s.w.SendToClient(arg.(*Packet), s.back) }
+
+func (s *echoSink) onReturn(*Packet) { s.returned++ }
+
+// A warmed client → Wire → ESwitch → Sink → Wire → client round trip
+// allocates nothing: frames carry the packet itself as their handler,
+// the eSwitch schedules the sink directly, and the receivers are bound
+// once up front.
+func TestRoundTripZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	w := NewWire(eng, 200*sim.Nanosecond)
+	sw := NewESwitch(eng)
+	sink := &echoSink{w: w}
+	sink.back = sink.onReturn
+	sw.Program(func(p *Packet) Destination { return Destination(p.Flow % 2) })
+	sw.ConnectSink(ToHostCPU, sink)
+	sw.ConnectSink(ToSNICCPU, sink)
+	ingress := sw.Ingress
+	// A burst of four frames per round keeps a backlog on both links.
+	var pkts [4]Packet
+	for i := range pkts {
+		pkts[i] = Packet{Seq: uint64(i), Flow: uint64(i), Size: MTU}
+	}
+	round := func() {
+		for i := range pkts {
+			w.SendToServer(&pkts[i], ingress)
+		}
+		eng.Run()
+	}
+	round() // warm the engine's event free list and the links' rings
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("round trip allocates %.2f times per burst, want 0", allocs)
+	}
+	if want := 4 * 102; sink.returned != want {
+		t.Fatalf("%d packets returned, want %d", sink.returned, want)
+	}
+	if sw.Forwarded(ToHostCPU) != 2*102 || sw.Forwarded(ToSNICCPU) != 2*102 {
+		t.Fatalf("forwarded host %d, snic %d", sw.Forwarded(ToHostCPU), sw.Forwarded(ToSNICCPU))
+	}
+}

@@ -31,12 +31,26 @@ type BatchStation struct {
 	// accounting when an observer is installed.
 	firstAt Time
 
+	// jobs recycles the task jobs Exec submits; free recycles retired
+	// batches with their engine job and task slice.
+	jobs jobPool
+	free []*batch
+
 	completed uint64
 	batches   uint64
 
 	// Optional telemetry hook (see Observe).
 	name     string
 	batchObs BatchObserver
+}
+
+// batch is one flushed batch in the engine: its engine job, whose Done
+// is the batch's retire method bound once when the record is built, and
+// the tasks it carries.
+type batch struct {
+	b     *BatchStation
+	job   Job
+	tasks []*Job
 }
 
 // NewBatchStation returns a batching engine with one internal server.
@@ -65,6 +79,8 @@ func (b *BatchStation) Observe(name string, obs StationObserver, batchObs BatchO
 }
 
 // Submit adds a task to the current batch.
+//
+//snicvet:hotpath
 func (b *BatchStation) Submit(j *Job) {
 	if j == nil {
 		panic("sim: Submit(nil)")
@@ -72,6 +88,7 @@ func (b *BatchStation) Submit(j *Job) {
 	if len(b.pending) == 0 {
 		b.firstAt = b.eng.Now()
 	}
+	//snicvet:ignore hotpath -- amortized growth to MaxBatch; flushed batches hand their emptied slice back
 	b.pending = append(b.pending, j)
 	if len(b.pending) >= b.MaxBatch {
 		b.flush()
@@ -79,14 +96,36 @@ func (b *BatchStation) Submit(j *Job) {
 	}
 	if !b.armed {
 		b.armed = true
-		b.timer = b.eng.After(b.MaxWait, func() {
-			b.armed = false
-			b.flush()
-		})
+		b.timer = b.eng.AfterCall(b.MaxWait, (*batchTimer)(b), nil)
 	}
 }
 
+// Exec adds a task of the given service time whose batch retirement
+// calls done (which may be nil). The task's job comes from the station's
+// free list and goes back to it at retirement, so steady-state
+// submission allocates nothing.
+//
+//snicvet:hotpath
+func (b *BatchStation) Exec(svc Duration, done func(start, end Time)) {
+	b.Submit(b.jobs.get(svc, done))
+}
+
+// batchTimer is the MaxWait flush timer's handler: the BatchStation
+// under another method set, which keeps HandleEvent off its API.
+type batchTimer BatchStation
+
+// HandleEvent flushes a batch whose oldest task waited MaxWait.
+//
+//snicvet:hotpath
+func (t *batchTimer) HandleEvent(any) {
+	b := (*BatchStation)(t)
+	b.armed = false
+	b.flush()
+}
+
 // flush submits the accumulated batch to the engine.
+//
+//snicvet:hotpath
 func (b *BatchStation) flush() {
 	if b.armed {
 		b.eng.Cancel(b.timer)
@@ -95,28 +134,60 @@ func (b *BatchStation) flush() {
 	if len(b.pending) == 0 {
 		return
 	}
-	batch := b.pending
-	b.pending = nil
+	bt := b.newBatch()
+	// The batch takes the pending tasks; assembly continues in the
+	// batch record's emptied slice.
+	bt.tasks, b.pending = b.pending, bt.tasks
 	b.batches++
 	if b.batchObs != nil {
 		now := b.eng.Now()
-		b.batchObs.BatchFlushed(b.name, len(batch), now.Sub(b.firstAt), now)
+		b.batchObs.BatchFlushed(b.name, len(bt.tasks), now.Sub(b.firstAt), now)
 	}
 	total := b.PerBatch
-	for _, j := range batch {
+	for _, j := range bt.tasks {
 		total += j.Service
 	}
-	b.engine.Submit(&Job{
-		Service: total,
-		Done: func(start, end Time) {
-			b.completed += uint64(len(batch))
-			for _, j := range batch {
-				if j.Done != nil {
-					j.Done(start, end)
-				}
-			}
-		},
-	})
+	bt.job.Service = total
+	b.engine.Submit(&bt.job)
+}
+
+// newBatch takes a batch record off the free list, or builds one (with
+// its retire callback bound once) when the list is dry.
+//
+//snicvet:hotpath
+func (b *BatchStation) newBatch() *batch {
+	if n := len(b.free); n > 0 {
+		bt := b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+		return bt
+	}
+	//snicvet:ignore hotpath -- free-list growth up to the peak number of batches in the engine; steady state reuses retired batches
+	bt := &batch{b: b}
+	bt.job.Done = bt.retire
+	return bt
+}
+
+// retire completes every task of the batch, then recycles the batch
+// record and its pooled task jobs.
+//
+//snicvet:hotpath
+func (bt *batch) retire(start, end Time) {
+	b := bt.b
+	b.completed += uint64(len(bt.tasks))
+	for i, j := range bt.tasks {
+		bt.tasks[i] = nil
+		done := j.Done
+		if j.pooled {
+			b.jobs.put(j)
+		}
+		if done != nil {
+			done(start, end)
+		}
+	}
+	bt.tasks = bt.tasks[:0]
+	//snicvet:ignore hotpath -- amortized free-list growth; capacity tops out at the peak number of batches in the engine
+	b.free = append(b.free, bt)
 }
 
 // Completed returns the number of tasks retired.

@@ -9,6 +9,7 @@ import (
 // can drive either.
 type wire interface {
 	Send(size int, deliver func()) Time
+	SendCall(size int, h EventHandler) Time
 }
 
 // refLink is the order oracle for Link: the same serialization
@@ -33,6 +34,16 @@ func (r *refLink) Send(size int, deliver func()) Time {
 	return done
 }
 
+func (r *refLink) SendCall(size int, h EventHandler) Time {
+	return r.Send(size, func() { h.HandleEvent(nil) })
+}
+
+// callDelivery is a pointer-receiver delivery handler, the shape
+// SendCall's callers pass.
+type callDelivery struct{ deliver func() }
+
+func (c *callDelivery) HandleEvent(any) { c.deliver() }
+
 // FuzzEngineSchedule drives the event heap with byte-derived schedules —
 // including nested scheduling from inside callbacks, same-timestamp
 // pileups and link-send bursts — and asserts the engine's laws: the
@@ -42,7 +53,8 @@ func (r *refLink) Send(size int, deliver func()) Time {
 //
 // Link sends are checked against refLink: the firing sequence with a
 // real Link must equal the one an engine gives when each frame is
-// scheduled with At(arrival) at send time. The link runs at one byte
+// scheduled with At(arrival) at send time. Frames mix Send and SendCall
+// on the same link, so closure and handler frames share one ring. The link runs at one byte
 // per nanosecond with zero- to three-byte frames, so bursts sent in one
 // callback arrive back to back or on the same nanosecond, and arrivals
 // collide with ordinary events on the small integer timeline.
@@ -58,6 +70,8 @@ func FuzzEngineSchedule(f *testing.F) {
 	// A four-frame burst at t=15 whose zero-size tail lands three frames
 	// on one nanosecond, next to another burst.
 	f.Add([]byte{15, 23, 23})
+	// Four-frame bursts whose frames alternate between SendCall and Send.
+	f.Add([]byte{63, 207, 51, 243})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 128 {
@@ -76,17 +90,23 @@ func FuzzEngineSchedule(f *testing.F) {
 			var fired []firing
 			ord := 0
 			var schedule func(at Time, depth int, b byte)
-			// send transmits one frame of b%4 bytes; its delivery logs
-			// itself and may schedule at the arrival instant.
+			// send transmits one frame of b%4 bytes, through SendCall
+			// when bit 4 of b is set and Send otherwise; its delivery
+			// logs itself and may schedule at the arrival instant.
 			send := func(depth int, b byte) {
 				myOrd := ord
 				ord++
-				w.Send(int(b%4), func() {
+				deliver := func() {
 					fired = append(fired, firing{at: e.Now(), ord: myOrd})
 					if depth < 3 && b%3 == 0 {
 						schedule(e.Now(), depth+1, b/3)
 					}
-				})
+				}
+				if b&0x10 != 0 {
+					w.SendCall(int(b%4), &callDelivery{deliver: deliver})
+				} else {
+					w.Send(int(b%4), deliver)
+				}
 			}
 			schedule = func(at Time, depth int, b byte) {
 				myOrd := ord

@@ -98,21 +98,40 @@ func (l *Link) effectiveRate() float64 {
 
 // Send transmits size bytes and invokes deliver at the instant the last
 // bit arrives at the far end. It returns the departure completion time
-// (when the link frees up, before propagation). The delivery callback
-// is stored as-is — no wrapping closure — so a frame costs the link
-// no allocation beyond whatever the caller's callback already is.
+// (when the link frees up, before propagation). It is SendCall with the
+// callback as the handler: a func value converts to an interface without
+// allocating, so a frame costs the link no allocation beyond whatever
+// the caller's callback already is.
+//
+//snicvet:hotpath
+func (l *Link) Send(size int, deliver func()) Time {
+	if deliver == nil {
+		// Still mark the arrival instant: a nil-deliver frame must keep
+		// advancing the clock (Backlog drains on Run), just without work.
+		deliver = nopDeliver
+	}
+	return l.SendCall(size, deliverFunc(deliver))
+}
+
+// SendCall is Send for a handler instead of a closure: h.HandleEvent(nil)
+// runs at the arrival instant. A pointer-receiver handler converts to
+// its interface without allocating, so a frame costs nothing beyond its
+// in-flight ring slot.
 //
 // The frame's event slot is reserved now, so it fires exactly where an
-// event scheduled at Send time would. Only the link's head frame sits in
+// event scheduled at send time would. Only the link's head frame sits in
 // the engine's queue; frames behind it are held by the link, not by the
 // queue, until the frame ahead of them is delivered.
 //
 //snicvet:hotpath
-func (l *Link) Send(size int, deliver func()) Time {
+func (l *Link) SendCall(size int, h EventHandler) Time {
 	if size < 0 {
 		// A negative size would arrive ahead of the frames before it,
 		// breaking the send-order arrivals the in-flight ring relies on.
 		panic("sim: negative frame size")
+	}
+	if h == nil {
+		panic("sim: sending with nil delivery handler")
 	}
 	now := l.eng.Now()
 	start := now
@@ -132,26 +151,29 @@ func (l *Link) Send(size int, deliver func()) Time {
 		l.lost++
 		return done
 	}
-	if deliver == nil {
-		// Still mark the arrival instant: a nil-deliver frame must keep
-		// advancing the clock (Backlog drains on Run), just without work.
-		deliver = nopDeliver
-	}
-	l.enqueue(done.Add(l.propagation), deliver)
+	l.enqueue(done.Add(l.propagation), h)
 	return done
 }
+
+// deliverFunc adapts a delivery closure to EventHandler for Send.
+type deliverFunc func()
+
+// HandleEvent runs the closure.
+//
+//snicvet:hotpath
+func (f deliverFunc) HandleEvent(any) { f() }
 
 // nopDeliver stands in for a nil delivery callback. A reference to a
 // package-level function is a constant funcval — no per-frame closure.
 func nopDeliver() {}
 
-// frame is one in-flight transmission: its delivery callback and the
-// engine slot (arrival time, sequence number) reserved for it at Send
-// time.
+// frame is one in-flight transmission: its delivery handler and the
+// engine slot (arrival time, sequence number) reserved for it at send
+// time. The handler is one interface word pair, so a frame is 32 bytes.
 type frame struct {
-	at      Time
-	seq     uint64
-	deliver func()
+	at  Time
+	seq uint64
+	h   EventHandler
 }
 
 // enqueue appends a frame arriving at `at` to the in-flight ring. The
@@ -159,7 +181,7 @@ type frame struct {
 // ones wait in the ring until they reach the head.
 //
 //snicvet:hotpath
-func (l *Link) enqueue(at Time, deliver func()) {
+func (l *Link) enqueue(at Time, h EventHandler) {
 	seq := l.eng.reserve()
 	if l.ihead == len(l.inflight) {
 		l.eng.scheduleReserved(at, seq, (*linkHead)(l))
@@ -169,14 +191,14 @@ func (l *Link) enqueue(at Time, deliver func()) {
 	if n := len(l.inflight); l.ihead > 0 && n == cap(l.inflight) && l.ihead >= n/2 {
 		// Compact the live region to the front so append reuses the
 		// backing array. Waiting until at least half of it is dead keeps
-		// a backlog that hovers near capacity from copying on every Send.
+		// a backlog that hovers near capacity from copying on every send.
 		live := copy(l.inflight, l.inflight[l.ihead:])
 		clear(l.inflight[live:])
 		l.inflight = l.inflight[:live]
 		l.ihead = 0
 	}
 	//snicvet:ignore hotpath -- amortized ring growth; a steady-state backlog reuses its capacity
-	l.inflight = append(l.inflight, frame{at: at, seq: seq, deliver: deliver})
+	l.inflight = append(l.inflight, frame{at: at, seq: seq, h: h})
 }
 
 // linkHead is the engine handler for a link's head frame. It is the Link
@@ -184,15 +206,15 @@ func (l *Link) enqueue(at Time, deliver func()) {
 type linkHead Link
 
 // HandleEvent delivers the head frame and queues the next one under its
-// reserved slot before running the callback, so a callback that sends
-// on the same link finds the ring consistent.
+// reserved slot before running the handler, so a handler that sends on
+// the same link finds the ring consistent.
 //
 //snicvet:hotpath
 func (h *linkHead) HandleEvent(any) {
 	l := (*Link)(h)
 	f := &l.inflight[l.ihead]
-	deliver := f.deliver
-	f.deliver = nil
+	deliver := f.h
+	f.h = nil
 	l.ihead++
 	if l.ihead == len(l.inflight) {
 		// Drained: rewind to the front of the backing array.
@@ -203,7 +225,7 @@ func (h *linkHead) HandleEvent(any) {
 		l.eng.held--
 		l.eng.scheduleReserved(next.at, next.seq, h)
 	}
-	deliver()
+	deliver.HandleEvent(nil)
 }
 
 // Backlog returns how far in the future the link is already committed,

@@ -2,6 +2,8 @@ package sim
 
 // Job is a unit of work submitted to a Station. Service is the time a
 // server spends on it; Done is invoked on completion (it may be nil).
+// Callers that do not need to hold on to the job use Station.Exec,
+// which takes it from the station's free list instead.
 type Job struct {
 	Service Duration
 	Done    func(start, end Time)
@@ -14,6 +16,42 @@ type Job struct {
 	// the completion handler, so no per-job closure is needed.
 	enqueuedAt Time
 	startedAt  Time
+	// pooled marks a job owned by a jobPool: its owner recycles it once
+	// Done has been read, so the caller never sees it.
+	pooled bool
+}
+
+// jobPool is a free list of Jobs for submitters that do not keep their
+// job: Station.Exec and BatchStation.Exec. Steady state takes and
+// returns records without allocating once the list covers the peak
+// number of jobs in flight.
+type jobPool struct {
+	free []*Job
+}
+
+// get returns a pooled job carrying svc and done.
+//
+//snicvet:hotpath
+func (p *jobPool) get(svc Duration, done func(start, end Time)) *Job {
+	if n := len(p.free); n > 0 {
+		j := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		j.Service, j.Done = svc, done
+		return j
+	}
+	//snicvet:ignore hotpath -- free-list growth up to the peak number of jobs in flight; steady state reuses retired jobs
+	return &Job{Service: svc, Done: done, pooled: true}
+}
+
+// put returns a job to the free list, dropping its callback so a
+// recycled record never pins model state.
+//
+//snicvet:hotpath
+func (p *jobPool) put(j *Job) {
+	j.Done = nil
+	//snicvet:ignore hotpath -- amortized free-list growth; capacity tops out at the peak number of jobs in flight
+	p.free = append(p.free, j)
 }
 
 // Station is a multi-server FIFO queue: the canonical model of a pool of
@@ -50,6 +88,9 @@ type Station struct {
 	busyTime   Duration
 	lastChange Time
 	queuePeak  int
+
+	// jobs recycles the jobs Exec submits.
+	jobs jobPool
 
 	// Optional telemetry hook (see Observe).
 	name string
@@ -143,6 +184,22 @@ func (s *Station) Submit(j *Job) bool {
 	return true
 }
 
+// Exec submits a job of the given service time whose completion calls
+// done (which may be nil), reporting false if it was dropped at
+// capacity. The job comes from the station's free list and goes back to
+// it when it retires or is dropped, so steady-state submission allocates
+// nothing.
+//
+//snicvet:hotpath
+func (s *Station) Exec(svc Duration, done func(start, end Time)) bool {
+	j := s.jobs.get(svc, done)
+	if !s.Submit(j) {
+		s.jobs.put(j)
+		return false
+	}
+	return true
+}
+
 // StallUntil wedges the station until t: jobs starting before then serve
 // only after the stall clears (their server is held busy meanwhile).
 // Passing a time in the past clears the stall.
@@ -184,8 +241,13 @@ func (s *Station) HandleEvent(arg any) {
 	if s.obs != nil {
 		s.obs.JobFinished(s.name, j.startedAt, s.eng.Now())
 	}
-	if j.Done != nil {
-		j.Done(j.startedAt, s.eng.Now())
+	done, start := j.Done, j.startedAt
+	if j.pooled {
+		// Recycled before Done runs, so a job Done submits reuses it.
+		s.jobs.put(j)
+	}
+	if done != nil {
+		done(start, s.eng.Now())
 	}
 }
 

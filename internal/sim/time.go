@@ -65,7 +65,7 @@ func (d Duration) String() string { return time.Duration(d).String() }
 // configuration error, not a runtime condition.
 func DurationOf(sizeBytes int, bitsPerSec float64) Duration {
 	if bitsPerSec <= 0 {
-		panic(fmt.Sprintf("sim: non-positive rate %v bits/s", bitsPerSec))
+		panic(rateError{what: "rate", value: bitsPerSec, unit: "bits/s"})
 	}
 	sec := float64(sizeBytes) * 8 / bitsPerSec
 	return Duration(sec * float64(Second))
@@ -74,7 +74,20 @@ func DurationOf(sizeBytes int, bitsPerSec float64) Duration {
 // Cycles returns the duration of n CPU cycles at freq Hz.
 func Cycles(n float64, freqHz float64) Duration {
 	if freqHz <= 0 {
-		panic(fmt.Sprintf("sim: non-positive frequency %v Hz", freqHz))
+		panic(rateError{what: "frequency", value: freqHz, unit: "Hz"})
 	}
 	return Duration(n / freqHz * float64(Second))
+}
+
+// rateError is the panic value of DurationOf and Cycles. It formats its
+// message only when the panic is printed, so the conversions that every
+// per-event path calls neither format nor allocate until they fail.
+type rateError struct {
+	what  string
+	value float64
+	unit  string
+}
+
+func (e rateError) Error() string {
+	return fmt.Sprintf("sim: non-positive %s %v %s", e.what, e.value, e.unit)
 }

@@ -7,10 +7,10 @@ import (
 
 func TestApproxEqual(t *testing.T) {
 	cases := []struct {
-		name    string
-		a, b    float64
-		tol     float64
-		want    bool
+		name string
+		a, b float64
+		tol  float64
+		want bool
 	}{
 		{"exact", 1.5, 1.5, 1e-12, true},
 		{"within-rel", 1e12, 1e12 * (1 + 1e-10), 1e-9, true},

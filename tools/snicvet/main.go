@@ -288,9 +288,9 @@ func typecheck(cfg *vetConfig, fset *token.FileSet, files []*ast.File) (*types.P
 		GoVersion: cfg.GoVersion,
 	}
 	info := &types.Info{
-		Types:     make(map[ast.Expr]types.TypeAndValue),
-		Defs:      make(map[*ast.Ident]types.Object),
-		Uses:      make(map[*ast.Ident]types.Object),
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)

@@ -13,11 +13,11 @@ func TestActiveAnalyzers(t *testing.T) {
 	active := []string{
 		"repro/internal/sim",
 		"repro/internal/funcs/nat",
-		"repro/internal/nic",          // includes in-package _test.go units
-		"repro/internal/stats_test",   // external test packages follow their package
+		"repro/internal/nic",        // includes in-package _test.go units
+		"repro/internal/stats_test", // external test packages follow their package
 		"repro/snic",
 		"repro/snic_test",
-		"repro/tools/snicvet",         // self-hosting: the linter lints itself
+		"repro/tools/snicvet", // self-hosting: the linter lints itself
 		"repro/tools/snicvet/internal/lint",
 	}
 	for _, p := range active {
@@ -26,11 +26,11 @@ func TestActiveAnalyzers(t *testing.T) {
 		}
 	}
 	exempt := []string{
-		"repro",                  // root package: benchmarks measure wall time
-		"repro/cmd/snicbench",    // drivers print for humans
+		"repro",               // root package: benchmarks measure wall time
+		"repro/cmd/snicbench", // drivers print for humans
 		"repro/cmd/snicsim",
 		"repro/examples/fleet",
-		"fmt",                    // std dependencies pass through VetxOnly
+		"fmt", // std dependencies pass through VetxOnly
 		"time",
 	}
 	for _, p := range exempt {
