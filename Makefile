@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet fmt-check lint lint-facts race bench bench-compare bench-verify faults trace-determinism check fuzz-smoke profile-smoke
+.PHONY: verify build test vet fmt-check lint lint-facts race bench bench-compare bench-verify faults trace-determinism check fuzz-smoke profile-smoke same-output
 
 # Tier-1 verification: everything CI and reviewers gate on.
 verify: vet build race lint fmt-check
@@ -75,6 +75,16 @@ profile-smoke: bin/snicbench
 	./bin/snicbench -exp fig4 -func nat -q -j $$(nproc) -profile profile_jN.json > /dev/null
 	rm -f profile_a.json profile_b.json profile_jN.json
 	@echo "profile smoke: OK"
+
+# Byte-identical output against a base commit: builds cmd/snicbench at
+# BASE (checked out with git worktree) and in the working tree, then
+# compares -exp all stdout and its -profile JSON, the fig4 nat trace and
+# metrics, the fleet manifest, and the pipeline and offload traces,
+# metrics and manifests, by digest. A change that must not move any
+# number runs this against its parent.
+BASE ?= HEAD
+same-output:
+	bash tools/same-output.sh $(BASE)
 
 # Regenerate the fault-scenario experiment family.
 faults:

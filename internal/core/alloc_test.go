@@ -8,16 +8,17 @@ import (
 )
 
 // Dynamic counterpart of the hotpath annotations on the request path:
-// every driver the Fig. 4 and fleet workloads run takes its request
-// records, client packets and jobs from per-run free lists, so once the
-// lists cover a run's peak in flight a request allocates nothing. What
-// is left is per-run set-up (testbed, histogram, free-list growth),
-// which a few thousand requests amortize to a few hundredths of an
-// allocation per event.
+// every driver takes its request records, client packets and jobs from
+// per-run free lists, so once the lists cover a run's peak in flight a
+// request allocates nothing, whether it is a point run, a replay, a
+// pipeline stepping through its phases or an offload packet on either
+// datapath. What is left is per-run set-up (testbed, histogram,
+// free-list growth), which a few thousand requests amortize to a few
+// hundredths of an allocation per event.
 
 // maxAllocsPerEvent bounds heap allocations per simulated event on one
 // warmed run of each driver. The drivers measure 0.002–0.035 here,
-// while a closure per hop costs these runs 1.6–5.2, so the bound sits
+// while a closure per hop costs these runs 1.0–5.2, so the bound sits
 // well clear of both.
 const maxAllocsPerEvent = 0.1
 
@@ -49,7 +50,7 @@ func allocsPerEvent(t *testing.T, w Workload) float64 {
 
 func TestRequestPathAllocsPerEvent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six simulations")
+		t.Skip("runs nine simulations")
 	}
 	point := func(function, variant string, plat Platform, gbps float64) Workload {
 		cfg, err := Lookup(function, variant)
@@ -64,6 +65,13 @@ func TestRequestPathAllocsPerEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	rates := []float64{0.3, 1, 0, 0.6, 1.2, 0.2}
+	pipeline := func(ps *PipelineSpec, fallback FallbackPolicy, gbps float64) Workload {
+		ps.Fallback = fallback
+		return Workload{Kind: WorkloadPipeline, Pipeline: ps,
+			Opts: RunOpts{Requests: 20000, WarmupFrac: 0.1, Seed: 3, OfferedGbps: gbps}}
+	}
+	offload := DefaultOffloadSpec()
+	offload.Trace = BurstyTrace(6, 26, 10, 5, 2*sim.Millisecond)
 	for _, tc := range []struct {
 		driver string
 		w      Workload
@@ -75,6 +83,12 @@ func TestRequestPathAllocsPerEvent(t *testing.T) {
 		{"switched", point("ovs", "load10", HostCPU, 9)},
 		{"fleet server replay", Workload{Kind: WorkloadServer, Config: nat, Platform: HostCPU,
 			Rates: rates, Interval: sim.Millisecond, Seed: 5}},
+		// A quarter of the requests spill from the IDS engine to host
+		// cores.
+		{"NAT→IDS pipeline spilling to host", pipeline(NATIDSPipeline(), SpillToHost{}, 40)},
+		{"crypto→compress→send pipeline", pipeline(CryptoCompressSendPipeline(), DropWhenFull{}, 10)},
+		// Both datapaths: about 9% of packets take the fast path.
+		{"flow offload", Workload{Kind: WorkloadOffload, Offload: &offload}},
 	} {
 		got := allocsPerEvent(t, tc.w)
 		t.Logf("%s: %.4f allocs/event", tc.driver, got)

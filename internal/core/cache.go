@@ -23,113 +23,41 @@ import (
 // results are identical, so last-write-wins is harmless — the cache
 // trades a rare duplicated simulation for never blocking a worker.
 
-// measureCache is a mutex-guarded memo table. The zero value is ready to
-// use; the map allocates on first store.
+// measureCache is a mutex-guarded memo table over every run family's
+// results; the families' keys never collide (each starts with its own
+// tag). The zero value is ready to use; the map allocates on first
+// store.
 type measureCache struct {
 	mu           sync.Mutex
-	runs         map[string]Measurement
-	replays      map[string]TraceReplayResult
-	servers      map[string]ServerReplay
-	pipelines    map[string]PipelineMeasurement
-	offloads     map[string]OffloadResult
+	results      map[string]any
 	hits, misses uint64
 	// prof, when set, receives every lookup outcome (Runner.SetProfiler).
 	prof *Profiler
 }
 
-func (c *measureCache) lookupRun(key string) (Measurement, bool) {
+// memo returns the result cached under key, or runs simulate and caches
+// what it returns.
+func memo[T any](c *measureCache, key string, simulate func() T) T {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.runs[key]
-	c.note(ok)
-	return m, ok
-}
-
-func (c *measureCache) storeRun(key string, m Measurement) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.runs == nil {
-		c.runs = make(map[string]Measurement)
-	}
-	c.runs[key] = m
-}
-
-func (c *measureCache) lookupReplay(key string) (TraceReplayResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.replays[key]
-	c.note(ok)
-	return t, ok
-}
-
-func (c *measureCache) storeReplay(key string, t TraceReplayResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.replays == nil {
-		c.replays = make(map[string]TraceReplayResult)
-	}
-	c.replays[key] = t
-}
-
-func (c *measureCache) lookupServer(key string) (ServerReplay, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.servers[key]
-	c.note(ok)
-	return s, ok
-}
-
-func (c *measureCache) storeServer(key string, s ServerReplay) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.servers == nil {
-		c.servers = make(map[string]ServerReplay)
-	}
-	c.servers[key] = s
-}
-
-func (c *measureCache) lookupPipeline(key string) (PipelineMeasurement, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.pipelines[key]
-	c.note(ok)
-	return p, ok
-}
-
-func (c *measureCache) storePipeline(key string, p PipelineMeasurement) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pipelines == nil {
-		c.pipelines = make(map[string]PipelineMeasurement)
-	}
-	c.pipelines[key] = p
-}
-
-func (c *measureCache) lookupOffload(key string) (OffloadResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	o, ok := c.offloads[key]
-	c.note(ok)
-	return o, ok
-}
-
-func (c *measureCache) storeOffload(key string, o OffloadResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.offloads == nil {
-		c.offloads = make(map[string]OffloadResult)
-	}
-	c.offloads[key] = o
-}
-
-// note tallies hit/miss under the already-held lock.
-func (c *measureCache) note(hit bool) {
-	if hit {
+	v, ok := c.results[key]
+	if ok {
 		c.hits++
 	} else {
 		c.misses++
 	}
-	c.prof.noteCache(hit)
+	c.prof.noteCache(ok)
+	c.mu.Unlock()
+	if ok {
+		return v.(T)
+	}
+	res := simulate()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.results == nil {
+		c.results = make(map[string]any)
+	}
+	c.results[key] = res
+	return res
 }
 
 func (c *measureCache) stats() (hits, misses uint64) {

@@ -23,13 +23,22 @@ func (r *Runner) newChecker(label string) *invariant.Checker {
 	return invariant.New(label)
 }
 
-// combineStations merges the optional recorder and checker into one
-// station observer. Returning the concrete values (never a nil wrapped
-// in an interface) keeps the "observer == nil" fast path honest.
-func combineStations(rec *obs.Recorder, chk *invariant.Checker) sim.StationObserver {
+// observer is what an instrumented resource's single observer slot
+// takes: the recorder, the checker, or a fan-out to both.
+type observer interface {
+	sim.StationObserver
+	sim.LinkObserver
+	sim.BatchObserver
+}
+
+// observe returns the observer for a run's recorder and checker: the
+// bare recorder or checker when only one is on (never a nil wrapped in
+// an interface, so the resources' "observer == nil" fast path stays
+// honest), a fan-out when both are, and nil when neither is.
+func observe(rec *obs.Recorder, chk *invariant.Checker) observer {
 	switch {
 	case rec != nil && chk != nil:
-		return invariant.TeeStations(rec, chk)
+		return fanOut{rec, chk}
 	case rec != nil:
 		return rec
 	case chk != nil:
@@ -38,30 +47,37 @@ func combineStations(rec *obs.Recorder, chk *invariant.Checker) sim.StationObser
 	return nil
 }
 
-// combineLinks is combineStations for link observers.
-func combineLinks(rec *obs.Recorder, chk *invariant.Checker) sim.LinkObserver {
-	switch {
-	case rec != nil && chk != nil:
-		return invariant.TeeLinks(rec, chk)
-	case rec != nil:
-		return rec
-	case chk != nil:
-		return chk
-	}
-	return nil
+// fanOut forwards every callback to a, then b.
+type fanOut struct{ a, b observer }
+
+func (f fanOut) JobQueued(station string, now sim.Time, queueLen int) {
+	f.a.JobQueued(station, now, queueLen)
+	f.b.JobQueued(station, now, queueLen)
 }
 
-// combineBatches is combineStations for batch observers.
-func combineBatches(rec *obs.Recorder, chk *invariant.Checker) sim.BatchObserver {
-	switch {
-	case rec != nil && chk != nil:
-		return invariant.TeeBatches(rec, chk)
-	case rec != nil:
-		return rec
-	case chk != nil:
-		return chk
-	}
-	return nil
+func (f fanOut) JobStarted(station string, now sim.Time, waited sim.Duration) {
+	f.a.JobStarted(station, now, waited)
+	f.b.JobStarted(station, now, waited)
+}
+
+func (f fanOut) JobFinished(station string, start, end sim.Time) {
+	f.a.JobFinished(station, start, end)
+	f.b.JobFinished(station, start, end)
+}
+
+func (f fanOut) JobDropped(station string, now sim.Time) {
+	f.a.JobDropped(station, now)
+	f.b.JobDropped(station, now)
+}
+
+func (f fanOut) FrameSent(link string, size int, start, done sim.Time, lost bool) {
+	f.a.FrameSent(link, size, start, done, lost)
+	f.b.FrameSent(link, size, start, done, lost)
+}
+
+func (f fanOut) BatchFlushed(station string, tasks int, waited sim.Duration, now sim.Time) {
+	f.a.BatchFlushed(station, tasks, waited, now)
+	f.b.BatchFlushed(station, tasks, waited, now)
 }
 
 // registerPools hands the checker the ground truth it range-checks the

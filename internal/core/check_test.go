@@ -1,8 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/invariant"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -129,4 +132,59 @@ func TestRunFaultedRejectsInvalidPlan(t *testing.T) {
 		}
 	}()
 	NewRunner().RunFaulted(scn, testRouter(), tr, 2, 42)
+}
+
+// recordingObserver logs every observer callback it receives.
+type recordingObserver struct{ events []string }
+
+func (o *recordingObserver) JobQueued(s string, _ sim.Time, _ int) {
+	o.events = append(o.events, "queued:"+s)
+}
+func (o *recordingObserver) JobStarted(s string, _ sim.Time, _ sim.Duration) {
+	o.events = append(o.events, "started:"+s)
+}
+func (o *recordingObserver) JobFinished(s string, _, _ sim.Time) {
+	o.events = append(o.events, "finished:"+s)
+}
+func (o *recordingObserver) JobDropped(s string, _ sim.Time) {
+	o.events = append(o.events, "dropped:"+s)
+}
+func (o *recordingObserver) FrameSent(l string, _ int, _, _ sim.Time, _ bool) {
+	o.events = append(o.events, "frame:"+l)
+}
+func (o *recordingObserver) BatchFlushed(s string, _ int, _ sim.Duration, _ sim.Time) {
+	o.events = append(o.events, "batch:"+s)
+}
+
+// The fan-out forwards every station, link and batch callback to both
+// observers in order, and observe hands a resource the bare recorder or
+// checker when only one is on, so the nil-observer fast path holds.
+func TestObserverFanOut(t *testing.T) {
+	a, b := &recordingObserver{}, &recordingObserver{}
+	var o observer = fanOut{a, b}
+	o.JobQueued("x", 0, 1)
+	o.JobStarted("x", 0, 0)
+	o.JobFinished("x", 0, 0)
+	o.JobDropped("x", 0)
+	o.FrameSent("w", 64, 0, 1, false)
+	o.BatchFlushed("s", 2, 0, 0)
+	want := []string{"queued:x", "started:x", "finished:x", "dropped:x", "frame:w", "batch:s"}
+	if !reflect.DeepEqual(a.events, want) || !reflect.DeepEqual(b.events, want) {
+		t.Fatalf("fan-out forwarded %v and %v, want %v to both", a.events, b.events, want)
+	}
+
+	rec := obs.NewRecorder(1, "run")
+	chk := invariant.New("run")
+	if observe(nil, nil) != nil {
+		t.Fatal("no recorder and no checker should leave resources unobserved")
+	}
+	if got, ok := observe(rec, nil).(*obs.Recorder); !ok || got != rec {
+		t.Fatalf("recorder alone should be observed bare, got %T", observe(rec, nil))
+	}
+	if got, ok := observe(nil, chk).(*invariant.Checker); !ok || got != chk {
+		t.Fatalf("checker alone should be observed bare, got %T", observe(nil, chk))
+	}
+	if _, ok := observe(rec, chk).(fanOut); !ok {
+		t.Fatalf("recorder and checker together should fan out, got %T", observe(rec, chk))
+	}
 }

@@ -17,7 +17,7 @@ import (
 
 // hostPerByteCycles converts a calibrated single-core host byte rate
 // (bits/s, the internal/funcs calibration currency) into the host
-// spec's per-byte cycle cost: the runner's svcTime divides cycles by
+// spec's per-byte cycle cost: the runner's phaseSvc divides cycles by
 // IPC at BaseHz, so cycles/byte = 8·IPC·BaseHz/rate.
 func hostPerByteCycles(rateBits float64) float64 {
 	spec := cpu.XeonGold6140()

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/netstack"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -238,18 +236,13 @@ func (r *Runner) ReplayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 // replayTraceMemo is the memoized trace-replay implementation behind
 // Execute and ReplayTrace.
 func (r *Runner) replayTraceMemo(cfg *Config, plat Platform, tr *trace.HyperscalerTrace, seed uint64) TraceReplayResult {
-	key := replayKey(cfg, plat, r.TBConfig, tr, seed)
-	if res, ok := r.cache.lookupReplay(key); ok {
-		return res
-	}
-	res := r.replayTrace(cfg, plat, tr, seed)
-	r.cache.storeReplay(key, res)
-	return res
+	return memo(&r.cache, replayKey(cfg, plat, r.TBConfig, tr, seed), func() TraceReplayResult {
+		return r.replayTrace(cfg, plat, tr, seed)
+	})
 }
 
 // replayTrace executes one trace replay on a fresh testbed.
 func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTrace, seed uint64) TraceReplayResult {
-	r.sims.Add(1)
 	rkey := replayKey(cfg, plat, r.TBConfig, tr, seed)
 	rlabel := fmt.Sprintf("replay %s @ %s | seed %d", cfg.Name(), plat, seed)
 	ctx := r.newReplayCtx(cfg, plat, r.runSeed(seed), rkey, rlabel)
@@ -270,49 +263,18 @@ func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 
 // newReplayCtx wires a fresh testbed for a trace or fleet-server replay
 // of cfg on plat: pools poll as on a deployed server, the eSwitch feeds
-// the platform's sink, and key and label name the run's telemetry.
+// the config's phase path, and key and label name the run's telemetry.
+// Replays send fixed-size packets: trace rates are data rates.
 func (r *Runner) newReplayCtx(cfg *Config, plat Platform, seed uint64, key, label string) *runctx {
-	tbc := r.TBConfig
+	tbc := r.TBConfig.withCores(cfg.HostCores, cfg.SNICCores)
 	tbc.Seed ^= seed
-	if cfg.HostCores > 0 {
-		tbc.HostCores = cfg.HostCores
-	}
-	if cfg.SNICCores > 0 {
-		tbc.SNICCores = cfg.SNICCores
-	}
-	tb := NewTestbed(tbc)
-	ctx := &runctx{
-		tb: tb, cfg: cfg, plat: plat,
-		opts:     RunOpts{Requests: 1 << 62, Seed: seed}, // the rate series decides the end
-		prof:     netstack.ByKind(cfg.Stack),
-		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
-		jit:      sim.NewRNG(seed ^ 0x1234),
-		hist:     stats.NewHistogram(),
-	}
+	ctx := r.newRunctx(tbc, plat, cfg.Stack, seed, key, label)
+	ctx.cfg = cfg
+	ctx.opts = RunOpts{Requests: 1 << 62, Seed: seed} // the rate series decides the end
 	ctx.sizes = trace.Fixed(cfg.ReqSize)
-	ctx.pool = tb.PoolFor(plat)
-	ctx.pool.JitterSigma = 0
-	ctx.pool.SetQueueCapacity(4096)
-	ctx.ep = netstack.NewEndpoint(tb.Eng, ctx.prof, ctx.pool, seed^0x77)
-
-	ctx.rec = r.newRecorder(key, label)
-	ctx.chk = r.newChecker(label)
-	instrumentTestbed(tb, ctx.rec, ctx.chk)
-
-	switch plat {
-	case HostCPU:
-		tb.ActivateSNICPools(0, 0)
-		tb.SetPolling(HostCPU, true)
-		tb.SetHostTrafficShare(1)
-	case SNICCPU:
-		tb.ActivateSNICPools(1, 0)
-		tb.SetPolling(SNICCPU, true)
-		tb.SetHostTrafficShare(0)
-	case SNICAccel:
-		tb.ActivateSNICPools(0, 1)
-		tb.SetPolling(SNICCPU, true)
-		tb.SetHostTrafficShare(0)
-	}
+	ctx.setPath(PipelineFromConfig(cfg, plat))
+	instrumentTestbed(ctx.tb, ctx.rec, ctx.chk)
+	ctx.tb.setPower(plat == HostCPU, plat == SNICCPU, plat == SNICAccel, true)
 	ctx.connectSinks()
 	return ctx
 }
@@ -327,7 +289,8 @@ func (ctx *runctx) replay(rates []float64, interval sim.Duration) {
 
 // replaySource is the replays' client: Poisson arrivals at each
 // interval's rate, none while the rate is zero. An interval starts at
-// the first arrival at or after the previous one's end.
+// the first arrival at or after the previous one's end. On an offload
+// run each packet carries the next flow of the run's decomposition.
 type replaySource struct {
 	ctx      *runctx
 	rates    []float64
@@ -361,6 +324,9 @@ func (s *replaySource) HandleEvent(any) {
 	ctx.sent++
 	size := ctx.sizes.Next(ctx.jit)
 	pkt := ctx.newPacket(uint64(ctx.sent), size, ctx.openRequest())
+	if ctx.asn != nil {
+		pkt.Flow, _ = ctx.asn.Next()
+	}
 	ctx.noteInject(pkt.Seq, size)
 	ctx.tb.Wire.SendToServer(pkt, ctx.ingress)
 	eng.AfterCall(ctx.arrivals.Gap(size, rate*1e9), s, nil)

@@ -52,6 +52,30 @@ func DefaultFailoverPolicy() FailoverPolicy {
 	}
 }
 
+// Validate rejects a policy the replay cannot run with a typed
+// *ParamError: a non-positive timeout would arm the retry guard at or
+// before now, and a negative retry count, backoff or watermark or a
+// non-finite backoff multiplier would wedge or silently disable
+// recovery.
+func (p FailoverPolicy) Validate() error {
+	fail := func(param, reason string) error {
+		return &ParamError{Op: "failover policy", Param: param, Reason: reason}
+	}
+	switch {
+	case p.Timeout <= 0:
+		return fail("Timeout", "must be positive")
+	case p.MaxRetries < 0:
+		return fail("MaxRetries", "must not be negative")
+	case p.BackoffBase < 0:
+		return fail("BackoffBase", "must not be negative")
+	case !finite(p.BackoffMult):
+		return fail("BackoffMult", "must be finite")
+	case p.QueueWatermark < 0:
+		return fail("QueueWatermark", "must not be negative")
+	}
+	return nil
+}
+
 // Backoff returns the wait before retry number attempt (1-based).
 func (p FailoverPolicy) Backoff(attempt int) sim.Duration {
 	d := float64(p.BackoffBase)
@@ -190,6 +214,17 @@ func (f FaultResult) String() string {
 		f.RecoveryTime, f.Retries, f.Rescued, f.Dropped)
 }
 
+// faultHorizon is a faulted replay's run horizon: the trace span or the
+// plan's last fault window, whichever ends later, plus a drain long
+// enough for every retry chain to resolve.
+func faultHorizon(plan *fault.Plan, pol FailoverPolicy, tr *trace.HyperscalerTrace) sim.Time {
+	horizon := sim.Time(tr.Duration())
+	if end := plan.End(); end > horizon {
+		horizon = end
+	}
+	return horizon.Add(100*sim.Millisecond + pol.MaxDelay())
+}
+
 // RunFaulted replays a rate trace of MTU REM packets while the
 // scenario's fault plan runs, with the health router steering between
 // the SNIC accelerator and the host CPU and the failover policy's
@@ -207,8 +242,10 @@ func (r *Runner) RunFaulted(scn FaultScenario, hr *HealthRouter, tr *trace.Hyper
 }
 
 // runFaultedImpl is the faulted-replay implementation behind
-// Execute and RunFaulted.
-func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.HyperscalerTrace, hostCores int, seed uint64) FaultResult {
+// Execute and RunFaulted. Execute has validated the router, the policy
+// and the plan; a plan aimed at a component the testbed does not have
+// fails here with a typed *fault.PlanError before anything runs.
+func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.HyperscalerTrace, hostCores int, seed uint64) (FaultResult, error) {
 	cfg := remMTU(trace.RuleSetExecutable)
 	pol := hr.Policy
 	rkey := fmt.Sprintf("fault|%s|tb:%+v|cores:%d|pol:%+v|lb:%+v|tr:%s|seed:%d",
@@ -256,20 +293,12 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 	// the fault population; the post population starts once the policy's
 	// own worst-case schedule has provably run out.
 	settleEnd := faultEnd.Add(pol.MaxDelay())
-	// The run horizon: trace span (or the last fault window, whichever is
-	// later) plus a drain long enough for every retry chain to resolve.
-	// Computed before Arm so the plan can be validated against it — a
-	// malformed plan must die here, not half-armed on the engine.
 	span := tr.Duration()
-	horizon := sim.Time(span)
-	if faultEnd > horizon {
-		horizon = faultEnd
+	horizon := faultHorizon(&scn.Plan, pol, tr)
+	flog, err := scn.Plan.Arm(eng, reg, nil)
+	if err != nil {
+		return FaultResult{}, err
 	}
-	horizon = horizon.Add(100*sim.Millisecond + pol.MaxDelay())
-	if err := scn.Plan.Validate(horizon); err != nil {
-		panic(err)
-	}
-	flog := scn.Plan.Arm(eng, reg, nil)
 
 	hostProf := netstack.ByKind(netstack.KindDPDK)
 	respSize := cfg.RespSize
@@ -596,7 +625,7 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 		rec.AddSeries("power/yoctowatt-trace", "W", tb.YoctoWatt.Period, tb.YoctoWatt.Trace.Times, tb.YoctoWatt.Trace.Values)
 		r.Telemetry.Attach(rec)
 	}
-	return res
+	return res, nil
 }
 
 // RunFaultedSet replays every scenario, fanning them across the

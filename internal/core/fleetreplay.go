@@ -67,17 +67,11 @@ func (r *Runner) ReplayServer(cfg *Config, plat Platform, rates []float64, inter
 // Execute and ReplayServer.
 func (r *Runner) replayServerMemo(cfg *Config, plat Platform, rates []float64, interval sim.Duration, seed uint64, group string) ServerReplay {
 	key := serverKey(cfg, plat, r.TBConfig, rates, int64(interval), seed, group)
-	if res, ok := r.cache.lookupServer(key); ok {
-		return res
-	}
-	res := r.replayServer(cfg, plat, rates, interval, seed, key)
-	r.cache.storeServer(key, res)
-	return res
+	return memo(&r.cache, key, func() ServerReplay { return r.replayServer(cfg, plat, rates, interval, seed, key) })
 }
 
 // replayServer executes one fleet-server replay on a fresh testbed.
 func (r *Runner) replayServer(cfg *Config, plat Platform, rates []float64, interval sim.Duration, seed uint64, key string) ServerReplay {
-	r.sims.Add(1)
 	tr := &trace.HyperscalerTrace{Interval: interval, RatesGbps: rates}
 	label := fmt.Sprintf("fleet server %s @ %s | tr %s | seed %d",
 		cfg.Name(), plat, traceFingerprint(tr), seed)

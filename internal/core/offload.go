@@ -3,13 +3,10 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/flow"
-	"repro/internal/invariant"
 	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -271,74 +268,30 @@ func (r *Runner) OffloadExperiment(spec OffloadSpec, policies []OffloadPolicy) [
 
 // runOffloadMemo is the memoized offload implementation behind Execute.
 func (r *Runner) runOffloadMemo(spec *OffloadSpec) OffloadResult {
-	key := offloadKey(spec, r.TBConfig)
-	if res, ok := r.cache.lookupOffload(key); ok {
-		return res
-	}
-	res := r.runOffload(spec)
-	r.cache.storeOffload(key, res)
-	return res
+	return memo(&r.cache, offloadKey(spec, r.TBConfig), func() OffloadResult { return r.runOffload(spec) })
 }
 
-// offloadctx is the per-run wiring of one offload simulation.
-type offloadctx struct {
-	tb   *Testbed
-	spec *OffloadSpec
-
-	tbl      *flow.Table
-	ctl      *flow.Controller
-	asn      *trace.FlowAssigner
-	pool     *cpu.Pool
-	arrivals *trace.Arrivals
-	jit      *sim.RNG
-
-	hist  *stats.Histogram
-	meter *stats.Meter
-
-	sent, done, dropped uint64
-	fast, slow          uint64
-	lastSend            sim.Time
-
-	rec *obs.Recorder
-	chk *invariant.Checker
-}
-
-// runOffload executes one offload run on a fresh testbed.
+// runOffload executes one offload run on a fresh testbed: a replay whose
+// packets carry flows and whose eSwitch steers each to the hardware fast
+// path or the SNIC cores' software slow path.
 func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
-	r.sims.Add(1)
-	key := offloadKey(spec, r.TBConfig)
 	label := fmt.Sprintf("offload %s | %s | seed %d", spec.Name, spec.Policy.Key(), spec.Seed)
 	seed := r.runSeed(spec.Seed)
 	tbc := r.TBConfig
 	tbc.Seed ^= seed
-	tb := NewTestbed(tbc)
-	eng := tb.Eng
-
 	// The slow path lives on the SNIC cores: on-path mode, Arm cores
 	// polling, no traffic crossing into host memory.
-	tb.ActivateSNICPools(1, 0)
-	tb.SetPolling(SNICCPU, true)
-	tb.SetHostTrafficShare(0)
-
+	ctx := r.newRunctx(tbc, SNICCPU, "", seed, offloadKey(spec, r.TBConfig), label)
+	tb, eng := ctx.tb, ctx.tb.Eng
+	tb.setPower(false, true, false, true)
+	ctx.warmupN = 1 // replay semantics: the first completion opens the meter
+	ctx.sizes = trace.Fixed(spec.PktSize)
+	ctx.pool.SetQueueCapacity(spec.QueueCap)
 	mix := spec.Mix
 	mix.Seed ^= seed * 0x51ed2701
-
-	ctx := &offloadctx{
-		tb:       tb,
-		spec:     spec,
-		tbl:      flow.NewTable(eng, spec.Table),
-		asn:      mix.NewAssigner(),
-		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
-		jit:      sim.NewRNG(seed ^ 0x1234),
-		hist:     stats.NewHistogram(),
-	}
+	ctx.offload, ctx.asn = spec, mix.NewAssigner()
+	ctx.tbl = flow.NewTable(eng, spec.Table)
 	ctx.ctl = flow.NewController(ctx.tbl, spec.Policy.build())
-	ctx.pool = tb.SNICPool
-	ctx.pool.JitterSigma = 0
-	ctx.pool.SetQueueCapacity(spec.QueueCap)
-
-	ctx.rec = r.newRecorder(key, label)
-	ctx.chk = r.newChecker(label)
 	// flow/ gauges must register before instrumentTestbed starts the
 	// sampler: gauges added after StartSampler are never polled.
 	if ctx.rec != nil {
@@ -349,54 +302,22 @@ func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 	instrumentTestbed(tb, ctx.rec, ctx.chk)
 
 	tb.Sw.Program(nic.FlowSteer(eng, ctx.tbl, nic.ToWire, nic.ToSNICCPU))
-	tb.Sw.Connect(nic.ToWire, ctx.fastSink)
-	tb.Sw.Connect(nic.ToSNICCPU, ctx.slowSink)
-
+	tb.Sw.ConnectSink(nic.ToWire, (*fastSink)(ctx))
+	tb.Sw.ConnectSink(nic.ToSNICCPU, (*slowSink)(ctx))
+	ctx.ingress = tb.Sw.Ingress
 	eng.Ticker(spec.ControlInterval, func() { ctx.ctl.Tick(eng.Now()) })
-
-	interval := spec.Trace.Interval
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= len(spec.Trace.RatesGbps) {
-			ctx.lastSend = eng.Now()
-			return
-		}
-		rate := spec.Trace.RatesGbps[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				ctx.sent++
-				flowID, _ := ctx.asn.Next()
-				pkt := &nic.Packet{Seq: ctx.sent, Size: spec.PktSize, Flow: flowID,
-					SentAt: eng.Now(), Span: uint32(ctx.open())}
-				ctx.chk.Inject(pkt.Seq, pkt.Size, eng.Now())
-				tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
-				eng.After(ctx.arrivals.Gap(pkt.Size, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
-	}
-	eng.At(0, func() { runInterval(0) })
-	eng.Run()
-
-	r.finishOffloadChecks(ctx)
-	r.finishOffloadRecorder(ctx)
+	ctx.replay(spec.Trace.RatesGbps, spec.Trace.Interval)
+	r.finishChecks(ctx)
+	r.finishRecorder(ctx)
 
 	c := ctx.tbl.Counters()
 	res := OffloadResult{
 		Name:          spec.Name,
 		Policy:        spec.Policy.Key(),
 		SLO:           spec.SLO,
-		Sent:          ctx.sent,
-		Completed:     ctx.done,
-		Dropped:       ctx.dropped,
+		Sent:          uint64(ctx.sent),
+		Completed:     uint64(ctx.done),
+		Dropped:       ctx.pool.Dropped(),
 		FastPath:      ctx.fast,
 		SlowPath:      ctx.slow,
 		P99:           ctx.hist.P99(),
@@ -412,7 +333,7 @@ func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 	res.ThresholdMin, res.ThresholdMax, res.ThresholdFinal = ctx.ctl.ThresholdRange()
 	if ctx.sent > 0 {
 		res.SLOAttainment = float64(ctx.hist.CountAtOrBelow(spec.SLO)) / float64(ctx.sent)
-		res.DropRate = float64(ctx.dropped) / float64(ctx.sent)
+		res.DropRate = float64(res.Dropped) / float64(ctx.sent)
 	}
 	if ctx.meter != nil {
 		ctx.meter.Close(ctx.lastSend)
@@ -425,136 +346,60 @@ func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 // fastSink is the hardware fast path: the resident rule reflects the
 // packet straight back out the port — no CPU, no queueing, only the
 // return wire.
-func (ctx *offloadctx) fastSink(pkt *nic.Packet) {
-	eng := ctx.tb.Eng
+type fastSink runctx
+
+// HandleEvent reflects one packet.
+//
+//snicvet:hotpath
+func (s *fastSink) HandleEvent(arg any) {
+	ctx := (*runctx)(s)
+	p := arg.(*nic.Packet)
 	ctx.fast++
-	ctx.chk.FlowFast(pkt.Seq, eng.Now())
+	//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
+	ctx.chk.FlowFast(p.Seq, ctx.tb.Eng.Now())
 	ctx.noteTable()
-	root := obs.SpanID(pkt.Span)
-	ctx.stage(root, spanIngress, pkt.SentAt, eng.Now())
-	txAt := eng.Now()
-	resp := &nic.Packet{Seq: pkt.Seq, Size: pkt.Size, SentAt: pkt.SentAt}
-	ctx.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-		ctx.stage(root, spanReturn, txAt, eng.Now())
-		ctx.close(root)
-		ctx.chk.Complete(pkt.Seq, pkt.Size, eng.Now())
-		ctx.record(eng.Now().Sub(p.SentAt), pkt.Size)
-	})
+	r := ctx.receive(p)
+	r.respond(r.size)
 }
 
 // slowSink is the software slow path: an SNIC core walks the OvS
 // datapath (plus the first-packet rule-decision upcall), then the
 // response returns over the wire. A full service queue drops.
-func (ctx *offloadctx) slowSink(pkt *nic.Packet) {
-	eng := ctx.tb.Eng
+type slowSink runctx
+
+// HandleEvent queues one packet for a slow-path core.
+//
+//snicvet:hotpath
+func (s *slowSink) HandleEvent(arg any) {
+	ctx := (*runctx)(s)
+	p := arg.(*nic.Packet)
 	ctx.slow++
-	ctx.chk.FlowSlow(pkt.Seq, eng.Now())
-	n := ctx.ctl.OnMiss(pkt.Flow)
+	//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
+	ctx.chk.FlowSlow(p.Seq, ctx.tb.Eng.Now())
+	n := ctx.ctl.OnMiss(p.Flow)
 	ctx.noteTable()
-	root := obs.SpanID(pkt.Span)
-	ctx.stage(root, spanIngress, pkt.SentAt, eng.Now())
-	spec := ctx.tb.SNICSpec
-	cycles := ctx.spec.SlowBaseCycles + ctx.spec.SlowPerByteCycles*float64(pkt.Size)
+	r := ctx.receive(p)
+	spec, off := ctx.tb.SNICSpec, ctx.offload
+	cycles := off.SlowBaseCycles + off.SlowPerByteCycles*float64(r.size)
 	if n == 1 {
 		// First packet of the flow: classify it and decide on a rule.
-		cycles += ctx.spec.RuleDecisionCycles
+		cycles += off.RuleDecisionCycles
 	}
-	svc := ctx.jit.LogNormalDur(sim.Cycles(cycles/spec.IPC, spec.BaseHz), ctx.spec.SlowSigma)
-	arrive := eng.Now()
-	ok := ctx.pool.ExecDuration(svc, func(s, e sim.Time) {
-		if root != 0 && s > arrive {
-			ctx.stage(root, spanQueue, arrive, s)
-		}
-		ctx.stage(root, spanService, s, e)
-		txAt := eng.Now()
-		resp := &nic.Packet{Seq: pkt.Seq, Size: pkt.Size, SentAt: pkt.SentAt}
-		ctx.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-			ctx.stage(root, spanReturn, txAt, eng.Now())
-			ctx.close(root)
-			ctx.chk.Complete(pkt.Seq, pkt.Size, eng.Now())
-			ctx.record(eng.Now().Sub(p.SentAt), pkt.Size)
-		})
-	})
-	if !ok {
-		ctx.dropped++
-		ctx.ctl.NoteDrop()
-		ctx.chk.FlowSlowDrop(pkt.Seq, eng.Now())
-		ctx.chk.Drop(pkt.Seq, pkt.Size, eng.Now())
-	}
+	r.exec(ctx.pool, hopSlowPath, ctx.jit.LogNormalDur(sim.Cycles(cycles/spec.IPC, spec.BaseHz), off.SlowSigma))
 }
 
 // noteTable validates the table's bounds at the current instant.
-func (ctx *offloadctx) noteTable() {
+//
+//snicvet:hotpath
+func (ctx *runctx) noteTable() {
+	//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
 	ctx.chk.FlowTableOccupancy(ctx.tbl.Occupancy(), ctx.tbl.Capacity(),
-		ctx.tbl.PendingInserts(), ctx.spec.Table.InsertQueueCap, ctx.tb.Eng.Now())
+		ctx.tbl.PendingInserts(), ctx.offload.Table.InsertQueueCap, ctx.tb.Eng.Now())
 }
 
-// record tallies one completion (replay semantics: the first completion
-// opens the throughput meter, the rest are the measurement).
-func (ctx *offloadctx) record(rtt sim.Duration, bytes int) {
-	ctx.done++
-	if ctx.done == 1 {
-		ctx.meter = stats.NewMeter(ctx.tb.Eng.Now())
-		return
-	}
-	ctx.hist.Record(rtt)
-	if ctx.lastSend > 0 && ctx.tb.Eng.Now() > ctx.lastSend {
-		return
-	}
-	ctx.meter.Mark(ctx.tb.Eng.Now(), bytes)
-}
-
-// open/stage/close are the runctx span helpers for the offload context.
-func (ctx *offloadctx) open() obs.SpanID {
-	if ctx.rec == nil {
-		return 0
-	}
-	return ctx.rec.Open(obs.TrackRequests, spanRequest, ctx.tb.Eng.Now())
-}
-
-func (ctx *offloadctx) stage(root obs.SpanID, name string, start, end sim.Time) {
-	if root == 0 {
-		return
-	}
-	ctx.rec.Span(obs.TrackRequests, name, root, start, end)
-}
-
-func (ctx *offloadctx) close(root obs.SpanID) {
-	if root == 0 {
-		return
-	}
-	ctx.rec.Close(root, ctx.tb.Eng.Now())
-}
-
-// finishOffloadChecks mirrors finishChecks for the offload context.
-func (r *Runner) finishOffloadChecks(ctx *offloadctx) {
-	if ctx.chk == nil {
-		return
-	}
-	now := ctx.tb.Eng.Now()
-	ctx.chk.VerifyCounts(ctx.sent, ctx.done, now)
-	if err := ctx.chk.Finish(now); err != nil {
-		panic(err)
-	}
-	if err := invariant.CheckSpans(ctx.rec, invariant.SpanCheckOpts{}); err != nil {
-		panic(err)
-	}
-}
-
-// finishOffloadRecorder stamps end-of-run counters — including the
-// scoped flow/ control-plane set — and attaches the recorder.
-func (r *Runner) finishOffloadRecorder(ctx *offloadctx) {
-	r.Prof.NoteEngine(ctx.tb.Eng)
-	rec := ctx.rec
-	if rec == nil {
-		return
-	}
-	rec.SetCount("requests.sent", float64(ctx.sent))
-	rec.SetCount("requests.completed", float64(ctx.done))
-	rec.SetCount("pool.shed", float64(ctx.pool.Dropped()))
-	rec.SetCount("wire.lost", float64(ctx.tb.Wire.Lost()))
+// flowCounters stamps the offload run's control-plane counters.
+func (ctx *runctx) flowCounters(sc *obs.Scope) {
 	c := ctx.tbl.Counters()
-	sc := rec.Metrics().Scope("flow")
 	sc.Counter("fast-path", "pkts").Set(float64(ctx.fast))
 	sc.Counter("slow-path", "pkts").Set(float64(ctx.slow))
 	sc.Counter("inserts", "rules").Set(float64(c.Inserts))
@@ -564,5 +409,4 @@ func (r *Runner) finishOffloadRecorder(ctx *offloadctx) {
 	sc.Counter("thrash", "rules").Set(float64(c.Thrash))
 	sc.Counter("flows-started", "flows").Set(float64(ctx.asn.FlowsStarted()))
 	sc.Counter("flows-churned", "flows").Set(float64(ctx.asn.FlowsChurned()))
-	r.Telemetry.Attach(rec)
 }

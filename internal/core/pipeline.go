@@ -18,10 +18,10 @@ import (
 // accelerator sheds to a general-purpose core (the xmp_sched_sim
 // CPU↔accelerator fallback structure) or lets the staging queue drop.
 //
-// A single-phase pipeline built by PipelineFromConfig reproduces the
-// legacy Runner.Run measurement bit for bit: the executor replicates
-// the legacy sinks' event and RNG-draw order exactly (see pipelinerun.go),
-// so the pipeline engine is a strict generalization, not a fork.
+// A net-served point run is the single-phase pipeline PipelineFromConfig
+// builds, stepped on the same phase path (see request.go); a pipeline
+// run differs only in its phase chain and in emitting phase spans,
+// phase ledgers and phase/ counters.
 
 // PhaseResource names the kind of resource a phase occupies.
 type PhaseResource string
@@ -77,6 +77,14 @@ type PhaseSpec struct {
 
 // isCPU reports whether the phase runs on a general-purpose core pool.
 func (ph *PhaseSpec) isCPU() bool { return ph.Resource != ResEngine }
+
+// queueCap is the phase's pool queue bound.
+func (ph *PhaseSpec) queueCap() int {
+	if ph.QueueCap > 0 {
+		return ph.QueueCap
+	}
+	return 4096
+}
 
 // platform maps the phase's resource onto the legacy Platform axis
 // (pool selection, memory model, power accounting).
@@ -269,9 +277,10 @@ func (ps *PipelineSpec) key() string {
 }
 
 // PipelineFromConfig converts one catalog entry on one platform into
-// the equivalent single-phase pipeline. The resulting spec, executed
-// through RunPipeline, reproduces Runner.Run's measurement bit for bit
-// (the conversion keeps the cost model's float evaluation order).
+// the equivalent single-phase pipeline: the phase point runs and
+// replays of a net-served config step through. Executed through
+// RunPipeline, it reproduces Runner.Run's measurement bit for bit (the
+// conversion keeps the cost model's float evaluation order).
 func PipelineFromConfig(cfg *Config, plat Platform) *PipelineSpec {
 	if cfg.Mode != ModeNetServe {
 		panic(fmt.Sprintf("core: PipelineFromConfig needs a net-served config, %s is %q", cfg.Name(), cfg.Mode))

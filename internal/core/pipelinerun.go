@@ -5,22 +5,15 @@ import (
 	"math"
 
 	"repro/internal/accel"
-	"repro/internal/cpu"
-	"repro/internal/invariant"
 	"repro/internal/netstack"
 	"repro/internal/nic"
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// Pipeline execution. The executor replays the legacy net-serve sinks'
-// event structure and RNG-draw order exactly — submit loop, inbound
-// fixed delay, service draw at sink entry, TX delay drawn at service
-// completion — so a single-phase pipeline is bit-identical to the
-// legacy run; additional phases chain where the legacy sink would have
-// sent the response.
+// Pipeline execution: a pipeline run is a point run whose net-serve path
+// is the pipeline's phase chain (see request.go), with the phase spans,
+// phase ledgers and phase/ counters only pipeline runs emit.
 
 // PhaseStat is one phase's request accounting in a pipeline run.
 type PhaseStat struct {
@@ -52,49 +45,15 @@ func (m PipelineMeasurement) String() string {
 		m.Pipeline, m.Policy, m.Point.TputGbps, m.Point.Latency.P99, m.Spilled, m.Dropped)
 }
 
-// pipectx is the per-run wiring of one pipeline simulation — the
-// pipeline analog of runctx.
-type pipectx struct {
-	tb   *Testbed
-	ps   *PipelineSpec
-	pol  FallbackPolicy
-	opts RunOpts
-
-	prof     netstack.Profile
-	pool     *cpu.Pool // first-phase pool: where the stack terminates
-	ep       *netstack.Endpoint
-	arrivals *trace.Arrivals
-	sizes    trace.SizeDist
-	jit      *sim.RNG
-
-	hist    *stats.Histogram
-	meter   *stats.Meter
-	sent    int
-	done    int
-	warmupN int
-
-	reqBytesSent uint64
-	lastSend     sim.Time
-
-	rec *obs.Recorder
-	chk *invariant.Checker
-
-	tally []PhaseStat
-}
-
 // RunPipeline measures one pipeline at one operating point, memoized
 // under a key covering the full spec, policy, testbed and options.
 func (r *Runner) RunPipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasurement {
 	if err := ps.Validate(); err != nil {
 		panic(err)
 	}
-	key := pipelineKey(ps, r.TBConfig, opts)
-	if m, ok := r.cache.lookupPipeline(key); ok {
-		return m
-	}
-	m := r.simulatePipeline(ps, opts)
-	r.cache.storePipeline(key, m)
-	return m
+	return memo(&r.cache, pipelineKey(ps, r.TBConfig, opts), func() PipelineMeasurement {
+		return r.simulatePipeline(ps, opts)
+	})
 }
 
 // pipelineLabel is the run description used in telemetry exports and
@@ -105,544 +64,32 @@ func pipelineLabel(ps *PipelineSpec, opts RunOpts) string {
 }
 
 // simulatePipeline builds a fresh testbed and executes one pipeline run.
-// The setup mirrors Runner.simulate line for line: same seed folding,
-// same stream derivations, same pool and power wiring.
+// The first phase's pool terminates the stack, as the platform's pool
+// does on a point run.
 func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasurement {
-	r.sims.Add(1)
-	seed := r.runSeed(opts.Seed)
-	tbc := r.TBConfig
-	tbc.Seed ^= seed * 0x9e3779b97f4a7c15
-	if ps.HostCores > 0 {
-		tbc.HostCores = ps.HostCores
-	}
-	if ps.SNICCores > 0 {
-		tbc.SNICCores = ps.SNICCores
-	}
-	tb := NewTestbed(tbc)
-
-	px := &pipectx{
-		tb: tb, ps: ps, pol: ps.policy(), opts: opts,
-		prof:     netstack.ByKind(ps.Stack),
-		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
-		jit:      sim.NewRNG(seed ^ 0x1234),
-		hist:     stats.NewHistogram(),
-		warmupN:  int(float64(opts.Requests) * opts.WarmupFrac),
-		tally:    make([]PhaseStat, len(ps.Phases)),
-	}
+	ctx := r.atPoint(ps.HostCores, ps.SNICCores, ps.Phases[0].platform(), ps.Stack, opts,
+		pipelineKey(ps, r.TBConfig, opts), pipelineLabel(ps, opts))
+	ctx.setPath(ps)
+	ctx.phaseSpans = make([]string, len(ps.Phases))
 	for i := range ps.Phases {
-		px.tally[i] = PhaseStat{Name: ps.Phases[i].Name, Resource: ps.Phases[i].Resource}
+		ctx.phaseSpans[i] = "phase/" + ps.Phases[i].Name
 	}
 	if ps.Mixed {
-		px.sizes = trace.CTUMixed()
+		ctx.sizes = trace.CTUMixed()
 	} else {
-		px.sizes = trace.Fixed(ps.ReqSize)
+		ctx.sizes = trace.Fixed(ps.ReqSize)
 	}
-	first := &ps.Phases[0]
-	px.pool = tb.PoolFor(first.platform())
-	// Queue capacities: every pool a phase binds gets the runner default
-	// (or the phase's explicit cap); the host pool is always bounded so
-	// spilled work sheds instead of queueing without limit. The runner
-	// applies service jitter itself, so pool-level jitter is off on
-	// every pool a phase can touch.
-	px.pool.JitterSigma = 0
-	for i := range ps.Phases {
-		ph := &ps.Phases[i]
-		qcap := ph.QueueCap
-		if qcap <= 0 {
-			qcap = 4096
-		}
-		pool := px.poolFor(ph)
-		pool.JitterSigma = 0
-		pool.SetQueueCapacity(qcap)
-	}
-	if ps.uses(ResEngine) {
-		tb.HostPool.JitterSigma = 0
-		if tb.HostPool.QueueCapacity() <= 0 {
-			tb.HostPool.SetQueueCapacity(4096)
-		}
-	}
-	px.ep = netstack.NewEndpoint(tb.Eng, px.prof, px.pool, seed^0x77)
+	instrumentTestbed(ctx.tb, ctx.rec, ctx.chk)
+	ctx.tb.setPower(ps.uses(ResHostCore), ps.uses(ResSNICCore), ps.uses(ResEngine), ps.Stack == netstack.KindDPDK)
+	ctx.runNetServe()
+	r.finishChecks(ctx)
+	r.finishRecorder(ctx)
 
-	key := pipelineKey(ps, r.TBConfig, opts)
-	px.rec = r.newRecorder(key, pipelineLabel(ps, opts))
-	px.chk = r.newChecker(pipelineLabel(ps, opts))
-	instrumentTestbed(tb, px.rec, px.chk)
-
-	// Power bookkeeping: pools in play, poll-mode pinning, and whether
-	// traffic crosses into host memory — the same switch simulate()
-	// applies, generalized over the set of bound resources.
-	hostServes := ps.uses(ResHostCore)
-	snicServes := ps.uses(ResSNICCore)
-	engineUsed := ps.uses(ResEngine)
-	serve, staging := 0.0, 0.0
-	if snicServes {
-		serve = 1
-	}
-	if engineUsed {
-		staging = 1
-	}
-	tb.ActivateSNICPools(serve, staging)
-	if hostServes {
-		tb.SetPolling(HostCPU, ps.Stack == netstack.KindDPDK)
-	}
-	if snicServes {
-		tb.SetPolling(SNICCPU, ps.Stack == netstack.KindDPDK)
-	}
-	if engineUsed {
-		tb.SetPolling(SNICCPU, true) // staging cores poll DPDK / feed engines
-	}
-	if hostServes {
-		tb.SetHostTrafficShare(1)
-	} else {
-		tb.SetHostTrafficShare(0)
-	}
-
-	px.run()
-	r.finishPipelineChecks(px)
-	r.finishPipelineRecorder(px)
-	return px.measurement()
-}
-
-// poolFor maps a phase to the pool that executes it (engine phases
-// occupy staging cores for submission).
-func (px *pipectx) poolFor(ph *PhaseSpec) *cpu.Pool {
-	return px.tb.PoolFor(ph.platform())
-}
-
-// run drives the open-loop submit cycle — identical to runNetServe with
-// the first phase's resource selecting the steering destination.
-func (px *pipectx) run() {
-	eng := px.tb.Eng
-	dest := nic.ToHostCPU
-	switch px.ps.Phases[0].Resource {
-	case ResSNICCore:
-		dest = nic.ToSNICCPU
-	case ResEngine:
-		dest = nic.ToAccelerator
-	}
-	px.tb.Sw.Program(func(*nic.Packet) nic.Destination { return dest })
-	px.tb.Sw.Connect(nic.ToHostCPU, px.sink)
-	px.tb.Sw.Connect(nic.ToSNICCPU, px.sink)
-	px.tb.Sw.Connect(nic.ToAccelerator, px.sink)
-
-	var submit func()
-	submit = func() {
-		if px.sent >= px.opts.Requests {
-			return
-		}
-		px.noteSent()
-		size := px.sizes.Next(px.jit)
-		pkt := &nic.Packet{Seq: uint64(px.sent), Size: size, SentAt: eng.Now(),
-			Span: uint32(px.openRequest())}
-		px.chk.Inject(pkt.Seq, size, eng.Now())
-		px.reqBytesSent += uint64(size)
-		px.tb.Wire.SendToServer(pkt, px.tb.Sw.Ingress)
-		eng.After(px.arrivals.Gap(size, px.opts.OfferedGbps*1e9), submit)
-	}
-	eng.At(0, submit)
-	eng.Run()
-	px.finishEngineUtil()
-}
-
-// noteSent mirrors runctx.noteSent.
-func (px *pipectx) noteSent() {
-	px.sent++
-	if px.sent == px.opts.Requests {
-		px.lastSend = px.tb.Eng.Now()
-	}
-}
-
-// sink receives a request off the wire and starts phase 0.
-func (px *pipectx) sink(pkt *nic.Packet) {
-	root := obs.SpanID(pkt.Span)
-	px.stage(root, spanIngress, pkt.SentAt, px.tb.Eng.Now())
-	px.runPhase(0, pkt.Seq, pkt.Size, pkt.Size, pkt.SentAt, root)
-}
-
-// runPhase dispatches phase i. size is the phase's input payload after
-// upstream transforms; wireSize the injected wire payload (ledger and
-// meter accounting).
-func (px *pipectx) runPhase(i int, seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID) {
-	ph := &px.ps.Phases[i]
-	if ph.isCPU() {
-		px.cpuPhase(i, seq, size, wireSize, sentAt, root)
-		return
-	}
-	px.enginePhase(i, seq, size, wireSize, sentAt, root)
-}
-
-// next advances past phase i, or finishes the request.
-func (px *pipectx) next(i int, seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID, fromEngine bool) {
-	if i+1 < len(px.ps.Phases) {
-		px.runPhase(i+1, seq, size, wireSize, sentAt, root)
-		return
-	}
-	px.finishReturn(seq, wireSize, sentAt, root, fromEngine)
-}
-
-// cpuPhase serves phase i on its core pool. Phase 0 rides the inbound
-// fixed stack delay first (the legacy cpuSink structure, including the
-// service-time draw at sink entry).
-func (px *pipectx) cpuPhase(i int, seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID) {
-	eng := px.tb.Eng
-	ph := &px.ps.Phases[i]
-	pool := px.poolFor(ph)
-	svc := px.phaseSvc(i, ph, pool, size, false)
-	if i == 0 {
-		inFixed := px.ep.FixedDelay() + px.ps.FixedExtra
-		rxDone := eng.Now()
-		eng.After(inFixed, func() {
-			enq := eng.Now()
-			px.stage(root, spanStackRx, rxDone, enq)
-			px.execCPU(i, ph, pool, svc, seq, size, wireSize, sentAt, root, enq, false)
-		})
-		return
-	}
-	px.execCPU(i, ph, pool, svc, seq, size, wireSize, sentAt, root, eng.Now(), false)
-}
-
-// execCPU enqueues a CPU phase's service and chains the next phase from
-// its completion. spilled marks engine work redirected here by the
-// fallback policy.
-func (px *pipectx) execCPU(i int, ph *PhaseSpec, pool *cpu.Pool, svc sim.Duration,
-	seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID, enq sim.Time, spilled bool) {
-	px.chk.PhaseEnter(ph.Name, seq, px.tb.Eng.Now())
-	ok := pool.ExecDuration(svc, func(s, e sim.Time) {
-		if root != 0 && s > enq {
-			px.stage(root, spanQueue, enq, s)
-		}
-		px.stage(root, spanService, s, e)
-		px.stage(root, phaseSpan(ph), s, e)
-		px.chk.PhaseExit(ph.Name, seq, e)
-		if spilled {
-			px.tally[i].Spilled++
-		} else {
-			px.tally[i].Served++
-		}
-		px.next(i, seq, ph.outSize(size), wireSize, sentAt, root, false)
-	})
-	if !ok {
-		px.tally[i].Dropped++
-		px.chk.PhaseDrop(ph.Name, seq, px.tb.Eng.Now())
-		px.chk.Drop(seq, wireSize, px.tb.Eng.Now())
-	}
-}
-
-// enginePhase routes phase i through the staging cores into its engine
-// (the legacy accelSink structure), unless the fallback policy spills
-// it to a host core first.
-func (px *pipectx) enginePhase(i int, seq uint64, size, wireSize int, sentAt sim.Time, root obs.SpanID) {
-	eng := px.tb.Eng
-	ph := &px.ps.Phases[i]
-	staging := px.tb.StagingPool
-	backlog := staging.QueueLen() + px.engineQueueLen(ph)*16
-	qcap := ph.QueueCap
-	if qcap <= 0 {
-		qcap = 4096
-	}
-	if px.pol.Spill(ph, backlog, qcap) {
-		// Host software path: the phase's spill cost model on a host
-		// core, then the pipeline continues as if the engine had run.
-		pool := px.tb.HostPool
-		svc := px.phaseSvc(i, ph, pool, size, true)
-		px.execCPU(i, ph, pool, svc, seq, size, wireSize, sentAt, root, eng.Now(), true)
-		return
-	}
-	arrive := eng.Now()
-	spec := px.tb.SNICSpec
-	stageCycles := 0.0
-	if i == 0 {
-		stageCycles = px.prof.RxCycles(spec.Arch, size)
-	}
-	stageCycles += accel.StagingCyclesPerTask
-	stageCycles += accel.StagingCyclesPerByte * float64(size)
-	stageCycles += 100
-	stageSvc := px.jit.LogNormalDur(sim.Cycles(stageCycles/spec.IPC, spec.BaseHz), 0.15)
-	px.chk.PhaseEnter(ph.Name, seq, eng.Now())
-	ok := staging.ExecDuration(stageSvc, func(s, e sim.Time) {
-		if root != 0 && s > arrive {
-			px.stage(root, spanQueue, arrive, s)
-		}
-		px.stage(root, spanStaging, s, e)
-		px.engineSubmit(ph, size, func(es, ee sim.Time) {
-			px.stage(root, spanEngine, es, ee)
-			px.stage(root, phaseSpan(ph), s, ee)
-			px.chk.PhaseExit(ph.Name, seq, ee)
-			px.tally[i].Served++
-			px.next(i, seq, ph.outSize(size), wireSize, sentAt, root, true)
-		})
-	})
-	if !ok {
-		px.tally[i].Dropped++
-		px.chk.PhaseDrop(ph.Name, seq, eng.Now())
-		px.chk.Drop(seq, wireSize, eng.Now())
-	}
-}
-
-// finishReturn sends the response: a small fixed engine-pickup delay
-// when the last phase was an engine, the TX-side stack delay otherwise —
-// exactly the two legacy sinks' return paths.
-func (px *pipectx) finishReturn(seq uint64, wireSize int, sentAt sim.Time, root obs.SpanID, fromEngine bool) {
-	eng := px.tb.Eng
-	var d sim.Duration
-	if fromEngine {
-		d = 200 * sim.Nanosecond
-	} else {
-		d = px.ep.FixedDelay()
-	}
-	eng.After(d, func() {
-		txAt := eng.Now()
-		resp := &nic.Packet{Seq: seq, Size: px.ps.RespSize, SentAt: sentAt}
-		px.tb.Wire.SendToClient(resp, func(p *nic.Packet) {
-			px.stage(root, spanReturn, txAt, eng.Now())
-			px.closeRequest(root)
-			px.chk.Complete(seq, wireSize, eng.Now())
-			px.record(eng.Now().Sub(p.SentAt), wireSize)
-		})
-	})
-}
-
-// phaseSvc composes stack + phase cycles into a jittered service time.
-// The arithmetic evaluation order matches the legacy svcTime exactly —
-// (base + perByte·size), then ×factor, then +extra, Rx and Tx cycles
-// added first — so converted single-phase pipelines are bit-identical.
-// Phase 0 carries the RX stack cycles, the last CPU phase the TX
-// cycles; spilled engine phases run their software model on the host.
-func (px *pipectx) phaseSvc(i int, ph *PhaseSpec, pool *cpu.Pool, size int, spilled bool) sim.Duration {
-	spec := pool.Spec
-	base, perByte := ph.BaseCycles, ph.PerByteCycles
-	factor := ph.CycleFactor
-	if spilled {
-		if ph.SpillBaseCycles > 0 || ph.SpillPerByteCycles > 0 {
-			base, perByte = ph.SpillBaseCycles, ph.SpillPerByteCycles
-		}
-		factor = 1
-	}
-	if factor <= 0 {
-		factor = 1
-	}
-	app := base + perByte*float64(size)
-	app *= factor
-	app += ph.ExtraCycles
-
-	cycles := 0.0
-	if i == 0 {
-		cycles = px.prof.RxCycles(spec.Arch, size)
-	}
-	if i == len(px.ps.Phases)-1 {
-		cycles += px.prof.TxCycles(spec.Arch, px.ps.RespSize)
-	}
-	cycles += app
-
-	svc := sim.Cycles(cycles/spec.IPC, spec.BaseHz)
-	plat := ph.platform()
-	if spilled {
-		plat = HostCPU
-	}
-	pen := px.tb.MemFor(plat).Penalty(ph.MemIntensity, ph.WorkingSet, px.tb.SpecFor(plat).L3Bytes)
-	svc = sim.Duration(float64(svc) * pen)
-	sigma := ph.Sigma
-	if sigma <= 0 {
-		sigma = 0.20
-	}
-	return px.jit.LogNormalDur(svc, sigma)
-}
-
-// engineSubmit dispatches one task to the phase's engine.
-func (px *pipectx) engineSubmit(ph *PhaseSpec, size int, done func(start, end sim.Time)) {
-	var err error
-	switch ph.Engine {
-	case EngineREM:
-		err = px.tb.REM.Submit(size, done)
-	case EngineDeflate:
-		err = px.tb.Deflate.Submit(size, done)
-	case EnginePKABulk:
-		err = px.tb.PKA.SubmitBulk(ph.PKAAlgo, size, done)
-	case EnginePKAOp:
-		err = px.tb.PKA.SubmitOp(ph.PKAAlgo, done)
-	default:
-		panic(fmt.Sprintf("core: pipeline phase %q has no engine binding", ph.Name))
-	}
-	if err != nil {
-		panic(err)
-	}
-}
-
-// engineQueueLen reads the phase's engine queue depth. Every engine now
-// exposes one — the PKA via its command-count register delta — so the
-// spill watermark sees backlog on all three fixed-function paths.
-func (px *pipectx) engineQueueLen(ph *PhaseSpec) int {
-	switch ph.Engine {
-	case EngineREM:
-		return px.tb.REM.QueueLen()
-	case EngineDeflate:
-		return px.tb.Deflate.QueueLen()
-	case EnginePKABulk, EnginePKAOp:
-		return px.tb.PKA.QueueLen()
-	default:
-		return 0
-	}
-}
-
-// engineUtilization reads the phase's engine utilization.
-func (px *pipectx) engineUtilization(ph *PhaseSpec) float64 {
-	switch ph.Engine {
-	case EngineREM:
-		return px.tb.REM.Utilization()
-	case EngineDeflate:
-		return px.tb.Deflate.Utilization()
-	default:
-		return px.tb.PKA.Utilization()
-	}
-}
-
-// finishEngineUtil snapshots the busiest bound engine into the power
-// signal (single-engine pipelines reduce to the legacy rule).
-func (px *pipectx) finishEngineUtil() {
-	var u float64
-	seen := false
-	for i := range px.ps.Phases {
-		ph := &px.ps.Phases[i]
-		if ph.Resource != ResEngine {
-			continue
-		}
-		if eu := px.engineUtilization(ph); !seen || eu > u {
-			u = eu
-			seen = true
-		}
-	}
-	if seen {
-		px.tb.SetEngineUtil(u)
-	}
-}
-
-// record mirrors runctx.record.
-func (px *pipectx) record(rtt sim.Duration, bytes int) {
-	px.done++
-	if px.done == px.warmupN {
-		px.meter = stats.NewMeter(px.tb.Eng.Now())
-		return
-	}
-	if px.done < px.warmupN || px.meter == nil {
-		return
-	}
-	px.hist.Record(rtt)
-	if px.lastSend > 0 && px.tb.Eng.Now() > px.lastSend {
-		return
-	}
-	px.meter.Mark(px.tb.Eng.Now(), bytes)
-}
-
-// ---- telemetry + checks ----
-
-// phaseSpan names a phase's child span on the request track.
-func phaseSpan(ph *PhaseSpec) string { return "phase/" + ph.Name }
-
-func (px *pipectx) openRequest() obs.SpanID {
-	if px.rec == nil {
-		return 0
-	}
-	return px.rec.Open(obs.TrackRequests, spanRequest, px.tb.Eng.Now())
-}
-
-func (px *pipectx) stage(root obs.SpanID, name string, start, end sim.Time) {
-	if root == 0 {
-		return
-	}
-	px.rec.Span(obs.TrackRequests, name, root, start, end)
-}
-
-func (px *pipectx) closeRequest(root obs.SpanID) {
-	if root == 0 {
-		return
-	}
-	px.rec.Close(root, px.tb.Eng.Now())
-}
-
-// finishPipelineChecks verifies the conservation ledger, the per-phase
-// ledgers and the span tree at end of run.
-func (r *Runner) finishPipelineChecks(px *pipectx) {
-	if px.chk == nil {
-		return
-	}
-	now := px.tb.Eng.Now()
-	px.chk.VerifyCounts(uint64(px.sent), uint64(px.done), now)
-	if err := px.chk.Finish(now); err != nil {
-		panic(err)
-	}
-	if err := invariant.CheckSpans(px.rec, invariant.SpanCheckOpts{}); err != nil {
-		panic(err)
-	}
-}
-
-// finishPipelineRecorder stamps end-of-run counters. Nil-safe.
-func (r *Runner) finishPipelineRecorder(px *pipectx) {
-	r.Prof.NoteEngine(px.tb.Eng)
-	rec := px.rec
-	if rec == nil {
-		return
-	}
-	rec.SetCount("requests.sent", float64(px.sent))
-	rec.SetCount("requests.completed", float64(px.done))
-	rec.SetCount("pool.shed", float64(px.pool.Dropped()))
-	rec.SetCount("wire.lost", float64(px.tb.Wire.Lost()))
-	// Per-phase accounting lands in the registry so manifests show where
-	// the fallback policy routed work, phase by phase.
-	for i := range px.tally {
-		scope := rec.Metrics().Scope("phase/" + px.tally[i].Name)
-		scope.Counter("served", "reqs").Set(float64(px.tally[i].Served))
-		scope.Counter("spilled", "reqs").Set(float64(px.tally[i].Spilled))
-		scope.Counter("dropped", "reqs").Set(float64(px.tally[i].Dropped))
-	}
-	r.Telemetry.Attach(rec)
-}
-
-// measurement mirrors runctx.measurement, plus per-phase accounting.
-func (px *pipectx) measurement() PipelineMeasurement {
-	m := Measurement{
-		Function:    px.ps.Name,
-		Variant:     px.pol.Key(),
-		Platform:    px.ps.Phases[0].platform(),
-		OfferedGbps: px.opts.OfferedGbps,
-		Latency:     px.hist.Summarize(),
-		HostUtil:    px.tb.HostPool.Utilization(),
-		EngineUtil:  px.tb.engineUtil,
-	}
-	if px.ps.uses(ResEngine) {
-		m.SNICUtil = px.tb.StagingPool.Utilization()
-	} else {
-		m.SNICUtil = px.tb.SNICPool.Utilization()
-	}
-	if px.meter != nil {
-		closeAt := px.tb.Eng.Now()
-		if px.lastSend > 0 && px.lastSend < closeAt {
-			closeAt = px.lastSend
-		}
-		px.meter.Close(closeAt)
-		m.Ops = px.meter.Ops()
-		m.TputOps = px.meter.OpsPerSec()
-		m.TputGbps = px.meter.Gbps()
-	}
-	if px.opts.OfferedGbps > 0 {
-		m.DeliveredFrac = m.TputGbps / px.opts.OfferedGbps
-	} else {
-		m.DeliveredFrac = 1
-	}
-	m.ServerPowerW = float64(px.tb.Power.Server.Power())
-	m.SNICPowerW = float64(px.tb.Power.SNIC.Power())
-	if m.ServerPowerW > 0 {
-		m.EffOpsPerJoule = m.TputOps / m.ServerPowerW
-		m.EffBitsPerJoule = m.TputGbps * 1e9 / m.ServerPowerW
-	}
-	pm := PipelineMeasurement{
-		Pipeline: px.ps.Name,
-		Policy:   px.pol.Key(),
-		Point:    m,
-		Phases:   px.tally,
-	}
-	for i := range px.tally {
-		pm.Spilled += px.tally[i].Spilled
-		pm.Dropped += px.tally[i].Dropped
+	pm := PipelineMeasurement{Pipeline: ps.Name, Policy: ctx.pol.Key(), Point: ctx.measurement(), Phases: ctx.tally}
+	pm.Point.Function, pm.Point.Variant = ps.Name, pm.Policy
+	for i := range ctx.tally {
+		pm.Spilled += ctx.tally[i].Spilled
+		pm.Dropped += ctx.tally[i].Dropped
 	}
 	return pm
 }
@@ -742,14 +189,7 @@ func (r *Runner) SaturationSearch(ps *PipelineSpec, so SaturationOpts) Saturatio
 // over phases of each phase's standalone capacity (pool sharing between
 // phases is ignored — the walk's range only needs to bracket the knee).
 func (r *Runner) estimatePipelineGbps(ps *PipelineSpec) float64 {
-	tbc := r.TBConfig
-	if ps.HostCores > 0 {
-		tbc.HostCores = ps.HostCores
-	}
-	if ps.SNICCores > 0 {
-		tbc.SNICCores = ps.SNICCores
-	}
-	tb := NewTestbed(tbc)
+	tb := NewTestbed(r.TBConfig.withCores(ps.HostCores, ps.SNICCores))
 	meanReq := ps.ReqSize
 	if ps.Mixed {
 		meanReq = int(trace.CTUMixed().Mean())
@@ -762,7 +202,7 @@ func (r *Runner) estimatePipelineGbps(ps *PipelineSpec) float64 {
 		ph := &ps.Phases[i]
 		var gbps float64
 		if ph.Resource == ResEngine {
-			engineBits := r.pipelineEngineRateBits(tb, ph)
+			engineBits := tb.engineRateBits(ph.Engine, ph.PKAAlgo, 64<<10)
 			spec := tb.SNICSpec
 			stageCycles := accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(size) + 100
 			if i == 0 {
@@ -799,20 +239,4 @@ func (r *Runner) estimatePipelineGbps(ps *PipelineSpec) float64 {
 		size = ph.outSize(size)
 	}
 	return best
-}
-
-// pipelineEngineRateBits mirrors engineRateBits for a phase binding.
-func (r *Runner) pipelineEngineRateBits(tb *Testbed, ph *PhaseSpec) float64 {
-	switch ph.Engine {
-	case EngineREM:
-		return tb.REM.RateBits * 0.75
-	case EngineDeflate:
-		return tb.Deflate.RateBits * 0.9
-	case EnginePKABulk:
-		return tb.PKA.BulkRateBits[ph.PKAAlgo] * 0.95
-	case EnginePKAOp:
-		return tb.PKA.OpRate[ph.PKAAlgo] * float64(64<<10) * 8
-	default:
-		return 30e9
-	}
 }

@@ -248,6 +248,88 @@ func (tb *Testbed) MemFor(p Platform) *mem.Spec {
 	return tb.SNICMem
 }
 
+// withCores returns the configuration with the pool sizes a config or
+// pipeline overrides; zero keeps the default.
+func (c TestbedConfig) withCores(host, snic int) TestbedConfig {
+	if host > 0 {
+		c.HostCores = host
+	}
+	if snic > 0 {
+		c.SNICCores = snic
+	}
+	return c
+}
+
+// setPower does a run's power bookkeeping: which SNIC pools are live,
+// which cores poll, and whether traffic crosses into host memory. host,
+// snic and engine say which resources serve; poll says whether their
+// stack polls, and the staging cores that feed an engine always do.
+func (tb *Testbed) setPower(host, snic, engine, poll bool) {
+	serve, staging, share := 0.0, 0.0, 0.0
+	if snic {
+		serve = 1
+	}
+	if engine {
+		staging = 1
+	}
+	tb.ActivateSNICPools(serve, staging)
+	if host {
+		tb.SetPolling(HostCPU, poll)
+		share = 1
+	}
+	if snic {
+		tb.SetPolling(SNICCPU, poll)
+	}
+	if engine {
+		tb.SetPolling(SNICCPU, true)
+	}
+	tb.SetHostTrafficShare(share)
+}
+
+// engineQueueLen reads an engine's queue depth. Every engine exposes
+// one, the PKA via its command-count register delta, so a spill
+// watermark sees backlog on all three fixed-function paths.
+func (tb *Testbed) engineQueueLen(e EngineKind) int {
+	switch e {
+	case EngineREM:
+		return tb.REM.QueueLen()
+	case EngineDeflate:
+		return tb.Deflate.QueueLen()
+	case EnginePKABulk, EnginePKAOp:
+		return tb.PKA.QueueLen()
+	}
+	return 0
+}
+
+// engineUtilization reads an engine's utilization.
+func (tb *Testbed) engineUtilization(e EngineKind) float64 {
+	switch e {
+	case EngineREM:
+		return tb.REM.Utilization()
+	case EngineDeflate:
+		return tb.Deflate.Utilization()
+	case EnginePKABulk, EnginePKAOp:
+		return tb.PKA.Utilization()
+	}
+	return 0
+}
+
+// engineRateBits returns an engine's rate with a batching margin; a
+// per-operation engine moves opBytes per operation.
+func (tb *Testbed) engineRateBits(e EngineKind, algo accel.PKAAlgo, opBytes int) float64 {
+	switch e {
+	case EngineREM:
+		return tb.REM.RateBits * 0.75
+	case EngineDeflate:
+		return tb.Deflate.RateBits * 0.9
+	case EnginePKABulk:
+		return tb.PKA.BulkRateBits[algo] * 0.95
+	case EnginePKAOp:
+		return tb.PKA.OpRate[algo] * float64(opBytes) * 8
+	}
+	return 30e9
+}
+
 // StartSensors begins power sampling until the given time.
 func (tb *Testbed) StartSensors(until sim.Time) {
 	tb.BMC.Start(until)

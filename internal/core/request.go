@@ -1,35 +1,52 @@
 package core
 
 import (
+	"fmt"
+
+	"repro/internal/accel"
+	"repro/internal/cpu"
 	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// The per-request record of the point and replay drivers. A request
-// crosses up to a dozen hops (wire, switch, stack, core queue, engine
-// batch, return wire); a closure per hop would cost every simulated
-// request about eleven heap objects. Instead each in-flight request
-// owns one pooled record holding its state between hops. Timed hops are
-// engine handlers that are the record under another type ((*cpuRx)(r)
-// and friends, the idiom of sim's linkHead), and job, engine and wire
-// completions resume the record through its two callbacks, bound once
-// when the record is built. Client packets and records come from
-// per-run free lists, so a warm run allocates nothing per request.
+// The per-request record of every run family on runctx (all but the
+// failover and balanced replays). A request crosses up to a dozen hops
+// (wire, switch, stack, core queue, engine batch, return wire); a
+// closure per hop would cost every simulated request about eleven heap
+// objects. Instead each in-flight request owns one pooled record
+// holding its state between hops. Timed hops are engine handlers
+// that are the record under another type ((*cpuRx)(r) and friends, the
+// idiom of sim's linkHead), and job, engine and wire completions resume
+// the record through its two callbacks, bound once when the record is
+// built. Client packets and records come from per-run free lists, so a
+// warm run allocates nothing per request.
+//
+// A net-served request steps through its run's phases (see
+// PipelineSpec): point runs, Table 4 and fleet replays execute the
+// single phase PipelineFromConfig builds, pipelines their whole chain.
+// The record carries the phase index, the phase's input size and
+// whether the fallback policy spilled the phase to a host core.
 
 // request is one in-flight request.
 type request struct {
-	ctx    *runctx
-	seq    uint64
+	ctx *runctx
+	seq uint64
+	// size is the wire payload: the ledger and the meter count it.
 	size   int
 	sentAt sim.Time
 	root   obs.SpanID
-	// svc is the core service time drawn when the request reached its
-	// sink.
+	// svc is the core service time drawn when a core phase began.
 	svc sim.Duration
-	// mark is when the stage in progress began: RX done, enqueue, TX,
-	// command or data departure.
+	// mark is when the stage in progress began: RX done, enqueue,
+	// staging start, TX, command or data departure.
 	mark sim.Time
+	// phase indexes the net-serve phase in progress; in is its input
+	// payload after upstream transforms; spilled marks an engine phase
+	// the fallback policy moved to a host core.
+	phase   int
+	in      int
+	spilled bool
 	// resp is the packet the request sends back (or, for storage, the
 	// command and then the data block).
 	resp nic.Packet
@@ -48,11 +65,12 @@ type request struct {
 type hop uint8
 
 const (
-	// Network serving (runNetServe and the replays) and switching.
-	hopServed   hop = iota // run-to-completion service on a core
-	hopStaged              // staging-core work ahead of the engine
+	// Network serving (the phase path) and switching.
+	hopServed   hop = iota // a core (or spilled engine) phase's service
+	hopStaged              // staging-core work ahead of an engine phase
 	hopEngined             // the engine's batch retired
 	hopReturned            // the response reached the client
+	hopSlowPath            // the offload slow path's software service
 	// Closed-loop local operations (runLocal).
 	hopLocalServed  // the ISA-path operation on a core
 	hopLocalStaged  // command staging ahead of the engine
@@ -121,16 +139,63 @@ func (ctx *runctx) take(p *nic.Packet) *request {
 	return r
 }
 
-// exec submits the request's next job to the run's pool; a job shed at
-// the pool's queue bound drops the request.
+// receive takes a record for a packet arriving at a sink and closes the
+// request's ingress stage.
 //
 //snicvet:hotpath
-func (r *request) exec(next hop, svc sim.Duration) {
+func (ctx *runctx) receive(p *nic.Packet) *request {
+	r := ctx.take(p)
+	now := ctx.tb.Eng.Now()
+	ctx.stage(r.root, spanIngress, r.sentAt, now)
+	r.mark = now
+	return r
+}
+
+// exec submits the request's next job to pool. A job shed at the pool's
+// queue bound drops the request: a phase's or the offload slow path's
+// own ledgers take the drop first.
+//
+//snicvet:hotpath
+func (r *request) exec(pool *cpu.Pool, next hop, svc sim.Duration) {
+	ctx := r.ctx
 	r.hop = next
-	if !r.ctx.pool.ExecDuration(svc, r.jobDone) {
-		r.ctx.noteDrop(r.seq, r.size)
-		r.ctx.release(r)
+	if pool.ExecDuration(svc, r.jobDone) {
+		return
 	}
+	switch next {
+	case hopServed, hopStaged:
+		ctx.tally[r.phase].Dropped++
+		if ctx.phaseSpans != nil {
+			//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
+			ctx.chk.PhaseDrop(ctx.ps.Phases[r.phase].Name, r.seq, ctx.tb.Eng.Now())
+		}
+	case hopSlowPath:
+		ctx.ctl.NoteDrop()
+		//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
+		ctx.chk.FlowSlowDrop(r.seq, ctx.tb.Eng.Now())
+	}
+	ctx.noteDrop(r.seq, r.size)
+	ctx.release(r)
+}
+
+// queued records the request's wait for a core that started its job at
+// start, if it waited at all.
+//
+//snicvet:hotpath
+func (r *request) queued(start sim.Time) {
+	if start > r.mark {
+		r.ctx.stage(r.root, spanQueue, r.mark, start)
+	}
+}
+
+// respond sends a response of size bytes back toward the client.
+//
+//snicvet:hotpath
+func (r *request) respond(size int) {
+	r.mark = r.ctx.tb.Eng.Now()
+	r.resp = nic.Packet{Seq: r.seq, Size: size, SentAt: r.sentAt}
+	r.hop = hopReturned
+	r.ctx.tb.Wire.SendToClient(&r.resp, r.arrived)
 }
 
 // finish completes the request: its root span closes, the ledger and
@@ -153,37 +218,39 @@ func (r *request) finish() {
 //snicvet:hotpath
 func (r *request) onJob(start, end sim.Time) {
 	ctx := r.ctx
-	eng := ctx.tb.Eng
 	switch r.hop {
 	case hopServed:
-		if r.root != 0 && start > r.mark {
-			ctx.stage(r.root, spanQueue, r.mark, start)
-		}
+		r.queued(start)
 		ctx.stage(r.root, spanService, start, end)
-		eng.AfterCall(ctx.ep.FixedDelay(), (*reqTx)(r), nil)
+		ctx.endPhase(r, start, end)
 	case hopStaged:
-		if r.root != 0 && start > r.mark {
-			ctx.stage(r.root, spanQueue, r.mark, start)
-		}
+		r.queued(start)
 		ctx.stage(r.root, spanStaging, start, end)
+		// The phase span runs from staging start to engine retirement.
+		r.mark = start
 		r.hop = hopEngined
-		ctx.engineSubmit(r.size, r.jobDone)
+		ph := &ctx.ps.Phases[r.phase]
+		ctx.engineSubmit(ph.Engine, ph.PKAAlgo, r.in, r.jobDone)
 	case hopEngined:
 		ctx.stage(r.root, spanEngine, start, end)
-		eng.AfterCall(200*sim.Nanosecond, (*reqTx)(r), nil)
+		ctx.endPhase(r, r.mark, end)
+	case hopSlowPath:
+		r.queued(start)
+		ctx.stage(r.root, spanService, start, end)
+		r.respond(r.size)
 	case hopLocalServed:
 		ctx.stage(r.root, spanService, start, end)
 		r.finishLocal()
 	case hopLocalStaged:
 		ctx.stage(r.root, spanStaging, start, end)
 		r.hop = hopLocalEngined
-		ctx.engineSubmit(r.size, r.jobDone)
+		ctx.engineSubmit(ctx.cfg.Engine, ctx.cfg.PKAAlgo, r.size, r.jobDone)
 	case hopLocalEngined:
 		ctx.stage(r.root, spanEngine, start, end)
 		r.finishLocal()
 	case hopPosted:
 		ctx.stage(r.root, spanService, start, end)
-		eng.AfterCall(ctx.ep.FixedDelay()+ctx.extraLatency(), (*ioCommand)(r), nil)
+		ctx.tb.Eng.AfterCall(ctx.ep.FixedDelay()+ctx.extraLatency(), (*ioCommand)(r), nil)
 	case hopCompleted:
 		r.finish()
 	default:
@@ -210,8 +277,230 @@ func (r *request) onArrival(*nic.Packet) {
 		ctx.stage(r.root, spanReturn, r.mark, now)
 		// Completion interrupt/poll on the initiator.
 		spec := ctx.tb.SpecFor(ctx.plat)
-		r.exec(hopCompleted, sim.Cycles(600/spec.IPC, spec.BaseHz))
+		r.exec(ctx.pool, hopCompleted, sim.Cycles(600/spec.IPC, spec.BaseHz))
 	default:
 		panic("core: packet arrival on a request not waiting for one")
+	}
+}
+
+// ---- The phase path ----
+//
+// The phase path replays the event structure and RNG-draw order of a
+// net-serve run exactly: a core phase draws its service time when it
+// begins, phase 0 then rides the inbound stack delay, and the TX delay is
+// drawn when the last phase completes. A one-phase path is therefore a
+// point run bit for bit; further phases chain where the response would
+// have left.
+
+// netSink starts a net-served request's first phase when its packet
+// reaches the server.
+type netSink runctx
+
+// HandleEvent takes the request's record and begins phase 0.
+//
+//snicvet:hotpath
+func (s *netSink) HandleEvent(arg any) {
+	ctx := (*runctx)(s)
+	r := ctx.receive(arg.(*nic.Packet))
+	r.phase, r.in = 0, r.size
+	ctx.startPhase(r)
+}
+
+// startPhase begins the request's current phase. A core phase queues on
+// its pool (phase 0 after the inbound stack delay); an engine phase asks
+// the fallback policy whether to spill to a host core, and otherwise
+// queues for a staging core that feeds the engine (the DOCA path of
+// §2.2). The staging cost includes the result pickup work (~100
+// cycles), so completions ride a small fixed delay rather than
+// re-entering the staging queue: a dropped RX must never be able to
+// orphan a finished engine task.
+//
+//snicvet:hotpath
+func (ctx *runctx) startPhase(r *request) {
+	ph := &ctx.ps.Phases[r.phase]
+	now := ctx.tb.Eng.Now()
+	r.spilled = false
+	if ph.isCPU() {
+		r.svc = ctx.phaseSvc(r, ph)
+		if r.phase == 0 {
+			ctx.tb.Eng.AfterCall(ctx.ep.FixedDelay()+ctx.ps.FixedExtra, (*cpuRx)(r), nil)
+			return
+		}
+		r.mark = now
+		ctx.execPhase(r, ctx.tb.PoolFor(ph.platform()), hopServed, r.svc)
+		return
+	}
+	staging := ctx.tb.StagingPool
+	r.mark = now
+	if ctx.pol.Spill(ph, staging.QueueLen()+ctx.tb.engineQueueLen(ph.Engine)*16, ph.queueCap()) {
+		// Host software path: the phase's spill cost model on a host
+		// core, then the request continues as if the engine had run.
+		r.spilled = true
+		ctx.execPhase(r, ctx.tb.HostPool, hopServed, ctx.phaseSvc(r, ph))
+		return
+	}
+	spec := ctx.tb.SNICSpec
+	cycles := 0.0
+	if r.phase == 0 {
+		cycles = ctx.prof.RxCycles(spec.Arch, r.in)
+	}
+	cycles += accel.StagingCyclesPerTask
+	cycles += accel.StagingCyclesPerByte * float64(r.in)
+	cycles += 100
+	ctx.execPhase(r, staging, hopStaged, ctx.jit.LogNormalDur(sim.Cycles(cycles/spec.IPC, spec.BaseHz), 0.15))
+}
+
+// execPhase enters the request into its phase's ledger and submits the
+// phase's job.
+//
+//snicvet:hotpath
+func (ctx *runctx) execPhase(r *request, pool *cpu.Pool, next hop, svc sim.Duration) {
+	if ctx.phaseSpans != nil {
+		//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
+		ctx.chk.PhaseEnter(ctx.ps.Phases[r.phase].Name, r.seq, ctx.tb.Eng.Now())
+	}
+	r.exec(pool, next, svc)
+}
+
+// cpuRx queues a request for a core once phase 0's inbound stack delay
+// has passed.
+type cpuRx request
+
+// HandleEvent submits the phase's service job.
+//
+//snicvet:hotpath
+func (h *cpuRx) HandleEvent(any) {
+	r := (*request)(h)
+	ctx := r.ctx
+	enq := ctx.tb.Eng.Now()
+	ctx.stage(r.root, spanStackRx, r.mark, enq)
+	r.mark = enq
+	ctx.execPhase(r, ctx.pool, hopServed, r.svc)
+}
+
+// endPhase closes the request's current phase, which ran from start to
+// end, then begins the next phase or, after the last, sends the
+// response: a small fixed engine-pickup delay after an engine, the TX
+// stack delay after a core.
+//
+//snicvet:hotpath
+func (ctx *runctx) endPhase(r *request, start, end sim.Time) {
+	ph := &ctx.ps.Phases[r.phase]
+	if ctx.phaseSpans != nil {
+		ctx.stage(r.root, ctx.phaseSpans[r.phase], start, end)
+		//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
+		ctx.chk.PhaseExit(ph.Name, r.seq, end)
+	}
+	if r.spilled {
+		ctx.tally[r.phase].Spilled++
+	} else {
+		ctx.tally[r.phase].Served++
+	}
+	r.in = ph.outSize(r.in)
+	if r.phase++; r.phase < len(ctx.ps.Phases) {
+		ctx.startPhase(r)
+		return
+	}
+	if r.hop == hopEngined {
+		ctx.tb.Eng.AfterCall(200*sim.Nanosecond, (*reqTx)(r), nil)
+	} else {
+		ctx.tb.Eng.AfterCall(ctx.ep.FixedDelay(), (*reqTx)(r), nil)
+	}
+}
+
+// reqTx sends a served request's response toward the client.
+type reqTx request
+
+// HandleEvent puts the response on the wire.
+//
+//snicvet:hotpath
+func (h *reqTx) HandleEvent(any) { (*request)(h).respond(h.ctx.ps.RespSize) }
+
+// phaseSvc composes stack and phase cycles into a jittered service time
+// for the request's current phase. The float evaluation order is the
+// config cost model's ((base + perByte·size)·factor + extra, after the
+// RX and TX stack cycles), so a one-phase path is bit-identical to it.
+// Phase 0 carries the RX stack cycles and the last phase the TX cycles;
+// a spilled engine phase runs its software model on a host core.
+//
+//snicvet:hotpath
+func (ctx *runctx) phaseSvc(r *request, ph *PhaseSpec) sim.Duration {
+	base, perByte, factor := ph.BaseCycles, ph.PerByteCycles, ph.CycleFactor
+	plat := ph.platform()
+	if r.spilled {
+		if ph.SpillBaseCycles > 0 || ph.SpillPerByteCycles > 0 {
+			base, perByte = ph.SpillBaseCycles, ph.SpillPerByteCycles
+		}
+		factor, plat = 1, HostCPU
+	}
+	if factor <= 0 {
+		factor = 1
+	}
+	app := base + perByte*float64(r.in)
+	app *= factor
+	app += ph.ExtraCycles
+
+	spec := ctx.tb.SpecFor(plat)
+	cycles := 0.0
+	if r.phase == 0 {
+		cycles = ctx.prof.RxCycles(spec.Arch, r.in)
+	}
+	if r.phase == len(ctx.ps.Phases)-1 {
+		cycles += ctx.prof.TxCycles(spec.Arch, ctx.ps.RespSize)
+	}
+	cycles += app
+
+	svc := sim.Cycles(cycles/spec.IPC, spec.BaseHz)
+	//snicvet:ignore hotpath -- allocates only to format its panic on a memory intensity outside [0,1]
+	pen := ctx.tb.MemFor(plat).Penalty(ph.MemIntensity, ph.WorkingSet, spec.L3Bytes)
+	svc = sim.Duration(float64(svc) * pen)
+	sigma := ph.Sigma
+	if sigma <= 0 {
+		sigma = 0.20
+	}
+	return ctx.jit.LogNormalDur(svc, sigma)
+}
+
+// engineSubmit dispatches one task of size bytes to an engine; done
+// receives the engine-side service window. No fault plan runs through
+// this path, so a rejection can only be a wiring bug.
+func (ctx *runctx) engineSubmit(e EngineKind, algo accel.PKAAlgo, size int, done func(start, end sim.Time)) {
+	var err error
+	switch e {
+	case EngineREM:
+		err = ctx.tb.REM.Submit(size, done)
+	case EngineDeflate:
+		err = ctx.tb.Deflate.Submit(size, done)
+	case EnginePKABulk:
+		err = ctx.tb.PKA.SubmitBulk(algo, size, done)
+	case EnginePKAOp:
+		err = ctx.tb.PKA.SubmitOp(algo, done)
+	default:
+		panic(fmt.Sprintf("core: no engine binding %q", e))
+	}
+	if err != nil {
+		panic(err)
+	}
+}
+
+// finishEngineUtil snapshots the busiest engine the run's phases bind
+// into the power signal.
+func (ctx *runctx) finishEngineUtil() {
+	if ctx.ps == nil {
+		return
+	}
+	var u float64
+	seen := false
+	for i := range ctx.ps.Phases {
+		ph := &ctx.ps.Phases[i]
+		if ph.Resource != ResEngine {
+			continue
+		}
+		if eu := ctx.tb.engineUtilization(ph.Engine); !seen || eu > u {
+			u, seen = eu, true
+		}
+	}
+	if seen {
+		ctx.tb.SetEngineUtil(u)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/cpu"
+	"repro/internal/flow"
 	"repro/internal/invariant"
 	"repro/internal/netstack"
 	"repro/internal/nic"
@@ -120,15 +121,27 @@ func (r *Runner) Sims() uint64 { return r.sims.Load() }
 // CacheStats reports memo-cache hits and misses.
 func (r *Runner) CacheStats() (hits, misses uint64) { return r.cache.stats() }
 
-// runctx is the per-run wiring.
+// runctx is the per-run wiring every run family shares: point runs,
+// pipelines, Table 4 and fleet replays, and flow offload.
 type runctx struct {
 	tb   *Testbed
-	cfg  *Config
+	cfg  *Config // the point or replay config; nil on pipeline and offload runs
 	plat Platform
 	opts RunOpts
 
+	// ps is the net-serve request path the sinks step requests through:
+	// the single phase PipelineFromConfig builds for a point or replay
+	// run, or a pipeline's chain. Nil on local, storage, switched and
+	// offload runs. tally counts each phase's requests. phaseSpans names
+	// each phase's child span; only pipeline runs set it, and only they
+	// emit phase spans, phase-ledger calls and phase/ counters.
+	ps         *PipelineSpec
+	pol        FallbackPolicy
+	tally      []PhaseStat
+	phaseSpans []string
+
 	prof     netstack.Profile
-	pool     *cpu.Pool
+	pool     *cpu.Pool // the platform's pool, where the stack terminates
 	ep       *netstack.Endpoint
 	arrivals *trace.Arrivals
 	sizes    trace.SizeDist
@@ -140,7 +153,6 @@ type runctx struct {
 	done    int
 	warmupN int
 
-	reqBytesSent uint64
 	// lastSend closes the measurement window: counting completions that
 	// straggle in during the post-send drain would understate overload
 	// (the drain stretches the window) and hide saturation.
@@ -161,6 +173,15 @@ type runctx struct {
 	// swArrived is switchedArrival bound once per run.
 	upcall    *sim.RNG
 	swArrived func(*nic.Packet)
+
+	// The offload run's flow plane (see offload.go): its spec, the flow
+	// table and controller, the decomposition replaySource draws each
+	// packet's flow from, and the fast- and slow-path packet counts.
+	offload    *OffloadSpec
+	tbl        *flow.Table
+	ctl        *flow.Controller
+	asn        *trace.FlowAssigner
+	fast, slow uint64
 }
 
 // noteSent records a request issue; at the final request it arranges the
@@ -193,13 +214,9 @@ func (r *Runner) Run(cfg *Config, plat Platform, opts RunOpts) Measurement {
 // runPoint is the memoized point-measurement implementation behind
 // Execute and Run.
 func (r *Runner) runPoint(cfg *Config, plat Platform, opts RunOpts) Measurement {
-	key := runKey(cfg, plat, r.TBConfig, opts)
-	if m, ok := r.cache.lookupRun(key); ok {
-		return m
-	}
-	m := r.simulate(cfg, plat, opts)
-	r.cache.storeRun(key, m)
-	return m
+	return memo(&r.cache, runKey(cfg, plat, r.TBConfig, opts), func() Measurement {
+		return r.simulate(cfg, plat, opts)
+	})
 }
 
 // runSeed folds the testbed's master seed into one run's seed. The
@@ -210,63 +227,84 @@ func (r *Runner) runSeed(seed uint64) uint64 {
 	return seed ^ (r.TBConfig.Seed^defaultMasterSeed)*0x9e3779b97f4a7c15
 }
 
-// simulate builds a fresh testbed and executes one run.
-func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement {
+// newRunctx wires one run on a fresh testbed built from tbc: seed
+// derives the run's random streams, plat's pool serves (queue-bounded
+// and without pool-level jitter, which the runner draws itself), stack
+// terminates there unless it is empty, and key and label name the run's
+// telemetry. The caller instruments the testbed once its pools and
+// gauges are set.
+func (r *Runner) newRunctx(tbc TestbedConfig, plat Platform, stack netstack.Kind, seed uint64, key, label string) *runctx {
 	r.sims.Add(1)
-	seed := r.runSeed(opts.Seed)
-	tbc := r.TBConfig
-	tbc.Seed ^= seed * 0x9e3779b97f4a7c15
-	if cfg.HostCores > 0 {
-		tbc.HostCores = cfg.HostCores
-	}
-	if cfg.SNICCores > 0 {
-		tbc.SNICCores = cfg.SNICCores
-	}
 	tb := NewTestbed(tbc)
-
 	ctx := &runctx{
-		tb: tb, cfg: cfg, plat: plat, opts: opts,
-		prof:     netstack.ByKind(cfg.Stack),
+		tb: tb, plat: plat,
 		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
 		jit:      sim.NewRNG(seed ^ 0x1234),
 		hist:     stats.NewHistogram(),
-		warmupN:  int(float64(opts.Requests) * opts.WarmupFrac),
+		rec:      r.newRecorder(key, label),
+		chk:      r.newChecker(label),
+	}
+	ctx.pool = tb.PoolFor(plat)
+	ctx.pool.JitterSigma = 0
+	ctx.pool.SetQueueCapacity(4096)
+	if stack != "" {
+		ctx.prof = netstack.ByKind(stack)
+		ctx.ep = netstack.NewEndpoint(tb.Eng, ctx.prof, ctx.pool, seed^0x77)
+	}
+	return ctx
+}
+
+// atPoint wires a run at an operating point: the testbed seed folds in
+// the run's seed and the cores default unless overridden.
+func (r *Runner) atPoint(hostCores, snicCores int, plat Platform, stack netstack.Kind, opts RunOpts, key, label string) *runctx {
+	seed := r.runSeed(opts.Seed)
+	tbc := r.TBConfig.withCores(hostCores, snicCores)
+	tbc.Seed ^= seed * 0x9e3779b97f4a7c15
+	ctx := r.newRunctx(tbc, plat, stack, seed, key, label)
+	ctx.opts = opts
+	ctx.warmupN = int(float64(opts.Requests) * opts.WarmupFrac)
+	return ctx
+}
+
+// setPath makes ps the run's net-serve request path. Every pool a phase
+// binds gets the phase's queue bound; when an engine phase could spill,
+// the host pool is bounded too, so spilled work sheds instead of
+// queueing without limit.
+func (ctx *runctx) setPath(ps *PipelineSpec) {
+	ctx.ps, ctx.pol = ps, ps.policy()
+	ctx.tally = make([]PhaseStat, len(ps.Phases))
+	for i := range ps.Phases {
+		ph := &ps.Phases[i]
+		ctx.tally[i] = PhaseStat{Name: ph.Name, Resource: ph.Resource}
+		pool := ctx.tb.PoolFor(ph.platform())
+		pool.JitterSigma = 0
+		pool.SetQueueCapacity(ph.queueCap())
+	}
+	if ps.uses(ResEngine) {
+		ctx.tb.HostPool.JitterSigma = 0
+		if ctx.tb.HostPool.QueueCapacity() <= 0 {
+			ctx.tb.HostPool.SetQueueCapacity(4096)
+		}
+	}
+}
+
+// simulate builds a fresh testbed and executes one point run. A
+// net-served config runs the single phase PipelineFromConfig builds.
+func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement {
+	ctx := r.atPoint(cfg.HostCores, cfg.SNICCores, plat, cfg.Stack, opts,
+		runKey(cfg, plat, r.TBConfig, opts), runLabel(cfg, plat, opts))
+	ctx.cfg = cfg
+	if cfg.Mode == ModeNetServe {
+		ctx.setPath(PipelineFromConfig(cfg, plat))
 	}
 	if cfg.Mixed {
 		ctx.sizes = trace.CTUMixed()
 	} else {
 		ctx.sizes = trace.Fixed(cfg.ReqSize)
 	}
-	ctx.pool = tb.PoolFor(plat)
-	ctx.pool.JitterSigma = 0 // the runner applies jitter itself
-	ctx.pool.SetQueueCapacity(4096)
-	ctx.ep = netstack.NewEndpoint(tb.Eng, ctx.prof, ctx.pool, seed^0x77)
-
-	ctx.rec = r.newRecorder(runKey(cfg, plat, r.TBConfig, opts), runLabel(cfg, plat, opts))
-	ctx.chk = r.newChecker(runLabel(cfg, plat, opts))
-	instrumentTestbed(tb, ctx.rec, ctx.chk)
-
-	// Power bookkeeping: which pools are live, poll-mode pinning, and
-	// whether traffic crosses into host memory.
-	switch plat {
-	case HostCPU:
-		tb.ActivateSNICPools(0, 0)
-		tb.SetPolling(HostCPU, cfg.Stack == netstack.KindDPDK && cfg.Mode != ModeSwitched)
-		tb.SetHostTrafficShare(1)
-		if cfg.Mode == ModeSwitched {
-			// OvS host case: the eSwitch forwards in hardware but the
-			// megaflow/upcall path still DMAs samples into host memory.
-			tb.SetHostTrafficShare(1)
-		}
-	case SNICCPU:
-		tb.ActivateSNICPools(1, 0)
-		tb.SetPolling(SNICCPU, cfg.Stack == netstack.KindDPDK && cfg.Mode != ModeSwitched)
-		tb.SetHostTrafficShare(0)
-	case SNICAccel:
-		tb.ActivateSNICPools(0, 1)
-		tb.SetPolling(SNICCPU, true) // staging cores poll DPDK / feed engines
-		tb.SetHostTrafficShare(0)
-	}
+	instrumentTestbed(ctx.tb, ctx.rec, ctx.chk)
+	ctx.tb.setPower(plat == HostCPU, plat == SNICCPU, plat == SNICAccel,
+		cfg.Stack == netstack.KindDPDK && cfg.Mode != ModeSwitched)
 
 	switch cfg.Mode {
 	case ModeNetServe:
@@ -282,7 +320,9 @@ func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement 
 	}
 	r.finishChecks(ctx)
 	r.finishRecorder(ctx)
-	return ctx.measurement()
+	m := ctx.measurement()
+	m.Function, m.Variant = cfg.Function, cfg.Variant
+	return m
 }
 
 // appCycles returns the application cycle cost for a request of size
@@ -298,30 +338,6 @@ func (ctx *runctx) appCycles(size int) float64 {
 		c += ctx.cfg.MixedExtraCycles
 	}
 	return c
-}
-
-// svcTime composes stack + application cycles into a jittered service
-// time with the platform's memory penalty applied.
-func (ctx *runctx) svcTime(reqSize, respSize int) sim.Duration {
-	spec := ctx.tb.SpecFor(ctx.plat)
-	cycles := ctx.prof.RxCycles(spec.Arch, reqSize) +
-		ctx.prof.TxCycles(spec.Arch, respSize) +
-		ctx.appCycles(reqSize)
-	base := sim.Cycles(cycles/spec.IPC, spec.BaseHz)
-	ws := ctx.cfg.WorkingSetHost
-	if ctx.plat != HostCPU {
-		ws = ctx.cfg.WorkingSetSNIC
-	}
-	pen := ctx.tb.MemFor(ctx.plat).Penalty(ctx.cfg.MemIntensity, ws, ctx.tb.SpecFor(ctx.plat).L3Bytes)
-	base = sim.Duration(float64(base) * pen)
-	sigma := ctx.cfg.HostSigma
-	if ctx.plat != HostCPU {
-		sigma = ctx.cfg.SNICSigma
-	}
-	if sigma == 0 {
-		sigma = 0.20
-	}
-	return ctx.jit.LogNormalDur(base, sigma)
 }
 
 // extraLatency returns the per-platform calibrated fixed residual.
@@ -354,6 +370,7 @@ func (ctx *runctx) record(rtt sim.Duration, bytes int) {
 
 // ---- ModeNetServe ----
 
+// runNetServe drives the open-loop client through the run's phase path.
 func (ctx *runctx) runNetServe() {
 	ctx.connectSinks()
 	ctx.tb.Eng.AtCall(0, (*netSubmit)(ctx), nil)
@@ -377,142 +394,25 @@ func (s *netSubmit) HandleEvent(any) {
 	size := ctx.sizes.Next(ctx.jit)
 	pkt := ctx.newPacket(uint64(ctx.sent), size, ctx.openRequest())
 	ctx.noteInject(pkt.Seq, size)
-	ctx.reqBytesSent += uint64(size)
 	ctx.tb.Wire.SendToServer(pkt, ctx.ingress)
 	ctx.tb.Eng.AfterCall(ctx.arrivals.Gap(size, ctx.opts.OfferedGbps*1e9), s, nil)
 }
 
-// connectSinks steers every ingress packet to the platform's sink and
-// binds the receiver the client loops send with. Evaluating a method
-// value allocates, so the loops reuse this one instead of naming
-// tb.Sw.Ingress per packet.
+// connectSinks steers every ingress packet to the sink of the first
+// phase's resource and binds the receiver the client loops send with.
+// Evaluating a method value allocates, so the loops reuse this one
+// instead of naming tb.Sw.Ingress per packet.
 func (ctx *runctx) connectSinks() {
 	dest := nic.ToHostCPU
-	switch ctx.plat {
-	case SNICCPU:
+	switch ctx.ps.Phases[0].Resource {
+	case ResSNICCore:
 		dest = nic.ToSNICCPU
-	case SNICAccel:
+	case ResEngine:
 		dest = nic.ToAccelerator
 	}
 	ctx.tb.Sw.Program(func(*nic.Packet) nic.Destination { return dest })
-	ctx.tb.Sw.ConnectSink(nic.ToHostCPU, (*cpuSink)(ctx))
-	ctx.tb.Sw.ConnectSink(nic.ToSNICCPU, (*cpuSink)(ctx))
-	ctx.tb.Sw.ConnectSink(nic.ToAccelerator, (*accelSink)(ctx))
+	ctx.tb.Sw.ConnectSink(dest, (*netSink)(ctx))
 	ctx.ingress = ctx.tb.Sw.Ingress
-}
-
-// receive takes a record for a packet arriving at a sink and closes the
-// request's ingress stage.
-//
-//snicvet:hotpath
-func (ctx *runctx) receive(p *nic.Packet) *request {
-	r := ctx.take(p)
-	now := ctx.tb.Eng.Now()
-	ctx.stage(r.root, spanIngress, r.sentAt, now)
-	r.mark = now
-	return r
-}
-
-// cpuSink serves a packet on the platform's core pool (run to
-// completion: stack RX + application + stack TX on one core).
-type cpuSink runctx
-
-// HandleEvent draws the request's service time and RX-side fixed
-// delay, then waits out the delay in cpuRx.
-//
-//snicvet:hotpath
-func (s *cpuSink) HandleEvent(arg any) {
-	ctx := (*runctx)(s)
-	r := ctx.receive(arg.(*nic.Packet))
-	r.svc = ctx.svcTime(r.size, ctx.cfg.RespSize)
-	inFixed := ctx.ep.FixedDelay() + ctx.extraLatency()
-	ctx.tb.Eng.AfterCall(inFixed, (*cpuRx)(r), nil)
-}
-
-// cpuRx queues a request for a core once its RX stack delay has passed.
-type cpuRx request
-
-// HandleEvent submits the request's service job.
-//
-//snicvet:hotpath
-func (h *cpuRx) HandleEvent(any) {
-	r := (*request)(h)
-	enq := r.ctx.tb.Eng.Now()
-	r.ctx.stage(r.root, spanStackRx, r.mark, enq)
-	r.mark = enq
-	r.exec(hopServed, r.svc)
-}
-
-// accelSink routes a packet through the staging cores into the bound
-// engine (the DOCA path of §2.2). The staging cost charged up front
-// includes the result pickup work (~100 cycles), so completions ride a
-// small fixed delay rather than re-entering the staging queue — a
-// dropped RX must never be able to orphan a finished engine task.
-type accelSink runctx
-
-// HandleEvent submits the packet's staging job.
-//
-//snicvet:hotpath
-func (s *accelSink) HandleEvent(arg any) {
-	ctx := (*runctx)(s)
-	r := ctx.receive(arg.(*nic.Packet))
-	spec := ctx.tb.SNICSpec
-	stageCycles := (ctx.prof.RxCycles(spec.Arch, r.size) +
-		accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(r.size) + 100)
-	r.exec(hopStaged, ctx.jit.LogNormalDur(sim.Cycles(stageCycles/spec.IPC, spec.BaseHz), 0.15))
-}
-
-// reqTx sends a served request's response toward the client.
-type reqTx request
-
-// HandleEvent puts the response on the wire.
-//
-//snicvet:hotpath
-func (h *reqTx) HandleEvent(any) {
-	r := (*request)(h)
-	ctx := r.ctx
-	r.mark = ctx.tb.Eng.Now()
-	r.resp = nic.Packet{Seq: r.seq, Size: ctx.cfg.RespSize, SentAt: r.sentAt}
-	r.hop = hopReturned
-	ctx.tb.Wire.SendToClient(&r.resp, r.arrived)
-}
-
-// engineSubmit dispatches one task to the config's engine; done receives
-// the engine-side service window. No fault plan runs through this path,
-// so a rejection can only be a wiring bug.
-func (ctx *runctx) engineSubmit(size int, done func(start, end sim.Time)) {
-	var err error
-	switch ctx.cfg.Engine {
-	case EngineREM:
-		err = ctx.tb.REM.Submit(size, done)
-	case EngineDeflate:
-		err = ctx.tb.Deflate.Submit(size, done)
-	case EnginePKABulk:
-		err = ctx.tb.PKA.SubmitBulk(ctx.cfg.PKAAlgo, size, done)
-	case EnginePKAOp:
-		err = ctx.tb.PKA.SubmitOp(ctx.cfg.PKAAlgo, done)
-	default:
-		panic(fmt.Sprintf("core: %s has no engine binding", ctx.cfg.Name()))
-	}
-	if err != nil {
-		panic(err)
-	}
-}
-
-// finishEngineUtil snapshots engine utilization into the power signal.
-func (ctx *runctx) finishEngineUtil() {
-	var u float64
-	switch ctx.cfg.Engine {
-	case EngineREM:
-		u = ctx.tb.REM.Utilization()
-	case EngineDeflate:
-		u = ctx.tb.Deflate.Utilization()
-	case EnginePKABulk, EnginePKAOp:
-		u = ctx.tb.PKA.Utilization()
-	}
-	if ctx.plat == SNICAccel {
-		ctx.tb.SetEngineUtil(u)
-	}
 }
 
 // ---- ModeLocal (crypto, compression) ----
@@ -522,7 +422,9 @@ func (ctx *runctx) runLocal() {
 		ctx.tb.Eng.AtCall(0, (*localWorker)(ctx), nil)
 	}
 	ctx.tb.Eng.Run()
-	ctx.finishEngineUtil()
+	if ctx.plat == SNICAccel {
+		ctx.tb.SetEngineUtil(ctx.tb.engineUtilization(ctx.cfg.Engine))
+	}
 }
 
 // localWorker starts one closed-loop worker; each completion issues
@@ -548,11 +450,11 @@ func (ctx *runctx) localIssue() {
 	ctx.noteInject(r.seq, r.size)
 	switch ctx.plat {
 	case HostCPU, SNICCPU:
-		r.exec(hopLocalServed, ctx.localSvcTime(r.size))
+		r.exec(ctx.pool, hopLocalServed, ctx.localSvcTime(r.size))
 	case SNICAccel:
 		// One staging core programs the engine's command registers.
 		spec := ctx.tb.SNICSpec
-		r.exec(hopLocalStaged, sim.Cycles(400/spec.IPC, spec.BaseHz))
+		r.exec(ctx.pool, hopLocalStaged, sim.Cycles(400/spec.IPC, spec.BaseHz))
 	}
 }
 
@@ -637,7 +539,7 @@ func (s *storageIssue) HandleEvent(any) {
 	ctx.noteInject(r.seq, storageBlock)
 	r.root = ctx.openRequest()
 	spec := ctx.tb.SpecFor(ctx.plat)
-	r.exec(hopPosted, ctx.jit.LogNormalDur(
+	r.exec(ctx.pool, hopPosted, ctx.jit.LogNormalDur(
 		sim.Cycles(ctx.appCycles(ctx.cfg.ReqSize)/spec.IPC, spec.BaseHz), 0.15))
 	ctx.tb.Eng.AfterCall(ctx.arrivals.Gap(storageBlock, ctx.opts.OfferedGbps*1e9), s, nil)
 }
@@ -727,27 +629,22 @@ type switchedForward request
 //snicvet:hotpath
 func (h *switchedForward) HandleEvent(any) {
 	r := (*request)(h)
-	now := r.ctx.tb.Eng.Now()
-	r.ctx.stage(r.root, spanIngress, r.sentAt, now)
-	r.mark = now
-	r.resp = nic.Packet{Size: r.size, SentAt: r.sentAt}
-	r.hop = hopReturned
-	r.ctx.tb.Wire.SendToClient(&r.resp, r.arrived)
+	r.ctx.stage(r.root, spanIngress, r.sentAt, r.ctx.tb.Eng.Now())
+	r.respond(r.size)
 }
 
 // ---- Results ----
 
+// measurement reports the run's operating point; the caller names it.
 func (ctx *runctx) measurement() Measurement {
 	m := Measurement{
-		Function:    ctx.cfg.Function,
-		Variant:     ctx.cfg.Variant,
 		Platform:    ctx.plat,
 		OfferedGbps: ctx.opts.OfferedGbps,
 		Latency:     ctx.hist.Summarize(),
 		HostUtil:    ctx.tb.HostPool.Utilization(),
 		EngineUtil:  ctx.tb.engineUtil,
 	}
-	if ctx.plat == SNICAccel {
+	if ctx.plat == SNICAccel || (ctx.ps != nil && ctx.ps.uses(ResEngine)) {
 		m.SNICUtil = ctx.tb.StagingPool.Utilization()
 	} else {
 		m.SNICUtil = ctx.tb.SNICPool.Utilization()
@@ -864,14 +761,7 @@ func (c *Config) kneeMult() float64 {
 
 // estimateCapacityGbps computes an analytic capacity seed for the search.
 func (r *Runner) estimateCapacityGbps(cfg *Config, plat Platform) float64 {
-	tbc := r.TBConfig
-	if cfg.HostCores > 0 {
-		tbc.HostCores = cfg.HostCores
-	}
-	if cfg.SNICCores > 0 {
-		tbc.SNICCores = cfg.SNICCores
-	}
-	tb := NewTestbed(tbc)
+	tb := NewTestbed(r.TBConfig.withCores(cfg.HostCores, cfg.SNICCores))
 	meanReq := cfg.ReqSize
 	if cfg.Mixed {
 		meanReq = int(trace.CTUMixed().Mean())
@@ -887,7 +777,7 @@ func (r *Runner) estimateCapacityGbps(cfg *Config, plat Platform) float64 {
 	}
 
 	if plat == SNICAccel {
-		engineBits := r.engineRateBits(tb, cfg)
+		engineBits := tb.engineRateBits(cfg.Engine, cfg.PKAAlgo, cfg.LocalOpBytes)
 		spec := tb.SNICSpec
 		stageCycles := netstack.ByKind(cfg.Stack).RxCycles(spec.Arch, meanReq) +
 			accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(meanReq) + 100
@@ -917,28 +807,12 @@ func (r *Runner) estimateCapacityGbps(cfg *Config, plat Platform) float64 {
 	return math.Min(gbps, lineGbps)
 }
 
-// engineRateBits returns the config's engine rate with a batching margin.
-func (r *Runner) engineRateBits(tb *Testbed, cfg *Config) float64 {
-	switch cfg.Engine {
-	case EngineREM:
-		return tb.REM.RateBits * 0.75
-	case EngineDeflate:
-		return tb.Deflate.RateBits * 0.9
-	case EnginePKABulk:
-		return tb.PKA.BulkRateBits[cfg.PKAAlgo] * 0.95
-	case EnginePKAOp:
-		return tb.PKA.OpRate[cfg.PKAAlgo] * float64(cfg.LocalOpBytes) * 8
-	default:
-		return 30e9
-	}
-}
-
 // estimateLocalGbps predicts closed-loop local throughput from the
 // rate-based model (the crypto/compression entries).
 func (r *Runner) estimateLocalGbps(tb *Testbed, cfg *Config, plat Platform) float64 {
 	switch plat {
 	case SNICAccel:
-		return r.engineRateBits(tb, cfg) / 1e9
+		return tb.engineRateBits(cfg.Engine, cfg.PKAAlgo, cfg.LocalOpBytes) / 1e9
 	case HostCPU:
 		if cfg.HostRateOps > 0 {
 			return cfg.HostRateOps * float64(cfg.LocalOpBytes) * 8 / 1e9

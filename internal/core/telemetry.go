@@ -60,15 +60,15 @@ func instrumentTestbed(tb *Testbed, rec *obs.Recorder, chk *invariant.Checker) {
 		return
 	}
 	registerPools(tb, chk)
-	so := combineStations(rec, chk)
-	tb.HostPool.Instrument("pool/host", so)
-	tb.SNICPool.Instrument("pool/snic", so)
-	tb.StagingPool.Instrument("pool/staging", so)
-	tb.REM.Observe("engine/rem", so, combineBatches(rec, chk))
-	tb.Deflate.Observe("engine/deflate", so, combineBatches(rec, chk))
-	tb.PKA.Observe("engine/pka", so)
-	tb.Wire.Observe(combineLinks(rec, chk))
-	tb.Bus.Observe(combineLinks(rec, chk))
+	o := observe(rec, chk)
+	tb.HostPool.Instrument("pool/host", o)
+	tb.SNICPool.Instrument("pool/snic", o)
+	tb.StagingPool.Instrument("pool/staging", o)
+	tb.REM.Observe("engine/rem", o, o)
+	tb.Deflate.Observe("engine/deflate", o, o)
+	tb.PKA.Observe("engine/pka", o)
+	tb.Wire.Observe(o)
+	tb.Bus.Observe(o)
 	if rec == nil {
 		return
 	}
@@ -107,6 +107,22 @@ func (r *Runner) finishRecorder(ctx *runctx) {
 	rec.SetCount("requests.completed", float64(ctx.done))
 	rec.SetCount("pool.shed", float64(ctx.pool.Dropped()))
 	rec.SetCount("wire.lost", float64(ctx.tb.Wire.Lost()))
+	if ctx.phaseSpans != nil {
+		// Per-phase accounting lands in the registry so manifests show
+		// where the fallback policy routed work, phase by phase.
+		for i := range ctx.tally {
+			scope := rec.Metrics().Scope("phase/" + ctx.tally[i].Name)
+			scope.Counter("served", "reqs").Set(float64(ctx.tally[i].Served))
+			scope.Counter("spilled", "reqs").Set(float64(ctx.tally[i].Spilled))
+			scope.Counter("dropped", "reqs").Set(float64(ctx.tally[i].Dropped))
+		}
+	}
+	if ctx.tbl != nil {
+		ctx.flowCounters(rec.Metrics().Scope("flow"))
+	}
+	// The recorder's gauges keep the testbed, and through its sinks this
+	// run, alive until export: let the drained run's free lists go.
+	ctx.freeReqs, ctx.freePkts = nil, nil
 	r.Telemetry.Attach(rec)
 }
 

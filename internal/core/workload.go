@@ -114,8 +114,8 @@ func (e *WorkloadError) Error() string {
 }
 
 // Validate checks the spec for its kind, returning a typed
-// *WorkloadError (or a *PipelineError / *ParamError from the nested
-// spec validators) on the first problem.
+// *WorkloadError (or a *PipelineError, *ParamError or *fault.PlanError
+// from the nested spec validators) on the first problem.
 func (w *Workload) Validate() error {
 	fail := func(field, reason string) error {
 		return &WorkloadError{Kind: w.Kind, Field: field, Reason: reason}
@@ -136,13 +136,22 @@ func (w *Workload) Validate() error {
 		return fail("HostCores", "must not be negative")
 	}
 	switch w.Kind {
-	case WorkloadPoint:
+	case WorkloadPoint, WorkloadReplay, WorkloadServer:
 		if w.Config == nil {
 			return fail("Config", "must be set")
 		}
 		if !w.Config.HasPlatform(w.Platform) {
 			return fail("Platform", fmt.Sprintf("%s does not run on %s", w.Config.Name(), w.Platform))
 		}
+		// Replays drive the net-serve path, the precondition
+		// PipelineFromConfig enforces.
+		if w.Kind != WorkloadPoint && w.Config.Mode != ModeNetServe {
+			return fail("Config.Mode", fmt.Sprintf("%s is %q: %s workloads replay net-served configs only",
+				w.Config.Name(), w.Config.Mode, w.Kind))
+		}
+	}
+	switch w.Kind {
+	case WorkloadPoint:
 		switch w.Config.Mode {
 		case ModeNetServe, ModeStorage, ModeSwitched:
 			if w.Opts.OfferedGbps == 0 {
@@ -150,22 +159,10 @@ func (w *Workload) Validate() error {
 			}
 		}
 	case WorkloadReplay:
-		if w.Config == nil {
-			return fail("Config", "must be set")
-		}
-		if !w.Config.HasPlatform(w.Platform) {
-			return fail("Platform", fmt.Sprintf("%s does not run on %s", w.Config.Name(), w.Platform))
-		}
 		if err := validTrace(w.Kind, w.Trace); err != nil {
 			return err
 		}
 	case WorkloadServer:
-		if w.Config == nil {
-			return fail("Config", "must be set")
-		}
-		if !w.Config.HasPlatform(w.Platform) {
-			return fail("Platform", fmt.Sprintf("%s does not run on %s", w.Config.Name(), w.Platform))
-		}
 		if len(w.Rates) == 0 {
 			return fail("Rates", "must have at least one interval")
 		}
@@ -187,7 +184,16 @@ func (w *Workload) Validate() error {
 		if w.Router == nil {
 			return fail("Router", "must be set")
 		}
+		if err := w.Router.LB.Validate(); err != nil {
+			return err
+		}
+		if err := w.Router.Policy.Validate(); err != nil {
+			return err
+		}
 		if err := validTrace(w.Kind, w.Trace); err != nil {
+			return err
+		}
+		if err := w.Scenario.Plan.Validate(faultHorizon(&w.Scenario.Plan, w.Router.Policy, w.Trace)); err != nil {
 			return err
 		}
 	case WorkloadBalanced:
@@ -287,7 +293,10 @@ func (r *Runner) Execute(w Workload) (Result, error) {
 		s := r.replayServerMemo(w.Config, w.Platform, w.Rates, w.Interval, w.Seed, w.Group)
 		res.Server = &s
 	case WorkloadFaulted:
-		f := r.runFaultedImpl(*w.Scenario, w.Router, w.Trace, w.HostCores, w.Seed)
+		f, err := r.runFaultedImpl(*w.Scenario, w.Router, w.Trace, w.HostCores, w.Seed)
+		if err != nil {
+			return Result{}, err
+		}
 		res.Fault = &f
 	case WorkloadBalanced:
 		b := r.runBalancedImpl(*w.Balancer, w.Trace, w.HostCores, w.Seed)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -78,6 +79,11 @@ func TestWorkloadValidateTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	aes, err := Lookup("crypto", "aes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := BurstyTrace(1, 2, 4, 2, sim.Millisecond)
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name  string
@@ -125,10 +131,20 @@ func TestWorkloadValidateTypedErrors(t *testing.T) {
 			Rates: []float64{inf}, Interval: sim.Millisecond}, "Rates"},
 		{"replay NaN trace rate", Workload{Kind: WorkloadReplay, Config: cfg, Platform: HostCPU,
 			Trace: &trace.HyperscalerTrace{Interval: sim.Millisecond, RatesGbps: []float64{nan}}}, "Trace.RatesGbps"},
+		// Replays drive the net-serve path: a local config has no wire
+		// size to pace arrivals by, a switched one no serving phase.
+		{"replay of a local config", Workload{Kind: WorkloadReplay, Config: aes, Platform: HostCPU,
+			Trace: tr}, "Config.Mode"},
+		{"server of a switched config", Workload{Kind: WorkloadServer, Config: ovs, Platform: SNICAccel,
+			Rates: []float64{1}, Interval: sim.Millisecond}, "Config.Mode"},
+		{"replay of a storage config", Workload{Kind: WorkloadReplay, Config: fio, Platform: HostCPU,
+			Trace: tr}, "Config.Mode"},
 	}
 	r := NewRunner()
 	for _, tc := range cases {
-		_, err := r.Execute(tc.w)
+		// Validate alone first: a case it wrongly accepts must fail the
+		// test, not hang or panic inside a run.
+		err := tc.w.Validate()
 		var we *WorkloadError
 		if !errors.As(err, &we) {
 			t.Errorf("%s: want *WorkloadError, got %v", tc.name, err)
@@ -136,6 +152,9 @@ func TestWorkloadValidateTypedErrors(t *testing.T) {
 		}
 		if we.Field != tc.field {
 			t.Errorf("%s: flagged field %q, want %q", tc.name, we.Field, tc.field)
+		}
+		if _, xerr := r.Execute(tc.w); xerr == nil || xerr.Error() != err.Error() {
+			t.Errorf("%s: Execute returned %v, want the validation error %v", tc.name, xerr, err)
 		}
 	}
 }
@@ -178,6 +197,50 @@ func TestExecutePropagatesNestedValidation(t *testing.T) {
 	var pae *ParamError
 	if !errors.As(err, &pae) {
 		t.Fatalf("want *ParamError through Execute, got %v", err)
+	}
+}
+
+// A faulted workload runs its router's balancer, its failover policy
+// and its fault plan, so Execute rejects each when malformed, with the
+// nested validator's typed error, before anything runs. A plan target
+// the testbed does not have can only be resolved against the run's
+// registry, so it fails from Execute rather than Validate.
+func TestFaultedWorkloadValidation(t *testing.T) {
+	tr := faultTestTrace()
+	faulted := func(edit func(*FaultScenario, *HealthRouter)) Workload {
+		scn := DefaultFaultScenarios(tr.Duration())[0]
+		scn.Plan.Events = append([]fault.Event(nil), scn.Plan.Events...)
+		hr := testRouter()
+		edit(&scn, hr)
+		return Workload{Kind: WorkloadFaulted, Scenario: &scn, Router: hr, Trace: tr, HostCores: 2, Seed: 1}
+	}
+	var pe *ParamError
+	var ple *fault.PlanError
+	cases := []struct {
+		name      string
+		w         Workload
+		validated bool // rejected by Validate itself
+		target    any
+	}{
+		{"zero load balancer", faulted(func(_ *FaultScenario, hr *HealthRouter) { hr.LB = LoadBalancer{} }), true, &pe},
+		{"negative timeout", faulted(func(_ *FaultScenario, hr *HealthRouter) { hr.Policy.Timeout = -1 }), true, &pe},
+		{"negative retries", faulted(func(_ *FaultScenario, hr *HealthRouter) { hr.Policy.MaxRetries = -1 }), true, &pe},
+		{"infinite backoff multiplier", faulted(func(_ *FaultScenario, hr *HealthRouter) {
+			hr.Policy.BackoffMult = math.Inf(1)
+		}), true, &pe},
+		{"non-positive fault window", faulted(func(scn *FaultScenario, _ *HealthRouter) { scn.Plan.Events[0].For = 0 }), true, &ple},
+		{"unknown plan target", faulted(func(scn *FaultScenario, _ *HealthRouter) { scn.Plan.Events[0].Target = "nope" }), false, &ple},
+	}
+	r := NewRunner()
+	for _, tc := range cases {
+		if err := tc.w.Validate(); (err != nil) != tc.validated {
+			t.Errorf("%s: Validate returned %v", tc.name, err)
+			continue
+		}
+		_, err := r.Execute(tc.w)
+		if !errors.As(err, tc.target) {
+			t.Errorf("%s: Execute returned %v, want %T", tc.name, err, tc.target)
+		}
 	}
 }
 

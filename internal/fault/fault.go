@@ -234,14 +234,24 @@ func (l *Log) ActiveFaults() int { return l.active }
 // Arm schedules every event's begin and clear transitions on eng against
 // the registry's components and returns the live log. onChange, if
 // non-nil, fires after each transition is applied — experiments hook it to
-// timestamp fault windows. An event naming an unregistered target panics
-// at Arm time: a plan aimed at nothing is a configuration bug, and failing
-// at injection time would be silent until the report looked wrong.
-func (p *Plan) Arm(eng *sim.Engine, reg *Registry, onChange func(Transition)) *Log {
+// timestamp fault windows. Every event is resolved against the registry
+// before anything is scheduled: an event naming an unregistered target
+// (or an unknown kind, or a factor outside (0,1]) fails with a typed
+// *PlanError and leaves eng untouched. A plan aimed at nothing is a
+// configuration bug, and failing at injection time would be silent until
+// the report looked wrong.
+func (p *Plan) Arm(eng *sim.Engine, reg *Registry, onChange func(Transition)) (*Log, error) {
+	begins := make([]func(), len(p.Events))
+	clears := make([]func(), len(p.Events))
+	for i, ev := range p.Events {
+		var reason string
+		if begins[i], clears[i], reason = reg.actions(ev); reason != "" {
+			return nil, &PlanError{Index: i, Event: ev, Reason: reason}
+		}
+	}
 	log := &Log{}
-	for _, ev := range p.Events {
-		ev := ev
-		begin, clear := reg.actions(ev)
+	for i, ev := range p.Events {
+		begin, clear := begins[i], clears[i]
 		note := func(tr Transition) {
 			log.Transitions = append(log.Transitions, tr)
 			if tr.Begin {
@@ -262,77 +272,54 @@ func (p *Plan) Arm(eng *sim.Engine, reg *Registry, onChange func(Transition)) *L
 			note(Transition{At: eng.Now(), Event: ev, Begin: false})
 		})
 	}
-	return log
+	return log, nil
 }
 
-// actions resolves an event to its begin/clear closures, panicking on an
-// unknown target or a kind/factor mismatch.
-func (r *Registry) actions(ev Event) (begin, clear func()) {
-	needFactor := func() {
-		if ev.Factor <= 0 || ev.Factor > 1 {
-			panic(fmt.Sprintf("fault: %v needs a factor in (0,1], got %v", ev.Kind, ev.Factor))
-		}
+// actions resolves an event to its begin/clear closures, or returns why
+// it cannot: an unknown kind, a factor outside (0,1], or a target not
+// registered under the kind's component type.
+func (r *Registry) actions(ev Event) (begin, clear func(), reason string) {
+	if needsFactor(ev.Kind) && (ev.Factor <= 0 || ev.Factor > 1) {
+		return nil, nil, fmt.Sprintf("%v needs a factor in (0,1], got %v", ev.Kind, ev.Factor)
+	}
+	unregistered := func(component string) (func(), func(), string) {
+		return nil, nil, fmt.Sprintf("%v targets unregistered %s %q", ev.Kind, component, ev.Target)
 	}
 	switch ev.Kind {
-	case EngineCrash:
-		e := r.engine(ev)
-		return e.Fail, e.Recover
-	case EngineStall:
-		e := r.engine(ev)
-		return func() { e.Stall(ev.End()) }, func() {}
-	case EngineDegrade:
-		needFactor()
-		e := r.engine(ev)
-		return func() { e.SetRateFactor(ev.Factor) }, func() { e.SetRateFactor(1) }
-	case LinkFlap:
-		l := r.link(ev)
-		return func() { l.SetDown(true) }, func() { l.SetDown(false) }
-	case LinkRateCap:
-		needFactor()
-		l := r.link(ev)
-		return func() { l.SetRateFactor(ev.Factor) }, func() { l.SetRateFactor(1) }
+	case EngineCrash, EngineStall, EngineDegrade:
+		e, ok := r.engines[ev.Target]
+		switch {
+		case !ok:
+			return unregistered("engine")
+		case ev.Kind == EngineCrash:
+			return e.Fail, e.Recover, ""
+		case ev.Kind == EngineStall:
+			return func() { e.Stall(ev.End()) }, func() {}, ""
+		}
+		return func() { e.SetRateFactor(ev.Factor) }, func() { e.SetRateFactor(1) }, ""
+	case LinkFlap, LinkRateCap:
+		l, ok := r.links[ev.Target]
+		switch {
+		case !ok:
+			return unregistered("link")
+		case ev.Kind == LinkFlap:
+			return func() { l.SetDown(true) }, func() { l.SetDown(false) }, ""
+		}
+		return func() { l.SetRateFactor(ev.Factor) }, func() { l.SetRateFactor(1) }, ""
 	case CoreThrottle:
-		needFactor()
-		pl := r.pool(ev)
-		return func() { pl.SetThrottle(ev.Factor) }, func() { pl.SetThrottle(1) }
+		pl, ok := r.pools[ev.Target]
+		if !ok {
+			return unregistered("pool")
+		}
+		return func() { pl.SetThrottle(ev.Factor) }, func() { pl.SetThrottle(1) }, ""
 	case SensorDropout:
-		s := r.sensor(ev)
-		return func() { s.DropUntil(ev.End()) }, func() {}
-	default:
-		panic(fmt.Sprintf("fault: unknown kind %v", ev.Kind))
+		s, ok := r.sensors[ev.Target]
+		if !ok {
+			return unregistered("sensor")
+		}
+		return func() { s.DropUntil(ev.End()) }, func() {}, ""
 	}
-}
-
-func (r *Registry) engine(ev Event) Engine {
-	e, ok := r.engines[ev.Target]
-	if !ok {
-		panic(fmt.Sprintf("fault: %v targets unregistered engine %q", ev.Kind, ev.Target))
-	}
-	return e
-}
-
-func (r *Registry) link(ev Event) Link {
-	l, ok := r.links[ev.Target]
-	if !ok {
-		panic(fmt.Sprintf("fault: %v targets unregistered link %q", ev.Kind, ev.Target))
-	}
-	return l
-}
-
-func (r *Registry) pool(ev Event) Pool {
-	p, ok := r.pools[ev.Target]
-	if !ok {
-		panic(fmt.Sprintf("fault: %v targets unregistered pool %q", ev.Kind, ev.Target))
-	}
-	return p
-}
-
-func (r *Registry) sensor(ev Event) Sensor {
-	s, ok := r.sensors[ev.Target]
-	if !ok {
-		panic(fmt.Sprintf("fault: %v targets unregistered sensor %q", ev.Kind, ev.Target))
-	}
-	return s
+	return nil, nil, fmt.Sprintf("unknown kind %v", ev.Kind)
 }
 
 // ---- Seeded plan generation ----

@@ -56,7 +56,10 @@ func TestPlanArmAppliesAndClearsInVirtualTime(t *testing.T) {
 	p.Add(Event{At: 600, For: 20, Kind: EngineDegrade, Target: "rem", Factor: 0.7})
 	p.Add(Event{At: 700, For: 10, Kind: LinkRateCap, Target: "wire", Factor: 0.25})
 
-	log := p.Arm(eng, reg, nil)
+	log, err := p.Arm(eng, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.End() != 710 {
 		t.Fatalf("Plan.End() = %v, want 710", p.End())
 	}
@@ -106,15 +109,22 @@ func TestPlanArmAppliesAndClearsInVirtualTime(t *testing.T) {
 	}
 }
 
-func TestPlanArmUnknownTargetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("arming a plan at an unregistered target did not panic")
-		}
-	}()
+// A plan aimed at a component the registry does not hold fails with a
+// typed error naming the event, before any of the plan is scheduled.
+func TestPlanArmUnknownTargetFails(t *testing.T) {
+	eng := sim.NewEngine()
+	reg := NewRegistry().AddEngine("rem", accel.REMEngine(eng))
 	var p Plan
-	p.Add(Event{At: 1, For: 1, Kind: EngineCrash, Target: "nope"})
-	p.Arm(sim.NewEngine(), NewRegistry(), nil)
+	p.Add(Event{At: 1, For: 1, Kind: EngineCrash, Target: "rem"})
+	p.Add(Event{At: 5, For: 1, Kind: LinkFlap, Target: "nope"})
+	log, err := p.Arm(eng, reg, nil)
+	var pe *PlanError
+	if !errors.As(err, &pe) || pe.Index != 1 {
+		t.Fatalf("arming a plan at an unregistered target: got %v, want a *PlanError for event 1", err)
+	}
+	if log != nil || eng.Pending() != 0 {
+		t.Fatalf("a rejected plan left %d events scheduled", eng.Pending())
+	}
 }
 
 // The plan must drive the real accelerator model end to end: reject while
@@ -125,7 +135,9 @@ func TestPlanDrivesRealEngine(t *testing.T) {
 	reg := NewRegistry().AddEngine("rem", rem)
 	var p Plan
 	p.Add(Event{At: sim.Time(10 * sim.Microsecond), For: 20 * sim.Microsecond, Kind: EngineCrash, Target: "rem"})
-	p.Arm(eng, reg, nil)
+	if _, err := p.Arm(eng, reg, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	var errAt, okAfter error
 	eng.At(sim.Time(15*sim.Microsecond), func() {

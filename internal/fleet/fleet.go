@@ -157,8 +157,15 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fleet: need a non-empty trace")
 	}
 	fn, variant := c.function()
-	if _, err := core.Lookup(fn, variant); err != nil {
+	served, err := core.Lookup(fn, variant)
+	if err != nil {
 		return fmt.Errorf("fleet: %v", err)
+	}
+	// Fleet servers replay their share of the trace through the
+	// net-serve path; the Table 5 provisioning sizes the other modes by
+	// MaxThroughput instead.
+	if served.Mode != core.ModeNetServe {
+		return fmt.Errorf("fleet: %s is %q, not net-served", served.Name(), served.Mode)
 	}
 	n := c.Servers()
 	for _, o := range c.Outages {

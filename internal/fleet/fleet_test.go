@@ -138,6 +138,8 @@ func TestFleetValidation(t *testing.T) {
 			Outages: []Outage{{Server: 5}}},
 		{Classes: []Class{NICHosts(1)}, Trace: flatTrace(1, 4), Policy: RoundRobin,
 			Function: "nope"},
+		{Classes: []Class{NICHosts(1)}, Trace: flatTrace(1, 4), Policy: RoundRobin,
+			Function: "fio", Variant: "read"}, // not net-served
 	}
 	for i, cfg := range bad {
 		if _, err := Run(r, cfg); err == nil {

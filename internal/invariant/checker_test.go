@@ -369,52 +369,3 @@ func TestViolationErrorFormatting(t *testing.T) {
 		t.Fatalf("Error() = %q renders empty fields", s)
 	}
 }
-
-// recording observers for the tee tests.
-type recordingStation struct{ events []string }
-
-func (r *recordingStation) JobQueued(s string, _ sim.Time, _ int) {
-	r.events = append(r.events, "q:"+s)
-}
-func (r *recordingStation) JobStarted(s string, _ sim.Time, _ sim.Duration) {
-	r.events = append(r.events, "s:"+s)
-}
-func (r *recordingStation) JobFinished(s string, _, _ sim.Time) { r.events = append(r.events, "f:"+s) }
-func (r *recordingStation) JobDropped(s string, _ sim.Time)     { r.events = append(r.events, "d:"+s) }
-
-type recordingLink struct{ frames int }
-
-func (r *recordingLink) FrameSent(string, int, sim.Time, sim.Time, bool) { r.frames++ }
-
-type recordingBatch struct{ flushes int }
-
-func (r *recordingBatch) BatchFlushed(string, int, sim.Duration, sim.Time) { r.flushes++ }
-
-func TestTeesForwardToBoth(t *testing.T) {
-	a, b := &recordingStation{}, &recordingStation{}
-	so := TeeStations(a, b)
-	so.JobQueued("x", 0, 1)
-	so.JobStarted("x", 0, 0)
-	so.JobFinished("x", 0, 0)
-	so.JobDropped("x", 0)
-	if len(a.events) != 4 || len(b.events) != 4 {
-		t.Fatalf("station tee forwarded %d/%d events, want 4/4", len(a.events), len(b.events))
-	}
-	for i := range a.events {
-		if a.events[i] != b.events[i] {
-			t.Fatalf("tee order diverged: %v vs %v", a.events, b.events)
-		}
-	}
-
-	la, lb := &recordingLink{}, &recordingLink{}
-	TeeLinks(la, lb).FrameSent("w", 64, 0, 1, false)
-	if la.frames != 1 || lb.frames != 1 {
-		t.Fatalf("link tee forwarded %d/%d frames", la.frames, lb.frames)
-	}
-
-	ba, bb := &recordingBatch{}, &recordingBatch{}
-	TeeBatches(ba, bb).BatchFlushed("s", 2, 0, 0)
-	if ba.flushes != 1 || bb.flushes != 1 {
-		t.Fatalf("batch tee forwarded %d/%d flushes", ba.flushes, bb.flushes)
-	}
-}

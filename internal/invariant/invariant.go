@@ -18,7 +18,8 @@
 //
 // A Checker is wired exactly like the telemetry recorder (see
 // internal/obs): it implements the internal/sim observer interfaces and
-// is installed next to the recorder through a tee. With checks off the
+// shares a resource's observer slot with the recorder through the run
+// wiring's fan-out (internal/core). With checks off the
 // hot path is unchanged — the same single nil guard as telemetry.
 //
 // Violations fail fast: the checker panics with a typed *Violation
