@@ -92,13 +92,17 @@ faults:
 
 # Checked execution: every experiment family under online invariant
 # validation (request/byte conservation, causality, clock monotonicity,
-# queue sanity). Any broken law panics with a typed violation, so a
-# clean exit is the assertion.
+# queue sanity), recorded as well: metrics and manifests go to a
+# temporary directory, so the recorder, the checker fan-out and the
+# span drop at Attach run on every family. Any broken law panics with a
+# typed violation, so a clean exit is the assertion.
 check: bin/snicbench
+	tmp=$$(mktemp -d); \
 	for e in fig4 fig5 table4 faults fleet pipeline offload; do \
 		echo "checked: $$e"; \
-		./bin/snicbench -exp $$e -check -q > /dev/null || exit 1; \
-	done
+		./bin/snicbench -exp $$e -check -q -metrics "$$tmp/m.json" -manifest "$$tmp/r.json" > /dev/null || { rm -rf "$$tmp"; exit 1; }; \
+	done; \
+	rm -rf "$$tmp"
 	@echo "checked execution: OK"
 
 bin/snicbench: FORCE

@@ -101,6 +101,9 @@ func main() {
 	var tel *snic.Telemetry
 	if *traceOut != "" || *metricsOut != "" || *manifestOut != "" {
 		tel = snic.NewTelemetry()
+		if *traceOut != "" {
+			tel.EnableTrace()
+		}
 		opts = append(opts, snic.WithTelemetry(tel))
 	}
 	var prof *snic.Profiler

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -19,19 +20,31 @@ import (
 // maxAllocsPerEvent bounds heap allocations per simulated event on one
 // warmed run of each driver. The drivers measure 0.002–0.035 here,
 // while a closure per hop costs these runs 1.0–5.2, so the bound sits
-// well clear of both.
+// well clear of both. Checked and recorded runs stay under the same
+// bound: the span audit reads spans in place, the checker's ledgers are
+// dense tables, and a collector that writes no trace hands each run's
+// spans back to the free list for the next run.
 const maxAllocsPerEvent = 0.1
 
 // allocsPerEvent runs w once to warm process-wide state (the catalog,
 // compiled rule sets, interned names), then again on a fresh runner with
 // a profiler attached, and returns the second run's heap allocations per
-// profiled engine event.
-func allocsPerEvent(t *testing.T, w Workload) float64 {
+// profiled engine event. recorded runs both with invariant checks and a
+// telemetry collector.
+func allocsPerEvent(t *testing.T, w Workload, recorded bool) float64 {
 	t.Helper()
-	if _, err := NewRunner().Execute(w); err != nil {
+	newRunner := func() *Runner {
+		r := NewRunner()
+		if recorded {
+			r.Checks = true
+			r.Telemetry = obs.NewCollector()
+		}
+		return r
+	}
+	if _, err := newRunner().Execute(w); err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner()
+	r := newRunner()
 	prof := NewProfiler()
 	r.SetProfiler(prof)
 	var before, after runtime.MemStats
@@ -50,7 +63,7 @@ func allocsPerEvent(t *testing.T, w Workload) float64 {
 
 func TestRequestPathAllocsPerEvent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs nine simulations")
+		t.Skip("runs thirteen simulations")
 	}
 	point := func(function, variant string, plat Platform, gbps float64) Workload {
 		cfg, err := Lookup(function, variant)
@@ -73,24 +86,32 @@ func TestRequestPathAllocsPerEvent(t *testing.T) {
 	offload := DefaultOffloadSpec()
 	offload.Trace = BurstyTrace(6, 26, 10, 5, 2*sim.Millisecond)
 	for _, tc := range []struct {
-		driver string
-		w      Workload
+		driver   string
+		w        Workload
+		recorded bool
 	}{
-		{"netserve on host cores", point("nat", "10K", HostCPU, 2)},
-		{"netserve through the REM engine", point("rem", "file_executable", SNICAccel, 20)},
-		{"local through the Deflate engine", point("compress", "app", SNICAccel, 0)},
-		{"storage", point("fio", "read", HostCPU, 40)},
-		{"switched", point("ovs", "load10", HostCPU, 9)},
+		{"netserve on host cores", point("nat", "10K", HostCPU, 2), false},
+		{"netserve through the REM engine", point("rem", "file_executable", SNICAccel, 20), false},
+		{"local through the Deflate engine", point("compress", "app", SNICAccel, 0), false},
+		{"storage", point("fio", "read", HostCPU, 40), false},
+		{"switched", point("ovs", "load10", HostCPU, 9), false},
 		{"fleet server replay", Workload{Kind: WorkloadServer, Config: nat, Platform: HostCPU,
-			Rates: rates, Interval: sim.Millisecond, Seed: 5}},
+			Rates: rates, Interval: sim.Millisecond, Seed: 5}, false},
 		// A quarter of the requests spill from the IDS engine to host
 		// cores.
-		{"NAT→IDS pipeline spilling to host", pipeline(NATIDSPipeline(), SpillToHost{}, 40)},
-		{"crypto→compress→send pipeline", pipeline(CryptoCompressSendPipeline(), DropWhenFull{}, 10)},
+		{"NAT→IDS pipeline spilling to host", pipeline(NATIDSPipeline(), SpillToHost{}, 40), false},
+		{"crypto→compress→send pipeline", pipeline(CryptoCompressSendPipeline(), DropWhenFull{}, 10), false},
 		// Both datapaths: about 9% of packets take the fast path.
-		{"flow offload", Workload{Kind: WorkloadOffload, Offload: &offload}},
+		{"flow offload", Workload{Kind: WorkloadOffload, Offload: &offload}, false},
+		// The same drivers checked and recorded: every hook of the
+		// checker and the recorder fires, and each run's spans are
+		// audited and then dropped at Attach.
+		{"checked+recorded netserve on host cores", point("nat", "10K", HostCPU, 2), true},
+		{"checked+recorded NAT→IDS pipeline spilling to host", pipeline(NATIDSPipeline(), SpillToHost{}, 40), true},
+		{"checked+recorded crypto→compress→send pipeline", pipeline(CryptoCompressSendPipeline(), DropWhenFull{}, 10), true},
+		{"checked+recorded flow offload", Workload{Kind: WorkloadOffload, Offload: &offload}, true},
 	} {
-		got := allocsPerEvent(t, tc.w)
+		got := allocsPerEvent(t, tc.w, tc.recorded)
 		t.Logf("%s: %.4f allocs/event", tc.driver, got)
 		if got > maxAllocsPerEvent {
 			t.Errorf("%s allocates %.3f times per event, want at most %v",

@@ -81,6 +81,7 @@ func TestTelemetryExportsIdenticalAcrossParallelism(t *testing.T) {
 		r := NewRunner()
 		r.Parallelism = par
 		r.Telemetry = obs.NewCollector()
+		r.Telemetry.EnableTrace()
 		mk := func() *HealthRouter {
 			return NewHealthRouter(HWLoadBalancer(), DefaultFailoverPolicy())
 		}

@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -44,17 +45,21 @@ type Checker struct {
 
 	injected, completed, dropped  uint64
 	bytesIn, bytesDone, bytesDrop uint64
-	state                         map[uint64]uint8
+	// state is each request's lifecycle state, indexed by its sequence
+	// number (see dense).
+	state []uint8
 
 	stations map[string]*stationState
 
 	// Per-phase hop ledgers (pipeline runs); nil until the first
 	// PhaseEnter. phaseOrder keeps first-seen order for deterministic
-	// end-of-run verification; inPhase tracks each request's current
-	// phase.
+	// end-of-run verification; inPhase holds each request's current
+	// phase as 1 + its index in phaseOrder (0: in no phase), indexed by
+	// sequence number, and inside counts the requests in a phase.
 	phases     map[string]*phaseLedger
 	phaseOrder []string
-	inPhase    map[uint64]string
+	inPhase    []uint32
+	inside     int
 
 	// Flow-offload datapath ledger (offload runs); nil until the first
 	// fast/slow classification (see flows.go).
@@ -67,7 +72,6 @@ func New(run string) *Checker {
 	return &Checker{
 		run:      run,
 		failFast: true,
-		state:    make(map[uint64]uint8),
 		stations: make(map[string]*stationState),
 	}
 }
@@ -172,10 +176,52 @@ func (c *Checker) probeCheck(name string, st *stationState, now sim.Time) {
 	}
 }
 
+// ---- dense per-request tables ----
+
+// maxSeqGap bounds how far past a per-request table's end a sequence
+// number may land. Every run driver numbers its requests densely from 0
+// (the count sent so far, or failover's nextSeq), so the request,
+// phase and datapath ledgers are slices indexed by sequence number. A
+// number further out than this is a driver bug, reported as a
+// violation rather than grown into a huge table.
+const maxSeqGap = 1 << 20
+
+// at returns seq's entry in a per-request table, or the zero value
+// (absent) past its end.
+func at[T uint8 | uint32](tab []T, seq uint64) T {
+	if seq < uint64(len(tab)) {
+		return tab[seq]
+	}
+	return 0
+}
+
+// dense grows *tab to cover seq and returns seq's slot, or nil when seq
+// lies more than maxSeqGap past the table's end. Tables only grow, so
+// entries past the length are still zero when a reslice reaches them.
+func dense[T uint8 | uint32](tab *[]T, seq uint64) *T {
+	if n := uint64(len(*tab)); seq >= n {
+		if seq-n > maxSeqGap {
+			return nil
+		}
+		*tab = slices.Grow(*tab, int(seq+1-n))[:seq+1]
+	}
+	return &(*tab)[seq]
+}
+
+// notDense is the violation for a sequence number that breaks the dense
+// numbering a ledger relies on.
+func notDense(rule Rule, seq uint64, size int, now sim.Time) *Violation {
+	return &Violation{Rule: rule, Time: now, Request: seq,
+		Detail: fmt.Sprintf("sequence number is not dense: %d is more than %d past the ledger's %d entries",
+			seq, maxSeqGap, size)}
+}
+
 // ---- request/byte conservation ledger ----
 
 // Inject records a request entering the system with its payload size.
-// Nil-safe.
+// Sequence numbers are dense per run: a driver numbers its requests
+// from 0 upward, and a number more than 1<<20 past the ledger's end is
+// a RuleRequestState violation. Nil-safe.
 func (c *Checker) Inject(seq uint64, bytes int, now sim.Time) {
 	if c == nil {
 		return
@@ -186,12 +232,17 @@ func (c *Checker) Inject(seq uint64, bytes int, now sim.Time) {
 			Detail: fmt.Sprintf("negative payload %d bytes", bytes)})
 		return
 	}
-	if st := c.state[seq]; st != reqAbsent {
-		c.violate(&Violation{Rule: RuleRequestState, Time: now, Request: seq,
-			Detail: fmt.Sprintf("injected twice (state %d)", st)})
+	st := dense(&c.state, seq)
+	if st == nil {
+		c.violate(notDense(RuleRequestState, seq, len(c.state), now))
 		return
 	}
-	c.state[seq] = reqInFlight
+	if *st != reqAbsent {
+		c.violate(&Violation{Rule: RuleRequestState, Time: now, Request: seq,
+			Detail: fmt.Sprintf("injected twice (state %d)", *st)})
+		return
+	}
+	*st = reqInFlight
 	c.injected++
 	c.bytesIn += uint64(bytes)
 }
@@ -202,7 +253,7 @@ func (c *Checker) Complete(seq uint64, bytes int, now sim.Time) {
 		return
 	}
 	c.advance(now)
-	switch c.state[seq] {
+	switch at(c.state, seq) {
 	case reqInFlight:
 		c.state[seq] = reqCompleted
 		c.completed++
@@ -227,7 +278,7 @@ func (c *Checker) Drop(seq uint64, bytes int, now sim.Time) {
 		return
 	}
 	c.advance(now)
-	switch c.state[seq] {
+	switch at(c.state, seq) {
 	case reqInFlight:
 		c.state[seq] = reqDropped
 		c.dropped++

@@ -30,52 +30,64 @@ const (
 	pathSlow
 )
 
-// flowLedger is the datapath classification accounting.
+// flowLedger is the datapath classification accounting. path holds
+// each packet's classification, indexed by its sequence number.
 type flowLedger struct {
 	fast, slow, dropped uint64
-	path                map[uint64]uint8
+	path                []uint8
 	occPeak             int
 }
 
 // ensureFlows lazily allocates the flow ledger.
 func (c *Checker) ensureFlows() {
 	if c.flows == nil {
-		c.flows = &flowLedger{path: make(map[uint64]uint8)}
+		c.flows = &flowLedger{}
 	}
 }
 
+// classify records packet seq's datapath, or reports a violation if it
+// was already classified or breaks the dense numbering.
+func (c *Checker) classify(seq uint64, path uint8, name string, now sim.Time) bool {
+	p := dense(&c.flows.path, seq)
+	switch {
+	case p == nil:
+		c.violate(notDense(RuleFlow, seq, len(c.flows.path), now))
+		return false
+	case *p != pathAbsent:
+		c.violate(&Violation{Rule: RuleFlow, Time: now, Request: seq,
+			Detail: fmt.Sprintf("classified %s after already being classified (%d)", name, *p)})
+		return false
+	}
+	*p = path
+	return true
+}
+
 // FlowFast records a packet taking the hardware fast path (resident
-// eSwitch rule). Nil-safe.
+// eSwitch rule). Sequence numbers are dense per run, as for Inject: one
+// more than 1<<20 past the datapath ledger's end is a RuleFlow
+// violation. Nil-safe.
 func (c *Checker) FlowFast(seq uint64, now sim.Time) {
 	if c == nil {
 		return
 	}
 	c.advance(now)
 	c.ensureFlows()
-	if p := c.flows.path[seq]; p != pathAbsent {
-		c.violate(&Violation{Rule: RuleFlow, Time: now, Request: seq,
-			Detail: fmt.Sprintf("classified fast-path after already being classified (%d)", p)})
-		return
+	if c.classify(seq, pathFast, "fast-path", now) {
+		c.flows.fast++
 	}
-	c.flows.path[seq] = pathFast
-	c.flows.fast++
 }
 
 // FlowSlow records a packet taking the software slow path (flow-table
-// miss). Nil-safe.
+// miss). Sequence numbers are dense per run, as for FlowFast. Nil-safe.
 func (c *Checker) FlowSlow(seq uint64, now sim.Time) {
 	if c == nil {
 		return
 	}
 	c.advance(now)
 	c.ensureFlows()
-	if p := c.flows.path[seq]; p != pathAbsent {
-		c.violate(&Violation{Rule: RuleFlow, Time: now, Request: seq,
-			Detail: fmt.Sprintf("classified slow-path after already being classified (%d)", p)})
-		return
+	if c.classify(seq, pathSlow, "slow-path", now) {
+		c.flows.slow++
 	}
-	c.flows.path[seq] = pathSlow
-	c.flows.slow++
 }
 
 // FlowSlowDrop records a slow-path packet shed at a full service queue.
@@ -87,7 +99,7 @@ func (c *Checker) FlowSlowDrop(seq uint64, now sim.Time) {
 	}
 	c.advance(now)
 	c.ensureFlows()
-	if p := c.flows.path[seq]; p != pathSlow {
+	if p := at(c.flows.path, seq); p != pathSlow {
 		c.violate(&Violation{Rule: RuleFlow, Time: now, Request: seq,
 			Detail: fmt.Sprintf("dropped on the slow path without slow-path classification (%d)", p)})
 		return

@@ -18,16 +18,18 @@ import (
 // The ledger allocates lazily on first PhaseEnter, so non-pipeline runs
 // pay nothing.
 
-// phaseLedger is one phase's hop accounting.
+// phaseLedger is one phase's hop accounting. idx is 1 + the phase's
+// position in first-seen order: the value a request's inPhase entry
+// holds while it is inside the phase.
 type phaseLedger struct {
 	entered, exited, dropped uint64
+	idx                      uint32
 }
 
-// ensurePhases lazily allocates the phase ledger maps.
+// ensurePhases lazily allocates the phase ledger map.
 func (c *Checker) ensurePhases() {
 	if c.phases == nil {
 		c.phases = make(map[string]*phaseLedger)
-		c.inPhase = make(map[uint64]string)
 	}
 }
 
@@ -36,27 +38,36 @@ func (c *Checker) ensurePhases() {
 func (c *Checker) phase(name string) *phaseLedger {
 	pl, ok := c.phases[name]
 	if !ok {
-		pl = &phaseLedger{}
-		c.phases[name] = pl
 		c.phaseOrder = append(c.phaseOrder, name)
+		pl = &phaseLedger{idx: uint32(len(c.phaseOrder))}
+		c.phases[name] = pl
 	}
 	return pl
 }
 
-// PhaseEnter records a request entering a named phase. Nil-safe.
+// PhaseEnter records a request entering a named phase. Sequence numbers
+// are dense per run, as for Inject: one more than 1<<20 past the phase
+// ledger's end is a RulePhase violation. Nil-safe.
 func (c *Checker) PhaseEnter(phase string, seq uint64, now sim.Time) {
 	if c == nil {
 		return
 	}
 	c.advance(now)
 	c.ensurePhases()
-	if cur, ok := c.inPhase[seq]; ok {
+	cur := dense(&c.inPhase, seq)
+	switch {
+	case cur == nil:
+		c.violate(notDense(RulePhase, seq, len(c.inPhase), now))
+		return
+	case *cur != 0:
 		c.violate(&Violation{Rule: RulePhase, Time: now, Station: phase, Request: seq,
-			Detail: fmt.Sprintf("entered while still in phase %q", cur)})
+			Detail: fmt.Sprintf("entered while still in phase %q", c.phaseOrder[*cur-1])})
 		return
 	}
-	c.inPhase[seq] = phase
-	c.phase(phase).entered++
+	pl := c.phase(phase)
+	*cur = pl.idx
+	c.inside++
+	pl.entered++
 }
 
 // PhaseExit records a request leaving the phase it entered. Nil-safe.
@@ -66,18 +77,18 @@ func (c *Checker) PhaseExit(phase string, seq uint64, now sim.Time) {
 	}
 	c.advance(now)
 	c.ensurePhases()
-	cur, ok := c.inPhase[seq]
-	switch {
-	case !ok:
+	switch cur := at(c.inPhase, seq); {
+	case cur == 0:
 		c.violate(&Violation{Rule: RulePhase, Time: now, Station: phase, Request: seq,
 			Detail: "exited a phase it never entered"})
 		return
-	case cur != phase:
+	case c.phaseOrder[cur-1] != phase:
 		c.violate(&Violation{Rule: RulePhase, Time: now, Station: phase, Request: seq,
-			Detail: fmt.Sprintf("exited while in phase %q", cur)})
+			Detail: fmt.Sprintf("exited while in phase %q", c.phaseOrder[cur-1])})
 		return
 	}
-	delete(c.inPhase, seq)
+	c.inPhase[seq] = 0
+	c.inside--
 	c.phase(phase).exited++
 }
 
@@ -89,18 +100,18 @@ func (c *Checker) PhaseDrop(phase string, seq uint64, now sim.Time) {
 	}
 	c.advance(now)
 	c.ensurePhases()
-	cur, ok := c.inPhase[seq]
-	switch {
-	case !ok:
+	switch cur := at(c.inPhase, seq); {
+	case cur == 0:
 		c.violate(&Violation{Rule: RulePhase, Time: now, Station: phase, Request: seq,
 			Detail: "dropped in a phase it never entered"})
 		return
-	case cur != phase:
+	case c.phaseOrder[cur-1] != phase:
 		c.violate(&Violation{Rule: RulePhase, Time: now, Station: phase, Request: seq,
-			Detail: fmt.Sprintf("dropped while in phase %q", cur)})
+			Detail: fmt.Sprintf("dropped while in phase %q", c.phaseOrder[cur-1])})
 		return
 	}
-	delete(c.inPhase, seq)
+	c.inPhase[seq] = 0
+	c.inside--
 	c.phase(phase).dropped++
 }
 
@@ -127,8 +138,8 @@ func (c *Checker) finishPhases(now sim.Time) {
 					pl.entered, pl.exited, pl.dropped)})
 		}
 	}
-	if n := len(c.inPhase); n > 0 {
+	if c.inside > 0 {
 		c.violate(&Violation{Rule: RulePhase, Time: now,
-			Detail: fmt.Sprintf("%d requests still inside a phase at end of run", n)})
+			Detail: fmt.Sprintf("%d requests still inside a phase at end of run", c.inside)})
 	}
 }

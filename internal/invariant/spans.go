@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // SpanCheckOpts tunes the end-of-run span audit.
@@ -20,39 +21,46 @@ type SpanCheckOpts struct {
 // parent (a request phase cannot precede the request's arrival), and —
 // unless AllowStragglers — every closed child ends no later than its
 // closed parent. Open spans are legitimate (requests shed mid-flight)
-// and are only checked on the start side. Returns the first *Violation
-// found, or nil. Nil-safe.
+// and are only checked on the start side. Spans are read in place in
+// record order and a violation's track/name label is built only when
+// one is found, so a clean audit allocates nothing. Returns the first
+// *Violation found, obs.ErrSpansDropped if the recorder no longer holds
+// its spans (audit before handing a run to its Collector), or nil.
+// Nil-safe.
 func CheckSpans(rec *obs.Recorder, opts SpanCheckOpts) error {
-	if rec == nil {
-		return nil
-	}
-	views := make([]obs.SpanView, rec.SpanCount()+1)
-	rec.EachSpan(func(id obs.SpanID, s obs.SpanView) {
-		views[id] = s
-	})
-	for id := 1; id < len(views); id++ {
-		s := views[id]
-		name := s.Track + "/" + s.Name
+	n := obs.SpanID(rec.SpanCount())
+	for id := obs.SpanID(1); id <= n; id++ {
+		s, ok := rec.View(id)
+		if !ok {
+			return obs.ErrSpansDropped
+		}
 		if !s.Open && s.End < s.Start {
-			return &Violation{Rule: RuleCausality, Run: rec.Label(), Time: s.Start, Station: name,
-				Detail: fmt.Sprintf("span %d has negative duration (%v .. %v)", id, s.Start, s.End)}
+			return spanViolation(rec, s, s.Start,
+				fmt.Sprintf("span %d has negative duration (%v .. %v)", id, s.Start, s.End))
 		}
 		if s.Parent == 0 {
 			continue
 		}
-		if int(s.Parent) >= len(views) || int(s.Parent) == id {
-			return &Violation{Rule: RuleCausality, Run: rec.Label(), Time: s.Start, Station: name,
-				Detail: fmt.Sprintf("span %d links to impossible parent %d", id, s.Parent)}
+		p, ok := rec.View(s.Parent)
+		if !ok || s.Parent == id {
+			return spanViolation(rec, s, s.Start,
+				fmt.Sprintf("span %d links to impossible parent %d", id, s.Parent))
 		}
-		p := views[s.Parent]
 		if s.Start < p.Start {
-			return &Violation{Rule: RuleCausality, Run: rec.Label(), Time: s.Start, Station: name,
-				Detail: fmt.Sprintf("span %d starts at %v before its parent at %v", id, s.Start, p.Start)}
+			return spanViolation(rec, s, s.Start,
+				fmt.Sprintf("span %d starts at %v before its parent at %v", id, s.Start, p.Start))
 		}
 		if !opts.AllowStragglers && !s.Open && !p.Open && s.End > p.End {
-			return &Violation{Rule: RuleCausality, Run: rec.Label(), Time: s.End, Station: name,
-				Detail: fmt.Sprintf("span %d ends at %v after its parent at %v", id, s.End, p.End)}
+			return spanViolation(rec, s, s.End,
+				fmt.Sprintf("span %d ends at %v after its parent at %v", id, s.End, p.End))
 		}
 	}
 	return nil
+}
+
+// spanViolation is the causality violation for span s, labelled with
+// its track and name.
+func spanViolation(rec *obs.Recorder, s obs.SpanView, at sim.Time, detail string) *Violation {
+	return &Violation{Rule: RuleCausality, Run: rec.Label(), Time: at,
+		Station: s.Track + "/" + s.Name, Detail: detail}
 }

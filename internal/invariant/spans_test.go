@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -78,5 +79,43 @@ func TestCheckSpansOpenSpansPass(t *testing.T) {
 func TestCheckSpansNilRecorder(t *testing.T) {
 	if err := CheckSpans(nil, SpanCheckOpts{}); err != nil {
 		t.Fatalf("nil recorder flagged: %v", err)
+	}
+}
+
+// A clean audit reads spans in place and builds no label, so it
+// allocates nothing however many spans the run recorded.
+func TestCheckSpansCleanAuditAllocatesNothing(t *testing.T) {
+	rec := obs.NewRecorder(1, "clean")
+	for i := 0; i < 2500; i++ {
+		at := sim.Time(i * 100)
+		root := rec.Open(obs.TrackRequests, "request", at)
+		rec.Span(obs.TrackRequests, "queue", root, at, at+10)
+		rec.Span(obs.TrackRequests, "cpu-service", root, at+10, at+60)
+		rec.Close(root, at+70)
+		rec.Open("pool/host", "job", at) // left open, like a shed request
+	}
+	if n := rec.SpanCount(); n != 10000 {
+		t.Fatalf("recorded %d spans, want 10000", n)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(10, func() { err = CheckSpans(rec, SpanCheckOpts{}) })
+	if err != nil {
+		t.Fatalf("clean tree flagged: %v", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("CheckSpans allocated %v times on a clean 10,000-span run, want 0", allocs)
+	}
+}
+
+// An audit needs the spans themselves: once a collector that writes no
+// trace has taken the run and dropped them, CheckSpans says so instead
+// of passing vacuously.
+func TestCheckSpansAfterDrop(t *testing.T) {
+	c := obs.NewCollector()
+	rec := c.NewRecorder(1, "dropped")
+	rec.Span("req", "serve", 0, sim.Time(100), sim.Time(60)) // would violate
+	c.Attach(rec)
+	if err := CheckSpans(rec, SpanCheckOpts{}); !errors.Is(err, obs.ErrSpansDropped) {
+		t.Fatalf("CheckSpans after drop = %v, want obs.ErrSpansDropped", err)
 	}
 }

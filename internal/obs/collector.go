@@ -32,6 +32,7 @@ func DeriveRunID(key string) uint64 {
 type Collector struct {
 	mu     sync.Mutex
 	detail bool
+	trace  bool
 	byID   map[uint64]*Recorder
 }
 
@@ -40,14 +41,30 @@ func NewCollector() *Collector {
 	return &Collector{byID: make(map[uint64]*Recorder)}
 }
 
+// EnableTrace makes the collector keep every run's spans for
+// WriteTrace. Without it, Attach returns each run's span storage to the
+// free list and keeps only the counts manifests read; WriteTrace then
+// returns ErrSpansDropped. Call it before the runs the trace should
+// show.
+func (c *Collector) EnableTrace() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.trace = true
+	c.mu.Unlock()
+}
+
 // EnableDetail makes future recorders also capture per-job and
-// per-frame resource spans (high volume; off by default).
+// per-frame resource spans (high volume; off by default). Only a trace
+// reads those spans, so it implies EnableTrace.
 func (c *Collector) EnableDetail() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	c.detail = true
+	c.trace = true
 	c.mu.Unlock()
 }
 
@@ -66,22 +83,43 @@ func (c *Collector) NewRecorder(runID uint64, label string) *Recorder {
 
 // Attach hands a finished recorder to the collector. Duplicate run IDs
 // (two workers raced the same memoized run; both simulated identical
-// event sequences) keep the first attached copy; the loser's span
-// chunks go back on the free list immediately rather than waiting for
-// the garbage collector. Nil-safe on both sides.
+// event sequences) keep the first attached copy. Unless EnableTrace was
+// called, the kept copy's spans go back on the free list right away,
+// and so do a duplicate's, rather than waiting for the garbage
+// collector; the counts manifests read stay. Callers audit a run's
+// spans before attaching it. Nil-safe on both sides.
 func (c *Collector) Attach(r *Recorder) {
 	if c == nil || r == nil {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, dup := c.byID[r.runID]
+	if dup || !c.trace {
+		r.releaseSpans()
+	}
 	if !dup {
 		c.byID[r.runID] = r
 	}
-	c.mu.Unlock()
-	if dup {
-		r.ReleaseSpans()
+}
+
+// spansKept returns ErrSpansDropped unless the collector keeps spans
+// for a trace and every attached run still holds its own.
+func (c *Collector) spansKept() error {
+	if c == nil {
+		return nil
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.trace {
+		return ErrSpansDropped
+	}
+	for _, r := range c.byID {
+		if r.dropped {
+			return ErrSpansDropped
+		}
+	}
+	return nil
 }
 
 // Runs returns the attached recorders sorted by (label, runID) — the
@@ -106,7 +144,9 @@ func (c *Collector) Runs() []*Recorder {
 	return out
 }
 
-// Totals sums headline quantities across all runs.
+// Totals sums headline quantities across all runs. The counts are
+// kept as spans are recorded, so they hold whether or not the spans
+// themselves were kept.
 func (c *Collector) Totals() (runs, requests, spans int) {
 	for _, r := range c.Runs() {
 		runs++

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -29,8 +30,15 @@ func ffloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// ErrSpansDropped is WriteTrace's error for a collector that did not
+// keep the spans a trace is made of: EnableTrace was not called before
+// the runs were attached, so their spans went back to the free list.
+var ErrSpansDropped = errors.New("obs: spans were not kept for a trace (call EnableTrace before recording)")
+
 // WriteTrace emits the Chrome trace-event JSON form of every attached
-// run, loadable in Perfetto or chrome://tracing.
+// run, loadable in Perfetto or chrome://tracing. It returns
+// ErrSpansDropped, and writes nothing, unless EnableTrace came before
+// the runs were attached.
 //
 // Layout: each run is a process (pid in export order) whose name is the
 // run label. Request spans are async events ("b"/"e") grouped by their
@@ -38,6 +46,9 @@ func ffloat(v float64) string {
 // resource spans are complete ("X") events on per-resource threads; and
 // every metric series becomes a counter ("C") track.
 func (c *Collector) WriteTrace(w io.Writer) error {
+	if err := c.spansKept(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`); err != nil {
 		return err

@@ -110,6 +110,7 @@ func buildRecorder(id uint64, label string) *Recorder {
 func TestExportDeterministicUnderAttachOrder(t *testing.T) {
 	mk := func(reverse bool) *Collector {
 		c := NewCollector()
+		c.EnableTrace()
 		recs := []*Recorder{
 			buildRecorder(7, "run b"),
 			buildRecorder(3, "run a"),
@@ -159,6 +160,7 @@ func TestAttachDeduplicatesByRunID(t *testing.T) {
 
 func TestTraceIsValidChromeJSON(t *testing.T) {
 	c := NewCollector()
+	c.EnableTrace()
 	c.Attach(buildRecorder(1, "run"))
 	var buf bytes.Buffer
 	if err := c.WriteTrace(&buf); err != nil {

@@ -4,8 +4,9 @@
 // A Recorder belongs to exactly one simulation run (one sim.Engine) and
 // is driven synchronously from that run's event loop, so it needs no
 // locking. Recorders are handed to a Collector when the run finishes;
-// the Collector sorts and deduplicates at export time so output is
-// byte-identical at any parallelism.
+// the Collector keeps a run's spans only when a trace will be written,
+// and sorts and deduplicates at export time so output is byte-identical
+// at any parallelism.
 //
 // Everything here is a pure observer: recording never mutates model
 // state, never draws from model RNG streams, and never schedules model
@@ -44,8 +45,9 @@ const openEnd = sim.Time(-1)
 // A run records millions of spans, and slice growth re-copies the whole
 // backing array each time it doubles — profiled at ~25% of a
 // telemetry-enabled run before chunking. Chunks never move once
-// allocated, and retired recorders (deduplicated replays at -jN) hand
-// their chunks back to a free list instead of the garbage collector.
+// allocated, and recorders whose spans no trace will read (every run
+// without EnableTrace, and deduplicated replays at -jN) hand their
+// chunks back to a free list instead of the garbage collector.
 const (
 	spanChunkShift = 12 // 4096 spans (96 KiB) per chunk
 	spanChunkSize  = 1 << spanChunkShift
@@ -76,7 +78,13 @@ type Recorder struct {
 	names    []string
 	nameIdx  map[string]uint16
 	chunks   []*[spanChunkSize]span
-	nspans   int
+	// nspans, nroots and nopen count spans, request roots and spans
+	// still open as they are recorded, so manifests read them without a
+	// scan and they survive a drop of the spans themselves.
+	nspans, nroots, nopen int
+	// dropped marks a recorder whose span storage went back to the free
+	// list (see releaseSpans): it records no further spans.
+	dropped bool
 
 	// reg is the run's metric registry: counters (Count/SetCount) and
 	// sampled gauges (Gauge/AddSeries) both live here; the Recorder is
@@ -176,68 +184,33 @@ func (r *Recorder) spanAt(i int) *span {
 	return &r.chunks[i>>spanChunkShift][i&spanChunkMask]
 }
 
-// ReleaseSpans returns the recorder's span storage to the shared free
-// list and forgets every recorded span. The Collector calls this when
-// it discards a deduplicated replay of a run it already holds; after
-// release the recorder must not record or export spans.
-func (r *Recorder) ReleaseSpans() {
-	if r == nil {
-		return
-	}
+// releaseSpans returns the recorder's span storage to the shared free
+// list. The Collector calls it from Attach, after the run's end-of-run
+// audit, unless a trace will be written, and for a deduplicated replay
+// of a run it already holds. The span, request and open-span counts
+// survive; from then on Open, OpenChild and Span record nothing and
+// return 0, Close is a no-op, and View finds no span.
+func (r *Recorder) releaseSpans() {
 	for _, c := range r.chunks {
 		spanChunkPool.Put(c)
 	}
 	r.chunks = nil
-	r.nspans = 0
+	r.dropped = true
 }
 
-// Open starts a span on track at start and returns its ID. Nil-safe:
-// a nil recorder returns 0.
+// record stores one span and counts it. Parentless spans on the
+// requests track are request roots; spans ending at openEnd are open.
 //
 //snicvet:hotpath
-func (r *Recorder) Open(track, name string, start sim.Time) SpanID {
-	if r == nil {
+func (r *Recorder) record(track, name string, parent SpanID, start, end sim.Time) SpanID {
+	if r == nil || r.dropped {
 		return 0
 	}
-	*r.alloc() = span{
-		start: start, end: openEnd,
-		track: r.internTrack(track), name: r.internName(name),
+	if parent == 0 && track == TrackRequests {
+		r.nroots++
 	}
-	return SpanID(r.nspans)
-}
-
-// OpenChild starts a span linked to parent. Nil-safe.
-//
-//snicvet:hotpath
-func (r *Recorder) OpenChild(track, name string, parent SpanID, start sim.Time) SpanID {
-	id := r.Open(track, name, start)
-	if id != 0 {
-		r.spanAt(int(id) - 1).parent = parent
-	}
-	return id
-}
-
-// Close ends an open span. Closing span 0 or an already-closed span is
-// a no-op. Nil-safe.
-//
-//snicvet:hotpath
-func (r *Recorder) Close(id SpanID, end sim.Time) {
-	if r == nil || id == 0 || int(id) > r.nspans {
-		return
-	}
-	sp := r.spanAt(int(id) - 1)
-	if sp.end == openEnd {
-		sp.end = end
-	}
-}
-
-// Span records a complete child span in one call. parent may be 0 for
-// a free-standing span. Nil-safe.
-//
-//snicvet:hotpath
-func (r *Recorder) Span(track, name string, parent SpanID, start, end sim.Time) SpanID {
-	if r == nil {
-		return 0
+	if end == openEnd {
+		r.nopen++
 	}
 	*r.alloc() = span{
 		start: start, end: end, parent: parent,
@@ -246,7 +219,45 @@ func (r *Recorder) Span(track, name string, parent SpanID, start, end sim.Time) 
 	return SpanID(r.nspans)
 }
 
-// SpanView is the read-only export of one recorded span, with interned
+// Open starts a span on track at start and returns its ID. Nil-safe:
+// a nil recorder returns 0.
+//
+//snicvet:hotpath
+func (r *Recorder) Open(track, name string, start sim.Time) SpanID {
+	return r.record(track, name, 0, start, openEnd)
+}
+
+// OpenChild starts a span linked to parent. Nil-safe.
+//
+//snicvet:hotpath
+func (r *Recorder) OpenChild(track, name string, parent SpanID, start sim.Time) SpanID {
+	return r.record(track, name, parent, start, openEnd)
+}
+
+// Close ends an open span. Closing span 0 or an already-closed span is
+// a no-op. Nil-safe.
+//
+//snicvet:hotpath
+func (r *Recorder) Close(id SpanID, end sim.Time) {
+	if r == nil || r.dropped || id == 0 || int(id) > r.nspans {
+		return
+	}
+	sp := r.spanAt(int(id) - 1)
+	if sp.end == openEnd && end != openEnd {
+		sp.end = end
+		r.nopen--
+	}
+}
+
+// Span records a complete child span in one call. parent may be 0 for
+// a free-standing span. Nil-safe.
+//
+//snicvet:hotpath
+func (r *Recorder) Span(track, name string, parent SpanID, start, end sim.Time) SpanID {
+	return r.record(track, name, parent, start, end)
+}
+
+// SpanView is the read-only view of one recorded span, with interned
 // track/name indices resolved back to strings. Open marks spans whose
 // Close was never reached; their End is meaningless.
 type SpanView struct {
@@ -256,23 +267,26 @@ type SpanView struct {
 	Open        bool
 }
 
-// EachSpan calls fn for every recorded span in record order. The span
-// audit in internal/invariant is built on this. Nil-safe.
-func (r *Recorder) EachSpan(fn func(id SpanID, s SpanView)) {
-	if r == nil {
-		return
+// View returns span id (1-based, in record order) in place: nothing is
+// copied or allocated, and Track and Name are the interned strings. ok
+// is false for span 0, for an ID past the last span, and for every ID
+// once the recorder's spans were dropped. The span audit in
+// internal/invariant is built on this. Nil-safe.
+//
+//snicvet:hotpath
+func (r *Recorder) View(id SpanID) (s SpanView, ok bool) {
+	if r == nil || r.dropped || id == 0 || int(id) > r.nspans {
+		return SpanView{}, false
 	}
-	for i := 0; i < r.nspans; i++ {
-		sp := r.spanAt(i)
-		fn(SpanID(i+1), SpanView{
-			Track:  r.tracks[sp.track],
-			Name:   r.names[sp.name],
-			Parent: sp.parent,
-			Start:  sp.start,
-			End:    sp.end,
-			Open:   sp.end == openEnd,
-		})
-	}
+	sp := r.spanAt(int(id) - 1)
+	return SpanView{
+		Track:  r.tracks[sp.track],
+		Name:   r.names[sp.name],
+		Parent: sp.parent,
+		Start:  sp.start,
+		End:    sp.end,
+		Open:   sp.end == openEnd,
+	}, true
 }
 
 // SpanCount returns the number of spans recorded so far.
@@ -289,18 +303,7 @@ func (r *Recorder) RootCount() int {
 	if r == nil {
 		return 0
 	}
-	ti, ok := r.trackIdx[TrackRequests]
-	if !ok {
-		return 0
-	}
-	n := 0
-	for i := 0; i < r.nspans; i++ {
-		sp := r.spanAt(i)
-		if sp.parent == 0 && sp.track == ti {
-			n++
-		}
-	}
-	return n
+	return r.nroots
 }
 
 // OpenCount returns spans never closed (requests shed mid-flight).
@@ -308,13 +311,7 @@ func (r *Recorder) OpenCount() int {
 	if r == nil {
 		return 0
 	}
-	n := 0
-	for i := 0; i < r.nspans; i++ {
-		if r.spanAt(i).end == openEnd {
-			n++
-		}
-	}
-	return n
+	return r.nopen
 }
 
 // Count adds delta to a named counter, registering it on first use.

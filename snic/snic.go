@@ -144,9 +144,18 @@ type Telemetry struct {
 // NewTelemetry returns an empty collector.
 func NewTelemetry() *Telemetry { return &Telemetry{c: obs.NewCollector()} }
 
+// EnableTrace keeps every run's spans so WriteTrace can export them.
+// Without it the collector drops a run's spans once the run finishes and
+// keeps only the counts manifests read, so recording costs about what a
+// bare run does; WriteTrace then returns obs.ErrSpansDropped.
+func (t *Telemetry) EnableTrace() *Telemetry {
+	t.c.EnableTrace()
+	return t
+}
+
 // EnableDetail records per-job station spans and per-frame link spans in
 // addition to the per-request spans. Traces grow large; keep it off for
-// full-figure runs.
+// full-figure runs. It implies EnableTrace.
 func (t *Telemetry) EnableDetail() *Telemetry {
 	t.c.EnableDetail()
 	return t
@@ -216,7 +225,8 @@ func WithInvariantChecks() Option {
 }
 
 // WriteTrace writes all collected runs as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. It needs
+// EnableTrace before the runs.
 func (t *Telemetry) WriteTrace(w io.Writer) error { return t.c.WriteTrace(w) }
 
 // WriteMetricsCSV writes every sampled series as long-format CSV.
@@ -231,8 +241,8 @@ func (t *Telemetry) WriteManifests(w io.Writer) error { return t.c.WriteManifest
 // RenderManifests writes the per-run manifests as a text table.
 func (t *Telemetry) RenderManifests(w io.Writer) { report.Manifests(w, t.c.Manifests()) }
 
-// Totals reports how many runs, request spans and total spans the
-// collector holds.
+// Totals reports how many runs the collector holds and how many
+// request spans and spans in total they recorded.
 func (t *Telemetry) Totals() (runs, requests, spans int) { return t.c.Totals() }
 
 // NewTestbed returns a testbed with the paper's §3.1 configuration —
