@@ -79,9 +79,10 @@ profile-smoke: bin/snicbench
 # Byte-identical output against a base commit: builds cmd/snicbench at
 # BASE (checked out with git worktree) and in the working tree, then
 # compares -exp all stdout and its -profile JSON, the fig4 nat trace and
-# metrics, the fleet manifest, and the pipeline and offload traces,
-# metrics and manifests, by digest. A change that must not move any
-# number runs this against its parent.
+# metrics, the fleet manifest, the pipeline and offload traces, metrics
+# and manifests, the checked faults, pipeline and strategies runs, and
+# the faults trace, by digest. A change that must not move any number
+# runs this against its parent.
 BASE ?= HEAD
 same-output:
 	bash tools/same-output.sh $(BASE)
@@ -98,7 +99,7 @@ faults:
 # typed violation, so a clean exit is the assertion.
 check: bin/snicbench
 	tmp=$$(mktemp -d); \
-	for e in fig4 fig5 table4 faults fleet pipeline offload; do \
+	for e in fig4 fig5 table4 strategies faults fleet pipeline offload; do \
 		echo "checked: $$e"; \
 		./bin/snicbench -exp $$e -check -q -metrics "$$tmp/m.json" -manifest "$$tmp/r.json" > /dev/null || { rm -rf "$$tmp"; exit 1; }; \
 	done; \
@@ -109,8 +110,8 @@ bin/snicbench: FORCE
 	$(GO) build -o bin/snicbench ./cmd/snicbench
 
 # Short-budget native fuzzing over the property layer: the engine
-# scheduler, the fault-plan validator, the fleet dispatcher and the
-# checked end-to-end runner. FUZZTIME bounds each target's budget so the
+# scheduler, the fault-plan validator, the fleet dispatcher, the flow
+# table, and the checked point, pipeline, offload and failover runs. FUZZTIME bounds each target's budget so the
 # smoke fits CI; run with a bigger FUZZTIME locally to dig.
 FUZZTIME ?= 20s
 fuzz-smoke:
@@ -121,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPipelineRun$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowTable$$' -fuzztime $(FUZZTIME) ./internal/flow
 	$(GO) test -run '^$$' -fuzz '^FuzzOffloadRun$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultedRun$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Telemetry exports must be byte-identical at every parallelism: run the
 # same experiment sequentially and fully parallel and diff the traces.

@@ -161,10 +161,18 @@ func BenchmarkTable5TCO(b *testing.B) {
 func BenchmarkStrategyLoadBalancer(b *testing.B) {
 	r := core.NewRunner()
 	tr := core.BurstyTrace(5, 72, 30, 6, 2*sim.Millisecond)
+	balanced := func(lb core.LoadBalancer) core.BalancedResult {
+		res, err := r.Execute(core.Workload{Kind: core.WorkloadBalanced, Balancer: &lb,
+			Trace: tr, HostCores: 8, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return *res.Balanced
+	}
 	var sw, hw core.BalancedResult
 	for i := 0; i < b.N; i++ {
-		sw = r.RunBalanced(core.DefaultLoadBalancer(), tr, 8, 1)
-		hw = r.RunBalanced(core.HWLoadBalancer(), tr, 8, 1)
+		sw = balanced(core.DefaultLoadBalancer())
+		hw = balanced(core.HWLoadBalancer())
 	}
 	b.StopTimer()
 	b.ReportMetric(sw.P99.Micros(), "softwareP99us")

@@ -355,13 +355,17 @@ func runStrategies(opts []snic.Option) {
 	fmt.Println("\n== Strategy 3: SNIC<->host load balancer under bursts ==")
 	tbed := snic.NewTestbed(opts...)
 	tr := snic.BurstyTrace(5, 72, 60, 6, 2*snic.Millisecond)
+	balanced := func(lb snic.LoadBalancer) snic.BalancedResult {
+		return *execute(tbed, snic.Workload{Kind: snic.WorkloadBalanced, Balancer: &lb,
+			Trace: tr, HostCores: 8, Seed: 1}).Balanced
+	}
 	for _, run := range []struct {
 		name string
 		res  snic.BalancedResult
 	}{
-		{"accelerator only", tbed.RunBalanced(snic.LoadBalancer{SpillQueueThreshold: 1 << 30, HWAssist: true}, tr, 8, 1)},
-		{"software balancer (paper's prototype)", tbed.RunBalanced(snic.SoftwareBalancer(), tr, 8, 1)},
-		{"hardware-assisted balancer (proposed)", tbed.RunBalanced(snic.HardwareBalancer(), tr, 8, 1)},
+		{"accelerator only", balanced(snic.LoadBalancer{SpillQueueThreshold: 1 << 30, HWAssist: true})},
+		{"software balancer (paper's prototype)", balanced(snic.SoftwareBalancer())},
+		{"hardware-assisted balancer (proposed)", balanced(snic.HardwareBalancer())},
 	} {
 		fmt.Printf("  %-40s %v\n", run.name, run.res)
 	}
@@ -383,9 +387,20 @@ func runFaults(opts []snic.Option) {
 	for _, scn := range scns {
 		fmt.Printf("  %-12s %s\n", scn.Name+":", scn.Desc)
 	}
-	base := tbed.RunFaulted(snic.FaultScenario{Name: "baseline"}, router(), tr, 2, 42)
+	base := execute(tbed, snic.Workload{Kind: snic.WorkloadFaulted, Scenario: &snic.FaultScenario{Name: "baseline"},
+		Router: router(), Trace: tr, HostCores: 2, Seed: 42}).Fault
 	rows := tbed.RunFaultedSet(scns, router, tr, 2, 42)
-	snic.RenderFaults(os.Stdout, base, rows)
+	snic.RenderFaults(os.Stdout, *base, rows)
+}
+
+// execute runs one workload, exiting on its error.
+func execute(tb *snic.Testbed, w snic.Workload) snic.Result {
+	res, err := tb.Execute(w)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "snicbench: %s: %v\n", w.Kind, err)
+		os.Exit(1)
+	}
+	return res
 }
 
 // runFleet simulates a 36-server heterogeneous datacenter on the

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/snic"
 )
 
@@ -67,7 +68,17 @@ func main() {
 	tb := snic.NewTestbed()
 	var m snic.Measurement
 	if *rate > 0 {
-		m = tb.Run(b, plat, *rate, *requests)
+		w := snic.Workload{Kind: snic.WorkloadPoint, Config: b, Platform: plat, Opts: core.DefaultRunOpts()}
+		if *requests > 0 {
+			w.Opts.Requests = *requests
+		}
+		w.Opts.OfferedGbps = *rate
+		res, err := tb.Execute(w)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "snicsim: %v\n", err)
+			os.Exit(2)
+		}
+		m = *res.Point
 	} else {
 		m = tb.MaxThroughput(b, plat)
 	}

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/snic"
 )
@@ -23,9 +24,17 @@ func main() {
 	fmt.Printf("trace: %d intervals, mean %.1f Gb/s, bursts to %.0f Gb/s (engine caps ~50)\n\n",
 		len(tr.RatesGbps), tr.MeanGbps(), tr.PeakGbps())
 
-	accelOnly := tb.RunBalanced(snic.LoadBalancer{SpillQueueThreshold: 1 << 30, HWAssist: true}, tr, 8, 1)
-	software := tb.RunBalanced(snic.SoftwareBalancer(), tr, 8, 1)
-	hardware := tb.RunBalanced(snic.HardwareBalancer(), tr, 8, 1)
+	balanced := func(lb snic.LoadBalancer) snic.BalancedResult {
+		res, err := tb.Execute(snic.Workload{Kind: snic.WorkloadBalanced, Balancer: &lb,
+			Trace: tr, HostCores: 8, Seed: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return *res.Balanced
+	}
+	accelOnly := balanced(snic.LoadBalancer{SpillQueueThreshold: 1 << 30, HWAssist: true})
+	software := balanced(snic.SoftwareBalancer())
+	hardware := balanced(snic.HardwareBalancer())
 
 	const slo = 300 * snic.Microsecond
 	fmt.Printf("%-28s %10s %14s %10s %12s %8s\n",

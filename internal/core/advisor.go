@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/accel"
 	"repro/internal/netstack"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -215,7 +214,3 @@ func (a *Advisor) AdviseAll(sloP99 sim.Duration) []Recommendation {
 	})
 	return out
 }
-
-// Interface check: the advisor's cost tables depend on the accel package
-// constants staying importable here.
-var _ = accel.StagingCyclesPerTask

@@ -63,7 +63,7 @@ func allocsPerEvent(t *testing.T, w Workload, recorded bool) float64 {
 
 func TestRequestPathAllocsPerEvent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs thirteen simulations")
+		t.Skip("runs fifteen simulations")
 	}
 	point := func(function, variant string, plat Platform, gbps float64) Workload {
 		cfg, err := Lookup(function, variant)
@@ -85,6 +85,15 @@ func TestRequestPathAllocsPerEvent(t *testing.T) {
 	}
 	offload := DefaultOffloadSpec()
 	offload.Trace = BurstyTrace(6, 26, 10, 5, 2*sim.Millisecond)
+	// The throttle wedges the staging queue, so hundreds of requests
+	// retry (743 of 8,146) while their first copies still wait there.
+	ftr := faultTestTrace()
+	throttle := DefaultFaultScenarios(ftr.Duration())[2]
+	faulted := Workload{Kind: WorkloadFaulted, Scenario: &throttle, Router: testRouter(),
+		Trace: ftr, HostCores: 2, Seed: 7}
+	sw := DefaultLoadBalancer()
+	balanced := Workload{Kind: WorkloadBalanced, Balancer: &sw,
+		Trace: BurstyTrace(4, 60, 12, 4, 2*sim.Millisecond), HostCores: 4, Seed: 9}
 	for _, tc := range []struct {
 		driver   string
 		w        Workload
@@ -103,6 +112,7 @@ func TestRequestPathAllocsPerEvent(t *testing.T) {
 		{"crypto→compress→send pipeline", pipeline(CryptoCompressSendPipeline(), DropWhenFull{}, 10), false},
 		// Both datapaths: about 9% of packets take the fast path.
 		{"flow offload", Workload{Kind: WorkloadOffload, Offload: &offload}, false},
+		{"balanced replay under the software balancer", balanced, false},
 		// The same drivers checked and recorded: every hook of the
 		// checker and the recorder fires, and each run's spans are
 		// audited and then dropped at Attach.
@@ -110,6 +120,7 @@ func TestRequestPathAllocsPerEvent(t *testing.T) {
 		{"checked+recorded NAT→IDS pipeline spilling to host", pipeline(NATIDSPipeline(), SpillToHost{}, 40), true},
 		{"checked+recorded crypto→compress→send pipeline", pipeline(CryptoCompressSendPipeline(), DropWhenFull{}, 10), true},
 		{"checked+recorded flow offload", Workload{Kind: WorkloadOffload, Offload: &offload}, true},
+		{"checked+recorded failover replay under a staging throttle", faulted, true},
 	} {
 		got := allocsPerEvent(t, tc.w, tc.recorded)
 		t.Logf("%s: %.4f allocs/event", tc.driver, got)

@@ -121,6 +121,59 @@ func TestCheckedFaultedRuns(t *testing.T) {
 	}
 }
 
+// TestCheckedRecordedBalancedRun puts balanced replays that lose work
+// under checks and telemetry: one sheds at the host queue, the other
+// leaves requests queued for staging past its horizon, where they count
+// as dropped. Each result matches the bare run, and the recorder's
+// request counters balance.
+func TestCheckedRecordedBalancedRun(t *testing.T) {
+	// A monitor cost of 10^7 cycles makes each staging job take
+	// milliseconds, so most requests are still queued at the horizon.
+	stalled := LoadBalancer{SpillQueueThreshold: 1 << 30, MonitorCycles: 1e7, ReactInterval: 100 * sim.Microsecond}
+	for _, tc := range []struct {
+		name string
+		lb   LoadBalancer
+		w    Workload
+	}{
+		{"shed at the host queue", DefaultLoadBalancer(), Workload{Kind: WorkloadBalanced,
+			Trace: BurstyTrace(4, 99, 12, 2, 2*sim.Millisecond), HostCores: 2, Seed: 9}},
+		{"queued past the horizon", stalled, Workload{Kind: WorkloadBalanced,
+			Trace: BurstyTrace(1, 1, 10, 0, sim.Millisecond), Seed: 9}},
+	} {
+		tc.w.Balancer = &tc.lb
+		bare, err := NewRunner().Execute(tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner()
+		r.Checks = true
+		r.Telemetry = obs.NewCollector()
+		got, err := r.Execute(tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got.Balanced != *bare.Balanced {
+			t.Fatalf("%s: checked+recorded balanced run diverged:\n  bare: %+v\n  got:  %+v", tc.name, *bare.Balanced, *got.Balanced)
+		}
+		runs := r.Telemetry.Runs()
+		if len(runs) != 1 {
+			t.Fatalf("%s: %d recorded runs, want 1", tc.name, len(runs))
+		}
+		count := map[string]float64{}
+		for _, c := range runs[0].Manifest().Counters {
+			count[c.Name] = c.Value
+		}
+		sent, done, dropped := count["requests.sent"], count["requests.completed"], count["requests.dropped"]
+		if dropped == 0 || dropped != float64(got.Balanced.Dropped) {
+			t.Fatalf("%s: recorder dropped %v, result dropped %d: the run must lose work and both must agree",
+				tc.name, dropped, got.Balanced.Dropped)
+		}
+		if sent == 0 || sent != done+dropped {
+			t.Fatalf("%s: recorder sent %v != completed %v + dropped %v", tc.name, sent, done, dropped)
+		}
+	}
+}
+
 // A malformed plan must be rejected before anything is armed.
 func TestRunFaultedRejectsInvalidPlan(t *testing.T) {
 	tr := faultTestTrace()

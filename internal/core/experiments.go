@@ -233,14 +233,6 @@ func (r *Runner) ReplayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 	return *res.Replay
 }
 
-// replayTraceMemo is the memoized trace-replay implementation behind
-// Execute and ReplayTrace.
-func (r *Runner) replayTraceMemo(cfg *Config, plat Platform, tr *trace.HyperscalerTrace, seed uint64) TraceReplayResult {
-	return memo(&r.cache, replayKey(cfg, plat, r.TBConfig, tr, seed), func() TraceReplayResult {
-		return r.replayTrace(cfg, plat, tr, seed)
-	})
-}
-
 // replayTrace executes one trace replay on a fresh testbed.
 func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTrace, seed uint64) TraceReplayResult {
 	rkey := replayKey(cfg, plat, r.TBConfig, tr, seed)
@@ -290,7 +282,8 @@ func (ctx *runctx) replay(rates []float64, interval sim.Duration) {
 // replaySource is the replays' client: Poisson arrivals at each
 // interval's rate, none while the rate is zero. An interval starts at
 // the first arrival at or after the previous one's end. On an offload
-// run each packet carries the next flow of the run's decomposition.
+// run each packet carries the next flow of the run's decomposition; on
+// a routed run each request opens its flight as it leaves.
 type replaySource struct {
 	ctx      *runctx
 	rates    []float64
@@ -299,6 +292,9 @@ type replaySource struct {
 	// it ends.
 	i   int
 	end sim.Time
+	// prog, when set, steps once per interval under label.
+	prog  *progressTracker
+	label string
 }
 
 // HandleEvent enters the next interval when the current one has ended,
@@ -315,6 +311,7 @@ func (s *replaySource) HandleEvent(any) {
 			return
 		}
 		s.end = eng.Now().Add(s.interval)
+		s.prog.step(s.label)
 	}
 	rate := s.rates[s.i]
 	if rate <= 0 {
@@ -329,5 +326,8 @@ func (s *replaySource) HandleEvent(any) {
 	}
 	ctx.noteInject(pkt.Seq, size)
 	ctx.tb.Wire.SendToServer(pkt, ctx.ingress)
+	if ctx.router != nil {
+		ctx.routeSent(pkt)
+	}
 	eng.AfterCall(ctx.arrivals.Gap(size, rate*1e9), s, nil)
 }

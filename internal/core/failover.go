@@ -2,14 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/accel"
 	"repro/internal/fault"
-	"repro/internal/invariant"
-	"repro/internal/netstack"
 	"repro/internal/nic"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -54,9 +51,10 @@ func DefaultFailoverPolicy() FailoverPolicy {
 
 // Validate rejects a policy the replay cannot run with a typed
 // *ParamError: a non-positive timeout would arm the retry guard at or
-// before now, and a negative retry count, backoff or watermark or a
+// before now, a negative retry count, backoff or watermark or a
 // non-finite backoff multiplier would wedge or silently disable
-// recovery.
+// recovery, and a retry schedule that overflows sim.Duration would wrap
+// the run's horizon.
 func (p FailoverPolicy) Validate() error {
 	fail := func(param, reason string) error {
 		return &ParamError{Op: "failover policy", Param: param, Reason: reason}
@@ -72,6 +70,9 @@ func (p FailoverPolicy) Validate() error {
 		return fail("BackoffMult", "must be finite")
 	case p.QueueWatermark < 0:
 		return fail("QueueWatermark", "must not be negative")
+	}
+	if _, ok := p.schedule(); !ok {
+		return fail("MaxRetries", "makes the backoff schedule overflow sim.Duration")
 	}
 	return nil
 }
@@ -94,11 +95,29 @@ func (p FailoverPolicy) Backoff(attempt int) sim.Duration {
 // backoff wait. Experiments use it to bound recovery time and to size
 // the post-trace drain.
 func (p FailoverPolicy) MaxDelay() sim.Duration {
-	d := p.Timeout
-	for k := 1; k <= p.MaxRetries; k++ {
-		d += p.Backoff(k) + p.Timeout
-	}
+	d, _ := p.schedule()
 	return d
+}
+
+// schedule sums MaxDelay backoff by backoff, each computed as Backoff
+// computes it, and reports false as soon as a backoff or the sum no
+// longer fits in sim.Duration.
+func (p FailoverPolicy) schedule() (sim.Duration, bool) {
+	const limit = sim.Duration(math.MaxInt64)
+	mult := p.BackoffMult
+	if mult < 1 {
+		mult = 1
+	}
+	d, b := p.Timeout, float64(p.BackoffBase)
+	for k := 1; k <= p.MaxRetries; k++ {
+		// float64(limit) rounds up to 2^63, the first value past it.
+		if b >= float64(limit) || sim.Duration(b) > limit-d-p.Timeout {
+			return d, false
+		}
+		d += sim.Duration(b) + p.Timeout
+		b *= mult
+	}
+	return d, true
 }
 
 // HealthRouter extends the §5.3 LoadBalancer into a health-aware router:
@@ -229,9 +248,8 @@ func faultHorizon(plan *fault.Plan, pol FailoverPolicy, tr *trace.HyperscalerTra
 // scenario's fault plan runs, with the health router steering between
 // the SNIC accelerator and the host CPU and the failover policy's
 // timeout/retry machinery recovering lost requests. A scenario with an
-// empty plan is the fault-free baseline.
-//
-// RunFaulted is a thin adapter over Execute (the unified Workload API).
+// empty plan is the fault-free baseline. It panics on any error
+// Execute returns.
 func (r *Runner) RunFaulted(scn FaultScenario, hr *HealthRouter, tr *trace.HyperscalerTrace, hostCores int, seed uint64) FaultResult {
 	res, err := r.Execute(Workload{Kind: WorkloadFaulted, Scenario: &scn, Router: hr,
 		Trace: tr, HostCores: hostCores, Seed: seed})
@@ -241,38 +259,17 @@ func (r *Runner) RunFaulted(scn FaultScenario, hr *HealthRouter, tr *trace.Hyper
 	return *res.Fault
 }
 
-// runFaultedImpl is the faulted-replay implementation behind
-// Execute and RunFaulted. Execute has validated the router, the policy
-// and the plan; a plan aimed at a component the testbed does not have
-// fails here with a typed *fault.PlanError before anything runs.
-func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.HyperscalerTrace, hostCores int, seed uint64) (FaultResult, error) {
-	cfg := remMTU(trace.RuleSetExecutable)
+// runFaulted replays tr on the routed request path (routed.go) while
+// scn's plan runs. Execute has validated the router, the policy and the
+// plan; a plan aimed at a component the testbed does not have fails
+// here with a typed *fault.PlanError before anything runs.
+func (r *Runner) runFaulted(scn FaultScenario, hr *HealthRouter, tr *trace.HyperscalerTrace, hostCores int, seed uint64) (FaultResult, error) {
 	pol := hr.Policy
-	rkey := fmt.Sprintf("fault|%s|tb:%+v|cores:%d|pol:%+v|lb:%+v|tr:%s|seed:%d",
+	key := fmt.Sprintf("fault|%s|tb:%+v|cores:%d|pol:%+v|lb:%+v|tr:%s|seed:%d",
 		scn.Name, r.TBConfig, hostCores, pol, hr.LB, traceFingerprint(tr), seed)
-	rlabel := fmt.Sprintf("fault %s | cores %d | seed %d", scn.Name, hostCores, seed)
-	seed = r.runSeed(seed)
-	tbc := r.TBConfig
-	tbc.Seed ^= seed
-	if hostCores > 0 {
-		tbc.HostCores = hostCores
-	}
-	tb := NewTestbed(tbc)
-	eng := tb.Eng
-
-	jit := sim.NewRNG(seed ^ 0x1234)
-	arrivals := trace.NewPoissonArrivals(seed ^ 0xabcdef)
-
-	hostPool := tb.HostPool
-	hostPool.JitterSigma = 0
-	hostPool.SetQueueCapacity(4096)
-	staging := tb.StagingPool
-	staging.JitterSigma = 0
-	staging.SetQueueCapacity(4096)
-
-	tb.ActivateSNICPools(0, 1)
-	tb.SetPolling(SNICCPU, true)
-	tb.SetPolling(HostCPU, true)
+	label := fmt.Sprintf("fault %s | cores %d | seed %d", scn.Name, hostCores, seed)
+	ctx := r.newRoutedCtx(hr, hostCores, seed, key, label)
+	tb := ctx.tb
 
 	// Every injectable component registers under a canonical name; plans
 	// reference these names (see DefaultFaultScenarios).
@@ -281,313 +278,70 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 		AddEngine("deflate", tb.Deflate).
 		AddEngine("pka", tb.PKA).
 		AddLink("wire", tb.Wire).
-		AddPool("host", hostPool).
+		AddPool("host", tb.HostPool).
 		AddPool("snic", tb.SNICPool).
-		AddPool("staging", staging).
+		AddPool("staging", tb.StagingPool).
 		AddSensor("bmc", tb.BMC).
 		AddSensor("yoctowatt", tb.YoctoWatt)
-	faultStart := scn.Plan.Start()
-	faultEnd := scn.Plan.End()
+	flog, err := scn.Plan.Arm(tb.Eng, reg, nil)
+	if err != nil {
+		return FaultResult{}, err
+	}
+	n := len(tr.RatesGbps)
+	fo := &failover{ctx: ctx, pol: pol, faulted: !scn.Plan.Empty(),
+		faultStart: scn.Plan.Start(), faultEnd: scn.Plan.End(), interval: tr.Interval,
+		sentBytes: make([]float64, n), doneBytes: make([]float64, n),
+		pre: stats.NewHistogram(), during: stats.NewHistogram(), post: stats.NewHistogram()}
 	// Requests sent while the policy may still be repairing fault-era
 	// damage (draining stalled queues, finishing retry chains) belong to
 	// the fault population; the post population starts once the policy's
 	// own worst-case schedule has provably run out.
-	settleEnd := faultEnd.Add(pol.MaxDelay())
-	span := tr.Duration()
-	horizon := faultHorizon(&scn.Plan, pol, tr)
-	flog, err := scn.Plan.Arm(eng, reg, nil)
-	if err != nil {
-		return FaultResult{}, err
-	}
+	fo.settleEnd = fo.faultEnd.Add(pol.MaxDelay())
+	ctx.fo = fo
 
-	hostProf := netstack.ByKind(netstack.KindDPDK)
-	respSize := cfg.RespSize
-	if respSize <= 0 {
-		respSize = 64
-	}
-
-	// flight tracks one request across retries. done flips on the first
-	// delivered response; stragglers from duplicated serves are ignored.
-	type flight struct {
-		seq       uint64
-		size      int
-		firstSent sim.Time
-		attempts  int
-		done      bool
-		guard     sim.EventID
-		span      obs.SpanID
-	}
-	inflight := make(map[uint64]*flight)
-	var nextSeq uint64
-
-	rec := r.newRecorder(rkey, rlabel)
-	chk := r.newChecker(rlabel)
-	stage := func(root obs.SpanID, name string, start, end sim.Time) {
-		if root != 0 {
-			rec.Span(obs.TrackRequests, name, root, start, end)
-		}
-	}
-
-	nIntervals := len(tr.RatesGbps)
-	sentBytes := make([]float64, nIntervals)
-	doneBytes := make([]float64, nIntervals)
-	intervalOf := func(t sim.Time) int {
-		i := int(t / sim.Time(tr.Interval))
-		if i >= nIntervals {
-			i = nIntervals - 1
-		}
-		return i
-	}
-
-	histAll := stats.NewHistogram()
-	histPre := stats.NewHistogram()
-	histFault := stats.NewHistogram()
-	histPost := stats.NewHistogram()
-
-	var completed, dropped, retries, rescued, failedOver uint64
-	var hostServed, snicServed uint64
-	var lastFaultEraDone sim.Time
-
-	complete := func(f *flight) {
-		if f.done {
-			return
-		}
-		f.done = true
-		rec.Close(f.span, eng.Now())
-		eng.Cancel(f.guard)
-		delete(inflight, f.seq)
-		completed++
-		chk.Complete(f.seq, f.size, eng.Now())
-		lat := eng.Now().Sub(f.firstSent)
-		histAll.Record(lat)
-		switch {
-		case !scn.Plan.Empty() && f.firstSent < faultStart:
-			histPre.Record(lat)
-		case !scn.Plan.Empty() && f.firstSent < settleEnd:
-			histFault.Record(lat)
-			if f.firstSent < faultEnd && eng.Now() > lastFaultEraDone {
-				lastFaultEraDone = eng.Now()
-			}
-		default:
-			histPost.Record(lat)
-		}
-		// Delivered bytes bucket by completion time, so a fault that stalls
-		// the datapath shows as a dip in the intervals it actually starved
-		// (retried requests land their bytes late, where they belong).
-		doneBytes[intervalOf(eng.Now())] += float64(f.size)
-		if f.attempts > 1 {
-			rescued++
-		}
-	}
-
-	respond := func(f *flight) {
-		resp := &nic.Packet{Seq: f.seq, Size: respSize, SentAt: f.firstSent}
-		tb.Wire.SendToClient(resp, func(*nic.Packet) { complete(f) })
-	}
-
-	// ServiceTime (not raw BaseHz math) so an injected core throttle
-	// stretches every service dispatched while it is active.
-	var serveHost func(f *flight)
-	serveHost = func(f *flight) {
-		hostServed++
-		cycles := hostProf.RxCycles(tb.HostSpec.Arch, f.size) +
-			hostProf.TxCycles(tb.HostSpec.Arch, respSize) +
-			cfg.HostBaseCycles + cfg.HostPerByteCycles*float64(f.size)
-		svc := jit.LogNormalDur(hostPool.ServiceTime(cycles), cfg.HostSigma)
-		hostPool.ExecDuration(svc, func(s, e sim.Time) {
-			stage(f.span, spanService, s, e)
-			respond(f)
-		})
-	}
-	serveAccel := func(f *flight) {
-		snicServed++
-		stageCycles := hostProf.RxCycles(tb.SNICSpec.Arch, f.size) + 340 + 0.02*float64(f.size)
-		if !hr.LB.HWAssist {
-			stageCycles += hr.LB.MonitorCycles
-		}
-		svc := jit.LogNormalDur(staging.ServiceTime(stageCycles), 0.15)
-		staging.ExecDuration(svc, func(s, e sim.Time) {
-			stage(f.span, spanStaging, s, e)
-			if err := tb.REM.Submit(f.size, func(es, ee sim.Time) {
-				stage(f.span, spanEngine, es, ee)
-				respond(f)
-			}); err != nil {
-				// Graceful degradation: a task staged into a crashed
-				// engine re-serves on the host instead of being lost.
-				snicServed--
-				failedOver++
-				serveHost(f)
-			}
-		})
-	}
-
-	// The software balancer sees backlog at its react interval; the
-	// hardware one sees it instantly. Health is always instant: a dead
-	// engine NACKs doorbells, which even a software router observes.
-	backlog := func() int { return staging.QueueLen() + tb.REM.QueueLen()*16 }
-	backlogView := 0
-	if !hr.LB.HWAssist {
-		var refresh func()
-		refresh = func() {
-			backlogView = backlog()
-			eng.After(hr.LB.ReactInterval, refresh)
-		}
-		eng.At(0, refresh)
-	}
 	// Failover-specific gauges ride alongside the standard testbed set;
 	// both must be registered before instrumentTestbed starts the sampler.
-	rec.Gauge("failover/engine-healthy", "bool", 0, func() float64 {
+	ctx.rec.Gauge("failover/engine-healthy", "bool", 0, func() float64 {
 		if tb.REM.Health() == accel.Healthy {
 			return 1
 		}
 		return 0
 	})
-	rec.Gauge("failover/inflight", "reqs", 0, func() float64 { return float64(len(inflight)) })
-	rec.Gauge("failover/backlog", "tasks", 0, func() float64 { return float64(backlog()) })
-	instrumentTestbed(tb, rec, chk)
-
-	tb.Sw.Program(func(*nic.Packet) nic.Destination {
-		bl := backlogView
-		if hr.LB.HWAssist {
-			bl = backlog()
-		}
-		return hr.Route(tb.REM.Health(), bl)
+	ctx.rec.Gauge("failover/inflight", "reqs", 0, func() float64 {
+		return float64(uint64(ctx.sent-ctx.done) - ctx.dropped)
 	})
-	tb.Sw.Connect(nic.ToHostCPU, func(p *nic.Packet) {
-		if f := inflight[p.Seq]; f != nil && !f.done {
-			serveHost(f)
-		}
-	})
-	tb.Sw.Connect(nic.ToAccelerator, func(p *nic.Packet) {
-		if f := inflight[p.Seq]; f != nil && !f.done {
-			serveAccel(f)
-		}
-	})
-
-	var send func(f *flight)
-	onTimeout := func(f *flight) {
-		if f.done {
-			return
-		}
-		if f.attempts > pol.MaxRetries {
-			dropped++
-			f.done = true
-			rec.Close(f.span, eng.Now())
-			delete(inflight, f.seq)
-			chk.Drop(f.seq, f.size, eng.Now())
-			return
-		}
-		eng.After(pol.Backoff(f.attempts), func() {
-			if !f.done {
-				send(f)
-			}
-		})
-	}
-	send = func(f *flight) {
-		f.attempts++
-		if f.attempts > 1 {
-			retries++
-		}
-		pkt := &nic.Packet{Seq: f.seq, Size: f.size, SentAt: f.firstSent}
-		tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
-		f.guard = eng.After(pol.Timeout, func() { onTimeout(f) })
-	}
-
-	var total uint64
-	interval := tr.Interval
-	prog := r.newProgress(nIntervals)
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= nIntervals {
-			return
-		}
-		prog.step("fault " + scn.Name)
-		rate := tr.RatesGbps[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				total++
-				f := &flight{seq: nextSeq, size: nicMTU, firstSent: eng.Now()}
-				f.span = rec.Open(obs.TrackRequests, spanRequest, eng.Now())
-				nextSeq++
-				inflight[f.seq] = f
-				chk.Inject(f.seq, f.size, eng.Now())
-				sentBytes[intervalOf(f.firstSent)] += float64(nicMTU)
-				send(f)
-				eng.After(arrivals.Gap(nicMTU, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
-	}
-	eng.At(0, func() { runInterval(0) })
-
-	// The software monitor reschedules itself indefinitely, so RunUntil
-	// the precomputed horizon rather than Run to drain.
-	// Sensors always run during fault replays: a SensorDropout plan needs a
-	// live trace to carve its gap into, and the report surfaces how many
-	// samples the gap swallowed.
-	tb.StartSensors(horizon)
-	eng.RunUntil(horizon)
+	ctx.rec.Gauge("failover/backlog", "tasks", 0, func() float64 { return float64(tb.backlog(EngineREM)) })
+	// Sensors always run during fault replays: a SensorDropout plan needs
+	// a live trace to carve its gap into, and the report surfaces how
+	// many samples the gap swallowed.
+	r.runRouted(ctx, tr, faultHorizon(&scn.Plan, pol, tr), true, label)
+	r.finishChecks(ctx)
+	r.finishRecorder(ctx)
 
 	res := FaultResult{
 		Scenario:           scn.Name,
-		Total:              total,
-		Completed:          completed,
-		Retries:            retries,
-		Rescued:            rescued,
-		FailedOver:         failedOver,
+		Total:              uint64(ctx.sent),
+		Completed:          uint64(ctx.done),
+		Dropped:            ctx.dropped,
+		Retries:            fo.retries,
+		Rescued:            fo.rescued,
+		FailedOver:         ctx.failedOver,
 		Transitions:        len(flog.Transitions),
 		WireFramesLost:     tb.Wire.Lost(),
 		EngineRejected:     tb.REM.Rejected(),
 		BMCMissedSamples:   tb.BMC.MissedSamples(),
 		YoctoMissedSamples: tb.YoctoWatt.MissedSamples(),
 	}
-	// Flights still pending at the horizon never resolved: count them
-	// with the drops rather than pretending they were delivered. Close
-	// spans in sequence order so the exported trace does not depend on
-	// map iteration order.
-	pending := make([]uint64, 0, len(inflight))
-	for seq, f := range inflight {
-		if !f.done {
-			pending = append(pending, seq)
-		}
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	for _, seq := range pending {
-		dropped++
-		rec.Close(inflight[seq].span, eng.Now())
-		chk.Drop(seq, inflight[seq].size, eng.Now())
-	}
-	res.Dropped = dropped
-	if chk != nil {
-		chk.VerifyCounts(total, completed, eng.Now())
-		if err := chk.Finish(eng.Now()); err != nil {
-			panic(err)
-		}
-		// Stragglers are legal here: a request abandoned at its retry
-		// timeout closes its root span while the stale in-service copy
-		// still records a child afterwards.
-		if err := invariant.CheckSpans(rec, invariant.SpanCheckOpts{AllowStragglers: true}); err != nil {
-			panic(err)
-		}
-	}
-	if served := hostServed + snicServed; served > 0 {
-		res.HostShare = float64(hostServed) / float64(served)
+	if served := ctx.hostServed + ctx.snicServed; served > 0 {
+		res.HostShare = float64(ctx.hostServed) / float64(served)
 	}
 	tb.SetHostTrafficShare(res.HostShare)
 	tb.SetEngineUtil(tb.REM.Utilization())
 
 	var doneBits float64
 	res.MinDeliveredFrac = 1
-	for i, sent := range sentBytes {
-		doneBits += doneBytes[i] * 8
+	for i, sent := range fo.sentBytes {
+		doneBits += fo.doneBytes[i] * 8
 		// Interval 0 has no inflow from a predecessor, so its delivered
 		// fraction is structurally short by one latency's worth of mass;
 		// skip it rather than report a phantom dip. Near-idle intervals
@@ -595,37 +349,129 @@ func (r *Runner) runFaultedImpl(scn FaultScenario, hr *HealthRouter, tr *trace.H
 		// are skipped too: with so few samples the fraction is shot noise,
 		// not a throughput dip.
 		if i > 0 && sent >= 16*nicMTU {
-			if frac := doneBytes[i] / sent; frac < res.MinDeliveredFrac {
+			if frac := fo.doneBytes[i] / sent; frac < res.MinDeliveredFrac {
 				res.MinDeliveredFrac = frac
 			}
 		}
 	}
-	res.AvgTputGbps = doneBits / span.Seconds() / 1e9
-	res.P99 = histAll.P99()
-	res.P99Pre = histPre.P99()
-	res.P99Fault = histFault.P99()
-	res.P99Post = histPost.P99()
-	if lastFaultEraDone > faultEnd {
-		res.RecoveryTime = lastFaultEraDone.Sub(faultEnd)
+	res.AvgTputGbps = doneBits / tr.Duration().Seconds() / 1e9
+	res.P99 = ctx.hist.P99()
+	res.P99Pre = fo.pre.P99()
+	res.P99Fault = fo.during.P99()
+	res.P99Post = fo.post.P99()
+	if fo.lastFaultEraDone > fo.faultEnd {
+		res.RecoveryTime = fo.lastFaultEraDone.Sub(fo.faultEnd)
 	}
 	res.AvgPowerW = float64(tb.Power.Server.Power())
-
-	if rec != nil {
-		rec.SetCount("requests.sent", float64(total))
-		rec.SetCount("requests.completed", float64(completed))
-		rec.SetCount("requests.dropped", float64(dropped))
-		rec.SetCount("failover.retries", float64(retries))
-		rec.SetCount("failover.rescued", float64(rescued))
-		rec.SetCount("failover.failed_over", float64(failedOver))
-		rec.SetCount("sensor.bmc.missed", float64(res.BMCMissedSamples))
-		rec.SetCount("sensor.yoctowatt.missed", float64(res.YoctoMissedSamples))
-		// The sensor traces themselves (with any dropout gap) export as
-		// extra series alongside the gauge-sampled power readings.
-		rec.AddSeries("power/bmc-trace", "W", tb.BMC.Period, tb.BMC.Trace.Times, tb.BMC.Trace.Values)
-		rec.AddSeries("power/yoctowatt-trace", "W", tb.YoctoWatt.Period, tb.YoctoWatt.Trace.Times, tb.YoctoWatt.Trace.Values)
-		r.Telemetry.Attach(rec)
-	}
 	return res, nil
+}
+
+// failover is a failover replay's retry machinery and its fault-era
+// bookkeeping. Each request's retry state is its flight in the routed
+// run's table (routed.go).
+type failover struct {
+	ctx *runctx
+	pol FailoverPolicy
+	// faulted is false on the fault-free baseline, whose completions all
+	// land in post.
+	faulted                         bool
+	faultStart, faultEnd, settleEnd sim.Time
+	lastFaultEraDone                sim.Time
+	// sentBytes and doneBytes bucket payload per trace interval by first
+	// send and by completion.
+	interval             sim.Duration
+	sentBytes, doneBytes []float64
+	pre, during, post    *stats.Histogram
+	retries, rescued     uint64
+}
+
+// intervalOf returns the trace interval t falls in.
+//
+//snicvet:hotpath
+func (fo *failover) intervalOf(t sim.Time) int {
+	return min(int(t/sim.Time(fo.interval)), len(fo.sentBytes)-1)
+}
+
+// sent buckets the payload of request f, which the client just put on
+// the wire, and guards it with its first timeout.
+//
+//snicvet:hotpath
+func (fo *failover) sent(f *flight) {
+	fo.sentBytes[fo.intervalOf(f.sent)] += nicMTU
+	fo.arm(f)
+}
+
+// arm counts a send of f's request and guards it with a timeout.
+//
+//snicvet:hotpath
+func (fo *failover) arm(f *flight) {
+	f.attempts++
+	f.guard = fo.ctx.tb.Eng.AfterCall(fo.pol.Timeout, (*retryTimer)(fo), f)
+}
+
+// complete accounts request f's delivered response, lat after its
+// first send: its timeout guard is disarmed, and the latency and bytes
+// land in the fault era the request was first sent in.
+//
+//snicvet:hotpath
+func (fo *failover) complete(f *flight, lat sim.Duration) {
+	now := fo.ctx.tb.Eng.Now()
+	//snicvet:ignore hotpath -- a sweep remakes the cancelled set only once it outgrows the pending events
+	fo.ctx.tb.Eng.Cancel(f.guard)
+	h := fo.post
+	switch {
+	case fo.faulted && f.sent < fo.faultStart:
+		h = fo.pre
+	case fo.faulted && f.sent < fo.settleEnd:
+		h = fo.during
+		if f.sent < fo.faultEnd && now > fo.lastFaultEraDone {
+			fo.lastFaultEraDone = now
+		}
+	}
+	//snicvet:ignore hotpath -- allocates only to format its panic on a negative latency
+	h.Record(lat)
+	// Delivered bytes bucket by completion time, so a fault that stalls
+	// the datapath shows as a dip in the intervals it actually starved
+	// (retried requests land their bytes late, where they belong).
+	fo.doneBytes[fo.intervalOf(now)] += nicMTU
+	if f.attempts > 1 {
+		fo.rescued++
+	}
+}
+
+// retryTimer is a request's one pending timer: the timeout guard of
+// its latest send, or the backoff wait after that guard fired. A timer
+// of a request that already resolved does nothing.
+type retryTimer failover
+
+// HandleEvent ends the flight's backoff with a resend, or acts on its
+// timeout: past the retry budget the request is abandoned, otherwise it
+// waits out its backoff.
+//
+//snicvet:hotpath
+func (h *retryTimer) HandleEvent(arg any) {
+	fo, f := (*failover)(h), arg.(*flight)
+	if f.done {
+		return
+	}
+	ctx := fo.ctx
+	switch {
+	case f.waiting:
+		f.waiting = false
+		fo.retries++
+		p := ctx.newPacket(f.seq, nicMTU, f.root)
+		p.SentAt = f.sent
+		ctx.tb.Wire.SendToServer(p, ctx.ingress)
+		fo.arm(f)
+	case f.attempts > fo.pol.MaxRetries:
+		ctx.dropped++
+		f.done = true
+		ctx.closeRequest(f.root)
+		ctx.noteDrop(f.seq, nicMTU)
+	default:
+		f.waiting = true
+		ctx.tb.Eng.AfterCall(fo.pol.Backoff(f.attempts), h, f)
+	}
 }
 
 // RunFaultedSet replays every scenario, fanning them across the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/accel"
@@ -52,6 +53,22 @@ func TestBackoffSchedule(t *testing.T) {
 	// 5 timeout windows of 300 µs plus the 4 backoffs above.
 	if got, want := pol.MaxDelay(), 3*sim.Millisecond; got != want {
 		t.Fatalf("MaxDelay = %v, want %v", got, want)
+	}
+	// The longest default schedule that fits in sim.Duration is
+	// accepted with its exact sum; one more retry overflows and is
+	// rejected.
+	pol.MaxRetries = 46
+	if err := pol.Validate(); err != nil {
+		t.Fatalf("46 retries rejected: %v", err)
+	}
+	// 47 timeouts plus backoffs of 100 µs × (2^46 − 1).
+	if got, want := pol.MaxDelay(), 47*pol.Timeout+(1<<46-1)*pol.BackoffBase; got != want {
+		t.Fatalf("MaxDelay = %v, want %v", got, want)
+	}
+	pol.MaxRetries = 47
+	var pe *ParamError
+	if !errors.As(pol.Validate(), &pe) || pe.Param != "MaxRetries" {
+		t.Fatalf("47 retries accepted: %v", pol.Validate())
 	}
 }
 

@@ -63,13 +63,6 @@ func (r *Runner) ReplayServer(cfg *Config, plat Platform, rates []float64, inter
 	return *res.Server
 }
 
-// replayServerMemo is the memoized fleet-server implementation behind
-// Execute and ReplayServer.
-func (r *Runner) replayServerMemo(cfg *Config, plat Platform, rates []float64, interval sim.Duration, seed uint64, group string) ServerReplay {
-	key := serverKey(cfg, plat, r.TBConfig, rates, int64(interval), seed, group)
-	return memo(&r.cache, key, func() ServerReplay { return r.replayServer(cfg, plat, rates, interval, seed, key) })
-}
-
 // replayServer executes one fleet-server replay on a fresh testbed.
 func (r *Runner) replayServer(cfg *Config, plat Platform, rates []float64, interval sim.Duration, seed uint64, key string) ServerReplay {
 	tr := &trace.HyperscalerTrace{Interval: interval, RatesGbps: rates}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/flow"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -144,6 +147,70 @@ func FuzzOffloadRun(f *testing.F) {
 		}
 		if res.OccupancyPeak > spec.Table.Capacity {
 			t.Fatalf("occupancy peak %d exceeds capacity %d", res.OccupancyPeak, spec.Table.Capacity)
+		}
+	})
+}
+
+// FuzzFaultedRun is the failover fuzzer: arbitrary (fault kind, window
+// and factor, timeout, retry budget, backoff, watermark, balancer, seed)
+// tuples replay a short trace under checked and recorded execution. A
+// malformed input must come back as a typed error; any other must
+// resolve every request exactly once, completed or dropped, with the
+// checker silent. It is the oracle for late copies: a retry leaves the
+// request's earlier copy in flight, and a copy or timer that fires after
+// its request resolved must leave every request's state alone.
+func FuzzFaultedRun(f *testing.F) {
+	f.Add(uint8(5), uint8(64), uint8(64), uint8(1), uint16(300), uint8(4), uint16(100), uint8(128), uint8(96), true, uint64(1))
+	f.Add(uint8(3), uint8(85), uint8(8), uint8(0), uint16(300), uint8(4), uint16(100), uint8(128), uint8(0), false, uint64(42))
+	f.Add(uint8(0), uint8(40), uint8(90), uint8(16), uint16(20), uint8(7), uint16(5), uint8(200), uint8(4), true, uint64(7))
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint16(0), uint8(0), uint16(0), uint8(0), uint8(0), false, uint64(0))
+
+	targets := map[fault.Kind]string{
+		fault.EngineCrash: "rem", fault.EngineStall: "rem", fault.EngineDegrade: "rem",
+		fault.LinkFlap: "wire", fault.LinkRateCap: "wire",
+		fault.CoreThrottle: "staging", fault.SensorDropout: "bmc",
+	}
+	f.Fuzz(func(t *testing.T, kind, at, window, factor uint8, timeout uint16, retries uint8,
+		backoff uint16, mult, watermark uint8, hw bool, seed uint64) {
+		// 24 intervals of 400 µs, bursting past the engine every sixth.
+		tr := BurstyTrace(2, 60, 24, 6, 400*sim.Microsecond)
+		span := tr.Duration()
+		k := fault.Kind(kind % 7)
+		var scn FaultScenario
+		scn.Plan.Add(fault.Event{
+			At:     sim.Time(span) * sim.Time(at) / 256,
+			For:    span * sim.Duration(window) / 128,
+			Kind:   k,
+			Target: targets[k],
+			// 0 .. ~2: straddles the valid (0,1].
+			Factor: float64(factor) / 128,
+		})
+		lb := DefaultLoadBalancer()
+		if hw {
+			lb = HWLoadBalancer()
+		}
+		hr := NewHealthRouter(lb, FailoverPolicy{
+			Timeout:        sim.Duration(timeout) * sim.Microsecond,
+			MaxRetries:     int(retries % 8),
+			BackoffBase:    sim.Duration(backoff) * sim.Microsecond,
+			BackoffMult:    float64(mult) / 64,
+			QueueWatermark: int(watermark),
+		})
+		r := NewRunner()
+		r.Checks = true
+		r.Telemetry = obs.NewCollector()
+		res, err := r.Execute(Workload{Kind: WorkloadFaulted, Scenario: &scn, Router: hr,
+			Trace: tr, HostCores: 2, Seed: seed})
+		if err != nil {
+			var pe *ParamError
+			var ple *fault.PlanError
+			if !errors.As(err, &pe) && !errors.As(err, &ple) {
+				t.Fatalf("untyped rejection %T: %v", err, err)
+			}
+			return
+		}
+		if f := res.Fault; f.Total == 0 || f.Completed+f.Dropped != f.Total {
+			t.Fatalf("requests leak: completed %d + dropped %d != total %d", f.Completed, f.Dropped, f.Total)
 		}
 	})
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/netstack"
-	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -61,7 +59,9 @@ type BalancedResult struct {
 	HostShare float64
 	// SNICCPUUtil shows the monitoring burden on the SNIC cores.
 	SNICCPUUtil float64
-	Dropped     uint64
+	// Dropped counts requests shed at a full queue or still unresolved
+	// at the run's horizon.
+	Dropped uint64
 }
 
 func (b BalancedResult) String() string {
@@ -92,162 +92,33 @@ func (lb LoadBalancer) Validate() error {
 	return nil
 }
 
-// RunBalanced replays a rate trace of MTU REM packets through the
-// balancer: packets steer to the SNIC accelerator until its backlog
-// crosses the threshold, then spill to the host CPU pool.
-//
-// RunBalanced is a thin adapter over Execute (the unified Workload
-// API); invalid inputs panic with the typed validation error.
-func (r *Runner) RunBalanced(lb LoadBalancer, tr *trace.HyperscalerTrace, hostCores int, seed uint64) BalancedResult {
-	res, err := r.Execute(Workload{Kind: WorkloadBalanced, Balancer: &lb,
-		Trace: tr, HostCores: hostCores, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
-	return *res.Balanced
-}
-
-// runBalancedImpl is the balanced-replay implementation behind Execute
-// and RunBalanced.
-func (r *Runner) runBalancedImpl(lb LoadBalancer, tr *trace.HyperscalerTrace, hostCores int, seed uint64) BalancedResult {
-	cfg := remMTU(trace.RuleSetExecutable)
-	seed = r.runSeed(seed)
-	tbc := r.TBConfig
-	tbc.Seed ^= seed
-	if hostCores > 0 {
-		tbc.HostCores = hostCores
-	}
-	tb := NewTestbed(tbc)
-
-	eng := tb.Eng
-	jit := sim.NewRNG(seed ^ 0x1234)
-	arrivals := trace.NewPoissonArrivals(seed ^ 0xabcdef)
-	hist := stats.NewHistogram()
-	meter := stats.NewMeter(0)
-
-	hostPool := tb.HostPool
-	hostPool.JitterSigma = 0
-	hostPool.SetQueueCapacity(4096)
-	staging := tb.StagingPool
-	staging.JitterSigma = 0
-	staging.SetQueueCapacity(4096)
-
-	// Both sides are powered and ready: this is exactly the paper's
-	// point that reserved host cores cannot sleep (Key Observation 3).
-	tb.ActivateSNICPools(0, 1)
-	tb.SetPolling(SNICCPU, true)
-	tb.SetPolling(HostCPU, true)
-
-	hostProf := netstack.ByKind(netstack.KindDPDK)
-	hostSpec := tb.HostSpec
-	snicSpec := tb.SNICSpec
-
-	var hostServed, snicServed, total uint64
-
-	// backlogView is what the balancer believes the accelerator backlog
-	// is; the software balancer refreshes it every ReactInterval.
-	backlog := func() int { return staging.QueueLen() + tb.REM.QueueLen()*16 }
-	backlogView := 0
-	if !lb.HWAssist {
-		var refresh func()
-		refresh = func() {
-			backlogView = backlog()
-			eng.After(lb.ReactInterval, refresh)
-		}
-		eng.At(0, refresh)
-	}
-
-	record := func(sentAt sim.Time) {
-		hist.Record(eng.Now().Sub(sentAt))
-		meter.Mark(eng.Now(), nicMTU)
-	}
-
-	serveHost := func(pkt *nic.Packet) {
-		hostServed++
-		cycles := hostProf.RxCycles(hostSpec.Arch, pkt.Size) +
-			hostProf.TxCycles(hostSpec.Arch, 32) +
-			cfg.HostBaseCycles + cfg.HostPerByteCycles*float64(pkt.Size)
-		svc := jit.LogNormalDur(sim.Cycles(cycles/hostSpec.IPC, hostSpec.BaseHz), cfg.HostSigma)
-		hostPool.ExecDuration(svc, func(_, _ sim.Time) { record(pkt.SentAt) })
-	}
-	serveAccel := func(pkt *nic.Packet) {
-		snicServed++
-		stage := hostProf.RxCycles(snicSpec.Arch, pkt.Size) + 340 + 0.02*float64(pkt.Size)
-		if !lb.HWAssist {
-			stage += lb.MonitorCycles
-		}
-		svc := jit.LogNormalDur(sim.Cycles(stage/snicSpec.IPC, snicSpec.BaseHz), 0.15)
-		staging.ExecDuration(svc, func(_, _ sim.Time) {
-			if err := tb.REM.Submit(pkt.Size, func(_, _ sim.Time) { record(pkt.SentAt) }); err != nil {
-				// A crashed engine rejects the task; spill it to the host
-				// instead of losing the packet.
-				snicServed--
-				serveHost(pkt)
-			}
-		})
-	}
-
-	tb.Sw.Program(func(p *nic.Packet) nic.Destination {
-		bl := backlogView
-		if lb.HWAssist {
-			bl = backlog()
-		}
-		if bl > lb.SpillQueueThreshold {
-			return nic.ToHostCPU
-		}
-		return nic.ToAccelerator
-	})
-	tb.Sw.Connect(nic.ToHostCPU, serveHost)
-	tb.Sw.Connect(nic.ToAccelerator, serveAccel)
-
-	// Host-share of traffic for the power model's io-traffic term is
-	// finalized after the run.
-	var lastSend sim.Time
-	interval := tr.Interval
-	prog := r.newProgress(len(tr.RatesGbps))
-	balLabel := fmt.Sprintf("balanced hw=%v", lb.HWAssist)
-	var runInterval func(i int)
-	runInterval = func(i int) {
-		if i >= len(tr.RatesGbps) {
-			lastSend = eng.Now()
-			return
-		}
-		prog.step(balLabel)
-		rate := tr.RatesGbps[i]
-		end := eng.Now().Add(interval)
-		var submit func()
-		submit = func() {
-			if eng.Now() >= end {
-				runInterval(i + 1)
-				return
-			}
-			if rate > 0 {
-				total++
-				pkt := &nic.Packet{Size: nicMTU, SentAt: eng.Now()}
-				tb.Wire.SendToServer(pkt, tb.Sw.Ingress)
-				eng.After(arrivals.Gap(nicMTU, rate*1e9), submit)
-			} else {
-				eng.At(end, submit)
-			}
-		}
-		submit()
-	}
-	eng.At(0, func() { runInterval(0) })
-	// The software monitor reschedules itself indefinitely, so run to a
-	// horizon (trace span plus a generous drain) rather than to drain.
+// runBalanced replays tr through the balancer on the routed request
+// path (routed.go): packets steer to the SNIC accelerator until its
+// backlog crosses the threshold, then spill to the host CPU pool.
+func (r *Runner) runBalanced(lb LoadBalancer, tr *trace.HyperscalerTrace, hostCores int, seed uint64) BalancedResult {
+	key := fmt.Sprintf("balanced|tb:%+v|cores:%d|lb:%+v|tr:%s|seed:%d",
+		r.TBConfig, hostCores, lb, traceFingerprint(tr), seed)
+	label := fmt.Sprintf("balanced hw=%v spill=%d | cores %d | seed %d",
+		lb.HWAssist, lb.SpillQueueThreshold, hostCores, seed)
+	ctx := r.newRoutedCtx(&HealthRouter{LB: lb}, hostCores, seed, key, label)
+	ctx.meter = stats.NewMeter(0)
+	// A horizon of the trace span plus a generous drain.
 	horizon := sim.Time(tr.Duration()) + sim.Time(200*sim.Millisecond)
-	eng.RunUntil(horizon)
+	r.runRouted(ctx, tr, horizon, false, label)
+	r.finishChecks(ctx)
+	r.finishRecorder(ctx)
 
-	res := BalancedResult{Balancer: lb, P99: hist.P99(), Dropped: hostPool.Dropped() + staging.Dropped()}
-	if total > 0 {
-		res.HostShare = float64(hostServed) / float64(total)
+	tb := ctx.tb
+	res := BalancedResult{Balancer: lb, P99: ctx.hist.P99(), Dropped: ctx.dropped}
+	if ctx.sent > 0 {
+		res.HostShare = float64(ctx.hostServed) / float64(ctx.sent)
 	}
 	tb.SetHostTrafficShare(res.HostShare)
 	tb.SetEngineUtil(tb.REM.Utilization())
-	meter.Close(lastSend)
-	res.AvgTputGbps = meter.Gbps()
+	ctx.meter.Close(ctx.lastSend)
+	res.AvgTputGbps = ctx.meter.Gbps()
 	res.AvgPowerW = float64(tb.Power.Server.Power())
-	res.SNICCPUUtil = staging.Utilization()
+	res.SNICCPUUtil = tb.StagingPool.Utilization()
 	return res
 }
 

@@ -4,7 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
+
+// runBalanced replays tr through lb on r's testbed via Execute.
+func runBalanced(t *testing.T, r *Runner, lb LoadBalancer, tr *trace.HyperscalerTrace, hostCores int, seed uint64) BalancedResult {
+	t.Helper()
+	res, err := r.Execute(Workload{Kind: WorkloadBalanced, Balancer: &lb, Trace: tr, HostCores: hostCores, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *res.Balanced
+}
 
 func TestBurstyTraceShape(t *testing.T) {
 	tr := BurstyTrace(1, 80, 12, 4, 300*sim.Microsecond)
@@ -42,7 +53,7 @@ func TestRunBalancedSpillsBurstsToHost(t *testing.T) {
 	// hardware balancer must spill part of the load to the host.
 	tr := BurstyTrace(1, 80, 20, 4, 300*sim.Microsecond)
 	r := NewRunner()
-	res := r.RunBalanced(HWLoadBalancer(), tr, 4, 3)
+	res := runBalanced(t, r, HWLoadBalancer(), tr, 4, 3)
 	if res.HostShare <= 0 {
 		t.Fatal("bursts above engine capacity never spilled to the host")
 	}
@@ -57,7 +68,7 @@ func TestRunBalancedSpillsBurstsToHost(t *testing.T) {
 func TestRunBalancedStaysOnAccelAtLowRate(t *testing.T) {
 	tr := BurstyTrace(1, 1, 16, 0, 300*sim.Microsecond)
 	r := NewRunner()
-	res := r.RunBalanced(HWLoadBalancer(), tr, 4, 3)
+	res := runBalanced(t, r, HWLoadBalancer(), tr, 4, 3)
 	if res.HostShare != 0 {
 		t.Fatalf("low-rate trace sent %.1f%% to the host; the accelerator alone handles 1 Gb/s",
 			res.HostShare*100)
@@ -73,8 +84,8 @@ func TestSoftwareBalancerBurnsSNICCycles(t *testing.T) {
 	// balancer does not.
 	tr := BurstyTrace(4, 4, 16, 0, 300*sim.Microsecond)
 	r := NewRunner()
-	sw := r.RunBalanced(DefaultLoadBalancer(), tr, 4, 3)
-	hw := r.RunBalanced(HWLoadBalancer(), tr, 4, 3)
+	sw := runBalanced(t, r, DefaultLoadBalancer(), tr, 4, 3)
+	hw := runBalanced(t, r, HWLoadBalancer(), tr, 4, 3)
 	if sw.SNICCPUUtil <= hw.SNICCPUUtil {
 		t.Fatalf("software monitor util %.3f not above hardware %.3f", sw.SNICCPUUtil, hw.SNICCPUUtil)
 	}

@@ -240,9 +240,9 @@ func TestLoadBalancerStrategy(t *testing.T) {
 	}
 	r := NewRunner()
 	tr := BurstyTrace(5, 72, 60, 6, 2*sim.Millisecond)
-	accelOnly := r.RunBalanced(LoadBalancer{SpillQueueThreshold: 1 << 30, HWAssist: true}, tr, 8, 1)
-	sw := r.RunBalanced(DefaultLoadBalancer(), tr, 8, 1)
-	hw := r.RunBalanced(HWLoadBalancer(), tr, 8, 1)
+	accelOnly := runBalanced(t, r, LoadBalancer{SpillQueueThreshold: 1 << 30, HWAssist: true}, tr, 8, 1)
+	sw := runBalanced(t, r, DefaultLoadBalancer(), tr, 8, 1)
+	hw := runBalanced(t, r, HWLoadBalancer(), tr, 8, 1)
 
 	const slo = 300 * sim.Microsecond
 	if accelOnly.P99 <= slo {

@@ -266,11 +266,6 @@ func (r *Runner) OffloadExperiment(spec OffloadSpec, policies []OffloadPolicy) [
 	return out
 }
 
-// runOffloadMemo is the memoized offload implementation behind Execute.
-func (r *Runner) runOffloadMemo(spec *OffloadSpec) OffloadResult {
-	return memo(&r.cache, offloadKey(spec, r.TBConfig), func() OffloadResult { return r.runOffload(spec) })
-}
-
 // runOffload executes one offload run on a fresh testbed: a replay whose
 // packets carry flows and whose eSwitch steers each to the hardware fast
 // path or the SNIC cores' software slow path.

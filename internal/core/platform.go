@@ -301,6 +301,23 @@ func (tb *Testbed) engineQueueLen(e EngineKind) int {
 	return 0
 }
 
+// backlog is an engine path's pending work as a spill watermark sees
+// it: tasks waiting for a staging core plus the engine's queued
+// batches, each counted as 16 tasks.
+//
+//snicvet:hotpath
+func (tb *Testbed) backlog(e EngineKind) int {
+	return tb.StagingPool.QueueLen() + tb.engineQueueLen(e)*16
+}
+
+// stagingCycles is a staging core's cost to stage one task of size
+// bytes into an engine, on top of rx cycles of receive work.
+//
+//snicvet:hotpath
+func stagingCycles(rx float64, size int) float64 {
+	return rx + accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(size)
+}
+
 // engineUtilization reads an engine's utilization.
 func (tb *Testbed) engineUtilization(e EngineKind) float64 {
 	switch e {
@@ -328,10 +345,4 @@ func (tb *Testbed) engineRateBits(e EngineKind, algo accel.PKAAlgo, opBytes int)
 		return tb.PKA.OpRate[algo] * float64(opBytes) * 8
 	}
 	return 30e9
-}
-
-// StartSensors begins power sampling until the given time.
-func (tb *Testbed) StartSensors(until sim.Time) {
-	tb.BMC.Start(until)
-	tb.YoctoWatt.Start(until)
 }

@@ -10,23 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// The per-request record of every run family on runctx (all but the
-// failover and balanced replays). A request crosses up to a dozen hops
-// (wire, switch, stack, core queue, engine batch, return wire); a
-// closure per hop would cost every simulated request about eleven heap
-// objects. Instead each in-flight request owns one pooled record
-// holding its state between hops. Timed hops are engine handlers
-// that are the record under another type ((*cpuRx)(r) and friends, the
-// idiom of sim's linkHead), and job, engine and wire completions resume
-// the record through its two callbacks, bound once when the record is
-// built. Client packets and records come from per-run free lists, so a
-// warm run allocates nothing per request.
+// The per-request record of every run family, all on runctx. A request
+// crosses up to a dozen hops (wire, switch, stack, core queue, engine
+// batch, return wire); a closure per hop would cost every simulated
+// request about eleven heap objects. Instead each in-flight request
+// owns one pooled record holding its state between hops. Timed hops are
+// engine handlers that are the record under another type ((*cpuRx)(r)
+// and friends, the idiom of sim's linkHead), and job, engine and wire
+// completions resume the record through its two callbacks, bound once
+// when the record is built. Client packets and records come from
+// per-run free lists, so a warm run allocates nothing per request.
 //
 // A net-served request steps through its run's phases (see
 // PipelineSpec): point runs, Table 4 and fleet replays execute the
 // single phase PipelineFromConfig builds, pipelines their whole chain.
 // The record carries the phase index, the phase's input size and
-// whether the fallback policy spilled the phase to a host core.
+// whether the fallback policy spilled the phase to a host core. A
+// routed replay's request takes one of two routes instead (routed.go).
 
 // request is one in-flight request.
 type request struct {
@@ -80,6 +80,11 @@ const (
 	hopCommanded // the command reached the target
 	hopStored    // the data block reached the initiator
 	hopCompleted // the initiator processed the completion
+	// Routed replays (routed.go).
+	hopRouteHost     // host-core service
+	hopRouteStaged   // staging-core work ahead of REM
+	hopRouteEngined  // REM retired the task
+	hopRouteReturned // the failover response reached the client
 )
 
 // newRequest takes a record off the run's free list, building one when
@@ -173,6 +178,14 @@ func (r *request) exec(pool *cpu.Pool, next hop, svc sim.Duration) {
 		ctx.ctl.NoteDrop()
 		//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
 		ctx.chk.FlowSlowDrop(r.seq, ctx.tb.Eng.Now())
+	case hopRouteHost, hopRouteStaged:
+		if ctx.fo != nil {
+			// Only this copy ends: its request's timeout guard retries.
+			ctx.release(r)
+			return
+		}
+		ctx.flight(r.seq).done = true
+		ctx.dropped++
 	}
 	ctx.noteDrop(r.seq, r.size)
 	ctx.release(r)
@@ -253,6 +266,23 @@ func (r *request) onJob(start, end sim.Time) {
 		ctx.tb.Eng.AfterCall(ctx.ep.FixedDelay()+ctx.extraLatency(), (*ioCommand)(r), nil)
 	case hopCompleted:
 		r.finish()
+	case hopRouteHost:
+		ctx.stage(r.root, spanService, start, end)
+		ctx.routeServed(r)
+	case hopRouteStaged:
+		ctx.stage(r.root, spanStaging, start, end)
+		r.hop = hopRouteEngined
+		//snicvet:ignore hotpath -- allocates only the typed error a crashed engine rejects the task with
+		if ctx.tb.REM.Submit(r.size, r.jobDone) != nil {
+			// Graceful degradation: a task staged into a crashed engine
+			// re-serves on the host instead of being lost.
+			ctx.snicServed--
+			ctx.failedOver++
+			ctx.serveHost(r)
+		}
+	case hopRouteEngined:
+		ctx.stage(r.root, spanEngine, start, end)
+		ctx.routeServed(r)
 	default:
 		panic("core: job completion on a request not waiting for one")
 	}
@@ -278,6 +308,8 @@ func (r *request) onArrival(*nic.Packet) {
 		// Completion interrupt/poll on the initiator.
 		spec := ctx.tb.SpecFor(ctx.plat)
 		r.exec(ctx.pool, hopCompleted, sim.Cycles(600/spec.IPC, spec.BaseHz))
+	case hopRouteReturned:
+		ctx.routeDone(r)
 	default:
 		panic("core: packet arrival on a request not waiting for one")
 	}
@@ -330,9 +362,8 @@ func (ctx *runctx) startPhase(r *request) {
 		ctx.execPhase(r, ctx.tb.PoolFor(ph.platform()), hopServed, r.svc)
 		return
 	}
-	staging := ctx.tb.StagingPool
 	r.mark = now
-	if ctx.pol.Spill(ph, staging.QueueLen()+ctx.tb.engineQueueLen(ph.Engine)*16, ph.queueCap()) {
+	if ctx.pol.Spill(ph, ctx.tb.backlog(ph.Engine), ph.queueCap()) {
 		// Host software path: the phase's spill cost model on a host
 		// core, then the request continues as if the engine had run.
 		r.spilled = true
@@ -344,10 +375,8 @@ func (ctx *runctx) startPhase(r *request) {
 	if r.phase == 0 {
 		cycles = ctx.prof.RxCycles(spec.Arch, r.in)
 	}
-	cycles += accel.StagingCyclesPerTask
-	cycles += accel.StagingCyclesPerByte * float64(r.in)
-	cycles += 100
-	ctx.execPhase(r, staging, hopStaged, ctx.jit.LogNormalDur(sim.Cycles(cycles/spec.IPC, spec.BaseHz), 0.15))
+	cycles = stagingCycles(cycles, r.in) + 100
+	ctx.execPhase(r, ctx.tb.StagingPool, hopStaged, ctx.jit.LogNormalDur(sim.Cycles(cycles/spec.IPC, spec.BaseHz), 0.15))
 }
 
 // execPhase enters the request into its phase's ledger and submits the

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/accel"
 	"repro/internal/cpu"
 	"repro/internal/flow"
 	"repro/internal/invariant"
@@ -122,7 +121,8 @@ func (r *Runner) Sims() uint64 { return r.sims.Load() }
 func (r *Runner) CacheStats() (hits, misses uint64) { return r.cache.stats() }
 
 // runctx is the per-run wiring every run family shares: point runs,
-// pipelines, Table 4 and fleet replays, and flow offload.
+// pipelines, Table 4 and fleet replays, flow offload, and the balanced
+// and failover replays.
 type runctx struct {
 	tb   *Testbed
 	cfg  *Config // the point or replay config; nil on pipeline and offload runs
@@ -182,6 +182,17 @@ type runctx struct {
 	ctl        *flow.Controller
 	asn        *trace.FlowAssigner
 	fast, slow uint64
+
+	// The routed replays (see routed.go): the router, the backlog the
+	// software balancer last read, the copies each side served, those a
+	// crashed engine handed to the host, the requests dropped, and each
+	// request's flight. fo is the failover replay's retry machinery.
+	router                             *HealthRouter
+	view                               int
+	hostServed, snicServed, failedOver uint64
+	dropped                            uint64
+	flights                            []*[flightChunk]flight
+	fo                                 *failover
 }
 
 // noteSent records a request issue; at the final request it arranges the
@@ -209,14 +220,6 @@ func (r *Runner) Run(cfg *Config, plat Platform, opts RunOpts) Measurement {
 		panic(err)
 	}
 	return *res.Point
-}
-
-// runPoint is the memoized point-measurement implementation behind
-// Execute and Run.
-func (r *Runner) runPoint(cfg *Config, plat Platform, opts RunOpts) Measurement {
-	return memo(&r.cache, runKey(cfg, plat, r.TBConfig, opts), func() Measurement {
-		return r.simulate(cfg, plat, opts)
-	})
 }
 
 // runSeed folds the testbed's master seed into one run's seed. The
@@ -779,8 +782,7 @@ func (r *Runner) estimateCapacityGbps(cfg *Config, plat Platform) float64 {
 	if plat == SNICAccel {
 		engineBits := tb.engineRateBits(cfg.Engine, cfg.PKAAlgo, cfg.LocalOpBytes)
 		spec := tb.SNICSpec
-		stageCycles := netstack.ByKind(cfg.Stack).RxCycles(spec.Arch, meanReq) +
-			accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(meanReq) + 100
+		stageCycles := stagingCycles(netstack.ByKind(cfg.Stack).RxCycles(spec.Arch, meanReq), meanReq) + 100
 		stageTime := sim.Cycles(stageCycles/spec.IPC, spec.BaseHz)
 		stageBits := float64(tb.StagingPool.Cores()) / stageTime.Seconds() * float64(meanReq) * 8
 		return math.Min(math.Min(engineBits, stageBits)/1e9, lineGbps)

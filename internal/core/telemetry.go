@@ -105,8 +105,12 @@ func (r *Runner) finishRecorder(ctx *runctx) {
 	}
 	rec.SetCount("requests.sent", float64(ctx.sent))
 	rec.SetCount("requests.completed", float64(ctx.done))
-	rec.SetCount("pool.shed", float64(ctx.pool.Dropped()))
-	rec.SetCount("wire.lost", float64(ctx.tb.Wire.Lost()))
+	if ctx.router != nil {
+		rec.SetCount("requests.dropped", float64(ctx.dropped))
+	} else {
+		rec.SetCount("pool.shed", float64(ctx.pool.Dropped()))
+		rec.SetCount("wire.lost", float64(ctx.tb.Wire.Lost()))
+	}
 	if ctx.phaseSpans != nil {
 		// Per-phase accounting lands in the registry so manifests show
 		// where the fallback policy routed work, phase by phase.
@@ -120,9 +124,23 @@ func (r *Runner) finishRecorder(ctx *runctx) {
 	if ctx.tbl != nil {
 		ctx.flowCounters(rec.Metrics().Scope("flow"))
 	}
+	if fo := ctx.fo; fo != nil {
+		// The failover accounting, and the sensor traces with any dropout
+		// gap as series beside the gauge-sampled power readings.
+		tb := ctx.tb
+		rec.SetCount("failover.retries", float64(fo.retries))
+		rec.SetCount("failover.rescued", float64(fo.rescued))
+		rec.SetCount("failover.failed_over", float64(ctx.failedOver))
+		rec.SetCount("sensor.bmc.missed", float64(tb.BMC.MissedSamples()))
+		rec.SetCount("sensor.yoctowatt.missed", float64(tb.YoctoWatt.MissedSamples()))
+		rec.AddSeries("power/bmc-trace", "W", tb.BMC.Period, tb.BMC.Trace.Times, tb.BMC.Trace.Values)
+		rec.AddSeries("power/yoctowatt-trace", "W", tb.YoctoWatt.Period, tb.YoctoWatt.Trace.Times, tb.YoctoWatt.Trace.Values)
+	}
 	// The recorder's gauges keep the testbed, and through its sinks this
-	// run, alive until export: let the drained run's free lists go.
+	// run, alive until export: let the drained run's free lists, and a
+	// routed run's flight table, go.
 	ctx.freeReqs, ctx.freePkts = nil, nil
+	ctx.flights = nil
 	r.Telemetry.Attach(rec)
 }
 

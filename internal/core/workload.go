@@ -12,8 +12,9 @@ import (
 // points (Run, ReplayTrace, ReplayServer, RunFaulted, RunBalanced);
 // pipelines would have been a sixth. Workload is the single spec that
 // subsumes them: Execute validates it with typed errors and dispatches
-// to the same memoized implementations the legacy methods use, so the
-// legacy methods are now thin adapters and their results byte-identical.
+// to each family's implementation. Run, ReplayTrace, ReplayServer and
+// RunFaulted remain as wrappers over Execute that panic on its error,
+// for drivers whose inputs are known good.
 
 // WorkloadKind selects a run family.
 type WorkloadKind string
@@ -33,7 +34,7 @@ const (
 	// router — the legacy Runner.RunFaulted.
 	WorkloadFaulted WorkloadKind = "faulted"
 	// WorkloadBalanced replays a trace under the host/SNIC load
-	// balancer — the legacy Runner.RunBalanced.
+	// balancer.
 	WorkloadBalanced WorkloadKind = "balanced"
 	// WorkloadPipeline measures a multi-phase pipeline at one operating
 	// point.
@@ -274,9 +275,11 @@ func validTrace(kind WorkloadKind, tr *trace.HyperscalerTrace) error {
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Execute validates w and runs it, returning the family's result in the
-// matching Result field. Every family is memoized and byte-identical at
-// any parallelism, exactly as through the legacy entry points (which
-// are now adapters over this method).
+// matching Result field. Results are byte-identical at any parallelism.
+// Point, replay, server and offload runs are memoized, so a repeat is
+// served from the cache. Faulted and balanced replays never repeat
+// within an invocation and are not memoized; pipeline and saturation
+// runs memoize their operating points (pipelinerun.go).
 func (r *Runner) Execute(w Workload) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
@@ -284,22 +287,29 @@ func (r *Runner) Execute(w Workload) (Result, error) {
 	res := Result{Kind: w.Kind}
 	switch w.Kind {
 	case WorkloadPoint:
-		m := r.runPoint(w.Config, w.Platform, w.Opts)
+		m := memo(&r.cache, runKey(w.Config, w.Platform, r.TBConfig, w.Opts), func() Measurement {
+			return r.simulate(w.Config, w.Platform, w.Opts)
+		})
 		res.Point = &m
 	case WorkloadReplay:
-		t := r.replayTraceMemo(w.Config, w.Platform, w.Trace, w.Seed)
+		t := memo(&r.cache, replayKey(w.Config, w.Platform, r.TBConfig, w.Trace, w.Seed), func() TraceReplayResult {
+			return r.replayTrace(w.Config, w.Platform, w.Trace, w.Seed)
+		})
 		res.Replay = &t
 	case WorkloadServer:
-		s := r.replayServerMemo(w.Config, w.Platform, w.Rates, w.Interval, w.Seed, w.Group)
+		key := serverKey(w.Config, w.Platform, r.TBConfig, w.Rates, int64(w.Interval), w.Seed, w.Group)
+		s := memo(&r.cache, key, func() ServerReplay {
+			return r.replayServer(w.Config, w.Platform, w.Rates, w.Interval, w.Seed, key)
+		})
 		res.Server = &s
 	case WorkloadFaulted:
-		f, err := r.runFaultedImpl(*w.Scenario, w.Router, w.Trace, w.HostCores, w.Seed)
+		f, err := r.runFaulted(*w.Scenario, w.Router, w.Trace, w.HostCores, w.Seed)
 		if err != nil {
 			return Result{}, err
 		}
 		res.Fault = &f
 	case WorkloadBalanced:
-		b := r.runBalancedImpl(*w.Balancer, w.Trace, w.HostCores, w.Seed)
+		b := r.runBalanced(*w.Balancer, w.Trace, w.HostCores, w.Seed)
 		res.Balanced = &b
 	case WorkloadPipeline:
 		p := r.RunPipeline(w.Pipeline, w.Opts)
@@ -308,7 +318,7 @@ func (r *Runner) Execute(w Workload) (Result, error) {
 		s := r.SaturationSearch(w.Pipeline, w.Saturation)
 		res.Saturation = &s
 	case WorkloadOffload:
-		o := r.runOffloadMemo(w.Offload)
+		o := memo(&r.cache, offloadKey(w.Offload, r.TBConfig), func() OffloadResult { return r.runOffload(w.Offload) })
 		res.Offload = &o
 	}
 	return res, nil

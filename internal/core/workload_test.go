@@ -30,19 +30,6 @@ func TestExecutePointMatchesRun(t *testing.T) {
 	}
 }
 
-func TestExecuteBalancedMatchesRunBalanced(t *testing.T) {
-	tr := BurstyTrace(4, 60, 12, 4, 2*sim.Millisecond)
-	lb := HWLoadBalancer()
-	legacy := NewRunner().RunBalanced(lb, tr, 4, 9)
-	res, err := NewRunner().Execute(Workload{Kind: WorkloadBalanced, Balancer: &lb, Trace: tr, HostCores: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*res.Balanced, legacy) {
-		t.Fatalf("Execute diverges from RunBalanced:\n execute: %+v\n legacy:  %+v", *res.Balanced, legacy)
-	}
-}
-
 func TestExecuteReplayMatchesReplayTrace(t *testing.T) {
 	cfg, err := Lookup("rem", "file_executable")
 	if err != nil {
@@ -227,6 +214,13 @@ func TestFaultedWorkloadValidation(t *testing.T) {
 		{"negative retries", faulted(func(_ *FaultScenario, hr *HealthRouter) { hr.Policy.MaxRetries = -1 }), true, &pe},
 		{"infinite backoff multiplier", faulted(func(_ *FaultScenario, hr *HealthRouter) {
 			hr.Policy.BackoffMult = math.Inf(1)
+		}), true, &pe},
+		// Retry schedules whose MaxDelay wraps sim.Duration: negative
+		// (47 retries, or a 1e300 multiplier) or a 150-year horizon (48).
+		{"47 retries overflow the schedule", faulted(func(_ *FaultScenario, hr *HealthRouter) { hr.Policy.MaxRetries = 47 }), true, &pe},
+		{"48 retries overflow the schedule", faulted(func(_ *FaultScenario, hr *HealthRouter) { hr.Policy.MaxRetries = 48 }), true, &pe},
+		{"huge multiplier overflows the schedule", faulted(func(_ *FaultScenario, hr *HealthRouter) {
+			hr.Policy.BackoffMult, hr.Policy.MaxRetries = 1e300, 2
 		}), true, &pe},
 		{"non-positive fault window", faulted(func(scn *FaultScenario, _ *HealthRouter) { scn.Plan.Events[0].For = 0 }), true, &ple},
 		{"unknown plan target", faulted(func(scn *FaultScenario, _ *HealthRouter) { scn.Plan.Events[0].Target = "nope" }), false, &ple},

@@ -12,9 +12,8 @@ import (
 // Multi-phase pipelines and the unified Workload API. A request can
 // traverse several phases — host cores, SNIC cores, fixed-function
 // engines — with a fallback policy deciding what happens when an
-// accelerator's queue fills. Workload subsumes the older per-family
-// entry points (Run, RunBalanced, RunFaulted, ...) behind one
-// validated Execute call.
+// accelerator's queue fills. Workload puts every run family behind
+// one validated Execute call.
 
 // Workload is the unified run spec; Execute dispatches on its Kind.
 type Workload = core.Workload

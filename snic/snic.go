@@ -276,22 +276,6 @@ func (t *Testbed) MaxThroughput(b *Benchmark, p Platform) Measurement {
 	return t.runner.MaxThroughput(b, p)
 }
 
-// Run measures one fixed operating point (offered rate in Gb/s of
-// request payload; ignored by closed-loop benchmarks).
-//
-// Deprecated: Run is the point-workload adapter kept for
-// compatibility; new code should build a Workload (WorkloadPoint) and
-// call Execute, which validates inputs with typed errors. Results are
-// byte-identical either way.
-func (t *Testbed) Run(b *Benchmark, p Platform, offeredGbps float64, requests int) Measurement {
-	opts := core.DefaultRunOpts()
-	if requests > 0 {
-		opts.Requests = requests
-	}
-	opts.OfferedGbps = offeredGbps
-	return t.runner.Run(b, p, opts)
-}
-
 // Fig4 reproduces the paper's headline figure over the whole catalog.
 // This runs dozens of max-throughput searches; expect tens of seconds.
 func (t *Testbed) Fig4() []Fig4Row { return t.runner.Fig4() }
@@ -367,15 +351,6 @@ func SoftwareBalancer() LoadBalancer { return core.DefaultLoadBalancer() }
 // balancer (free monitoring, per-packet redirection).
 func HardwareBalancer() LoadBalancer { return core.HWLoadBalancer() }
 
-// RunBalanced replays a rate trace through the balancer.
-//
-// Deprecated: RunBalanced is the balanced-workload adapter kept for
-// compatibility; new code should build a Workload (WorkloadBalanced)
-// and call Execute. Results are byte-identical either way.
-func (t *Testbed) RunBalanced(lb LoadBalancer, tr *trace.HyperscalerTrace, hostCores int, seed uint64) BalancedResult {
-	return t.runner.RunBalanced(lb, tr, hostCores, seed)
-}
-
 // BurstyTrace builds a synthetic bursty rate trace for balancer studies.
 func BurstyTrace(baseGbps, burstGbps float64, points, burstEvery int, interval Duration) *trace.HyperscalerTrace {
 	return core.BurstyTrace(baseGbps, burstGbps, points, burstEvery, interval)
@@ -407,16 +382,6 @@ func NewHealthRouter(lb LoadBalancer, pol FailoverPolicy) *HealthRouter {
 // crash, link flap, SNIC core throttle) placed relative to a trace span.
 func DefaultFaultScenarios(span Duration) []FaultScenario {
 	return core.DefaultFaultScenarios(span)
-}
-
-// RunFaulted replays a trace while a fault scenario runs, with failover.
-// A scenario with an empty plan is the fault-free baseline.
-//
-// Deprecated: RunFaulted is the faulted-workload adapter kept for
-// compatibility; new code should build a Workload (WorkloadFaulted)
-// and call Execute. Results are byte-identical either way.
-func (t *Testbed) RunFaulted(scn FaultScenario, hr *HealthRouter, tr *trace.HyperscalerTrace, hostCores int, seed uint64) FaultResult {
-	return t.runner.RunFaulted(scn, hr, tr, hostCores, seed)
 }
 
 // RunFaultedSet replays every scenario, fanning them across the

@@ -4,8 +4,23 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/snic"
 )
+
+// point measures b on p at a fixed operating point through Execute,
+// with the default run options otherwise.
+func point(t *testing.T, tb *snic.Testbed, b *snic.Benchmark, p snic.Platform, offeredGbps float64, requests int) snic.Measurement {
+	t.Helper()
+	w := snic.Workload{Kind: snic.WorkloadPoint, Config: b, Platform: p, Opts: core.DefaultRunOpts()}
+	w.Opts.OfferedGbps = offeredGbps
+	w.Opts.Requests = requests
+	res, err := tb.Execute(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *res.Point
+}
 
 func TestCatalogAccessible(t *testing.T) {
 	bs := snic.Benchmarks()
@@ -24,7 +39,7 @@ func TestCatalogAccessible(t *testing.T) {
 func TestRunThroughFacade(t *testing.T) {
 	b, _ := snic.LookupBenchmark("nat", "10K")
 	tb := snic.NewTestbed()
-	m := tb.Run(b, snic.HostCPU, 0.5, 4000)
+	m := point(t, tb, b, snic.HostCPU, 0.5, 4000)
 	if m.Ops == 0 || m.Latency.P99 <= 0 {
 		t.Fatalf("facade run produced no measurement: %v", m)
 	}
@@ -35,8 +50,8 @@ func TestRunThroughFacade(t *testing.T) {
 
 func TestFacadeDeterminism(t *testing.T) {
 	b, _ := snic.LookupBenchmark("udp-echo", "1024B")
-	a := snic.NewTestbed().Run(b, snic.SNICCPU, 0.5, 3000)
-	c := snic.NewTestbed().Run(b, snic.SNICCPU, 0.5, 3000)
+	a := point(t, snic.NewTestbed(), b, snic.SNICCPU, 0.5, 3000)
+	c := point(t, snic.NewTestbed(), b, snic.SNICCPU, 0.5, 3000)
 	if a.TputGbps != c.TputGbps || a.Latency.P99 != c.Latency.P99 {
 		t.Fatal("facade runs not deterministic")
 	}
@@ -97,13 +112,13 @@ func TestOptionsDeterminism(t *testing.T) {
 			snic.WithParallelism(8),
 			snic.WithSeed(7),
 		)
-		return tb.Run(b, snic.SNICCPU, 0.5, 3000)
+		return point(t, tb, b, snic.SNICCPU, 0.5, 3000)
 	}
 	x, y := mk(), mk()
 	if x != y {
 		t.Fatalf("same options gave different measurements:\n%v\n%v", x, y)
 	}
-	reseeded := snic.NewTestbed(snic.WithSeed(99)).Run(b, snic.SNICCPU, 0.5, 3000)
+	reseeded := point(t, snic.NewTestbed(snic.WithSeed(99)), b, snic.SNICCPU, 0.5, 3000)
 	if reseeded.Latency.Mean == x.Latency.Mean {
 		t.Fatal("WithSeed had no effect on the measurement")
 	}
@@ -151,7 +166,12 @@ func TestFaultSetFacade(t *testing.T) {
 func TestBalancerFacade(t *testing.T) {
 	tb := snic.NewTestbed()
 	tr := snic.BurstyTrace(4, 70, 12, 4, 2*snic.Millisecond)
-	res := tb.RunBalanced(snic.HardwareBalancer(), tr, 8, 1)
+	lb := snic.HardwareBalancer()
+	out, err := tb.Execute(snic.Workload{Kind: snic.WorkloadBalanced, Balancer: &lb, Trace: tr, HostCores: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := *out.Balanced
 	if res.AvgTputGbps <= 0 {
 		t.Fatalf("balanced run produced nothing: %v", res)
 	}
