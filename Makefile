@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet fmt-check lint lint-facts race bench bench-compare bench-verify faults trace-determinism check fuzz-smoke profile-smoke same-output
+.PHONY: verify build test vet fmt-check lint lint-facts race bench bench-verify faults trace-determinism check fuzz-smoke profile-smoke same-output
 
 # Tier-1 verification: everything CI and reviewers gate on.
 verify: vet build race lint fmt-check
@@ -55,34 +55,26 @@ bench:
 bench-verify:
 	cd perfbench && $(GO) test .
 
-# Record sequential vs parallel wall-clock (and verify the two produce
-# identical results) for Fig. 4, the S22 fleet simulation, the pipeline
-# saturation walks and the flow-offload policy comparison, plus the
-# simulator's events/sec and the enabled-telemetry overhead (budget: 15%).
-bench-compare:
-	$(GO) run ./cmd/benchcompare -out BENCH_parallel.json -fleet-out BENCH_fleet.json -pipeline-out BENCH_pipeline.json -offload-out BENCH_offload.json -events-out BENCH_events.json
-
 # Self-profile determinism: profile.json holds only virtual-state
-# counters, so two sequential runs of the same experiment must emit
-# byte-identical profiles (at -j>1 racing cache misses make the
-# aggregates scheduling-dependent, which is why the diff runs -j1); a
-# final -j$(nproc) run just has to parse. The stderr events/s line is
-# wall-clock and deliberately NOT part of the comparison.
+# counters, so -exp all must emit byte-identical profiles at -j 1 and
+# -j $(nproc). A profile could differ only if two workers looked up one
+# memo key at once and both simulated it; no experiment does. The stderr
+# events/s line is wall-clock and deliberately NOT part of the
+# comparison.
 profile-smoke: bin/snicbench
-	./bin/snicbench -exp fig5 -q -j 1 -profile profile_a.json > /dev/null
-	./bin/snicbench -exp fig5 -q -j 1 -profile profile_b.json > /dev/null
-	cmp profile_a.json profile_b.json
-	./bin/snicbench -exp fig4 -func nat -q -j $$(nproc) -profile profile_jN.json > /dev/null
-	rm -f profile_a.json profile_b.json profile_jN.json
+	./bin/snicbench -exp all -q -j 1 -profile profile_j1.json > /dev/null
+	./bin/snicbench -exp all -q -j $$(nproc) -profile profile_jN.json > /dev/null
+	cmp profile_j1.json profile_jN.json
+	rm -f profile_j1.json profile_jN.json
 	@echo "profile smoke: OK"
 
 # Byte-identical output against a base commit: builds cmd/snicbench at
 # BASE (checked out with git worktree) and in the working tree, then
-# compares -exp all stdout and its -profile JSON, the fig4 nat trace and
-# metrics, the fleet manifest, the pipeline and offload traces, metrics
-# and manifests, the checked faults, pipeline and strategies runs, and
-# the faults trace, by digest. A change that must not move any number
-# runs this against its parent.
+# compares -exp all stdout and its -profile JSON, -exp all's metrics and
+# manifests, the fig4 nat trace and metrics, the fleet manifest, the
+# pipeline and offload traces, metrics and manifests, the checked
+# faults, pipeline and strategies runs, and the faults trace, by digest.
+# A change that must not move any number runs this against its parent.
 BASE ?= HEAD
 same-output:
 	bash tools/same-output.sh $(BASE)

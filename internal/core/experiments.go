@@ -240,8 +240,7 @@ func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 	ctx := r.newReplayCtx(cfg, plat, r.runSeed(seed), rkey, rlabel)
 	ctx.warmupN = 1 // no warmup: the whole trace is the measurement
 	ctx.replay(tr.RatesGbps, tr.Interval)
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
+	r.finish(ctx)
 
 	res := TraceReplayResult{Platform: plat, P99: ctx.hist.P99(), Dropped: ctx.pool.Dropped(),
 		Sent: uint64(ctx.sent), Completed: uint64(ctx.done)}

@@ -315,8 +315,7 @@ func (r *Runner) runFaulted(scn FaultScenario, hr *HealthRouter, tr *trace.Hyper
 	// a live trace to carve its gap into, and the report surfaces how
 	// many samples the gap swallowed.
 	r.runRouted(ctx, tr, faultHorizon(&scn.Plan, pol, tr), true, label)
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
+	r.finish(ctx)
 
 	res := FaultResult{
 		Scenario:           scn.Name,

@@ -74,8 +74,7 @@ func (r *Runner) replayServer(cfg *Config, plat Platform, rates []float64, inter
 	ctx.meter = stats.NewMeter(0)
 	ctx.warmupN = -1
 	ctx.replay(rates, interval)
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
+	r.finish(ctx)
 
 	var offered float64
 	for _, v := range rates {

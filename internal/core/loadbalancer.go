@@ -105,8 +105,7 @@ func (r *Runner) runBalanced(lb LoadBalancer, tr *trace.HyperscalerTrace, hostCo
 	// A horizon of the trace span plus a generous drain.
 	horizon := sim.Time(tr.Duration()) + sim.Time(200*sim.Millisecond)
 	r.runRouted(ctx, tr, horizon, false, label)
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
+	r.finish(ctx)
 
 	tb := ctx.tb
 	res := BalancedResult{Balancer: lb, P99: ctx.hist.P99(), Dropped: ctx.dropped}

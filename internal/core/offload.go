@@ -302,8 +302,7 @@ func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 	ctx.ingress = tb.Sw.Ingress
 	eng.Ticker(spec.ControlInterval, func() { ctx.ctl.Tick(eng.Now()) })
 	ctx.replay(spec.Trace.RatesGbps, spec.Trace.Interval)
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
+	r.finish(ctx)
 
 	c := ctx.tbl.Counters()
 	res := OffloadResult{

@@ -102,23 +102,27 @@ func TestSpillToHostRedirectsUnderFullQueues(t *testing.T) {
 }
 
 // The acceptance criterion: the saturation search separates the
-// policies — spilling to host cores pushes the nat-ids knee past the
-// accelerator-only knee.
+// policies. On both tax chains, spilling to host cores pushes the knee
+// past the accelerator-only knee.
 func TestFallbackPoliciesSeparateKnees(t *testing.T) {
 	so := SaturationOpts{Points: 6, MinGbps: 15, MaxGbps: 70, Requests: 2500, Seed: 42}
-	knee := func(pol FallbackPolicy) float64 {
-		ps := NATIDSPipeline()
-		ps.Fallback = pol
-		r := NewRunner()
-		r.Parallelism = 4
-		return r.SaturationSearch(ps, so).KneeGbps
-	}
-	drop, spill := knee(DropWhenFull{}), knee(SpillToHost{})
-	if drop <= 0 || spill <= 0 {
-		t.Fatalf("both walks should find a knee: drop %.2f, spill %.2f", drop, spill)
-	}
-	if spill <= drop {
-		t.Fatalf("spill-to-host knee %.2f Gb/s should exceed drop knee %.2f Gb/s", spill, drop)
+	for _, mk := range []func() *PipelineSpec{CryptoCompressSendPipeline, NATIDSPipeline} {
+		knee := func(pol FallbackPolicy) float64 {
+			ps := mk()
+			ps.Fallback = pol
+			r := NewRunner()
+			r.Parallelism = 4
+			return r.SaturationSearch(ps, so).KneeGbps
+		}
+		name := mk().Name
+		drop, spill := knee(DropWhenFull{}), knee(SpillToHost{})
+		if drop <= 0 || spill <= 0 {
+			t.Errorf("%s: both walks should find a knee: drop %.2f, spill %.2f", name, drop, spill)
+			continue
+		}
+		if spill <= drop {
+			t.Errorf("%s: spill-to-host knee %.2f Gb/s should exceed drop knee %.2f Gb/s", name, spill, drop)
+		}
 	}
 }
 

@@ -82,8 +82,7 @@ func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasur
 	instrumentTestbed(ctx.tb, ctx.rec, ctx.chk)
 	ctx.tb.setPower(ps.uses(ResHostCore), ps.uses(ResSNICCore), ps.uses(ResEngine), ps.Stack == netstack.KindDPDK)
 	ctx.runNetServe()
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
+	r.finish(ctx)
 
 	pm := PipelineMeasurement{Pipeline: ps.Name, Policy: ctx.pol.Key(), Point: ctx.measurement(), Phases: ctx.tally}
 	pm.Point.Function, pm.Point.Variant = ps.Name, pm.Policy

@@ -65,9 +65,8 @@ type Testbed struct {
 	BMC       *power.Sensor
 	YoctoWatt *power.Sensor
 
-	// memBWUtil and engineUtil are live utilization signals experiments
-	// update as the run proceeds; the power model samples them.
-	memBWUtil  float64
+	// engineUtil is a live utilization signal experiments update as the
+	// run proceeds; the power model samples it.
 	engineUtil float64
 	// hostPolling/snicPolling mark poll-mode stacks whose cores burn
 	// cycles even when idle.
@@ -163,7 +162,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 			}
 			return u * float64(tb.HostPool.Cores()) / 8.0
 		},
-		HostMemBW: func() float64 { return tb.memBWUtil },
 		SNICCPU: func() float64 {
 			serve := tb.SNICPool.Utilization()
 			stage := tb.StagingPool.Utilization()
@@ -193,9 +191,8 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	return tb
 }
 
-// SetMemBWUtil and SetEngineUtil update live power-model signals. Plain
-// fields suffice: sensors sample on the event loop — no concurrency.
-func (tb *Testbed) SetMemBWUtil(u float64)  { tb.memBWUtil = u }
+// SetEngineUtil updates a live power-model signal. A plain field
+// suffices: sensors sample on the event loop — no concurrency.
 func (tb *Testbed) SetEngineUtil(u float64) { tb.engineUtil = u }
 
 // SetPolling marks a platform's stack as poll-mode for power accounting.

@@ -13,15 +13,15 @@ import (
 // high-water, cancel sweeps, memo-cache traffic, worker-pool fan-out —
 // across every simulation of the runners it is attached to. It answers
 // "how hard did the simulator work", where telemetry answers "what did
-// the model do"; ROADMAP item 1 (raw per-event speed) is tracked against
-// these numbers via benchcompare's events/sec leg.
+// the model do"; the repository benchmark (perfbench) reads its engine
+// and cache counters.
 //
-// Every counter is virtual-state only (no wall clock), so a sequential
-// profile is byte-identical across runs. Under parallelism the memo
-// cache may let two workers race the same key and both simulate — the
-// documented duplicate-work trade — so aggregate counts at -j>1 are
-// scheduling-dependent; wall-clock rates live in the callers (cmd
-// layer), never here.
+// Every counter is virtual-state only (no wall clock), so a profile is
+// byte-identical across runs. It is the same at any parallelism as long
+// as no two workers look up one memo key at once, because only then
+// would both simulate it; no snicbench experiment does, and
+// `make profile-smoke` compares -j 1 with -j $(nproc). Wall-clock rates
+// live in the callers (cmd layer), never here.
 
 // Profiler is internally locked: one Profiler may serve several runners
 // running simulations on many goroutines, like an obs.Collector.
@@ -148,8 +148,8 @@ func (p *Profiler) Snapshot() SelfProfile {
 }
 
 // WriteProfile writes the full metric snapshot (name-sorted JSON) — the
-// profile.json payload. Deterministic for sequential runs; see the
-// package comment for the -j>1 caveat.
+// profile.json payload. Deterministic; see the comment at the top of
+// this file for when it is the same at every parallelism.
 func (p *Profiler) WriteProfile(w io.Writer) error {
 	if p == nil {
 		return nil

@@ -117,9 +117,6 @@ func NewRunner() *Runner { return &Runner{TBConfig: DefaultTestbedConfig()} }
 // (cache hits excluded) — the denominator of the memoization win.
 func (r *Runner) Sims() uint64 { return r.sims.Load() }
 
-// CacheStats reports memo-cache hits and misses.
-func (r *Runner) CacheStats() (hits, misses uint64) { return r.cache.stats() }
-
 // runctx is the per-run wiring every run family shares: point runs,
 // pipelines, Table 4 and fleet replays, flow offload, and the balanced
 // and failover replays.
@@ -321,8 +318,7 @@ func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement 
 	default:
 		panic(fmt.Sprintf("core: unknown mode %q", cfg.Mode))
 	}
-	r.finishChecks(ctx)
-	r.finishRecorder(ctx)
+	r.finish(ctx)
 	m := ctx.measurement()
 	m.Function, m.Variant = cfg.Function, cfg.Variant
 	return m
@@ -351,6 +347,12 @@ func (ctx *runctx) extraLatency() sim.Duration {
 	return ctx.cfg.ExtraLatency[ctx.plat]
 }
 
+// minWindowOps is the fewest completions a throughput window rates. In
+// deep overload the warmup can end just before the last send, leaving a
+// window of one or two completions whose rate means nothing; such a
+// window keeps counting drain completions until it holds this many.
+const minWindowOps = 16
+
 // record tallies one completed operation.
 func (ctx *runctx) record(rtt sim.Duration, bytes int) {
 	ctx.done++
@@ -364,8 +366,8 @@ func (ctx *runctx) record(rtt sim.Duration, bytes int) {
 	ctx.hist.Record(rtt)
 	// Completions that straggle in after the offered load ended are
 	// drain artifacts: they belong in the latency distribution but not
-	// in the throughput window.
-	if ctx.lastSend > 0 && ctx.tb.Eng.Now() > ctx.lastSend {
+	// in the throughput window, once the window is long enough to rate.
+	if ctx.lastSend > 0 && ctx.tb.Eng.Now() > ctx.lastSend && ctx.meter.Ops() >= minWindowOps {
 		return
 	}
 	ctx.meter.Mark(ctx.tb.Eng.Now(), bytes)

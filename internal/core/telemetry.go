@@ -95,9 +95,27 @@ func instrumentTestbed(tb *Testbed, rec *obs.Recorder, chk *invariant.Checker) {
 	rec.StartSampler(tb.Eng)
 }
 
-// finishRecorder stamps end-of-run counters and hands the recorder to
-// the collector. Nil-safe.
-func (r *Runner) finishRecorder(ctx *runctx) {
+// finish ends a run. With checks on it first audits the run: the
+// ledger against the run's own counters, the conservation equations,
+// and the span tree; any violation panics with the typed
+// *invariant.Violation. The audit comes first because it reads the
+// run's spans, which Attach may drop. A failover replay may record
+// stragglers: a request abandoned at its retry timeout closes its root
+// span while a stale copy still in service records a child afterwards.
+// Then finish folds the run's engine profile into the profiler, stamps
+// the recorder's end-of-run counters and hands the recorder to the
+// collector.
+func (r *Runner) finish(ctx *runctx) {
+	if chk := ctx.chk; chk != nil {
+		now := ctx.tb.Eng.Now()
+		chk.VerifyCounts(uint64(ctx.sent), uint64(ctx.done), now)
+		if err := chk.Finish(now); err != nil {
+			panic(err)
+		}
+		if err := invariant.CheckSpans(ctx.rec, invariant.SpanCheckOpts{AllowStragglers: ctx.fo != nil}); err != nil {
+			panic(err)
+		}
+	}
 	r.Prof.NoteEngine(ctx.tb.Eng)
 	rec := ctx.rec
 	if rec == nil {

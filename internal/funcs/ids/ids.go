@@ -121,10 +121,9 @@ func (e *Engine) InspectFast(payload []byte) bool {
 	return false
 }
 
-// Inspected, Alerts and Dropped expose counters.
-func (e *Engine) Inspected() uint64 { return e.inspected }
-func (e *Engine) Alerts() uint64    { return e.alerts }
-func (e *Engine) Dropped() uint64   { return e.dropped }
+// Alerts and Dropped expose counters.
+func (e *Engine) Alerts() uint64  { return e.alerts }
+func (e *Engine) Dropped() uint64 { return e.dropped }
 
 // AlertRate returns alerts per inspected packet.
 func (e *Engine) AlertRate() float64 {

@@ -340,6 +340,3 @@ func (w *Wire) ClientDirBacklog() sim.Duration { return w.serverToClient.Backlog
 
 // ServerDirBytes returns bytes sent toward the server.
 func (w *Wire) ServerDirBytes() uint64 { return w.clientToServer.BytesSent() }
-
-// ClientDirBytes returns bytes sent toward the client.
-func (w *Wire) ClientDirBytes() uint64 { return w.serverToClient.BytesSent() }

@@ -130,9 +130,3 @@ func (b *Bus) DMACount() uint64 { return b.dmas }
 
 // DoorbellCount returns the number of doorbell writes issued.
 func (b *Bus) DoorbellCount() uint64 { return b.doorbells }
-
-// UpUtilization returns the device→host direction's busy fraction.
-func (b *Bus) UpUtilization() float64 { return b.up.Utilization() }
-
-// DownUtilization returns the host→device direction's busy fraction.
-func (b *Bus) DownUtilization() float64 { return b.down.Utilization() }

@@ -130,8 +130,8 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineHotPath reports allocs/op for the same loop — the
-// number make bench-compare gates on staying at zero.
+// BenchmarkEngineHotPath reports allocs/op for the same loop, the
+// number TestHotPathZeroAllocs holds at zero.
 func BenchmarkEngineHotPath(b *testing.B) {
 	cl := newClosedLoop(8)
 	for i := 0; i < 20000; i++ {

@@ -19,8 +19,8 @@ import (
 // two can never be confused.
 type Time int64
 
-// Duration is a span of virtual time in nanoseconds. It converts freely to
-// and from time.Duration (which is also nanoseconds) via Std and FromStd.
+// Duration is a span of virtual time in nanoseconds, like time.Duration,
+// which its String method uses for formatting.
 type Duration int64
 
 // Common durations, mirroring the time package.
@@ -43,12 +43,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // String formats the timestamp as a time.Duration for readability.
 func (t Time) String() string { return time.Duration(t).String() }
-
-// Std converts a virtual duration to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
-// FromStd converts a time.Duration to a virtual duration.
-func FromStd(d time.Duration) Duration { return Duration(d) }
 
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }

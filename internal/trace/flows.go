@@ -179,9 +179,6 @@ func (a *FlowAssigner) FlowsChurned() uint64 { return a.churned }
 // ElephantFlows returns how many spawned flows were elephants.
 func (a *FlowAssigner) ElephantFlows() uint64 { return a.elephant }
 
-// Packets returns how many packets have been assigned.
-func (a *FlowAssigner) Packets() uint64 { return a.pkts }
-
 // ElephantPacketShare returns the fraction of assigned packets that
 // belonged to elephant flows — the "mass" of the mix.
 func (a *FlowAssigner) ElephantPacketShare() float64 {

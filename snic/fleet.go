@@ -73,9 +73,3 @@ func RenderFleetServers(w io.Writer, r FleetResult) { report.FleetServers(w, r) 
 
 // RenderProvision writes the provisioning-search table.
 func RenderProvision(w io.Writer, rows []ProvisionResult) { report.Provision(w, rows) }
-
-// RenderManifestsFor writes the manifests of the named telemetry runs
-// only — e.g. a fleet result's ServerRunIDs — in export order.
-func (t *Telemetry) RenderManifestsFor(w io.Writer, ids []uint64) {
-	report.Manifests(w, t.c.ManifestsFor(ids))
-}

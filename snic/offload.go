@@ -73,9 +73,6 @@ func DefaultAdaptiveConfig() AdaptiveConfig { return flow.DefaultAdaptiveConfig(
 // the offload scenario.
 func DefaultFlowMix() FlowMix { return trace.DefaultFlowMix() }
 
-// DefaultFlowTableConfig returns the eSwitch table sizing.
-func DefaultFlowTableConfig() FlowTableConfig { return flow.DefaultTableConfig() }
-
 // ChurnTrace returns the bursty rate trace the offload scenario replays.
 func ChurnTrace() *trace.HyperscalerTrace { return core.ChurnTrace() }
 

@@ -3,7 +3,6 @@ package snic
 import (
 	"io"
 
-	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/netstack"
 	"repro/internal/report"
@@ -78,84 +77,6 @@ const (
 	EnginePKAOp   = core.EnginePKAOp
 )
 
-// PhaseOption configures one phase of a pipeline under construction.
-type PhaseOption func(*PhaseSpec)
-
-// WithCycles sets the phase's CPU cost model: app cycles are
-// base + perByte·size (scaled by any cycle factor).
-func WithCycles(base, perByte float64) PhaseOption {
-	return func(ph *PhaseSpec) { ph.BaseCycles, ph.PerByteCycles = base, perByte }
-}
-
-// WithCycleFactor scales the phase's app cycles (the SNIC-core slowdown
-// axis; 1 is the host cost).
-func WithCycleFactor(f float64) PhaseOption {
-	return func(ph *PhaseSpec) { ph.CycleFactor = f }
-}
-
-// WithExtraCycles adds a flat cycle cost after scaling (the Mixed-trace
-// verification surcharge slot).
-func WithExtraCycles(c float64) PhaseOption {
-	return func(ph *PhaseSpec) { ph.ExtraCycles = c }
-}
-
-// WithSigma sets the phase's log-normal service jitter (default 0.20).
-func WithSigma(sigma float64) PhaseOption {
-	return func(ph *PhaseSpec) { ph.Sigma = sigma }
-}
-
-// WithMemory sets the phase's DRAM pressure: intensity in [0,1] and the
-// working-set footprint in bytes.
-func WithMemory(intensity float64, workingSet int64) PhaseOption {
-	return func(ph *PhaseSpec) { ph.MemIntensity, ph.WorkingSet = intensity, workingSet }
-}
-
-// WithEngine binds an engine phase to a fixed-function unit (algo is
-// meaningful for the PKA kinds only).
-func WithEngine(kind EngineKind, algo accel.PKAAlgo) PhaseOption {
-	return func(ph *PhaseSpec) { ph.Engine, ph.PKAAlgo = kind, algo }
-}
-
-// WithSpillModel sets the host software cost model used when a fallback
-// policy spills this engine phase to a general-purpose core.
-func WithSpillModel(base, perByte float64) PhaseOption {
-	return func(ph *PhaseSpec) { ph.SpillBaseCycles, ph.SpillPerByteCycles = base, perByte }
-}
-
-// WithOutScale rescales the payload leaving the phase (compression).
-func WithOutScale(s float64) PhaseOption {
-	return func(ph *PhaseSpec) { ph.OutScale = s }
-}
-
-// WithQueueCap bounds the phase's pool queue (default 4096).
-func WithQueueCap(n int) PhaseOption {
-	return func(ph *PhaseSpec) { ph.QueueCap = n }
-}
-
-// NewPhase builds one pipeline phase.
-func NewPhase(name string, res PhaseResource, opts ...PhaseOption) PhaseSpec {
-	ph := PhaseSpec{Name: name, Resource: res}
-	for _, opt := range opts {
-		opt(&ph)
-	}
-	return ph
-}
-
-// WithPipeline wraps a pipeline spec and operating point in a Workload
-// for Execute:
-//
-//	res, err := tb.Execute(snic.WithPipeline(ps, 20, 10_000))
-//	fmt.Println(res.Pipeline.Point.TputGbps)
-func WithPipeline(ps *PipelineSpec, offeredGbps float64, requests int) Workload {
-	w := Workload{Kind: WorkloadPipeline, Pipeline: ps}
-	w.Opts = core.DefaultRunOpts()
-	if requests > 0 {
-		w.Opts.Requests = requests
-	}
-	w.Opts.OfferedGbps = offeredGbps
-	return w
-}
-
 // Execute validates and runs any workload kind — the unified API the
 // per-family helpers adapt to. Byte-identical to the legacy entry
 // points at any parallelism.
@@ -175,13 +96,6 @@ func (t *Testbed) RunPipeline(ps *PipelineSpec, offeredGbps float64, requests in
 // under its fallback policy (run_until_saturation).
 func (t *Testbed) SaturationSearch(ps *PipelineSpec, so SaturationOpts) SaturationResult {
 	return t.runner.SaturationSearch(ps, so)
-}
-
-// PipelineFromBenchmark converts a net-served catalog entry on one
-// platform into the equivalent single-phase pipeline; its measurement
-// is bit-identical to the legacy Run.
-func PipelineFromBenchmark(b *Benchmark, p Platform) *PipelineSpec {
-	return core.PipelineFromConfig(b, p)
 }
 
 // CryptoCompressSendPipeline returns the egress tax chain exemplar:

@@ -97,11 +97,6 @@ func WithSNICCores(n int) Option {
 	return func(t *Testbed) { t.runner.TBConfig.SNICCores = n }
 }
 
-// WithStagingCores sets the accelerator staging core count (default: 2).
-func WithStagingCores(n int) Option {
-	return func(t *Testbed) { t.runner.TBConfig.StagingCores = n }
-}
-
 // WithLinkRateGbps sets the wire speed; the default is the paper's
 // 100 GbE.
 func WithLinkRateGbps(gbps float64) Option {
@@ -183,9 +178,10 @@ type MetricValue = obs.MetricValue
 // Profiler collects simulator self-profiling from every testbed it is
 // attached to — the "how hard did the simulator work" counterpart of
 // Telemetry's "what did the model do". All counters are virtual-state
-// only, so a sequential profile is byte-identical across runs; under
-// -j>1 the memo cache's duplicate-work trade makes aggregates
-// scheduling-dependent. A nil or absent Profiler costs nothing.
+// only, so a profile is byte-identical across runs and at any
+// parallelism, unless two workers look up one memo-cache key at once
+// and both simulate it, which no snicbench experiment does. A nil or
+// absent Profiler costs nothing.
 type Profiler struct {
 	p *core.Profiler
 }
@@ -238,9 +234,6 @@ func (t *Telemetry) WriteMetricsJSON(w io.Writer) error { return t.c.WriteMetric
 // WriteManifests writes the per-run manifests as JSON.
 func (t *Telemetry) WriteManifests(w io.Writer) error { return t.c.WriteManifests(w) }
 
-// RenderManifests writes the per-run manifests as a text table.
-func (t *Telemetry) RenderManifests(w io.Writer) { report.Manifests(w, t.c.Manifests()) }
-
 // Totals reports how many runs the collector holds and how many
 // request spans and spans in total they recorded.
 func (t *Telemetry) Totals() (runs, requests, spans int) { return t.c.Totals() }
@@ -265,9 +258,6 @@ func NewTestbed(opts ...Option) *Testbed {
 // Simulations returns how many simulations the testbed has actually
 // executed; memo-cache hits don't count.
 func (t *Testbed) Simulations() uint64 { return t.runner.Sims() }
-
-// CacheStats reports measurement memo-cache hits and misses.
-func (t *Testbed) CacheStats() (hits, misses uint64) { return t.runner.CacheStats() }
 
 // MaxThroughput finds a benchmark's maximum sustainable throughput on a
 // platform and measures p99 latency and system-wide power there — the

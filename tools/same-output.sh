@@ -51,6 +51,7 @@ check() {
 }
 
 check "all" -exp all -q -j 1 -profile profile.json
+check "all recorded" -exp all -q -j 1 -metrics metrics.json -manifest manifest.json
 check "fig4 nat" -exp fig4 -func nat -q -trace trace.json -metrics metrics.csv
 check "fleet" -exp fleet -q -manifest manifest.json
 check "pipeline" -exp pipeline -q -trace trace.json -metrics metrics.csv -manifest manifest.json
