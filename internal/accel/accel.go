@@ -174,10 +174,10 @@ func (b *ByteEngine) Health() Health {
 	}
 }
 
-// Observe installs telemetry observers under the given name: obs on the
+// Observe installs telemetry observers bound to this engine: obs on the
 // internal engine station, batchObs on batch assembly. Either may be nil.
-func (b *ByteEngine) Observe(name string, obs sim.StationObserver, batchObs sim.BatchObserver) {
-	b.batch.Observe(name, obs, batchObs)
+func (b *ByteEngine) Observe(obs sim.StationObserver, batchObs sim.BatchObserver) {
+	b.batch.Observe(obs, batchObs)
 }
 
 // Completed returns retired task count.
@@ -348,10 +348,9 @@ func (p *PKAEngine) Health() Health {
 	}
 }
 
-// Observe installs a telemetry observer on the command station under
-// the given name.
-func (p *PKAEngine) Observe(name string, obs sim.StationObserver) {
-	p.station.Observe(name, obs)
+// Observe installs a telemetry observer bound to the command station.
+func (p *PKAEngine) Observe(obs sim.StationObserver) {
+	p.station.Observe(obs)
 }
 
 // Completed returns retired command count.

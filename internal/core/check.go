@@ -10,7 +10,7 @@ import (
 // simulation a per-run invariant.Checker validating the simulator's
 // physical laws online: request and byte conservation through the
 // drivers' ledgers, queue sanity and clock monotonicity through the same
-// sim observer hooks telemetry uses, and span causality at end of run.
+// sim observer slots telemetry uses, and span causality at end of run.
 // With Checks off every hook below degenerates to the telemetry nil
 // check, so the unchecked hot path is unchanged.
 
@@ -24,65 +24,72 @@ func (r *Runner) newChecker(label string) *invariant.Checker {
 }
 
 // observer is what an instrumented resource's single observer slot
-// takes: the recorder, the checker, or a fan-out to both.
+// takes: the recorder's or the checker's observer bound to that
+// resource, or a fan-out to both.
 type observer interface {
 	sim.StationObserver
 	sim.LinkObserver
 	sim.BatchObserver
 }
 
-// observe returns the observer for a run's recorder and checker: the
-// bare recorder or checker when only one is on (never a nil wrapped in
-// an interface, so the resources' "observer == nil" fast path stays
-// honest), a fan-out when both are, and nil when neither is.
-func observe(rec *obs.Recorder, chk *invariant.Checker) observer {
+// bind returns the observer for the named resource of a run with
+// recorder rec and checker chk: the bare bound recorder or checker when
+// only one is on (never a nil wrapped in an interface, so the
+// resources' "observer == nil" fast path stays honest), a fan-out when
+// both are, and nil when neither is.
+func bind(rec *obs.Recorder, chk *invariant.Checker, name string) observer {
 	switch {
 	case rec != nil && chk != nil:
-		return fanOut{rec, chk}
+		return &fanOut{rec.Resource(name), chk.Resource(name)}
 	case rec != nil:
-		return rec
+		return rec.Resource(name)
 	case chk != nil:
-		return chk
+		return chk.Resource(name)
 	}
 	return nil
 }
 
-// fanOut forwards every callback to a, then b.
-type fanOut struct{ a, b observer }
-
-func (f fanOut) JobQueued(station string, now sim.Time, queueLen int) {
-	f.a.JobQueued(station, now, queueLen)
-	f.b.JobQueued(station, now, queueLen)
+// fanOut forwards every callback to one resource's bound recorder, then
+// its bound checker.
+type fanOut struct {
+	rec *obs.Resource
+	chk *invariant.Resource
 }
 
-func (f fanOut) JobStarted(station string, now sim.Time, waited sim.Duration) {
-	f.a.JobStarted(station, now, waited)
-	f.b.JobStarted(station, now, waited)
+func (f *fanOut) JobQueued(now sim.Time, queueLen int) {
+	f.rec.JobQueued(now, queueLen)
+	f.chk.JobQueued(now, queueLen)
 }
 
-func (f fanOut) JobFinished(station string, start, end sim.Time) {
-	f.a.JobFinished(station, start, end)
-	f.b.JobFinished(station, start, end)
+func (f *fanOut) JobStarted(now sim.Time, waited sim.Duration) {
+	f.rec.JobStarted(now, waited)
+	f.chk.JobStarted(now, waited)
 }
 
-func (f fanOut) JobDropped(station string, now sim.Time) {
-	f.a.JobDropped(station, now)
-	f.b.JobDropped(station, now)
+func (f *fanOut) JobFinished(start, end sim.Time) {
+	f.rec.JobFinished(start, end)
+	f.chk.JobFinished(start, end)
 }
 
-func (f fanOut) FrameSent(link string, size int, start, done sim.Time, lost bool) {
-	f.a.FrameSent(link, size, start, done, lost)
-	f.b.FrameSent(link, size, start, done, lost)
+func (f *fanOut) JobDropped(now sim.Time) {
+	f.rec.JobDropped(now)
+	f.chk.JobDropped(now)
 }
 
-func (f fanOut) BatchFlushed(station string, tasks int, waited sim.Duration, now sim.Time) {
-	f.a.BatchFlushed(station, tasks, waited, now)
-	f.b.BatchFlushed(station, tasks, waited, now)
+func (f *fanOut) FrameSent(size int, start, done sim.Time, lost bool) {
+	f.rec.FrameSent(size, start, done, lost)
+	f.chk.FrameSent(size, start, done, lost)
+}
+
+func (f *fanOut) BatchFlushed(tasks int, waited sim.Duration, now sim.Time) {
+	f.rec.BatchFlushed(tasks, waited, now)
+	f.chk.BatchFlushed(tasks, waited, now)
 }
 
 // registerPools hands the checker the ground truth it range-checks the
 // pools against: core counts and queue capacities as configured for this
-// run (capacities are set before instrumentation in every run path).
+// run (capacities are set before instrumentation in every run path). It
+// updates the pools' bound observers in place.
 func registerPools(tb *Testbed, chk *invariant.Checker) {
 	if chk == nil {
 		return

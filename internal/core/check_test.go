@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -187,57 +188,77 @@ func TestRunFaultedRejectsInvalidPlan(t *testing.T) {
 	NewRunner().RunFaulted(scn, testRouter(), tr, 2, 42)
 }
 
-// recordingObserver logs every observer callback it receives.
-type recordingObserver struct{ events []string }
-
-func (o *recordingObserver) JobQueued(s string, _ sim.Time, _ int) {
-	o.events = append(o.events, "queued:"+s)
-}
-func (o *recordingObserver) JobStarted(s string, _ sim.Time, _ sim.Duration) {
-	o.events = append(o.events, "started:"+s)
-}
-func (o *recordingObserver) JobFinished(s string, _, _ sim.Time) {
-	o.events = append(o.events, "finished:"+s)
-}
-func (o *recordingObserver) JobDropped(s string, _ sim.Time) {
-	o.events = append(o.events, "dropped:"+s)
-}
-func (o *recordingObserver) FrameSent(l string, _ int, _, _ sim.Time, _ bool) {
-	o.events = append(o.events, "frame:"+l)
-}
-func (o *recordingObserver) BatchFlushed(s string, _ int, _ sim.Duration, _ sim.Time) {
-	o.events = append(o.events, "batch:"+s)
-}
-
-// The fan-out forwards every station, link and batch callback to both
-// observers in order, and observe hands a resource the bare recorder or
-// checker when only one is on, so the nil-observer fast path holds.
+// The fan-out forwards every station, link and batch callback to the
+// resource's bound recorder, then its bound checker, and bind hands a
+// resource the bare bound recorder or checker when only one is on, so
+// the nil-observer fast path holds.
 func TestObserverFanOut(t *testing.T) {
-	a, b := &recordingObserver{}, &recordingObserver{}
-	var o observer = fanOut{a, b}
-	o.JobQueued("x", 0, 1)
-	o.JobStarted("x", 0, 0)
-	o.JobFinished("x", 0, 0)
-	o.JobDropped("x", 0)
-	o.FrameSent("w", 64, 0, 1, false)
-	o.BatchFlushed("s", 2, 0, 0)
-	want := []string{"queued:x", "started:x", "finished:x", "dropped:x", "frame:w", "batch:s"}
-	if !reflect.DeepEqual(a.events, want) || !reflect.DeepEqual(b.events, want) {
-		t.Fatalf("fan-out forwarded %v and %v, want %v to both", a.events, b.events, want)
+	rec := obs.NewRecorder(1, "run")
+	chk := invariant.New("run").Soft()
+	o := bind(rec, chk, "x")
+	if _, ok := o.(*fanOut); !ok {
+		t.Fatalf("recorder and checker together should fan out, got %T", o)
+	}
+	// The checker probes the station once per station callback. Each
+	// probe finds the recorder has already counted that callback, and
+	// the checker's clock at the callback's time.
+	station := []string{"x.queued", "x.started", "x.finished", "x.dropped"}
+	var probes []sim.Time
+	chk.RegisterStation("x", 1, 8, func() (int, int) {
+		counted := map[string]float64{}
+		for _, c := range rec.Manifest().Counters {
+			counted[c.Name] = c.Value
+		}
+		for i, name := range station {
+			want := 0.0
+			if i <= len(probes) {
+				want = 1
+			}
+			if counted[name] != want {
+				t.Errorf("probe %d: recorder counted %s = %v, want %v", len(probes)+1, name, counted[name], want)
+			}
+		}
+		probes = append(probes, chk.Now())
+		return 0, 0
+	})
+	o.JobQueued(1, 1)
+	o.JobStarted(2, 1)
+	o.JobFinished(2, 3)
+	o.JobDropped(4)
+	o.BatchFlushed(2, 0, 5)
+	o.FrameSent(64, 5, 6, false)
+	got := map[string]float64{}
+	for _, c := range rec.Manifest().Counters {
+		got[c.Name] = c.Value
+	}
+	want := map[string]float64{
+		"x.queued": 1, "x.started": 1, "x.finished": 1, "x.dropped": 1, "x.peak_queue": 1,
+		"x.batches": 1, "x.batch_tasks": 2, "x.frames": 1, "x.bytes": 64,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorder counted %v, want %v", got, want)
+	}
+	if want := []sim.Time{1, 2, 3, 4}; !reflect.DeepEqual(probes, want) {
+		t.Fatalf("checker probed the station at %v, want once per station callback at %v", probes, want)
+	}
+	// The checker saw the batch callback (its clock stands at the
+	// batch's time) and checks the frames.
+	if chk.Now() != 5 || chk.Err() != nil {
+		t.Fatalf("checker at %v with %v, want at 5 and clean", chk.Now(), chk.Err())
+	}
+	o.FrameSent(64, 9, 8, false)
+	var v *invariant.Violation
+	if !errors.As(chk.Err(), &v) || v.Rule != invariant.RuleCausality || v.Station != "x" {
+		t.Fatalf("checker err = %v, want a causality violation on x", chk.Err())
 	}
 
-	rec := obs.NewRecorder(1, "run")
-	chk := invariant.New("run")
-	if observe(nil, nil) != nil {
+	if bind(nil, nil, "x") != nil {
 		t.Fatal("no recorder and no checker should leave resources unobserved")
 	}
-	if got, ok := observe(rec, nil).(*obs.Recorder); !ok || got != rec {
-		t.Fatalf("recorder alone should be observed bare, got %T", observe(rec, nil))
+	if got, ok := bind(rec, nil, "x").(*obs.Resource); !ok || got != rec.Resource("x") {
+		t.Fatalf("recorder alone should be observed bare, got %T", bind(rec, nil, "x"))
 	}
-	if got, ok := observe(nil, chk).(*invariant.Checker); !ok || got != chk {
-		t.Fatalf("checker alone should be observed bare, got %T", observe(nil, chk))
-	}
-	if _, ok := observe(rec, chk).(fanOut); !ok {
-		t.Fatalf("recorder and checker together should fan out, got %T", observe(rec, chk))
+	if got, ok := bind(nil, chk, "x").(*invariant.Resource); !ok || got != chk.Resource("x") {
+		t.Fatalf("checker alone should be observed bare, got %T", bind(nil, chk, "x"))
 	}
 }

@@ -70,10 +70,7 @@ func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasur
 	ctx := r.atPoint(ps.HostCores, ps.SNICCores, ps.Phases[0].platform(), ps.Stack, opts,
 		pipelineKey(ps, r.TBConfig, opts), pipelineLabel(ps, opts))
 	ctx.setPath(ps)
-	ctx.phaseSpans = make([]string, len(ps.Phases))
-	for i := range ps.Phases {
-		ctx.phaseSpans[i] = "phase/" + ps.Phases[i].Name
-	}
+	ctx.markPhases()
 	if ps.Mixed {
 		ctx.sizes = trace.CTUMixed()
 	} else {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/cpu"
+	"repro/internal/invariant"
 	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -170,9 +171,9 @@ func (r *request) exec(pool *cpu.Pool, next hop, svc sim.Duration) {
 	switch next {
 	case hopServed, hopStaged:
 		ctx.tally[r.phase].Dropped++
-		if ctx.phaseSpans != nil {
-			//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
-			ctx.chk.PhaseDrop(ctx.ps.Phases[r.phase].Name, r.seq, ctx.tb.Eng.Now())
+		if ctx.phaseMarks != nil {
+			//snicvet:ignore hotpath -- checked runs only (violation reports); a nil checker returns at once
+			ctx.chk.PhaseDrop(ctx.phaseMarks[r.phase].ledger, r.seq, ctx.tb.Eng.Now())
 		}
 	case hopSlowPath:
 		ctx.ctl.NoteDrop()
@@ -379,14 +380,35 @@ func (ctx *runctx) startPhase(r *request) {
 	ctx.execPhase(r, ctx.tb.StagingPool, hopStaged, ctx.jit.LogNormalDur(sim.Cycles(cycles/spec.IPC, spec.BaseHz), 0.15))
 }
 
+// phaseMark is one pipeline phase's span label and ledger handle,
+// resolved once when the run is wired.
+type phaseMark struct {
+	span   obs.SpanLabel
+	ledger invariant.PhaseID
+}
+
+// markPhases resolves a pipeline run's phase marks: each phase's child
+// span, phase/<name> on the request track, and its phase ledger.
+func (ctx *runctx) markPhases() {
+	ctx.phaseMarks = make([]phaseMark, len(ctx.ps.Phases))
+	for i := range ctx.ps.Phases {
+		name := ctx.ps.Phases[i].Name
+		m := &ctx.phaseMarks[i]
+		if ctx.rec != nil {
+			m.span = ctx.rec.Intern(obs.TrackRequests, "phase/"+name)
+		}
+		m.ledger = ctx.chk.Phase(name)
+	}
+}
+
 // execPhase enters the request into its phase's ledger and submits the
 // phase's job.
 //
 //snicvet:hotpath
 func (ctx *runctx) execPhase(r *request, pool *cpu.Pool, next hop, svc sim.Duration) {
-	if ctx.phaseSpans != nil {
-		//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
-		ctx.chk.PhaseEnter(ctx.ps.Phases[r.phase].Name, r.seq, ctx.tb.Eng.Now())
+	if ctx.phaseMarks != nil {
+		//snicvet:ignore hotpath -- checked runs only (dense ledger growth, violation reports); a nil checker returns at once
+		ctx.chk.PhaseEnter(ctx.phaseMarks[r.phase].ledger, r.seq, ctx.tb.Eng.Now())
 	}
 	r.exec(pool, next, svc)
 }
@@ -415,10 +437,12 @@ func (h *cpuRx) HandleEvent(any) {
 //snicvet:hotpath
 func (ctx *runctx) endPhase(r *request, start, end sim.Time) {
 	ph := &ctx.ps.Phases[r.phase]
-	if ctx.phaseSpans != nil {
-		ctx.stage(r.root, ctx.phaseSpans[r.phase], start, end)
-		//snicvet:ignore hotpath -- checked runs only (lazy ledgers, violation reports); a nil checker returns at once
-		ctx.chk.PhaseExit(ph.Name, r.seq, end)
+	if m := ctx.phaseMarks; m != nil {
+		if r.root != 0 {
+			ctx.rec.Record(m[r.phase].span, r.root, start, end)
+		}
+		//snicvet:ignore hotpath -- checked runs only (violation reports); a nil checker returns at once
+		ctx.chk.PhaseExit(m[r.phase].ledger, r.seq, end)
 	}
 	if r.spilled {
 		ctx.tally[r.phase].Spilled++

@@ -129,13 +129,14 @@ type runctx struct {
 	// ps is the net-serve request path the sinks step requests through:
 	// the single phase PipelineFromConfig builds for a point or replay
 	// run, or a pipeline's chain. Nil on local, storage, switched and
-	// offload runs. tally counts each phase's requests. phaseSpans names
-	// each phase's child span; only pipeline runs set it, and only they
-	// emit phase spans, phase-ledger calls and phase/ counters.
+	// offload runs. tally counts each phase's requests. phaseMarks holds
+	// each phase's span label and ledger handle; only pipeline runs set
+	// it, and only they emit phase spans, phase-ledger calls and phase/
+	// counters.
 	ps         *PipelineSpec
 	pol        FallbackPolicy
 	tally      []PhaseStat
-	phaseSpans []string
+	phaseMarks []phaseMark
 
 	prof     netstack.Profile
 	pool     *cpu.Pool // the platform's pool, where the stack terminates
@@ -156,7 +157,11 @@ type runctx struct {
 	lastSend sim.Time
 
 	// rec is the run's telemetry recorder; nil when telemetry is off.
-	rec *obs.Recorder
+	// rootLabel and stageLabels are its request-track span labels,
+	// interned once per run (internLabels).
+	rec         *obs.Recorder
+	rootLabel   obs.SpanLabel
+	stageLabels [numStageSpans]obs.SpanLabel
 	// chk is the run's invariant checker; nil when checks are off.
 	chk *invariant.Checker
 
@@ -244,6 +249,7 @@ func (r *Runner) newRunctx(tbc TestbedConfig, plat Platform, stack netstack.Kind
 		rec:      r.newRecorder(key, label),
 		chk:      r.newChecker(label),
 	}
+	ctx.internLabels()
 	ctx.pool = tb.PoolFor(plat)
 	ctx.pool.JitterSigma = 0
 	ctx.pool.SetQueueCapacity(4096)

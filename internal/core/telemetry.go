@@ -15,20 +15,39 @@ import (
 // degenerates to a nil check, so disabled telemetry cannot perturb
 // results or cost measurable time.
 
-// Span names used on the request track. Stage children cover every
-// station a request crosses: the wire, the stack, the core-pool queue
-// and service, the accelerator engine, and the return path.
+// Span names used on the request track: the root, and the stage
+// children covering every station a request crosses (the wire, the
+// stack, the core-pool queue and service, the accelerator engine, and
+// the return path). A run interns their labels once (internLabels), and
+// its hooks name a stage by its index.
+const spanRequest = "request"
+
+// stageSpan indexes a request's stage spans.
+type stageSpan uint8
+
 const (
-	spanRequest = "request"
-	spanIngress = "wire+switch" // client→server serialization + eSwitch
-	spanStackRx = "stack-rx"    // fixed RX-side stack/PCIe delay
-	spanQueue   = "queue"       // waiting for a core
-	spanService = "cpu-service" // run-to-completion on a core
-	spanStaging = "staging"     // SNIC staging-core work before an engine
-	spanEngine  = "engine"      // accelerator batch residency
-	spanReturn  = "wire-return" // TX-side stack + server→client wire
-	spanDevice  = "device"      // storage-target service time
+	spanIngress stageSpan = iota // client→server serialization + eSwitch
+	spanStackRx                  // fixed RX-side stack/PCIe delay
+	spanQueue                    // waiting for a core
+	spanService                  // run-to-completion on a core
+	spanStaging                  // SNIC staging-core work before an engine
+	spanEngine                   // accelerator batch residency
+	spanReturn                   // TX-side stack + server→client wire
+	spanDevice                   // storage-target service time
+	numStageSpans
 )
+
+// stageNames are the stage spans' names.
+var stageNames = [numStageSpans]string{
+	spanIngress: "wire+switch",
+	spanStackRx: "stack-rx",
+	spanQueue:   "queue",
+	spanService: "cpu-service",
+	spanStaging: "staging",
+	spanEngine:  "engine",
+	spanReturn:  "wire-return",
+	spanDevice:  "device",
+}
 
 // newRecorder derives a run's recorder from its memoization key: the
 // run ID is a pure function of the key, so two workers racing the same
@@ -48,8 +67,8 @@ func runLabel(cfg *Config, plat Platform, opts RunOpts) string {
 		cfg.Name(), plat, opts.OfferedGbps, opts.Requests, opts.Seed)
 }
 
-// instrumentTestbed installs the recorder and/or invariant checker as
-// observers on every resource, registers the standard gauge set and
+// instrumentTestbed binds the recorder and/or invariant checker to every
+// resource as its observer, registers the standard gauge set and
 // starts the virtual-time sampler (telemetry only). Pool/engine/link
 // gauges sample at the 1 ms default; the power gauges sample at their
 // instrument's cadence (BMC 1 Hz, Yocto-Watt 10 Hz) with the
@@ -60,15 +79,16 @@ func instrumentTestbed(tb *Testbed, rec *obs.Recorder, chk *invariant.Checker) {
 		return
 	}
 	registerPools(tb, chk)
-	o := observe(rec, chk)
-	tb.HostPool.Instrument("pool/host", o)
-	tb.SNICPool.Instrument("pool/snic", o)
-	tb.StagingPool.Instrument("pool/staging", o)
-	tb.REM.Observe("engine/rem", o, o)
-	tb.Deflate.Observe("engine/deflate", o, o)
-	tb.PKA.Observe("engine/pka", o)
-	tb.Wire.Observe(o)
-	tb.Bus.Observe(o)
+	tb.HostPool.Instrument(bind(rec, chk, "pool/host"))
+	tb.SNICPool.Instrument(bind(rec, chk, "pool/snic"))
+	tb.StagingPool.Instrument(bind(rec, chk, "pool/staging"))
+	rem := bind(rec, chk, "engine/rem")
+	tb.REM.Observe(rem, rem)
+	deflate := bind(rec, chk, "engine/deflate")
+	tb.Deflate.Observe(deflate, deflate)
+	tb.PKA.Observe(bind(rec, chk, "engine/pka"))
+	tb.Wire.Observe(bind(rec, chk, "wire/c2s"), bind(rec, chk, "wire/s2c"))
+	tb.Bus.Observe(bind(rec, chk, "pcie/up"), bind(rec, chk, "pcie/down"))
 	if rec == nil {
 		return
 	}
@@ -129,7 +149,7 @@ func (r *Runner) finish(ctx *runctx) {
 		rec.SetCount("pool.shed", float64(ctx.pool.Dropped()))
 		rec.SetCount("wire.lost", float64(ctx.tb.Wire.Lost()))
 	}
-	if ctx.phaseSpans != nil {
+	if ctx.phaseMarks != nil {
 		// Per-phase accounting lands in the registry so manifests show
 		// where the fallback policy routed work, phase by phase.
 		for i := range ctx.tally {
@@ -162,6 +182,19 @@ func (r *Runner) finish(ctx *runctx) {
 	r.Telemetry.Attach(rec)
 }
 
+// internLabels resolves the run's request-track span labels: the root
+// and every stage. Run wiring calls it once, so the hooks below record
+// under a label and hash no string.
+func (ctx *runctx) internLabels() {
+	if ctx.rec == nil {
+		return
+	}
+	ctx.rootLabel = ctx.rec.Intern(obs.TrackRequests, spanRequest)
+	for s := range ctx.stageLabels {
+		ctx.stageLabels[s] = ctx.rec.Intern(obs.TrackRequests, stageNames[s])
+	}
+}
+
 // openRequest opens a request root span at the current virtual time.
 // Returns 0 (untraced) when telemetry is off.
 //
@@ -170,18 +203,18 @@ func (ctx *runctx) openRequest() obs.SpanID {
 	if ctx.rec == nil {
 		return 0
 	}
-	return ctx.rec.Open(obs.TrackRequests, spanRequest, ctx.tb.Eng.Now())
+	return ctx.rec.Begin(ctx.rootLabel, 0, ctx.tb.Eng.Now())
 }
 
 // stage records one stage child span of a request. root==0 (telemetry
 // off, or an untraced packet) makes this a no-op.
 //
 //snicvet:hotpath
-func (ctx *runctx) stage(root obs.SpanID, name string, start, end sim.Time) {
+func (ctx *runctx) stage(root obs.SpanID, s stageSpan, start, end sim.Time) {
 	if root == 0 {
 		return
 	}
-	ctx.rec.Span(obs.TrackRequests, name, root, start, end)
+	ctx.rec.Record(ctx.stageLabels[s], root, start, end)
 }
 
 // closeRequest ends a request root span at the current virtual time.

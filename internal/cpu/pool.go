@@ -159,10 +159,10 @@ func (p *Pool) SetQueueCapacity(n int) { p.station.Capacity = n }
 // invariant checker reads it to register exact occupancy limits.
 func (p *Pool) QueueCapacity() int { return p.station.Capacity }
 
-// Instrument installs a telemetry observer on the pool's station under
-// the given name. Observers are pure recorders (see sim.StationObserver).
-func (p *Pool) Instrument(name string, obs sim.StationObserver) {
-	p.station.Observe(name, obs)
+// Instrument installs a telemetry observer bound to the pool's station.
+// Observers are pure recorders (see sim.StationObserver).
+func (p *Pool) Instrument(obs sim.StationObserver) {
+	p.station.Observe(obs)
 }
 
 // Utilization returns mean busy fraction across cores.

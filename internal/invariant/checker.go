@@ -15,10 +15,16 @@ const (
 	reqDropped
 )
 
-// stationState is what the checker knows about one observed station.
-type stationState struct {
+// Resource is the checker bound to one named station, batch engine or
+// link: what the checker knows about it, and its observer.
+// Checker.Resource binds it when a run is wired, so a callback reaches
+// the resource's bounds without a lookup. It implements
+// sim.StationObserver, sim.LinkObserver and sim.BatchObserver.
+type Resource struct {
+	c    *Checker
+	name string
 	// known marks stations registered explicitly (with authoritative
-	// servers/capacity) as opposed to ones discovered from callbacks.
+	// servers/capacity) as opposed to ones only observed.
 	known    bool
 	servers  int
 	capacity int
@@ -27,10 +33,10 @@ type stationState struct {
 	probe func() (busy, queued int)
 }
 
-// Checker validates the simulator's physical laws online. It implements
-// sim.StationObserver, sim.LinkObserver and sim.BatchObserver, so it
-// installs exactly where the telemetry recorder does; the request ledger
-// (Inject/Complete/Drop) is driven by the run drivers themselves.
+// Checker validates the simulator's physical laws online. Its Resource
+// observers install exactly where the telemetry recorder's do; the
+// request ledger (Inject/Complete/Drop) is driven by the run drivers
+// themselves.
 //
 // Like the recorder, a Checker belongs to one run and is driven
 // synchronously from that run's event loop — no locking. All methods are
@@ -49,17 +55,15 @@ type Checker struct {
 	// number (see dense).
 	state []uint8
 
-	stations map[string]*stationState
+	resources map[string]*Resource
 
-	// Per-phase hop ledgers (pipeline runs); nil until the first
-	// PhaseEnter. phaseOrder keeps first-seen order for deterministic
-	// end-of-run verification; inPhase holds each request's current
-	// phase as 1 + its index in phaseOrder (0: in no phase), indexed by
-	// sequence number, and inside counts the requests in a phase.
-	phases     map[string]*phaseLedger
-	phaseOrder []string
-	inPhase    []uint32
-	inside     int
+	// Per-phase hop ledgers (pipeline runs), indexed by PhaseID-1 in
+	// bind order; nil until the first Phase. inPhase holds each
+	// request's current phase (0: in no phase), indexed by sequence
+	// number, and inside counts the requests in a phase.
+	phases  []phaseLedger
+	inPhase []PhaseID
+	inside  int
 
 	// Flow-offload datapath ledger (offload runs); nil until the first
 	// fast/slow classification (see flows.go).
@@ -70,9 +74,9 @@ type Checker struct {
 // panics with the typed *Violation.
 func New(run string) *Checker {
 	return &Checker{
-		run:      run,
-		failFast: true,
-		stations: make(map[string]*stationState),
+		run:       run,
+		failFast:  true,
+		resources: make(map[string]*Resource),
 	}
 }
 
@@ -132,47 +136,59 @@ func (c *Checker) Now() sim.Time {
 	return c.clock
 }
 
+// Resource returns the checker's observer bound to the named resource,
+// creating its state on first bind; binding a name twice returns the
+// same observer. Call it when a run is wired, not per event. A nil
+// checker returns nil, which must not be installed as an observer: a
+// typed nil in an interface defeats the resources' nil check.
+func (c *Checker) Resource(name string) *Resource {
+	if c == nil {
+		return nil
+	}
+	rs, ok := c.resources[name]
+	if !ok {
+		rs = &Resource{c: c, name: name}
+		c.resources[name] = rs
+	}
+	return rs
+}
+
 // RegisterStation declares a station's ground truth: its server count
 // and queue capacity (0 = unbounded), plus an optional probe reading its
 // live (busy, queued) counters. Registered bounds turn the occupancy and
-// capacity checks from non-negativity into exact range checks. Nil-safe.
+// capacity checks from non-negativity into exact range checks. The
+// station's bound observer is updated in place, so registering before
+// or after binding checks the same bounds. Nil-safe.
 func (c *Checker) RegisterStation(name string, servers, capacity int, probe func() (busy, queued int)) {
 	if c == nil {
 		return
 	}
-	c.stations[name] = &stationState{known: true, servers: servers, capacity: capacity, probe: probe}
+	rs := c.Resource(name)
+	rs.known, rs.servers, rs.capacity, rs.probe = true, servers, capacity, probe
 }
 
-func (c *Checker) station(name string) *stationState {
-	st, ok := c.stations[name]
-	if !ok {
-		st = &stationState{}
-		c.stations[name] = st
-	}
-	return st
+// violate reports a violation on this resource.
+func (rs *Resource) violate(rule Rule, now sim.Time, detail string) {
+	rs.c.violate(&Violation{Rule: rule, Time: now, Station: rs.name, Detail: detail})
 }
 
 // probeCheck validates a station's live counters against its bounds.
-func (c *Checker) probeCheck(name string, st *stationState, now sim.Time) {
-	if st.probe == nil {
+func (rs *Resource) probeCheck(now sim.Time) {
+	if rs.probe == nil {
 		return
 	}
-	busy, queued := st.probe()
+	busy, queued := rs.probe()
 	switch {
 	case busy < 0:
-		c.violate(&Violation{Rule: RuleQueue, Time: now, Station: name,
-			Detail: fmt.Sprintf("occupancy %d is negative", busy)})
-	case st.servers > 0 && busy > st.servers:
-		c.violate(&Violation{Rule: RuleQueue, Time: now, Station: name,
-			Detail: fmt.Sprintf("occupancy %d exceeds %d servers", busy, st.servers)})
+		rs.violate(RuleQueue, now, fmt.Sprintf("occupancy %d is negative", busy))
+	case rs.servers > 0 && busy > rs.servers:
+		rs.violate(RuleQueue, now, fmt.Sprintf("occupancy %d exceeds %d servers", busy, rs.servers))
 	}
 	switch {
 	case queued < 0:
-		c.violate(&Violation{Rule: RuleQueue, Time: now, Station: name,
-			Detail: fmt.Sprintf("queue length %d is negative", queued)})
-	case st.capacity > 0 && queued > st.capacity:
-		c.violate(&Violation{Rule: RuleQueue, Time: now, Station: name,
-			Detail: fmt.Sprintf("queue length %d exceeds capacity %d", queued, st.capacity)})
+		rs.violate(RuleQueue, now, fmt.Sprintf("queue length %d is negative", queued))
+	case rs.capacity > 0 && queued > rs.capacity:
+		rs.violate(RuleQueue, now, fmt.Sprintf("queue length %d exceeds capacity %d", queued, rs.capacity))
 	}
 }
 
@@ -188,7 +204,7 @@ const maxSeqGap = 1 << 20
 
 // at returns seq's entry in a per-request table, or the zero value
 // (absent) past its end.
-func at[T uint8 | uint32](tab []T, seq uint64) T {
+func at[T ~uint8 | ~uint32](tab []T, seq uint64) T {
 	if seq < uint64(len(tab)) {
 		return tab[seq]
 	}
@@ -198,7 +214,7 @@ func at[T uint8 | uint32](tab []T, seq uint64) T {
 // dense grows *tab to cover seq and returns seq's slot, or nil when seq
 // lies more than maxSeqGap past the table's end. Tables only grow, so
 // entries past the length are still zero when a reslice reaches them.
-func dense[T uint8 | uint32](tab *[]T, seq uint64) *T {
+func dense[T ~uint8 | ~uint32](tab *[]T, seq uint64) *T {
 	if n := uint64(len(*tab)); seq >= n {
 		if seq-n > maxSeqGap {
 			return nil
@@ -375,96 +391,65 @@ func (c *Checker) Finish(now sim.Time) error {
 // ---- sim observer implementations ----
 
 // JobQueued implements sim.StationObserver.
-func (c *Checker) JobQueued(station string, now sim.Time, queueLen int) {
-	if c == nil {
-		return
-	}
-	c.advance(now)
-	st := c.station(station)
+func (rs *Resource) JobQueued(now sim.Time, queueLen int) {
+	rs.c.advance(now)
 	if queueLen < 1 {
-		c.violate(&Violation{Rule: RuleQueue, Time: now, Station: station,
-			Detail: fmt.Sprintf("queued callback with queue length %d", queueLen)})
-	} else if st.capacity > 0 && queueLen > st.capacity {
-		c.violate(&Violation{Rule: RuleQueue, Time: now, Station: station,
-			Detail: fmt.Sprintf("queue length %d exceeds capacity %d", queueLen, st.capacity)})
+		rs.violate(RuleQueue, now, fmt.Sprintf("queued callback with queue length %d", queueLen))
+	} else if rs.capacity > 0 && queueLen > rs.capacity {
+		rs.violate(RuleQueue, now, fmt.Sprintf("queue length %d exceeds capacity %d", queueLen, rs.capacity))
 	}
-	c.probeCheck(station, st, now)
+	rs.probeCheck(now)
 }
 
 // JobStarted implements sim.StationObserver.
-func (c *Checker) JobStarted(station string, now sim.Time, waited sim.Duration) {
-	if c == nil {
-		return
-	}
-	c.advance(now)
+func (rs *Resource) JobStarted(now sim.Time, waited sim.Duration) {
+	rs.c.advance(now)
 	if waited < 0 {
-		c.violate(&Violation{Rule: RuleCausality, Time: now, Station: station,
-			Detail: fmt.Sprintf("negative queue wait %v", waited)})
+		rs.violate(RuleCausality, now, fmt.Sprintf("negative queue wait %v", waited))
 	}
-	c.probeCheck(station, c.station(station), now)
+	rs.probeCheck(now)
 }
 
 // JobFinished implements sim.StationObserver.
-func (c *Checker) JobFinished(station string, start, end sim.Time) {
-	if c == nil {
-		return
-	}
-	c.advance(end)
+func (rs *Resource) JobFinished(start, end sim.Time) {
+	rs.c.advance(end)
 	if end < start {
-		c.violate(&Violation{Rule: RuleCausality, Time: end, Station: station,
-			Detail: fmt.Sprintf("service ended at %v before it started at %v", end, start)})
+		rs.violate(RuleCausality, end, fmt.Sprintf("service ended at %v before it started at %v", end, start))
 	}
-	c.probeCheck(station, c.station(station), end)
+	rs.probeCheck(end)
 }
 
 // JobDropped implements sim.StationObserver.
-func (c *Checker) JobDropped(station string, now sim.Time) {
-	if c == nil {
-		return
+func (rs *Resource) JobDropped(now sim.Time) {
+	rs.c.advance(now)
+	if rs.known && rs.capacity == 0 {
+		rs.violate(RuleQueue, now, "job dropped at an unbounded queue")
 	}
-	c.advance(now)
-	st := c.station(station)
-	if st.known && st.capacity == 0 {
-		c.violate(&Violation{Rule: RuleQueue, Time: now, Station: station,
-			Detail: "job dropped at an unbounded queue"})
-	}
-	c.probeCheck(station, st, now)
+	rs.probeCheck(now)
 }
 
 // FrameSent implements sim.LinkObserver. The callback fires at
 // submission time with a serialization slot possibly in the future, so
 // it must not advance the clock — it only checks the slot's sanity.
-func (c *Checker) FrameSent(link string, size int, start, done sim.Time, lost bool) {
-	if c == nil {
-		return
-	}
+func (rs *Resource) FrameSent(size int, start, done sim.Time, _ bool) {
 	if size < 0 {
-		c.violate(&Violation{Rule: RuleBytes, Time: start, Station: link,
-			Detail: fmt.Sprintf("negative frame size %d", size)})
+		rs.violate(RuleBytes, start, fmt.Sprintf("negative frame size %d", size))
 	}
-	if start < c.clock {
-		c.violate(&Violation{Rule: RuleClock, Time: start, Station: link,
-			Detail: fmt.Sprintf("serialization slot starts at %v before observed time %v", start, c.clock)})
+	if clock := rs.c.clock; start < clock {
+		rs.violate(RuleClock, start, fmt.Sprintf("serialization slot starts at %v before observed time %v", start, clock))
 	}
 	if done < start {
-		c.violate(&Violation{Rule: RuleCausality, Time: start, Station: link,
-			Detail: fmt.Sprintf("serialization ends at %v before it starts at %v", done, start)})
+		rs.violate(RuleCausality, start, fmt.Sprintf("serialization ends at %v before it starts at %v", done, start))
 	}
-	_ = lost
 }
 
 // BatchFlushed implements sim.BatchObserver.
-func (c *Checker) BatchFlushed(station string, tasks int, waited sim.Duration, now sim.Time) {
-	if c == nil {
-		return
-	}
-	c.advance(now)
+func (rs *Resource) BatchFlushed(tasks int, waited sim.Duration, now sim.Time) {
+	rs.c.advance(now)
 	if tasks < 1 {
-		c.violate(&Violation{Rule: RuleQueue, Time: now, Station: station,
-			Detail: fmt.Sprintf("batch flushed with %d tasks", tasks)})
+		rs.violate(RuleQueue, now, fmt.Sprintf("batch flushed with %d tasks", tasks))
 	}
 	if waited < 0 {
-		c.violate(&Violation{Rule: RuleCausality, Time: now, Station: station,
-			Detail: fmt.Sprintf("negative batch assembly wait %v", waited)})
+		rs.violate(RuleCausality, now, fmt.Sprintf("negative batch assembly wait %v", waited))
 	}
 }

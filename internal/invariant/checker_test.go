@@ -140,8 +140,8 @@ func TestRequestStateTransitions(t *testing.T) {
 
 func TestClockMonotonicity(t *testing.T) {
 	c := New("clock").Soft()
-	c.JobStarted("pool/host", sim.Time(100), 0)
-	c.JobQueued("pool/host", sim.Time(40), 1) // time ran backwards
+	c.Resource("pool/host").JobStarted(sim.Time(100), 0)
+	c.Resource("pool/host").JobQueued(sim.Time(40), 1) // time ran backwards
 	v, ok := c.Err().(*Violation)
 	if !ok || v.Rule != RuleClock {
 		t.Fatalf("Err = %v, want a %s violation", c.Err(), RuleClock)
@@ -154,28 +154,28 @@ func TestClockMonotonicity(t *testing.T) {
 func TestCausalityInCallbacks(t *testing.T) {
 	t.Run("negative service", func(t *testing.T) {
 		c := New("t").Soft()
-		c.JobFinished("s", sim.Time(50), sim.Time(20))
+		c.Resource("s").JobFinished(sim.Time(50), sim.Time(20))
 		if v := c.Err().(*Violation); v.Rule != RuleCausality {
 			t.Fatalf("rule = %q, want causality", v.Rule)
 		}
 	})
 	t.Run("negative wait", func(t *testing.T) {
 		c := New("t").Soft()
-		c.JobStarted("s", sim.Time(50), sim.Duration(-1))
+		c.Resource("s").JobStarted(sim.Time(50), sim.Duration(-1))
 		if v := c.Err().(*Violation); v.Rule != RuleCausality {
 			t.Fatalf("rule = %q, want causality", v.Rule)
 		}
 	})
 	t.Run("negative batch wait", func(t *testing.T) {
 		c := New("t").Soft()
-		c.BatchFlushed("s", 3, sim.Duration(-1), sim.Time(10))
+		c.Resource("s").BatchFlushed(3, sim.Duration(-1), sim.Time(10))
 		if v := c.Err().(*Violation); v.Rule != RuleCausality {
 			t.Fatalf("rule = %q, want causality", v.Rule)
 		}
 	})
 	t.Run("empty batch", func(t *testing.T) {
 		c := New("t").Soft()
-		c.BatchFlushed("s", 0, 0, sim.Time(10))
+		c.Resource("s").BatchFlushed(0, 0, sim.Time(10))
 		if v := c.Err().(*Violation); v.Rule != RuleQueue {
 			t.Fatalf("rule = %q, want queue-sanity", v.Rule)
 		}
@@ -197,7 +197,7 @@ func TestQueueSanityViaProbe(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New("t").Soft()
 			c.RegisterStation("pool/host", 4, 8, func() (int, int) { return tc.busy, tc.queued })
-			c.JobQueued("pool/host", sim.Time(1), 1)
+			c.Resource("pool/host").JobQueued(sim.Time(1), 1)
 			v, ok := c.Err().(*Violation)
 			if !ok || v.Rule != RuleQueue {
 				t.Fatalf("Err = %v, want a queue-sanity violation", c.Err())
@@ -213,9 +213,9 @@ func TestQueueSanityViaProbe(t *testing.T) {
 	t.Run("sane counters pass", func(t *testing.T) {
 		c := New("t")
 		c.RegisterStation("pool/host", 4, 8, func() (int, int) { return 4, 8 })
-		c.JobQueued("pool/host", sim.Time(1), 8)
-		c.JobStarted("pool/host", sim.Time(2), sim.Duration(1))
-		c.JobFinished("pool/host", sim.Time(2), sim.Time(3))
+		c.Resource("pool/host").JobQueued(sim.Time(1), 8)
+		c.Resource("pool/host").JobStarted(sim.Time(2), sim.Duration(1))
+		c.Resource("pool/host").JobFinished(sim.Time(2), sim.Time(3))
 		if c.Err() != nil {
 			t.Fatalf("boundary occupancy flagged: %v", c.Err())
 		}
@@ -225,12 +225,12 @@ func TestQueueSanityViaProbe(t *testing.T) {
 func TestQueuedCallbackBounds(t *testing.T) {
 	c := New("t").Soft()
 	c.RegisterStation("s", 2, 4, nil)
-	c.JobQueued("s", sim.Time(1), 5) // beyond capacity
+	c.Resource("s").JobQueued(sim.Time(1), 5) // beyond capacity
 	if v := c.Err().(*Violation); v.Rule != RuleQueue {
 		t.Fatalf("rule = %q", v.Rule)
 	}
 	c2 := New("t").Soft()
-	c2.JobQueued("s", sim.Time(1), 0) // a queued job means length >= 1
+	c2.Resource("s").JobQueued(sim.Time(1), 0) // a queued job means length >= 1
 	if v := c2.Err().(*Violation); v.Rule != RuleQueue {
 		t.Fatalf("rule = %q", v.Rule)
 	}
@@ -239,14 +239,14 @@ func TestQueuedCallbackBounds(t *testing.T) {
 func TestDropAtUnboundedQueue(t *testing.T) {
 	c := New("t").Soft()
 	c.RegisterStation("s", 2, 0, nil) // capacity 0 = unbounded
-	c.JobDropped("s", sim.Time(1))
+	c.Resource("s").JobDropped(sim.Time(1))
 	v, ok := c.Err().(*Violation)
 	if !ok || !strings.Contains(v.Detail, "unbounded") {
 		t.Fatalf("Err = %v, want an unbounded-queue drop violation", c.Err())
 	}
 	// An unregistered station's drop is fine: bounds unknown.
 	c2 := New("t")
-	c2.JobDropped("other", sim.Time(1))
+	c2.Resource("other").JobDropped(sim.Time(1))
 	if c2.Err() != nil {
 		t.Fatalf("drop at unknown station flagged: %v", c2.Err())
 	}
@@ -258,12 +258,12 @@ func TestDropAtUnboundedQueue(t *testing.T) {
 // clock regression.
 func TestFrameSentDoesNotAdvanceClock(t *testing.T) {
 	c := New("t")
-	c.JobStarted("s", sim.Time(10), 0)
-	c.FrameSent("wire", 1500, sim.Time(500), sim.Time(600), false)
+	c.Resource("s").JobStarted(sim.Time(10), 0)
+	c.Resource("wire").FrameSent(1500, sim.Time(500), sim.Time(600), false)
 	if c.Now() != sim.Time(10) {
 		t.Fatalf("FrameSent advanced the clock to %v", c.Now())
 	}
-	c.JobStarted("s", sim.Time(20), 0) // must not be a regression
+	c.Resource("s").JobStarted(sim.Time(20), 0) // must not be a regression
 	if c.Err() != nil {
 		t.Fatalf("future slot poisoned the clock: %v", c.Err())
 	}
@@ -272,22 +272,22 @@ func TestFrameSentDoesNotAdvanceClock(t *testing.T) {
 func TestFrameSentChecks(t *testing.T) {
 	t.Run("slot before now", func(t *testing.T) {
 		c := New("t").Soft()
-		c.JobStarted("s", sim.Time(100), 0)
-		c.FrameSent("wire", 64, sim.Time(40), sim.Time(50), false)
+		c.Resource("s").JobStarted(sim.Time(100), 0)
+		c.Resource("wire").FrameSent(64, sim.Time(40), sim.Time(50), false)
 		if v := c.Err().(*Violation); v.Rule != RuleClock {
 			t.Fatalf("rule = %q, want clock-monotonic", v.Rule)
 		}
 	})
 	t.Run("slot ends before start", func(t *testing.T) {
 		c := New("t").Soft()
-		c.FrameSent("wire", 64, sim.Time(50), sim.Time(40), false)
+		c.Resource("wire").FrameSent(64, sim.Time(50), sim.Time(40), false)
 		if v := c.Err().(*Violation); v.Rule != RuleCausality {
 			t.Fatalf("rule = %q, want causality", v.Rule)
 		}
 	})
 	t.Run("negative size", func(t *testing.T) {
 		c := New("t").Soft()
-		c.FrameSent("wire", -1, sim.Time(0), sim.Time(1), false)
+		c.Resource("wire").FrameSent(-1, sim.Time(0), sim.Time(1), false)
 		if v := c.Err().(*Violation); v.Rule != RuleBytes {
 			t.Fatalf("rule = %q, want byte-conservation", v.Rule)
 		}
@@ -310,19 +310,19 @@ func TestVerifyCountsCrossCheck(t *testing.T) {
 }
 
 // TestNilCheckerIsNoOp: checks-off mode routes every call through a nil
-// receiver; none may dereference it.
+// receiver; none may dereference it, and binding yields no observer.
 func TestNilCheckerIsNoOp(t *testing.T) {
 	var c *Checker
 	c.Inject(1, 10, 0)
 	c.Complete(1, 10, 0)
 	c.Drop(2, 10, 0)
 	c.RegisterStation("s", 1, 1, nil)
-	c.JobQueued("s", 0, 1)
-	c.JobStarted("s", 0, 0)
-	c.JobFinished("s", 0, 0)
-	c.JobDropped("s", 0)
-	c.FrameSent("w", 1, 0, 0, false)
-	c.BatchFlushed("s", 1, 0, 0)
+	if rs := c.Resource("s"); rs != nil {
+		t.Fatalf("nil checker bound an observer: %+v", rs)
+	}
+	if ph := c.Phase("nat"); ph != 0 {
+		t.Fatalf("nil checker Phase = %d, want 0", ph)
+	}
 	c.VerifyCounts(9, 9, 0)
 	if c.Err() != nil || c.Run() != "" || c.Now() != 0 {
 		t.Fatal("nil checker returned non-zero state")
@@ -333,6 +333,39 @@ func TestNilCheckerIsNoOp(t *testing.T) {
 	if err := c.Finish(0); err != nil {
 		t.Fatalf("nil Finish = %v", err)
 	}
+}
+
+// An observer bound before its station is registered checks the
+// registered bounds: registration updates the bound state in place
+// instead of replacing it with state the observer never sees.
+func TestRegisterAfterBindChecksBounds(t *testing.T) {
+	t.Run("capacity", func(t *testing.T) {
+		eng := sim.NewEngine()
+		st := sim.NewStation(eng, 1) // unbounded: the station never sheds
+		c := New("t").Soft()
+		st.Observe(c.Resource("s"))
+		c.RegisterStation("s", 1, 1, func() (int, int) { return st.Busy(), st.QueueLen() })
+		eng.At(0, func() {
+			for i := 0; i < 3; i++ {
+				st.Exec(10, nil) // one in service, two queued
+			}
+		})
+		eng.Run()
+		v, ok := c.Err().(*Violation)
+		if !ok || v.Rule != RuleQueue || v.Station != "s" || !strings.Contains(v.Detail, "exceeds capacity 1") {
+			t.Fatalf("Err = %v, want a queue-sanity violation past capacity 1 on s", c.Err())
+		}
+	})
+	t.Run("unbounded drop", func(t *testing.T) {
+		c := New("t").Soft()
+		rs := c.Resource("s")
+		c.RegisterStation("s", 1, 0, nil)
+		rs.JobDropped(sim.Time(1))
+		v, ok := c.Err().(*Violation)
+		if !ok || v.Rule != RuleQueue || !strings.Contains(v.Detail, "unbounded") {
+			t.Fatalf("Err = %v, want an unbounded-queue drop violation", c.Err())
+		}
+	})
 }
 
 // TestFinishDoesNotPanicInFailFastMode: end-of-run collection must

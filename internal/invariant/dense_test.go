@@ -20,7 +20,7 @@ func TestStraySequenceNumberIsNotDense(t *testing.T) {
 	}{
 		{"inject", func(c *Checker) { c.Inject(stray, 0, 0) }, RuleRequestState,
 			func(c *Checker) int { return len(c.state) }},
-		{"phase enter", func(c *Checker) { c.PhaseEnter("nat", stray, 0) }, RulePhase,
+		{"phase enter", func(c *Checker) { c.PhaseEnter(c.Phase("nat"), stray, 0) }, RulePhase,
 			func(c *Checker) int { return len(c.inPhase) }},
 		{"flow fast", func(c *Checker) { c.FlowFast(stray, 0) }, RuleFlow,
 			func(c *Checker) int { return len(c.flows.path) }},

@@ -17,10 +17,12 @@
 //     the server count, and queues never exceed their capacity.
 //
 // A Checker is wired exactly like the telemetry recorder (see
-// internal/obs): it implements the internal/sim observer interfaces and
-// shares a resource's observer slot with the recorder through the run
-// wiring's fan-out (internal/core). With checks off the
-// hot path is unchanged — the same single nil guard as telemetry.
+// internal/obs): Checker.Resource binds it to each resource by name when
+// a run is wired, and the bound observer, which implements the
+// internal/sim observer interfaces, shares the resource's observer slot
+// with the recorder's through the run wiring's fan-out (internal/core).
+// With checks off the hot path is unchanged — the same single nil guard
+// as telemetry.
 //
 // Violations fail fast: the checker panics with a typed *Violation
 // carrying the run label, virtual time, station and request so a failing

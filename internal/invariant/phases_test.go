@@ -8,12 +8,16 @@ import (
 
 func TestPhaseLedgerBalancedRunPasses(t *testing.T) {
 	c := New("phases").Soft()
-	c.PhaseEnter("nat", 1, 0)
-	c.PhaseExit("nat", 1, 10)
-	c.PhaseEnter("ids", 1, 11)
-	c.PhaseExit("ids", 1, 20)
-	c.PhaseEnter("nat", 2, 21)
-	c.PhaseDrop("nat", 2, 22)
+	nat, ids := c.Phase("nat"), c.Phase("ids")
+	if again := c.Phase("nat"); again != nat {
+		t.Fatalf("Phase(nat) bound twice = %d, then %d", nat, again)
+	}
+	c.PhaseEnter(nat, 1, 0)
+	c.PhaseExit(nat, 1, 10)
+	c.PhaseEnter(ids, 1, 11)
+	c.PhaseExit(ids, 1, 20)
+	c.PhaseEnter(nat, 2, 21)
+	c.PhaseDrop(nat, 2, 22)
 	if err := c.Finish(30); err != nil {
 		t.Fatalf("balanced phase ledger should pass: %v", err)
 	}
@@ -24,8 +28,8 @@ func TestPhaseLedgerBalancedRunPasses(t *testing.T) {
 
 func TestPhaseDoubleEnterViolates(t *testing.T) {
 	c := New("phases").Soft()
-	c.PhaseEnter("nat", 1, 0)
-	c.PhaseEnter("ids", 1, 1)
+	c.PhaseEnter(c.Phase("nat"), 1, 0)
+	c.PhaseEnter(c.Phase("ids"), 1, 1)
 	var v *Violation
 	if !errors.As(c.Err(), &v) || v.Rule != RulePhase {
 		t.Fatalf("want RulePhase violation, got %v", c.Err())
@@ -37,7 +41,7 @@ func TestPhaseDoubleEnterViolates(t *testing.T) {
 
 func TestPhaseExitWithoutEnterViolates(t *testing.T) {
 	c := New("phases").Soft()
-	c.PhaseExit("nat", 7, 0)
+	c.PhaseExit(c.Phase("nat"), 7, 0)
 	var v *Violation
 	if !errors.As(c.Err(), &v) || v.Rule != RulePhase {
 		t.Fatalf("want RulePhase violation, got %v", c.Err())
@@ -46,8 +50,8 @@ func TestPhaseExitWithoutEnterViolates(t *testing.T) {
 
 func TestPhaseDropInWrongPhaseViolates(t *testing.T) {
 	c := New("phases").Soft()
-	c.PhaseEnter("nat", 1, 0)
-	c.PhaseDrop("ids", 1, 1)
+	c.PhaseEnter(c.Phase("nat"), 1, 0)
+	c.PhaseDrop(c.Phase("ids"), 1, 1)
 	var v *Violation
 	if !errors.As(c.Err(), &v) || v.Rule != RulePhase {
 		t.Fatalf("want RulePhase violation, got %v", c.Err())
@@ -56,7 +60,7 @@ func TestPhaseDropInWrongPhaseViolates(t *testing.T) {
 
 func TestPhaseImbalanceCaughtAtFinish(t *testing.T) {
 	c := New("phases").Soft()
-	c.PhaseEnter("nat", 1, 0)
+	c.PhaseEnter(c.Phase("nat"), 1, 0)
 	var v *Violation
 	if !errors.As(c.Finish(5), &v) || v.Rule != RulePhase {
 		t.Fatalf("want RulePhase violation at finish, got %v", c.Finish(5))
@@ -65,9 +69,10 @@ func TestPhaseImbalanceCaughtAtFinish(t *testing.T) {
 
 func TestPhaseMethodsNilSafe(t *testing.T) {
 	var c *Checker
-	c.PhaseEnter("nat", 1, 0)
-	c.PhaseExit("nat", 1, 1)
-	c.PhaseDrop("nat", 1, 2)
+	nat := c.Phase("nat")
+	c.PhaseEnter(nat, 1, 0)
+	c.PhaseExit(nat, 1, 1)
+	c.PhaseDrop(nat, 1, 2)
 	if got := c.PhaseEntered("nat"); got != 0 {
 		t.Fatalf("nil checker PhaseEntered = %d, want 0", got)
 	}

@@ -12,7 +12,7 @@ import (
 func TestCheckSpansCleanTree(t *testing.T) {
 	rec := obs.NewRecorder(1, "clean")
 	root := rec.Open("req", "request", sim.Time(100))
-	child := rec.OpenChild("req", "serve", root, sim.Time(120))
+	child := rec.Begin(rec.Intern("req", "serve"), root, sim.Time(120))
 	rec.Close(child, sim.Time(180))
 	rec.Close(root, sim.Time(200))
 	if err := CheckSpans(rec, SpanCheckOpts{}); err != nil {
@@ -22,7 +22,7 @@ func TestCheckSpansCleanTree(t *testing.T) {
 
 func TestCheckSpansNegativeDuration(t *testing.T) {
 	rec := obs.NewRecorder(1, "neg")
-	rec.Span("req", "serve", 0, sim.Time(100), sim.Time(60))
+	rec.Record(rec.Intern("req", "serve"), 0, sim.Time(100), sim.Time(60))
 	err := CheckSpans(rec, SpanCheckOpts{})
 	v, ok := err.(*Violation)
 	if !ok || v.Rule != RuleCausality {
@@ -40,7 +40,7 @@ func TestCheckSpansChildBeforeParent(t *testing.T) {
 	rec := obs.NewRecorder(1, "early")
 	root := rec.Open("req", "request", sim.Time(100))
 	// Child claims to start before the request arrived.
-	child := rec.OpenChild("req", "serve", root, sim.Time(50))
+	child := rec.Begin(rec.Intern("req", "serve"), root, sim.Time(50))
 	rec.Close(child, sim.Time(150))
 	rec.Close(root, sim.Time(200))
 	err := CheckSpans(rec, SpanCheckOpts{})
@@ -53,7 +53,7 @@ func TestCheckSpansChildBeforeParent(t *testing.T) {
 func TestCheckSpansStraggler(t *testing.T) {
 	rec := obs.NewRecorder(1, "strag")
 	root := rec.Open("req", "request", sim.Time(100))
-	child := rec.OpenChild("req", "serve", root, sim.Time(120))
+	child := rec.Begin(rec.Intern("req", "serve"), root, sim.Time(120))
 	rec.Close(root, sim.Time(150))  // request abandoned at timeout
 	rec.Close(child, sim.Time(300)) // stale service copy finishes later
 	if err := CheckSpans(rec, SpanCheckOpts{}); err == nil {
@@ -69,7 +69,7 @@ func TestCheckSpansStraggler(t *testing.T) {
 func TestCheckSpansOpenSpansPass(t *testing.T) {
 	rec := obs.NewRecorder(1, "open")
 	root := rec.Open("req", "request", sim.Time(100))
-	rec.OpenChild("req", "serve", root, sim.Time(120)) // never closed
+	rec.Begin(rec.Intern("req", "serve"), root, sim.Time(120)) // never closed
 	rec.Close(root, sim.Time(150))
 	if err := CheckSpans(rec, SpanCheckOpts{}); err != nil {
 		t.Fatalf("open child flagged: %v", err)
@@ -89,8 +89,8 @@ func TestCheckSpansCleanAuditAllocatesNothing(t *testing.T) {
 	for i := 0; i < 2500; i++ {
 		at := sim.Time(i * 100)
 		root := rec.Open(obs.TrackRequests, "request", at)
-		rec.Span(obs.TrackRequests, "queue", root, at, at+10)
-		rec.Span(obs.TrackRequests, "cpu-service", root, at+10, at+60)
+		rec.Record(rec.Intern(obs.TrackRequests, "queue"), root, at, at+10)
+		rec.Record(rec.Intern(obs.TrackRequests, "cpu-service"), root, at+10, at+60)
 		rec.Close(root, at+70)
 		rec.Open("pool/host", "job", at) // left open, like a shed request
 	}
@@ -113,7 +113,7 @@ func TestCheckSpansCleanAuditAllocatesNothing(t *testing.T) {
 func TestCheckSpansAfterDrop(t *testing.T) {
 	c := obs.NewCollector()
 	rec := c.NewRecorder(1, "dropped")
-	rec.Span("req", "serve", 0, sim.Time(100), sim.Time(60)) // would violate
+	rec.Record(rec.Intern("req", "serve"), 0, sim.Time(100), sim.Time(60)) // would violate
 	c.Attach(rec)
 	if err := CheckSpans(rec, SpanCheckOpts{}); !errors.Is(err, obs.ErrSpansDropped) {
 		t.Fatalf("CheckSpans after drop = %v, want obs.ErrSpansDropped", err)

@@ -325,11 +325,11 @@ func (w *Wire) ServerDirUtilization() float64 { return w.clientToServer.Utilizat
 // ClientDirUtilization reports the server→client direction utilization.
 func (w *Wire) ClientDirUtilization() float64 { return w.serverToClient.Utilization() }
 
-// Observe installs a telemetry observer on both directions, named
-// "wire/c2s" (client→server) and "wire/s2c" (server→client).
-func (w *Wire) Observe(obs sim.LinkObserver) {
-	w.clientToServer.Observe("wire/c2s", obs)
-	w.serverToClient.Observe("wire/s2c", obs)
+// Observe installs a telemetry observer bound to each direction: c2s
+// on client→server, s2c on server→client.
+func (w *Wire) Observe(c2s, s2c sim.LinkObserver) {
+	w.clientToServer.Observe(c2s)
+	w.serverToClient.Observe(s2c)
 }
 
 // ServerDirBacklog returns the client→server serialization backlog.

@@ -68,11 +68,15 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 			pid, strconv.Quote(rec.label)))
 		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"name":"process_sort_index","args":{"sort_index":%d}}`,
 			pid, pid))
-		for ti, track := range rec.tracks {
-			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-				pid, ti+1, strconv.Quote(track)))
+		// Tracks are named only for a run that recorded a span. The
+		// requests track, interned first, is the first one such a run
+		// uses, so tids follow first use.
+		if rec.nspans > 0 {
+			for ti, track := range rec.tracks {
+				emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
+					pid, ti+1, strconv.Quote(track)))
+			}
 		}
-		reqTrack, hasReq := rec.trackIdx[TrackRequests]
 		for i := 0; i < rec.nspans; i++ {
 			sp := rec.spanAt(i)
 			id := SpanID(i + 1)
@@ -82,7 +86,7 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 			}
 			name := strconv.Quote(rec.names[sp.name])
 			tid := int(sp.track) + 1
-			if hasReq && sp.track == reqTrack {
+			if sp.track == requestsTrack {
 				// Async pair keyed by the request's root span so every
 				// stage of one request lands on one nested track.
 				group := id

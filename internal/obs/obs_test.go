@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,9 +25,9 @@ func TestDeriveRunIDStable(t *testing.T) {
 func TestSpanOpenCloseAndCounts(t *testing.T) {
 	r := NewRecorder(1, "t")
 	root := r.Open(TrackRequests, "request", 100)
-	child := r.OpenChild(TrackRequests, "stage", root, 110)
+	child := r.Begin(r.Intern(TrackRequests, "stage"), root, 110)
 	r.Close(child, 150)
-	r.Span(TrackRequests, "stage2", root, 150, 190)
+	r.Record(r.Intern(TrackRequests, "stage2"), root, 150, 190)
 	r.Close(root, 200)
 	if r.SpanCount() != 3 {
 		t.Fatalf("SpanCount = %d, want 3", r.SpanCount())
@@ -54,12 +55,74 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Fatalf("nil recorder Open = %d, want 0", id)
 	}
 	r.Close(id, 10)
-	r.Span(TrackRequests, "x", 0, 0, 1)
 	r.Gauge("g", "u", 0, func() float64 { return 1 })
 	r.SetCount("c", 1)
 	r.Count("c", 1)
+	if l := r.Intern(TrackRequests, "request"); l != 0 || r.Begin(l, 0, 0) != 0 || r.Record(l, 0, 0, 1) != 0 {
+		t.Fatal("nil recorder interned or recorded a span")
+	}
+	// Binding yields nil, which run wiring never installs: a typed nil
+	// inside an observer interface would defeat the resources' nil check.
+	if rs := r.Resource("pool/host"); rs != nil {
+		t.Fatalf("nil recorder bound an observer: %+v", rs)
+	}
 	if r.SpanCount() != 0 || r.SampleCount() != 0 {
 		t.Fatal("nil recorder must report zero everything")
+	}
+}
+
+// A bound resource counts its callbacks into the run's manifest, and
+// binding a name twice (a batch engine's station and its batch
+// assembly) counts into one resource.
+func TestResourceCountsIntoManifest(t *testing.T) {
+	r := NewRecorder(1, "t")
+	st, batch := r.Resource("engine/rem"), r.Resource("engine/rem")
+	if st != batch {
+		t.Fatal("binding one name twice gave two resources")
+	}
+	wire := r.Resource("wire/c2s")
+	r.Resource("pcie/up") // bound, never called: no counters
+	st.JobQueued(1, 3)
+	st.JobStarted(2, 1)
+	st.JobFinished(2, 5)
+	st.JobDropped(6)
+	batch.BatchFlushed(4, 0, 7)
+	wire.FrameSent(1500, 0, 1, false)
+	wire.FrameSent(64, 1, 2, true)
+	got := r.Manifest().Counters
+	want := []Counter{
+		{"engine/rem.queued", 1}, {"engine/rem.started", 1}, {"engine/rem.finished", 1},
+		{"engine/rem.dropped", 1}, {"engine/rem.peak_queue", 3},
+		{"engine/rem.batches", 1}, {"engine/rem.batch_tasks", 4},
+		{"wire/c2s.frames", 2}, {"wire/c2s.bytes", 1564}, {"wire/c2s.lost_frames", 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("manifest counters %v, want %v", got, want)
+	}
+	if r.SpanCount() != 0 {
+		t.Fatalf("callbacks without Detail recorded %d spans", r.SpanCount())
+	}
+}
+
+// Under Detail a resource's track is interned at its first detail span,
+// not when it is bound, so tracks (and trace tids) keep first-use order.
+// A resource recording both kinds of detail span names each its own way.
+func TestDetailTracksInFirstUseOrder(t *testing.T) {
+	r := NewRecorder(1, "t")
+	r.Detail = true
+	host, wire := r.Resource("pool/host"), r.Resource("wire/c2s")
+	r.Open(TrackRequests, "request", 0)
+	wire.FrameSent(64, 0, 1, false)
+	host.JobFinished(1, 2)
+	host.JobFinished(2, 3)
+	host.FrameSent(64, 3, 4, false)
+	if want := []string{TrackRequests, "wire/c2s", "pool/host"}; !reflect.DeepEqual(r.tracks, want) {
+		t.Fatalf("tracks %v, want %v", r.tracks, want)
+	}
+	for i, want := range []string{"requests/request", "wire/c2s/frame", "pool/host/job", "pool/host/job", "pool/host/frame"} {
+		if v, _ := r.View(SpanID(i + 1)); v.Track+"/"+v.Name != want {
+			t.Fatalf("span %d is %s/%s, want %s", i+1, v.Track, v.Name, want)
+		}
 	}
 }
 
@@ -99,7 +162,7 @@ func buildRecorder(id uint64, label string) *Recorder {
 	for i := 0; i < 3; i++ {
 		at := sim.Time(i * 1000)
 		root := r.Open(TrackRequests, "request", at)
-		r.Span(TrackRequests, "stage", root, at.Add(10), at.Add(400))
+		r.Record(r.Intern(TrackRequests, "stage"), root, at.Add(10), at.Add(400))
 		r.Close(root, at.Add(500))
 	}
 	r.AddSeries("q", "jobs", 100, []sim.Time{0, 100, 200}, []float64{0, 2, 1})

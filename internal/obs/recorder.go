@@ -21,7 +21,21 @@ import (
 
 // TrackRequests is the span track that carries request lifecycles. One
 // root span is opened per simulated request; stage children link to it.
+// Every recorder interns it first, so it is track 0 and its Chrome-trace
+// tid is 1.
 const TrackRequests = "requests"
+
+// requestsTrack is TrackRequests' index (see NewRecorder).
+const requestsTrack = 0
+
+// SpanLabel is an interned (track, name) pair: the track's index in the
+// high 16 bits and the name's in the low 16. Intern resolves a pair
+// once, when a run is wired, so recording a span under its label hashes
+// no string. A label is valid only on the recorder that interned it.
+type SpanLabel uint32
+
+func (l SpanLabel) track() uint16 { return uint16(l >> 16) }
+func (l SpanLabel) name() uint16  { return uint16(l) }
 
 // SpanID identifies a span within one Recorder. IDs are 1-based; zero
 // means "no span" and is safe to pass to every Recorder method.
@@ -56,14 +70,6 @@ const (
 
 var spanChunkPool = sync.Pool{New: func() any { return new([spanChunkSize]span) }}
 
-// resourceStats aggregates the observer callbacks per resource name.
-type resourceStats struct {
-	queued, started, finished, dropped uint64
-	frames, bytes, lostFrames          uint64
-	batches, batchTasks                uint64
-	peakQueue                          int
-}
-
 // Recorder captures one run's telemetry.
 type Recorder struct {
 	runID uint64
@@ -93,22 +99,27 @@ type Recorder struct {
 	reg    *Registry
 	series []*Series
 
-	resources    map[string]*resourceStats
+	// resources holds each bound resource's observer and counters by
+	// name, for binding and manifests; resourceKeys in bind order.
+	resources    map[string]*Resource
 	resourceKeys []string
 }
 
 // NewRecorder returns a recorder for one run. runID must be unique and
 // deterministic across processes (see DeriveRunID); label is the
-// human-readable run description used in exports.
+// human-readable run description used in exports. The requests track is
+// interned first.
 func NewRecorder(runID uint64, label string) *Recorder {
-	return &Recorder{
+	r := &Recorder{
 		runID:     runID,
 		label:     label,
 		trackIdx:  make(map[string]uint16),
 		nameIdx:   make(map[string]uint16),
 		reg:       NewRegistry(),
-		resources: make(map[string]*resourceStats),
+		resources: make(map[string]*Resource),
 	}
+	r.internTrack(TrackRequests)
+	return r
 }
 
 // Metrics returns the run's metric registry, for callers that want the
@@ -137,28 +148,35 @@ func (r *Recorder) Label() string {
 	return r.label
 }
 
-//snicvet:hotpath
 func (r *Recorder) internTrack(track string) uint16 {
 	if i, ok := r.trackIdx[track]; ok {
 		return i
 	}
 	i := uint16(len(r.tracks))
-	//snicvet:ignore hotpath -- first use of a track name; the interning table is tiny and stops growing
 	r.tracks = append(r.tracks, track)
 	r.trackIdx[track] = i
 	return i
 }
 
-//snicvet:hotpath
 func (r *Recorder) internName(name string) uint16 {
 	if i, ok := r.nameIdx[name]; ok {
 		return i
 	}
 	i := uint16(len(r.names))
-	//snicvet:ignore hotpath -- first use of a span name; the interning table is tiny and stops growing
 	r.names = append(r.names, name)
 	r.nameIdx[name] = i
 	return i
+}
+
+// Intern resolves a (track, name) pair to its label, adding either
+// string to the recorder's tables on first use. Run wiring interns its
+// labels once and records under them per event. Nil-safe: a nil
+// recorder returns 0, and records nothing under any label.
+func (r *Recorder) Intern(track, name string) SpanLabel {
+	if r == nil {
+		return 0
+	}
+	return SpanLabel(r.internTrack(track))<<16 | SpanLabel(r.internName(name))
 }
 
 // alloc reserves the next span slot, pulling a fresh chunk from the
@@ -188,7 +206,7 @@ func (r *Recorder) spanAt(i int) *span {
 // list. The Collector calls it from Attach, after the run's end-of-run
 // audit, unless a trace will be written, and for a deduplicated replay
 // of a run it already holds. The span, request and open-span counts
-// survive; from then on Open, OpenChild and Span record nothing and
+// survive; from then on Begin, Record and Open record nothing and
 // return 0, Close is a no-op, and View finds no span.
 func (r *Recorder) releaseSpans() {
 	for _, c := range r.chunks {
@@ -198,40 +216,46 @@ func (r *Recorder) releaseSpans() {
 	r.dropped = true
 }
 
-// record stores one span and counts it. Parentless spans on the
-// requests track are request roots; spans ending at openEnd are open.
+// record stores one span and counts it: the one recording path.
+// Parentless spans on the requests track are request roots; spans
+// ending at openEnd are open.
 //
 //snicvet:hotpath
-func (r *Recorder) record(track, name string, parent SpanID, start, end sim.Time) SpanID {
+func (r *Recorder) record(l SpanLabel, parent SpanID, start, end sim.Time) SpanID {
 	if r == nil || r.dropped {
 		return 0
 	}
-	if parent == 0 && track == TrackRequests {
+	if parent == 0 && l.track() == requestsTrack {
 		r.nroots++
 	}
 	if end == openEnd {
 		r.nopen++
 	}
-	*r.alloc() = span{
-		start: start, end: end, parent: parent,
-		track: r.internTrack(track), name: r.internName(name),
-	}
+	*r.alloc() = span{start: start, end: end, parent: parent, track: l.track(), name: l.name()}
 	return SpanID(r.nspans)
 }
 
-// Open starts a span on track at start and returns its ID. Nil-safe:
-// a nil recorder returns 0.
+// Begin opens a span under label l at start, linked to parent (0 for
+// none), and returns its ID. Nil-safe: a nil recorder returns 0.
 //
 //snicvet:hotpath
-func (r *Recorder) Open(track, name string, start sim.Time) SpanID {
-	return r.record(track, name, 0, start, openEnd)
+func (r *Recorder) Begin(l SpanLabel, parent SpanID, start sim.Time) SpanID {
+	return r.record(l, parent, start, openEnd)
 }
 
-// OpenChild starts a span linked to parent. Nil-safe.
+// Record records a complete span under label l, linked to parent (0
+// for none). Nil-safe.
 //
 //snicvet:hotpath
-func (r *Recorder) OpenChild(track, name string, parent SpanID, start sim.Time) SpanID {
-	return r.record(track, name, parent, start, openEnd)
+func (r *Recorder) Record(l SpanLabel, parent SpanID, start, end sim.Time) SpanID {
+	return r.record(l, parent, start, end)
+}
+
+// Open starts a span on track at start and returns its ID: Begin under
+// the pair's label, interned on the way. Nil-safe: a nil recorder
+// returns 0.
+func (r *Recorder) Open(track, name string, start sim.Time) SpanID {
+	return r.Begin(r.Intern(track, name), 0, start)
 }
 
 // Close ends an open span. Closing span 0 or an already-closed span is
@@ -249,44 +273,46 @@ func (r *Recorder) Close(id SpanID, end sim.Time) {
 	}
 }
 
-// Span records a complete child span in one call. parent may be 0 for
-// a free-standing span. Nil-safe.
-//
-//snicvet:hotpath
-func (r *Recorder) Span(track, name string, parent SpanID, start, end sim.Time) SpanID {
-	return r.record(track, name, parent, start, end)
+// SpanTiming is one recorded span's timing and link, without its
+// labels. Open marks spans whose Close was never reached; their End is
+// meaningless.
+type SpanTiming struct {
+	Parent     SpanID
+	Start, End sim.Time
+	Open       bool
 }
 
-// SpanView is the read-only view of one recorded span, with interned
-// track/name indices resolved back to strings. Open marks spans whose
-// Close was never reached; their End is meaningless.
+// Timing returns span id's timing (1-based, in record order) in place,
+// touching no string. ok is false for span 0, for an ID past the last
+// span, and for every ID once the recorder's spans were dropped. The
+// span audit in internal/invariant reads spans through it. Nil-safe.
+//
+//snicvet:hotpath
+func (r *Recorder) Timing(id SpanID) (t SpanTiming, ok bool) {
+	if r == nil || r.dropped || id == 0 || int(id) > r.nspans {
+		return SpanTiming{}, false
+	}
+	sp := r.spanAt(int(id) - 1)
+	return SpanTiming{Parent: sp.parent, Start: sp.start, End: sp.end, Open: sp.end == openEnd}, true
+}
+
+// SpanView is the read-only view of one recorded span: its timing, with
+// the interned track and name resolved back to strings.
 type SpanView struct {
 	Track, Name string
-	Parent      SpanID
-	Start, End  sim.Time
-	Open        bool
+	SpanTiming
 }
 
-// View returns span id (1-based, in record order) in place: nothing is
-// copied or allocated, and Track and Name are the interned strings. ok
-// is false for span 0, for an ID past the last span, and for every ID
-// once the recorder's spans were dropped. The span audit in
-// internal/invariant is built on this. Nil-safe.
-//
-//snicvet:hotpath
+// View returns span id as Timing does, with its track and name. Nothing
+// is copied or allocated; Track and Name are the interned strings. The
+// span audit calls it only to label a violation. Nil-safe.
 func (r *Recorder) View(id SpanID) (s SpanView, ok bool) {
-	if r == nil || r.dropped || id == 0 || int(id) > r.nspans {
+	t, ok := r.Timing(id)
+	if !ok {
 		return SpanView{}, false
 	}
 	sp := r.spanAt(int(id) - 1)
-	return SpanView{
-		Track:  r.tracks[sp.track],
-		Name:   r.names[sp.name],
-		Parent: sp.parent,
-		Start:  sp.start,
-		End:    sp.end,
-		Open:   sp.end == openEnd,
-	}, true
+	return SpanView{Track: r.tracks[sp.track], Name: r.names[sp.name], SpanTiming: t}, true
 }
 
 // SpanCount returns the number of spans recorded so far.
@@ -336,28 +362,72 @@ func (r *Recorder) SetCount(name string, v float64) {
 	r.reg.Counter(name, "").Set(v)
 }
 
-//snicvet:hotpath
-func (r *Recorder) resource(name string) *resourceStats {
+// Resource is the recorder bound to one named station, batch engine or
+// link. It counts the resource's observer callbacks for the run's
+// manifest and, under Detail, records a span per job or frame on the
+// resource's own track. Recorder.Resource binds it when a run is wired,
+// so a callback reaches its counters without a lookup. It implements
+// sim.StationObserver, sim.LinkObserver and sim.BatchObserver.
+type Resource struct {
+	rec  *Recorder
+	name string
+
+	queued, started, finished, dropped uint64
+	frames, bytes, lostFrames          uint64
+	batches, batchTasks                uint64
+	peakQueue                          int
+
+	// job and frame label the resource's two kinds of detail span.
+	job, frame detailLabel
+}
+
+// detailLabel is the label of one kind of detail span on a resource's
+// track. It is interned when its first span is recorded, so resource
+// tracks are interned in first-use order and trace tids stay where they
+// were.
+type detailLabel struct {
+	name     string
+	label    SpanLabel
+	interned bool
+}
+
+// Resource returns the recorder's observer bound to the named resource,
+// creating its counters on first bind. Binding a name twice returns the
+// same observer, so a batch engine's station and its batch assembly
+// count into one resource. Call it when a run is wired, not per event.
+// A nil recorder returns nil, which must not be installed as an
+// observer: a typed nil in an interface defeats the resources' nil
+// check.
+func (r *Recorder) Resource(name string) *Resource {
+	if r == nil {
+		return nil
+	}
 	rs, ok := r.resources[name]
 	if !ok {
-		//snicvet:ignore hotpath -- first callback from a resource; the stats set stops growing after warm-up
-		rs = &resourceStats{}
+		rs = &Resource{rec: r, name: name,
+			job: detailLabel{name: "job"}, frame: detailLabel{name: "frame"}}
 		r.resources[name] = rs
-		//snicvet:ignore hotpath -- first callback from a resource; the stats set stops growing after warm-up
 		r.resourceKeys = append(r.resourceKeys, name)
 	}
 	return rs
 }
 
-// ---- sim observer implementations ----
-// A Recorder can be installed directly as the observer on every station,
-// batch engine, and link of a testbed.
+// detailSpan records one detail span of kind d on the resource's track.
+//
+//snicvet:hotpath
+func (rs *Resource) detailSpan(d *detailLabel, start, end sim.Time) {
+	if !d.interned {
+		//snicvet:ignore hotpath -- the first span of each kind interns its label; later spans reuse it
+		d.label = rs.rec.Intern(rs.name, d.name)
+		d.interned = true
+	}
+	rs.rec.Record(d.label, 0, start, end)
+}
 
 // JobQueued implements sim.StationObserver.
 //
 //snicvet:hotpath
-func (r *Recorder) JobQueued(station string, _ sim.Time, queueLen int) {
-	rs := r.resource(station)
+func (rs *Resource) JobQueued(_ sim.Time, queueLen int) {
 	rs.queued++
 	if queueLen > rs.peakQueue {
 		rs.peakQueue = queueLen
@@ -367,47 +437,41 @@ func (r *Recorder) JobQueued(station string, _ sim.Time, queueLen int) {
 // JobStarted implements sim.StationObserver.
 //
 //snicvet:hotpath
-func (r *Recorder) JobStarted(station string, _ sim.Time, _ sim.Duration) {
-	r.resource(station).started++
-}
+func (rs *Resource) JobStarted(sim.Time, sim.Duration) { rs.started++ }
 
 // JobFinished implements sim.StationObserver.
 //
 //snicvet:hotpath
-func (r *Recorder) JobFinished(station string, start, end sim.Time) {
-	r.resource(station).finished++
-	if r.Detail {
-		r.Span(station, "job", 0, start, end)
+func (rs *Resource) JobFinished(start, end sim.Time) {
+	rs.finished++
+	if rs.rec.Detail {
+		rs.detailSpan(&rs.job, start, end)
 	}
 }
 
 // JobDropped implements sim.StationObserver.
 //
 //snicvet:hotpath
-func (r *Recorder) JobDropped(station string, _ sim.Time) {
-	r.resource(station).dropped++
-}
+func (rs *Resource) JobDropped(sim.Time) { rs.dropped++ }
 
 // FrameSent implements sim.LinkObserver.
 //
 //snicvet:hotpath
-func (r *Recorder) FrameSent(link string, size int, start, done sim.Time, lost bool) {
-	rs := r.resource(link)
+func (rs *Resource) FrameSent(size int, start, done sim.Time, lost bool) {
 	rs.frames++
 	rs.bytes += uint64(size)
 	if lost {
 		rs.lostFrames++
 	}
-	if r.Detail {
-		r.Span(link, "frame", 0, start, done)
+	if rs.rec.Detail {
+		rs.detailSpan(&rs.frame, start, done)
 	}
 }
 
 // BatchFlushed implements sim.BatchObserver.
 //
 //snicvet:hotpath
-func (r *Recorder) BatchFlushed(station string, tasks int, _ sim.Duration, _ sim.Time) {
-	rs := r.resource(station)
+func (rs *Resource) BatchFlushed(tasks int, _ sim.Duration, _ sim.Time) {
 	rs.batches++
 	rs.batchTasks += uint64(tasks)
 }

@@ -112,11 +112,11 @@ func (b *Bus) Doorbell(rung func()) {
 	b.eng.After(sim.Duration(b.Config.MMIOWriteNs)+sim.Duration(b.Config.RoundTripNs/2), rung)
 }
 
-// Observe installs a telemetry observer on both directions, named
-// "pcie/up" (device→host) and "pcie/down" (host→device).
-func (b *Bus) Observe(obs sim.LinkObserver) {
-	b.up.Observe("pcie/up", obs)
-	b.down.Observe("pcie/down", obs)
+// Observe installs a telemetry observer bound to each direction: up on
+// device→host, down on host→device.
+func (b *Bus) Observe(up, down sim.LinkObserver) {
+	b.up.Observe(up)
+	b.down.Observe(down)
 }
 
 // UpBacklog returns the device→host serialization backlog.

@@ -40,7 +40,6 @@ type BatchStation struct {
 	batches   uint64
 
 	// Optional telemetry hook (see Observe).
-	name     string
 	batchObs BatchObserver
 }
 
@@ -67,15 +66,12 @@ func NewBatchStation(eng *Engine, maxBatch int, maxWait, perBatch Duration) *Bat
 	}
 }
 
-// Observe installs telemetry observers identified by name: obs watches
-// the internal engine station, batchObs watches batch assembly. Either
-// may be nil. Observers must not mutate model state.
-func (b *BatchStation) Observe(name string, obs StationObserver, batchObs BatchObserver) {
-	b.name = name
+// Observe installs telemetry observers bound to this station: obs
+// watches the internal engine station, batchObs watches batch assembly.
+// Either may be nil. Observers must not mutate model state.
+func (b *BatchStation) Observe(obs StationObserver, batchObs BatchObserver) {
 	b.batchObs = batchObs
-	if obs != nil {
-		b.engine.Observe(name, obs)
-	}
+	b.engine.Observe(obs)
 }
 
 // Submit adds a task to the current batch.
@@ -141,7 +137,7 @@ func (b *BatchStation) flush() {
 	b.batches++
 	if b.batchObs != nil {
 		now := b.eng.Now()
-		b.batchObs.BatchFlushed(b.name, len(bt.tasks), now.Sub(b.firstAt), now)
+		b.batchObs.BatchFlushed(len(bt.tasks), now.Sub(b.firstAt), now)
 	}
 	total := b.PerBatch
 	for _, j := range bt.tasks {

@@ -3,9 +3,11 @@ package sim_test
 // Dynamic counterpart of the snicvet hotpath analyzer: the //snicvet:hotpath
 // functions are statically allocation-free, and this test pins the same
 // property at runtime. A closed loop of jobs circulates through a Station,
-// a Link, and a flow.Table with a Recorder installed as the telemetry
-// observer; once warm (free lists filled, rings at capacity, metric and
-// resource names interned) one simulated event must not allocate at all.
+// a Link, and a flow.Table with a Recorder and an invariant Checker bound
+// to each resource through one fan-out, as a checked and recorded run
+// wires them; every job also records a span under a label interned at
+// setup. Once warm (free lists filled, rings at capacity, metric names
+// registered) one simulated event must not allocate at all.
 // Frames also circulate on the Link faster than it can carry them, so
 // its in-flight ring holds a standing backlog and keeps compacting.
 
@@ -13,9 +15,47 @@ import (
 	"testing"
 
 	"repro/internal/flow"
+	"repro/internal/invariant"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// fanOut forwards every callback to a resource's bound recorder, then
+// its bound checker: the observer a checked and recorded run installs.
+type fanOut struct {
+	rec *obs.Resource
+	chk *invariant.Resource
+}
+
+func (f *fanOut) JobQueued(now sim.Time, n int) {
+	f.rec.JobQueued(now, n)
+	f.chk.JobQueued(now, n)
+}
+
+func (f *fanOut) JobStarted(now sim.Time, w sim.Duration) {
+	f.rec.JobStarted(now, w)
+	f.chk.JobStarted(now, w)
+}
+
+func (f *fanOut) JobFinished(start, end sim.Time) {
+	f.rec.JobFinished(start, end)
+	f.chk.JobFinished(start, end)
+}
+
+func (f *fanOut) JobDropped(now sim.Time) {
+	f.rec.JobDropped(now)
+	f.chk.JobDropped(now)
+}
+
+func (f *fanOut) FrameSent(size int, start, done sim.Time, lost bool) {
+	f.rec.FrameSent(size, start, done, lost)
+	f.chk.FrameSent(size, start, done, lost)
+}
+
+func (f *fanOut) BatchFlushed(tasks int, w sim.Duration, now sim.Time) {
+	f.rec.BatchFlushed(tasks, w, now)
+	f.chk.BatchFlushed(tasks, w, now)
+}
 
 // closedLoop is a self-sustaining workload: every completion re-submits
 // its job and every delivered frame is re-sent, so the engine never
@@ -28,8 +68,11 @@ type closedLoop struct {
 	link  *sim.Link
 	table *flow.Table
 	rec   *obs.Recorder
-	jobs  []*sim.Job
-	next  uint64 // rotating flow ID driving table churn
+	chk   *invariant.Checker
+	// job labels the span each completed job records.
+	job  obs.SpanLabel
+	jobs []*sim.Job
+	next uint64 // rotating flow ID driving table churn
 	// resend re-sends a delivered frame, keeping circulatingFrames on
 	// the link.
 	resend func()
@@ -54,15 +97,22 @@ func newClosedLoop(nJobs int) *closedLoop {
 			ThrashWindow:   sim.Microsecond,
 		}),
 		rec: obs.NewRecorder(1, "hotpath-alloc"),
+		chk: invariant.New("hotpath-alloc"),
 	}
-	cl.st.Observe("pool", cl.rec)
-	cl.link.Observe("wire", cl.rec)
+	// Wiring: register the station's bounds, bind both observers to
+	// each resource by name, and intern the span label, all before the
+	// first event.
+	cl.chk.RegisterStation("pool", 2, 0, func() (int, int) { return cl.st.Busy(), cl.st.QueueLen() })
+	cl.st.Observe(&fanOut{cl.rec.Resource("pool"), cl.chk.Resource("pool")})
+	cl.link.Observe(&fanOut{cl.rec.Resource("wire"), cl.chk.Resource("wire")})
+	cl.job = cl.rec.Intern(obs.TrackRequests, "job")
 	for i := 0; i < nJobs; i++ {
 		j := &sim.Job{Service: 3 * sim.Microsecond}
 		// The Done closure is the one allocation in the loop, made here at
 		// setup time; steady-state completions reuse it forever.
 		j.Done = func(start, end sim.Time) {
 			cl.next++
+			cl.rec.Record(cl.job, 0, start, end)
 			// One hot flow that stays resident (fast-path hits) plus a
 			// cyclic cold tail 3× capacity wide (sustained eviction churn).
 			if !cl.table.Lookup(1000, end) {
@@ -98,8 +148,8 @@ func (cl *closedLoop) step(t *testing.T, n int) {
 func TestHotPathZeroAllocs(t *testing.T) {
 	cl := newClosedLoop(8)
 	// Warm-up: grow the event free list, the station ring, the rule free
-	// list and the pending ring to their high-water marks, and intern
-	// every metric and resource name the observers will touch.
+	// list and the pending ring to their high-water marks, and register
+	// the counter the loop bumps.
 	cl.step(t, 20000)
 
 	allocs := testing.AllocsPerRun(50, func() {
@@ -110,7 +160,13 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("telemetry-enabled hot path allocates %.2f times per 200 events, want 0", allocs)
+		t.Errorf("checked, recorded hot path allocates %.2f times per 200 events, want 0", allocs)
+	}
+	if err := cl.chk.Err(); err != nil {
+		t.Errorf("checker flagged the closed loop: %v", err)
+	}
+	if cl.rec.SpanCount() == 0 {
+		t.Error("recorder recorded no job spans")
 	}
 
 	// The loop must actually have exercised the table's churn paths, or

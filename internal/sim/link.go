@@ -42,8 +42,7 @@ type Link struct {
 	lost       uint64
 
 	// Optional telemetry hook (see Observe).
-	name string
-	obs  LinkObserver
+	obs LinkObserver
 }
 
 // NewLink returns a link with the given rate in bits/s and one-way
@@ -61,12 +60,9 @@ func NewLink(eng *Engine, rateBitsPerSec float64, propagation Duration) *Link {
 // RateBits returns the link rate in bits/s.
 func (l *Link) RateBits() float64 { return l.rateBits }
 
-// Observe installs a telemetry observer identified by name. Observers
+// Observe installs a telemetry observer bound to this link. Observers
 // are pure recorders: they must not mutate model state.
-func (l *Link) Observe(name string, obs LinkObserver) {
-	l.name = name
-	l.obs = obs
-}
+func (l *Link) Observe(obs LinkObserver) { l.obs = obs }
 
 // SetRateFactor caps the effective rate at factor × nominal for frames
 // sent from now on. Factor must be in (0, 1]; 1 restores full rate.
@@ -145,7 +141,7 @@ func (l *Link) SendCall(size int, h EventHandler) Time {
 	l.framesSent++
 	l.busyTime += ser
 	if l.obs != nil {
-		l.obs.FrameSent(l.name, size, start, done, l.down)
+		l.obs.FrameSent(size, start, done, l.down)
 	}
 	if l.down {
 		l.lost++

@@ -8,36 +8,39 @@ package sim
 // mid-transition, and determinism depends on observers being pure
 // recorders. With no observer installed the hooks cost one nil check.
 
-// StationObserver receives per-job lifecycle notifications from a
-// Station (or a BatchStation's internal engine).
+// StationObserver receives per-job lifecycle notifications from one
+// Station (or a BatchStation's internal engine). An observer is bound
+// to its resource when a run is wired, so callbacks carry no name and
+// an observer that keeps per-resource state reaches it without a
+// lookup.
 type StationObserver interface {
 	// JobQueued fires when a job enters the wait queue (not when it
 	// starts service immediately). queueLen is the length including j.
-	JobQueued(station string, now Time, queueLen int)
+	JobQueued(now Time, queueLen int)
 	// JobStarted fires when a job begins service. waited is the time
 	// spent in the wait queue (zero for jobs served on arrival).
-	JobStarted(station string, now Time, waited Duration)
+	JobStarted(now Time, waited Duration)
 	// JobFinished fires when a job completes service.
-	JobFinished(station string, start, end Time)
+	JobFinished(start, end Time)
 	// JobDropped fires when a job is rejected by a full queue.
-	JobDropped(station string, now Time)
+	JobDropped(now Time)
 }
 
-// LinkObserver receives per-frame notifications from a Link.
+// LinkObserver receives per-frame notifications from one Link.
 type LinkObserver interface {
 	// FrameSent fires at submission time: start/done bound the
 	// serialization slot the frame occupies (possibly in the future,
 	// behind queued frames); lost marks frames sent while the link was
 	// down.
-	FrameSent(link string, size int, start, done Time, lost bool)
+	FrameSent(size int, start, done Time, lost bool)
 }
 
-// BatchObserver receives batch-assembly notifications from a
+// BatchObserver receives batch-assembly notifications from one
 // BatchStation.
 type BatchObserver interface {
 	// BatchFlushed fires when a batch is handed to the engine. waited
 	// is the assembly delay since the batch's first task arrived.
-	BatchFlushed(station string, tasks int, waited Duration, now Time)
+	BatchFlushed(tasks int, waited Duration, now Time)
 }
 
 // Ticker schedules fn at a fixed virtual-time period, starting one

@@ -12,20 +12,20 @@ type obsLog struct {
 	batchTasks                         int
 }
 
-func (o *obsLog) JobQueued(string, Time, int) { o.queued++ }
-func (o *obsLog) JobStarted(_ string, _ Time, w Duration) {
+func (o *obsLog) JobQueued(Time, int) { o.queued++ }
+func (o *obsLog) JobStarted(_ Time, w Duration) {
 	o.started++
 	o.waits = append(o.waits, w)
 }
-func (o *obsLog) JobFinished(string, Time, Time) { o.finished++ }
-func (o *obsLog) JobDropped(string, Time)        { o.dropped++ }
-func (o *obsLog) FrameSent(_ string, _ int, _, _ Time, lost bool) {
+func (o *obsLog) JobFinished(Time, Time) { o.finished++ }
+func (o *obsLog) JobDropped(Time)        { o.dropped++ }
+func (o *obsLog) FrameSent(_ int, _, _ Time, lost bool) {
 	o.frames++
 	if lost {
 		o.lost++
 	}
 }
-func (o *obsLog) BatchFlushed(_ string, tasks int, _ Duration, _ Time) {
+func (o *obsLog) BatchFlushed(tasks int, _ Duration, _ Time) {
 	o.batches++
 	o.batchTasks += tasks
 }
@@ -89,7 +89,7 @@ func TestStationObserverCounts(t *testing.T) {
 	st := NewStation(e, 1)
 	st.Capacity = 1
 	log := &obsLog{}
-	st.Observe("st", log)
+	st.Observe(log)
 	e.At(0, func() {
 		st.Submit(&Job{Service: 10}) // starts immediately
 		st.Submit(&Job{Service: 10}) // queues (wait 10)
@@ -113,7 +113,7 @@ func TestLinkObserverFrames(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, 8e9, 0) // 1 byte/ns
 	log := &obsLog{}
-	l.Observe("lk", log)
+	l.Observe(log)
 	e.At(0, func() {
 		l.Send(100, func() {})
 		l.SetDown(true)
@@ -129,7 +129,7 @@ func TestBatchObserverFlush(t *testing.T) {
 	e := NewEngine()
 	b := NewBatchStation(e, 4, 100, 10)
 	log := &obsLog{}
-	b.Observe("bt", log, log)
+	b.Observe(log, log)
 	e.At(0, func() {
 		for i := 0; i < 6; i++ {
 			b.Submit(&Job{Size: 64})

@@ -1,0 +1,144 @@
+package sim
+
+// Analytic oracles for the substrate: a Station fed Poisson arrivals
+// with exponential service is an M/M/c queue, whose mean wait is the
+// Erlang-C closed form, and a Link fed Poisson frames of one size is an
+// M/D/1 queue, whose mean wait is the Pollaczek–Khinchine formula. The
+// waits come from bound observers, the same hooks telemetry uses. Each
+// run's mean wait must fall within a 99.9% confidence bound built from
+// batch means, which accounts for the waits' autocorrelation.
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// batches is the number of batch means; tBatches is Student's t at
+// 99.9% two-sided confidence for batches-1 degrees of freedom.
+const (
+	batches  = 30
+	tBatches = 3.659
+)
+
+// checkMeanWait compares the mean of waits (after dropping the first
+// tenth as warm-up) with want. It fails when the difference exceeds the
+// batch-means confidence half-width, or when that half-width exceeds
+// 10% of want, which would leave the check without power.
+func checkMeanWait(t *testing.T, waits []Duration, want Duration) {
+	t.Helper()
+	waits = waits[len(waits)/10:]
+	size := len(waits) / batches
+	var sum, sumSq float64
+	for b := 0; b < batches; b++ {
+		var m float64
+		for _, w := range waits[b*size : (b+1)*size] {
+			m += float64(w)
+		}
+		m /= float64(size)
+		sum += m
+		sumSq += m * m
+	}
+	mean := sum / batches
+	sd := math.Sqrt((sumSq - batches*mean*mean) / (batches - 1))
+	half := tBatches * sd / math.Sqrt(batches)
+	t.Logf("mean wait %.1f ns ± %.1f, closed form %d ns", mean, half, want)
+	if half > 0.1*float64(want) {
+		t.Fatalf("confidence half-width %.1f ns is over 10%% of the expected %d ns: run longer", half, want)
+	}
+	if math.Abs(mean-float64(want)) > half {
+		t.Fatalf("mean wait %.1f ns, closed form %d ns: outside ±%.1f ns", mean, want, half)
+	}
+}
+
+// erlangC returns the probability that an arrival waits in an M/M/c
+// queue with offered load a = λ/μ Erlangs (a < c).
+func erlangC(c int, a float64) float64 {
+	term, sum := 1.0, 0.0 // term is a^k/k!
+	for k := 0; k < c; k++ {
+		sum += term
+		term *= a / float64(k+1)
+	}
+	tail := term * float64(c) / (float64(c) - a) // a^c/c! · 1/(1-ρ)
+	return tail / (sum + tail)
+}
+
+// stationWaits records each job's queue wait from a bound observer.
+type stationWaits struct{ waits []Duration }
+
+func (o *stationWaits) JobQueued(Time, int)           {}
+func (o *stationWaits) JobStarted(_ Time, w Duration) { o.waits = append(o.waits, w) }
+func (o *stationWaits) JobFinished(Time, Time)        {}
+func (o *stationWaits) JobDropped(Time)               {}
+
+// linkWaits records each frame's wait for the wire: the time from
+// submission to the start of its serialization slot.
+type linkWaits struct {
+	eng   *Engine
+	waits []Duration
+}
+
+func (o *linkWaits) FrameSent(_ int, start, _ Time, _ bool) {
+	o.waits = append(o.waits, start.Sub(o.eng.Now()))
+}
+
+// poissonArrivals calls arrive n times at exponential gaps of mean gap.
+func poissonArrivals(e *Engine, rng *RNG, gap Duration, n int, arrive func()) {
+	var next func()
+	next = func() {
+		arrive()
+		if n--; n > 0 {
+			e.After(rng.Exp(gap), next)
+		}
+	}
+	e.After(rng.Exp(gap), next)
+}
+
+func TestStationMatchesErlangC(t *testing.T) {
+	const svc = 10 * Microsecond
+	for _, tc := range []struct {
+		servers int
+		rho     float64
+		jobs    int
+		seed    uint64
+	}{
+		{1, 0.7, 300_000, 1},
+		{4, 0.7, 800_000, 2},
+	} {
+		t.Run(fmt.Sprintf("c=%d", tc.servers), func(t *testing.T) {
+			e := NewEngine()
+			st := NewStation(e, tc.servers)
+			log := &stationWaits{}
+			st.Observe(log)
+			rng := NewRNG(tc.seed)
+			gap := Duration(float64(svc) / (tc.rho * float64(tc.servers)))
+			poissonArrivals(e, rng, gap, tc.jobs, func() { st.Exec(rng.Exp(svc), nil) })
+			e.Run()
+
+			// Wq = C(c, a) / (cμ − λ), with a = λ/μ = cρ.
+			a := tc.rho * float64(tc.servers)
+			mu := 1 / float64(svc)
+			checkMeanWait(t, log.waits, Duration(erlangC(tc.servers, a)/(float64(tc.servers)*mu-a*mu)))
+		})
+	}
+}
+
+func TestLinkMatchesPollaczekKhinchine(t *testing.T) {
+	const (
+		mtu  = 1500
+		rate = 10e9
+		rho  = 0.7
+	)
+	e := NewEngine()
+	l := NewLink(e, rate, 500*Nanosecond)
+	log := &linkWaits{eng: e}
+	l.Observe(log)
+	ser := DurationOf(mtu, rate)
+	rng := NewRNG(3)
+	poissonArrivals(e, rng, Duration(float64(ser)/rho), 600_000, func() { l.Send(mtu, nil) })
+	e.Run()
+
+	// M/D/1: Wq = ρS / (2(1−ρ)).
+	want := Duration(rho * float64(ser) / (2 * (1 - rho)))
+	checkMeanWait(t, log.waits, want)
+}

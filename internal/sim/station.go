@@ -93,8 +93,7 @@ type Station struct {
 	jobs jobPool
 
 	// Optional telemetry hook (see Observe).
-	name string
-	obs  StationObserver
+	obs StationObserver
 }
 
 // NewStation returns a station with the given number of parallel servers.
@@ -136,12 +135,9 @@ func (s *Station) Utilization() float64 {
 // QueuePeak returns the maximum queue length observed.
 func (s *Station) QueuePeak() int { return s.queuePeak }
 
-// Observe installs a telemetry observer identified by name. Observers
-// are pure recorders: they must not mutate model state.
-func (s *Station) Observe(name string, obs StationObserver) {
-	s.name = name
-	s.obs = obs
-}
+// Observe installs a telemetry observer bound to this station.
+// Observers are pure recorders: they must not mutate model state.
+func (s *Station) Observe(obs StationObserver) { s.obs = obs }
 
 // Submit enqueues a job. It reports false if the job was dropped because
 // the queue is at capacity.
@@ -159,7 +155,7 @@ func (s *Station) Submit(j *Job) bool {
 	if s.Capacity > 0 && s.QueueLen() >= s.Capacity {
 		s.dropped++
 		if s.obs != nil {
-			s.obs.JobDropped(s.name, s.eng.Now())
+			s.obs.JobDropped(s.eng.Now())
 		}
 		return false
 	}
@@ -179,7 +175,7 @@ func (s *Station) Submit(j *Job) bool {
 		s.queuePeak = n
 	}
 	if s.obs != nil {
-		s.obs.JobQueued(s.name, s.eng.Now(), s.QueueLen())
+		s.obs.JobQueued(s.eng.Now(), s.QueueLen())
 	}
 	return true
 }
@@ -215,7 +211,7 @@ func (s *Station) start(j *Job) {
 	begin := s.eng.Now()
 	j.startedAt = begin
 	if s.obs != nil {
-		s.obs.JobStarted(s.name, begin, begin.Sub(j.enqueuedAt))
+		s.obs.JobStarted(begin, begin.Sub(j.enqueuedAt))
 	}
 	svc := j.Service
 	if hold := s.stallUntil.Sub(begin); hold > 0 {
@@ -239,7 +235,7 @@ func (s *Station) HandleEvent(arg any) {
 	// to the back of the queue, not steal the freed server.
 	s.dispatch()
 	if s.obs != nil {
-		s.obs.JobFinished(s.name, j.startedAt, s.eng.Now())
+		s.obs.JobFinished(j.startedAt, s.eng.Now())
 	}
 	done, start := j.Done, j.startedAt
 	if j.pooled {

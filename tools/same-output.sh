@@ -60,9 +60,13 @@ check "offload" -exp offload -q -trace trace.json -metrics metrics.csv -manifest
 # so these manifests are built from the recorder's counters.
 check "faults checked" -exp faults -q -j 1 -check -metrics metrics.json -manifest manifest.json
 check "pipeline checked" -exp pipeline -q -j 1 -check -manifest manifest.json
+check "offload checked" -exp offload -q -j 1 -check -metrics metrics.json -manifest manifest.json
 check "strategies checked" -exp strategies -q -j 1 -check -metrics metrics.json -manifest manifest.json
 # Traced: the failover replays' spans, stragglers included, by digest.
 check "faults traced" -exp faults -q -j 1 -trace trace.json
+# Checked and traced: the span audit and the trace export read the same
+# runs' spans.
+check "pipeline checked traced" -exp pipeline -q -j 1 -check -trace trace.json
 
 if [ "$failed" -ne 0 ]; then
 	echo "snicbench output differs from $base" >&2
