@@ -73,8 +73,8 @@ profile-smoke: bin/snicbench
 # compares -exp all stdout and its -profile JSON, -exp all's metrics and
 # manifests, the fig4 nat trace and metrics, the fleet manifest, the
 # pipeline and offload traces, metrics and manifests, the checked
-# faults, pipeline, offload and strategies runs, the faults trace, and
-# the checked and traced pipeline run, by digest.
+# faults, pipeline, offload, strategies and fleet runs, the faults
+# trace, and the checked and traced pipeline run, by digest.
 # A change that must not move any number runs this against its parent.
 BASE ?= HEAD
 same-output:

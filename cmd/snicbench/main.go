@@ -171,21 +171,21 @@ func main() {
 	elapsed := time.Since(start)
 
 	if tel != nil {
-		writeOut(*traceOut, tel.WriteTrace)
+		exitOn(writeOut(*traceOut, tel.WriteTrace))
 		if *metricsOut != "" {
 			if strings.HasSuffix(*metricsOut, ".json") {
-				writeOut(*metricsOut, tel.WriteMetricsJSON)
+				exitOn(writeOut(*metricsOut, tel.WriteMetricsJSON))
 			} else {
-				writeOut(*metricsOut, tel.WriteMetricsCSV)
+				exitOn(writeOut(*metricsOut, tel.WriteMetricsCSV))
 			}
 		}
-		writeOut(*manifestOut, tel.WriteManifests)
+		exitOn(writeOut(*manifestOut, tel.WriteManifests))
 	}
 	if prof != nil {
 		// profile.json holds virtual-state counters only, so sequential
 		// profiles are byte-identical across runs; the wall-clock rate is
 		// advisory and goes to stderr.
-		writeOut(*profileOut, prof.WriteProfile)
+		exitOn(writeOut(*profileOut, prof.WriteProfile))
 		sp := prof.Snapshot()
 		if sec := elapsed.Seconds(); sec > 0 && sp.Events > 0 {
 			fmt.Fprintf(os.Stderr, "self-profile: %d runs, %d events in %.2fs (%.0f events/s), heap peak %d\n",
@@ -210,25 +210,36 @@ func main() {
 	}
 }
 
-// writeOut writes one telemetry export to path ("" skips).
-func writeOut(path string, write func(io.Writer) error) {
+// writeOut writes one export to path ("" skips). It returns the first
+// error from creating, writing, flushing or closing the file: an export
+// small enough to stay in the buffer fails only at the flush.
+func writeOut(path string, write func(io.Writer) error) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "snicbench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	bw := bufio.NewWriter(f)
-	if err := write(bw); err == nil {
+	err = write(bw)
+	if err == nil {
 		err = bw.Flush()
-	} else {
-		fmt.Fprintf(os.Stderr, "snicbench: writing %s: %v\n", path, err)
-		os.Exit(1)
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "snicbench: closing %s: %v\n", path, err)
+		return fmt.Errorf("closing %s: %w", path, err)
+	}
+	return nil
+}
+
+// exitOn reports err and exits 1; a nil err does nothing.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "snicbench: %v\n", err)
 		os.Exit(1)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -35,17 +34,6 @@ type ServerReplay struct {
 	// cache and shared between identical servers: treat it as read-only
 	// and Merge it into a fresh histogram for fleet-level quantiles.
 	Hist *stats.Histogram
-	// RunID is this replay's telemetry run identity, derived from the
-	// memo key (stable whether or not telemetry is attached).
-	RunID uint64
-}
-
-// DeliveredFrac is achieved over offered data rate (1 when idle).
-func (s ServerReplay) DeliveredFrac() float64 {
-	if s.OfferedGbps <= 0 {
-		return 1
-	}
-	return s.AvgTputGbps / s.OfferedGbps
 }
 
 // ReplayServer simulates one fleet server fed the given per-interval
@@ -92,7 +80,6 @@ func (r *Runner) replayServer(cfg *Config, plat Platform, rates []float64, inter
 		Completed:   uint64(ctx.done),
 		Latency:     ctx.hist.Summarize(),
 		Hist:        ctx.hist,
-		RunID:       obs.DeriveRunID(key),
 	}
 	ctx.meter.Close(ctx.lastSend)
 	res.AvgTputGbps = ctx.meter.Gbps()

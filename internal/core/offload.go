@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/nic"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -392,15 +391,15 @@ func (ctx *runctx) noteTable() {
 }
 
 // flowCounters stamps the offload run's control-plane counters.
-func (ctx *runctx) flowCounters(sc *obs.Scope) {
-	c := ctx.tbl.Counters()
-	sc.Counter("fast-path", "pkts").Set(float64(ctx.fast))
-	sc.Counter("slow-path", "pkts").Set(float64(ctx.slow))
-	sc.Counter("inserts", "rules").Set(float64(c.Inserts))
-	sc.Counter("evictions", "rules").Set(float64(c.Evictions))
-	sc.Counter("insert-rejects", "rules").Set(float64(c.InsertRejects))
-	sc.Counter("insert-aborts", "rules").Set(float64(c.InsertAborts))
-	sc.Counter("thrash", "rules").Set(float64(c.Thrash))
-	sc.Counter("flows-started", "flows").Set(float64(ctx.asn.FlowsStarted()))
-	sc.Counter("flows-churned", "flows").Set(float64(ctx.asn.FlowsChurned()))
+func (ctx *runctx) flowCounters() {
+	c, rec := ctx.tbl.Counters(), ctx.rec
+	rec.SetCount("flow/fast-path", float64(ctx.fast))
+	rec.SetCount("flow/slow-path", float64(ctx.slow))
+	rec.SetCount("flow/inserts", float64(c.Inserts))
+	rec.SetCount("flow/evictions", float64(c.Evictions))
+	rec.SetCount("flow/insert-rejects", float64(c.InsertRejects))
+	rec.SetCount("flow/insert-aborts", float64(c.InsertAborts))
+	rec.SetCount("flow/thrash", float64(c.Thrash))
+	rec.SetCount("flow/flows-started", float64(ctx.asn.FlowsStarted()))
+	rec.SetCount("flow/flows-churned", float64(ctx.asn.FlowsChurned()))
 }

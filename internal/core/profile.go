@@ -41,20 +41,17 @@ type Profiler struct {
 // NewProfiler returns an empty profiler with its metric set registered.
 func NewProfiler() *Profiler {
 	reg := obs.NewRegistry()
-	eng := reg.Scope("engine")
-	cache := reg.Scope("cache")
-	pool := reg.Scope("pool")
 	return &Profiler{
 		reg:             reg,
-		events:          eng.Counter("events", "events"),
-		sweeps:          eng.Counter("cancel_sweeps", "sweeps"),
-		runs:            eng.Counter("runs", "runs"),
-		heapPeaks:       eng.Histogram("heap_peak", "events"),
-		livePendingEnds: eng.Histogram("live_pending_end", "events"),
-		cacheHits:       cache.Counter("hits", "lookups"),
-		cacheMisses:     cache.Counter("misses", "lookups"),
-		poolTasks:       pool.Counter("tasks", "tasks"),
-		poolBatches:     pool.Counter("batches", "fanouts"),
+		events:          reg.Counter("engine/events", "events"),
+		sweeps:          reg.Counter("engine/cancel_sweeps", "sweeps"),
+		runs:            reg.Counter("engine/runs", "runs"),
+		heapPeaks:       reg.Histogram("engine/heap_peak", "events"),
+		livePendingEnds: reg.Histogram("engine/live_pending_end", "events"),
+		cacheHits:       reg.Counter("cache/hits", "lookups"),
+		cacheMisses:     reg.Counter("cache/misses", "lookups"),
+		poolTasks:       reg.Counter("pool/tasks", "tasks"),
+		poolBatches:     reg.Counter("pool/batches", "fanouts"),
 	}
 }
 

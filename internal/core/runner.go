@@ -269,6 +269,11 @@ func (r *Runner) atPoint(hostCores, snicCores int, plat Platform, stack netstack
 	ctx := r.newRunctx(tbc, plat, stack, seed, key, label)
 	ctx.opts = opts
 	ctx.warmupN = int(float64(opts.Requests) * opts.WarmupFrac)
+	if ctx.warmupN == 0 {
+		// No completion ends a warmup, so the meter opens at t=0 and
+		// every completion counts.
+		ctx.meter = stats.NewMeter(0)
+	}
 	return ctx
 }
 

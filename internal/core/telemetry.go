@@ -153,14 +153,14 @@ func (r *Runner) finish(ctx *runctx) {
 		// Per-phase accounting lands in the registry so manifests show
 		// where the fallback policy routed work, phase by phase.
 		for i := range ctx.tally {
-			scope := rec.Metrics().Scope("phase/" + ctx.tally[i].Name)
-			scope.Counter("served", "reqs").Set(float64(ctx.tally[i].Served))
-			scope.Counter("spilled", "reqs").Set(float64(ctx.tally[i].Spilled))
-			scope.Counter("dropped", "reqs").Set(float64(ctx.tally[i].Dropped))
+			ph := "phase/" + ctx.tally[i].Name
+			rec.SetCount(ph+"/served", float64(ctx.tally[i].Served))
+			rec.SetCount(ph+"/spilled", float64(ctx.tally[i].Spilled))
+			rec.SetCount(ph+"/dropped", float64(ctx.tally[i].Dropped))
 		}
 	}
 	if ctx.tbl != nil {
-		ctx.flowCounters(rec.Metrics().Scope("flow"))
+		ctx.flowCounters()
 	}
 	if fo := ctx.fo; fo != nil {
 		// The failover accounting, and the sensor traces with any dropout

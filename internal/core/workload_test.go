@@ -274,3 +274,33 @@ func TestTable4ConfigValidate(t *testing.T) {
 		t.Fatalf("negative host cores should fail: %v", tc.Validate())
 	}
 }
+
+// A zero warmup, RunOpts' zero value and one Validate accepts, counts
+// every completion, and so does a fraction that rounds to zero
+// requests: a point run and a pipeline run each rate a full window.
+func TestZeroWarmupMeasuresEveryCompletion(t *testing.T) {
+	cfg, err := Lookup("udp-echo", "64B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{0, 1e-4} {
+		opts := RunOpts{Requests: 2000, WarmupFrac: frac, Seed: 7, OfferedGbps: 0.2}
+		res, err := NewRunner().Execute(Workload{Kind: WorkloadPoint, Config: cfg, Platform: HostCPU, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := res.Point; m.Ops < 1800 || m.DeliveredFrac < 0.9 || m.Latency.P99 <= 0 {
+			t.Fatalf("point run at warmup %g: %d ops, delivered %.3f, p99 %v; want ≥1800 ops of 2000 at the offered rate",
+				frac, m.Ops, m.DeliveredFrac, m.Latency.P99)
+		}
+	}
+	opts := RunOpts{Requests: 2000, Seed: 7, OfferedGbps: 1}
+	res, err := NewRunner().Execute(Workload{Kind: WorkloadPipeline, Pipeline: NATIDSPipeline(), Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.Pipeline.Point; m.Ops < 1800 || m.DeliveredFrac < 0.9 || m.Latency.P99 <= 0 {
+		t.Fatalf("pipeline run at warmup 0: %d ops, delivered %.3f, p99 %v; want ≥1800 ops of 2000 at the offered rate",
+			m.Ops, m.DeliveredFrac, m.Latency.P99)
+	}
+}

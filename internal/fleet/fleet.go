@@ -179,8 +179,8 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// key serializes the fleet run identity; the fleet RunID and the group
-// component of every server's memo key derive from it.
+// key serializes the fleet run identity; the group component of every
+// server's memo key derives from it.
 func (c *Config) key() string {
 	fn, variant := c.function()
 	classes := ""
@@ -206,9 +206,6 @@ type ServerResult struct {
 	Dropped     uint64
 	Sent        uint64
 	Completed   uint64
-	// RunID names the server's telemetry run (shared by identical
-	// servers, which share one simulation).
-	RunID uint64
 }
 
 // Result is the fleet-level rollup.
@@ -216,9 +213,6 @@ type Result struct {
 	Policy  Policy
 	Servers int
 	SLO     sim.Duration
-	// RunID identifies the fleet run; per-server telemetry groups
-	// under it via ServerRunIDs.
-	RunID uint64
 
 	OfferedGbps   float64 // trace mean at fleet level
 	AggTputGbps   float64 // sum of per-server achieved rates
@@ -237,8 +231,7 @@ type Result struct {
 	EnergyKWhPerDay    float64
 	TCO5yrUSD          float64
 
-	PerServer    []ServerResult
-	ServerRunIDs []uint64
+	PerServer []ServerResult
 }
 
 // Run simulates the fleet: dispatch the trace across the servers, replay
@@ -258,8 +251,7 @@ func Run(r *core.Runner, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	runID := obs.DeriveRunID(cfg.key())
-	group := fmt.Sprintf("%016x", runID)
+	group := fmt.Sprintf("%016x", obs.DeriveRunID(cfg.key()))
 
 	// Identical servers — same class (platform + seed) and same
 	// assigned rate row — share one simulation. Under a symmetric
@@ -303,7 +295,6 @@ func Run(r *core.Runner, cfg Config) (Result, error) {
 		Policy:      cfg.Policy,
 		Servers:     n,
 		SLO:         cfg.slo(),
-		RunID:       runID,
 		OfferedGbps: cfg.Trace.MeanGbps(),
 		LostGbps:    asg.LostGbps(),
 	}
@@ -329,9 +320,7 @@ func Run(r *core.Runner, cfg Config) (Result, error) {
 			OfferedGbps: rep.OfferedGbps, TputGbps: rep.AvgTputGbps,
 			Util: rep.Util, PowerW: rep.AvgPowerW, P99: rep.Latency.P99,
 			Dropped: rep.Dropped, Sent: rep.Sent, Completed: rep.Completed,
-			RunID: rep.RunID,
 		})
-		res.ServerRunIDs = append(res.ServerRunIDs, rep.RunID)
 	}
 	res.Latency = merged.Summarize()
 	res.FleetP99 = res.Latency.P99

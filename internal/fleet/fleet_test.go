@@ -62,7 +62,7 @@ func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, r.Telemetry.ManifestsFor(res.ServerRunIDs)
+		return res, r.Telemetry.Manifests()
 	}
 	r1, m1 := run(1)
 	r8, m8 := run(8)

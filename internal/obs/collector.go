@@ -30,10 +30,9 @@ func DeriveRunID(key string) uint64 {
 // "telemetry off" state: NewRecorder on a nil Collector returns a nil
 // Recorder, and every Recorder method is nil-safe.
 type Collector struct {
-	mu     sync.Mutex
-	detail bool
-	trace  bool
-	byID   map[uint64]*Recorder
+	mu    sync.Mutex
+	trace bool
+	byID  map[uint64]*Recorder
 }
 
 // NewCollector returns an empty collector.
@@ -55,30 +54,13 @@ func (c *Collector) EnableTrace() {
 	c.mu.Unlock()
 }
 
-// EnableDetail makes future recorders also capture per-job and
-// per-frame resource spans (high volume; off by default). Only a trace
-// reads those spans, so it implies EnableTrace.
-func (c *Collector) EnableDetail() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.detail = true
-	c.trace = true
-	c.mu.Unlock()
-}
-
 // NewRecorder returns a recorder for the run identified by key, or nil
 // when the collector itself is nil (telemetry disabled).
 func (c *Collector) NewRecorder(runID uint64, label string) *Recorder {
 	if c == nil {
 		return nil
 	}
-	r := NewRecorder(runID, label)
-	c.mu.Lock()
-	r.Detail = c.detail
-	c.mu.Unlock()
-	return r
+	return NewRecorder(runID, label)
 }
 
 // Attach hands a finished recorder to the collector. Duplicate run IDs
@@ -144,26 +126,13 @@ func (c *Collector) Runs() []*Recorder {
 	return out
 }
 
-// Totals sums headline quantities across all runs. The counts are
-// kept as spans are recorded, so they hold whether or not the spans
-// themselves were kept.
-func (c *Collector) Totals() (runs, requests, spans int) {
-	for _, r := range c.Runs() {
-		runs++
-		requests += r.RootCount()
-		spans += r.SpanCount()
-	}
-	return
-}
-
 // Counter is one named counter value in a manifest.
 type Counter struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
 }
 
-// RunManifest summarizes one run's telemetry for `internal/report` and
-// JSON export.
+// RunManifest summarizes one run's telemetry for JSON export.
 type RunManifest struct {
 	RunID     uint64    `json:"run_id"`
 	Label     string    `json:"label"`
@@ -222,26 +191,6 @@ func (c *Collector) Manifests() []RunManifest {
 	out := make([]RunManifest, len(runs))
 	for i, r := range runs {
 		out[i] = r.Manifest()
-	}
-	return out
-}
-
-// ManifestsFor returns the manifests of the named runs only, preserving
-// the collector's export order (so a fleet run can list exactly its own
-// servers' telemetry, byte-identically at any parallelism).
-func (c *Collector) ManifestsFor(ids []uint64) []RunManifest {
-	if c == nil || len(ids) == 0 {
-		return nil
-	}
-	want := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	var out []RunManifest
-	for _, r := range c.Runs() {
-		if want[r.RunID()] {
-			out = append(out, r.Manifest())
-		}
 	}
 	return out
 }

@@ -42,8 +42,8 @@ var ErrSpansDropped = errors.New("obs: spans were not kept for a trace (call Ena
 //
 // Layout: each run is a process (pid in export order) whose name is the
 // run label. Request spans are async events ("b"/"e") grouped by their
-// root span's ID, so concurrent requests nest correctly; detail-mode
-// resource spans are complete ("X") events on per-resource threads; and
+// root span's ID, so concurrent requests nest correctly; spans on any
+// other track are complete ("X") events on that track's thread; and
 // every metric series becomes a counter ("C") track.
 func (c *Collector) WriteTrace(w io.Writer) error {
 	if err := c.spansKept(); err != nil {
@@ -102,7 +102,7 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 			emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"ts":%s,"dur":%s}`,
 				pid, tid, name, usec(int64(sp.start)), usec(int64(end.Sub(sp.start)))))
 		}
-		for _, s := range rec.series {
+		for _, s := range rec.Series() {
 			name := strconv.Quote(s.Name)
 			for i, t := range s.Times {
 				emit(fmt.Sprintf(`{"ph":"C","pid":%d,"name":%s,"ts":%s,"args":{"value":%s}}`,
@@ -126,7 +126,7 @@ func (c *Collector) WriteMetricsCSV(w io.Writer) error {
 	}
 	for _, rec := range c.Runs() {
 		label := csvField(rec.label)
-		for _, s := range rec.series {
+		for _, s := range rec.Series() {
 			prefix := fmt.Sprintf("%s,%s,%s,%d,", label, csvField(s.Name), csvField(s.Unit), int64(s.Period))
 			for i, t := range s.Times {
 				fmt.Fprintf(bw, "%s%d,%s\n", prefix, int64(t), ffloat(s.Values[i]))
@@ -166,7 +166,7 @@ func (c *Collector) WriteMetricsJSON(w io.Writer) error {
 	var runs []metricsRun
 	for _, rec := range c.Runs() {
 		mr := metricsRun{RunID: rec.runID, Label: rec.label, Counters: rec.Manifest().Counters}
-		for _, s := range rec.series {
+		for _, s := range rec.Series() {
 			ms := metricsSeries{Name: s.Name, Unit: s.Unit, PeriodNs: int64(s.Period)}
 			for i, t := range s.Times {
 				ms.Samples = append(ms.Samples, [2]any{int64(t), s.Values[i]})

@@ -31,8 +31,7 @@ func (r *Recorder) Gauge(name, unit string, period sim.Duration, fn func() float
 	if fn == nil {
 		panic("obs: nil gauge")
 	}
-	g := r.reg.Gauge(name, unit, period, fn)
-	r.series = append(r.series, g.Series())
+	r.reg.Gauge(name, unit, period, fn)
 }
 
 // AddSeries attaches a pre-sampled series (e.g. a power.Sensor trace
@@ -48,24 +47,21 @@ func (r *Recorder) AddSeries(name, unit string, period sim.Duration, times []sim
 	s := r.reg.Gauge(name, unit, period, nil).Series()
 	s.Times = append(s.Times, times...)
 	s.Values = append(s.Values, values...)
-	r.series = append(r.series, s)
 }
 
-// Series returns the recorded series in registration order.
+// Series returns the recorded series: the registry's gauges, in
+// registration order.
 func (r *Recorder) Series() []*Series {
 	if r == nil {
 		return nil
 	}
-	return r.series
+	return r.reg.series()
 }
 
 // SampleCount returns the total number of samples across all series.
 func (r *Recorder) SampleCount() int {
-	if r == nil {
-		return 0
-	}
 	n := 0
-	for _, s := range r.series {
+	for _, s := range r.Series() {
 		n += len(s.Times)
 	}
 	return n

@@ -100,29 +100,7 @@ func TestResourceCountsIntoManifest(t *testing.T) {
 		t.Fatalf("manifest counters %v, want %v", got, want)
 	}
 	if r.SpanCount() != 0 {
-		t.Fatalf("callbacks without Detail recorded %d spans", r.SpanCount())
-	}
-}
-
-// Under Detail a resource's track is interned at its first detail span,
-// not when it is bound, so tracks (and trace tids) keep first-use order.
-// A resource recording both kinds of detail span names each its own way.
-func TestDetailTracksInFirstUseOrder(t *testing.T) {
-	r := NewRecorder(1, "t")
-	r.Detail = true
-	host, wire := r.Resource("pool/host"), r.Resource("wire/c2s")
-	r.Open(TrackRequests, "request", 0)
-	wire.FrameSent(64, 0, 1, false)
-	host.JobFinished(1, 2)
-	host.JobFinished(2, 3)
-	host.FrameSent(64, 3, 4, false)
-	if want := []string{TrackRequests, "wire/c2s", "pool/host"}; !reflect.DeepEqual(r.tracks, want) {
-		t.Fatalf("tracks %v, want %v", r.tracks, want)
-	}
-	for i, want := range []string{"requests/request", "wire/c2s/frame", "pool/host/job", "pool/host/job", "pool/host/frame"} {
-		if v, _ := r.View(SpanID(i + 1)); v.Track+"/"+v.Name != want {
-			t.Fatalf("span %d is %s/%s, want %s", i+1, v.Track, v.Name, want)
-		}
+		t.Fatalf("callbacks recorded %d spans", r.SpanCount())
 	}
 }
 
@@ -211,13 +189,111 @@ func TestExportDeterministicUnderAttachOrder(t *testing.T) {
 	}
 }
 
+// Every export emits a run's series in registration order, whether a
+// series was polled (Gauge) or imported (AddSeries), and counters
+// written between registrations take no place in it. The names are
+// registered out of name order, so a name-sorted export would fail.
+func TestExportsEmitSeriesInRegistrationOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	r := NewRecorder(1, "run")
+	r.Count("c/first", 1)
+	r.Gauge("z/polled", "u", 10, func() float64 { return 1 })
+	r.SetCount("b/between", 2)
+	r.AddSeries("a/imported", "W", 10, []sim.Time{0, 10}, []float64{5, 6})
+	r.Count("y/after", 3)
+	r.Gauge("m/polled", "u", 10, func() float64 { return 2 })
+	r.StartSampler(eng)
+	eng.At(15, func() {}) // model horizon: samples at 0 and 10
+	eng.Run()
+	c := NewCollector()
+	c.EnableTrace()
+	c.Attach(r)
+	want := []string{"z/polled", "a/imported", "m/polled"}
+
+	var names []string
+	for _, s := range r.Series() {
+		names = append(names, s.Name)
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("Series() = %v, want %v", names, want)
+	}
+	if m := r.Manifest(); m.Series != 3 || m.Samples != 6 {
+		t.Fatalf("manifest series/samples = %d/%d, want 3/6", m.Series, m.Samples)
+	}
+
+	// firstSeen keeps each name at its first appearance.
+	firstSeen := func(all []string) []string {
+		var out []string
+		seen := map[string]bool{}
+		for _, n := range all {
+			if !seen[n] {
+				seen[n] = true
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+
+	var csv bytes.Buffer
+	if err := c.WriteMetricsCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(csv.String()), "\n")[1:] {
+		rows = append(rows, strings.Split(line, ",")[1])
+	}
+	if got := firstSeen(rows); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CSV series order %v, want %v", got, want)
+	}
+
+	var js bytes.Buffer
+	if err := c.WriteMetricsJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Runs []struct {
+			Series []struct {
+				Name string `json:"name"`
+			} `json:"series"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	names = nil
+	for _, s := range doc.Runs[0].Series {
+		names = append(names, s.Name)
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("metrics JSON series order %v, want %v", names, want)
+	}
+
+	var tr bytes.Buffer
+	if err := c.WriteTrace(&tr); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct{ TraceEvents []map[string]any }
+	if err := json.Unmarshal(tr.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	names = nil
+	for _, ev := range trace.TraceEvents {
+		if ev["ph"] == "C" {
+			names = append(names, ev["name"].(string))
+		}
+	}
+	if got := firstSeen(names); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace counter track order %v, want %v", got, want)
+	}
+}
+
 func TestAttachDeduplicatesByRunID(t *testing.T) {
 	c := NewCollector()
 	c.Attach(buildRecorder(5, "x"))
 	c.Attach(buildRecorder(5, "x")) // racing worker of the same memo key
-	runs, requests, spans := c.Totals()
-	if runs != 1 || requests != 3 || spans != 6 {
-		t.Fatalf("totals = %d/%d/%d, want 1/3/6", runs, requests, spans)
+	ms := c.Manifests()
+	if len(ms) != 1 || ms[0].Requests != 3 || ms[0].Spans != 6 {
+		t.Fatalf("manifests = %+v, want one run of 3 requests and 6 spans", ms)
 	}
 }
 

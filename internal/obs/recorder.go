@@ -74,10 +74,6 @@ var spanChunkPool = sync.Pool{New: func() any { return new([spanChunkSize]span) 
 type Recorder struct {
 	runID uint64
 	label string
-	// Detail additionally records a span per station job and link frame
-	// on per-resource tracks. Off by default: request spans plus gauges
-	// explain saturation without the O(events) volume.
-	Detail bool
 
 	tracks   []string
 	trackIdx map[string]uint16
@@ -93,11 +89,9 @@ type Recorder struct {
 	dropped bool
 
 	// reg is the run's metric registry: counters (Count/SetCount) and
-	// sampled gauges (Gauge/AddSeries) both live here; the Recorder is
-	// the span layer over it. series keeps the registration-order view
-	// the exporters emit.
-	reg    *Registry
-	series []*Series
+	// sampled gauges (Gauge/AddSeries) both live here, in registration
+	// order; the Recorder is the span layer over it.
+	reg *Registry
 
 	// resources holds each bound resource's observer and counters by
 	// name, for binding and manifests; resourceKeys in bind order.
@@ -120,16 +114,6 @@ func NewRecorder(runID uint64, label string) *Recorder {
 	}
 	r.internTrack(TrackRequests)
 	return r
-}
-
-// Metrics returns the run's metric registry, for callers that want the
-// typed handles or strict name-based writes directly. Nil-safe: a nil
-// recorder returns a nil registry, whose methods all no-op.
-func (r *Recorder) Metrics() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
 }
 
 // RunID returns the recorder's deterministic run identifier.
@@ -364,31 +348,14 @@ func (r *Recorder) SetCount(name string, v float64) {
 
 // Resource is the recorder bound to one named station, batch engine or
 // link. It counts the resource's observer callbacks for the run's
-// manifest and, under Detail, records a span per job or frame on the
-// resource's own track. Recorder.Resource binds it when a run is wired,
-// so a callback reaches its counters without a lookup. It implements
+// manifest. Recorder.Resource binds it when a run is wired, so a
+// callback reaches its counters without a lookup. It implements
 // sim.StationObserver, sim.LinkObserver and sim.BatchObserver.
 type Resource struct {
-	rec  *Recorder
-	name string
-
 	queued, started, finished, dropped uint64
 	frames, bytes, lostFrames          uint64
 	batches, batchTasks                uint64
 	peakQueue                          int
-
-	// job and frame label the resource's two kinds of detail span.
-	job, frame detailLabel
-}
-
-// detailLabel is the label of one kind of detail span on a resource's
-// track. It is interned when its first span is recorded, so resource
-// tracks are interned in first-use order and trace tids stay where they
-// were.
-type detailLabel struct {
-	name     string
-	label    SpanLabel
-	interned bool
 }
 
 // Resource returns the recorder's observer bound to the named resource,
@@ -404,24 +371,11 @@ func (r *Recorder) Resource(name string) *Resource {
 	}
 	rs, ok := r.resources[name]
 	if !ok {
-		rs = &Resource{rec: r, name: name,
-			job: detailLabel{name: "job"}, frame: detailLabel{name: "frame"}}
+		rs = &Resource{}
 		r.resources[name] = rs
 		r.resourceKeys = append(r.resourceKeys, name)
 	}
 	return rs
-}
-
-// detailSpan records one detail span of kind d on the resource's track.
-//
-//snicvet:hotpath
-func (rs *Resource) detailSpan(d *detailLabel, start, end sim.Time) {
-	if !d.interned {
-		//snicvet:ignore hotpath -- the first span of each kind interns its label; later spans reuse it
-		d.label = rs.rec.Intern(rs.name, d.name)
-		d.interned = true
-	}
-	rs.rec.Record(d.label, 0, start, end)
 }
 
 // JobQueued implements sim.StationObserver.
@@ -442,12 +396,7 @@ func (rs *Resource) JobStarted(sim.Time, sim.Duration) { rs.started++ }
 // JobFinished implements sim.StationObserver.
 //
 //snicvet:hotpath
-func (rs *Resource) JobFinished(start, end sim.Time) {
-	rs.finished++
-	if rs.rec.Detail {
-		rs.detailSpan(&rs.job, start, end)
-	}
-}
+func (rs *Resource) JobFinished(sim.Time, sim.Time) { rs.finished++ }
 
 // JobDropped implements sim.StationObserver.
 //
@@ -457,14 +406,11 @@ func (rs *Resource) JobDropped(sim.Time) { rs.dropped++ }
 // FrameSent implements sim.LinkObserver.
 //
 //snicvet:hotpath
-func (rs *Resource) FrameSent(size int, start, done sim.Time, lost bool) {
+func (rs *Resource) FrameSent(size int, _, _ sim.Time, lost bool) {
 	rs.frames++
 	rs.bytes += uint64(size)
 	if lost {
 		rs.lostFrames++
-	}
-	if rs.rec.Detail {
-		rs.detailSpan(&rs.frame, start, done)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"math/bits"
 	"sort"
 
 	"repro/internal/sim"
@@ -19,12 +17,12 @@ import (
 // exactly as the Collector does for Recorders.
 //
 // Everything is deterministic: registration order is preserved for
-// insertion-ordered export (manifests), snapshots are name-sorted for
-// order-independent export (profiles, merges), and no wall-clock or map
-// iteration order ever reaches an exporter. A nil *Registry is the
-// "metrics off" state: every method no-ops and every registration
-// returns a nil handle whose methods also no-op, mirroring the
-// nil-Recorder contract.
+// insertion-ordered export (manifest counters, series), snapshots are
+// name-sorted for order-independent export (profiles), and no
+// wall-clock or map iteration order ever reaches an exporter. A nil
+// *Registry is the "metrics off" state: every method no-ops and every
+// registration returns a nil handle whose methods also no-op, mirroring
+// the nil-Recorder contract.
 type Registry struct {
 	metrics map[string]*metricEntry
 	order   []string // registration order
@@ -55,20 +53,8 @@ func (k MetricKind) String() string {
 	}
 }
 
-// UnknownMetricError reports a write to a metric name nothing
-// registered. Writes are strict by design: a typo'd name silently
-// accumulating into nowhere is exactly the observability blind spot
-// this layer exists to close.
-type UnknownMetricError struct {
-	Name string
-}
-
-func (e *UnknownMetricError) Error() string {
-	return fmt.Sprintf("obs: write to unregistered metric %q", e.Name)
-}
-
-// KindMismatchError reports a name registered (or merged) under two
-// different metric kinds.
+// KindMismatchError reports a name registered under two different
+// metric kinds.
 type KindMismatchError struct {
 	Name       string
 	Have, Want MetricKind
@@ -76,17 +62,6 @@ type KindMismatchError struct {
 
 func (e *KindMismatchError) Error() string {
 	return fmt.Sprintf("obs: metric %q is a %v, not a %v", e.Name, e.Have, e.Want)
-}
-
-// MergeConflictError reports a merge between two registries that both
-// sampled the same gauge. Gauge series belong to one run's timeline;
-// cross-run aggregation goes through the Collector, not Merge.
-type MergeConflictError struct {
-	Name string
-}
-
-func (e *MergeConflictError) Error() string {
-	return fmt.Sprintf("obs: merge conflict: gauge %q sampled by both registries", e.Name)
 }
 
 // metricEntry is one registered metric.
@@ -122,8 +97,8 @@ func (r *Registry) insert(name string, e *metricEntry) {
 
 // CounterMetric accumulates a named value. The zero/nil handle no-ops.
 type CounterMetric struct {
-	name, unit string
-	v          float64
+	unit string
+	v    float64
 }
 
 // Add accumulates delta. Nil-safe.
@@ -173,16 +148,12 @@ func (g *GaugeMetric) Last() float64 {
 	return g.series.Values[len(g.series.Values)-1]
 }
 
-// HistogramMetric accumulates a distribution in power-of-two buckets:
-// bucket i holds observations with 2^(i-1) < |v| <= 2^i (bucket 0 holds
-// |v| <= 1). Bucketed sums merge exactly, so cross-run aggregation is
-// deterministic without retaining raw samples.
+// HistogramMetric accumulates a distribution's count, sum and extrema.
 type HistogramMetric struct {
-	name, unit string
-	count      uint64
-	sum        float64
-	min, max   float64
-	buckets    [64]uint64
+	unit     string
+	count    uint64
+	sum      float64
+	min, max float64
 }
 
 // Observe records one value. Nil-safe.
@@ -198,61 +169,6 @@ func (h *HistogramMetric) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	h.buckets[bucketOf(v)]++
-}
-
-// bucketOf maps |v| to its power-of-two bucket index.
-func bucketOf(v float64) int {
-	a := math.Abs(v)
-	if a <= 1 {
-		return 0
-	}
-	u := uint64(math.Ceil(a))
-	b := bits.Len64(u - 1) // ceil(log2(u))
-	if b > 63 {
-		b = 63
-	}
-	return b
-}
-
-// Count returns how many values were observed.
-func (h *HistogramMetric) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of observed values.
-func (h *HistogramMetric) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Mean returns the observed mean, or 0 with no observations.
-func (h *HistogramMetric) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min and Max return the observed extrema (0 with no observations).
-func (h *HistogramMetric) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observed value.
-func (h *HistogramMetric) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
 }
 
 // ---- registration ----
@@ -267,7 +183,7 @@ func (r *Registry) Counter(name, unit string) *CounterMetric {
 	if e := r.lookup(name, KindCounter); e != nil {
 		return e.counter
 	}
-	c := &CounterMetric{name: name, unit: unit}
+	c := &CounterMetric{unit: unit}
 	r.insert(name, &metricEntry{kind: KindCounter, counter: c})
 	return c
 }
@@ -299,178 +215,9 @@ func (r *Registry) Histogram(name, unit string) *HistogramMetric {
 	if e := r.lookup(name, KindHistogram); e != nil {
 		return e.hist
 	}
-	h := &HistogramMetric{name: name, unit: unit}
+	h := &HistogramMetric{unit: unit}
 	r.insert(name, &metricEntry{kind: KindHistogram, hist: h})
 	return h
-}
-
-// ---- strict name-based writes ----
-
-// Add accumulates delta into a registered counter. Writing an
-// unregistered name returns a typed *UnknownMetricError; a registered
-// non-counter returns a *KindMismatchError. Nil-safe (no-op, nil
-// error): with metrics off there is nothing to misspell against.
-func (r *Registry) Add(name string, delta float64) error {
-	if r == nil {
-		return nil
-	}
-	e, ok := r.metrics[name]
-	if !ok {
-		return &UnknownMetricError{Name: name}
-	}
-	if e.kind != KindCounter {
-		return &KindMismatchError{Name: name, Have: e.kind, Want: KindCounter}
-	}
-	e.counter.Add(delta)
-	return nil
-}
-
-// Set overwrites a registered counter's value, with Add's strictness.
-func (r *Registry) Set(name string, v float64) error {
-	if r == nil {
-		return nil
-	}
-	e, ok := r.metrics[name]
-	if !ok {
-		return &UnknownMetricError{Name: name}
-	}
-	if e.kind != KindCounter {
-		return &KindMismatchError{Name: name, Have: e.kind, Want: KindCounter}
-	}
-	e.counter.Set(v)
-	return nil
-}
-
-// Observe records a value into a registered histogram, with Add's
-// strictness.
-func (r *Registry) Observe(name string, v float64) error {
-	if r == nil {
-		return nil
-	}
-	e, ok := r.metrics[name]
-	if !ok {
-		return &UnknownMetricError{Name: name}
-	}
-	if e.kind != KindHistogram {
-		return &KindMismatchError{Name: name, Have: e.kind, Want: KindHistogram}
-	}
-	e.hist.Observe(v)
-	return nil
-}
-
-// ---- scoping ----
-
-// Scope returns a view that prefixes every registration and write with
-// "prefix/" — one component's corner of a shared registry.
-func (r *Registry) Scope(prefix string) *Scope {
-	if r == nil {
-		return nil
-	}
-	return &Scope{reg: r, prefix: prefix + "/"}
-}
-
-// Scope is a prefixed view of a Registry. A nil Scope no-ops.
-type Scope struct {
-	reg    *Registry
-	prefix string
-}
-
-// Counter registers prefix/name in the underlying registry.
-func (s *Scope) Counter(name, unit string) *CounterMetric {
-	if s == nil {
-		return nil
-	}
-	return s.reg.Counter(s.prefix+name, unit)
-}
-
-// Gauge registers prefix/name in the underlying registry.
-func (s *Scope) Gauge(name, unit string, period sim.Duration, fn func() float64) *GaugeMetric {
-	if s == nil {
-		return nil
-	}
-	return s.reg.Gauge(s.prefix+name, unit, period, fn)
-}
-
-// Histogram registers prefix/name in the underlying registry.
-func (s *Scope) Histogram(name, unit string) *HistogramMetric {
-	if s == nil {
-		return nil
-	}
-	return s.reg.Histogram(s.prefix+name, unit)
-}
-
-// ---- merge ----
-
-// Merge folds other into r: counters sum, histograms merge bucket-wise,
-// and metrics absent from r are adopted (gauge series copied). Both
-// operations are commutative and associative over snapshots, so merging
-// per-run registries in any order yields byte-identical exports. A
-// gauge sampled by both sides returns a *MergeConflictError (cross-run
-// series aggregation is the Collector's job); a name held under two
-// kinds returns a *KindMismatchError. Nil-safe on both sides.
-func (r *Registry) Merge(other *Registry) error {
-	if r == nil || other == nil {
-		return nil
-	}
-	for _, name := range other.order {
-		oe := other.metrics[name]
-		e, ok := r.metrics[name]
-		if !ok {
-			r.insert(name, copyEntry(oe))
-			continue
-		}
-		if e.kind != oe.kind {
-			return &KindMismatchError{Name: name, Have: e.kind, Want: oe.kind}
-		}
-		switch e.kind {
-		case KindCounter:
-			e.counter.v += oe.counter.v
-		case KindHistogram:
-			h, oh := e.hist, oe.hist
-			if oh.count > 0 {
-				if h.count == 0 || oh.min < h.min {
-					h.min = oh.min
-				}
-				if h.count == 0 || oh.max > h.max {
-					h.max = oh.max
-				}
-				h.count += oh.count
-				h.sum += oh.sum
-				for i := range h.buckets {
-					h.buckets[i] += oh.buckets[i]
-				}
-			}
-		case KindGauge:
-			if len(e.gauge.series.Times) > 0 && len(oe.gauge.series.Times) > 0 {
-				return &MergeConflictError{Name: name}
-			}
-			if len(oe.gauge.series.Times) > 0 {
-				e.gauge.series.Times = append([]sim.Time(nil), oe.gauge.series.Times...)
-				e.gauge.series.Values = append([]float64(nil), oe.gauge.series.Values...)
-			}
-		}
-	}
-	return nil
-}
-
-// copyEntry deep-copies a metric entry so merged registries never alias
-// the source's mutable state.
-func copyEntry(e *metricEntry) *metricEntry {
-	out := &metricEntry{kind: e.kind}
-	switch e.kind {
-	case KindCounter:
-		c := *e.counter
-		out.counter = &c
-	case KindHistogram:
-		h := *e.hist
-		out.hist = &h
-	case KindGauge:
-		s := &Series{Name: e.gauge.series.Name, Unit: e.gauge.series.Unit, Period: e.gauge.series.Period}
-		s.Times = append(s.Times, e.gauge.series.Times...)
-		s.Values = append(s.Values, e.gauge.series.Values...)
-		out.gauge = &GaugeMetric{series: s}
-	}
-	return out
 }
 
 // ---- sampling ----
@@ -573,12 +320,19 @@ func (r *Registry) EachCounter(fn func(name string, c *CounterMetric)) {
 	}
 }
 
-// Len returns how many metrics are registered.
-func (r *Registry) Len() int {
+// series returns every gauge's series in registration order — the order
+// the exporters emit series in. Nil-safe.
+func (r *Registry) series() []*Series {
 	if r == nil {
-		return 0
+		return nil
 	}
-	return len(r.order)
+	var out []*Series
+	for _, name := range r.order {
+		if e := r.metrics[name]; e.kind == KindGauge {
+			out = append(out, e.gauge.series)
+		}
+	}
+	return out
 }
 
 // WriteJSON writes the name-sorted snapshot as one JSON array, built

@@ -2,15 +2,12 @@ package obs
 
 import (
 	"bytes"
-	"errors"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // The registry is the substrate every counter and gauge in the repo now
-// sits on, so its contract is pinned directly: strict writes fail with
-// typed errors, merges commute, and exports are byte-stable.
+// sits on, so its contract is pinned directly: handles are retrieved by
+// name, a name holds one kind, and exports are byte-stable.
 
 func TestRegistryTypedHandles(t *testing.T) {
 	r := NewRegistry()
@@ -28,57 +25,18 @@ func TestRegistryTypedHandles(t *testing.T) {
 	for _, v := range []float64{1, 3, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 3 || h.Min() != 1 || h.Max() != 100 || h.Sum() != 104 {
-		t.Fatalf("histogram = count %d min %v max %v sum %v", h.Count(), h.Min(), h.Max(), h.Sum())
-	}
 
 	g := r.Gauge("load", "frac", 0, func() float64 { return 0.5 })
 	if g.Series() == nil || g.Series().Period != DefaultSamplePeriod {
 		t.Fatalf("gauge series not defaulted: %+v", g.Series())
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
+	snap := r.Snapshot()
+	if len(snap) != 3 {
+		t.Fatalf("snapshot holds %d metrics, want 3", len(snap))
 	}
-}
-
-// TestRegistryUnknownWriteTypedError is the negative contract: a write
-// to a name nothing registered must fail loudly with a typed error a
-// caller can errors.As on — never accumulate into nowhere.
-func TestRegistryUnknownWriteTypedError(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("known", "")
-
-	var unknown *UnknownMetricError
-	if err := r.Add("unknwon", 1); !errors.As(err, &unknown) {
-		t.Fatalf("Add to unregistered name: err = %v, want *UnknownMetricError", err)
-	} else if unknown.Name != "unknwon" {
-		t.Fatalf("error names %q, want the typo'd name back", unknown.Name)
-	}
-	if err := r.Set("nope", 1); !errors.As(err, &unknown) {
-		t.Fatalf("Set: err = %v, want *UnknownMetricError", err)
-	}
-	if err := r.Observe("nope", 1); !errors.As(err, &unknown) {
-		t.Fatalf("Observe: err = %v, want *UnknownMetricError", err)
-	}
-
-	// Right name, wrong kind: also typed.
-	r.Histogram("hist", "")
-	var mismatch *KindMismatchError
-	if err := r.Add("hist", 1); !errors.As(err, &mismatch) {
-		t.Fatalf("Add to histogram: err = %v, want *KindMismatchError", err)
-	} else if mismatch.Have != KindHistogram || mismatch.Want != KindCounter {
-		t.Fatalf("mismatch = %+v", mismatch)
-	}
-	if err := r.Observe("known", 1); !errors.As(err, &mismatch) {
-		t.Fatalf("Observe on counter: err = %v, want *KindMismatchError", err)
-	}
-
-	// The happy path stays nil.
-	if err := r.Add("known", 2); err != nil {
-		t.Fatalf("Add to registered counter: %v", err)
-	}
-	if r.Counter("known", "").Value() != 2 {
-		t.Fatal("strict Add did not reach the counter")
+	if mv := snap[0]; mv.Name != "depth" || mv.Kind != "histogram" ||
+		mv.Count != 3 || mv.Min != 1 || mv.Max != 100 || mv.Value != 104 {
+		t.Fatalf("histogram = %+v, want count 3 min 1 max 100 sum 104", mv)
 	}
 }
 
@@ -86,8 +44,12 @@ func TestRegistryKindCollisionPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x", "")
 	defer func() {
-		if recover() == nil {
-			t.Fatal("registering one name under two kinds did not panic")
+		err, ok := recover().(*KindMismatchError)
+		if !ok {
+			t.Fatal("registering one name under two kinds did not panic with a *KindMismatchError")
+		}
+		if err.Name != "x" || err.Have != KindCounter || err.Want != KindHistogram {
+			t.Fatalf("mismatch = %+v, want x held as a counter, asked for as a histogram", err)
 		}
 	}()
 	r.Histogram("x", "")
@@ -103,95 +65,12 @@ func exportBytes(t *testing.T, r *Registry) []byte {
 	return b.Bytes()
 }
 
-// buildRegistry makes a registry with all three kinds, parameterized so
-// two calls can produce overlapping-but-different contents.
-func buildRegistry(counter, hist float64, gaugeSamples int) *Registry {
-	r := NewRegistry()
-	r.Counter("shared/counter", "n").Add(counter)
-	h := r.Histogram("shared/hist", "us")
-	h.Observe(hist)
-	h.Observe(hist * 8)
-	if gaugeSamples > 0 {
-		g := r.Gauge("own/gauge", "frac", sim.Millisecond, nil)
-		for i := 0; i < gaugeSamples; i++ {
-			g.Series().Times = append(g.Series().Times, sim.Time(i))
-			g.Series().Values = append(g.Series().Values, float64(i))
-		}
-	}
-	return r
-}
-
-// TestRegistryMergeCommutes: A+B and B+A must export byte-identically —
-// the property that makes per-run registries mergeable in any worker
-// completion order.
-func TestRegistryMergeCommutes(t *testing.T) {
-	ab := buildRegistry(3, 2, 2)
-	if err := ab.Merge(buildRegistry(5, 900, 0)); err != nil {
-		t.Fatal(err)
-	}
-	ba := buildRegistry(5, 900, 0)
-	if err := ba.Merge(buildRegistry(3, 2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	a, b := exportBytes(t, ab), exportBytes(t, ba)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("merge is not commutative:\nA+B %s\nB+A %s", a, b)
-	}
-
-	// Sanity on the merged values themselves.
-	if v := ab.Counter("shared/counter", "").Value(); v != 8 {
-		t.Fatalf("merged counter = %v, want 8", v)
-	}
-	h := ab.Histogram("shared/hist", "")
-	if h.Count() != 4 || h.Min() != 2 || h.Max() != 7200 {
-		t.Fatalf("merged histogram = count %d min %v max %v", h.Count(), h.Min(), h.Max())
-	}
-}
-
-func TestRegistryMergeGaugeConflict(t *testing.T) {
-	a := buildRegistry(1, 1, 2)
-	b := buildRegistry(1, 1, 1)
-	var conflict *MergeConflictError
-	if err := a.Merge(b); !errors.As(err, &conflict) {
-		t.Fatalf("merging two sampled copies of one gauge: err = %v, want *MergeConflictError", err)
-	}
-
-	// Disjoint gauges adopt cleanly, and the copy must not alias.
-	c := NewRegistry()
-	if err := c.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	a.Gauge("own/gauge", "", 0, nil).Series().Values[0] = 99
-	if c.Gauge("own/gauge", "", 0, nil).Series().Values[0] == 99 {
-		t.Fatal("merge aliased the source gauge's series")
-	}
-}
-
-func TestRegistryScope(t *testing.T) {
-	r := NewRegistry()
-	s := r.Scope("engine/pka")
-	s.Counter("cmds", "n").Add(7)
-	if err := r.Add("engine/pka/cmds", 1); err != nil {
-		t.Fatalf("scoped counter not visible at its full name: %v", err)
-	}
-	if v := r.Counter("engine/pka/cmds", "").Value(); v != 8 {
-		t.Fatalf("scoped counter = %v, want 8", v)
-	}
-}
-
 func TestRegistryNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("a", "").Add(1)
 	r.Gauge("b", "", 0, nil).Series()
 	r.Histogram("c", "").Observe(1)
-	r.Scope("s").Counter("d", "").Add(1)
-	if err := r.Add("a", 1); err != nil {
-		t.Fatalf("nil registry strict write: %v, want nil", err)
-	}
-	if err := r.Merge(NewRegistry()); err != nil {
-		t.Fatal(err)
-	}
-	if r.Snapshot() != nil || r.Len() != 0 {
+	if r.Snapshot() != nil || r.series() != nil {
 		t.Fatal("nil registry is not empty")
 	}
 	r.StartSampler(nil)

@@ -93,9 +93,6 @@ func TestCountsSurviveSpanDrop(t *testing.T) {
 		m.Requests != before.Requests || m.Spans != before.Spans || m.OpenSpans != before.OpenSpans {
 		t.Fatalf("manifest after drop = %+v, before = %+v", m, before)
 	}
-	if runs, requests, spans := c.Totals(); runs != 1 || requests != 4 || spans != 7 {
-		t.Fatalf("totals = %d/%d/%d, want 1/4/7", runs, requests, spans)
-	}
 
 	r.Close(shed, 6000)
 	if id := r.Open(TrackRequests, "request", 7000); id != 0 {
@@ -131,13 +128,5 @@ func TestWriteTraceWithoutEnableTrace(t *testing.T) {
 	c.EnableTrace()
 	if err := c.WriteTrace(&buf); !errors.Is(err, ErrSpansDropped) {
 		t.Fatalf("WriteTrace after a late EnableTrace = %v, want ErrSpansDropped", err)
-	}
-
-	// Detail spans only show in a trace, so EnableDetail keeps spans.
-	d := NewCollector()
-	d.EnableDetail()
-	d.Attach(buildRecorder(1, "run"))
-	if err := d.WriteTrace(&buf); err != nil {
-		t.Fatalf("WriteTrace under EnableDetail = %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tco"
@@ -153,18 +152,5 @@ func TestFaultsRenderSensorDropoutFootnote(t *testing.T) {
 	Faults(&sb, base, []core.FaultResult{clean})
 	if strings.Contains(sb.String(), "missed") {
 		t.Fatalf("unexpected footnote without dropouts:\n%s", sb.String())
-	}
-}
-
-func TestManifestsRender(t *testing.T) {
-	var sb strings.Builder
-	Manifests(&sb, []obs.RunManifest{
-		{RunID: 0xabc, Label: "run x", Requests: 10, Spans: 40, Series: 3, Samples: 90},
-	})
-	out := sb.String()
-	for _, want := range []string{"Telemetry", "run x", "10", "40", "0000000000000abc"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("manifest table missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -2,11 +2,13 @@ package sim
 
 // Analytic oracles for the substrate: a Station fed Poisson arrivals
 // with exponential service is an M/M/c queue, whose mean wait is the
-// Erlang-C closed form, and a Link fed Poisson frames of one size is an
-// M/D/1 queue, whose mean wait is the Pollaczek–Khinchine formula. The
-// waits come from bound observers, the same hooks telemetry uses. Each
-// run's mean wait must fall within a 99.9% confidence bound built from
-// batch means, which accounts for the waits' autocorrelation.
+// Erlang-C closed form; a Link fed Poisson frames of one size is an
+// M/D/1 queue, whose mean wait is the Pollaczek–Khinchine formula; and
+// a BatchStation fed Poisson tasks flushes at whichever comes first of
+// a full batch and its timeout, a closed-form fill time. The waits come
+// from bound observers, the same hooks telemetry uses. Each run's mean
+// wait must fall within a 99.9% confidence bound built from batch
+// means, which accounts for the waits' autocorrelation.
 
 import (
 	"fmt"
@@ -141,4 +143,55 @@ func TestLinkMatchesPollaczekKhinchine(t *testing.T) {
 	// M/D/1: Wq = ρS / (2(1−ρ)).
 	want := Duration(rho * float64(ser) / (2 * (1 - rho)))
 	checkMeanWait(t, log.waits, want)
+}
+
+// batchWaits records each batch's assembly wait from a bound observer.
+type batchWaits struct{ waits []Duration }
+
+func (o *batchWaits) BatchFlushed(_ int, waited Duration, _ Time) {
+	o.waits = append(o.waits, waited)
+}
+
+// meanMinPoisson returns E[min(N, k)] for N ~ Poisson(m): the sum of
+// P(N ≥ j) over j = 1..k.
+func meanMinPoisson(m float64, k int) float64 {
+	pj, below, sum := math.Exp(-m), 0.0, 0.0 // pj is P(N = j-1)
+	for j := 1; j <= k; j++ {
+		below += pj // P(N ≤ j-1)
+		sum += 1 - below
+		pj *= m / float64(j)
+	}
+	return sum
+}
+
+// A batch opens at its first task and flushes at the (B-1)th task after
+// it or at MaxWait W, whichever comes first. With Poisson arrivals at
+// rate λ its assembly wait is min(S, W), S the time of the (B-1)th
+// arrival, whose mean is E[min(N, B-1)]/λ with N ~ Poisson(λW). At λW
+// near B-1 both flush triggers fire.
+func TestBatchMatchesFillTime(t *testing.T) {
+	const gap = Microsecond // 1/λ
+	for _, tc := range []struct {
+		batch int
+		lw    float64 // λW: expected arrivals within one MaxWait
+		tasks int
+		seed  uint64
+	}{
+		{16, 15, 600_000, 4},
+		{16, 8, 400_000, 5},
+		{16, 30, 600_000, 6},
+		{4, 2, 120_000, 7},
+	} {
+		t.Run(fmt.Sprintf("B=%d,lw=%g", tc.batch, tc.lw), func(t *testing.T) {
+			e := NewEngine()
+			b := NewBatchStation(e, tc.batch, Duration(tc.lw*float64(gap)), 0)
+			log := &batchWaits{}
+			b.Observe(nil, log)
+			rng := NewRNG(tc.seed)
+			poissonArrivals(e, rng, gap, tc.tasks, func() { b.Exec(0, nil) })
+			e.Run()
+
+			checkMeanWait(t, log.waits, Duration(meanMinPoisson(tc.lw, tc.batch-1)*float64(gap)))
+		})
+	}
 }

@@ -148,14 +148,6 @@ func (t *Telemetry) EnableTrace() *Telemetry {
 	return t
 }
 
-// EnableDetail records per-job station spans and per-frame link spans in
-// addition to the per-request spans. Traces grow large; keep it off for
-// full-figure runs. It implies EnableTrace.
-func (t *Telemetry) EnableDetail() *Telemetry {
-	t.c.EnableDetail()
-	return t
-}
-
 // WithTelemetry attaches a collector to the testbed: every simulation it
 // runs records into tel.
 func WithTelemetry(tel *Telemetry) Option {
@@ -171,9 +163,6 @@ func WithTelemetry(tel *Telemetry) Option {
 // and worker-pool fan-out across every simulation of the testbeds a
 // Profiler is attached to.
 type SelfProfile = core.SelfProfile
-
-// MetricValue is one exported metric from a registry snapshot.
-type MetricValue = obs.MetricValue
 
 // Profiler collects simulator self-profiling from every testbed it is
 // attached to — the "how hard did the simulator work" counterpart of
@@ -233,10 +222,6 @@ func (t *Telemetry) WriteMetricsJSON(w io.Writer) error { return t.c.WriteMetric
 
 // WriteManifests writes the per-run manifests as JSON.
 func (t *Telemetry) WriteManifests(w io.Writer) error { return t.c.WriteManifests(w) }
-
-// Totals reports how many runs the collector holds and how many
-// request spans and spans in total they recorded.
-func (t *Telemetry) Totals() (runs, requests, spans int) { return t.c.Totals() }
 
 // NewTestbed returns a testbed with the paper's §3.1 configuration —
 // 8 host cores vs the 8-core SNIC, 2 accelerator staging cores,

@@ -62,6 +62,7 @@ check "faults checked" -exp faults -q -j 1 -check -metrics metrics.json -manifes
 check "pipeline checked" -exp pipeline -q -j 1 -check -manifest manifest.json
 check "offload checked" -exp offload -q -j 1 -check -metrics metrics.json -manifest manifest.json
 check "strategies checked" -exp strategies -q -j 1 -check -metrics metrics.json -manifest manifest.json
+check "fleet checked" -exp fleet -q -j 1 -check -metrics metrics.json -manifest manifest.json
 # Traced: the failover replays' spans, stragglers included, by digest.
 check "faults traced" -exp faults -q -j 1 -trace trace.json
 # Checked and traced: the span audit and the trace export read the same
