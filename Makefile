@@ -69,7 +69,7 @@ profile-smoke: bin/snicbench
 	@echo "profile smoke: OK"
 
 # Byte-identical output against a base commit: builds cmd/snicbench at
-# BASE (checked out with git worktree) and in the working tree, then
+# BASE (extracted with git archive) and in the working tree, then
 # compares -exp all stdout and its -profile JSON, -exp all's metrics and
 # manifests, the fig4 nat trace and metrics, the fleet manifest, the
 # pipeline and offload traces, metrics and manifests, the checked

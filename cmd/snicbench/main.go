@@ -67,27 +67,38 @@ var validExps = []string{
 	"all",
 }
 
-func main() {
-	exp := flag.String("exp", "fig4", "experiment: "+strings.Join(validExps, ", "))
-	fn := flag.String("func", "", "restrict fig4/fig6 to one function (e.g. redis)")
-	jobs := flag.Int("j", runtime.NumCPU(), "parallel simulations (output is identical at every -j)")
-	quiet := flag.Bool("q", false, "suppress the stderr progress line")
-	check := flag.Bool("check", false, "checked execution: validate conservation/causality invariants online (panics on first violation)")
-	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of every simulated run to this file")
-	metricsOut := flag.String("metrics", "", "write sampled metrics to this file (.json for JSON, otherwise CSV)")
-	manifestOut := flag.String("manifest", "", "write per-run telemetry manifests (JSON) to this file")
-	profileOut := flag.String("profile", "", "write the simulator self-profile (events, heap depth, cache/pool traffic) as JSON to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a runtime/pprof heap profile to this file")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: snicbench [-exp NAME] [-func FN] [-j N] [-q] [-check] [-trace F] [-metrics F] [-manifest F] [-profile F] [-cpuprofile F] [-memprofile F]\n\nexperiments:\n")
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the command with its arguments; it returns the exit status
+// once its deferred work (stopping and closing the CPU profile) is
+// done, so a failed export still leaves a complete profile.
+func run(args []string) int {
+	fs := flag.NewFlagSet("snicbench", flag.ContinueOnError)
+	exp := fs.String("exp", "fig4", "experiment: "+strings.Join(validExps, ", "))
+	fn := fs.String("func", "", "restrict fig4/fig6 to one function (e.g. redis)")
+	jobs := fs.Int("j", runtime.NumCPU(), "parallel simulations (output is identical at every -j)")
+	quiet := fs.Bool("q", false, "suppress the stderr progress line")
+	check := fs.Bool("check", false, "checked execution: validate conservation/causality invariants online (panics on first violation)")
+	traceOut := fs.String("trace", "", "write a Chrome/Perfetto trace of every simulated run to this file")
+	metricsOut := fs.String("metrics", "", "write sampled metrics to this file (.json for JSON, otherwise CSV)")
+	manifestOut := fs.String("manifest", "", "write per-run telemetry manifests (JSON) to this file")
+	profileOut := fs.String("profile", "", "write the simulator self-profile (events, heap depth, cache/pool traffic) as JSON to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a runtime/pprof heap profile to this file")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: snicbench [-exp NAME] [-func FN] [-j N] [-q] [-check] [-trace F] [-metrics F] [-manifest F] [-profile F] [-cpuprofile F] [-memprofile F]\n\nexperiments:\n")
 		for _, e := range validExps {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %s\n", e)
+			fmt.Fprintf(fs.Output(), "  %s\n", e)
 		}
-		fmt.Fprintf(flag.CommandLine.Output(), "\nflags:\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(fs.Output(), "\nflags:\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	opts := []snic.Option{snic.WithParallelism(*jobs)}
 	if *check {
@@ -114,14 +125,12 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snicbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "snicbench: cpu profile: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(fmt.Errorf("cpu profile: %w", err))
+		}
 		defer pprof.StopCPUProfile()
 	}
 
@@ -131,9 +140,9 @@ func main() {
 	// testbed's memo cache after that.
 	tb := snic.NewTestbed(opts...)
 
-	// run dispatches one experiment, telling the progress line which
+	// runExp dispatches one experiment, telling the progress line which
 	// experiment is currently executing so the live status names it.
-	run := func(name string, fn func()) {
+	runExp := func(name string, fn func()) {
 		prog.setExperiment(name)
 		fn()
 	}
@@ -159,33 +168,38 @@ func main() {
 		for _, e := range []string{"specs", "catalog", "functional", "fig4", "fig6",
 			"fig5", "fig7", "table4", "table5", "strategies", "faults", "fleet",
 			"pipeline", "offload"} {
-			run(e, dispatch[e])
+			runExp(e, dispatch[e])
 		}
 	} else if fn, ok := dispatch[*exp]; ok {
-		run(*exp, fn)
+		runExp(*exp, fn)
 	} else {
 		fmt.Fprintf(os.Stderr, "snicbench: unknown experiment %q (valid: %s)\n",
 			*exp, strings.Join(validExps, ", "))
-		os.Exit(2)
+		return 2
 	}
 	elapsed := time.Since(start)
 
 	if tel != nil {
-		exitOn(writeOut(*traceOut, tel.WriteTrace))
-		if *metricsOut != "" {
-			if strings.HasSuffix(*metricsOut, ".json") {
-				exitOn(writeOut(*metricsOut, tel.WriteMetricsJSON))
-			} else {
-				exitOn(writeOut(*metricsOut, tel.WriteMetricsCSV))
+		writeMetrics := tel.WriteMetricsCSV
+		if strings.HasSuffix(*metricsOut, ".json") {
+			writeMetrics = tel.WriteMetricsJSON
+		}
+		for _, out := range []struct {
+			path  string
+			write func(io.Writer) error
+		}{{*traceOut, tel.WriteTrace}, {*metricsOut, writeMetrics}, {*manifestOut, tel.WriteManifests}} {
+			if err := writeOut(out.path, out.write); err != nil {
+				return fail(err)
 			}
 		}
-		exitOn(writeOut(*manifestOut, tel.WriteManifests))
 	}
 	if prof != nil {
 		// profile.json holds virtual-state counters only, so sequential
 		// profiles are byte-identical across runs; the wall-clock rate is
 		// advisory and goes to stderr.
-		exitOn(writeOut(*profileOut, prof.WriteProfile))
+		if err := writeOut(*profileOut, prof.WriteProfile); err != nil {
+			return fail(err)
+		}
 		sp := prof.Snapshot()
 		if sec := elapsed.Seconds(); sec > 0 && sp.Events > 0 {
 			fmt.Fprintf(os.Stderr, "self-profile: %d runs, %d events in %.2fs (%.0f events/s), heap peak %d\n",
@@ -195,19 +209,24 @@ func main() {
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snicbench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "snicbench: heap profile: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			return fail(fmt.Errorf("heap profile: %w", err))
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "snicbench: closing %s: %v\n", *memProfile, err)
-			os.Exit(1)
+			return fail(fmt.Errorf("closing %s: %w", *memProfile, err))
 		}
 	}
+	return 0
+}
+
+// fail reports err and returns the exit status for it.
+func fail(err error) int {
+	fmt.Fprintf(os.Stderr, "snicbench: %v\n", err)
+	return 1
 }
 
 // writeOut writes one export to path ("" skips). It returns the first
@@ -234,14 +253,6 @@ func writeOut(path string, write func(io.Writer) error) error {
 		return fmt.Errorf("closing %s: %w", path, err)
 	}
 	return nil
-}
-
-// exitOn reports err and exits 1; a nil err does nothing.
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snicbench: %v\n", err)
-		os.Exit(1)
-	}
 }
 
 // progressLine keeps one live status line on stderr naming the

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -21,5 +22,25 @@ func TestWriteOutReportsFlushError(t *testing.T) {
 	}
 	if err := writeOut("", nil); err != nil {
 		t.Fatalf("writeOut with no path = %v, want nil", err)
+	}
+}
+
+// A failed export exits 1 only after the CPU profile was stopped and
+// closed, so the profile of the failed run is still complete.
+func TestFailedExportKeepsCPUProfile(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("/dev/full does not exist here")
+	}
+	prof := filepath.Join(t.TempDir(), "c.prof")
+	code := run([]string{"-exp", "specs", "-q", "-j", "1", "-cpuprofile", prof, "-manifest", "/dev/full"})
+	if code != 1 {
+		t.Fatalf("exit status %d, want 1", code)
+	}
+	info, err := os.Stat(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() == 0 {
+		t.Fatal("CPU profile is empty: the failed export skipped stopping it")
 	}
 }

@@ -515,19 +515,6 @@ func Lookup(function, variant string) (*Config, error) {
 	return nil, fmt.Errorf("core: no catalog entry %s/%s", function, variant)
 }
 
-// Functions returns the distinct function names in catalog order.
-func Functions() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, c := range Catalog() {
-		if !seen[c.Function] {
-			seen[c.Function] = true
-			out = append(out, c.Function)
-		}
-	}
-	return out
-}
-
 // solveSNICFactor derives the Arm application-cycle multiplier that lands
 // a CPU-bound open-loop entry on its Fig. 4 throughput target, given the
 // stack costs and memory penalties both platforms pay. Max throughput of

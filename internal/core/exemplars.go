@@ -113,8 +113,3 @@ func NATIDSPipeline() *PipelineSpec {
 		KneeP99Mult: 2.5,
 	}
 }
-
-// ExemplarPipelines returns the chained tax pipelines snicbench runs.
-func ExemplarPipelines() []*PipelineSpec {
-	return []*PipelineSpec{CryptoCompressSendPipeline(), NATIDSPipeline()}
-}

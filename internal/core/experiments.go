@@ -75,12 +75,6 @@ type Fig5Point struct {
 	Curves map[string]Measurement
 }
 
-// Fig5Curves are the figure's series: host CPU with the two interesting
-// rule sets, and the accelerator (one curve — "the SNIC accelerator
-// offers almost the same throughput and p99 for the two input rule
-// sets").
-var Fig5Curves = []string{"host/file_image", "host/file_executable", "accel"}
-
 // remMTU returns the Fig. 5 variant of a REM config: fixed MTU packets
 // (no PCAP mix, so no mixed-traffic match-verification extra).
 func remMTU(set trace.RuleSetName) *Config {

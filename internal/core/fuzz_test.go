@@ -63,7 +63,7 @@ func FuzzPipelineRun(f *testing.F) {
 	f.Add(uint8(2), uint8(250), uint16(0), uint64(12345))
 
 	f.Fuzz(func(t *testing.T, pi, qc uint8, rate uint16, seed uint64) {
-		specs := ExemplarPipelines()
+		specs := []*PipelineSpec{CryptoCompressSendPipeline(), NATIDSPipeline()}
 		ps := specs[int(pi)%len(specs)]
 		if pi%2 == 1 {
 			ps.Fallback = SpillToHost{Watermark: int(qc)%32 + 1}

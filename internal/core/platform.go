@@ -15,7 +15,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/nic"
-	"repro/internal/pcie"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -42,7 +41,6 @@ type Testbed struct {
 	Eng  *sim.Engine
 	Wire *nic.Wire
 	Sw   *nic.ESwitch
-	Bus  *pcie.Bus
 
 	HostSpec *cpu.Spec
 	SNICSpec *cpu.Spec
@@ -132,7 +130,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		Eng:      eng,
 		Wire:     nic.NewWireRate(eng, cfg.LinkGbps()*1e9, cfg.Propagation),
 		Sw:       nic.NewESwitch(eng),
-		Bus:      pcie.NewBus(eng, pcie.Gen4x16()),
 		HostSpec: hostSpec,
 		SNICSpec: snicSpec,
 		HostMem:  mem.ServerDDR4(),

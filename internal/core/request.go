@@ -395,7 +395,7 @@ func (ctx *runctx) markPhases() {
 		name := ctx.ps.Phases[i].Name
 		m := &ctx.phaseMarks[i]
 		if ctx.rec != nil {
-			m.span = ctx.rec.Intern(obs.TrackRequests, "phase/"+name)
+			m.span = ctx.rec.Intern("phase/" + name)
 		}
 		m.ledger = ctx.chk.Phase(name)
 	}

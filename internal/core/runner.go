@@ -255,7 +255,7 @@ func (r *Runner) newRunctx(tbc TestbedConfig, plat Platform, stack netstack.Kind
 	ctx.pool.SetQueueCapacity(4096)
 	if stack != "" {
 		ctx.prof = netstack.ByKind(stack)
-		ctx.ep = netstack.NewEndpoint(tb.Eng, ctx.prof, ctx.pool, seed^0x77)
+		ctx.ep = netstack.NewEndpoint(ctx.prof, ctx.pool, seed^0x77)
 	}
 	return ctx
 }

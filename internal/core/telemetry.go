@@ -88,7 +88,6 @@ func instrumentTestbed(tb *Testbed, rec *obs.Recorder, chk *invariant.Checker) {
 	tb.Deflate.Observe(deflate, deflate)
 	tb.PKA.Observe(bind(rec, chk, "engine/pka"))
 	tb.Wire.Observe(bind(rec, chk, "wire/c2s"), bind(rec, chk, "wire/s2c"))
-	tb.Bus.Observe(bind(rec, chk, "pcie/up"), bind(rec, chk, "pcie/down"))
 	if rec == nil {
 		return
 	}
@@ -107,8 +106,6 @@ func instrumentTestbed(tb *Testbed, rec *obs.Recorder, chk *invariant.Checker) {
 	rec.Gauge("engine/pka/util", "frac", 0, tb.PKA.Utilization)
 	rec.Gauge("wire/c2s/backlog", "s", 0, func() float64 { return tb.Wire.ServerDirBacklog().Seconds() })
 	rec.Gauge("wire/s2c/backlog", "s", 0, func() float64 { return tb.Wire.ClientDirBacklog().Seconds() })
-	rec.Gauge("pcie/up/backlog", "s", 0, func() float64 { return tb.Bus.UpBacklog().Seconds() })
-	rec.Gauge("pcie/down/backlog", "s", 0, func() float64 { return tb.Bus.DownBacklog().Seconds() })
 	rec.Gauge("power/server", "W", tb.BMC.Period, func() float64 { return float64(tb.BMC.Reading()) })
 	rec.Gauge("power/snic", "W", tb.YoctoWatt.Period, func() float64 { return float64(tb.YoctoWatt.Reading()) })
 
@@ -189,9 +186,9 @@ func (ctx *runctx) internLabels() {
 	if ctx.rec == nil {
 		return
 	}
-	ctx.rootLabel = ctx.rec.Intern(obs.TrackRequests, spanRequest)
+	ctx.rootLabel = ctx.rec.Intern(spanRequest)
 	for s := range ctx.stageLabels {
-		ctx.stageLabels[s] = ctx.rec.Intern(obs.TrackRequests, stageNames[s])
+		ctx.stageLabels[s] = ctx.rec.Intern(stageNames[s])
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -140,5 +141,95 @@ func TestFaultSensorDropoutSurfaced(t *testing.T) {
 	base := r.RunFaulted(FaultScenario{Name: "clean"}, hr, tr, 2, 11)
 	if base.YoctoMissedSamples != 0 || base.BMCMissedSamples != 0 {
 		t.Fatalf("clean replay reported missed samples: %+v", base)
+	}
+}
+
+// Every resource instrumentTestbed binds carries traffic in some run,
+// and every gauge it registers reads nonzero at least once: a resource
+// or a gauge that stays zero under loads that queue every station is a
+// model no request crosses. Each run loads one platform or engine past
+// its capacity. A bound resource's gauges carry its name as their
+// prefix (pool/host/queue is pool/host's), so the gauges name the bound
+// resources too; the power gauges read the sensors, not a resource.
+func TestInstrumentedResourcesCarryTraffic(t *testing.T) {
+	// Eight staging cores let the REM engine, not its feed, saturate.
+	fast := NewRunner()
+	fast.TBConfig.StagingCores = 8
+	// A 5 Gb/s wire queues frames both ways under redis's 11× larger
+	// responses.
+	slow := NewRunner()
+	slow.TBConfig.LinkRateGbps = 5
+	for _, r := range []*Runner{fast, slow} {
+		r.Telemetry = obs.NewCollector()
+	}
+	for _, c := range []struct {
+		r           *Runner
+		fn, variant string
+		plat        Platform
+		gbps        float64
+		requests    int
+	}{
+		{fast, "nat", "10K", HostCPU, 20, 3000},
+		{fast, "nat", "10K", SNICCPU, 4, 3000},
+		{fast, "rem", "file_image", SNICAccel, 90, 20000},
+		{fast, "compress", "txt", SNICAccel, 0, 300},
+		{fast, "crypto", "rsa", SNICAccel, 0, 300},
+		{slow, "redis", "workload_a", HostCPU, 8, 3000},
+	} {
+		cfg, err := Lookup(c.fn, c.variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Engine == EnginePKAOp {
+			// Sixteen operations in flight queue at the PKA.
+			deep := *cfg
+			deep.ClosedSNIC = 16
+			cfg = &deep
+		}
+		opts := DefaultRunOpts()
+		opts.OfferedGbps = c.gbps
+		opts.Requests = c.requests
+		if _, err := c.r.Execute(Workload{Kind: WorkloadPoint, Config: cfg, Platform: c.plat, Opts: opts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	nonzero := map[string]bool{} // gauge name → read nonzero
+	var gauges []string          // in first-registration order
+	counted := map[string]bool{} // resource with a nonzero counter
+	for _, r := range []*Runner{fast, slow} {
+		for _, rec := range r.Telemetry.Runs() {
+			for _, s := range rec.Series() {
+				if _, seen := nonzero[s.Name]; !seen {
+					gauges = append(gauges, s.Name)
+					nonzero[s.Name] = false
+				}
+				for _, v := range s.Values {
+					if v != 0 {
+						nonzero[s.Name] = true
+						break
+					}
+				}
+			}
+			for _, c := range rec.Manifest().Counters {
+				if i := strings.LastIndex(c.Name, "."); i > 0 && c.Value != 0 {
+					counted[c.Name[:i]] = true
+				}
+			}
+		}
+	}
+	if len(gauges) == 0 {
+		t.Fatal("no gauges recorded")
+	}
+	for _, g := range gauges {
+		if !nonzero[g] {
+			t.Errorf("gauge %s read zero in every run", g)
+		}
+		if strings.HasPrefix(g, "power/") {
+			continue
+		}
+		if res := g[:strings.LastIndex(g, "/")]; !counted[res] {
+			t.Errorf("resource %s has no nonzero counter in any run's manifest", res)
+		}
 	}
 }

@@ -27,26 +27,6 @@ func TestSpecsMatchPaperTables(t *testing.T) {
 	}
 }
 
-func TestSpecExtensions(t *testing.T) {
-	host := XeonGold6140()
-	if !host.Has(ExtAESNI) || !host.Has(ExtAVX) || !host.Has(ExtRDRAND) {
-		t.Error("host should have AES-NI, AVX, RDRAND")
-	}
-	if host.Has(ExtNEON) {
-		t.Error("host should not have NEON")
-	}
-	snic := BlueField2Arm()
-	if snic.Has(ExtAESNI) || snic.Has(ExtAVX) {
-		t.Error("A72 should not have x86 extensions")
-	}
-	if snic.Speedup(ExtAESNI) != 1.0 {
-		t.Error("missing extension must have speedup 1.0")
-	}
-	if host.Speedup(ExtAESNI) <= 1.0 {
-		t.Error("present extension must have speedup > 1.0")
-	}
-}
-
 func TestPoolServiceTimeScalesWithIPCAndFreq(t *testing.T) {
 	eng := sim.NewEngine()
 	host := NewPool(eng, XeonGold6140(), 8, 1)
@@ -108,24 +88,6 @@ func TestPoolJitterProducesSpread(t *testing.T) {
 	}
 	if min == max {
 		t.Fatal("jitter produced identical service times")
-	}
-}
-
-func TestPoolGovernors(t *testing.T) {
-	eng := sim.NewEngine()
-	p := NewPool(eng, XeonGold6140(), 8, 1)
-	if p.Governor() != GovernorUserspace {
-		t.Fatal("default governor should be userspace")
-	}
-	if p.IdleFreqHz() != p.Spec.BaseHz {
-		t.Fatal("userspace governor must idle at base frequency")
-	}
-	p.SetGovernor(GovernorOndemand)
-	if p.IdleFreqHz() != p.Spec.MinHz {
-		t.Fatal("ondemand governor must idle at min frequency")
-	}
-	if p.FreqHz() != p.Spec.BaseHz {
-		t.Fatal("active frequency must stay at base under ondemand")
 	}
 }
 

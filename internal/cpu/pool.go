@@ -6,44 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Governor selects the frequency-scaling policy of a core pool, mirroring
-// the Linux cpufreq governors the paper uses (§3.1): "userspace" pins the
-// maximum sustained frequency for performance runs; "ondemand" tracks load
-// so an idle host CPU draws less power while the SNIC serves traffic.
-type Governor int
-
-const (
-	// GovernorUserspace pins BaseHz.
-	GovernorUserspace Governor = iota
-	// GovernorOndemand runs at BaseHz under load and sinks toward MinHz
-	// when idle. In this virtual-time model the distinction matters for
-	// power (package power follows frequency), not for service times —
-	// ondemand ramps up before serving work, as the real governor does at
-	// our packet rates.
-	GovernorOndemand
-)
-
-func (g Governor) String() string {
-	switch g {
-	case GovernorUserspace:
-		return "userspace"
-	case GovernorOndemand:
-		return "ondemand"
-	default:
-		return fmt.Sprintf("governor(%d)", int(g))
-	}
-}
-
 // Pool is a set of CPU cores available to one execution platform. It wraps
 // a sim.Station whose servers are cores; work is expressed in cycles and
 // converted to time at the pool's operating frequency.
 type Pool struct {
-	Spec     *Spec
-	eng      *sim.Engine
-	station  *sim.Station
-	cores    int
-	governor Governor
-	jitter   *sim.RNG
+	Spec    *Spec
+	station *sim.Station
+	cores   int
+	jitter  *sim.RNG
 	// JitterSigma is the log-normal sigma applied to each job's service
 	// time. Real per-packet service times wobble with cache state and
 	// branch behaviour; this is what gives latency distributions a tail.
@@ -63,10 +33,8 @@ func NewPool(eng *sim.Engine, spec *Spec, n int, seed uint64) *Pool {
 	}
 	return &Pool{
 		Spec:        spec,
-		eng:         eng,
 		station:     sim.NewStation(eng, n),
 		cores:       n,
-		governor:    GovernorUserspace,
 		jitter:      sim.NewRNG(seed),
 		JitterSigma: 0.18,
 	}
@@ -75,16 +43,9 @@ func NewPool(eng *sim.Engine, spec *Spec, n int, seed uint64) *Pool {
 // Cores returns the number of cores in the pool.
 func (p *Pool) Cores() int { return p.cores }
 
-// SetGovernor selects the frequency-scaling policy.
-func (p *Pool) SetGovernor(g Governor) { p.governor = g }
-
-// Governor returns the current policy.
-func (p *Pool) Governor() Governor { return p.governor }
-
-// FreqHz returns the operating frequency for active work. Both governors
-// serve work at BaseHz (ondemand ramps before work lands at our rates);
-// they differ in idle power, reported by IdleFraction. An active throttle
-// scales the frequency down, stretching every subsequent service time.
+// FreqHz returns the operating frequency for active work: BaseHz, scaled
+// down by an active throttle, which stretches every subsequent service
+// time.
 func (p *Pool) FreqHz() float64 {
 	if p.throttle > 0 {
 		return p.Spec.BaseHz * p.throttle
@@ -99,23 +60,6 @@ func (p *Pool) SetThrottle(f float64) {
 		panic(fmt.Sprintf("cpu: throttle factor %v outside (0,1]", f))
 	}
 	p.throttle = f
-}
-
-// ThrottleFactor returns the active frequency cap (1 when unthrottled).
-func (p *Pool) ThrottleFactor() float64 {
-	if p.throttle > 0 {
-		return p.throttle
-	}
-	return 1
-}
-
-// IdleFreqHz returns the frequency an idle core sits at, which the power
-// model maps to idle package power.
-func (p *Pool) IdleFreqHz() float64 {
-	if p.governor == GovernorOndemand {
-		return p.Spec.MinHz
-	}
-	return p.Spec.BaseHz
 }
 
 // ServiceTime converts a cycle cost on this pool into a duration,

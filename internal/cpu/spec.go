@@ -3,11 +3,14 @@
 // BlueField-2 SNIC's eight Arm Cortex-A72 cores (paper Tables 1 and 2).
 //
 // The model is deliberately coarse: a core executes work measured in
-// cycles at a governor-controlled frequency, with multiplicative speedups
-// for ISA extensions (AES-NI, AVX/ISA-L, RDRAND) and a memory-subsystem
-// penalty supplied by package mem. That is the level at which the paper's
-// observations operate — "the SNIC CPU is not capable enough", "the host
-// CPU can utilize its ISA extensions" — and it is the level we calibrate.
+// cycles at its spec's fixed frequency and relative IPC, with a
+// memory-subsystem penalty supplied by package mem. Only fault injection
+// moves the frequency (SetThrottle); there is no governor. ISA extensions
+// (AES-NI, AVX/ISA-L, RDRAND) are not a speedup table here: they live in
+// each catalog entry's calibrated host rate or SNIC cycle factor (package
+// core). That is the level at which the paper's observations operate —
+// "the SNIC CPU is not capable enough", "the host CPU can utilize its ISA
+// extensions" — and it is the level we calibrate.
 package cpu
 
 import "fmt"
@@ -20,23 +23,6 @@ const (
 	ArchArm Arch = "armv8"
 )
 
-// Extension is a hardware acceleration feature relevant to the paper's
-// workloads.
-type Extension string
-
-const (
-	// ExtAESNI: x86 AES instructions, used by OpenSSL-style AES.
-	ExtAESNI Extension = "aes-ni"
-	// ExtRDRAND: Intel digital random number generator, used by the
-	// paper's host-side crypto runs.
-	ExtRDRAND Extension = "rdrand"
-	// ExtAVX: AVX/AVX-512 vector units; the host compression path uses
-	// them via ISA-L, the REM path via Hyperscan.
-	ExtAVX Extension = "avx"
-	// ExtNEON: Armv8 SIMD. Present on the A72 but far narrower than AVX.
-	ExtNEON Extension = "neon"
-)
-
 // Spec describes a processor package.
 type Spec struct {
 	Name  string
@@ -46,34 +32,12 @@ type Spec struct {
 	// the paper pins 2.1 GHz with the userspace governor (max under TDP,
 	// HT and Turbo disabled); the A72s run at 2.0 GHz.
 	BaseHz float64
-	// MinHz is the lowest frequency the ondemand governor may select.
-	MinHz float64
 	// IPC is a relative instructions-per-cycle factor versus the Skylake
 	// host (host = 1.0). The A72 is a 3-wide in-order-ish core; measured
 	// SPEC-rate style gaps versus Skylake land near 0.55.
 	IPC float64
 	// L3Bytes is the last-level cache capacity.
 	L3Bytes int64
-	// TDPWatts is the package thermal design power.
-	TDPWatts float64
-	// Extensions lists acceleration features with their speedup factor
-	// (>1 means the feature divides cycle cost by that factor when a
-	// workload can use it).
-	Extensions map[Extension]float64
-}
-
-// Has reports whether the spec has the given extension.
-func (s *Spec) Has(ext Extension) bool {
-	_, ok := s.Extensions[ext]
-	return ok
-}
-
-// Speedup returns the cycle-cost divisor for ext (1.0 when absent).
-func (s *Spec) Speedup(ext Extension) float64 {
-	if f, ok := s.Extensions[ext]; ok && f > 0 {
-		return f
-	}
-	return 1.0
 }
 
 func (s *Spec) String() string {
@@ -85,19 +49,12 @@ func (s *Spec) String() string {
 // pinned at 2.1 GHz with the userspace governor.
 func XeonGold6140() *Spec {
 	return &Spec{
-		Name:     "Intel Xeon Gold 6140",
-		Arch:     ArchX86,
-		Cores:    18,
-		BaseHz:   2.1e9,
-		MinHz:    1.0e9,
-		IPC:      1.0,
-		L3Bytes:  24_750 * 1024,
-		TDPWatts: 140,
-		Extensions: map[Extension]float64{
-			ExtAESNI:  6.0, // AES-NI vs table-based AES
-			ExtRDRAND: 2.2, // paper: RDRAND-assisted RSA/AES paths
-			ExtAVX:    3.0, // ISA-L deflate / Hyperscan vectorized scan
-		},
+		Name:    "Intel Xeon Gold 6140",
+		Arch:    ArchX86,
+		Cores:   18,
+		BaseHz:  2.1e9,
+		IPC:     1.0,
+		L3Bytes: 24_750 * 1024,
 	}
 }
 
@@ -105,18 +62,12 @@ func XeonGold6140() *Spec {
 // used only as the load generator).
 func XeonE52640v3() *Spec {
 	return &Spec{
-		Name:     "Intel Xeon E5-2640 v3",
-		Arch:     ArchX86,
-		Cores:    8,
-		BaseHz:   2.6e9,
-		MinHz:    1.2e9,
-		IPC:      0.9,
-		L3Bytes:  20 * 1024 * 1024,
-		TDPWatts: 90,
-		Extensions: map[Extension]float64{
-			ExtAESNI: 6.0,
-			ExtAVX:   2.0,
-		},
+		Name:    "Intel Xeon E5-2640 v3",
+		Arch:    ArchX86,
+		Cores:   8,
+		BaseHz:  2.6e9,
+		IPC:     0.9,
+		L3Bytes: 20 * 1024 * 1024,
 	}
 }
 
@@ -124,16 +75,11 @@ func XeonE52640v3() *Spec {
 // Cortex-A72 cores at 2.0 GHz, 6 MB shared L3, 16 GB DDR4-3200 onboard.
 func BlueField2Arm() *Spec {
 	return &Spec{
-		Name:     "BlueField-2 Arm (8x Cortex-A72)",
-		Arch:     ArchArm,
-		Cores:    8,
-		BaseHz:   2.0e9,
-		MinHz:    1.0e9,
-		IPC:      0.55,
-		L3Bytes:  6 * 1024 * 1024,
-		TDPWatts: 18,
-		Extensions: map[Extension]float64{
-			ExtNEON: 1.3, // modest SIMD benefit for scanning/compression
-		},
+		Name:    "BlueField-2 Arm (8x Cortex-A72)",
+		Arch:    ArchArm,
+		Cores:   8,
+		BaseHz:  2.0e9,
+		IPC:     0.55,
+		L3Bytes: 6 * 1024 * 1024,
 	}
 }

@@ -15,9 +15,6 @@ func TestThrottleStretchesServiceTime(t *testing.T) {
 	if halved != full*2 {
 		t.Fatalf("service at half frequency = %v, want %v (2x %v)", halved, full*2, full)
 	}
-	if p.ThrottleFactor() != 0.5 {
-		t.Fatalf("ThrottleFactor = %v, want 0.5", p.ThrottleFactor())
-	}
 	p.SetThrottle(1)
 	if got := p.ServiceTime(2100); got != full {
 		t.Fatalf("service after unthrottle = %v, want %v", got, full)

@@ -220,16 +220,10 @@ func (t Transition) String() string {
 	return fmt.Sprintf("%v %s %v on %q", t.At, verb, t.Event.Kind, t.Event.Target)
 }
 
-// Log records the plan's transitions as they execute and tracks how many
-// faults are concurrently active — experiments use ActiveFaults to split
-// completions into fault-window and clean populations.
+// Log records the plan's transitions as they execute.
 type Log struct {
 	Transitions []Transition
-	active      int
 }
-
-// ActiveFaults returns the number of currently active fault windows.
-func (l *Log) ActiveFaults() int { return l.active }
 
 // Arm schedules every event's begin and clear transitions on eng against
 // the registry's components and returns the live log. onChange, if
@@ -254,11 +248,6 @@ func (p *Plan) Arm(eng *sim.Engine, reg *Registry, onChange func(Transition)) (*
 		begin, clear := begins[i], clears[i]
 		note := func(tr Transition) {
 			log.Transitions = append(log.Transitions, tr)
-			if tr.Begin {
-				log.active++
-			} else {
-				log.active--
-			}
 			if onChange != nil {
 				onChange(tr)
 			}

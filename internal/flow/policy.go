@@ -123,10 +123,9 @@ func (c *AdaptiveConfig) Validate() error {
 // pressure at high occupancy, additive decrease (offload more) when the
 // slow path still sees traffic and the table has headroom.
 type Adaptive struct {
-	cfg            AdaptiveConfig
-	k              int
-	last           Snapshot
-	raises, lowers uint64
+	cfg  AdaptiveConfig
+	k    int
+	last Snapshot
 }
 
 // NewAdaptive builds the controller; it panics on an invalid config.
@@ -144,9 +143,6 @@ func (a *Adaptive) Key() string {
 
 // Threshold returns the current K.
 func (a *Adaptive) Threshold() int { return a.k }
-
-// Steps reports how many times the controller raised and lowered K.
-func (a *Adaptive) Steps() (raises, lowers uint64) { return a.raises, a.lowers }
 
 // Observe consumes one control-interval snapshot and moves K. The churn
 // signal counts only *harmful* events — still-hot rules evicted
@@ -177,14 +173,12 @@ func (a *Adaptive) Observe(s Snapshot) {
 				next = a.cfg.Max
 			}
 			a.k = next
-			a.raises++
 		}
 	case (misses > 0 || drops > 0) && !pressured:
 		// The slow path still carries traffic and the table has
 		// headroom: admit more flows, one step at a time.
 		if a.k > a.cfg.Min {
 			a.k--
-			a.lowers++
 		}
 	}
 }
@@ -198,7 +192,6 @@ type Controller struct {
 	pol    Policy
 	counts map[uint64]uint32
 	drops  uint64
-	ticks  uint64
 
 	minK, maxK int
 }
@@ -234,7 +227,6 @@ func (c *Controller) NoteDrop() { c.drops++ }
 // the policy observe it. The run loop arms it on the engine's
 // control-interval ticker.
 func (c *Controller) Tick(now sim.Time) {
-	c.ticks++
 	c.tbl.ExpireIdle(now)
 	c.pol.Observe(Snapshot{
 		Now:            now,
@@ -258,9 +250,3 @@ func (c *Controller) Tick(now sim.Time) {
 func (c *Controller) ThresholdRange() (minK, maxK, final int) {
 	return c.minK, c.maxK, c.pol.Threshold()
 }
-
-// Ticks returns the number of control intervals observed.
-func (c *Controller) Ticks() uint64 { return c.ticks }
-
-// FlowsSeen returns the number of distinct flows that hit the slow path.
-func (c *Controller) FlowsSeen() int { return len(c.counts) }

@@ -63,10 +63,9 @@ type Engine struct {
 
 	matcher *match.Matcher
 
-	inspected uint64
-	alerts    uint64
-	dropped   uint64
-	log       []AlertRecord
+	alerts  uint64
+	dropped uint64
+	log     []AlertRecord
 	// LogCap bounds the alert log (Snort rotates logs; unbounded growth
 	// in a long simulation would be a leak, not a feature).
 	LogCap int
@@ -93,7 +92,6 @@ func NewPaperEngine(set trace.RuleSetName, mode Mode, seed uint64) (*Engine, err
 // mode records an alert per matching packet (first match wins, like
 // Snort's default fast-pattern behaviour).
 func (e *Engine) Inspect(seq uint64, payload []byte) Verdict {
-	e.inspected++
 	matches := e.matcher.Scan(payload)
 	if len(matches) == 0 {
 		return Pass
@@ -110,28 +108,9 @@ func (e *Engine) Inspect(seq uint64, payload []byte) Verdict {
 	return Alert
 }
 
-// InspectFast is the REM accelerator's semantic: match/no-match only, no
-// alert bookkeeping beyond counters.
-func (e *Engine) InspectFast(payload []byte) bool {
-	e.inspected++
-	if e.matcher.Contains(payload) {
-		e.alerts++
-		return true
-	}
-	return false
-}
-
 // Alerts and Dropped expose counters.
 func (e *Engine) Alerts() uint64  { return e.alerts }
 func (e *Engine) Dropped() uint64 { return e.dropped }
-
-// AlertRate returns alerts per inspected packet.
-func (e *Engine) AlertRate() float64 {
-	if e.inspected == 0 {
-		return 0
-	}
-	return float64(e.alerts) / float64(e.inspected)
-}
 
 // Log returns the recorded alerts.
 func (e *Engine) Log() []AlertRecord { return e.log }

@@ -66,7 +66,7 @@ func TestPaperEnginesMatchGroundTruth(t *testing.T) {
 	// End-to-end over all three paper rule sets: engine verdicts must
 	// agree exactly with the payload generator's ground truth, and the
 	// observed alert rate must track each set's match density.
-	for _, set := range trace.RuleSetNames() {
+	for _, set := range []trace.RuleSetName{trace.RuleSetImage, trace.RuleSetFlash, trace.RuleSetExecutable} {
 		e, err := NewPaperEngine(set, Prevention, 42)
 		if err != nil {
 			t.Fatal(err)
@@ -80,24 +80,10 @@ func TestPaperEnginesMatchGroundTruth(t *testing.T) {
 				t.Fatalf("%s: verdict %v != ground truth %v at packet %d", set, got, truth, i)
 			}
 		}
-		rate := e.AlertRate()
+		rate := float64(e.Alerts()) / n
 		want := e.RuleSet.MatchDensity
 		if rate < want-0.02 || rate > want+0.02 {
 			t.Errorf("%s alert rate = %.3f, want ~%.3f", set, rate, want)
-		}
-	}
-}
-
-func TestInspectFastAgreesWithInspect(t *testing.T) {
-	a, _ := NewPaperEngine(trace.RuleSetFlash, Detection, 42)
-	b, _ := NewPaperEngine(trace.RuleSetFlash, Detection, 42)
-	pg := trace.NewPayloadGen(a.RuleSet, 3)
-	for i := 0; i < 2000; i++ {
-		payload, _ := pg.Next(512)
-		slow := a.Inspect(uint64(i), payload) != Pass
-		fast := b.InspectFast(payload)
-		if slow != fast {
-			t.Fatal("InspectFast disagrees with Inspect")
 		}
 	}
 }
@@ -134,6 +120,6 @@ func BenchmarkInspectMTU(b *testing.B) {
 	b.SetBytes(1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.InspectFast(payload)
+		e.Inspect(uint64(i), payload)
 	}
 }

@@ -55,15 +55,6 @@ func NewMatcher(patterns []string) (*Matcher, error) {
 	return m, nil
 }
 
-// MustMatcher is NewMatcher that panics on error, for compiled-in sets.
-func MustMatcher(patterns []string) *Matcher {
-	m, err := NewMatcher(patterns)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 func (m *Matcher) insert(p string, id int32) {
 	cur := int32(0)
 	for i := 0; i < len(p); i++ {

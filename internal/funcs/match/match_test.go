@@ -11,8 +11,17 @@ import (
 	"repro/internal/trace"
 )
 
+// mustMatcher is NewMatcher for the tests' compiled-in sets.
+func mustMatcher(patterns []string) *Matcher {
+	m, err := NewMatcher(patterns)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func TestBasicMatches(t *testing.T) {
-	m := MustMatcher([]string{"he", "she", "his", "hers"})
+	m := mustMatcher([]string{"he", "she", "his", "hers"})
 	got := m.Scan([]byte("ushers"))
 	// "ushers": she@4, he@4, hers@6.
 	want := []Match{{Pattern: 1, End: 4}, {Pattern: 0, End: 4}, {Pattern: 3, End: 6}}
@@ -38,7 +47,7 @@ func sortMatches(ms []Match) {
 }
 
 func TestNoMatch(t *testing.T) {
-	m := MustMatcher([]string{"abc", "def"})
+	m := mustMatcher([]string{"abc", "def"})
 	if m.Contains([]byte("xyzuvw")) {
 		t.Fatal("false positive")
 	}
@@ -48,7 +57,7 @@ func TestNoMatch(t *testing.T) {
 }
 
 func TestOverlappingPatterns(t *testing.T) {
-	m := MustMatcher([]string{"aa", "aaa"})
+	m := mustMatcher([]string{"aa", "aaa"})
 	got := m.Scan([]byte("aaaa"))
 	// aa@2, aa@3+aaa@3, aa@4+aaa@4 => 5 matches.
 	if len(got) != 5 {
@@ -57,7 +66,7 @@ func TestOverlappingPatterns(t *testing.T) {
 }
 
 func TestPatternAtBoundaries(t *testing.T) {
-	m := MustMatcher([]string{"start", "end"})
+	m := mustMatcher([]string{"start", "end"})
 	data := []byte("start middle end")
 	got := m.Scan(data)
 	if len(got) != 2 {
@@ -69,7 +78,7 @@ func TestPatternAtBoundaries(t *testing.T) {
 }
 
 func TestContainsShortCircuit(t *testing.T) {
-	m := MustMatcher([]string{"needle"})
+	m := mustMatcher([]string{"needle"})
 	data := append([]byte("needle"), bytes.Repeat([]byte("x"), 1<<20)...)
 	if !m.Contains(data) {
 		t.Fatal("missed needle at start")
@@ -77,7 +86,7 @@ func TestContainsShortCircuit(t *testing.T) {
 }
 
 func TestBinaryPatterns(t *testing.T) {
-	m := MustMatcher([]string{string([]byte{0x00, 0xff, 0x7f}), string([]byte{0xde, 0xad})})
+	m := mustMatcher([]string{string([]byte{0x00, 0xff, 0x7f}), string([]byte{0xde, 0xad})})
 	data := []byte{0x01, 0x00, 0xff, 0x7f, 0x02, 0xde, 0xad}
 	got := m.Scan(data)
 	if len(got) != 2 {
@@ -92,14 +101,14 @@ func TestEmptyInputs(t *testing.T) {
 	if _, err := NewMatcher([]string{"ok", ""}); err == nil {
 		t.Fatal("empty pattern accepted")
 	}
-	m := MustMatcher([]string{"x"})
+	m := mustMatcher([]string{"x"})
 	if m.Contains(nil) {
 		t.Fatal("match in empty data")
 	}
 }
 
 func TestDuplicatePatternsBothReported(t *testing.T) {
-	m := MustMatcher([]string{"dup", "dup"})
+	m := mustMatcher([]string{"dup", "dup"})
 	got := m.Scan([]byte("dup"))
 	if len(got) != 2 {
 		t.Fatalf("duplicate patterns: %d matches, want 2", len(got))
@@ -140,7 +149,7 @@ func TestScanMatchesNaiveProperty(t *testing.T) {
 		for i := range data {
 			data[i] = alphabet[r.Intn(len(alphabet))]
 		}
-		m := MustMatcher(pats)
+		m := mustMatcher(pats)
 		got := m.Scan(data)
 		want := naiveScan(pats, data)
 		sortMatches(got)
@@ -157,7 +166,7 @@ func TestScanMatchesNaiveProperty(t *testing.T) {
 }
 
 func TestContainsAgreesWithScanProperty(t *testing.T) {
-	m := MustMatcher([]string{"ab", "bca", "c"})
+	m := mustMatcher([]string{"ab", "bca", "c"})
 	f := func(data []byte) bool {
 		return m.Contains(data) == (len(m.Scan(data)) > 0)
 	}
@@ -169,9 +178,9 @@ func TestContainsAgreesWithScanProperty(t *testing.T) {
 func TestPaperRuleSetsCompile(t *testing.T) {
 	// The three synthesized Snort-style rule sets must compile and find
 	// the embedded patterns the payload generator plants.
-	for _, name := range trace.RuleSetNames() {
+	for _, name := range []trace.RuleSetName{trace.RuleSetImage, trace.RuleSetFlash, trace.RuleSetExecutable} {
 		rs := trace.GenRuleSet(name, 42)
-		m := MustMatcher(rs.Patterns)
+		m := mustMatcher(rs.Patterns)
 		if m.NumPatterns() != len(rs.Patterns) {
 			t.Fatalf("%s: pattern count mismatch", name)
 		}
@@ -191,8 +200,8 @@ func TestPaperRuleSetsCompile(t *testing.T) {
 }
 
 func TestStatesGrowWithRules(t *testing.T) {
-	img := MustMatcher(trace.GenRuleSet(trace.RuleSetImage, 42).Patterns)
-	fla := MustMatcher(trace.GenRuleSet(trace.RuleSetFlash, 42).Patterns)
+	img := mustMatcher(trace.GenRuleSet(trace.RuleSetImage, 42).Patterns)
+	fla := mustMatcher(trace.GenRuleSet(trace.RuleSetFlash, 42).Patterns)
 	if img.States() <= 1 || fla.States() <= 1 {
 		t.Fatal("automata too small")
 	}
@@ -200,7 +209,7 @@ func TestStatesGrowWithRules(t *testing.T) {
 
 func BenchmarkScanMTU(b *testing.B) {
 	rs := trace.GenRuleSet(trace.RuleSetExecutable, 42)
-	m := MustMatcher(rs.Patterns)
+	m := mustMatcher(rs.Patterns)
 	pg := trace.NewPayloadGen(rs, 7)
 	payload, _ := pg.Next(1500)
 	b.SetBytes(1500)

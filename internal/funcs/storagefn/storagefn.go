@@ -15,8 +15,6 @@ import (
 const (
 	// BlockBytes is the fio request size.
 	BlockBytes = 64 << 10
-	// IODepth is the fio queue depth.
-	IODepth = 4
 	// RAMDiskBytes is the emulated device size.
 	RAMDiskBytes = 16 << 30
 )
@@ -60,9 +58,6 @@ func NewRAMDisk(sizeBytes int64, blockSize int) *RAMDisk {
 		blocks:    make(map[int64][]byte),
 	}
 }
-
-// PaperRAMDisk returns the 16 GB / 64 KB-block device of §3.4.
-func PaperRAMDisk() *RAMDisk { return NewRAMDisk(RAMDiskBytes, BlockBytes) }
 
 // NumBlocks returns the device's block count.
 func (d *RAMDisk) NumBlocks() int64 { return d.sizeBytes / int64(d.blockSize) }
@@ -123,39 +118,11 @@ func (d *RAMDisk) MaterializedBytes() int64 {
 	return int64(len(d.blocks)) * int64(d.blockSize)
 }
 
-// Target is the NVMe-oF target: the RAMDisk behind an NVMe-oF offload
-// engine. With the offload engine (present in both ConnectX-6 and
-// BlueField-2, and used in the paper's runs) the data path bypasses the
-// storage server's CPU entirely; only device service time and fabric
-// latency remain.
-type Target struct {
-	Disk *RAMDisk
-	// DeviceLatency is the RAMDisk service time per block op.
-	DeviceLatency sim.Duration
-	// OffloadEngine marks the NVMe-oF data path as NIC-resident.
-	OffloadEngine bool
-}
-
-// NewTarget returns the paper's storage server.
-func NewTarget() *Target {
-	return &Target{
-		Disk:          PaperRAMDisk(),
-		DeviceLatency: 9 * sim.Microsecond, // DRAM-backed block service
-		OffloadEngine: true,
-	}
-}
-
 // JobSpec is a fio job description.
 type JobSpec struct {
-	Op      OpKind
-	Blocks  int64 // number of I/Os to issue
-	IODepth int
-	Seed    uint64
-}
-
-// PaperJob returns the §3.4 fio job for the given op.
-func PaperJob(op OpKind) JobSpec {
-	return JobSpec{Op: op, Blocks: 4096, IODepth: IODepth, Seed: 0xf10}
+	Op     OpKind
+	Blocks int64 // number of I/Os to issue
+	Seed   uint64
 }
 
 // NextOffsets precomputes the random block offsets a job touches.

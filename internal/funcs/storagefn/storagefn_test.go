@@ -35,7 +35,7 @@ func TestRAMDiskFreshBlocksZero(t *testing.T) {
 }
 
 func TestRAMDiskSparse(t *testing.T) {
-	d := PaperRAMDisk()
+	d := NewRAMDisk(RAMDiskBytes, BlockBytes)
 	if d.NumBlocks() != (16<<30)/(64<<10) {
 		t.Fatalf("blocks = %d", d.NumBlocks())
 	}
@@ -115,22 +115,9 @@ func TestWriteReadIdentityProperty(t *testing.T) {
 	}
 }
 
-func TestTargetConfigMatchesPaper(t *testing.T) {
-	tgt := NewTarget()
-	if !tgt.OffloadEngine {
-		t.Fatal("paper uses the NVMe-oF offloading engine")
-	}
-	if tgt.Disk.BlockSize() != 64<<10 {
-		t.Fatal("fio block size must be 64 KB")
-	}
-}
-
 func TestJobOffsetsInRangeAndDeterministic(t *testing.T) {
-	j := PaperJob(RandRead)
-	if j.IODepth != 4 {
-		t.Fatal("iodepth must be 4")
-	}
-	d := PaperRAMDisk()
+	j := JobSpec{Op: RandRead, Blocks: 4096, Seed: 0xf10}
+	d := NewRAMDisk(RAMDiskBytes, BlockBytes)
 	a := j.NextOffsets(d.NumBlocks())
 	b := j.NextOffsets(d.NumBlocks())
 	if len(a) != int(j.Blocks) {

@@ -22,9 +22,9 @@ type SpanCheckOpts struct {
 // unless AllowStragglers — every closed child ends no later than its
 // closed parent. Open spans are legitimate (requests shed mid-flight)
 // and are only checked on the start side. Spans are read in place in
-// record order through Recorder.Timing, which touches no track or name;
-// a violation's track/name label is built only when one is found, so a
-// clean audit allocates nothing. Returns the first *Violation found,
+// record order through Recorder.Timing, which touches no name; a
+// violation's requests/<name> label is built only when one is found, so
+// a clean audit allocates nothing. Returns the first *Violation found,
 // obs.ErrSpansDropped if the recorder no longer holds its spans (audit
 // before handing a run to its Collector), or nil. Nil-safe.
 func CheckSpans(rec *obs.Recorder, opts SpanCheckOpts) error {
@@ -58,10 +58,10 @@ func CheckSpans(rec *obs.Recorder, opts SpanCheckOpts) error {
 	return nil
 }
 
-// spanViolation is the causality violation for span id, labelled with
-// its track and name.
+// spanViolation is the causality violation for span id, labelled
+// requests/<name>.
 func spanViolation(rec *obs.Recorder, id obs.SpanID, at sim.Time, detail string) *Violation {
 	s, _ := rec.View(id)
 	return &Violation{Rule: RuleCausality, Run: rec.Label(), Time: at,
-		Station: s.Track + "/" + s.Name, Detail: detail}
+		Station: obs.TrackRequests + "/" + s.Name, Detail: detail}
 }

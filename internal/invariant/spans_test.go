@@ -11,8 +11,8 @@ import (
 
 func TestCheckSpansCleanTree(t *testing.T) {
 	rec := obs.NewRecorder(1, "clean")
-	root := rec.Open("req", "request", sim.Time(100))
-	child := rec.Begin(rec.Intern("req", "serve"), root, sim.Time(120))
+	root := rec.Open(obs.TrackRequests, "request", sim.Time(100))
+	child := rec.Begin(rec.Intern("serve"), root, sim.Time(120))
 	rec.Close(child, sim.Time(180))
 	rec.Close(root, sim.Time(200))
 	if err := CheckSpans(rec, SpanCheckOpts{}); err != nil {
@@ -22,7 +22,7 @@ func TestCheckSpansCleanTree(t *testing.T) {
 
 func TestCheckSpansNegativeDuration(t *testing.T) {
 	rec := obs.NewRecorder(1, "neg")
-	rec.Record(rec.Intern("req", "serve"), 0, sim.Time(100), sim.Time(60))
+	rec.Record(rec.Intern("serve"), 0, sim.Time(100), sim.Time(60))
 	err := CheckSpans(rec, SpanCheckOpts{})
 	v, ok := err.(*Violation)
 	if !ok || v.Rule != RuleCausality {
@@ -31,16 +31,16 @@ func TestCheckSpansNegativeDuration(t *testing.T) {
 	if !strings.Contains(v.Detail, "negative duration") {
 		t.Fatalf("detail = %q", v.Detail)
 	}
-	if v.Run != "neg" || v.Station != "req/serve" {
-		t.Fatalf("context = %q/%q, want run and track/name", v.Run, v.Station)
+	if v.Run != "neg" || v.Station != "requests/serve" {
+		t.Fatalf("context = %q/%q, want run and requests/name", v.Run, v.Station)
 	}
 }
 
 func TestCheckSpansChildBeforeParent(t *testing.T) {
 	rec := obs.NewRecorder(1, "early")
-	root := rec.Open("req", "request", sim.Time(100))
+	root := rec.Open(obs.TrackRequests, "request", sim.Time(100))
 	// Child claims to start before the request arrived.
-	child := rec.Begin(rec.Intern("req", "serve"), root, sim.Time(50))
+	child := rec.Begin(rec.Intern("serve"), root, sim.Time(50))
 	rec.Close(child, sim.Time(150))
 	rec.Close(root, sim.Time(200))
 	err := CheckSpans(rec, SpanCheckOpts{})
@@ -52,8 +52,8 @@ func TestCheckSpansChildBeforeParent(t *testing.T) {
 
 func TestCheckSpansStraggler(t *testing.T) {
 	rec := obs.NewRecorder(1, "strag")
-	root := rec.Open("req", "request", sim.Time(100))
-	child := rec.Begin(rec.Intern("req", "serve"), root, sim.Time(120))
+	root := rec.Open(obs.TrackRequests, "request", sim.Time(100))
+	child := rec.Begin(rec.Intern("serve"), root, sim.Time(120))
 	rec.Close(root, sim.Time(150))  // request abandoned at timeout
 	rec.Close(child, sim.Time(300)) // stale service copy finishes later
 	if err := CheckSpans(rec, SpanCheckOpts{}); err == nil {
@@ -68,8 +68,8 @@ func TestCheckSpansStraggler(t *testing.T) {
 // side is checkable.
 func TestCheckSpansOpenSpansPass(t *testing.T) {
 	rec := obs.NewRecorder(1, "open")
-	root := rec.Open("req", "request", sim.Time(100))
-	rec.Begin(rec.Intern("req", "serve"), root, sim.Time(120)) // never closed
+	root := rec.Open(obs.TrackRequests, "request", sim.Time(100))
+	rec.Begin(rec.Intern("serve"), root, sim.Time(120)) // never closed
 	rec.Close(root, sim.Time(150))
 	if err := CheckSpans(rec, SpanCheckOpts{}); err != nil {
 		t.Fatalf("open child flagged: %v", err)
@@ -89,10 +89,10 @@ func TestCheckSpansCleanAuditAllocatesNothing(t *testing.T) {
 	for i := 0; i < 2500; i++ {
 		at := sim.Time(i * 100)
 		root := rec.Open(obs.TrackRequests, "request", at)
-		rec.Record(rec.Intern(obs.TrackRequests, "queue"), root, at, at+10)
-		rec.Record(rec.Intern(obs.TrackRequests, "cpu-service"), root, at+10, at+60)
+		rec.Record(rec.Intern("queue"), root, at, at+10)
+		rec.Record(rec.Intern("cpu-service"), root, at+10, at+60)
 		rec.Close(root, at+70)
-		rec.Open("pool/host", "job", at) // left open, like a shed request
+		rec.Open(obs.TrackRequests, "request", at) // left open, like a shed request
 	}
 	if n := rec.SpanCount(); n != 10000 {
 		t.Fatalf("recorded %d spans, want 10000", n)
@@ -113,7 +113,7 @@ func TestCheckSpansCleanAuditAllocatesNothing(t *testing.T) {
 func TestCheckSpansAfterDrop(t *testing.T) {
 	c := obs.NewCollector()
 	rec := c.NewRecorder(1, "dropped")
-	rec.Record(rec.Intern("req", "serve"), 0, sim.Time(100), sim.Time(60)) // would violate
+	rec.Record(rec.Intern("serve"), 0, sim.Time(100), sim.Time(60)) // would violate
 	c.Attach(rec)
 	if err := CheckSpans(rec, SpanCheckOpts{}); !errors.Is(err, obs.ErrSpansDropped) {
 		t.Fatalf("CheckSpans after drop = %v, want obs.ErrSpansDropped", err)

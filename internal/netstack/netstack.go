@@ -9,9 +9,9 @@
 // only verb post/poll work — which is why RDMA functions are the ones
 // worth offloading to the SNIC CPU.
 //
-// A Profile is a calibrated per-packet cost model; an Endpoint binds a
-// profile to a CPU pool and converts packet sizes into core occupancy and
-// fixed latency components.
+// A Profile is a calibrated per-packet cost model that converts packet
+// sizes into RX and TX cycles; an Endpoint binds a profile to a CPU pool
+// and samples its fixed latency component.
 package netstack
 
 import (
@@ -195,20 +195,18 @@ func (p Profile) TxCycles(arch cpu.Arch, size int) float64 {
 	return c * p.archMult(arch, size)
 }
 
-// Endpoint binds a stack profile to the CPU pool that runs it. It is the
-// software half of a network interface: Receive charges the pool for RX
-// processing then hands the payload to the application handler; Send
-// charges TX processing then invokes the wire transmit.
+// Endpoint binds a stack profile to the CPU pool that runs it and draws
+// the stack's fixed one-way latency from its own stream. The request
+// path charges the pool the profile's RX and TX cycles itself.
 type Endpoint struct {
 	Profile Profile
 	Pool    *cpu.Pool
 	rng     *sim.RNG
-	eng     *sim.Engine
 }
 
 // NewEndpoint returns an endpoint for the profile on the pool.
-func NewEndpoint(eng *sim.Engine, prof Profile, pool *cpu.Pool, seed uint64) *Endpoint {
-	return &Endpoint{Profile: prof, Pool: pool, rng: sim.NewRNG(seed), eng: eng}
+func NewEndpoint(prof Profile, pool *cpu.Pool, seed uint64) *Endpoint {
+	return &Endpoint{Profile: prof, Pool: pool, rng: sim.NewRNG(seed)}
 }
 
 // FixedDelay samples the stack's non-CPU one-way latency, including the
@@ -224,29 +222,4 @@ func (e *Endpoint) FixedDelay() sim.Duration {
 		d += e.Profile.HostPathExtra
 	}
 	return d
-}
-
-// Receive models packet ingress: fixed stack latency, then RX cycles on a
-// pool core, then handler runs (still on that core's completion event).
-// Packets shed at the pool's queue limit simply vanish, as at an RX ring
-// overrun; the pool's Dropped counter records them.
-func (e *Endpoint) Receive(size int, handler func(start, end sim.Time)) {
-	e.eng.After(e.FixedDelay(), func() {
-		e.Pool.ExecCycles(e.Profile.RxCycles(e.Pool.Spec.Arch, size), handler)
-	})
-}
-
-// Send models packet egress: TX cycles on a pool core, then fixed stack
-// latency, then transmit fires (the caller puts the frame on the wire).
-func (e *Endpoint) Send(size int, transmit func()) {
-	e.Pool.ExecCycles(e.Profile.TxCycles(e.Pool.Spec.Arch, size), func(_, _ sim.Time) {
-		e.eng.After(e.FixedDelay(), transmit)
-	})
-}
-
-// ServiceCyclesRoundTrip is a convenience for capacity math: total CPU
-// cycles one request/response exchange costs on this endpoint.
-func (e *Endpoint) ServiceCyclesRoundTrip(rxSize, txSize int) float64 {
-	arch := e.Pool.Spec.Arch
-	return e.Profile.RxCycles(arch, rxSize) + e.Profile.TxCycles(arch, txSize)
 }

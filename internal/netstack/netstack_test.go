@@ -63,8 +63,8 @@ func TestRDMAHostPaysLongerPath(t *testing.T) {
 	_ = snicRx
 	// ...and extra fixed latency.
 	eng := sim.NewEngine()
-	host := NewEndpoint(eng, p, cpu.NewPool(eng, cpu.XeonGold6140(), 1, 1), 1)
-	snic := NewEndpoint(eng, p, cpu.NewPool(eng, cpu.BlueField2Arm(), 1, 2), 1)
+	host := NewEndpoint(p, cpu.NewPool(eng, cpu.XeonGold6140(), 1, 1), 1)
+	snic := NewEndpoint(p, cpu.NewPool(eng, cpu.BlueField2Arm(), 1, 2), 1)
 	var hSum, sSum sim.Duration
 	for i := 0; i < 1000; i++ {
 		hSum += host.FixedDelay()
@@ -95,39 +95,6 @@ func TestUDPThroughputRatioMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestEndpointReceiveChargesPool(t *testing.T) {
-	eng := sim.NewEngine()
-	pool := cpu.NewPool(eng, cpu.XeonGold6140(), 1, 5)
-	ep := NewEndpoint(eng, UDP(), pool, 9)
-	handled := false
-	ep.Receive(1024, func(_, _ sim.Time) { handled = true })
-	eng.Run()
-	if !handled {
-		t.Fatal("handler not invoked")
-	}
-	if pool.Completed() != 1 {
-		t.Fatal("pool not charged for RX")
-	}
-	if eng.Now() < sim.Time(UDP().FixedOneWay/2) {
-		t.Fatal("fixed latency not applied")
-	}
-}
-
-func TestEndpointSendThenTransmit(t *testing.T) {
-	eng := sim.NewEngine()
-	pool := cpu.NewPool(eng, cpu.BlueField2Arm(), 1, 5)
-	ep := NewEndpoint(eng, DPDK(), pool, 9)
-	var txAt sim.Time
-	ep.Send(1500, func() { txAt = eng.Now() })
-	eng.Run()
-	if txAt == 0 {
-		t.Fatal("transmit not invoked")
-	}
-	if pool.Completed() != 1 {
-		t.Fatal("pool not charged for TX")
-	}
-}
-
 func TestByKind(t *testing.T) {
 	for _, k := range []Kind{KindUDP, KindTCP, KindDPDK, KindRDMA} {
 		if p := ByKind(k); p.Kind != k {
@@ -140,15 +107,4 @@ func TestByKind(t *testing.T) {
 		}
 	}()
 	ByKind(Kind("bogus"))
-}
-
-func TestServiceCyclesRoundTrip(t *testing.T) {
-	eng := sim.NewEngine()
-	pool := cpu.NewPool(eng, cpu.XeonGold6140(), 1, 5)
-	ep := NewEndpoint(eng, UDP(), pool, 9)
-	rt := ep.ServiceCyclesRoundTrip(64, 64)
-	want := UDP().RxCycles(cpu.ArchX86, 64) + UDP().TxCycles(cpu.ArchX86, 64)
-	if rt != want {
-		t.Fatalf("round trip = %v, want %v", rt, want)
-	}
 }

@@ -8,7 +8,7 @@ import (
 
 func TestWireFlapLosesFramesBothWays(t *testing.T) {
 	eng := sim.NewEngine()
-	w := NewWire(eng, 250*sim.Nanosecond)
+	w := NewWireRate(eng, LineRateBits, 250*sim.Nanosecond)
 	delivered := 0
 	w.SetDown(true)
 	if !w.Down() {
@@ -30,7 +30,7 @@ func TestWireFlapLosesFramesBothWays(t *testing.T) {
 
 func TestWireRateCapDelaysDelivery(t *testing.T) {
 	eng := sim.NewEngine()
-	w := NewWire(eng, 0)
+	w := NewWireRate(eng, LineRateBits, 0)
 	var at sim.Time
 	// 1226 B frame + 24 B overhead = 1250 B = 100 ns at line rate.
 	w.SendToServer(&Packet{Size: 1226}, func(*Packet) { at = eng.Now() })

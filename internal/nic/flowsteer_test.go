@@ -25,8 +25,8 @@ func TestFlowSteerSplitsFastAndSlow(t *testing.T) {
 	sw.Program(FlowSteer(eng, tbl, ToWire, ToSNICCPU))
 
 	var fast, slow []uint64
-	sw.Connect(ToWire, func(p *Packet) { fast = append(fast, p.Flow) })
-	sw.Connect(ToSNICCPU, func(p *Packet) { slow = append(slow, p.Flow) })
+	sw.ConnectSink(ToWire, sinkFunc(func(p *Packet) { fast = append(fast, p.Flow) }))
+	sw.ConnectSink(ToSNICCPU, sinkFunc(func(p *Packet) { slow = append(slow, p.Flow) }))
 
 	for _, fl := range []uint64{7, 9, 7} {
 		sw.Ingress(&Packet{Seq: fl, Size: MTU, Flow: fl})
@@ -38,9 +38,6 @@ func TestFlowSteerSplitsFastAndSlow(t *testing.T) {
 	}
 	if len(slow) != 1 || slow[0] != 9 {
 		t.Fatalf("non-resident flow should take the slow path: %v", slow)
-	}
-	if sw.Forwarded(ToWire) != 2 || sw.Forwarded(ToSNICCPU) != 1 {
-		t.Fatalf("forwarded counters: fast %d slow %d", sw.Forwarded(ToWire), sw.Forwarded(ToSNICCPU))
 	}
 	if len(tbl.lookups) != 3 {
 		t.Fatalf("every ingress packet should consult the table: %v", tbl.lookups)
@@ -57,8 +54,8 @@ func TestFastPathPaysOnlySwitchDelay(t *testing.T) {
 	sw.Program(FlowSteer(eng, tbl, ToWire, ToHostCPU))
 
 	var fastAt, slowAt sim.Time
-	sw.Connect(ToWire, func(*Packet) { fastAt = eng.Now() })
-	sw.Connect(ToHostCPU, func(*Packet) { slowAt = eng.Now() })
+	sw.ConnectSink(ToWire, sinkFunc(func(*Packet) { fastAt = eng.Now() }))
+	sw.ConnectSink(ToHostCPU, sinkFunc(func(*Packet) { slowAt = eng.Now() }))
 
 	sw.Ingress(&Packet{Seq: 1, Flow: 1, Size: MTU})
 	sw.Ingress(&Packet{Seq: 2, Flow: 2, Size: MTU})

@@ -1,11 +1,12 @@
 // Package nic models the network interface hardware of the testbed: the
-// 100 Gb/s ConnectX-6 Dx port, the embedded switch (eSwitch) inside it,
-// and the BlueField-2 operation modes of paper §2.3.
+// 100 Gb/s ConnectX-6 Dx port and the embedded switch (eSwitch) inside it.
 //
-// In on-path mode (the only mode the paper evaluates — NVIDIA discontinued
-// off-path support) the BlueField-2 CPU programs OvS forwarding rules into
-// the eSwitch, which then steers each ingress packet in hardware either to
-// the SNIC CPU's local stack or across PCIe to the host CPU.
+// The eSwitch is modelled in on-path mode only, the one mode the paper
+// evaluates (§2.3; NVIDIA discontinued off-path support): the BlueField-2
+// CPU programs OvS forwarding rules into the eSwitch, which then steers
+// each ingress packet in hardware either to the SNIC CPU's local stack or
+// across PCIe to the host CPU. The PCIe crossing is a fixed latency
+// (ESwitch.HostExtraDelay) on host deliveries, not a bus resource.
 package nic
 
 import (
@@ -35,9 +36,6 @@ type Packet struct {
 	// attach stage timings to the request that triggered them; zero
 	// means untraced.
 	Span uint32
-	// Payload carries the application-level object (a KVS request, a
-	// chunk to compress, ...). The simulator moves it; functions parse it.
-	Payload any
 
 	// recv is the receiver a Wire delivers the packet to, held here from
 	// send to arrival so the in-flight frame needs no closure. A packet
@@ -63,7 +61,7 @@ const (
 	// reflects the packet with no CPU anywhere touching it.
 	ToWire
 
-	// numDestinations sizes the eSwitch's per-destination arrays.
+	// numDestinations sizes the eSwitch's sink table.
 	numDestinations = iota
 )
 
@@ -89,26 +87,6 @@ func (d Destination) String() string {
 	}
 }
 
-// Mode is the BlueField-2 operation mode (paper §2.3).
-type Mode int
-
-const (
-	// OnPath: SNIC CPU is the control plane; all steering rules live in
-	// the eSwitch it programs. Required for the accelerators.
-	OnPath Mode = iota
-	// OffPath: the SNIC appears as an independent Ethernet node;
-	// forwarding is by destination MAC. Modelled for completeness but
-	// unused by the experiments, as in the paper.
-	OffPath
-)
-
-func (m Mode) String() string {
-	if m == OffPath {
-		return "off-path"
-	}
-	return "on-path"
-}
-
 // SteerFunc decides a packet's destination; it is the data-plane rule set
 // the control plane installs.
 type SteerFunc func(*Packet) Destination
@@ -120,20 +98,11 @@ type Sink interface {
 	sim.EventHandler
 }
 
-// SinkFunc adapts a plain function to a Sink.
-type SinkFunc func(*Packet)
-
-// HandleEvent delivers the packet to the function.
-//
-//snicvet:hotpath
-func (f SinkFunc) HandleEvent(arg any) { f(arg.(*Packet)) }
-
 // ESwitch is the embedded switch: hardware match-action steering at line
 // rate. Forwarding adds a small fixed latency; host-destined packets pay
 // an additional PCIe crossing handled by the configured hostDelay.
 type ESwitch struct {
 	eng   *sim.Engine
-	mode  Mode
 	steer SteerFunc
 	// sinks holds each destination's Sink as the engine handler it is
 	// scheduled with, converted once at connect time.
@@ -144,27 +113,18 @@ type ESwitch struct {
 	// HostExtraDelay is the added PCIe DMA latency for ToHostCPU
 	// deliveries (the packet must cross the interconnect to host DRAM).
 	HostExtraDelay sim.Duration
-
-	forwarded [numDestinations]uint64
 }
 
-// NewESwitch returns an eSwitch in on-path mode with typical ConnectX-6
-// hardware latencies and a default-drop rule set.
+// NewESwitch returns an eSwitch with typical ConnectX-6 hardware
+// latencies and a default-drop rule set.
 func NewESwitch(eng *sim.Engine) *ESwitch {
 	return &ESwitch{
 		eng:            eng,
-		mode:           OnPath,
 		steer:          func(*Packet) Destination { return Drop },
 		SwitchDelay:    300 * sim.Nanosecond,
 		HostExtraDelay: 700 * sim.Nanosecond,
 	}
 }
-
-// SetMode selects the operation mode.
-func (sw *ESwitch) SetMode(m Mode) { sw.mode = m }
-
-// Mode returns the current operation mode.
-func (sw *ESwitch) Mode() Mode { return sw.mode }
 
 // Program installs the steering rules (the OvS control-plane action).
 func (sw *ESwitch) Program(f SteerFunc) {
@@ -172,15 +132,6 @@ func (sw *ESwitch) Program(f SteerFunc) {
 		panic("nic: programming nil steering function")
 	}
 	sw.steer = f
-}
-
-// Connect registers a function as the consumer for a destination. It
-// is ConnectSink with the function adapted by SinkFunc.
-func (sw *ESwitch) Connect(d Destination, s func(*Packet)) {
-	if s == nil {
-		panic("nic: connecting nil sink")
-	}
-	sw.ConnectSink(d, SinkFunc(s))
 }
 
 // ConnectSink registers the consumer for a destination. A destination
@@ -203,7 +154,6 @@ func (sw *ESwitch) Ingress(p *Packet) {
 	if !d.valid() {
 		panic(noSinkError(d))
 	}
-	sw.forwarded[d]++
 	if d == Drop {
 		return
 	}
@@ -225,28 +175,12 @@ func noSinkError(d Destination) error {
 	return fmt.Errorf("nic: no sink connected for %v", d)
 }
 
-// Forwarded returns how many packets were steered to d (including
-// drops); zero for a destination outside the enum.
-func (sw *ESwitch) Forwarded(d Destination) uint64 {
-	if !d.valid() {
-		return 0
-	}
-	return sw.forwarded[d]
-}
-
 // Wire is a full-duplex 100 GbE cable between client and server. Each
 // direction is an independent serializing link; per-frame Ethernet
 // overhead is added here so models deal only in L2 frame sizes.
 type Wire struct {
-	eng            *sim.Engine
 	clientToServer *sim.Link
 	serverToClient *sim.Link
-}
-
-// NewWire returns a wire with the given one-way propagation delay
-// (back-to-back DAC cables are a few hundred nanoseconds end to end).
-func NewWire(eng *sim.Engine, propagation sim.Duration) *Wire {
-	return NewWireRate(eng, LineRateBits, propagation)
 }
 
 // NewWireRate returns a wire whose two directions serialize at rateBits
@@ -257,7 +191,6 @@ func NewWireRate(eng *sim.Engine, rateBits float64, propagation sim.Duration) *W
 		rateBits = LineRateBits
 	}
 	return &Wire{
-		eng:            eng,
 		clientToServer: sim.NewLink(eng, rateBits, propagation),
 		serverToClient: sim.NewLink(eng, rateBits, propagation),
 	}
@@ -337,6 +270,3 @@ func (w *Wire) ServerDirBacklog() sim.Duration { return w.clientToServer.Backlog
 
 // ClientDirBacklog returns the server→client serialization backlog.
 func (w *Wire) ClientDirBacklog() sim.Duration { return w.serverToClient.Backlog() }
-
-// ServerDirBytes returns bytes sent toward the server.
-func (w *Wire) ServerDirBytes() uint64 { return w.clientToServer.BytesSent() }

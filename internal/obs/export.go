@@ -41,10 +41,10 @@ var ErrSpansDropped = errors.New("obs: spans were not kept for a trace (call Ena
 // the runs were attached.
 //
 // Layout: each run is a process (pid in export order) whose name is the
-// run label. Request spans are async events ("b"/"e") grouped by their
-// root span's ID, so concurrent requests nest correctly; spans on any
-// other track are complete ("X") events on that track's thread; and
-// every metric series becomes a counter ("C") track.
+// run label. Its spans are async events ("b"/"e") on the requests
+// thread (tid 1), grouped by their root span's ID so concurrent
+// requests nest correctly; and every metric series becomes a counter
+// ("C") track.
 func (c *Collector) WriteTrace(w io.Writer) error {
 	if err := c.spansKept(); err != nil {
 		return err
@@ -68,14 +68,11 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 			pid, strconv.Quote(rec.label)))
 		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"name":"process_sort_index","args":{"sort_index":%d}}`,
 			pid, pid))
-		// Tracks are named only for a run that recorded a span. The
-		// requests track, interned first, is the first one such a run
-		// uses, so tids follow first use.
+		// The requests thread is named only for a run that recorded a
+		// span.
 		if rec.nspans > 0 {
-			for ti, track := range rec.tracks {
-				emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-					pid, ti+1, strconv.Quote(track)))
-			}
+			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":1,"name":"thread_name","args":{"name":%s}}`,
+				pid, strconv.Quote(TrackRequests)))
 		}
 		for i := 0; i < rec.nspans; i++ {
 			sp := rec.spanAt(i)
@@ -85,22 +82,16 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 				end = sp.start
 			}
 			name := strconv.Quote(rec.names[sp.name])
-			tid := int(sp.track) + 1
-			if sp.track == requestsTrack {
-				// Async pair keyed by the request's root span so every
-				// stage of one request lands on one nested track.
-				group := id
-				if sp.parent != 0 {
-					group = sp.parent
-				}
-				emit(fmt.Sprintf(`{"ph":"b","cat":"request","id":"0x%x","pid":%d,"tid":%d,"name":%s,"ts":%s}`,
-					uint32(group), pid, tid, name, usec(int64(sp.start))))
-				emit(fmt.Sprintf(`{"ph":"e","cat":"request","id":"0x%x","pid":%d,"tid":%d,"name":%s,"ts":%s}`,
-					uint32(group), pid, tid, name, usec(int64(end))))
-				continue
+			// Async pair keyed by the request's root span so every stage
+			// of one request lands on one nested track.
+			group := id
+			if sp.parent != 0 {
+				group = sp.parent
 			}
-			emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"ts":%s,"dur":%s}`,
-				pid, tid, name, usec(int64(sp.start)), usec(int64(end.Sub(sp.start)))))
+			emit(fmt.Sprintf(`{"ph":"b","cat":"request","id":"0x%x","pid":%d,"tid":1,"name":%s,"ts":%s}`,
+				uint32(group), pid, name, usec(int64(sp.start))))
+			emit(fmt.Sprintf(`{"ph":"e","cat":"request","id":"0x%x","pid":%d,"tid":1,"name":%s,"ts":%s}`,
+				uint32(group), pid, name, usec(int64(end))))
 		}
 		for _, s := range rec.Series() {
 			name := strconv.Quote(s.Name)

@@ -25,9 +25,9 @@ func TestDeriveRunIDStable(t *testing.T) {
 func TestSpanOpenCloseAndCounts(t *testing.T) {
 	r := NewRecorder(1, "t")
 	root := r.Open(TrackRequests, "request", 100)
-	child := r.Begin(r.Intern(TrackRequests, "stage"), root, 110)
+	child := r.Begin(r.Intern("stage"), root, 110)
 	r.Close(child, 150)
-	r.Record(r.Intern(TrackRequests, "stage2"), root, 150, 190)
+	r.Record(r.Intern("stage2"), root, 150, 190)
 	r.Close(root, 200)
 	if r.SpanCount() != 3 {
 		t.Fatalf("SpanCount = %d, want 3", r.SpanCount())
@@ -58,7 +58,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Gauge("g", "u", 0, func() float64 { return 1 })
 	r.SetCount("c", 1)
 	r.Count("c", 1)
-	if l := r.Intern(TrackRequests, "request"); l != 0 || r.Begin(l, 0, 0) != 0 || r.Record(l, 0, 0, 1) != 0 {
+	if l := r.Intern("request"); l != 0 || r.Begin(l, 0, 0) != 0 || r.Record(l, 0, 0, 1) != 0 {
 		t.Fatal("nil recorder interned or recorded a span")
 	}
 	// Binding yields nil, which run wiring never installs: a typed nil
@@ -140,7 +140,7 @@ func buildRecorder(id uint64, label string) *Recorder {
 	for i := 0; i < 3; i++ {
 		at := sim.Time(i * 1000)
 		root := r.Open(TrackRequests, "request", at)
-		r.Record(r.Intern(TrackRequests, "stage"), root, at.Add(10), at.Add(400))
+		r.Record(r.Intern("stage"), root, at.Add(10), at.Add(400))
 		r.Close(root, at.Add(500))
 	}
 	r.AddSeries("q", "jobs", 100, []sim.Time{0, 100, 200}, []float64{0, 2, 1})

@@ -14,40 +14,33 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/sim"
 )
 
-// TrackRequests is the span track that carries request lifecycles. One
-// root span is opened per simulated request; stage children link to it.
-// Every recorder interns it first, so it is track 0 and its Chrome-trace
-// tid is 1.
+// TrackRequests is the one span track: it carries request lifecycles.
+// One root span is opened per simulated request; stage children link to
+// it. Its Chrome-trace tid is 1.
 const TrackRequests = "requests"
 
-// requestsTrack is TrackRequests' index (see NewRecorder).
-const requestsTrack = 0
-
-// SpanLabel is an interned (track, name) pair: the track's index in the
-// high 16 bits and the name's in the low 16. Intern resolves a pair
-// once, when a run is wired, so recording a span under its label hashes
-// no string. A label is valid only on the recorder that interned it.
-type SpanLabel uint32
-
-func (l SpanLabel) track() uint16 { return uint16(l >> 16) }
-func (l SpanLabel) name() uint16  { return uint16(l) }
+// SpanLabel is an interned span name: its index in the recorder's name
+// table. Intern resolves a name once, when a run is wired, so recording
+// a span under its label hashes no string. A label is valid only on the
+// recorder that interned it.
+type SpanLabel uint16
 
 // SpanID identifies a span within one Recorder. IDs are 1-based; zero
 // means "no span" and is safe to pass to every Recorder method.
 type SpanID uint32
 
-// span is the compact in-memory form. Track and name are interned
+// span is the compact in-memory form. The name is interned
 // per-recorder; end is open (span still in flight) while < start.
 type span struct {
 	start, end sim.Time
 	parent     SpanID
-	track      uint16
-	name       uint16
+	name       SpanLabel
 }
 
 // openEnd marks a span whose Close was never reached (e.g. the request
@@ -75,11 +68,9 @@ type Recorder struct {
 	runID uint64
 	label string
 
-	tracks   []string
-	trackIdx map[string]uint16
-	names    []string
-	nameIdx  map[string]uint16
-	chunks   []*[spanChunkSize]span
+	names   []string
+	nameIdx map[string]SpanLabel
+	chunks  []*[spanChunkSize]span
 	// nspans, nroots and nopen count spans, request roots and spans
 	// still open as they are recorded, so manifests read them without a
 	// scan and they survive a drop of the spans themselves.
@@ -101,19 +92,15 @@ type Recorder struct {
 
 // NewRecorder returns a recorder for one run. runID must be unique and
 // deterministic across processes (see DeriveRunID); label is the
-// human-readable run description used in exports. The requests track is
-// interned first.
+// human-readable run description used in exports.
 func NewRecorder(runID uint64, label string) *Recorder {
-	r := &Recorder{
+	return &Recorder{
 		runID:     runID,
 		label:     label,
-		trackIdx:  make(map[string]uint16),
-		nameIdx:   make(map[string]uint16),
+		nameIdx:   make(map[string]SpanLabel),
 		reg:       NewRegistry(),
 		resources: make(map[string]*Resource),
 	}
-	r.internTrack(TrackRequests)
-	return r
 }
 
 // RunID returns the recorder's deterministic run identifier.
@@ -132,35 +119,21 @@ func (r *Recorder) Label() string {
 	return r.label
 }
 
-func (r *Recorder) internTrack(track string) uint16 {
-	if i, ok := r.trackIdx[track]; ok {
-		return i
-	}
-	i := uint16(len(r.tracks))
-	r.tracks = append(r.tracks, track)
-	r.trackIdx[track] = i
-	return i
-}
-
-func (r *Recorder) internName(name string) uint16 {
-	if i, ok := r.nameIdx[name]; ok {
-		return i
-	}
-	i := uint16(len(r.names))
-	r.names = append(r.names, name)
-	r.nameIdx[name] = i
-	return i
-}
-
-// Intern resolves a (track, name) pair to its label, adding either
-// string to the recorder's tables on first use. Run wiring interns its
-// labels once and records under them per event. Nil-safe: a nil
-// recorder returns 0, and records nothing under any label.
-func (r *Recorder) Intern(track, name string) SpanLabel {
+// Intern resolves a span name to its label, adding it to the
+// recorder's name table on first use. Run wiring interns its labels
+// once and records under them per event. Nil-safe: a nil recorder
+// returns 0, and records nothing under any label.
+func (r *Recorder) Intern(name string) SpanLabel {
 	if r == nil {
 		return 0
 	}
-	return SpanLabel(r.internTrack(track))<<16 | SpanLabel(r.internName(name))
+	if l, ok := r.nameIdx[name]; ok {
+		return l
+	}
+	l := SpanLabel(len(r.names))
+	r.names = append(r.names, name)
+	r.nameIdx[name] = l
+	return l
 }
 
 // alloc reserves the next span slot, pulling a fresh chunk from the
@@ -201,21 +174,20 @@ func (r *Recorder) releaseSpans() {
 }
 
 // record stores one span and counts it: the one recording path.
-// Parentless spans on the requests track are request roots; spans
-// ending at openEnd are open.
+// Parentless spans are request roots; spans ending at openEnd are open.
 //
 //snicvet:hotpath
 func (r *Recorder) record(l SpanLabel, parent SpanID, start, end sim.Time) SpanID {
 	if r == nil || r.dropped {
 		return 0
 	}
-	if parent == 0 && l.track() == requestsTrack {
+	if parent == 0 {
 		r.nroots++
 	}
 	if end == openEnd {
 		r.nopen++
 	}
-	*r.alloc() = span{start: start, end: end, parent: parent, track: l.track(), name: l.name()}
+	*r.alloc() = span{start: start, end: end, parent: parent, name: l}
 	return SpanID(r.nspans)
 }
 
@@ -235,11 +207,15 @@ func (r *Recorder) Record(l SpanLabel, parent SpanID, start, end sim.Time) SpanI
 	return r.record(l, parent, start, end)
 }
 
-// Open starts a span on track at start and returns its ID: Begin under
-// the pair's label, interned on the way. Nil-safe: a nil recorder
-// returns 0.
+// Open starts a root span named name at start and returns its ID:
+// Begin under the name's label, interned on the way. track must be
+// TrackRequests, the one track; any other panics. Nil-safe: a nil
+// recorder returns 0.
 func (r *Recorder) Open(track, name string, start sim.Time) SpanID {
-	return r.Begin(r.Intern(track, name), 0, start)
+	if track != TrackRequests {
+		panic(fmt.Sprintf("obs: span track %q: the only track is %q", track, TrackRequests))
+	}
+	return r.Begin(r.Intern(name), 0, start)
 }
 
 // Close ends an open span. Closing span 0 or an already-closed span is
@@ -281,22 +257,22 @@ func (r *Recorder) Timing(id SpanID) (t SpanTiming, ok bool) {
 }
 
 // SpanView is the read-only view of one recorded span: its timing, with
-// the interned track and name resolved back to strings.
+// the interned name resolved back to its string.
 type SpanView struct {
-	Track, Name string
+	Name string
 	SpanTiming
 }
 
-// View returns span id as Timing does, with its track and name. Nothing
-// is copied or allocated; Track and Name are the interned strings. The
-// span audit calls it only to label a violation. Nil-safe.
+// View returns span id as Timing does, with its name. Nothing is copied
+// or allocated; Name is the interned string. The span audit calls it
+// only to label a violation. Nil-safe.
 func (r *Recorder) View(id SpanID) (s SpanView, ok bool) {
 	t, ok := r.Timing(id)
 	if !ok {
 		return SpanView{}, false
 	}
 	sp := r.spanAt(int(id) - 1)
-	return SpanView{Track: r.tracks[sp.track], Name: r.names[sp.name], SpanTiming: t}, true
+	return SpanView{Name: r.names[sp.name], SpanTiming: t}, true
 }
 
 // SpanCount returns the number of spans recorded so far.
@@ -307,8 +283,8 @@ func (r *Recorder) SpanCount() int {
 	return r.nspans
 }
 
-// RootCount returns the number of parentless spans on the requests
-// track — by construction, one per simulated request.
+// RootCount returns the number of parentless spans — by construction,
+// one per simulated request.
 func (r *Recorder) RootCount() int {
 	if r == nil {
 		return 0

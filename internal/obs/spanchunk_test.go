@@ -52,11 +52,11 @@ func TestCollectorReleasesDuplicateSpans(t *testing.T) {
 	c := NewCollector()
 	c.EnableTrace()
 	first := c.NewRecorder(42, "run")
-	first.Record(first.Intern(TrackRequests, "request"), 0, 0, 1)
+	first.Record(first.Intern("request"), 0, 0, 1)
 	c.Attach(first)
 
 	dup := c.NewRecorder(42, "run")
-	dup.Record(dup.Intern(TrackRequests, "request"), 0, 0, 1)
+	dup.Record(dup.Intern("request"), 0, 0, 1)
 	c.Attach(dup)
 
 	// The first copy is kept intact; the loser's chunks were released.
@@ -98,7 +98,7 @@ func TestCountsSurviveSpanDrop(t *testing.T) {
 	if id := r.Open(TrackRequests, "request", 7000); id != 0 {
 		t.Fatalf("dropped recorder opened span %d", id)
 	}
-	if id := r.Record(r.Intern(TrackRequests, "stage"), 1, 7000, 7100); id != 0 {
+	if id := r.Record(r.Intern("stage"), 1, 7000, 7100); id != 0 {
 		t.Fatalf("dropped recorder recorded span %d", id)
 	}
 	if _, ok := r.View(1); ok {

@@ -7,16 +7,16 @@ import (
 )
 
 // Timing backs the invariant layer's span audit and View labels its
-// violations, so both must be faithful: record order, resolved
-// track/name strings, parent links and the open marker, and no span for
-// IDs outside the record.
+// violations, so both must be faithful: record order, resolved name
+// strings, parent links and the open marker, and no span for IDs
+// outside the record.
 func TestViewSpans(t *testing.T) {
 	rec := NewRecorder(7, "run")
-	root := rec.Open("requests", "req", sim.Time(10))
-	child := rec.Begin(rec.Intern("host", "serve"), root, sim.Time(20))
+	root := rec.Open(TrackRequests, "req", sim.Time(10))
+	child := rec.Begin(rec.Intern("serve"), root, sim.Time(20))
 	rec.Close(child, sim.Time(30))
 	rec.Close(root, sim.Time(35))
-	shed := rec.Open("requests", "shed", sim.Time(40)) // never closed
+	shed := rec.Open(TrackRequests, "shed", sim.Time(40)) // never closed
 
 	if rec.SpanCount() != 3 {
 		t.Fatalf("SpanCount = %d, want 3", rec.SpanCount())
@@ -26,10 +26,10 @@ func TestViewSpans(t *testing.T) {
 			t.Fatalf("span %d got ID %d, want record order", i, id)
 		}
 	}
-	if v, ok := rec.View(root); !ok || v.Track != "requests" || v.Name != "req" || v.Parent != 0 || v.Open {
+	if v, ok := rec.View(root); !ok || v.Name != "req" || v.Parent != 0 || v.Open {
 		t.Fatalf("root view = %+v, %v", v, ok)
 	}
-	if v, ok := rec.View(child); !ok || v.Track != "host" || v.Parent != root || v.Start != sim.Time(20) || v.End != sim.Time(30) || v.Open {
+	if v, ok := rec.View(child); !ok || v.Name != "serve" || v.Parent != root || v.Start != sim.Time(20) || v.End != sim.Time(30) || v.Open {
 		t.Fatalf("child view = %+v, %v", v, ok)
 	}
 	if v, ok := rec.View(shed); !ok || !v.Open {
@@ -51,19 +51,19 @@ func TestViewSpans(t *testing.T) {
 	}
 }
 
-// A label resolves a (track, name) pair once. The requests track is
-// interned first, so its tid never moves; interning is idempotent; and
-// Open is Intern plus Begin, so a span opened either way is the same
-// span.
+// A label resolves a name once: interning is idempotent, distinct
+// names get distinct labels, and Open is Intern plus Begin, so a span
+// opened either way is the same span. Open knows only the requests
+// track.
 func TestInternedLabels(t *testing.T) {
 	rec := NewRecorder(1, "run")
-	stage := rec.Intern("host", "serve")
-	root := rec.Intern(TrackRequests, "request")
-	if root.track() != requestsTrack || rec.tracks[requestsTrack] != TrackRequests {
-		t.Fatalf("requests is track %d of %v, want track 0", root.track(), rec.tracks)
+	stage := rec.Intern("serve")
+	root := rec.Intern("request")
+	if root == stage {
+		t.Fatalf("serve and request share label %d", root)
 	}
-	if again := rec.Intern("host", "serve"); again != stage {
-		t.Fatalf("Intern(host, serve) = %#x, then %#x", stage, again)
+	if again := rec.Intern("serve"); again != stage {
+		t.Fatalf("Intern(serve) = %d, then %d", stage, again)
 	}
 
 	a := rec.Begin(root, 0, 10)
@@ -78,6 +78,12 @@ func TestInternedLabels(t *testing.T) {
 	if rec.RootCount() != 2 || rec.OpenCount() != 0 {
 		t.Fatalf("roots %d, open %d; want 2 and 0", rec.RootCount(), rec.OpenCount())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Open on a track other than requests did not panic")
+		}
+	}()
+	rec.Open("host", "serve", 50)
 }
 
 func TestViewNilRecorder(t *testing.T) {

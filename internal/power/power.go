@@ -19,9 +19,6 @@ import (
 // Watts is instantaneous power.
 type Watts float64
 
-// Joules is energy.
-type Joules float64
-
 // Paper §4 anchor constants.
 const (
 	// ServerIdleW is the system-wide idle draw (BMC reading, includes
@@ -113,15 +110,6 @@ func (m *Model) Power() Watts {
 	return sum
 }
 
-// Breakdown returns each component's instantaneous draw.
-func (m *Model) Breakdown() map[string]Watts {
-	out := make(map[string]Watts, len(m.components))
-	for _, c := range m.components {
-		out[c.Name()] += c.Power()
-	}
-	return out
-}
-
 // Sensor samples a power source periodically into a time series, with the
 // instrument's quantization applied — the fidelity difference between the
 // BMC and the Yocto-Watt rig (500× resolution, 10× rate) is part of the
@@ -202,32 +190,11 @@ func (s *Sensor) Average() Watts { return Watts(s.Trace.TimeWeightedMean()) }
 // Peak returns the largest sample.
 func (s *Sensor) Peak() Watts { return Watts(s.Trace.Max()) }
 
-// Energy integrates the trace over its span.
-func (s *Sensor) Energy() Joules {
-	n := s.Trace.Len()
-	if n < 2 {
-		return 0
-	}
-	span := s.Trace.Times[n-1].Sub(s.Trace.Times[0]).Seconds()
-	return Joules(float64(s.Average()) * span)
-}
-
 // EnergyKWh converts an average draw sustained over a duration into
 // kilowatt-hours — the unit fleet-level energy rollups and electricity
 // bills are quoted in.
 func EnergyKWh(avg Watts, d sim.Duration) float64 {
 	return float64(avg) * d.Seconds() / 3600 / 1000
-}
-
-// Efficiency is the paper's energy-efficiency metric: useful throughput
-// divided by system-wide energy. Units: bits per joule when throughput is
-// bits/s (equivalently Gb/s per kW scaled); ops per joule for op-metered
-// functions.
-func Efficiency(throughputPerSec float64, avg Watts) float64 {
-	if avg <= 0 {
-		return 0
-	}
-	return throughputPerSec / float64(avg)
 }
 
 func (s *Sensor) String() string {

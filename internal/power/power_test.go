@@ -60,18 +60,6 @@ func TestLinearClamps(t *testing.T) {
 	}
 }
 
-func TestBreakdownSumsToTotal(t *testing.T) {
-	tb := NewTestbed(DefaultBudget(), Signals{HostCPU: func() float64 { return 0.5 }})
-	var sum Watts
-	for _, w := range tb.Server.Breakdown() {
-		sum += w
-	}
-	if math.Abs(float64(sum-tb.Server.Power())) > 1e-9 {
-		//snicvet:ignore detflow -- float sum over map values varies only in the last bits; the 1e-9 tolerance absorbs any summation order
-		t.Fatalf("breakdown sum %v != total %v", sum, tb.Server.Power())
-	}
-}
-
 func TestBMCSensorRateAndQuantization(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewBMCSensor(eng, func() Watts { return 252.4 })
@@ -113,17 +101,6 @@ func TestSensorAverageTracksStep(t *testing.T) {
 	}
 }
 
-func TestSensorEnergyIntegral(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewBMCSensor(eng, func() Watts { return 100 })
-	s.Start(sim.Time(11 * sim.Second))
-	eng.Run()
-	// 100 W over the 10 s trace span = 1000 J.
-	if e := float64(s.Energy()); math.Abs(e-1000) > 1 {
-		t.Fatalf("energy = %v J, want 1000", e)
-	}
-}
-
 func TestSensorDoubleStartPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewBMCSensor(eng, func() Watts { return 1 })
@@ -134,16 +111,6 @@ func TestSensorDoubleStartPanics(t *testing.T) {
 		}
 	}()
 	s.Start(10)
-}
-
-func TestEfficiencyMetric(t *testing.T) {
-	// 100 Gb/s at 250 W = 0.4 Gb/J.
-	if e := Efficiency(100e9, 250); e != 0.4e9 {
-		t.Fatalf("efficiency = %v, want 4e8 bits/J", e)
-	}
-	if Efficiency(1, 0) != 0 {
-		t.Fatal("zero power must yield zero efficiency, not Inf")
-	}
 }
 
 func TestYoctoVsBMCFidelity(t *testing.T) {

@@ -37,7 +37,6 @@ type BatchStation struct {
 	free []*batch
 
 	completed uint64
-	batches   uint64
 
 	// Optional telemetry hook (see Observe).
 	batchObs BatchObserver
@@ -134,7 +133,6 @@ func (b *BatchStation) flush() {
 	// The batch takes the pending tasks; assembly continues in the
 	// batch record's emptied slice.
 	bt.tasks, b.pending = b.pending, bt.tasks
-	b.batches++
 	if b.batchObs != nil {
 		now := b.eng.Now()
 		b.batchObs.BatchFlushed(len(bt.tasks), now.Sub(b.firstAt), now)
@@ -188,9 +186,6 @@ func (bt *batch) retire(start, end Time) {
 
 // Completed returns the number of tasks retired.
 func (b *BatchStation) Completed() uint64 { return b.completed }
-
-// Batches returns the number of batches submitted to the engine.
-func (b *BatchStation) Batches() uint64 { return b.batches }
 
 // EngineQueueLen returns the number of batches waiting behind the engine.
 func (b *BatchStation) EngineQueueLen() int { return b.engine.QueueLen() }

@@ -105,7 +105,7 @@ func newClosedLoop(nJobs int) *closedLoop {
 	cl.chk.RegisterStation("pool", 2, 0, func() (int, int) { return cl.st.Busy(), cl.st.QueueLen() })
 	cl.st.Observe(&fanOut{cl.rec.Resource("pool"), cl.chk.Resource("pool")})
 	cl.link.Observe(&fanOut{cl.rec.Resource("wire"), cl.chk.Resource("wire")})
-	cl.job = cl.rec.Intern(obs.TrackRequests, "job")
+	cl.job = cl.rec.Intern("job")
 	for i := 0; i < nJobs; i++ {
 		j := &sim.Job{Service: 3 * sim.Microsecond}
 		// The Done closure is the one allocation in the loop, made here at
@@ -178,7 +178,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	if cl.st.Completed() == 0 {
 		t.Error("station completed no jobs")
 	}
-	if cl.link.FramesSent() == 0 {
+	if cl.link.Utilization() == 0 {
 		t.Error("link sent no frames")
 	}
 	if cl.link.Backlog() <= 0 {

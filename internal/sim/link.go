@@ -36,10 +36,8 @@ type Link struct {
 	down bool
 
 	// Statistics.
-	bytesSent  uint64
-	framesSent uint64
-	busyTime   Duration
-	lost       uint64
+	busyTime Duration
+	lost     uint64
 
 	// Optional telemetry hook (see Observe).
 	obs LinkObserver
@@ -137,8 +135,6 @@ func (l *Link) SendCall(size int, h EventHandler) Time {
 	ser := DurationOf(size, l.effectiveRate())
 	done := start.Add(ser)
 	l.freeAt = done
-	l.bytesSent += uint64(size)
-	l.framesSent++
 	l.busyTime += ser
 	if l.obs != nil {
 		l.obs.FrameSent(size, start, done, l.down)
@@ -233,12 +229,6 @@ func (l *Link) Backlog() Duration {
 	}
 	return l.freeAt.Sub(now)
 }
-
-// BytesSent returns the total payload bytes transmitted.
-func (l *Link) BytesSent() uint64 { return l.bytesSent }
-
-// FramesSent returns the number of Send calls completed or in flight.
-func (l *Link) FramesSent() uint64 { return l.framesSent }
 
 // Utilization returns busy time divided by elapsed virtual time.
 func (l *Link) Utilization() float64 {

@@ -87,7 +87,6 @@ type Station struct {
 	dropped    uint64
 	busyTime   Duration
 	lastChange Time
-	queuePeak  int
 
 	// jobs recycles the jobs Exec submits.
 	jobs jobPool
@@ -132,9 +131,6 @@ func (s *Station) Utilization() float64 {
 	return float64(s.busyTime) / (float64(elapsed) * float64(s.servers))
 }
 
-// QueuePeak returns the maximum queue length observed.
-func (s *Station) QueuePeak() int { return s.queuePeak }
-
 // Observe installs a telemetry observer bound to this station.
 // Observers are pure recorders: they must not mutate model state.
 func (s *Station) Observe(obs StationObserver) { s.obs = obs }
@@ -171,9 +167,6 @@ func (s *Station) Submit(j *Job) bool {
 	}
 	//snicvet:ignore hotpath -- amortized ring growth; a steady-state queue reuses its capacity
 	s.queue = append(s.queue, j)
-	if n := s.QueueLen(); n > s.queuePeak {
-		s.queuePeak = n
-	}
 	if s.obs != nil {
 		s.obs.JobQueued(s.eng.Now(), s.QueueLen())
 	}

@@ -2,11 +2,6 @@ package stats
 
 import "math"
 
-// DefaultTol is the tolerance used by Near: loose enough to absorb
-// association-order and FMA differences across refactors, tight enough
-// that any modeling change is still visible.
-const DefaultTol = 1e-9
-
 // ApproxEqual reports whether a and b agree within tol. tol bounds the
 // relative error for magnitudes above 1 and the absolute error below,
 // so callers need not special-case values near zero. NaN compares
@@ -32,6 +27,3 @@ func ApproxEqual(a, b, tol float64) bool {
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= tol*math.Max(scale, 1)
 }
-
-// Near is ApproxEqual at DefaultTol.
-func Near(a, b float64) bool { return ApproxEqual(a, b, DefaultTol) }

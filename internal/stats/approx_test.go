@@ -32,16 +32,3 @@ func TestApproxEqual(t *testing.T) {
 		}
 	}
 }
-
-func TestNear(t *testing.T) {
-	if !Near(1.0, 1.0+1e-12) {
-		t.Error("Near should absorb sub-DefaultTol drift")
-	}
-	if Near(1.0, 1.0+1e-6) {
-		t.Error("Near should reject drift above DefaultTol")
-	}
-	// The symmetric pair must agree regardless of argument order.
-	if Near(3.14, 2.71) || Near(2.71, 3.14) {
-		t.Error("Near on clearly different values")
-	}
-}

@@ -88,7 +88,6 @@ func (m *FlowMix) Validate() error {
 type flowSlot struct {
 	id        uint64
 	remaining int
-	elephant  bool
 }
 
 // FlowAssigner hands out flow identities packet by packet.
@@ -99,13 +98,9 @@ type FlowAssigner struct {
 	eleph *sim.Zipf
 	slots []flowSlot
 
-	nextID   uint64
-	started  uint64
-	churned  uint64
-	elephant uint64
-
-	pkts      uint64
-	elephPkts uint64
+	nextID  uint64
+	started uint64
+	churned uint64
 }
 
 // NewAssigner builds the generator; it panics on an invalid mix (the
@@ -131,7 +126,6 @@ func (m FlowMix) NewAssigner() *FlowAssigner {
 // whether this packet is the first of the flow (a brand-new flow ID:
 // the packet that pays the slow-path rule-decision cost).
 func (a *FlowAssigner) Next() (id uint64, first bool) {
-	a.pkts++
 	// Churn: with the configured probability, force-retire one random
 	// active flow. Its slot respawns a fresh flow when next picked.
 	if a.mix.ChurnPerPacket > 0 && a.rng.Float64() < a.mix.ChurnPerPacket {
@@ -147,9 +141,6 @@ func (a *FlowAssigner) Next() (id uint64, first bool) {
 		first = true
 	}
 	s.remaining--
-	if s.elephant {
-		a.elephPkts++
-	}
 	return s.id, first
 }
 
@@ -158,9 +149,7 @@ func (a *FlowAssigner) spawn(s *flowSlot) {
 	a.nextID++
 	a.started++
 	s.id = a.nextID
-	s.elephant = a.rng.Float64() < a.mix.ElephantFrac
-	if s.elephant {
-		a.elephant++
+	if a.rng.Float64() < a.mix.ElephantFrac {
 		s.remaining = a.mix.ElephantMinPkts
 		if a.eleph != nil {
 			s.remaining += int(a.eleph.Next())
@@ -175,15 +164,3 @@ func (a *FlowAssigner) FlowsStarted() uint64 { return a.started }
 
 // FlowsChurned returns how many flows were force-retired by churn.
 func (a *FlowAssigner) FlowsChurned() uint64 { return a.churned }
-
-// ElephantFlows returns how many spawned flows were elephants.
-func (a *FlowAssigner) ElephantFlows() uint64 { return a.elephant }
-
-// ElephantPacketShare returns the fraction of assigned packets that
-// belonged to elephant flows — the "mass" of the mix.
-func (a *FlowAssigner) ElephantPacketShare() float64 {
-	if a.pkts == 0 {
-		return 0
-	}
-	return float64(a.elephPkts) / float64(a.pkts)
-}

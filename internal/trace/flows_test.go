@@ -64,16 +64,34 @@ func TestFlowFirstFlagMarksEachFlowOnce(t *testing.T) {
 // The mix regression test: with the default parameters, a small share
 // of elephant flows must carry the bulk of the packet mass — the
 // defining property of an elephant/mice decomposition.
+//
+// A mouse sends at most MiceMaxPkts packets, so a flow seen sending more
+// is an elephant; churn may retire an elephant before it sends that
+// many, which only makes both checks stricter.
 func TestDefaultMixElephantsCarryTheMass(t *testing.T) {
-	a := DefaultFlowMix().NewAssigner()
-	for i := 0; i < 300000; i++ {
-		a.Next()
+	mix := DefaultFlowMix()
+	a := mix.NewAssigner()
+	const n = 300000
+	var perFlow []int // flow IDs are handed out densely from 1
+	for i := 0; i < n; i++ {
+		id, _ := a.Next()
+		for uint64(len(perFlow)) <= id {
+			perFlow = append(perFlow, 0)
+		}
+		perFlow[id]++
 	}
-	flowShare := float64(a.ElephantFlows()) / float64(a.FlowsStarted())
+	var elephants, elephantPkts int
+	for _, pkts := range perFlow {
+		if pkts > mix.MiceMaxPkts {
+			elephants++
+			elephantPkts += pkts
+		}
+	}
+	flowShare := float64(elephants) / float64(a.FlowsStarted())
 	if flowShare > 0.12 {
 		t.Fatalf("elephants should be a small share of flows, got %.3f", flowShare)
 	}
-	if mass := a.ElephantPacketShare(); mass < 0.5 {
+	if mass := float64(elephantPkts) / n; mass < 0.5 {
 		t.Fatalf("elephants should carry most of the packet mass, got %.3f", mass)
 	}
 }

@@ -28,11 +28,6 @@ const (
 	RuleSetExecutable RuleSetName = "file_executable"
 )
 
-// RuleSetNames lists the paper's three rule sets.
-func RuleSetNames() []RuleSetName {
-	return []RuleSetName{RuleSetImage, RuleSetFlash, RuleSetExecutable}
-}
-
 // RuleSet is a generated set of literal patterns plus the traffic
 // characteristics the benchmarks need.
 type RuleSet struct {

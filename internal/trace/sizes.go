@@ -76,29 +76,18 @@ func (b Bimodal) String() string {
 
 // Arrivals produces packet inter-arrival gaps for a target data rate.
 type Arrivals struct {
-	rng     *sim.RNG
-	poisson bool
+	rng *sim.RNG
 }
 
 // NewPoissonArrivals returns an open-loop Poisson arrival process, the
 // standard model for aggregated datacenter traffic and what pktgen-style
 // load generators approximate.
 func NewPoissonArrivals(seed uint64) *Arrivals {
-	return &Arrivals{rng: sim.NewRNG(seed), poisson: true}
-}
-
-// NewPacedArrivals returns deterministic, evenly spaced arrivals — what
-// DPDK-Pktgen produces at a fixed rate setting.
-func NewPacedArrivals(seed uint64) *Arrivals {
-	return &Arrivals{rng: sim.NewRNG(seed), poisson: false}
+	return &Arrivals{rng: sim.NewRNG(seed)}
 }
 
 // Gap returns the next inter-arrival time for packets of size bytes at
 // rate bits/s.
 func (a *Arrivals) Gap(size int, rateBits float64) sim.Duration {
-	mean := sim.DurationOf(size, rateBits)
-	if !a.poisson {
-		return mean
-	}
-	return a.rng.Exp(mean)
+	return a.rng.Exp(sim.DurationOf(size, rateBits))
 }

@@ -66,15 +66,6 @@ func TestArrivalsPoissonMeanRate(t *testing.T) {
 	}
 }
 
-func TestArrivalsPacedDeterministic(t *testing.T) {
-	a := NewPacedArrivals(3)
-	g1 := a.Gap(1500, 10e9)
-	g2 := a.Gap(1500, 10e9)
-	if g1 != g2 || g1 != sim.DurationOf(1500, 10e9) {
-		t.Fatalf("paced gaps differ: %v vs %v", g1, g2)
-	}
-}
-
 func TestHyperscalerTraceMeanExact(t *testing.T) {
 	tr := NewHyperscalerTrace(DefaultHyperscalerConfig())
 	if m := tr.MeanGbps(); math.Abs(m-0.76) > 1e-9 {
@@ -189,23 +180,8 @@ func TestYCSBZipfSkew(t *testing.T) {
 	}
 }
 
-func TestYCSBWireSizes(t *testing.T) {
-	g := NewYCSBGen(WorkloadA, 100, 1024, 1)
-	read := YCSBOp{Type: OpRead, Key: Key(1)}
-	upd := YCSBOp{Type: OpUpdate, Key: Key(1), Value: make([]byte, 1024)}
-	if g.RequestWireSize(upd) <= g.RequestWireSize(read) {
-		t.Fatal("update request must be larger than read request")
-	}
-	if g.ResponseWireSize(read) <= g.ResponseWireSize(upd) {
-		t.Fatal("read response must be larger than update response")
-	}
-	if g.ResponseWireSize(read) < 1024 {
-		t.Fatal("read response must carry the value")
-	}
-}
-
 func TestRuleSetGeneration(t *testing.T) {
-	for _, name := range RuleSetNames() {
+	for _, name := range []RuleSetName{RuleSetImage, RuleSetFlash, RuleSetExecutable} {
 		rs := GenRuleSet(name, 42)
 		if len(rs.Patterns) == 0 {
 			t.Fatalf("%s: no patterns", name)

@@ -119,23 +119,3 @@ func (g *YCSBGen) LoadKeys() []string {
 	}
 	return keys
 }
-
-// RequestWireSize returns the approximate request packet payload for an
-// op: key plus protocol framing, plus the value for updates.
-func (g *YCSBGen) RequestWireSize(op YCSBOp) int {
-	const framing = 32
-	n := len(op.Key) + framing
-	if op.Type == OpUpdate {
-		n += len(op.Value)
-	}
-	return n
-}
-
-// ResponseWireSize returns the approximate response payload.
-func (g *YCSBGen) ResponseWireSize(op YCSBOp) int {
-	const framing = 16
-	if op.Type == OpRead {
-		return g.ValueSize + framing
-	}
-	return framing
-}

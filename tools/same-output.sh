@@ -4,23 +4,21 @@
 #
 #   bash tools/same-output.sh [BASE]        # BASE defaults to HEAD
 #
-# The base is checked out with `git worktree` into a temporary directory
-# and both sides are built from source. Every run's stdout and the files
-# it writes are compared by SHA-256 digest, because the traces run to
-# hundreds of megabytes; each run's outputs are deleted once compared.
-# Stderr is not compared: it carries the wall-clock events/s line.
+# The base is extracted with `git archive` into a temporary directory,
+# which only reads the repository, and both sides are built from source.
+# Every run's stdout and the files it writes are compared by SHA-256
+# digest, because the traces run to hundreds of megabytes; each run's
+# outputs are deleted once compared. Stderr is not compared: it carries
+# the wall-clock events/s line. The temporary directory honours TMPDIR.
 set -euo pipefail
 
 base=${1:-HEAD}
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$work/src" >/dev/null 2>&1 || true
-	rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
-git -C "$root" worktree add --quiet --detach "$work/src" "$base"
+mkdir "$work/src"
+git -C "$root" archive "$base" | tar -x -C "$work/src"
 (cd "$work/src" && go build -o "$work/snicbench.base" ./cmd/snicbench)
 (cd "$root" && go build -o "$work/snicbench.tree" ./cmd/snicbench)
 

@@ -10,13 +10,3 @@ import "repro/tools/snicvet/internal/lint"
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{Wallclock, Seedrand, Maporder, Detflow, Hotpath, Unitcheck, Floateq}
 }
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *lint.Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

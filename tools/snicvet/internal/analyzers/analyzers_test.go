@@ -117,11 +117,5 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
-		if analyzers.ByName(a.Name) != a {
-			t.Errorf("ByName(%q) does not round-trip", a.Name)
-		}
-	}
-	if analyzers.ByName("nope") != nil {
-		t.Error("ByName of unknown analyzer should be nil")
 	}
 }
