@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet fmt-check lint lint-facts race bench bench-verify faults trace-determinism check fuzz-smoke profile-smoke same-output
+.PHONY: verify build test vet fmt-check lint race bench bench-verify faults trace-determinism check fuzz-smoke profile-smoke same-output
 
 # Tier-1 verification: everything CI and reviewers gate on.
 verify: vet build race lint fmt-check
@@ -14,21 +14,13 @@ fmt-check:
 	test -z "$$(gofmt -l .)"
 
 # Build the repo's own analysis suite and run it through the standard
-# vet driver. The seven analyzers (wallclock, seedrand, maporder,
-# detflow, hotpath, unitcheck, floateq) enforce the determinism,
-# allocation and unit-safety invariants of DESIGN.md §9 and §14;
-# wallclock/seedrand/maporder violations are transitive, chained
+# vet driver. The six analyzers (wallclock, seedrand, detflow, hotpath,
+# unitcheck, floateq) enforce the determinism, allocation and
+# unit-safety invariants of DESIGN.md §9 and §14; wallclock, seedrand,
+# detflow's map-ordered calls and hotpath are transitive, chained
 # through per-package fact files the go command threads between units.
 lint: bin/snicvet
 	$(GO) vet -vettool=bin/snicvet ./...
-
-# Same sweep with the propagated fact database dumped to stderr per
-# package — which functions transitively read the wall clock, draw
-# unseeded randomness, leak map order, or allocate, and via which call
-# chain. SNICVET_FACTS is part of snicvet's -V=full hash, so this never
-# serves a cached silent run.
-lint-facts: bin/snicvet
-	SNICVET_FACTS=1 $(GO) vet -vettool=bin/snicvet ./...
 
 bin/snicvet: FORCE
 	$(GO) build -o bin/snicvet ./tools/snicvet

@@ -130,7 +130,7 @@ func BenchmarkFig7TraceGeneration(b *testing.B) {
 func BenchmarkTable4TraceReplay(b *testing.B) {
 	var rows []core.TraceReplayResult
 	for i := 0; i < b.N; i++ {
-		rows = core.NewRunner().Table4(core.DefaultTable4Config())
+		rows = core.NewRunner().Table4()
 	}
 	b.StopTimer()
 	for _, row := range rows {

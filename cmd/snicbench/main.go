@@ -40,6 +40,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -142,40 +143,57 @@ func run(args []string) int {
 
 	// runExp dispatches one experiment, telling the progress line which
 	// experiment is currently executing so the live status names it.
-	runExp := func(name string, fn func()) {
+	runExp := func(name string, fn func() error) error {
 		prog.setExperiment(name)
-		fn()
+		return fn()
 	}
-	dispatch := map[string]func(){
-		"fig4":       func() { runFig4(tb, *fn, false) },
-		"fig6":       func() { runFig4(tb, *fn, true) },
-		"fig5":       func() { snic.RenderFig5(os.Stdout, tb.Fig5(nil)) },
-		"fig7":       func() { snic.RenderFig7(os.Stdout, snic.HyperscalerTrace()) },
-		"table4":     func() { snic.RenderTable4(os.Stdout, tb.Table4()) },
-		"table5":     func() { runTable5(tb) },
-		"strategies": func() { runStrategies(tb, opts) },
-		"faults":     func() { runFaults(tb) },
-		"fleet":      func() { runFleet(tb) },
-		"pipeline":   func() { runPipeline(tb) },
-		"offload":    func() { runOffload(tb) },
-		"specs":      runSpecs,
-		"catalog":    runCatalog,
+	noErr := func(render func()) func() error {
+		return func() error { render(); return nil }
+	}
+	dispatch := map[string]func() error{
+		"fig4":       func() error { return runFig4(tb, *fn, false) },
+		"fig6":       func() error { return runFig4(tb, *fn, true) },
+		"fig5":       noErr(func() { snic.RenderFig5(os.Stdout, tb.Fig5(nil)) }),
+		"fig7":       noErr(func() { snic.RenderFig7(os.Stdout, snic.HyperscalerTrace()) }),
+		"table4":     noErr(func() { snic.RenderTable4(os.Stdout, tb.Table4()) }),
+		"table5":     noErr(func() { runTable5(tb) }),
+		"strategies": func() error { return runStrategies(tb, opts) },
+		"faults":     func() error { return runFaults(tb) },
+		"fleet":      func() error { return runFleet(tb) },
+		"pipeline":   noErr(func() { runPipeline(tb) }),
+		"offload":    noErr(func() { runOffload(tb) }),
+		"specs":      noErr(runSpecs),
+		"catalog":    noErr(runCatalog),
 		"functional": runFunctional,
 	}
 	start := time.Now()
+	var err error
 	if *exp == "all" {
 		// Same order the command has always used.
 		for _, e := range []string{"specs", "catalog", "functional", "fig4", "fig6",
 			"fig5", "fig7", "table4", "table5", "strategies", "faults", "fleet",
 			"pipeline", "offload"} {
-			runExp(e, dispatch[e])
+			if err = runExp(e, dispatch[e]); err != nil {
+				break
+			}
 		}
 	} else if fn, ok := dispatch[*exp]; ok {
-		runExp(*exp, fn)
+		err = runExp(*exp, fn)
 	} else {
 		fmt.Fprintf(os.Stderr, "snicbench: unknown experiment %q (valid: %s)\n",
 			*exp, strings.Join(validExps, ", "))
 		return 2
+	}
+	var ff functionalFailures
+	switch {
+	case errors.Is(err, errUnknownFunction):
+		fmt.Fprintf(os.Stderr, "snicbench: %v\n", err)
+		return 2
+	case errors.As(err, &ff):
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	case err != nil:
+		return fail(err)
 	}
 	elapsed := time.Since(start)
 
@@ -285,10 +303,22 @@ func (p *progressLine) update(done, total int, label string) {
 	fmt.Fprintf(os.Stderr, "\r%-*s", width, line)
 }
 
-func selectedBenchmarks(fn string) []*snic.Benchmark {
+// errUnknownFunction marks a -func value no benchmark has; run exits 2
+// for it, as for a bad flag.
+var errUnknownFunction = errors.New("unknown function")
+
+// functionalFailures counts the implementations that disagreed with
+// their oracles; run prints it without the command prefix.
+type functionalFailures int
+
+func (n functionalFailures) Error() string {
+	return fmt.Sprintf("FUNCTIONAL FAILURES: %d", int(n))
+}
+
+func selectedBenchmarks(fn string) ([]*snic.Benchmark, error) {
 	all := snic.Benchmarks()
 	if fn == "" {
-		return all
+		return all, nil
 	}
 	var out []*snic.Benchmark
 	for _, b := range all {
@@ -297,19 +327,23 @@ func selectedBenchmarks(fn string) []*snic.Benchmark {
 		}
 	}
 	if len(out) == 0 {
-		fmt.Fprintf(os.Stderr, "snicbench: unknown function %q\n", fn)
-		os.Exit(2)
+		return nil, fmt.Errorf("%w %q", errUnknownFunction, fn)
 	}
-	return out
+	return out, nil
 }
 
-func runFig4(tb *snic.Testbed, fn string, asFig6 bool) {
-	rows := tb.Fig4For(selectedBenchmarks(fn))
+func runFig4(tb *snic.Testbed, fn string, asFig6 bool) error {
+	bs, err := selectedBenchmarks(fn)
+	if err != nil {
+		return err
+	}
+	rows := tb.Fig4For(bs)
 	if asFig6 {
 		snic.RenderFig6(os.Stdout, rows)
 	} else {
 		snic.RenderFig4(os.Stdout, rows)
 	}
+	return nil
 }
 
 // runTable5 prints the paper-input reproduction and then a fully
@@ -355,7 +389,7 @@ func runTable5(tbed *snic.Testbed) {
 	snic.RenderTable5(os.Stdout, rows)
 }
 
-func runStrategies(tbed *snic.Testbed, opts []snic.Option) {
+func runStrategies(tbed *snic.Testbed, opts []snic.Option) error {
 	fmt.Println("== Strategy 2: offload advisor (SLO = 500µs p99) ==")
 	adv := snic.NewAdvisor(opts...)
 	t := report.NewTable("", "benchmark", "recommendation", "reason")
@@ -370,20 +404,22 @@ func runStrategies(tbed *snic.Testbed, opts []snic.Option) {
 
 	fmt.Println("\n== Strategy 3: SNIC<->host load balancer under bursts ==")
 	tr := snic.BurstyTrace(5, 72, 60, 6, 2*snic.Millisecond)
-	balanced := func(lb snic.LoadBalancer) snic.BalancedResult {
-		return *execute(tbed, snic.Workload{Kind: snic.WorkloadBalanced, Balancer: &lb,
-			Trace: tr, HostCores: 8, Seed: 1}).Balanced
-	}
 	for _, run := range []struct {
 		name string
-		res  snic.BalancedResult
+		lb   snic.LoadBalancer
 	}{
-		{"accelerator only", balanced(snic.LoadBalancer{SpillQueueThreshold: 1 << 30, HWAssist: true})},
-		{"software balancer (paper's prototype)", balanced(snic.SoftwareBalancer())},
-		{"hardware-assisted balancer (proposed)", balanced(snic.HardwareBalancer())},
+		{"accelerator only", snic.LoadBalancer{SpillQueueThreshold: 1 << 30, HWAssist: true}},
+		{"software balancer (paper's prototype)", snic.SoftwareBalancer()},
+		{"hardware-assisted balancer (proposed)", snic.HardwareBalancer()},
 	} {
-		fmt.Printf("  %-40s %v\n", run.name, run.res)
+		res, err := execute(tbed, snic.Workload{Kind: snic.WorkloadBalanced, Balancer: &run.lb,
+			Trace: tr, HostCores: 8, Seed: 1})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  %-40s %v\n", run.name, *res.Balanced)
 	}
+	return nil
 }
 
 // runFaults replays the hyperscaler trace while injecting the three
@@ -391,7 +427,7 @@ func runStrategies(tbed *snic.Testbed, opts []snic.Option) {
 // over to the host. The first row is the fault-free baseline. Scenario
 // descriptions print before any replay starts, so stdout is identical
 // at every -j even though the scenarios replay concurrently.
-func runFaults(tbed *snic.Testbed) {
+func runFaults(tbed *snic.Testbed) error {
 	fmt.Println("== Fault scenarios: REM trace replay with failover ==")
 	tr := snic.HyperscalerTrace().Compress(400 * snic.Microsecond)
 	router := func() *snic.HealthRouter {
@@ -401,27 +437,30 @@ func runFaults(tbed *snic.Testbed) {
 	for _, scn := range scns {
 		fmt.Printf("  %-12s %s\n", scn.Name+":", scn.Desc)
 	}
-	base := execute(tbed, snic.Workload{Kind: snic.WorkloadFaulted, Scenario: &snic.FaultScenario{Name: "baseline"},
-		Router: router(), Trace: tr, HostCores: 2, Seed: 42}).Fault
+	base, err := execute(tbed, snic.Workload{Kind: snic.WorkloadFaulted, Scenario: &snic.FaultScenario{Name: "baseline"},
+		Router: router(), Trace: tr, HostCores: 2, Seed: 42})
+	if err != nil {
+		return err
+	}
 	rows := tbed.RunFaultedSet(scns, router, tr, 2, 42)
-	snic.RenderFaults(os.Stdout, *base, rows)
+	snic.RenderFaults(os.Stdout, *base.Fault, rows)
+	return nil
 }
 
-// execute runs one workload, exiting on its error.
-func execute(tb *snic.Testbed, w snic.Workload) snic.Result {
+// execute runs one workload; its error names the workload kind.
+func execute(tb *snic.Testbed, w snic.Workload) (snic.Result, error) {
 	res, err := tb.Execute(w)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "snicbench: %s: %v\n", w.Kind, err)
-		os.Exit(1)
+		return res, fmt.Errorf("%s: %w", w.Kind, err)
 	}
-	return res
+	return res, nil
 }
 
 // runFleet simulates a 36-server heterogeneous datacenter on the
 // diurnal trace scaled to fleet-level offered load, compares the four
 // dispatch policies, and then runs the provisioning search that
 // generalizes Table 5.
-func runFleet(tbed *snic.Testbed) {
+func runFleet(tbed *snic.Testbed) error {
 	classes := []snic.FleetClass{snic.NICHosts(16), snic.SNICCPUs(12), snic.SNICAccels(8)}
 	servers := 0
 	for _, c := range classes {
@@ -442,8 +481,7 @@ func runFleet(tbed *snic.Testbed) {
 			Seed:    42,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snicbench: fleet %s: %v\n", pol, err)
-			os.Exit(1)
+			return fmt.Errorf("fleet %s: %w", pol, err)
 		}
 		rows = append(rows, res)
 	}
@@ -454,10 +492,10 @@ func runFleet(tbed *snic.Testbed) {
 	fmt.Println("\n== Provisioning search (generalized Table 5) ==")
 	prov, err := tbed.ProvisionTable5(snic.ProvisionOpts{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "snicbench: provision: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("provision: %w", err)
 	}
 	snic.RenderProvision(os.Stdout, prov)
+	return nil
 }
 
 // runPipeline measures the chained tax pipelines (§2's
@@ -504,7 +542,7 @@ func runOffload(tbed *snic.Testbed) {
 	snic.RenderOffload(os.Stdout, rs)
 }
 
-func runFunctional() {
+func runFunctional() error {
 	fmt.Println("== Execution-driven verification of the real implementations ==")
 	cases := []struct {
 		fn, variant string
@@ -529,10 +567,10 @@ func runFunctional() {
 		failures += rep.Failures
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "FUNCTIONAL FAILURES: %d\n", failures)
-		os.Exit(1)
+		return functionalFailures(failures)
 	}
 	fmt.Println("all implementations verified against their oracles")
+	return nil
 }
 
 func runSpecs() {

@@ -44,3 +44,20 @@ func TestFailedExportKeepsCPUProfile(t *testing.T) {
 		t.Fatal("CPU profile is empty: the failed export skipped stopping it")
 	}
 }
+
+// An unknown -func exits 2 only after the CPU profile was stopped and
+// closed, like a failed export.
+func TestUnknownFunctionKeepsCPUProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "c.prof")
+	code := run([]string{"-exp", "fig4", "-func", "bogus", "-q", "-cpuprofile", prof})
+	if code != 2 {
+		t.Fatalf("exit status %d, want 2", code)
+	}
+	info, err := os.Stat(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() == 0 {
+		t.Fatal("CPU profile is empty: the unknown function skipped stopping it")
+	}
+}

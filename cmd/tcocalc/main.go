@@ -4,6 +4,7 @@
 // Usage:
 //
 //	tcocalc                                    # reproduce Table 5
+//	tcocalc -price 0.25 -years 3               # Table 5 at your price and horizon
 //	tcocalc -app mine -snic-tput 2 -snic-w 255 -nic-tput 1 -nic-w 320
 //	tcocalc -app mine ... -price 0.25 -years 3 # your electricity and horizon
 package main
@@ -11,54 +12,50 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/tco"
 	"repro/snic"
 )
 
-func main() {
-	app := flag.String("app", "", "application name (empty = reproduce the paper's Table 5)")
-	snicTput := flag.Float64("snic-tput", 1, "per-server throughput of the SNIC fleet (any unit)")
-	snicW := flag.Float64("snic-w", 255, "per-server power of the SNIC fleet (W)")
-	nicTput := flag.Float64("nic-tput", 1, "per-server throughput of the NIC fleet (same unit)")
-	nicW := flag.Float64("nic-w", 300, "per-server power of the NIC fleet (W)")
-	price := flag.Float64("price", 0.162, "electricity price ($/kWh)")
-	kwh := flag.Float64("kwh", 0.162, "deprecated alias for -price")
-	years := flag.Float64("years", 5, "server lifetime (years)")
-	servers := flag.Int("servers", 10, "baseline SNIC fleet size")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// Honour the deprecated -kwh spelling unless -price was given too.
-	usd := *price
-	priceSet, kwhSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "price":
-			priceSet = true
-		case "kwh":
-			kwhSet = true
+// run is the command with its arguments and output streams; it returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcocalc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "", "application name (empty = Table 5 from the paper's measurements)")
+	snicTput := fs.Float64("snic-tput", 1, "per-server throughput of the SNIC fleet (any unit)")
+	snicW := fs.Float64("snic-w", 255, "per-server power of the SNIC fleet (W)")
+	nicTput := fs.Float64("nic-tput", 1, "per-server throughput of the NIC fleet (same unit)")
+	nicW := fs.Float64("nic-w", 300, "per-server power of the NIC fleet (W)")
+	price := fs.Float64("price", 0.162, "electricity price ($/kWh)")
+	years := fs.Float64("years", 5, "server lifetime (years)")
+	servers := fs.Int("servers", 10, "baseline SNIC fleet size")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-	})
-	if kwhSet && !priceSet {
-		usd = *kwh
+		return 2
 	}
 
-	model, err := buildModel(usd, *years, *servers)
+	model, err := buildModel(*price, *years, *servers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tcocalc: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tcocalc: %v\n", err)
+		return 2
 	}
-
 	if *app == "" {
-		snic.RenderTable5(os.Stdout, snic.PaperTable5())
-		return
+		snic.RenderTable5(stdout, model.Table5())
+		return 0
 	}
 	row := model.Analyze(*app,
 		tco.AppMeasurement{ThroughputGbps: *snicTput, PowerW: *snicW},
 		tco.AppMeasurement{ThroughputGbps: *nicTput, PowerW: *nicW})
-	snic.RenderTable5(os.Stdout, []tco.Row{row})
-	fmt.Printf("\n%v\n", row)
+	snic.RenderTable5(stdout, []tco.Row{row})
+	fmt.Fprintf(stdout, "\n%v\n", row)
+	return 0
 }
 
 // buildModel applies the command-line knobs to the paper's cost model,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/tco"
@@ -25,11 +27,6 @@ func TestBuildModelPlumbsFlags(t *testing.T) {
 	if m.PowerUSDPerKWh != 0.25 || m.Years != 3 || m.BaselineServers != 8 {
 		t.Fatalf("flags not plumbed through: %+v", m)
 	}
-	// Everything else still comes from the paper.
-	paper := tco.PaperCostModel()
-	if m.ServerWithSNICUSD != paper.ServerWithSNICUSD || m.ServerWithNICUSD != paper.ServerWithNICUSD {
-		t.Fatalf("server prices should stay at the paper's values: %+v", m)
-	}
 }
 
 func TestBuildModelRejectsNonPhysical(t *testing.T) {
@@ -48,5 +45,32 @@ func TestBuildModelRejectsNonPhysical(t *testing.T) {
 		if _, err := buildModel(c.price, c.years, c.servers); err == nil {
 			t.Fatalf("buildModel(%v, %v, %d) should have been rejected", c.price, c.years, c.servers)
 		}
+	}
+}
+
+// The price, horizon and fleet flags apply to the paper's rows too, and
+// every table names the horizon its numbers are for.
+func TestRunAppliesFlagsToPaperRows(t *testing.T) {
+	tcocalc := func(args ...string) string {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("tcocalc %v exited %d: %s", args, code, errOut.String())
+		}
+		return out.String()
+	}
+	paper := tcocalc()
+	if !strings.Contains(paper, "5-year TCO") {
+		t.Fatalf("default table does not name the 5-year horizon:\n%s", paper)
+	}
+	priced := tcocalc("-price", "0.5", "-years", "3")
+	if priced == paper {
+		t.Fatal("-price 0.5 -years 3 printed the default table")
+	}
+	if !strings.Contains(priced, "3-year TCO") || strings.Contains(priced, "5-year") {
+		t.Fatalf("3-year table names another horizon:\n%s", priced)
+	}
+	if app := tcocalc("-app", "mine", "-years", "3"); !strings.Contains(app, "3-year TCO") || strings.Contains(app, "5-year") {
+		t.Fatalf("-app with -years 3 names another horizon:\n%s", app)
 	}
 }

@@ -71,7 +71,9 @@ func (c *Config) cacheKey() string {
 		b.WriteByte(',')
 	}
 	fmt.Fprintf(&b, "|%d/%d/%v/%d/%d|cores:%d/%d", c.ReqSize, c.RespSize, c.Mixed, c.Closed, c.ClosedSNIC, c.HostCores, c.SNICCores)
-	fmt.Fprintf(&b, "|cyc:%g/%g/%g/%g/%g/%g", c.HostBaseCycles, c.HostPerByteCycles, c.SNICFactor, c.HostSigma, c.SNICSigma, c.MixedExtraCycles)
+	// The 0 is the SNIC-core sigma every entry runs with; it stays in
+	// the key so memo keys and run IDs keep their form.
+	fmt.Fprintf(&b, "|cyc:%g/%g/%g/%g/0/%g", c.HostBaseCycles, c.HostPerByteCycles, c.SNICFactor, c.HostSigma, c.MixedExtraCycles)
 	fmt.Fprintf(&b, "|mem:%g/%d/%d", c.MemIntensity, c.WorkingSetHost, c.WorkingSetSNIC)
 	fmt.Fprintf(&b, "|rate:%g/%g/%d", c.HostRateBits, c.HostRateOps, c.LocalOpBytes)
 	fmt.Fprintf(&b, "|eng:%s/%s|up:%g|knee:%g", c.Engine, c.PKAAlgo, c.UpcallFrac, c.KneeP99Mult)

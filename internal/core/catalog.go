@@ -89,10 +89,11 @@ type Config struct {
 	// SNICFactor multiplies app cycles on the Arm cores (derived from
 	// WantTputRatio for net-served entries; manual elsewhere).
 	SNICFactor float64
-	// Service-time jitter sigmas (log-normal). High host sigma models
+	// Host service-time jitter sigma (log-normal). A high sigma models
 	// match-heavy inputs whose occasional expensive packets blow up the
-	// tail (REM file_image).
-	HostSigma, SNICSigma float64
+	// tail (REM file_image). SNIC-core phases always run with the
+	// pipeline's default sigma.
+	HostSigma float64
 
 	// Memory model.
 	MemIntensity   float64

@@ -148,69 +148,26 @@ func (t TraceReplayResult) String() string {
 		t.Platform, t.AvgTputGbps, t.P99, t.AvgPowerW)
 }
 
-// Table4Config carries the §5.1 replay parameters.
-type Table4Config struct {
-	Trace *trace.HyperscalerTrace
-	// IntervalCompress shortens each trace interval for simulation;
-	// rates are untouched, so averages and tails are preserved.
-	IntervalCompress sim.Duration
-	// HostCores: the host needs only two polling cores at trace rates
-	// (this is what puts the measured host power at Table 4's ~278 W
-	// rather than the 8-core figure).
-	HostCores int
-	Seed      uint64
-}
-
-// DefaultTable4Config mirrors §5.1: MTU packets, file_executable rules,
-// the Fig. 7 trace, host vs SNIC accelerator.
-func DefaultTable4Config() Table4Config {
-	return Table4Config{
-		Trace:            trace.NewHyperscalerTrace(trace.DefaultHyperscalerConfig()),
-		IntervalCompress: 400 * sim.Microsecond,
-		HostCores:        2,
-		Seed:             0x7ab1e4,
-	}
-}
-
-// Validate rejects malformed replay parameters with a typed
-// *ParamError (the fault.Plan.Validate treatment): a missing trace,
-// non-positive interval compression or negative core counts would
-// otherwise surface as silent nonsense deep in the replay loop.
-func (tc Table4Config) Validate() error {
-	fail := func(param, reason string) error {
-		return &ParamError{Op: "table4", Param: param, Reason: reason}
-	}
-	if err := validTrace("replay", tc.Trace); err != nil {
-		return err
-	}
-	if tc.IntervalCompress <= 0 {
-		return fail("IntervalCompress", "must be positive")
-	}
-	if tc.HostCores < 0 {
-		return fail("HostCores", "must not be negative")
-	}
-	return nil
-}
-
-// Table4 replays the trace through REM on the host CPU and on the SNIC
-// accelerator — both platforms concurrently when parallelism allows —
-// and reports the table's rows in platform order. Invalid parameters
-// panic with the typed validation error.
-func (r *Runner) Table4(tc Table4Config) []TraceReplayResult {
-	if err := tc.Validate(); err != nil {
-		panic(err)
-	}
+// Table4 replays §5.1's workload, the Fig. 7 trace through REM with the
+// file_executable rules on MTU packets, on the host CPU and on the SNIC
+// accelerator (both platforms concurrently when parallelism allows),
+// and reports the table's rows in platform order. Each trace interval
+// is compressed to 400 µs for simulation; rates are untouched, so
+// averages and tails are preserved. The host needs only two polling
+// cores at trace rates, which is what puts its measured power at
+// Table 4's ~278 W rather than the 8-core figure.
+func (r *Runner) Table4() []TraceReplayResult {
 	cfg := remMTU(trace.RuleSetExecutable)
 	plats := []Platform{HostCPU, SNICAccel}
-	tr := tc.Trace.Compress(tc.IntervalCompress)
+	tr := trace.NewHyperscalerTrace(trace.DefaultHyperscalerConfig()).Compress(400 * sim.Microsecond)
 	out := make([]TraceReplayResult, len(plats))
 	prog := r.newProgress(len(plats))
 	r.forEachN(len(plats), func(i int) {
 		c := *cfg
-		if plats[i] == HostCPU && tc.HostCores > 0 {
-			c.HostCores = tc.HostCores
+		if plats[i] == HostCPU {
+			c.HostCores = 2
 		}
-		out[i] = r.ReplayTrace(&c, plats[i], tr, tc.Seed)
+		out[i] = r.ReplayTrace(&c, plats[i], tr, 0x7ab1e4)
 		prog.step("table4 " + string(plats[i]))
 	})
 	return out
@@ -251,9 +208,7 @@ func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 // the config's phase path, and key and label name the run's telemetry.
 // Replays send fixed-size packets: trace rates are data rates.
 func (r *Runner) newReplayCtx(cfg *Config, plat Platform, seed uint64, key, label string) *runctx {
-	tbc := r.TBConfig.withCores(cfg.HostCores, cfg.SNICCores)
-	tbc.Seed ^= seed
-	ctx := r.newRunctx(tbc, plat, cfg.Stack, seed, key, label)
+	ctx := r.newRunctx(r.TBConfig.withCores(cfg.HostCores, cfg.SNICCores), plat, cfg.Stack, seed, key, label)
 	ctx.cfg = cfg
 	ctx.opts = RunOpts{Requests: 1 << 62, Seed: seed} // the rate series decides the end
 	ctx.sizes = trace.Fixed(cfg.ReqSize)

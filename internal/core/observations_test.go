@@ -202,7 +202,7 @@ func TestTable4Reproduction(t *testing.T) {
 		t.Skip("trace replay")
 	}
 	r := NewRunner()
-	rows := r.Table4(DefaultTable4Config())
+	rows := r.Table4()
 	if len(rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rows))
 	}

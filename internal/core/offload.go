@@ -271,11 +271,9 @@ func (r *Runner) OffloadExperiment(spec OffloadSpec, policies []OffloadPolicy) [
 func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 	label := fmt.Sprintf("offload %s | %s | seed %d", spec.Name, spec.Policy.Key(), spec.Seed)
 	seed := r.runSeed(spec.Seed)
-	tbc := r.TBConfig
-	tbc.Seed ^= seed
 	// The slow path lives on the SNIC cores: on-path mode, Arm cores
 	// polling, no traffic crossing into host memory.
-	ctx := r.newRunctx(tbc, SNICCPU, "", seed, offloadKey(spec, r.TBConfig), label)
+	ctx := r.newRunctx(r.TBConfig, SNICCPU, "", seed, offloadKey(spec, r.TBConfig), label)
 	tb, eng := ctx.tb, ctx.tb.Eng
 	tb.setPower(false, true, false, true)
 	ctx.warmupN = 1 // replay semantics: the first completion opens the meter

@@ -303,7 +303,6 @@ func PipelineFromConfig(cfg *Config, plat Platform) *PipelineSpec {
 	case SNICCPU:
 		ph.Resource = ResSNICCore
 		ph.CycleFactor = cfg.SNICFactor
-		ph.Sigma = cfg.SNICSigma
 		ph.WorkingSet = cfg.WorkingSetSNIC
 	case SNICAccel:
 		ph.Resource = ResEngine

@@ -77,12 +77,12 @@ type Testbed struct {
 	// hostTrafficShare is the fraction of wire traffic that crosses into
 	// host memory (1 for host-served functions, 0 for card-resident).
 	hostTrafficShare float64
-
-	rng *sim.RNG
 }
 
 // TestbedConfig sizes a testbed.
 type TestbedConfig struct {
+	// Seed is the master seed Runner.runSeed folds into every run's
+	// streams.
 	Seed      uint64
 	HostCores int
 	SNICCores int
@@ -122,7 +122,6 @@ func DefaultTestbedConfig() TestbedConfig {
 // NewTestbed wires a testbed.
 func NewTestbed(cfg TestbedConfig) *Testbed {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(cfg.Seed)
 	hostSpec := cpu.XeonGold6140()
 	snicSpec := cpu.BlueField2Arm()
 
@@ -134,13 +133,12 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		SNICSpec: snicSpec,
 		HostMem:  mem.ServerDDR4(),
 		SNICMem:  mem.BlueField2DDR4(),
-		rng:      rng,
 	}
-	tb.HostPool = cpu.NewPool(eng, hostSpec, cfg.HostCores, rng.Uint64())
+	tb.HostPool = cpu.NewPool(eng, hostSpec, cfg.HostCores)
 	// The SNIC's serving cores exclude the staging cores when engines
 	// are in use; experiments pick the pool they drive.
-	tb.SNICPool = cpu.NewPool(eng, snicSpec, cfg.SNICCores, rng.Uint64())
-	tb.StagingPool = cpu.NewPool(eng, snicSpec, cfg.StagingCores, rng.Uint64())
+	tb.SNICPool = cpu.NewPool(eng, snicSpec, cfg.SNICCores)
+	tb.StagingPool = cpu.NewPool(eng, snicSpec, cfg.StagingCores)
 
 	tb.REM = accel.REMEngine(eng)
 	tb.Deflate = accel.CompressEngine(eng)
@@ -151,7 +149,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	// host cores against the 8 SNIC cores). Poll-mode stacks pin their
 	// cores at 100% regardless of delivered work — that is why the paper
 	// measures 278 W for host DPDK/REM even at a 0.76 Gb/s trace rate.
-	tb.Power = power.NewTestbed(power.DefaultBudget(), power.Signals{
+	tb.Power = power.NewTestbed(power.Signals{
 		HostCPU: func() float64 {
 			u := tb.HostPool.Utilization()
 			if tb.hostPolling {

@@ -38,15 +38,12 @@ import (
 // sensors sample.
 func (r *Runner) newRoutedCtx(hr *HealthRouter, hostCores int, seed uint64, key, label string) *runctx {
 	seed = r.runSeed(seed)
-	tbc := r.TBConfig.withCores(hostCores, 0)
-	tbc.Seed ^= seed
-	ctx := r.newRunctx(tbc, HostCPU, "", seed, key, label)
+	ctx := r.newRunctx(r.TBConfig.withCores(hostCores, 0), HostCPU, "", seed, key, label)
 	ctx.cfg = remMTU(trace.RuleSetExecutable)
 	ctx.prof = netstack.ByKind(netstack.KindDPDK)
 	ctx.sizes = trace.Fixed(nicMTU)
 	ctx.router = hr
 	tb := ctx.tb
-	tb.StagingPool.JitterSigma = 0
 	tb.StagingPool.SetQueueCapacity(4096)
 	tb.ActivateSNICPools(0, 1)
 	tb.SetPolling(SNICCPU, true)

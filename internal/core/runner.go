@@ -233,8 +233,8 @@ func (r *Runner) runSeed(seed uint64) uint64 {
 }
 
 // newRunctx wires one run on a fresh testbed built from tbc: seed
-// derives the run's random streams, plat's pool serves (queue-bounded
-// and without pool-level jitter, which the runner draws itself), stack
+// derives the run's random streams, plat's pool serves (queue-bounded;
+// the run draws service jitter from its own stream), stack
 // terminates there unless it is empty, and key and label name the run's
 // telemetry. The caller instruments the testbed once its pools and
 // gauges are set.
@@ -251,7 +251,6 @@ func (r *Runner) newRunctx(tbc TestbedConfig, plat Platform, stack netstack.Kind
 	}
 	ctx.internLabels()
 	ctx.pool = tb.PoolFor(plat)
-	ctx.pool.JitterSigma = 0
 	ctx.pool.SetQueueCapacity(4096)
 	if stack != "" {
 		ctx.prof = netstack.ByKind(stack)
@@ -260,13 +259,11 @@ func (r *Runner) newRunctx(tbc TestbedConfig, plat Platform, stack netstack.Kind
 	return ctx
 }
 
-// atPoint wires a run at an operating point: the testbed seed folds in
-// the run's seed and the cores default unless overridden.
+// atPoint wires a run at an operating point: the run's streams derive
+// from opts.Seed and the cores default unless overridden.
 func (r *Runner) atPoint(hostCores, snicCores int, plat Platform, stack netstack.Kind, opts RunOpts, key, label string) *runctx {
 	seed := r.runSeed(opts.Seed)
-	tbc := r.TBConfig.withCores(hostCores, snicCores)
-	tbc.Seed ^= seed * 0x9e3779b97f4a7c15
-	ctx := r.newRunctx(tbc, plat, stack, seed, key, label)
+	ctx := r.newRunctx(r.TBConfig.withCores(hostCores, snicCores), plat, stack, seed, key, label)
 	ctx.opts = opts
 	ctx.warmupN = int(float64(opts.Requests) * opts.WarmupFrac)
 	if ctx.warmupN == 0 {
@@ -287,12 +284,9 @@ func (ctx *runctx) setPath(ps *PipelineSpec) {
 	for i := range ps.Phases {
 		ph := &ps.Phases[i]
 		ctx.tally[i] = PhaseStat{Name: ph.Name, Resource: ph.Resource}
-		pool := ctx.tb.PoolFor(ph.platform())
-		pool.JitterSigma = 0
-		pool.SetQueueCapacity(ph.queueCap())
+		ctx.tb.PoolFor(ph.platform()).SetQueueCapacity(ph.queueCap())
 	}
 	if ps.uses(ResEngine) {
-		ctx.tb.HostPool.JitterSigma = 0
 		if ctx.tb.HostPool.QueueCapacity() <= 0 {
 			ctx.tb.HostPool.SetQueueCapacity(4096)
 		}

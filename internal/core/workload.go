@@ -325,7 +325,7 @@ func (r *Runner) Execute(w Workload) (Result, error) {
 }
 
 // ParamError is the typed validation error for legacy config structs
-// (Table4Config, LoadBalancer) — the fault.Plan.Validate treatment.
+// (LoadBalancer, FailoverPolicy) — the fault.Plan.Validate treatment.
 type ParamError struct {
 	Op     string
 	Param  string

@@ -253,28 +253,6 @@ func TestLoadBalancerValidate(t *testing.T) {
 	}
 }
 
-func TestTable4ConfigValidate(t *testing.T) {
-	if err := DefaultTable4Config().Validate(); err != nil {
-		t.Fatalf("default table4 config should validate: %v", err)
-	}
-	tc := DefaultTable4Config()
-	tc.Trace = nil
-	if tc.Validate() == nil {
-		t.Fatal("nil trace should fail validation")
-	}
-	tc = DefaultTable4Config()
-	tc.IntervalCompress = 0
-	var pe *ParamError
-	if !errors.As(tc.Validate(), &pe) || pe.Param != "IntervalCompress" {
-		t.Fatalf("non-positive interval compression should fail: %v", tc.Validate())
-	}
-	tc = DefaultTable4Config()
-	tc.HostCores = -1
-	if !errors.As(tc.Validate(), &pe) || pe.Param != "HostCores" {
-		t.Fatalf("negative host cores should fail: %v", tc.Validate())
-	}
-}
-
 // A zero warmup, RunOpts' zero value and one Validate accepts, counts
 // every completion, and so does a fraction that rounds to zero
 // requests: a point run and a pipeline run each rate a full window.

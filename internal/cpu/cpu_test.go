@@ -29,8 +29,8 @@ func TestSpecsMatchPaperTables(t *testing.T) {
 
 func TestPoolServiceTimeScalesWithIPCAndFreq(t *testing.T) {
 	eng := sim.NewEngine()
-	host := NewPool(eng, XeonGold6140(), 8, 1)
-	snic := NewPool(eng, BlueField2Arm(), 8, 2)
+	host := NewPool(eng, XeonGold6140(), 8)
+	snic := NewPool(eng, BlueField2Arm(), 8)
 	const cycles = 21000
 	h := host.ServiceTime(cycles)
 	s := snic.ServiceTime(cycles)
@@ -45,12 +45,11 @@ func TestPoolServiceTimeScalesWithIPCAndFreq(t *testing.T) {
 
 func TestPoolParallelism(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewPool(eng, BlueField2Arm(), 8, 3)
-	p.JitterSigma = 0
+	p := NewPool(eng, BlueField2Arm(), 8)
 	var done int
 	var last sim.Time
 	for i := 0; i < 16; i++ {
-		p.ExecCycles(2.0e9/1000, func(_, end sim.Time) { // 1 ms of work
+		p.ExecDuration(p.ServiceTime(2.0e9/1000), func(_, end sim.Time) { // 1 ms of work
 			done++
 			last = end
 		})
@@ -67,37 +66,13 @@ func TestPoolParallelism(t *testing.T) {
 	}
 }
 
-func TestPoolJitterProducesSpread(t *testing.T) {
-	eng := sim.NewEngine()
-	p := NewPool(eng, XeonGold6140(), 1, 7)
-	var durations []sim.Duration
-	for i := 0; i < 200; i++ {
-		p.ExecCycles(1000, func(start, end sim.Time) {
-			durations = append(durations, end.Sub(start))
-		})
-	}
-	eng.Run()
-	min, max := durations[0], durations[0]
-	for _, d := range durations {
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	if min == max {
-		t.Fatal("jitter produced identical service times")
-	}
-}
-
 func TestPoolQueueCapacitySheds(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewPool(eng, BlueField2Arm(), 1, 1)
+	p := NewPool(eng, BlueField2Arm(), 1)
 	p.SetQueueCapacity(2)
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if p.ExecCycles(1e6, nil) {
+		if p.ExecDuration(p.ServiceTime(1e6), nil) {
 			accepted++
 		}
 	}
@@ -117,5 +92,5 @@ func TestPoolBadSizePanics(t *testing.T) {
 			t.Fatal("oversized pool did not panic")
 		}
 	}()
-	NewPool(eng, BlueField2Arm(), 9, 1) // A72 has only 8 cores
+	NewPool(eng, BlueField2Arm(), 9) // A72 has only 8 cores
 }

@@ -13,11 +13,6 @@ type Pool struct {
 	Spec    *Spec
 	station *sim.Station
 	cores   int
-	jitter  *sim.RNG
-	// JitterSigma is the log-normal sigma applied to each job's service
-	// time. Real per-packet service times wobble with cache state and
-	// branch behaviour; this is what gives latency distributions a tail.
-	JitterSigma float64
 	// throttle scales the operating frequency in (0,1]; fault injection
 	// lowers it to model thermal or firmware-forced frequency drops (the
 	// BlueField-2's Arm cores throttle hard under sustained load). 0 means
@@ -27,17 +22,11 @@ type Pool struct {
 
 // NewPool returns a pool of n cores of the given spec. n must not exceed
 // the spec's core count. The paper uses 8 host cores to match the SNIC.
-func NewPool(eng *sim.Engine, spec *Spec, n int, seed uint64) *Pool {
+func NewPool(eng *sim.Engine, spec *Spec, n int) *Pool {
 	if n <= 0 || n > spec.Cores {
 		panic(fmt.Sprintf("cpu: pool of %d cores out of range for %s", n, spec.Name))
 	}
-	return &Pool{
-		Spec:        spec,
-		station:     sim.NewStation(eng, n),
-		cores:       n,
-		jitter:      sim.NewRNG(seed),
-		JitterSigma: 0.18,
-	}
+	return &Pool{Spec: spec, station: sim.NewStation(eng, n), cores: n}
 }
 
 // Cores returns the number of cores in the pool.
@@ -63,7 +52,7 @@ func (p *Pool) SetThrottle(f float64) {
 }
 
 // ServiceTime converts a cycle cost on this pool into a duration,
-// accounting for the spec's relative IPC. Use ExecCycles to actually
+// accounting for the spec's relative IPC. Use ExecDuration to actually
 // occupy a core.
 func (p *Pool) ServiceTime(cycles float64) sim.Duration {
 	if cycles < 0 {
@@ -73,22 +62,11 @@ func (p *Pool) ServiceTime(cycles float64) sim.Duration {
 	return sim.Cycles(effective, p.FreqHz())
 }
 
-// ExecCycles schedules a job costing the given cycles on the next free
-// core, applying service-time jitter, and calls done when it retires.
-// It reports false if the job was shed at an internal queue limit
-// (none by default).
-func (p *Pool) ExecCycles(cycles float64, done func(start, end sim.Time)) bool {
-	svc := p.ServiceTime(cycles)
-	if p.JitterSigma > 0 {
-		svc = p.jitter.LogNormalDur(svc, p.JitterSigma)
-	}
-	return p.station.Exec(svc, done)
-}
-
-// ExecDuration schedules a job with an explicit pre-computed service time
-// (already jittered or deliberately deterministic). The job record is
-// the station's pooled one, so a steady-state submission allocates
-// nothing.
+// ExecDuration schedules a job with a pre-computed service time on the
+// next free core and calls done when it retires. The caller draws any
+// service-time jitter itself. It reports false if the job was shed at
+// the queue limit (none by default). The job record is the station's
+// pooled one, so a steady-state submission allocates nothing.
 //
 //snicvet:hotpath
 func (p *Pool) ExecDuration(svc sim.Duration, done func(start, end sim.Time)) bool {

@@ -8,7 +8,7 @@ import (
 
 func TestThrottleStretchesServiceTime(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewPool(eng, XeonGold6140(), 1, 1)
+	p := NewPool(eng, XeonGold6140(), 1)
 	full := p.ServiceTime(2100)
 	p.SetThrottle(0.5)
 	halved := p.ServiceTime(2100)
@@ -23,7 +23,7 @@ func TestThrottleStretchesServiceTime(t *testing.T) {
 
 func TestThrottleRejectsBadFactors(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewPool(eng, BlueField2Arm(), 1, 1)
+	p := NewPool(eng, BlueField2Arm(), 1)
 	for _, f := range []float64{0, -0.5, 1.5} {
 		func() {
 			defer func() {

@@ -66,9 +66,6 @@ type Config struct {
 	Trace *trace.HyperscalerTrace
 	// SLO is the p99 latency target (default 300µs).
 	SLO sim.Duration
-	// TargetAttainment is the fraction of requests that must meet the
-	// SLO for the fleet to pass (default 0.99).
-	TargetAttainment float64
 	// SLOMargin is the per-server load headroom target the SLO-aware
 	// and advisor policies fill to, as a fraction of estimated capacity
 	// (default 0.85).
@@ -80,9 +77,11 @@ type Config struct {
 }
 
 const (
-	defaultSLO        = 300 * sim.Microsecond
-	defaultAttainment = 0.99
-	defaultSLOMargin  = 0.85
+	defaultSLO = 300 * sim.Microsecond
+	// targetAttainment is the fraction of requests that must meet the
+	// SLO for the fleet to pass.
+	targetAttainment = 0.99
+	defaultSLOMargin = 0.85
 )
 
 // Servers is the fleet size.
@@ -120,13 +119,6 @@ func (c *Config) slo() sim.Duration {
 		return c.SLO
 	}
 	return defaultSLO
-}
-
-func (c *Config) targetAttainment() float64 {
-	if c.TargetAttainment > 0 {
-		return c.TargetAttainment
-	}
-	return defaultAttainment
 }
 
 func (c *Config) sloMargin() float64 {
@@ -189,7 +181,7 @@ func (c *Config) key() string {
 	}
 	return fmt.Sprintf("fleet|%s/%s|pol:%s|cl:%s|tr:%s|slo:%d|att:%g|margin:%g|seed:%d|out:%v",
 		fn, variant, c.Policy, classes, core.TraceFingerprint(c.Trace),
-		c.slo(), c.targetAttainment(), c.sloMargin(), c.Seed, c.Outages)
+		c.slo(), targetAttainment, c.sloMargin(), c.Seed, c.Outages)
 }
 
 // ServerResult is one server's share of a fleet run.
@@ -331,7 +323,7 @@ func Run(r *core.Runner, cfg Config) (Result, error) {
 	} else {
 		res.Attainment = 1
 	}
-	res.MeetsSLO = res.Attainment >= cfg.targetAttainment()
+	res.MeetsSLO = res.Attainment >= targetAttainment
 	if res.OfferedGbps > 0 {
 		res.DeliveredFrac = res.AggTputGbps / res.OfferedGbps
 	} else {

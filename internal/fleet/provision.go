@@ -48,44 +48,14 @@ func Table5Specs() []ProvisionSpec {
 
 // ProvisionOpts tunes the search.
 type ProvisionOpts struct {
-	// TargetGbps is the offered load both fleets must serve. Zero sizes
-	// it to BaselineSNICServers times the SNIC side's measured capacity
-	// (mirroring Table 5's fixed SNIC baseline).
-	TargetGbps float64
-	// BaselineSNICServers is that baseline (default 8).
+	// BaselineSNICServers sizes the offered load both fleets must serve:
+	// this many times the SNIC side's measured capacity, mirroring
+	// Table 5's fixed SNIC baseline (default 8).
 	BaselineSNICServers int
-	// SLO and TargetAttainment gate the fleet-sim predicate
-	// (defaults 300µs, 0.99).
-	SLO              sim.Duration
-	TargetAttainment float64
-	// Trace is the normalized offered-load shape for fleet-sim probes;
-	// it is rescaled so its mean hits TargetGbps. Default: the diurnal
-	// trace subsampled and time-compressed for fast probes.
-	Trace *trace.HyperscalerTrace
-	Seed  uint64
-	// MaxServers bounds the search (default 4096).
-	MaxServers int
 }
 
-func (o ProvisionOpts) withDefaults() ProvisionOpts {
-	if o.BaselineSNICServers <= 0 {
-		o.BaselineSNICServers = 8
-	}
-	if o.SLO <= 0 {
-		o.SLO = defaultSLO
-	}
-	if o.TargetAttainment <= 0 {
-		o.TargetAttainment = defaultAttainment
-	}
-	if o.Trace == nil {
-		o.Trace = trace.NewHyperscalerTrace(trace.DefaultHyperscalerConfig()).
-			Subsample(16).Compress(150 * sim.Microsecond)
-	}
-	if o.MaxServers <= 0 {
-		o.MaxServers = 4096
-	}
-	return o
-}
+// maxServers bounds the minimum-server search.
+const maxServers = 4096
 
 // ProvisionResult is one application's provisioning outcome.
 type ProvisionResult struct {
@@ -117,7 +87,10 @@ func (p ProvisionResult) String() string {
 
 // Provision runs the minimum-server search for one application.
 func Provision(r *core.Runner, spec ProvisionSpec, opts ProvisionOpts) (ProvisionResult, error) {
-	opts = opts.withDefaults()
+	baseline := opts.BaselineSNICServers
+	if baseline <= 0 {
+		baseline = 8
+	}
 	cfg, err := core.Lookup(spec.Function, spec.Variant)
 	if err != nil {
 		return ProvisionResult{}, fmt.Errorf("fleet: %v", err)
@@ -135,10 +108,7 @@ func Provision(r *core.Runner, spec ProvisionSpec, opts ProvisionOpts) (Provisio
 	res.SNICPowerW = snicCap.ServerPowerW
 	res.NICPowerW = nicCap.ServerPowerW
 
-	res.TargetGbps = opts.TargetGbps
-	if res.TargetGbps <= 0 {
-		res.TargetGbps = float64(opts.BaselineSNICServers) * snicCap.TputGbps
-	}
+	res.TargetGbps = float64(baseline) * snicCap.TputGbps
 
 	probes := 0
 	meets := func(plat core.Platform, capGbps float64) func(int) bool {
@@ -148,17 +118,20 @@ func Provision(r *core.Runner, spec ProvisionSpec, opts ProvisionOpts) (Provisio
 				return float64(n)*capGbps >= res.TargetGbps
 			}
 		}
+		// Probes replay the diurnal trace, subsampled and time-compressed
+		// for speed and rescaled so its mean hits the target load, and
+		// gate on the fleet's default SLO (300 µs) and attainment target
+		// (0.99).
+		shape := trace.NewHyperscalerTrace(trace.DefaultHyperscalerConfig()).
+			Subsample(16).Compress(150 * sim.Microsecond)
 		return func(n int) bool {
 			probes++
 			fc := Config{
-				Classes:          []Class{{Name: "prov-" + string(plat), Platform: plat, Count: n}},
-				Policy:           SLOAware,
-				Function:         spec.Function,
-				Variant:          spec.Variant,
-				Trace:            opts.Trace.Scale(res.TargetGbps / opts.Trace.MeanGbps()),
-				SLO:              opts.SLO,
-				TargetAttainment: opts.TargetAttainment,
-				Seed:             opts.Seed,
+				Classes:  []Class{{Name: "prov-" + string(plat), Platform: plat, Count: n}},
+				Policy:   SLOAware,
+				Function: spec.Function,
+				Variant:  spec.Variant,
+				Trace:    shape.Scale(res.TargetGbps / shape.MeanGbps()),
 			}
 			fr, err := Run(r, fc)
 			if err != nil {
@@ -168,11 +141,11 @@ func Provision(r *core.Runner, spec ProvisionSpec, opts ProvisionOpts) (Provisio
 		}
 	}
 
-	res.ServersSNIC, err = searchMin(opts.MaxServers, meets(spec.SNICPlatform, snicCap.TputGbps))
+	res.ServersSNIC, err = searchMin(maxServers, meets(spec.SNICPlatform, snicCap.TputGbps))
 	if err != nil {
 		return res, fmt.Errorf("fleet: %s SNIC side: %v", spec.App, err)
 	}
-	res.ServersNIC, err = searchMin(opts.MaxServers, meets(core.HostCPU, nicCap.TputGbps))
+	res.ServersNIC, err = searchMin(maxServers, meets(core.HostCPU, nicCap.TputGbps))
 	if err != nil {
 		return res, fmt.Errorf("fleet: %s NIC side: %v", spec.App, err)
 	}

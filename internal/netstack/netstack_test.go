@@ -63,8 +63,8 @@ func TestRDMAHostPaysLongerPath(t *testing.T) {
 	_ = snicRx
 	// ...and extra fixed latency.
 	eng := sim.NewEngine()
-	host := NewEndpoint(p, cpu.NewPool(eng, cpu.XeonGold6140(), 1, 1), 1)
-	snic := NewEndpoint(p, cpu.NewPool(eng, cpu.BlueField2Arm(), 1, 2), 1)
+	host := NewEndpoint(p, cpu.NewPool(eng, cpu.XeonGold6140(), 1), 1)
+	snic := NewEndpoint(p, cpu.NewPool(eng, cpu.BlueField2Arm(), 1), 1)
 	var hSum, sSum sim.Duration
 	for i := 0; i < 1000; i++ {
 		hSum += host.FixedDelay()

@@ -6,7 +6,11 @@
 //
 // The calibration anchors come straight from the paper's Fig. 6
 // discussion: 252 W server idle, 29 W SNIC idle, up to 150.6 W server
-// active delta and up to 5.4 W SNIC active delta.
+// active delta and up to 5.4 W SNIC active delta. NewTestbed splits
+// them across components: the idle 252 W into 140 W rest of server,
+// 58 W host CPU, 25 W DRAM and the SNIC's 29 W; the active 150.6 W into
+// 105 W CPU, 15 W DRAM, 20.6 W fans and VRMs and 10 W I/O traffic; the
+// SNIC's 5.4 W into 3.4 W Arm cores and 2.0 W engines.
 package power
 
 import (

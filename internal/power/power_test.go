@@ -8,7 +8,7 @@ import (
 )
 
 func TestIdleAnchorsMatchPaper(t *testing.T) {
-	tb := NewTestbed(DefaultBudget(), Signals{})
+	tb := NewTestbed(Signals{})
 	if got := tb.Server.Power(); got != ServerIdleW {
 		t.Fatalf("server idle = %v W, want %v (paper §4)", got, ServerIdleW)
 	}
@@ -22,7 +22,7 @@ func TestMaxActiveAnchorsMatchPaper(t *testing.T) {
 	// The paper's 150.6 W peak came from CPU-bound workloads that
 	// saturate the cores at modest (~1/7) wire utilization.
 	wire := func() float64 { return 1.0 / 7.0 }
-	tb := NewTestbed(DefaultBudget(), Signals{
+	tb := NewTestbed(Signals{
 		HostCPU: one, HostMemBW: one, SNICCPU: one, SNICEngines: one,
 		WireUtil: wire,
 	})
@@ -40,7 +40,7 @@ func TestSNICNestedInServerDomain(t *testing.T) {
 	// by the same amount: the BMC sees all PCIe devices.
 	util := 0.0
 	src := func() float64 { return util }
-	tb := NewTestbed(DefaultBudget(), Signals{SNICCPU: src})
+	tb := NewTestbed(Signals{SNICCPU: src})
 	base := tb.Server.Power()
 	util = 1.0
 	delta := tb.Server.Power() - base

@@ -35,45 +35,6 @@ func orZero(u UtilizationSource) UtilizationSource {
 	return u
 }
 
-// Budget is the component-level calibration of the 252 W / 150.6 W /
-// 29 W / 5.4 W anchors.
-type Budget struct {
-	HostCPUIdleW      Watts
-	HostCPUMaxActiveW Watts
-	HostDRAMIdleW     Watts
-	HostDRAMMaxW      Watts
-	MiscMaxActiveW    Watts // fans/VRM ramp with host activity
-	IOTrafficMaxW     Watts // NIC datapath + PCIe + DRAM churn at line rate
-	SNICSoCIdleW      Watts
-	SNICCPUMaxW       Watts
-	SNICEngineMaxW    Watts
-	RestFixedW        Watts // motherboard, PSU loss, storage, idle fans
-}
-
-// DefaultBudget splits the paper's anchors across components:
-//
-//	idle:   140 (rest) + 58 (host CPU) + 25 (DRAM) + 29 (SNIC) = 252 W
-//	active: 105 (CPU) + 15 (DRAM) + 20.6 (misc) + 10 (I/O)    = 150.6 W
-//	SNIC:   3.4 (Arm cores) + 2.0 (engines)                   = 5.4 W
-//
-// IOTrafficMaxW is 70 W at full line rate, but the CPU-bound workloads
-// behind the 150.6 W anchor saturate the cores at ~15% wire utilization,
-// contributing ~10 W of it there.
-func DefaultBudget() Budget {
-	return Budget{
-		HostCPUIdleW:      58,
-		HostCPUMaxActiveW: 105,
-		HostDRAMIdleW:     25,
-		HostDRAMMaxW:      15,
-		MiscMaxActiveW:    20.6,
-		IOTrafficMaxW:     70,
-		SNICSoCIdleW:      SNICIdleW,
-		SNICCPUMaxW:       3.4,
-		SNICEngineMaxW:    2.0,
-		RestFixedW:        140,
-	}
-}
-
 // Testbed is the pair of measurement domains.
 type Testbed struct {
 	// Server is the BMC domain: the whole box including the SNIC.
@@ -82,19 +43,28 @@ type Testbed struct {
 	SNIC *Model
 }
 
-// NewTestbed wires the standard domains from a budget and live signals.
-func NewTestbed(b Budget, sig Signals) *Testbed {
+// NewTestbed wires the standard domains from live signals, with the
+// component watts calibrated to the paper's anchors:
+//
+//	idle:   140 (rest) + 58 (host CPU) + 25 (DRAM) + 29 (SNIC) = 252 W
+//	active: 105 (CPU) + 15 (DRAM) + 20.6 (misc) + 10 (I/O)    = 150.6 W
+//	SNIC:   3.4 (Arm cores) + 2.0 (engines)                   = 5.4 W
+//
+// The io-traffic component is 70 W at full line rate, but the CPU-bound
+// workloads behind the 150.6 W anchor saturate the cores at ~15% wire
+// utilization, contributing ~10 W of it there.
+func NewTestbed(sig Signals) *Testbed {
 	snic := NewModel("snic")
-	snic.Add(Fixed{Label: "snic-soc-idle", W: b.SNICSoCIdleW})
-	snic.Add(Linear{Label: "snic-arm-cores", MaxActiveW: b.SNICCPUMaxW, Util: orZero(sig.SNICCPU)})
-	snic.Add(Linear{Label: "snic-engines", MaxActiveW: b.SNICEngineMaxW, Util: orZero(sig.SNICEngines)})
+	snic.Add(Fixed{Label: "snic-soc-idle", W: SNICIdleW})
+	snic.Add(Linear{Label: "snic-arm-cores", MaxActiveW: 3.4, Util: orZero(sig.SNICCPU)})
+	snic.Add(Linear{Label: "snic-engines", MaxActiveW: 2.0, Util: orZero(sig.SNICEngines)})
 
 	server := NewModel("server")
-	server.Add(Fixed{Label: "rest-of-server", W: b.RestFixedW})
-	server.Add(Linear{Label: "host-cpu", IdleW: b.HostCPUIdleW, MaxActiveW: b.HostCPUMaxActiveW, Util: orZero(sig.HostCPU)})
-	server.Add(Linear{Label: "host-dram", IdleW: b.HostDRAMIdleW, MaxActiveW: b.HostDRAMMaxW, Util: orZero(sig.HostMemBW)})
-	server.Add(Linear{Label: "misc-active", MaxActiveW: b.MiscMaxActiveW, Util: orZero(sig.HostCPU)})
-	server.Add(Linear{Label: "io-traffic", MaxActiveW: b.IOTrafficMaxW, Util: orZero(sig.WireUtil)})
+	server.Add(Fixed{Label: "rest-of-server", W: 140})
+	server.Add(Linear{Label: "host-cpu", IdleW: 58, MaxActiveW: 105, Util: orZero(sig.HostCPU)})
+	server.Add(Linear{Label: "host-dram", IdleW: 25, MaxActiveW: 15, Util: orZero(sig.HostMemBW)})
+	server.Add(Linear{Label: "misc-active", MaxActiveW: 20.6, Util: orZero(sig.HostCPU)})
+	server.Add(Linear{Label: "io-traffic", MaxActiveW: 70, Util: orZero(sig.WireUtil)})
 	server.Add(snic)
 	return &Testbed{Server: server, SNIC: snic}
 }

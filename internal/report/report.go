@@ -234,11 +234,16 @@ func Faults(w io.Writer, baseline core.FaultResult, rows []core.FaultResult) {
 	}
 }
 
-// Table5 renders the TCO analysis.
+// Table5 renders the TCO analysis. The title and the TCO column name
+// the rows' horizon (the first row's; 5 years when there is none).
 func Table5(w io.Writer, rows []tco.Row) {
-	t := NewTable("Table 5 — 5-year TCO analysis",
+	years := tco.PaperCostModel().Years
+	if len(rows) > 0 {
+		years = rows[0].Years
+	}
+	t := NewTable(fmt.Sprintf("Table 5 — %g-year TCO analysis", years),
 		"application", "fleet", "servers", "power/server (W)",
-		"power use (kWh)", "power cost ($)", "5-year TCO ($)", "savings")
+		"power use (kWh)", "power cost ($)", fmt.Sprintf("%g-year TCO ($)", years), "savings")
 	for _, r := range rows {
 		t.Add(r.Application, "SNIC",
 			fmt.Sprintf("%d", r.ServersSNIC),

@@ -33,8 +33,8 @@ func TestFleetTCOMixedFleet(t *testing.T) {
 		{SNIC: false, PowerW: 268},
 	}
 	kwh := func(w float64) float64 { return w * 24 * 365 * m.Years / 1000 }
-	want := (m.ServerWithSNICUSD + kwh(255)*m.PowerUSDPerKWh) +
-		(m.ServerWithNICUSD + kwh(268)*m.PowerUSDPerKWh)
+	want := (ServerWithSNICUSD + kwh(255)*m.PowerUSDPerKWh) +
+		(ServerWithNICUSD + kwh(268)*m.PowerUSDPerKWh)
 	if got := m.FleetTCO(fleet); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("mixed fleet TCO %v != %v", got, want)
 	}

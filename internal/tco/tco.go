@@ -10,14 +10,18 @@ import (
 	"math"
 )
 
-// CostModel carries the fixed economic parameters of §5.2.
+// ServerWithSNICUSD and ServerWithNICUSD are the full-system prices of
+// §5.2, built from a $6,287 server plus a $1,817 BlueField-2
+// MBF2M516A-CEEOT or a $1,478 ConnectX-6 Dx MCX623106AC-CDAT; the
+// composites are what Table 5 uses.
+const (
+	ServerWithSNICUSD = 8098
+	ServerWithNICUSD  = 7759
+)
+
+// CostModel carries the economic parameters of §5.2 a fleet's owner
+// sets.
 type CostModel struct {
-	// ServerWithSNICUSD and ServerWithNICUSD are full-system prices.
-	// The paper quotes $8,098 and $7,759 (built from $6,287 server +
-	// $1,817 BlueField-2 MBF2M516A-CEEOT / $1,478 ConnectX-6 Dx
-	// MCX623106AC-CDAT; the composites are what Table 5 uses).
-	ServerWithSNICUSD float64
-	ServerWithNICUSD  float64
 	// PowerUSDPerKWh is the electricity price.
 	PowerUSDPerKWh float64
 	// Years is the server lifetime.
@@ -29,17 +33,11 @@ type CostModel struct {
 // PaperCostModel returns the §5.2 parameters: $0.162/kWh, 5 years, a
 // 10-server SNIC fleet.
 func PaperCostModel() CostModel {
-	return CostModel{
-		ServerWithSNICUSD: 8098,
-		ServerWithNICUSD:  7759,
-		PowerUSDPerKWh:    0.162,
-		Years:             5,
-		BaselineServers:   10,
-	}
+	return CostModel{PowerUSDPerKWh: 0.162, Years: 5, BaselineServers: 10}
 }
 
 // Component prices quoted in §5.2 (informational; Table 5 uses the
-// composite system prices above).
+// composite system prices).
 const (
 	ServerBareUSD  = 6287
 	BlueField2USD  = 1817
@@ -58,6 +56,8 @@ type AppMeasurement struct {
 // Row is one application column of Table 5.
 type Row struct {
 	Application string
+	// Years is the cost model's lifetime horizon.
+	Years float64
 
 	SNIC AppMeasurement
 	NIC  AppMeasurement
@@ -98,7 +98,7 @@ func (m CostModel) Analyze(app string, snic, nic AppMeasurement) Row {
 	if snic.ThroughputGbps <= 0 || nic.ThroughputGbps <= 0 {
 		panic(fmt.Sprintf("tco: %s needs positive throughputs", app))
 	}
-	row := Row{Application: app, SNIC: snic, NIC: nic}
+	row := Row{Application: app, Years: m.Years, SNIC: snic, NIC: nic}
 	row.ServersSNIC = m.BaselineServers
 	// NIC fleet sized to match the SNIC fleet's aggregate throughput.
 	// The 1% epsilon keeps measurement noise from tipping an equal-
@@ -114,8 +114,8 @@ func (m CostModel) Analyze(app string, snic, nic AppMeasurement) Row {
 	row.PowerCostPerServerSNIC = row.KWhPerServerSNIC * m.PowerUSDPerKWh
 	row.PowerCostPerServerNIC = row.KWhPerServerNIC * m.PowerUSDPerKWh
 
-	row.TCOSNIC = float64(row.ServersSNIC) * (m.ServerWithSNICUSD + row.PowerCostPerServerSNIC)
-	row.TCONIC = float64(row.ServersNIC) * (m.ServerWithNICUSD + row.PowerCostPerServerNIC)
+	row.TCOSNIC = float64(row.ServersSNIC) * (ServerWithSNICUSD + row.PowerCostPerServerSNIC)
+	row.TCONIC = float64(row.ServersNIC) * (ServerWithNICUSD + row.PowerCostPerServerNIC)
 	row.SavingsFrac = 1 - row.TCOSNIC/row.TCONIC
 	return row
 }
@@ -135,9 +135,9 @@ type FleetServer struct {
 func (m CostModel) FleetTCO(servers []FleetServer) float64 {
 	var total float64
 	for _, s := range servers {
-		price := m.ServerWithNICUSD
+		price := float64(ServerWithNICUSD)
 		if s.SNIC {
-			price = m.ServerWithSNICUSD
+			price = ServerWithSNICUSD
 		}
 		kwh := s.PowerW * hoursPerYear * m.Years / 1000
 		total += price + kwh*m.PowerUSDPerKWh
@@ -160,9 +160,8 @@ func PaperTable5Inputs() map[string][2]AppMeasurement {
 	}
 }
 
-// PaperTable5 reproduces Table 5 from the published inputs.
-func PaperTable5() []Row {
-	m := PaperCostModel()
+// Table5 computes Table 5's columns from the published inputs under m.
+func (m CostModel) Table5() []Row {
 	order := []string{"fio", "OVS", "REM", "Compress"}
 	inputs := PaperTable5Inputs()
 	rows := make([]Row, 0, len(order))
@@ -172,3 +171,6 @@ func PaperTable5() []Row {
 	}
 	return rows
 }
+
+// PaperTable5 reproduces Table 5 from the published inputs.
+func PaperTable5() []Row { return PaperCostModel().Table5() }

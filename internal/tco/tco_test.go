@@ -115,7 +115,7 @@ func TestAnalyzeConsistencyProperty(t *testing.T) {
 		if r.ServersNIC != wantServers {
 			return false
 		}
-		wantTCO := float64(r.ServersSNIC) * (m.ServerWithSNICUSD + r.PowerCostPerServerSNIC)
+		wantTCO := float64(r.ServersSNIC) * (ServerWithSNICUSD + r.PowerCostPerServerSNIC)
 		return math.Abs(r.TCOSNIC-wantTCO) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {

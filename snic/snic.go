@@ -271,7 +271,7 @@ func (t *Testbed) Fig5(rates []float64) []Fig5Point {
 // Table4 replays the hyperscaler trace through REM on the host and the
 // SNIC accelerator (§5.1).
 func (t *Testbed) Table4() []TraceReplayResult {
-	return t.runner.Table4(core.DefaultTable4Config())
+	return t.runner.Table4()
 }
 
 // HyperscalerTrace returns the Fig. 7 synthetic datacenter trace.

@@ -8,5 +8,5 @@ import "repro/tools/snicvet/internal/lint"
 
 // All returns the full snicvet suite in reporting order.
 func All() []*lint.Analyzer {
-	return []*lint.Analyzer{Wallclock, Seedrand, Maporder, Detflow, Hotpath, Unitcheck, Floateq}
+	return []*lint.Analyzer{Wallclock, Seedrand, Detflow, Hotpath, Unitcheck, Floateq}
 }

@@ -20,8 +20,9 @@ func TestSeedrand(t *testing.T) {
 	atest.Run(t, fixture("seedrand"), analyzers.Seedrand)
 }
 
+// TestMaporder runs detflow over its collect-order fixture.
 func TestMaporder(t *testing.T) {
-	atest.Run(t, fixture("maporder"), analyzers.Maporder)
+	atest.Run(t, fixture("maporder"), analyzers.Detflow)
 }
 
 func TestDetflow(t *testing.T) {
@@ -53,7 +54,7 @@ func TestSuppressions(t *testing.T) {
 // two call levels above the roots.
 func TestFactPropagation(t *testing.T) {
 	atest.RunProject(t, fixture("factprop"),
-		analyzers.Wallclock, analyzers.Seedrand, analyzers.Maporder, analyzers.Hotpath)
+		analyzers.Wallclock, analyzers.Seedrand, analyzers.Detflow, analyzers.Hotpath)
 }
 
 // TestFactPropagationSuppressed proves facts drive the transitive
@@ -105,8 +106,8 @@ func TestFactDBProvenance(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := analyzers.All()
-	if len(all) != 7 {
-		t.Fatalf("suite has %d analyzers, want 7", len(all))
+	if len(all) != 6 {
+		t.Fatalf("suite has %d analyzers, want 6", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/tools/snicvet/internal/lint"
 )
@@ -21,18 +22,23 @@ import (
 // memoization-key construction in internal/core, and stores to exported
 // fields of Measurement/Result types (the structs exporters serialize).
 //
-// Two rules fire:
+// Four rules fire:
 //   - value taint: a tainted value reaches a sink argument or an
 //     exported result field;
 //   - order taint: a sink is called inside a map (or sync.Map)
 //     iteration body, so the sink's own call order is nondeterministic
-//     regardless of its arguments.
+//     regardless of its arguments;
+//   - collect order: an append inside map iteration to a slice declared
+//     outside the loop;
+//   - map-ordered call: a cross-package call whose propagated
+//     MapOrderEscapes fact says it returns map-ordered data.
 //
 // The analysis is intra-procedural and flow-insensitive by design: an
 // object passed to sort/slices anywhere in the function counts as
-// sanitized (matching maporder's collect-then-sort idiom). This pass
-// subsumes and retires the ad-hoc emission sink list maporder carried
-// through snicvet v1.
+// sanitized, which is the canonical collect-keys-then-sort idiom. A
+// sanitized slice is never reported as a collect, and a map-ordered
+// call is not reported when its result lands in sanitized variables or
+// goes straight into a sort call.
 var Detflow = &lint.Analyzer{
 	Name: "detflow",
 	Doc: "track nondeterminism taint (map order, wall clock, unseeded rand) " +
@@ -125,25 +131,28 @@ type taintState struct {
 	// acquire taint, so values derived from them stay clean too.
 	sanitized map[types.Object]bool
 	regions   []region
+	// mapRanges are the function's range statements over maps.
+	mapRanges []*ast.RangeStmt
 }
 
 func newTaintState(pass *lint.Pass, fd *ast.FuncDecl) *taintState {
 	return &taintState{
 		pass: pass, fd: fd,
-		tainted:   make(map[types.Object]string),
-		sanitized: make(map[types.Object]bool),
+		tainted: make(map[types.Object]string),
+		// Sanitized objects are collected before seeding: sanitization
+		// is flow-insensitive, so a sorted slice must stay clean through
+		// the whole fixpoint — clearing it afterwards would leave stale
+		// taint on everything derived from it in between.
+		sanitized: sortedObjects(pass.TypesInfo, fd.Body),
 	}
 }
 
 func (ts *taintState) run() {
-	// Sanitized objects are collected before seeding: sanitization is
-	// flow-insensitive, so a sorted slice must stay clean through the
-	// whole fixpoint — clearing it afterwards would leave stale taint on
-	// everything derived from it in between.
-	ts.collectSanitized()
 	ts.collectSources()
 	ts.propagate()
 	ts.checkSinks()
+	ts.checkCollects()
+	ts.checkMapOrderedCalls()
 }
 
 // collectSources seeds taint from map ranges and sync.Map iteration and
@@ -153,19 +162,16 @@ func (ts *taintState) collectSources() {
 	ast.Inspect(ts.fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			t := info.TypeOf(n.X)
-			if t == nil {
+			if !rangesOverMap(info, n) {
 				return true
 			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
+			ts.mapRanges = append(ts.mapRanges, n)
 			ts.regions = append(ts.regions, region{from: n.Body.Pos(), to: n.Body.End(), desc: "map iteration order"})
 			ts.taintIdent(n.Key, "map iteration order")
 			ts.taintIdent(n.Value, "map iteration order")
 		case *ast.CallExpr:
 			// sync.Map.Range(func(k, v any) bool { ... })
-			fn := calleeFunc2(info, n)
+			fn := calleeFunc(info, n)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Name() != "Range" {
 				return true
 			}
@@ -325,7 +331,7 @@ func (ts *taintState) callTaint(call *ast.CallExpr) string {
 			return ts.argsTaint(call)
 		}
 	}
-	fn := calleeFunc2(info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		// Dynamic call or conversion through a selector type.
 		if isConversion(info, call) {
@@ -392,31 +398,22 @@ func isConversion(info *types.Info, call *ast.CallExpr) bool {
 	return ok && tv.IsType()
 }
 
-// collectSanitized marks objects that are sorted anywhere in the
-// function — the collect-then-sort idiom makes their order canonical.
-func (ts *taintState) collectSanitized() {
-	info := ts.pass.TypesInfo
-	ast.Inspect(ts.fd.Body, func(n ast.Node) bool {
+// sortedObjects returns the objects passed (possibly nested in a
+// conversion such as sort.Sort(byName(s))) to a sort or slices call
+// anywhere in body: the collect-then-sort idiom makes their order
+// canonical. Both detflow and the MapOrderEscapes fact read it.
+func sortedObjects(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
+	sorted := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return true
-		}
-		if p := fn.Pkg().Path(); p != "sort" && p != "slices" {
+		if !ok || !isSortCall(info, call) {
 			return true
 		}
 		for _, arg := range call.Args {
 			ast.Inspect(arg, func(m ast.Node) bool {
 				if id, ok := m.(*ast.Ident); ok {
 					if obj := info.ObjectOf(id); obj != nil {
-						ts.sanitized[obj] = true
+						sorted[obj] = true
 					}
 				}
 				return true
@@ -424,6 +421,43 @@ func (ts *taintState) collectSanitized() {
 		}
 		return true
 	})
+	return sorted
+}
+
+// isSortCall reports whether call is a function or method of the sort
+// or slices package.
+func isSortCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	p := fn.Pkg().Path()
+	return p == "sort" || p == "slices"
+}
+
+// rangesOverMap reports whether rs iterates a map.
+func rangesOverMap(info *types.Info, rs *ast.RangeStmt) bool {
+	t := info.TypeOf(rs.X)
+	if t == nil {
+		return false
+	}
+	_, isMap := t.Underlying().(*types.Map)
+	return isMap
+}
+
+// appendTarget returns the identifier n appends to, when n is a call of
+// the append builtin whose first argument is a plain identifier.
+func appendTarget(n ast.Node) *ast.Ident {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != "append" || len(call.Args) == 0 {
+		return nil
+	}
+	target, _ := call.Args[0].(*ast.Ident)
+	return target
 }
 
 // inRegion returns the description of the order region containing pos,
@@ -494,11 +528,90 @@ func (ts *taintState) checkSinks() {
 	})
 }
 
+// checkCollects reports appends inside map iteration to a slice declared
+// outside the loop that the function never sorts: the slice's order is
+// the map's.
+func (ts *taintState) checkCollects() {
+	info := ts.pass.TypesInfo
+	for _, rs := range ts.mapRanges {
+		ast.Inspect(rs.Body, func(n ast.Node) bool {
+			if inner, ok := n.(*ast.RangeStmt); ok && rangesOverMap(info, inner) {
+				return false // a nested map range checks its own body
+			}
+			target := appendTarget(n)
+			if target == nil {
+				return true
+			}
+			obj := info.ObjectOf(target)
+			if obj == nil || ts.sanitized[obj] || (obj.Pos() >= rs.Pos() && obj.Pos() <= rs.End()) {
+				return true
+			}
+			ts.pass.Reportf(n.Pos(),
+				"append to %s inside map iteration has nondeterministic order; sort the keys (or %s) before use",
+				target.Name, target.Name)
+			return true
+		})
+	}
+}
+
+// checkMapOrderedCalls reports cross-package calls whose propagated
+// MapOrderEscapes fact is set, unless the result is sorted: assigned to
+// variables the function sorts, or passed straight into a sort call.
+func (ts *taintState) checkMapOrderedCalls() {
+	info := ts.pass.TypesInfo
+	sortedCalls := make(map[*ast.CallExpr]bool)
+	ast.Inspect(ts.fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Rhs) != 1 {
+				return true
+			}
+			call, ok := n.Rhs[0].(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			for _, lhs := range n.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" && !ts.sanitized[info.ObjectOf(id)] {
+					return true
+				}
+			}
+			sortedCalls[call] = true
+		case *ast.CallExpr:
+			// sort.Strings(pkg.Keys(m)): the nested call is sorted in
+			// place before any use.
+			if isSortCall(info, n) {
+				for _, arg := range n.Args {
+					if c, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
+						sortedCalls[c] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	ast.Inspect(ts.fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || sortedCalls[call] {
+			return true
+		}
+		fn := calleeFunc(info, call)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == ts.pass.Pkg.Path() {
+			return true
+		}
+		if f, ok := ts.pass.Facts.Lookup(fn); ok && f.MapOrderEscapes {
+			ts.pass.Reportf(call.Pos(),
+				"call to %s returns map-ordered data (%s); sort the result before it reaches output or state",
+				lint.FuncDisplay(fn), f.MapOrderVia)
+		}
+		return true
+	})
+}
+
 // sinkKind classifies a call as a sink, returning a short description
 // or "".
 func (ts *taintState) sinkKind(call *ast.CallExpr) string {
 	info := ts.pass.TypesInfo
-	fn := calleeFunc2(info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
@@ -542,12 +655,8 @@ func resultTypeName(info *types.Info, e ast.Expr) string {
 		return ""
 	}
 	name := named.Obj().Name()
-	if len(name) >= len("Result") && (hasSuffix(name, "Result") || hasSuffix(name, "Measurement")) {
+	if strings.HasSuffix(name, "Result") || strings.HasSuffix(name, "Measurement") {
 		return name
 	}
 	return ""
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }

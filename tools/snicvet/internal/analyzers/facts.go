@@ -20,12 +20,11 @@ import (
 // fact. That is what makes one justified suppression at the source
 // silence the transitive reports at every call site above it.
 
-// factAnalyzer maps each fact kind to the analyzer name whose
-// suppressions clear it.
+// The analyzer name whose suppressions clear each fact kind.
 const (
 	factWallclock = "wallclock"
 	factSeedrand  = "seedrand"
-	factMaporder  = "maporder"
+	factMapOrder  = "detflow"
 	factHotpath   = "hotpath"
 )
 
@@ -128,7 +127,7 @@ func propagate(dst *lint.FuncFact, callee lint.FuncFact, cs callSite, suppressed
 		dst.RandVia = via(callee.RandVia)
 		changed = true
 	}
-	if callee.MapOrderEscapes && !dst.MapOrderEscapes && !suppressed(factMaporder, cs.pos) {
+	if callee.MapOrderEscapes && !dst.MapOrderEscapes && !suppressed(factMapOrder, cs.pos) {
 		dst.MapOrderEscapes = true
 		dst.MapOrderVia = via(callee.MapOrderVia)
 		changed = true
@@ -146,6 +145,7 @@ func propagate(dst *lint.FuncFact, callee lint.FuncFact, cs callSite, suppressed
 // the propagation pass.
 func scanRoots(u *lint.Unit, fi *funcInfo, suppressed func(string, token.Pos) bool) {
 	returned := returnedObjects(u, fi.decl)
+	sorted := sortedObjects(u.TypesInfo, fi.decl.Body)
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
@@ -166,7 +166,7 @@ func scanRoots(u *lint.Unit, fi *funcInfo, suppressed func(string, token.Pos) bo
 				}
 			}
 		case *ast.CallExpr:
-			if fn := calleeFunc2(u.TypesInfo, n); fn != nil {
+			if fn := calleeFunc(u.TypesInfo, n); fn != nil {
 				fi.calls = append(fi.calls, callSite{fn: fn, pos: n.Pos()})
 			}
 			if desc := allocDesc(u.TypesInfo, n); desc != "" &&
@@ -205,7 +205,7 @@ func scanRoots(u *lint.Unit, fi *funcInfo, suppressed func(string, token.Pos) bo
 				fi.fact.AllocatesVia = "go statement"
 			}
 		case *ast.RangeStmt:
-			scanMapRangeEscape(u, fi, n, returned, suppressed)
+			scanMapRangeEscape(u, fi, n, returned, sorted, suppressed)
 		}
 		return true
 	})
@@ -214,35 +214,17 @@ func scanRoots(u *lint.Unit, fi *funcInfo, suppressed func(string, token.Pos) bo
 // scanMapRangeEscape sets the MapOrderEscapes fact when a map range
 // collects into a value the function returns without sorting it: the
 // caller receives map-ordered data.
-func scanMapRangeEscape(u *lint.Unit, fi *funcInfo, rs *ast.RangeStmt, returned map[types.Object]bool, suppressed func(string, token.Pos) bool) {
-	if fi.fact.MapOrderEscapes {
-		return
-	}
-	t := u.TypesInfo.TypeOf(rs.X)
-	if t == nil {
-		return
-	}
-	if _, isMap := t.Underlying().(*types.Map); !isMap {
+func scanMapRangeEscape(u *lint.Unit, fi *funcInfo, rs *ast.RangeStmt, returned, sorted map[types.Object]bool, suppressed func(string, token.Pos) bool) {
+	if fi.fact.MapOrderEscapes || !rangesOverMap(u.TypesInfo, rs) {
 		return
 	}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "append" || len(call.Args) == 0 {
-			return true
-		}
-		target, ok := call.Args[0].(*ast.Ident)
-		if !ok {
+		target := appendTarget(n)
+		if target == nil {
 			return true
 		}
 		obj := u.TypesInfo.ObjectOf(target)
-		if obj == nil || !returned[obj] || suppressed(factMaporder, call.Pos()) {
-			return true
-		}
-		if sortedLater(u.TypesInfo, obj, fi.decl.Body) {
+		if obj == nil || !returned[obj] || sorted[obj] || suppressed(factMapOrder, n.Pos()) {
 			return true
 		}
 		fi.fact.MapOrderEscapes = true
@@ -284,10 +266,10 @@ func returnedObjects(u *lint.Unit, fd *ast.FuncDecl) map[types.Object]bool {
 	return out
 }
 
-// calleeFunc2 resolves a call's static callee through TypesInfo,
+// calleeFunc resolves a call's static callee through TypesInfo,
 // unwrapping the selector or identifier form. Returns nil for dynamic
 // calls, conversions and builtins.
-func calleeFunc2(info *types.Info, call *ast.CallExpr) *types.Func {
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[fun].(*types.Func)
@@ -313,7 +295,7 @@ func allocDesc(info *types.Info, call *ast.CallExpr) string {
 			}
 		}
 	}
-	fn := calleeFunc2(info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}

@@ -110,7 +110,7 @@ func checkHotpathCall(pass *lint.Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(), "hot path allocates: %s", desc)
 		return
 	}
-	fn := calleeFunc2(info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}

@@ -54,7 +54,7 @@ func runSeedrand(pass *lint.Pass) error {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc2(pass.TypesInfo, call)
+			fn := calleeFunc(pass.TypesInfo, call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == pass.Pkg.Path() {
 				return true
 			}

@@ -53,7 +53,7 @@ func runWallclock(pass *lint.Pass) error {
 				// says it reaches the wall clock, however many helpers
 				// deep. Same-package roots are reported directly above;
 				// here only cross-package laundering is flagged.
-				fn := calleeFunc2(pass.TypesInfo, n)
+				fn := calleeFunc(pass.TypesInfo, n)
 				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == pass.Pkg.Path() {
 					return true
 				}

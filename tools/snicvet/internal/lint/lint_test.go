@@ -96,7 +96,7 @@ func f() []int {
 		1,
 		2,
 	)
-	//snicvet:ignore maporder directive above a loop
+	//snicvet:ignore detflow directive above a loop
 	for range xs {
 		g(1, 2)
 	}
@@ -121,10 +121,10 @@ func g(a, b int) {}
 	if s.Suppressed("hotpath", at(14)) {
 		t.Error("suppression must end with its statement")
 	}
-	if !s.Suppressed("maporder", at(14)) {
+	if !s.Suppressed("detflow", at(14)) {
 		t.Error("directive above the for statement covers its first line")
 	}
-	if s.Suppressed("maporder", at(15)) {
+	if s.Suppressed("detflow", at(15)) {
 		t.Error("directive above a block statement must not blanket its body")
 	}
 }

@@ -90,10 +90,7 @@ func main() {
 
 // printVersion emits the tool identity the go command uses as a build
 // cache key. Hashing our own executable makes the key track analyzer
-// changes, so editing snicvet invalidates cached vet results. The
-// SNICVET_FACTS environment variable is folded in too: a fact dump run
-// (make lint-facts) must not be satisfied from the silent cached
-// results of a plain lint run, and vice versa.
+// changes, so editing snicvet invalidates cached vet results.
 func printVersion() {
 	h := sha256.New()
 	if exe, err := os.Executable(); err == nil {
@@ -102,7 +99,6 @@ func printVersion() {
 			f.Close()
 		}
 	}
-	io.WriteString(h, "facts="+os.Getenv("SNICVET_FACTS"))
 	fmt.Printf("snicvet version devel buildID=%x\n", h.Sum(nil)[:16])
 }
 
@@ -182,9 +178,6 @@ func runUnit(cfgPath string) int {
 			log.Fatal(err)
 		}
 	}
-	if os.Getenv("SNICVET_FACTS") != "" {
-		dumpFacts(pf)
-	}
 	if cfg.VetxOnly {
 		return 0
 	}
@@ -233,37 +226,6 @@ func readImportedFacts(cfg *vetConfig) *lint.FactDB {
 		db.Add(pf)
 	}
 	return db
-}
-
-// dumpFacts prints the unit's propagated facts to stderr in
-// deterministic order — the payload behind `make lint-facts`.
-func dumpFacts(pf *lint.PackageFacts) {
-	var keys []string
-	for k, f := range pf.Funcs {
-		if !f.Empty() {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return
-	}
-	sort.Strings(keys)
-	fmt.Fprintf(os.Stderr, "facts: %s\n", pf.Path)
-	for _, k := range keys {
-		f := pf.Funcs[k]
-		if f.ReadsWallClock {
-			fmt.Fprintf(os.Stderr, "  %s: wallclock via %s\n", k, f.WallClockVia)
-		}
-		if f.UsesUnseededRand {
-			fmt.Fprintf(os.Stderr, "  %s: seedrand via %s\n", k, f.RandVia)
-		}
-		if f.MapOrderEscapes {
-			fmt.Fprintf(os.Stderr, "  %s: maporder via %s\n", k, f.MapOrderVia)
-		}
-		if f.Allocates {
-			fmt.Fprintf(os.Stderr, "  %s: allocates via %s\n", k, f.AllocatesVia)
-		}
-	}
 }
 
 // typecheck type-checks one compilation unit against the export data

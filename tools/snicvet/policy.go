@@ -21,7 +21,7 @@ var checkedPkgPrefixes = []string{
 
 // Analyzers exempt in _test.go files. Benchmarks legitimately measure
 // wall time, and tests pin exact float goldens against a fixed binary;
-// maporder and seedrand stay on in tests because nondeterministic test
+// detflow and seedrand stay on in tests because nondeterministic test
 // *output* and reseeded streams break golden-file comparisons just as
 // badly there.
 var testFileExempt = map[string]bool{

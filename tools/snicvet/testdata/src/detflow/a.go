@@ -1,8 +1,8 @@
 // Fixture for the detflow analyzer: nondeterminism taint from map
 // iteration, the wall clock, and math/rand must not reach emission
-// sinks, telemetry, or exported result fields. The map-iteration sink
-// cases at the top carried over from maporder when detflow subsumed
-// its sink list.
+// sinks, telemetry, or exported result fields. The collect-order cases
+// are in the maporder fixture and the map-ordered call cases in
+// factprop.
 package detflow
 
 import (
@@ -58,7 +58,7 @@ func badSyncMap(sm *sync.Map, w io.Writer) {
 func badKeysToWriter(m map[string]int, w io.Writer) {
 	var keys []string
 	for k := range m {
-		keys = append(keys, k)
+		keys = append(keys, k) // want "append to keys inside map iteration"
 	}
 	fmt.Fprintf(w, "%v\n", keys) // want "determinism taint .map iteration order. reaches fmt.Fprintf"
 }

@@ -4,6 +4,8 @@
 package model
 
 import (
+	"fmt"
+	"io"
 	"sort"
 
 	"snicvet.test/factprop/helper"
@@ -19,6 +21,10 @@ func Jitter() int {
 
 func Export(m map[string]int) []string {
 	return helper.Names(m) // want "call to helper.Names returns map-ordered data"
+}
+
+func Print(w io.Writer, m map[string]int) {
+	fmt.Fprintln(w, helper.Names(m)) // want "determinism taint .map iteration order via helper.Names. reaches fmt.Fprintln" "call to helper.Names returns map-ordered data"
 }
 
 func ExportSorted(m map[string]int) []string {

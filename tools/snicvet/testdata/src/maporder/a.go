@@ -1,7 +1,6 @@
-// Fixture for the maporder analyzer: map iteration collecting into a
-// slice used later is reported unless the slice is sorted afterwards.
-// Emission sinks inside map iteration moved to the detflow fixture
-// when that analyzer subsumed maporder's sink list.
+// Fixture for detflow's collect-order rule: map iteration collecting
+// into a slice used later is reported unless the slice is sorted
+// afterwards.
 package maporder
 
 import (
@@ -15,6 +14,16 @@ func badAppend(m map[string]int) []string {
 		keys = append(keys, k) // want "append to keys inside map iteration"
 	}
 	return keys
+}
+
+func badNested(m map[string]map[string]int) []string {
+	var out []string
+	for _, inner := range m {
+		for k := range inner {
+			out = append(out, k) // want "append to out inside map iteration"
+		}
+	}
+	return out
 }
 
 func goodCollectThenSort(m map[string]int) []string {
