@@ -97,17 +97,22 @@ bin/snicbench: FORCE
 # Short-budget native fuzzing over the property layer: the engine
 # scheduler, the fault-plan validator, the fleet dispatcher, the flow
 # table, and the checked point, pipeline, offload and failover runs. FUZZTIME bounds each target's budget so the
-# smoke fits CI; run with a bigger FUZZTIME locally to dig.
+# smoke fits CI; run with a bigger FUZZTIME locally to dig. The go
+# command shrinks each new interesting input for up to a minute by
+# default, which can take all of a short budget; 100 executions per
+# input bound the shrinking. A failing input still fails the run and is
+# still written to testdata/fuzz.
 FUZZTIME ?= 20s
+FUZZ = $(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzEngineSchedule$$' -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanValidate$$' -fuzztime $(FUZZTIME) ./internal/fault
-	$(GO) test -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime $(FUZZTIME) ./internal/fleet
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckedRun$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzPipelineRun$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzFlowTable$$' -fuzztime $(FUZZTIME) ./internal/flow
-	$(GO) test -run '^$$' -fuzz '^FuzzOffloadRun$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzFaultedRun$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(FUZZ) -fuzz '^FuzzEngineSchedule$$' ./internal/sim
+	$(FUZZ) -fuzz '^FuzzPlanValidate$$' ./internal/fault
+	$(FUZZ) -fuzz '^FuzzDispatch$$' ./internal/fleet
+	$(FUZZ) -fuzz '^FuzzCheckedRun$$' ./internal/core
+	$(FUZZ) -fuzz '^FuzzPipelineRun$$' ./internal/core
+	$(FUZZ) -fuzz '^FuzzFlowTable$$' ./internal/flow
+	$(FUZZ) -fuzz '^FuzzOffloadRun$$' ./internal/core
+	$(FUZZ) -fuzz '^FuzzFaultedRun$$' ./internal/core
 
 # Telemetry exports must be byte-identical at every parallelism: run the
 # same experiment sequentially and fully parallel and diff the traces.

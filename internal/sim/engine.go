@@ -1,17 +1,29 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Engine is a single-threaded discrete-event simulation kernel.
 //
-// Events are closures scheduled at absolute virtual times; Run pops them in
-// timestamp order (FIFO among equal timestamps, by insertion sequence) and
-// executes them. Event handlers may schedule further events. The engine is
-// not safe for concurrent use: determinism is the whole point, and all
-// model code runs on the event loop.
+// Events are scheduled at absolute virtual times, either as an
+// EventHandler with its argument (AtCall/AfterCall, the allocation-free
+// form every per-request path uses) or as a closure (At/After). Run fires
+// them in timestamp order (FIFO among equal timestamps, by insertion
+// sequence). Events may schedule further events. The engine is not safe
+// for concurrent use: determinism is the whole point, and all model code
+// runs on the event loop.
 type Engine struct {
 	now   Time
 	queue eventHeap
+	// hole is 1 while queue[0] is the empty slot a fired event left: the
+	// pop is deferred so that the first event its handler schedules takes
+	// the slot with one sift down, where a pop and a push would sift
+	// twice. If the handler schedules nothing, the next step finishes the
+	// pop (settle). The stale record in the slot is already on the free
+	// list and nothing reads it.
+	hole int
 	// seq numbers scheduled events in submission order. An event's seq
 	// breaks timestamp ties and doubles as its EventID.
 	seq uint64
@@ -52,7 +64,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // cancelled events that have not yet been lazily discarded. A link's
 // frames count once each: only its head frame sits in the event queue,
 // and the frames behind it are held by the link, not by the queue.
-func (e *Engine) Pending() int { return len(e.queue) + e.held }
+func (e *Engine) Pending() int { return len(e.queue) - e.hole + e.held }
 
 // LivePending reports how many pending events will actually fire —
 // Pending minus cancelled-but-not-yet-discarded ghosts. Frames held
@@ -63,6 +75,7 @@ func (e *Engine) LivePending() int {
 	if len(e.cancelled) == 0 {
 		return e.Pending()
 	}
+	e.settle()
 	n := e.held
 	for _, ev := range e.queue {
 		if _, dead := e.cancelled[ev.seq]; !dead {
@@ -189,10 +202,18 @@ func (e *Engine) scheduleReserved(t Time, seq uint64, h EventHandler) {
 	e.push(e.newEvent(t, seq, nil, h, nil))
 }
 
-// push adds a record to the queue and tracks its high-water mark.
+// push adds a record to the queue and tracks its high-water mark. The
+// first record pushed after an event fires takes that event's empty root
+// slot instead; the queue is then exactly as long as it was before the
+// event fired, so the high-water mark cannot move.
 //
 //snicvet:hotpath
 func (e *Engine) push(ev *event) {
+	if e.hole != 0 {
+		e.hole = 0
+		e.queue.down(0, ev)
+		return
+	}
 	e.queue.push(ev)
 	if len(e.queue) > e.heapPeak {
 		e.heapPeak = len(e.queue)
@@ -294,6 +315,7 @@ const cancelSweepFloor = 64
 // order: (at, seq) is a total order, so any valid heap yields the same
 // sequence.
 func (e *Engine) sweepCancelled() {
+	e.settle()
 	kept := e.queue[:0]
 	for _, ev := range e.queue {
 		if _, dead := e.cancelled[ev.seq]; !dead {
@@ -328,15 +350,21 @@ const maxTime = Time(1<<63 - 1)
 // discarding cancelled ghosts ahead of it, and reports whether one fired.
 // A ghost never lets a later live event slip past the deadline.
 //
+// The fired event stays at the root as the queue's hole (see Engine.hole)
+// until its handler schedules an event or the next step settles it.
+//
 //snicvet:hotpath
 func (e *Engine) stepUntil(deadline Time) bool {
+	e.settle()
 	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		ev := e.queue.pop()
+		ev := e.queue[0]
 		if _, dead := e.cancelled[ev.seq]; dead {
 			delete(e.cancelled, ev.seq)
+			e.queue.pop()
 			e.recycle(ev)
 			continue
 		}
+		e.hole = 1
 		e.now = ev.at
 		e.executed++
 		fn, h, arg := ev.fn, ev.h, ev.arg
@@ -351,6 +379,17 @@ func (e *Engine) stepUntil(deadline Time) bool {
 		return true
 	}
 	return false
+}
+
+// settle finishes a deferred pop: the hole at the root takes the
+// queue's last record, as pop would have done when the event fired.
+//
+//snicvet:hotpath
+func (e *Engine) settle() {
+	if e.hole != 0 {
+		e.hole = 0
+		e.queue.pop()
+	}
 }
 
 // Run executes events until the queue drains — or, when parasitic
@@ -410,6 +449,18 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
+// earlier is before as 0 or 1, without a branch: the borrow out of the
+// 128-bit subtraction (a.at, a.seq) - (b.at, b.seq). Queued times are
+// never before the clock, which starts at zero, so they order as
+// unsigned words.
+//
+//snicvet:hotpath
+func earlier(a, b *event) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
+}
+
 // eventHeap is a binary min-heap of pooled event records under before.
 // Compares are direct calls rather than interface dispatch, and sifts
 // move a hole instead of swapping pairs.
@@ -454,11 +505,33 @@ func (h eventHeap) up(i int) {
 	h[i] = ev
 }
 
+// branchFreeSlots bounds the heap slots whose children down compares
+// without a branch. The experiments' queues fit in them (their heap
+// peaks run from 64 to 190). Records that high in the heap stay in
+// cache, so a mispredicted child choice costs more than the compare.
+// Deeper down the records miss cache, and a predicted branch lets the
+// loads of the next level overlap.
+const branchFreeSlots = 256
+
 // down fills the hole at i with ev, sifting it toward the leaves.
 //
 //snicvet:hotpath
 func (h eventHeap) down(i int, ev *event) {
 	n := len(h)
+	top := min(n, branchFreeSlots)
+	for {
+		c := 2*i + 1
+		if c+1 >= top {
+			break
+		}
+		c += earlier(h[c+1], h[c])
+		if !h[c].before(ev) {
+			h[i] = ev
+			return
+		}
+		h[i] = h[c]
+		i = c
+	}
 	for {
 		c := 2*i + 1
 		if c >= n {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -58,28 +59,79 @@ func (c *callDelivery) HandleEvent(any) { c.deliver() }
 // per nanosecond with zero- to three-byte frames, so bursts sent in one
 // callback arrive back to back or on the same nanosecond, and arrivals
 // collide with ordinary events on the small integer timeline.
+//
+// ctl drives what a run does around the schedule. ctl[0]%8, when not
+// zero, is the period of a Ticker armed before the first event. ctl[1]%16,
+// when not zero, runs the engine through RunUntil deadlines that far
+// apart instead of Run. ctl[2:] gives the At events, in firing order,
+// one op each (see the op constants). Every event and tick reads the
+// queue while the slot it fired from may still be empty: Pending() must
+// count the live events the fuzz knows of plus at most the ghosts it
+// cancelled, and LivePending() exactly the live ones.
 func FuzzEngineSchedule(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3})
-	f.Add([]byte{5, 5, 5, 5, 5, 5})
-	f.Add([]byte{255, 0, 128, 9, 9, 63, 250})
-	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3}, []byte{})
+	f.Add([]byte{5, 5, 5, 5, 5, 5}, []byte{})
+	f.Add([]byte{255, 0, 128, 9, 9, 63, 250}, []byte{})
+	f.Add([]byte{}, []byte{})
 	// Two frames sent at t=39 arrive at 44 and 45; an event scheduled at
 	// t=41 for t=45 must fire after the second frame, whose slot was
 	// reserved first even though it reached the link's head later.
-	f.Add([]byte{39, 102})
+	f.Add([]byte{39, 102}, []byte{})
 	// A four-frame burst at t=15 whose zero-size tail lands three frames
 	// on one nanosecond, next to another burst.
-	f.Add([]byte{15, 23, 23})
+	f.Add([]byte{15, 23, 23}, []byte{})
 	// Four-frame bursts whose frames alternate between SendCall and Send.
-	f.Add([]byte{63, 207, 51, 243})
+	f.Add([]byte{63, 207, 51, 243}, []byte{})
+	// The first event to fire (t=0) cancels the third pending one (t=30),
+	// which must never fire.
+	f.Add([]byte{0, 5, 12, 30, 47}, []byte{0, 0, opCancelPending | 2<<3})
+	// The first event to fire cancels the first fired (itself), the
+	// second cancels its own ID and the third the second fired: each
+	// target already fired, so each cancel is a no-op.
+	f.Add([]byte{3, 6, 9, 12}, []byte{0, 0, opCancelFired, opCancelOwn, opCancelFired | 1<<3})
+	// The 80th of 100 events disarms every event that already fired,
+	// newest (itself) first: the 65th cancel crosses the sweep floor and
+	// sweeps the queue while the slot that event fired from is empty.
+	f.Add(bytes.Repeat([]byte{1, 2, 4, 5}, 25), sweepOps())
+	// A ticker every 3 ns beside nested schedules and link bursts.
+	f.Add([]byte{0, 9, 27, 39, 60}, []byte{3})
+	// RunUntil deadlines 5 ns apart, with a cancelled event queued across
+	// deadlines until one passes it.
+	f.Add([]byte{0, 9, 27, 39, 60}, []byte{0, 5, opCancelPending | 3<<3})
+	// A ticker and RunUntil deadlines together, with a quiet cancel.
+	f.Add([]byte{0, 9, 27, 39, 60}, []byte{2, 3, opQuiet | opCancelPending | 1<<3, opQuiet})
+	// Under Run with a ticker, the event at t=1 cancels the one at t=40
+	// and the event at t=2 cancels its own ID, scheduling nothing: Run's
+	// sweep rule then sweeps while t=2's slot is still empty, and t=41
+	// must still fire.
+	f.Add([]byte{1, 2, 40, 41}, []byte{5, 0, opQuiet | opCancelPending | 1<<3, opQuiet | opCancelOwn})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, ctl []byte) {
 		if len(data) > 128 {
 			data = data[:128]
+		}
+		var period, step Duration
+		if len(ctl) > 0 {
+			period = Duration(ctl[0] % 8)
+		}
+		if len(ctl) > 1 {
+			step = Duration(ctl[1] % 16)
+		}
+		var ops []byte
+		if len(ctl) > 2 {
+			ops = ctl[2:]
 		}
 		type firing struct {
 			at  Time
 			ord int
+		}
+		// atEvent is the fuzz's own record of an At event.
+		type atEvent struct {
+			id    EventID
+			at    Time
+			fired bool
+			// cancelled marks a cancel that came before the event fired.
+			cancelled bool
 		}
 		run := func(useLink bool) []firing {
 			e := NewEngine()
@@ -89,6 +141,40 @@ func FuzzEngineSchedule(f *testing.F) {
 			}
 			var fired []firing
 			ord := 0
+			// live counts the model's events (At events and frames) that
+			// are neither fired nor cancelled; ghosts counts At events
+			// cancelled before firing, the most the queue can still hold.
+			live, ghosts := 0, 0
+			var evs []*atEvent
+			var firedEvs []*atEvent
+			ticks, ticker := 0, 0
+			// check compares the engine's counts with the fuzz's own.
+			// tickers is the number of ticker events queued right now.
+			check := func(where string, tickers int, readLive bool) {
+				t.Helper()
+				want := live + tickers
+				p := e.Pending()
+				if p < want || p > want+ghosts {
+					t.Fatalf("%s at %v: Pending = %d, want %d live plus at most %d cancelled",
+						where, e.Now(), p, want, ghosts)
+				}
+				if !readLive {
+					return
+				}
+				if lp := e.LivePending(); lp != want {
+					t.Fatalf("%s at %v: LivePending = %d, want %d", where, e.Now(), lp, want)
+				} else if lp > e.Pending() {
+					t.Fatalf("%s at %v: LivePending %d > Pending %d", where, e.Now(), lp, e.Pending())
+				}
+			}
+			cancel := func(ev *atEvent) {
+				if !ev.fired && !ev.cancelled {
+					ev.cancelled = true
+					live--
+					ghosts++
+				}
+				e.Cancel(ev.id)
+			}
 			var schedule func(at Time, depth int, b byte)
 			// send transmits one frame of b%4 bytes, through SendCall
 			// when bit 4 of b is set and Send otherwise; its delivery
@@ -96,7 +182,10 @@ func FuzzEngineSchedule(f *testing.F) {
 			send := func(depth int, b byte) {
 				myOrd := ord
 				ord++
+				live++
 				deliver := func() {
+					live--
+					check("delivery", ticker, true)
 					fired = append(fired, firing{at: e.Now(), ord: myOrd})
 					if depth < 3 && b%3 == 0 {
 						schedule(e.Now(), depth+1, b/3)
@@ -111,11 +200,48 @@ func FuzzEngineSchedule(f *testing.F) {
 			schedule = func(at Time, depth int, b byte) {
 				myOrd := ord
 				ord++
-				e.At(at, func() {
+				ev := &atEvent{at: at}
+				evs = append(evs, ev)
+				live++
+				ev.id = e.At(at, func() {
 					if e.Now() != at {
 						t.Fatalf("event scheduled for %v fired at %v", at, e.Now())
 					}
+					if ev.fired || ev.cancelled {
+						t.Fatalf("event %d fired again or after its cancel", myOrd)
+					}
+					ev.fired = true
+					live--
+					firedEvs = append(firedEvs, ev)
 					fired = append(fired, firing{at: at, ord: myOrd})
+					// The slot this event fired from is still empty here.
+					check("event", ticker, false)
+					var op byte
+					if i := len(firedEvs) - 1; i < len(ops) {
+						op = ops[i]
+					}
+					k := int(op>>3) & 15
+					switch op & 7 {
+					case opCancelPending:
+						var pending []*atEvent
+						for _, o := range evs {
+							if !o.fired && !o.cancelled {
+								pending = append(pending, o)
+							}
+						}
+						if len(pending) > 0 {
+							cancel(pending[k%len(pending)])
+						}
+					case opCancelFired:
+						cancel(firedEvs[k%len(firedEvs)])
+					case opCancelOwn:
+						cancel(ev)
+					case opCancelAllFired:
+						for i := len(firedEvs) - 1; i >= 0; i-- {
+							cancel(firedEvs[i])
+						}
+					}
+					check("event", ticker, op&opQuiet == 0)
 					// Scheduling before now must fail with the typed
 					// error, from any point in the run.
 					if _, err := e.TryAt(e.Now()-1, func() {}); err == nil {
@@ -136,17 +262,56 @@ func FuzzEngineSchedule(f *testing.F) {
 					if depth < 3 && b%3 == 0 {
 						schedule(e.Now().Add(Duration(b%7)), depth+1, b/3)
 					}
+					check("event", ticker, op&opQuiet == 0)
+				})
+			}
+			if period > 0 {
+				// The tick fires from the queue's root like any event; fn
+				// runs only while other events remain, before the ticker
+				// re-arms.
+				ticker = 1
+				e.Ticker(period, func() {
+					ticks++
+					check("tick", 0, true)
 				})
 			}
 			for _, b := range data {
 				schedule(Time(int(b)%61), 0, b)
 			}
-			e.Run()
-			if e.Pending() != 0 {
-				t.Fatalf("Run left %d events pending", e.Pending())
+			// A ticker's last tick fires only under RunUntil: Run stops
+			// while the ticker is the only event left.
+			lastTick := 0
+			if step == 0 {
+				e.Run()
+			} else {
+				for rounds := 0; e.Pending() > 0; rounds++ {
+					if rounds > 1000 {
+						t.Fatalf("RunUntil rounds never drained the queue: %d pending", e.Pending())
+					}
+					deadline := e.Now().Add(step)
+					e.RunUntil(deadline)
+					if e.Now() != deadline {
+						t.Fatalf("RunUntil(%v) left the clock at %v", deadline, e.Now())
+					}
+					for _, ev := range evs {
+						if !ev.fired && !ev.cancelled && ev.at <= deadline {
+							t.Fatalf("RunUntil(%v) left an event due at %v", deadline, ev.at)
+						}
+					}
+				}
+				lastTick, ticker = ticker, 0
 			}
-			if e.Executed() != uint64(len(fired)) {
-				t.Fatalf("Executed = %d, but %d events fired", e.Executed(), len(fired))
+			check("end", ticker, true)
+			if e.Pending() != ticker {
+				t.Fatalf("run left %d events pending, want %d", e.Pending(), ticker)
+			}
+			for _, ev := range evs {
+				if !ev.fired && !ev.cancelled {
+					t.Fatalf("event due at %v never fired", ev.at)
+				}
+			}
+			if want := uint64(len(fired) + ticks + lastTick); e.Executed() != want {
+				t.Fatalf("Executed = %d, but %d events and %d ticks fired", e.Executed(), len(fired), ticks+lastTick)
 			}
 			return fired
 		}
@@ -175,4 +340,23 @@ func FuzzEngineSchedule(f *testing.F) {
 		}
 		same("replay", run(true))
 	})
+}
+
+// The ops FuzzEngineSchedule's ctl bytes give At events. The low three
+// bits pick a cancel; bits 3 to 6 pick which event it targets among those
+// pending or fired; opQuiet skips the LivePending reads, which finish a
+// deferred pop, so the empty slot survives for a sweep to meet.
+const (
+	opCancelPending  = 1 // cancel a pending At event
+	opCancelFired    = 2 // cancel an At event that already fired
+	opCancelOwn      = 3 // cancel the firing event's own ID
+	opCancelAllFired = 4 // cancel every fired At event, newest first
+	opQuiet          = 0x80
+)
+
+// sweepOps gives the 80th At event to fire opCancelAllFired.
+func sweepOps() []byte {
+	ctl := make([]byte, 2+80)
+	ctl[len(ctl)-1] = opCancelAllFired
+	return ctl
 }

@@ -2,7 +2,8 @@
 // simulation engine.
 //
 // All simulated components in this repository — CPU core pools, network
-// links, PCIe lanes, hardware accelerators — are built on this package.
+// links, NIC pipelines, flow tables, hardware accelerators — are built on
+// this package.
 // The engine never reads the wall clock and never blocks on goroutines:
 // every state change happens inside an event callback executed at a
 // well-defined virtual timestamp, so simulations are reproducible

@@ -15,33 +15,25 @@ import (
 )
 
 // Histogram records durations in logarithmically spaced buckets covering
-// [1ns, ~1000s) with a configurable number of sub-buckets per power of two
-// (HDR-histogram style). Quantile error is bounded by the bucket width:
-// with 32 sub-buckets, below ~1.6%.
+// [1ns, ~1000s) with 32 sub-buckets per power of two (HDR-histogram
+// style). Quantile error is bounded by the bucket width: below ~1.6%.
 type Histogram struct {
 	counts   []uint64
 	total    uint64
 	sum      float64
 	min, max sim.Duration
-	sub      int // sub-buckets per octave
 }
 
-const histOctaves = 40 // 2^40 ns ≈ 18 minutes, ample for any latency
+const (
+	histOctaves = 40 // 2^40 ns ≈ 18 minutes, ample for any latency
+	histSub     = 32 // sub-buckets per octave
+)
 
-// NewHistogram returns an empty histogram with the default resolution of
-// 32 sub-buckets per octave.
-func NewHistogram() *Histogram { return NewHistogramRes(32) }
-
-// NewHistogramRes returns an empty histogram with sub sub-buckets per
-// power of two.
-func NewHistogramRes(sub int) *Histogram {
-	if sub <= 0 {
-		panic("stats: sub-buckets must be positive")
-	}
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram {
 	return &Histogram{
-		counts: make([]uint64, histOctaves*sub),
+		counts: make([]uint64, histOctaves*histSub),
 		min:    math.MaxInt64,
-		sub:    sub,
 	}
 }
 
@@ -51,7 +43,7 @@ func (h *Histogram) bucket(d sim.Duration) int {
 		d = 1
 	}
 	f := float64(d)
-	idx := int(math.Log2(f) * float64(h.sub))
+	idx := int(math.Log2(f) * histSub)
 	if idx < 0 {
 		idx = 0
 	}
@@ -64,8 +56,8 @@ func (h *Histogram) bucket(d sim.Duration) int {
 // bucketValue maps a bucket index back to a representative duration
 // (geometric midpoint of the bucket).
 func (h *Histogram) bucketValue(idx int) sim.Duration {
-	lo := math.Exp2(float64(idx) / float64(h.sub))
-	hi := math.Exp2(float64(idx+1) / float64(h.sub))
+	lo := math.Exp2(float64(idx) / histSub)
+	hi := math.Exp2(float64(idx+1) / histSub)
 	return sim.Duration(math.Sqrt(lo * hi))
 }
 
@@ -178,13 +170,10 @@ func (h *Histogram) CountAtOrBelow(d sim.Duration) uint64 {
 	return n
 }
 
-// Merge folds other into h. Resolutions must match.
+// Merge folds other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.total == 0 {
 		return
-	}
-	if other.sub != h.sub {
-		panic("stats: merging histograms of different resolution")
 	}
 	for i, c := range other.counts {
 		h.counts[i] += c
