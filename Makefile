@@ -114,29 +114,34 @@ fuzz-smoke:
 	$(FUZZ) -fuzz '^FuzzOffloadRun$$' ./internal/core
 	$(FUZZ) -fuzz '^FuzzFaultedRun$$' ./internal/core
 
-# Telemetry exports must be byte-identical at every parallelism: run the
-# same experiment sequentially and fully parallel and diff the traces.
-trace-determinism:
-	$(GO) run ./cmd/snicbench -exp fig4 -func nat -q -j 1 \
-		-trace trace_j1.json -metrics metrics_j1.csv
-	$(GO) run ./cmd/snicbench -exp fig4 -func nat -q -j $$(nproc) \
-		-trace trace_jN.json -metrics metrics_jN.csv
+# Telemetry exports must be byte-identical at every parallelism: run
+# each experiment sequentially and fully parallel and compare what it
+# printed and wrote: the fig4 nat trace and metrics CSV, the fleet
+# manifest, and the pipeline and offload traces, metrics JSON and
+# manifests. Each file is deleted once it has been compared.
+trace-determinism: bin/snicbench
+	./bin/snicbench -exp fig4 -func nat -q -j 1 \
+		-trace trace_j1.json -metrics metrics_j1.csv > /dev/null
+	./bin/snicbench -exp fig4 -func nat -q -j $$(nproc) \
+		-trace trace_jN.json -metrics metrics_jN.csv > /dev/null
 	cmp trace_j1.json trace_jN.json
 	cmp metrics_j1.csv metrics_jN.csv
 	rm -f trace_j1.json trace_jN.json metrics_j1.csv metrics_jN.csv
-	$(GO) run ./cmd/snicbench -exp fleet -q -j 1 \
+	./bin/snicbench -exp fleet -q -j 1 \
 		-manifest fleet_manifest_j1.json > fleet_j1.txt
-	$(GO) run ./cmd/snicbench -exp fleet -q -j $$(nproc) \
+	./bin/snicbench -exp fleet -q -j $$(nproc) \
 		-manifest fleet_manifest_jN.json > fleet_jN.txt
 	cmp fleet_j1.txt fleet_jN.txt
 	cmp fleet_manifest_j1.json fleet_manifest_jN.json
 	rm -f fleet_j1.txt fleet_jN.txt fleet_manifest_j1.json fleet_manifest_jN.json
-	$(GO) run ./cmd/snicbench -exp pipeline -q -j 1 > pipeline_j1.txt
-	$(GO) run ./cmd/snicbench -exp pipeline -q -j $$(nproc) > pipeline_jN.txt
-	cmp pipeline_j1.txt pipeline_jN.txt
-	rm -f pipeline_j1.txt pipeline_jN.txt
-	$(GO) run ./cmd/snicbench -exp offload -q -j 1 > offload_j1.txt
-	$(GO) run ./cmd/snicbench -exp offload -q -j $$(nproc) > offload_jN.txt
-	cmp offload_j1.txt offload_jN.txt
-	rm -f offload_j1.txt offload_jN.txt
+	for e in pipeline offload; do \
+		./bin/snicbench -exp $$e -q -j 1 -trace trace_j1.json \
+			-metrics metrics_j1.json -manifest manifest_j1.json > $${e}_j1.txt && \
+		./bin/snicbench -exp $$e -q -j $$(nproc) -trace trace_jN.json \
+			-metrics metrics_jN.json -manifest manifest_jN.json > $${e}_jN.txt && \
+		cmp $${e}_j1.txt $${e}_jN.txt && rm -f $${e}_j1.txt $${e}_jN.txt && \
+		cmp trace_j1.json trace_jN.json && rm -f trace_j1.json trace_jN.json && \
+		cmp metrics_j1.json metrics_jN.json && rm -f metrics_j1.json metrics_jN.json && \
+		cmp manifest_j1.json manifest_jN.json && rm -f manifest_j1.json manifest_jN.json || exit 1; \
+	done
 	@echo "trace determinism: OK"

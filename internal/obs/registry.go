@@ -1,10 +1,10 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -340,31 +340,39 @@ func (r *Registry) series() []*Series {
 // shortest-float, no map order) so output is byte-identical across
 // processes and parallelism.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("[\n"); err != nil {
-		return err
-	}
+	x := newExportBuf(w)
+	x.b = append(x.b, "[\n"...)
 	snap := r.Snapshot()
 	for i, mv := range snap {
-		fmt.Fprintf(bw, " {\"name\":%q,\"kind\":%q", mv.Name, mv.Kind)
+		x.b = append(x.b, ` {"name":`...)
+		x.b = appendJSONString(x.b, mv.Name)
+		x.b = append(x.b, `,"kind":`...)
+		x.b = appendJSONString(x.b, mv.Kind)
 		if mv.Unit != "" {
-			fmt.Fprintf(bw, ",\"unit\":%q", mv.Unit)
+			x.b = append(x.b, `,"unit":`...)
+			x.b = appendJSONString(x.b, mv.Unit)
 		}
-		fmt.Fprintf(bw, ",\"value\":%s", ffloat(mv.Value))
+		x.b = append(x.b, `,"value":`...)
+		x.b = appendFloat(x.b, mv.Value)
 		if mv.Count != 0 {
-			fmt.Fprintf(bw, ",\"count\":%d", mv.Count)
+			x.b = append(x.b, `,"count":`...)
+			x.b = strconv.AppendUint(x.b, mv.Count, 10)
 		}
 		if mv.Kind == KindHistogram.String() {
-			fmt.Fprintf(bw, ",\"min\":%s,\"max\":%s", ffloat(mv.Min), ffloat(mv.Max))
+			x.b = append(x.b, `,"min":`...)
+			x.b = appendFloat(x.b, mv.Min)
+			x.b = append(x.b, `,"max":`...)
+			x.b = appendFloat(x.b, mv.Max)
 		}
+		x.b = append(x.b, '}')
 		if i < len(snap)-1 {
-			bw.WriteString("},\n")
-		} else {
-			bw.WriteString("}\n")
+			x.b = append(x.b, ',')
+		}
+		x.b = append(x.b, '\n')
+		if err := x.spill(); err != nil {
+			return err
 		}
 	}
-	if _, err := bw.WriteString("]\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	x.b = append(x.b, "]\n"...)
+	return x.flush()
 }
