@@ -415,7 +415,6 @@ func (fo *failover) arm(f *flight) {
 //snicvet:hotpath
 func (fo *failover) complete(f *flight, lat sim.Duration) {
 	now := fo.ctx.tb.Eng.Now()
-	//snicvet:ignore hotpath -- a sweep remakes the cancelled set only once it outgrows the pending events
 	fo.ctx.tb.Eng.Cancel(f.guard)
 	h := fo.post
 	switch {

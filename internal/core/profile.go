@@ -10,11 +10,11 @@ import (
 
 // Simulator self-profiling. A Profiler aggregates the simulation
 // infrastructure's own counters — engine events executed, event-heap
-// high-water, cancel sweeps, memo-cache traffic, worker-pool fan-out —
-// across every simulation of the runners it is attached to. It answers
-// "how hard did the simulator work", where telemetry answers "what did
-// the model do"; the repository benchmark (perfbench) reads its engine
-// and cache counters.
+// high-water, memo-cache traffic, worker-pool fan-out — across every
+// simulation of the runners it is attached to. It answers "how hard did
+// the simulator work", where telemetry answers "what did the model do";
+// the repository benchmark (perfbench) reads its engine and cache
+// counters.
 //
 // Every counter is virtual-state only (no wall clock), so a profile is
 // byte-identical across runs. It is the same at any parallelism as long
@@ -29,7 +29,7 @@ type Profiler struct {
 	mu  sync.Mutex
 	reg *obs.Registry
 
-	events, sweeps, runs       *obs.CounterMetric
+	events, runs               *obs.CounterMetric
 	heapPeaks, livePendingEnds *obs.HistogramMetric
 	cacheHits, cacheMisses     *obs.CounterMetric
 	poolTasks, poolBatches     *obs.CounterMetric
@@ -44,7 +44,6 @@ func NewProfiler() *Profiler {
 	return &Profiler{
 		reg:             reg,
 		events:          reg.Counter("engine/events", "events"),
-		sweeps:          reg.Counter("engine/cancel_sweeps", "sweeps"),
 		runs:            reg.Counter("engine/runs", "runs"),
 		heapPeaks:       reg.Histogram("engine/heap_peak", "events"),
 		livePendingEnds: reg.Histogram("engine/live_pending_end", "events"),
@@ -66,9 +65,8 @@ func (p *Profiler) NoteEngine(eng *sim.Engine) {
 	defer p.mu.Unlock()
 	p.runs.Add(1)
 	p.events.Add(float64(ep.Executed))
-	p.sweeps.Add(float64(ep.CancelSweeps))
 	p.heapPeaks.Observe(float64(ep.HeapPeak))
-	p.livePendingEnds.Observe(float64(ep.LivePending))
+	p.livePendingEnds.Observe(float64(ep.Pending))
 	if ep.HeapPeak > p.heapPeak {
 		p.heapPeak = ep.HeapPeak
 	}
@@ -112,8 +110,6 @@ type SelfProfile struct {
 	Events uint64 `json:"events"`
 	// HeapPeak is the deepest event queue any run reached.
 	HeapPeak int `json:"heap_peak"`
-	// CancelSweeps counts eager cancelled-event sweeps across runs.
-	CancelSweeps uint64 `json:"cancel_sweeps"`
 	// CacheHits/CacheMisses tally memo-cache lookups.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
@@ -132,15 +128,14 @@ func (p *Profiler) Snapshot() SelfProfile {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return SelfProfile{
-		Runs:         uint64(p.runs.Value()),
-		Events:       uint64(p.events.Value()),
-		HeapPeak:     p.heapPeak,
-		CancelSweeps: uint64(p.sweeps.Value()),
-		CacheHits:    uint64(p.cacheHits.Value()),
-		CacheMisses:  uint64(p.cacheMisses.Value()),
-		PoolTasks:    uint64(p.poolTasks.Value()),
-		PoolBatches:  uint64(p.poolBatches.Value()),
-		MaxWorkers:   p.maxWorkers,
+		Runs:        uint64(p.runs.Value()),
+		Events:      uint64(p.events.Value()),
+		HeapPeak:    p.heapPeak,
+		CacheHits:   uint64(p.cacheHits.Value()),
+		CacheMisses: uint64(p.cacheMisses.Value()),
+		PoolTasks:   uint64(p.poolTasks.Value()),
+		PoolBatches: uint64(p.poolBatches.Value()),
+		MaxWorkers:  p.maxWorkers,
 	}
 }
 

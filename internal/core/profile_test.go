@@ -40,7 +40,6 @@ func TestProfileMetricNames(t *testing.T) {
 	want := []metric{
 		{"cache/hits", "counter", "lookups"},
 		{"cache/misses", "counter", "lookups"},
-		{"engine/cancel_sweeps", "counter", "sweeps"},
 		{"engine/events", "counter", "events"},
 		{"engine/heap_peak", "histogram", "events"},
 		{"engine/live_pending_end", "histogram", "events"},
@@ -72,7 +71,6 @@ func TestProfileMetricNames(t *testing.T) {
 	}{
 		{"cache/hits", sp.CacheHits},
 		{"cache/misses", sp.CacheMisses},
-		{"engine/cancel_sweeps", sp.CancelSweeps},
 		{"engine/events", sp.Events},
 		{"engine/runs", sp.Runs},
 		{"engine/heap_peak.count", sp.Runs},

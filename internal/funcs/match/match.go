@@ -140,19 +140,6 @@ func (m *Matcher) Scan(data []byte) []Match {
 	return out
 }
 
-// Contains reports whether any pattern occurs in data, bailing at the
-// first hit — the IDS/REM drop decision needs only this.
-func (m *Matcher) Contains(data []byte) bool {
-	s := int32(0)
-	for i := 0; i < len(data); i++ {
-		s = m.step(s, data[i])
-		if len(m.nodes[s].out) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // NumPatterns returns the compiled pattern count.
 func (m *Matcher) NumPatterns() int { return len(m.patterns) }
 

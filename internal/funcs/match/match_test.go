@@ -1,11 +1,9 @@
 package match
 
 import (
-	"bytes"
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -48,9 +46,6 @@ func sortMatches(ms []Match) {
 
 func TestNoMatch(t *testing.T) {
 	m := mustMatcher([]string{"abc", "def"})
-	if m.Contains([]byte("xyzuvw")) {
-		t.Fatal("false positive")
-	}
 	if got := m.Scan([]byte("xyzuvw")); len(got) != 0 {
 		t.Fatalf("scan returned %v on clean input", got)
 	}
@@ -77,14 +72,6 @@ func TestPatternAtBoundaries(t *testing.T) {
 	}
 }
 
-func TestContainsShortCircuit(t *testing.T) {
-	m := mustMatcher([]string{"needle"})
-	data := append([]byte("needle"), bytes.Repeat([]byte("x"), 1<<20)...)
-	if !m.Contains(data) {
-		t.Fatal("missed needle at start")
-	}
-}
-
 func TestBinaryPatterns(t *testing.T) {
 	m := mustMatcher([]string{string([]byte{0x00, 0xff, 0x7f}), string([]byte{0xde, 0xad})})
 	data := []byte{0x01, 0x00, 0xff, 0x7f, 0x02, 0xde, 0xad}
@@ -102,8 +89,8 @@ func TestEmptyInputs(t *testing.T) {
 		t.Fatal("empty pattern accepted")
 	}
 	m := mustMatcher([]string{"x"})
-	if m.Contains(nil) {
-		t.Fatal("match in empty data")
+	if got := m.Scan(nil); len(got) != 0 {
+		t.Fatalf("matches %v in empty data", got)
 	}
 }
 
@@ -165,16 +152,6 @@ func TestScanMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
-func TestContainsAgreesWithScanProperty(t *testing.T) {
-	m := mustMatcher([]string{"ab", "bca", "c"})
-	f := func(data []byte) bool {
-		return m.Contains(data) == (len(m.Scan(data)) > 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPaperRuleSetsCompile(t *testing.T) {
 	// The three synthesized Snort-style rule sets must compile and find
 	// the embedded patterns the payload generator plants.
@@ -189,7 +166,7 @@ func TestPaperRuleSetsCompile(t *testing.T) {
 		const n = 3000
 		for i := 0; i < n; i++ {
 			payload, has := pg.Next(1500)
-			if m.Contains(payload) == has {
+			if (len(m.Scan(payload)) > 0) == has {
 				agree++
 			}
 		}
@@ -215,6 +192,6 @@ func BenchmarkScanMTU(b *testing.B) {
 	b.SetBytes(1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Contains(payload)
+		m.Scan(payload)
 	}
 }

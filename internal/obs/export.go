@@ -88,12 +88,16 @@ func appendJSONFloat(b []byte, v float64) []byte {
 }
 
 // checkFinite fails, as encoding/json does, on a value JSON cannot
-// hold: a NaN or an infinity in the named counter or series.
+// hold: a NaN or an infinity in the named counter, series or metric.
+// run is the run the value belongs to, or "" for a registry's metric.
 func checkFinite(v float64, run, what, name string) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("obs: run %q %s %q holds %v, which JSON cannot encode", run, what, name, v)
+	if !math.IsNaN(v) && !math.IsInf(v, 0) {
+		return nil
 	}
-	return nil
+	if run == "" {
+		return fmt.Errorf("obs: %s %q holds %v, which JSON cannot encode", what, name, v)
+	}
+	return fmt.Errorf("obs: run %q %s %q holds %v, which JSON cannot encode", run, what, name, v)
 }
 
 // appendJSONString appends s as a quoted JSON string, escaped as
@@ -131,7 +135,8 @@ var ErrSpansDropped = errors.New("obs: spans were not kept for a trace (call Ena
 // run label. Its spans are async events ("b"/"e") on the requests
 // thread (tid 1), grouped by their root span's ID so concurrent
 // requests nest correctly; and every metric series becomes a counter
-// ("C") track.
+// ("C") track. A NaN or infinite sample is an error, and nothing more is
+// written once it is found.
 func (c *Collector) WriteTrace(w io.Writer) error {
 	if err := c.spansKept(); err != nil {
 		return err
@@ -212,10 +217,14 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 			head = appendJSONString(head, s.Name)
 			head = append(head, `,"ts":`...)
 			for i, t := range s.Times {
+				v := s.Values[i]
+				if err := checkFinite(v, rec.label, "series", s.Name); err != nil {
+					return err
+				}
 				x.b = append(x.b, head...)
 				x.b = appendUsec(x.b, int64(t))
 				x.b = append(x.b, `,"args":{"value":`...)
-				x.b = appendFloat(x.b, s.Values[i])
+				x.b = appendFloat(x.b, v)
 				x.b = append(x.b, "}}"...)
 				if err := x.spill(); err != nil {
 					return err

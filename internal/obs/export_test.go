@@ -264,6 +264,67 @@ func TestJSONExportsRejectNonFiniteValues(t *testing.T) {
 	}
 }
 
+// The Chrome trace is JSON too: a NaN gauge sample is an error, with no
+// NaN token written and nothing past the last full buffer, while the
+// CSV writes the same sample as NaN.
+func TestTraceRejectsNonFiniteSample(t *testing.T) {
+	build := func(last float64) *Collector {
+		times, values := make([]sim.Time, 20_000), make([]float64, 20_000)
+		for i := range times {
+			times[i], values[i] = sim.Time(i), float64(i)
+		}
+		values[len(values)-1] = last
+		r := NewRecorder(1, "run")
+		r.AddSeries("q", "jobs", 1, times, values)
+		c := NewCollector()
+		c.EnableTrace()
+		c.Attach(r)
+		return c
+	}
+	var got, valid bytes.Buffer
+	if err := build(math.NaN()).WriteTrace(&got); err == nil {
+		t.Fatal("a NaN gauge sample: no error")
+	}
+	if bytes.Contains(got.Bytes(), []byte("NaN")) {
+		t.Fatal("a NaN gauge sample: wrote a NaN token")
+	}
+	if err := build(1).WriteTrace(&valid); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(valid.Bytes(), got.Bytes()) {
+		t.Fatal("a NaN gauge sample: wrote bytes past the last full buffer")
+	}
+	var csv bytes.Buffer
+	if err := build(math.NaN()).WriteMetricsCSV(&csv); err != nil || !bytes.HasSuffix(csv.Bytes(), []byte(",NaN\n")) {
+		t.Fatalf("the CSV does not write the NaN sample as NaN: %v", err)
+	}
+}
+
+// profile.json is the registry's JSON: a counter, histogram sum,
+// minimum or maximum that is not finite is an error, with no NaN or Inf
+// token written.
+func TestRegistryWriteJSONRejectsNonFiniteValues(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		set  func(*Registry)
+	}{
+		{"+Inf counter", func(r *Registry) { r.Counter("b", "u").Set(math.Inf(1)) }},
+		{"NaN counter", func(r *Registry) { r.Counter("b", "u").Set(math.NaN()) }},
+		{"-Inf histogram observation", func(r *Registry) { r.Histogram("b", "u").Observe(math.Inf(-1)) }},
+	} {
+		r := NewRegistry()
+		r.Counter("a", "u").Add(1)
+		tc.set(r)
+		var got bytes.Buffer
+		if err := r.WriteJSON(&got); err == nil {
+			t.Fatalf("%s: no error", tc.what)
+		}
+		if bytes.Contains(got.Bytes(), []byte("NaN")) || bytes.Contains(got.Bytes(), []byte("Inf")) {
+			t.Fatalf("%s: wrote a non-finite token: %q", tc.what, got.Bytes())
+		}
+	}
+}
+
 // Labels are chosen by callers (fault scenario and fleet class names),
 // so every export must carry any label intact: the CSV as RFC 4180
 // reads it back, the trace as valid JSON.

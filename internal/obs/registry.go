@@ -338,12 +338,18 @@ func (r *Registry) series() []*Series {
 // WriteJSON writes the name-sorted snapshot as one JSON array, built
 // with the same exact formatting rules as the other exporters (strconv
 // shortest-float, no map order) so output is byte-identical across
-// processes and parallelism.
+// processes and parallelism. A NaN or infinite value, minimum or maximum
+// is an error, and nothing more is written once it is found.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	x := newExportBuf(w)
 	x.b = append(x.b, "[\n"...)
 	snap := r.Snapshot()
 	for i, mv := range snap {
+		for _, v := range [...]float64{mv.Value, mv.Min, mv.Max} {
+			if err := checkFinite(v, "", mv.Kind, mv.Name); err != nil {
+				return err
+			}
+		}
 		x.b = append(x.b, ` {"name":`...)
 		x.b = appendJSONString(x.b, mv.Name)
 		x.b = append(x.b, `,"kind":`...)

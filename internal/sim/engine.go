@@ -25,12 +25,13 @@ type Engine struct {
 	// list and nothing reads it.
 	hole int
 	// seq numbers scheduled events in submission order. An event's seq
-	// breaks timestamp ties and doubles as its EventID.
+	// breaks timestamp ties, and with its record forms its EventID.
 	seq uint64
-	// cancelled holds the IDs of scheduled events that were cancelled
-	// before firing. Entries are dropped lazily when popped.
-	cancelled map[uint64]struct{}
-	executed  uint64
+	// ghosts counts cancelled records still in the queue. A cancelled
+	// record stays where it is, with no handler, until it reaches the
+	// root and is discarded unfired.
+	ghosts   int
+	executed uint64
 	// held counts link frames waiting behind their link's head frame.
 	// They are pending events whose slots were reserved at Send time, but
 	// the links hold them, not the queue (see Link).
@@ -42,16 +43,13 @@ type Engine struct {
 	// no events after its heap reaches peak depth (telemetry-heavy runs
 	// schedule one event per sample on top of the model's own).
 	free []*event
-	// heapPeak is the queue's high-water mark; cancelSweeps counts eager
-	// sweeps of cancelled entries. Both feed Profile.
-	heapPeak     int
-	cancelSweeps uint64
+	// heapPeak is the queue's high-water mark, ghosts included; it feeds
+	// Profile.
+	heapPeak int
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
-func NewEngine() *Engine {
-	return &Engine{cancelled: make(map[uint64]struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -60,30 +58,11 @@ func (e *Engine) Now() Time { return e.now }
 // accounting and for asserting that a model actually did work.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending reports how many events are waiting to fire, including
-// cancelled events that have not yet been lazily discarded. A link's
-// frames count once each: only its head frame sits in the event queue,
-// and the frames behind it are held by the link, not by the queue.
-func (e *Engine) Pending() int { return len(e.queue) - e.hole + e.held }
-
-// LivePending reports how many pending events will actually fire —
-// Pending minus cancelled-but-not-yet-discarded ghosts. Frames held
-// behind a link's head cannot be cancelled, so they are all live. It
-// scans the queue (O(queue)), so it is for progress and profile
-// reporting, not per-event hot paths; Pending stays the O(1) raw count.
-func (e *Engine) LivePending() int {
-	if len(e.cancelled) == 0 {
-		return e.Pending()
-	}
-	e.settle()
-	n := e.held
-	for _, ev := range e.queue {
-		if _, dead := e.cancelled[ev.seq]; !dead {
-			n++
-		}
-	}
-	return n
-}
+// Pending reports how many events are waiting to fire. Cancelled events
+// do not count. A link's frames count once each: only its head frame
+// sits in the event queue, and the frames behind it are held by the
+// link, not by the queue.
+func (e *Engine) Pending() int { return len(e.queue) - e.hole + e.held - e.ghosts }
 
 // Profile is a snapshot of the engine's self-profiling counters: how
 // much work the scheduler did and how deep its structures got. All
@@ -95,26 +74,22 @@ type Profile struct {
 	// a link's head are not in the queue, so a saturated link adds one
 	// entry here however deep its backlog grows.
 	HeapPeak int
-	// CancelSweeps counts eager sweeps of cancelled entries.
-	CancelSweeps uint64
-	// Pending and LivePending snapshot the queue as Pending/LivePending
-	// would report it.
-	Pending, LivePending int
+	// Pending snapshots the queue as Pending would report it.
+	Pending int
 }
 
 // Profile snapshots the engine's self-profiling counters.
 func (e *Engine) Profile() Profile {
-	return Profile{
-		Executed:     e.executed,
-		HeapPeak:     e.heapPeak,
-		CancelSweeps: e.cancelSweeps,
-		Pending:      e.Pending(),
-		LivePending:  e.LivePending(),
-	}
+	return Profile{Executed: e.executed, HeapPeak: e.heapPeak, Pending: e.Pending()}
 }
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID uint64
+// EventID identifies a scheduled event so it can be cancelled: the
+// event's pooled record and the seq it was queued under. The zero
+// EventID identifies no event.
+type EventID struct {
+	ev  *event
+	seq uint64
+}
 
 // PastEventError reports an attempt to schedule an event before the
 // current virtual time — always a model bug, never a runtime condition
@@ -138,55 +113,30 @@ func (e *PastEventError) Error() string {
 // object per schedule.
 type EventHandler interface {
 	// HandleEvent runs the event. arg is whatever was passed to
-	// TryAtCall/AtCall/AfterCall, unmodified.
+	// AtCall/AfterCall, unmodified.
 	HandleEvent(arg any)
 }
 
-// TryAt schedules fn to run at absolute virtual time t, returning a
-// *PastEventError instead of panicking when t is in the past. An event
-// exactly at the current time is valid (it runs this instant, after
-// already-queued events at the same timestamp). Speculative schedulers
-// that compute timestamps from untrusted inputs use this; model code
-// with timestamps it believes in should use At.
+// schedule queues h(arg) at t under the next sequence number. A past t
+// panics with a typed *PastEventError.
 //
 //snicvet:hotpath
-func (e *Engine) TryAt(t Time, fn func()) (EventID, error) {
-	if fn == nil {
-		panic("sim: scheduling nil event")
-	}
-	return e.schedule(t, fn, nil, nil)
-}
-
-// TryAtCall is TryAt for a handler/arg pair instead of a closure: the
-// allocation-free form hot paths use.
-//
-//snicvet:hotpath
-func (e *Engine) TryAtCall(t Time, h EventHandler, arg any) (EventID, error) {
-	if h == nil {
-		panic("sim: scheduling nil event handler")
-	}
-	return e.schedule(t, nil, h, arg)
-}
-
-// schedule is the shared scheduling core behind TryAt and TryAtCall.
-//
-//snicvet:hotpath
-func (e *Engine) schedule(t Time, fn func(), h EventHandler, arg any) (EventID, error) {
+func (e *Engine) schedule(t Time, h EventHandler, arg any) EventID {
 	if t < e.now {
-		//snicvet:ignore hotpath -- error path: a past timestamp aborts the schedule, not the event budget
-		return 0, &PastEventError{At: t, Now: e.now}
+		//snicvet:ignore hotpath -- error path: a past timestamp is a model bug that aborts the run
+		panic(&PastEventError{At: t, Now: e.now})
 	}
 	seq := e.reserve()
-	e.push(e.newEvent(t, seq, fn, h, arg))
-	return EventID(seq), nil
+	ev := e.newEvent(t, seq, h, arg)
+	e.push(ev)
+	return EventID{ev, seq}
 }
 
-// reserve claims the sequence number (and so the EventID) that an event
-// scheduled right now would get, without queuing anything. A Link
-// reserves each frame's slot at Send time and queues it with
-// scheduleReserved only when the frame reaches the head of the link, so
-// its frames fire in exactly the order per-frame scheduling would have
-// given them, ties included.
+// reserve claims the sequence number that an event scheduled right now
+// would get, without queuing anything. A Link reserves each frame's slot
+// at Send time and queues it with scheduleReserved only when the frame
+// reaches the head of the link, so its frames fire in exactly the order
+// per-frame scheduling would have given them, ties included.
 //
 //snicvet:hotpath
 func (e *Engine) reserve() uint64 {
@@ -199,7 +149,7 @@ func (e *Engine) reserve() uint64 {
 //
 //snicvet:hotpath
 func (e *Engine) scheduleReserved(t Time, seq uint64, h EventHandler) {
-	e.push(e.newEvent(t, seq, nil, h, nil))
+	e.push(e.newEvent(t, seq, h, nil))
 }
 
 // push adds a record to the queue and tracks its high-water mark. The
@@ -224,26 +174,24 @@ func (e *Engine) push(ev *event) {
 // is dry (cold start, or the heap growing past its previous peak).
 //
 //snicvet:hotpath
-func (e *Engine) newEvent(at Time, seq uint64, fn func(), h EventHandler, arg any) *event {
+func (e *Engine) newEvent(at Time, seq uint64, h EventHandler, arg any) *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq = at, seq
-		ev.fn, ev.h, ev.arg = fn, h, arg
+		ev.at, ev.seq, ev.h, ev.arg = at, seq, h, arg
 		return ev
 	}
 	//snicvet:ignore hotpath -- cold start or heap growth past its previous peak; steady state reuses the free list
-	return &event{at: at, seq: seq, fn: fn, h: h, arg: arg}
+	return &event{at: at, seq: seq, h: h, arg: arg}
 }
 
-// recycle returns a popped event record to the free list. The closure,
-// handler and argument references are cleared so recycled records never
-// pin model state.
+// recycle returns a popped event record to the free list. The handler
+// and argument references are cleared so recycled records never pin
+// model state, and so that Cancel finds no handler to clear.
 //
 //snicvet:hotpath
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
 	ev.h = nil
 	ev.arg = nil
 	//snicvet:ignore hotpath -- reuses capacity once the free list reaches the heap's high-water mark
@@ -252,26 +200,26 @@ func (e *Engine) recycle(ev *event) {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics with a typed *PastEventError: it always indicates a model bug and
-// silently clamping would hide causality violations.
+// silently clamping would hide causality violations. An event exactly at
+// the current time is valid: it runs this instant, after already-queued
+// events at the same timestamp.
 //
 //snicvet:hotpath
 func (e *Engine) At(t Time, fn func()) EventID {
-	id, err := e.TryAt(t, fn)
-	if err != nil {
-		panic(err)
+	if fn == nil {
+		panic("sim: scheduling nil event")
 	}
-	return id
+	return e.schedule(t, deliverFunc(fn), nil)
 }
 
 // AtCall is At for a handler/arg pair: the allocation-free form.
 //
 //snicvet:hotpath
 func (e *Engine) AtCall(t Time, h EventHandler, arg any) EventID {
-	id, err := e.TryAtCall(t, h, arg)
-	if err != nil {
-		panic(err)
+	if h == nil {
+		panic("sim: scheduling nil event handler")
 	}
-	return id
+	return e.schedule(t, h, arg)
 }
 
 // After schedules fn to run d after the current time. A negative delay
@@ -289,53 +237,21 @@ func (e *Engine) AfterCall(d Duration, h EventHandler, arg any) EventID {
 	return e.AtCall(e.now.Add(d), h, arg)
 }
 
-// Cancel prevents a scheduled event from firing. Cancelling an event that
-// already fired (or was already cancelled) is a no-op; the common use is
-// disarming timeout guards.
+// Cancel prevents a scheduled event from firing; the common use is
+// disarming timeout guards. It clears the event's handler, and the
+// record stays queued as a ghost until it reaches the root and is
+// discarded unfired. Cancelling the zero EventID, an event that already
+// fired or was already cancelled is a no-op: a fired record loses its
+// handler before it runs, and a record reused by a later event carries
+// that event's seq, not the ID's.
 //
-// Cancelled entries are normally discarded lazily when popped, but a
-// cancel-heavy workload (timeout guards disarmed on every completion over
-// a long fault run) would grow the cancelled set without bound: IDs of
-// already-fired events are never popped again. When the set outgrows the
-// pending events, Cancel sweeps both — dead entries leave the heap and
-// the set is reset — so memory stays proportional to live events.
+//snicvet:hotpath
 func (e *Engine) Cancel(id EventID) {
-	e.cancelled[uint64(id)] = struct{}{}
-	if len(e.cancelled) > cancelSweepFloor && len(e.cancelled) > e.Pending() {
-		e.sweepCancelled()
+	if ev := id.ev; ev != nil && ev.seq == id.seq && ev.h != nil {
+		ev.h, ev.arg = nil, nil
+		e.ghosts++
 	}
 }
-
-// cancelSweepFloor keeps tiny simulations from sweeping on every cancel.
-const cancelSweepFloor = 64
-
-// sweepCancelled drops cancelled events from the queue eagerly and resets
-// the cancelled set. Event IDs are never reused, so forgetting IDs of
-// events that already fired is safe. Re-heapifying cannot perturb pop
-// order: (at, seq) is a total order, so any valid heap yields the same
-// sequence.
-func (e *Engine) sweepCancelled() {
-	e.settle()
-	kept := e.queue[:0]
-	for _, ev := range e.queue {
-		if _, dead := e.cancelled[ev.seq]; !dead {
-			kept = append(kept, ev)
-		} else {
-			e.recycle(ev)
-		}
-	}
-	for i := len(kept); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
-	e.queue = kept
-	e.queue.init()
-	e.cancelled = make(map[uint64]struct{})
-	e.cancelSweeps++
-}
-
-// CancelledPending reports how many cancelled-but-not-yet-discarded event
-// IDs are being tracked. Exposed for leak regression tests.
-func (e *Engine) CancelledPending() int { return len(e.cancelled) }
 
 // Step executes the single earliest pending event. It reports false when
 // the queue is empty.
@@ -358,8 +274,9 @@ func (e *Engine) stepUntil(deadline Time) bool {
 	e.settle()
 	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		ev := e.queue[0]
-		if _, dead := e.cancelled[ev.seq]; dead {
-			delete(e.cancelled, ev.seq)
+		h, arg := ev.h, ev.arg
+		if h == nil {
+			e.ghosts--
 			e.queue.pop()
 			e.recycle(ev)
 			continue
@@ -367,15 +284,10 @@ func (e *Engine) stepUntil(deadline Time) bool {
 		e.hole = 1
 		e.now = ev.at
 		e.executed++
-		fn, h, arg := ev.fn, ev.h, ev.arg
 		// Recycled before firing so events the handler schedules reuse
 		// this record immediately.
 		e.recycle(ev)
-		if fn != nil {
-			fn()
-		} else {
-			h.HandleEvent(arg)
-		}
+		h.HandleEvent(arg)
 		return true
 	}
 	return false
@@ -392,25 +304,14 @@ func (e *Engine) settle() {
 	}
 }
 
-// Run executes events until the queue drains — or, when parasitic
-// tickers are armed, until only ticker events remain. Stopping before a
-// lone tick pops matters: popping would advance the clock past the last
-// real event, diluting every elapsed-time statistic (utilization, and
-// through it the power model) purely because telemetry was on.
+// Run executes events until none is pending — or, when parasitic tickers
+// are armed, until only ticker events remain. Stopping before a lone
+// tick pops matters: popping would advance the clock past the last real
+// event, diluting every elapsed-time statistic (utilization, and through
+// it the power model) purely because telemetry was on. Cancelled ghosts
+// left in the queue stay there; they never move the clock.
 func (e *Engine) Run() {
-	for {
-		if e.tickerPending > 0 && len(e.cancelled) > 0 &&
-			e.Pending()-len(e.cancelled) <= e.tickerPending {
-			// Cancelled ghosts may be masking the only-tickers condition;
-			// sweep so the count below reflects live events.
-			e.sweepCancelled()
-		}
-		if e.Pending() <= e.tickerPending {
-			return
-		}
-		if !e.Step() {
-			return
-		}
+	for e.Pending() > e.tickerPending && e.Step() {
 	}
 }
 
@@ -424,15 +325,13 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// event is a queue entry. seq breaks timestamp ties so that events
-// scheduled earlier run earlier, which keeps FIFO semantics for models that
-// schedule several events "now"; it is also the event's EventID. Exactly
-// one of fn and h is set: fn for closure events, h (with its arg) for
-// handler events.
+// event is a queue entry: the handler and argument it fires, nil for a
+// fired or cancelled record. seq breaks timestamp ties so that events
+// scheduled earlier run earlier, which keeps FIFO semantics for models
+// that schedule several events "now".
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
 	h   EventHandler
 	arg any
 }
@@ -547,11 +446,4 @@ func (h eventHeap) down(i int, ev *event) {
 		i = c
 	}
 	h[i] = ev
-}
-
-// init restores the heap order over arbitrary contents.
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i, h[i])
-	}
 }

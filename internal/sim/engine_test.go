@@ -125,9 +125,9 @@ func TestEngineRunUntilStopsBehindCancelledHead(t *testing.T) {
 	if e.Now() != 10 {
 		t.Fatalf("clock = %v after RunUntil(10), want 10ns", e.Now())
 	}
-	if e.Pending() != 1 || e.CancelledPending() != 0 {
-		t.Fatalf("pending = %d, cancelled = %d; want the live event queued and the ghost gone",
-			e.Pending(), e.CancelledPending())
+	if e.Pending() != 1 || len(e.queue) != 1 || e.ghosts != 0 {
+		t.Fatalf("pending = %d, %d records, %d ghosts; want the live event queued and the ghost gone",
+			e.Pending(), len(e.queue), e.ghosts)
 	}
 	e.Run()
 	if len(fired) != 1 || fired[0] != 20 {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
 
@@ -49,8 +48,9 @@ func (c *callDelivery) HandleEvent(any) { c.deliver() }
 // including nested scheduling from inside callbacks, same-timestamp
 // pileups and link-send bursts — and asserts the engine's laws: the
 // clock never runs backwards, events fire in (time, submission) order,
-// scheduling in the past always yields the typed error, and the whole
-// thing is deterministic (two identical runs fire identical sequences).
+// scheduling in the past always panics with the typed error, and the
+// whole thing is deterministic (two identical runs fire identical
+// sequences).
 //
 // Link sends are checked against refLink: the firing sequence with a
 // real Link must equal the one an engine gives when each frame is
@@ -65,9 +65,9 @@ func (c *callDelivery) HandleEvent(any) { c.deliver() }
 // when not zero, runs the engine through RunUntil deadlines that far
 // apart instead of Run. ctl[2:] gives the At events, in firing order,
 // one op each (see the op constants). Every event and tick reads the
-// queue while the slot it fired from may still be empty: Pending() must
-// count the live events the fuzz knows of plus at most the ghosts it
-// cancelled, and LivePending() exactly the live ones.
+// queue while the slot it fired from may still be empty, and Pending()
+// must count exactly the live events the fuzz knows of: cancelled ones
+// never, however long their records stay queued.
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, []byte{})
 	f.Add([]byte{5, 5, 5, 5, 5, 5}, []byte{})
@@ -89,22 +89,23 @@ func FuzzEngineSchedule(f *testing.F) {
 	// second cancels its own ID and the third the second fired: each
 	// target already fired, so each cancel is a no-op.
 	f.Add([]byte{3, 6, 9, 12}, []byte{0, 0, opCancelFired, opCancelOwn, opCancelFired | 1<<3})
-	// The 80th of 100 events disarms every event that already fired,
-	// newest (itself) first: the 65th cancel crosses the sweep floor and
-	// sweeps the queue while the slot that event fired from is empty.
+	// The cancel-heavy shape of a fault run: the 80th of 100 events
+	// disarms every event that already fired, newest (itself) first,
+	// while the slot it fired from is empty and the next events it
+	// schedules reuse the fired records.
 	f.Add(bytes.Repeat([]byte{1, 2, 4, 5}, 25), sweepOps())
 	// A ticker every 3 ns beside nested schedules and link bursts.
 	f.Add([]byte{0, 9, 27, 39, 60}, []byte{3})
 	// RunUntil deadlines 5 ns apart, with a cancelled event queued across
 	// deadlines until one passes it.
 	f.Add([]byte{0, 9, 27, 39, 60}, []byte{0, 5, opCancelPending | 3<<3})
-	// A ticker and RunUntil deadlines together, with a quiet cancel.
-	f.Add([]byte{0, 9, 27, 39, 60}, []byte{2, 3, opQuiet | opCancelPending | 1<<3, opQuiet})
+	// A ticker and RunUntil deadlines together, with a cancel.
+	f.Add([]byte{0, 9, 27, 39, 60}, []byte{2, 3, opCancelPending | 1<<3})
 	// Under Run with a ticker, the event at t=1 cancels the one at t=40
 	// and the event at t=2 cancels its own ID, scheduling nothing: Run's
-	// sweep rule then sweeps while t=2's slot is still empty, and t=41
-	// must still fire.
-	f.Add([]byte{1, 2, 40, 41}, []byte{5, 0, opQuiet | opCancelPending | 1<<3, opQuiet | opCancelOwn})
+	// stop rule then reads Pending while t=2's slot is still empty and
+	// the ghost of t=40 is queued, and t=41 must still fire.
+	f.Add([]byte{1, 2, 40, 41}, []byte{5, 0, opCancelPending | 1<<3, opCancelOwn})
 
 	f.Fuzz(func(t *testing.T, data, ctl []byte) {
 		if len(data) > 128 {
@@ -142,36 +143,23 @@ func FuzzEngineSchedule(f *testing.F) {
 			var fired []firing
 			ord := 0
 			// live counts the model's events (At events and frames) that
-			// are neither fired nor cancelled; ghosts counts At events
-			// cancelled before firing, the most the queue can still hold.
-			live, ghosts := 0, 0
+			// are neither fired nor cancelled.
+			live := 0
 			var evs []*atEvent
 			var firedEvs []*atEvent
 			ticks, ticker := 0, 0
 			// check compares the engine's counts with the fuzz's own.
 			// tickers is the number of ticker events queued right now.
-			check := func(where string, tickers int, readLive bool) {
+			check := func(where string, tickers int) {
 				t.Helper()
-				want := live + tickers
-				p := e.Pending()
-				if p < want || p > want+ghosts {
-					t.Fatalf("%s at %v: Pending = %d, want %d live plus at most %d cancelled",
-						where, e.Now(), p, want, ghosts)
-				}
-				if !readLive {
-					return
-				}
-				if lp := e.LivePending(); lp != want {
-					t.Fatalf("%s at %v: LivePending = %d, want %d", where, e.Now(), lp, want)
-				} else if lp > e.Pending() {
-					t.Fatalf("%s at %v: LivePending %d > Pending %d", where, e.Now(), lp, e.Pending())
+				if p, want := e.Pending(), live+tickers; p != want {
+					t.Fatalf("%s at %v: Pending = %d, want %d", where, e.Now(), p, want)
 				}
 			}
 			cancel := func(ev *atEvent) {
 				if !ev.fired && !ev.cancelled {
 					ev.cancelled = true
 					live--
-					ghosts++
 				}
 				e.Cancel(ev.id)
 			}
@@ -185,7 +173,7 @@ func FuzzEngineSchedule(f *testing.F) {
 				live++
 				deliver := func() {
 					live--
-					check("delivery", ticker, true)
+					check("delivery", ticker)
 					fired = append(fired, firing{at: e.Now(), ord: myOrd})
 					if depth < 3 && b%3 == 0 {
 						schedule(e.Now(), depth+1, b/3)
@@ -215,7 +203,7 @@ func FuzzEngineSchedule(f *testing.F) {
 					firedEvs = append(firedEvs, ev)
 					fired = append(fired, firing{at: at, ord: myOrd})
 					// The slot this event fired from is still empty here.
-					check("event", ticker, false)
+					check("event", ticker)
 					var op byte
 					if i := len(firedEvs) - 1; i < len(ops) {
 						op = ops[i]
@@ -241,17 +229,13 @@ func FuzzEngineSchedule(f *testing.F) {
 							cancel(firedEvs[i])
 						}
 					}
-					check("event", ticker, op&opQuiet == 0)
-					// Scheduling before now must fail with the typed
-					// error, from any point in the run.
-					if _, err := e.TryAt(e.Now()-1, func() {}); err == nil {
-						t.Fatalf("TryAt(%v) accepted at now=%v", e.Now()-1, e.Now())
-					} else {
-						var pe *PastEventError
-						if !errors.As(err, &pe) {
-							t.Fatalf("past schedule returned %T, want *PastEventError", err)
-						}
+					check("event", ticker)
+					// Scheduling before now must panic with the typed
+					// error, from any point in the run, and queue nothing.
+					if pe := recoverPast(func() { e.At(e.Now()-1, func() {}) }); pe == nil {
+						t.Fatalf("At(%v) did not panic with *PastEventError at now=%v", e.Now()-1, e.Now())
 					}
+					check("past schedule", ticker)
 					if b%4 == 3 {
 						// A burst of one to four frames with no gap
 						// between sends.
@@ -262,7 +246,7 @@ func FuzzEngineSchedule(f *testing.F) {
 					if depth < 3 && b%3 == 0 {
 						schedule(e.Now().Add(Duration(b%7)), depth+1, b/3)
 					}
-					check("event", ticker, op&opQuiet == 0)
+					check("event", ticker)
 				})
 			}
 			if period > 0 {
@@ -272,7 +256,7 @@ func FuzzEngineSchedule(f *testing.F) {
 				ticker = 1
 				e.Ticker(period, func() {
 					ticks++
-					check("tick", 0, true)
+					check("tick", 0)
 				})
 			}
 			for _, b := range data {
@@ -301,7 +285,7 @@ func FuzzEngineSchedule(f *testing.F) {
 				}
 				lastTick, ticker = ticker, 0
 			}
-			check("end", ticker, true)
+			check("end", ticker)
 			if e.Pending() != ticker {
 				t.Fatalf("run left %d events pending, want %d", e.Pending(), ticker)
 			}
@@ -344,14 +328,12 @@ func FuzzEngineSchedule(f *testing.F) {
 
 // The ops FuzzEngineSchedule's ctl bytes give At events. The low three
 // bits pick a cancel; bits 3 to 6 pick which event it targets among those
-// pending or fired; opQuiet skips the LivePending reads, which finish a
-// deferred pop, so the empty slot survives for a sweep to meet.
+// pending or fired.
 const (
 	opCancelPending  = 1 // cancel a pending At event
 	opCancelFired    = 2 // cancel an At event that already fired
 	opCancelOwn      = 3 // cancel the firing event's own ID
 	opCancelAllFired = 4 // cancel every fired At event, newest first
-	opQuiet          = 0x80
 )
 
 // sweepOps gives the 80th At event to fire opCancelAllFired.

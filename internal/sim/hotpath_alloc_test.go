@@ -186,6 +186,53 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// guardLoop is the failover path's timer pattern: each request arms a
+// timeout guard and schedules its completion, and the completion
+// disarms the guard before it fires, then issues the next request.
+type guardLoop struct {
+	eng   *sim.Engine
+	guard sim.EventID
+	left  int
+}
+
+// guardTimeout is a guard's handler; a disarmed guard never runs it.
+type guardTimeout struct{}
+
+func (guardTimeout) HandleEvent(any) { panic("a cancelled guard fired") }
+
+func (g *guardLoop) issue() {
+	g.guard = g.eng.AfterCall(10*sim.Microsecond, guardTimeout{}, nil)
+	g.eng.AfterCall(sim.Microsecond, g, nil)
+}
+
+// HandleEvent completes a request.
+func (g *guardLoop) HandleEvent(any) {
+	g.eng.Cancel(g.guard)
+	if g.left--; g.left > 0 {
+		g.issue()
+	}
+}
+
+// Arming and disarming a guard allocates nothing once the engine's free
+// list is warm: Cancel marks the guard's record, and the step that
+// reaches it recycles it. The cancelled records still queued stay
+// bounded by the guard's timeout.
+func TestCancelZeroAllocs(t *testing.T) {
+	g := &guardLoop{eng: sim.NewEngine()}
+	cycle := func() {
+		g.left = 100
+		g.issue()
+		g.eng.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("100 guarded requests allocate %.2f times, want 0", allocs)
+	}
+	if p := g.eng.Profile(); p.Executed != 22*100 || p.HeapPeak > 12 {
+		t.Errorf("profile %+v, want 2,200 completions on a heap of at most 12 records", p)
+	}
+}
+
 // BenchmarkEngineHotPath reports allocs/op for the same loop, the
 // number TestHotPathZeroAllocs holds at zero.
 func BenchmarkEngineHotPath(b *testing.B) {

@@ -147,7 +147,7 @@ func (l *Link) SendCall(size int, h EventHandler) Time {
 	return done
 }
 
-// deliverFunc adapts a delivery closure to EventHandler for Send.
+// deliverFunc adapts a closure to EventHandler for Send, At and After.
 type deliverFunc func()
 
 // HandleEvent runs the closure.

@@ -30,9 +30,8 @@ func TestLinkBacklogBoundsEventHeap(t *testing.T) {
 			delivered++
 		})
 	}
-	if got, want := e.Pending(), frames-delivered; got != want || e.LivePending() != want {
-		t.Fatalf("Pending = %d, LivePending = %d with %d frames in flight",
-			got, e.LivePending(), want)
+	if got, want := e.Pending(), frames-delivered; got != want {
+		t.Fatalf("Pending = %d with %d frames in flight", got, want)
 	}
 	if delivered > frames/2 {
 		t.Fatalf("%d of %d frames delivered while sending: link was not saturated", delivered, frames)
@@ -45,7 +44,7 @@ func TestLinkBacklogBoundsEventHeap(t *testing.T) {
 	if p.HeapPeak != 1 {
 		t.Fatalf("HeapPeak = %d, want 1: only the link's head frame is queued", p.HeapPeak)
 	}
-	if p.Pending != 0 || p.LivePending != 0 {
+	if p.Pending != 0 {
 		t.Fatalf("drained profile = %+v", p)
 	}
 }
@@ -127,4 +126,35 @@ func TestLinkNegativeSizePanics(t *testing.T) {
 		}
 	}()
 	l.Send(-1, nil)
+}
+
+func TestLinkDownLosesFramesAndUpDelivers(t *testing.T) {
+	e := NewEngine()
+	l := NewLink(e, 100e9, 0)
+	delivered := 0
+	l.SetDown(true)
+	l.Send(1250, func() { delivered++ })
+	e.Run()
+	if delivered != 0 || l.Lost() != 1 {
+		t.Fatalf("down link delivered=%d lost=%d, want 0/1", delivered, l.Lost())
+	}
+	l.SetDown(false)
+	l.Send(1250, func() { delivered++ })
+	e.Run()
+	if delivered != 1 || l.Lost() != 1 {
+		t.Fatalf("recovered link delivered=%d lost=%d, want 1/1", delivered, l.Lost())
+	}
+}
+
+func TestLinkRateFactorStretchesSerialization(t *testing.T) {
+	e := NewEngine()
+	l := NewLink(e, 100e9, 0)
+	// 1250 B at 100 Gb/s = 100 ns; at half rate = 200 ns.
+	l.SetRateFactor(0.5)
+	var arrived Time
+	l.Send(1250, func() { arrived = e.Now() })
+	e.Run()
+	if arrived != 200 {
+		t.Fatalf("capped link delivered at %v, want 200ns", arrived)
+	}
 }

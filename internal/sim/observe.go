@@ -62,8 +62,8 @@ func (e *Engine) Ticker(period Duration, fn func()) {
 	tick = func() {
 		e.tickerPending--
 		if e.Pending() <= e.tickerPending {
-			// Only other tickers (or cancelled residue) remain: stop
-			// silently so the chain of tickers collapses and Run exits.
+			// Only other tickers remain: stop silently so the chain of
+			// tickers collapses and Run exits.
 			return
 		}
 		fn()

@@ -46,6 +46,24 @@ func TestTickerStopsWhenOnlyTickersRemain(t *testing.T) {
 	}
 }
 
+// A cancelled event never fires, so it must not keep a ticker sampling
+// under RunUntil either: once the live event at t=50 has fired, only the
+// ticker and a ghost at t=1000 remain, and the ticker stops.
+func TestTickerStopsBehindCancelledEvent(t *testing.T) {
+	e := NewEngine()
+	ticks := 0
+	e.Ticker(10, func() { ticks++ })
+	e.At(50, func() {})
+	e.Cancel(e.At(1000, func() { t.Fatal("cancelled event fired") }))
+	e.RunUntil(2000)
+	if ticks != 4 {
+		t.Fatalf("ticks = %d, want 4: the ticker sampled past the last live event", ticks)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after the ticker stopped, want 0", e.Pending())
+	}
+}
+
 func TestMultipleTickersTerminate(t *testing.T) {
 	e := NewEngine()
 	var a, b, c int

@@ -3,9 +3,9 @@ package sim
 import "testing"
 
 // The engine's self-profiling counters feed the -profile export, so
-// their semantics are pinned here: LivePending sees through cancelled
-// ghosts, HeapPeak is a true high-water mark, and the event free list
-// actually recycles records instead of leaking or double-using them.
+// their semantics are pinned here: Pending leaves cancelled events out,
+// HeapPeak is a true high-water mark, and the event free list actually
+// recycles records instead of leaking or double-using them.
 
 func TestLivePendingExcludesCancelled(t *testing.T) {
 	e := NewEngine()
@@ -13,23 +13,24 @@ func TestLivePendingExcludesCancelled(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ids = append(ids, e.At(Time(i+1), func() {}))
 	}
-	if e.Pending() != 10 || e.LivePending() != 10 {
-		t.Fatalf("pending = %d/%d live, want 10/10", e.Pending(), e.LivePending())
+	if e.Pending() != 10 {
+		t.Fatalf("Pending = %d, want 10", e.Pending())
 	}
 	for _, id := range ids[:4] {
 		e.Cancel(id)
+		e.Cancel(id) // a second cancel of one event is a no-op
 	}
-	// Below the sweep floor nothing is discarded eagerly: the raw count
-	// keeps the ghosts, the live count must not.
-	if e.Pending() != 10 {
-		t.Fatalf("Pending = %d after lazy cancels, want 10 (ghosts retained)", e.Pending())
+	// The cancelled records stay queued until they reach the root, but
+	// Pending counts only the events that will fire.
+	if e.Pending() != 6 || len(e.queue) != 10 {
+		t.Fatalf("Pending = %d with %d records queued, want 6 of 10", e.Pending(), len(e.queue))
 	}
-	if e.LivePending() != 6 {
-		t.Fatalf("LivePending = %d, want 6", e.LivePending())
+	if p := e.Profile(); p.Pending != 6 {
+		t.Fatalf("Profile().Pending = %d, want 6", p.Pending)
 	}
 	e.Run()
-	if e.Pending() != 0 || e.LivePending() != 0 {
-		t.Fatalf("queue not drained: %d/%d", e.Pending(), e.LivePending())
+	if e.Pending() != 0 || len(e.queue)-e.hole != 0 {
+		t.Fatalf("queue not drained: Pending %d, %d records", e.Pending(), len(e.queue)-e.hole)
 	}
 	if got := e.Profile(); got.Executed != 6 {
 		t.Fatalf("executed %d events, want the 6 live ones", got.Executed)
@@ -38,9 +39,8 @@ func TestLivePendingExcludesCancelled(t *testing.T) {
 
 func TestProfileHeapPeakAndSweeps(t *testing.T) {
 	e := NewEngine()
-	// The cancel-heavy shape that forces eager sweeps: every completion
-	// disarms its own (already-fired) guard, so the cancelled set grows
-	// while the queue shrinks until the sweep condition trips.
+	// The failover shape: every completion disarms its own guard after
+	// it fired, so every cancel finds a fired event.
 	ids := make([]EventID, 200)
 	for i := 0; i < 200; i++ {
 		i := i
@@ -54,14 +54,8 @@ func TestProfileHeapPeakAndSweeps(t *testing.T) {
 	if p.Executed != 200 {
 		t.Fatalf("Executed = %d, want 200 (cancelling a fired event must not unfire it)", p.Executed)
 	}
-	if p.CancelSweeps == 0 {
-		t.Fatal("200 disarm-after-fire cancels never triggered an eager sweep")
-	}
-	if p.HeapPeak != 200 || p.Pending != 0 || p.LivePending != 0 {
-		t.Fatalf("final profile = %+v", p)
-	}
-	if e.CancelledPending() > cancelSweepFloor {
-		t.Fatalf("cancelled set leaked %d entries past the sweep floor", e.CancelledPending())
+	if p.HeapPeak != 200 || p.Pending != 0 || e.ghosts != 0 {
+		t.Fatalf("final profile = %+v with %d ghosts", p, e.ghosts)
 	}
 }
 
@@ -90,10 +84,10 @@ func TestEventFreeListRecycles(t *testing.T) {
 		t.Fatalf("free list holds %d records after a 1-deep loop, want <=1 (no recycling?)", len(e.free))
 	}
 
-	// And recycled records never pin closures.
+	// And recycled records never pin a closure or its argument.
 	for _, ev := range e.free {
-		if ev.fn != nil {
-			t.Fatal("recycled event still references its closure")
+		if ev.h != nil || ev.arg != nil {
+			t.Fatal("recycled event still references its handler or argument")
 		}
 	}
 }

@@ -319,3 +319,19 @@ func TestLogNormalDurPositive(t *testing.T) {
 		}
 	}
 }
+
+func TestStationStallHoldsJobsUntilClear(t *testing.T) {
+	e := NewEngine()
+	s := NewStation(e, 1)
+	s.StallUntil(100)
+	var end Time
+	s.Submit(&Job{Service: 10, Done: func(_, e2 Time) { end = e2 }})
+	e.Run()
+	// Start at 0, stalled until 100, then 10 of service.
+	if end != 110 {
+		t.Fatalf("stalled job finished at %v, want 110", end)
+	}
+	if s.Stalled() {
+		t.Fatal("station still reports stalled after the gate passed")
+	}
+}

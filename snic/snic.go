@@ -159,9 +159,9 @@ func WithTelemetry(tel *Telemetry) Option {
 }
 
 // SelfProfile is the aggregated simulator self-profile: events
-// executed, event-heap high-water, cancel sweeps, memo-cache traffic
-// and worker-pool fan-out across every simulation of the testbeds a
-// Profiler is attached to.
+// executed, event-heap high-water, memo-cache traffic and worker-pool
+// fan-out across every simulation of the testbeds a Profiler is
+// attached to.
 type SelfProfile = core.SelfProfile
 
 // Profiler collects simulator self-profiling from every testbed it is

@@ -8,8 +8,10 @@
 # which only reads the repository, and both sides are built from source.
 # Every run's stdout and the files it writes are compared by SHA-256
 # digest, because the traces run to hundreds of megabytes; each run's
-# outputs are deleted once compared. Stderr is not compared: it carries
-# the wall-clock events/s line. The temporary directory honours TMPDIR.
+# outputs are deleted once compared. Where a file differs and both copies
+# are under 64 KiB, the first 40 lines of their diff are printed first.
+# Stderr is not compared: it carries the wall-clock events/s line. The
+# temporary directory honours TMPDIR.
 set -euo pipefail
 
 base=${1:-HEAD}
@@ -23,6 +25,21 @@ git -C "$root" archive "$base" | tar -x -C "$work/src"
 (cd "$root" && go build -o "$work/snicbench.tree" ./cmd/snicbench)
 
 failed=0
+# show_diffs prints the start of the diff of each output file that
+# differs between the two sides, when both copies are under 64 KiB.
+show_diffs() {
+	local path f
+	for path in "$work/base"/*; do
+		f=${path##*/}
+		[ -f "$work/tree/$f" ] || continue
+		cmp -s "$path" "$work/tree/$f" && continue
+		if [ "$(wc -c <"$path")" -lt 65536 ] && [ "$(wc -c <"$work/tree/$f")" -lt 65536 ]; then
+			echo "diff of $f (first 40 lines):"
+			diff "$path" "$work/tree/$f" | head -n 40 || true
+		fi
+	done
+}
+
 # check NAME ARGS...: runs both builds with ARGS in fresh directories
 # (file arguments are relative names) and compares what they produced.
 check() {
@@ -43,6 +60,7 @@ check() {
 	else
 		echo "OUTPUT DIFFERS: $name"
 		diff "$work/base.sum" "$work/tree.sum" || true
+		show_diffs
 		failed=1
 	fi
 	rm -rf "$work/base" "$work/tree"
