@@ -64,9 +64,10 @@ profile-smoke: bin/snicbench
 # BASE (extracted with git archive) and in the working tree, then
 # compares -exp all stdout and its -profile JSON, -exp all's metrics and
 # manifests, the fig4 nat trace and metrics, the fleet manifest, the
-# pipeline and offload traces, metrics and manifests, the checked
-# faults, pipeline, offload, strategies and fleet runs, the faults
-# trace, and the checked and traced pipeline run, by digest.
+# pipeline and offload traces, metrics and manifests, the checked and
+# untraced fig4, faults, pipeline, offload, strategies and fleet runs
+# (their manifests come from the recorders' counts), the faults trace,
+# and the checked and traced pipeline run, by digest.
 # A change that must not move any number runs this against its parent.
 BASE ?= HEAD
 same-output:
@@ -79,9 +80,10 @@ faults:
 # Checked execution: every experiment family under online invariant
 # validation (request/byte conservation, causality, clock monotonicity,
 # queue sanity), recorded as well: metrics and manifests go to a
-# temporary directory, so the recorder, the checker fan-out and the
-# span drop at Attach run on every family. Any broken law panics with a
-# typed violation, so a clean exit is the assertion.
+# temporary directory, so the recorder's counts, the checker fan-out and
+# the span audit as each span is recorded run on every family. Any
+# broken law panics with a typed violation, so a clean exit is the
+# assertion.
 check: bin/snicbench
 	tmp=$$(mktemp -d); \
 	for e in fig4 fig5 table4 strategies faults fleet pipeline offload; do \

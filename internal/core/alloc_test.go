@@ -21,9 +21,9 @@ import (
 // warmed run of each driver. The drivers measure 0.002–0.035 here,
 // while a closure per hop costs these runs 1.0–5.2, so the bound sits
 // well clear of both. Checked and recorded runs stay under the same
-// bound: the span audit reads spans in place, the checker's ledgers are
-// dense tables, and a collector that writes no trace hands each run's
-// spans back to the free list for the next run.
+// bound: the span audit compares each span as it is recorded, the
+// checker's ledgers are dense tables, and a recorder whose collector
+// writes no trace stores no spans.
 const maxAllocsPerEvent = 0.1
 
 // allocsPerEvent runs w once to warm process-wide state (the catalog,
@@ -114,8 +114,8 @@ func TestRequestPathAllocsPerEvent(t *testing.T) {
 		{"flow offload", Workload{Kind: WorkloadOffload, Offload: &offload}, false},
 		{"balanced replay under the software balancer", balanced, false},
 		// The same drivers checked and recorded: every hook of the
-		// checker and the recorder fires, and each run's spans are
-		// audited and then dropped at Attach.
+		// checker and the recorder fires, and each span is audited as
+		// it is recorded and counted, not stored.
 		{"checked+recorded netserve on host cores", point("nat", "10K", HostCPU, 2), true},
 		{"checked+recorded NAT→IDS pipeline spilling to host", pipeline(NATIDSPipeline(), SpillToHost{}, 40), true},
 		{"checked+recorded crypto→compress→send pipeline", pipeline(CryptoCompressSendPipeline(), DropWhenFull{}, 10), true},

@@ -10,9 +10,9 @@ import (
 // simulation a per-run invariant.Checker validating the simulator's
 // physical laws online: request and byte conservation through the
 // drivers' ledgers, queue sanity and clock monotonicity through the same
-// sim observer slots telemetry uses, and span causality at end of run.
-// With Checks off every hook below degenerates to the telemetry nil
-// check, so the unchecked hot path is unchanged.
+// sim observer slots telemetry uses, and span causality as spans are
+// recorded. With Checks off every hook below degenerates to the
+// telemetry nil check, so the unchecked hot path is unchanged.
 
 // newChecker returns a fail-fast checker for one run, or nil when
 // checked mode is off.

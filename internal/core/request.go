@@ -152,7 +152,7 @@ func (ctx *runctx) take(p *nic.Packet) *request {
 func (ctx *runctx) receive(p *nic.Packet) *request {
 	r := ctx.take(p)
 	now := ctx.tb.Eng.Now()
-	ctx.stage(r.root, spanIngress, r.sentAt, now)
+	ctx.stage(r, spanIngress, r.sentAt, now)
 	r.mark = now
 	return r
 }
@@ -198,7 +198,7 @@ func (r *request) exec(pool *cpu.Pool, next hop, svc sim.Duration) {
 //snicvet:hotpath
 func (r *request) queued(start sim.Time) {
 	if start > r.mark {
-		r.ctx.stage(r.root, spanQueue, r.mark, start)
+		r.ctx.stage(r, spanQueue, r.mark, start)
 	}
 }
 
@@ -235,43 +235,43 @@ func (r *request) onJob(start, end sim.Time) {
 	switch r.hop {
 	case hopServed:
 		r.queued(start)
-		ctx.stage(r.root, spanService, start, end)
+		ctx.stage(r, spanService, start, end)
 		ctx.endPhase(r, start, end)
 	case hopStaged:
 		r.queued(start)
-		ctx.stage(r.root, spanStaging, start, end)
+		ctx.stage(r, spanStaging, start, end)
 		// The phase span runs from staging start to engine retirement.
 		r.mark = start
 		r.hop = hopEngined
 		ph := &ctx.ps.Phases[r.phase]
 		ctx.engineSubmit(ph.Engine, ph.PKAAlgo, r.in, r.jobDone)
 	case hopEngined:
-		ctx.stage(r.root, spanEngine, start, end)
+		ctx.stage(r, spanEngine, start, end)
 		ctx.endPhase(r, r.mark, end)
 	case hopSlowPath:
 		r.queued(start)
-		ctx.stage(r.root, spanService, start, end)
+		ctx.stage(r, spanService, start, end)
 		r.respond(r.size)
 	case hopLocalServed:
-		ctx.stage(r.root, spanService, start, end)
+		ctx.stage(r, spanService, start, end)
 		r.finishLocal()
 	case hopLocalStaged:
-		ctx.stage(r.root, spanStaging, start, end)
+		ctx.stage(r, spanStaging, start, end)
 		r.hop = hopLocalEngined
 		ctx.engineSubmit(ctx.cfg.Engine, ctx.cfg.PKAAlgo, r.size, r.jobDone)
 	case hopLocalEngined:
-		ctx.stage(r.root, spanEngine, start, end)
+		ctx.stage(r, spanEngine, start, end)
 		r.finishLocal()
 	case hopPosted:
-		ctx.stage(r.root, spanService, start, end)
+		ctx.stage(r, spanService, start, end)
 		ctx.tb.Eng.AfterCall(ctx.ep.FixedDelay()+ctx.extraLatency(), (*ioCommand)(r), nil)
 	case hopCompleted:
 		r.finish()
 	case hopRouteHost:
-		ctx.stage(r.root, spanService, start, end)
+		ctx.stage(r, spanService, start, end)
 		ctx.routeServed(r)
 	case hopRouteStaged:
-		ctx.stage(r.root, spanStaging, start, end)
+		ctx.stage(r, spanStaging, start, end)
 		r.hop = hopRouteEngined
 		//snicvet:ignore hotpath -- allocates only the typed error a crashed engine rejects the task with
 		if ctx.tb.REM.Submit(r.size, r.jobDone) != nil {
@@ -282,7 +282,7 @@ func (r *request) onJob(start, end sim.Time) {
 			ctx.serveHost(r)
 		}
 	case hopRouteEngined:
-		ctx.stage(r.root, spanEngine, start, end)
+		ctx.stage(r, spanEngine, start, end)
 		ctx.routeServed(r)
 	default:
 		panic("core: job completion on a request not waiting for one")
@@ -298,14 +298,14 @@ func (r *request) onArrival(*nic.Packet) {
 	now := ctx.tb.Eng.Now()
 	switch r.hop {
 	case hopReturned:
-		ctx.stage(r.root, spanReturn, r.mark, now)
+		ctx.stage(r, spanReturn, r.mark, now)
 		r.finish()
 	case hopCommanded:
-		ctx.stage(r.root, spanIngress, r.mark, now)
+		ctx.stage(r, spanIngress, r.mark, now)
 		r.mark = now
 		ctx.tb.Eng.AfterCall(storageDeviceLat, (*ioDevice)(r), nil)
 	case hopStored:
-		ctx.stage(r.root, spanReturn, r.mark, now)
+		ctx.stage(r, spanReturn, r.mark, now)
 		// Completion interrupt/poll on the initiator.
 		spec := ctx.tb.SpecFor(ctx.plat)
 		r.exec(ctx.pool, hopCompleted, sim.Cycles(600/spec.IPC, spec.BaseHz))
@@ -380,9 +380,10 @@ func (ctx *runctx) startPhase(r *request) {
 	ctx.execPhase(r, ctx.tb.StagingPool, hopStaged, ctx.jit.LogNormalDur(sim.Cycles(cycles/spec.IPC, spec.BaseHz), 0.15))
 }
 
-// phaseMark is one pipeline phase's span label and ledger handle,
-// resolved once when the run is wired.
+// phaseMark is one pipeline phase's span name and label and its ledger
+// handle, resolved once when the run is wired.
 type phaseMark struct {
+	name   string
 	span   obs.SpanLabel
 	ledger invariant.PhaseID
 }
@@ -394,9 +395,8 @@ func (ctx *runctx) markPhases() {
 	for i := range ctx.ps.Phases {
 		name := ctx.ps.Phases[i].Name
 		m := &ctx.phaseMarks[i]
-		if ctx.rec != nil {
-			m.span = ctx.rec.Intern("phase/" + name)
-		}
+		m.name = "phase/" + name
+		m.span = ctx.rec.Intern(m.name)
 		m.ledger = ctx.chk.Phase(name)
 	}
 }
@@ -424,7 +424,7 @@ func (h *cpuRx) HandleEvent(any) {
 	r := (*request)(h)
 	ctx := r.ctx
 	enq := ctx.tb.Eng.Now()
-	ctx.stage(r.root, spanStackRx, r.mark, enq)
+	ctx.stage(r, spanStackRx, r.mark, enq)
 	r.mark = enq
 	ctx.execPhase(r, ctx.pool, hopServed, r.svc)
 }
@@ -438,8 +438,8 @@ func (h *cpuRx) HandleEvent(any) {
 func (ctx *runctx) endPhase(r *request, start, end sim.Time) {
 	ph := &ctx.ps.Phases[r.phase]
 	if m := ctx.phaseMarks; m != nil {
-		if r.root != 0 {
-			ctx.rec.Record(m[r.phase].span, r.root, start, end)
+		if ctx.childSpans {
+			ctx.child(r, m[r.phase].span, m[r.phase].name, start, end)
 		}
 		//snicvet:ignore hotpath -- checked runs only (violation reports); a nil checker returns at once
 		ctx.chk.PhaseExit(m[r.phase].ledger, r.seq, end)

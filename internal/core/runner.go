@@ -108,6 +108,8 @@ type Runner struct {
 	cache  measureCache
 	sims   atomic.Uint64
 	progMu sync.Mutex
+	// finished, when set, sees each run as finish begins (for tests).
+	finished func(*runctx)
 }
 
 // NewRunner returns a runner with the default testbed.
@@ -164,6 +166,8 @@ type runctx struct {
 	stageLabels [numStageSpans]obs.SpanLabel
 	// chk is the run's invariant checker; nil when checks are off.
 	chk *invariant.Checker
+	// childSpans is set when rec or chk is (see child).
+	childSpans bool
 
 	// freeReqs and freePkts are the run's free lists of request records
 	// and client packets (see request.go).
@@ -249,6 +253,7 @@ func (r *Runner) newRunctx(tbc TestbedConfig, plat Platform, stack netstack.Kind
 		rec:      r.newRecorder(key, label),
 		chk:      r.newChecker(label),
 	}
+	ctx.childSpans = ctx.rec != nil || ctx.chk != nil
 	ctx.internLabels()
 	ctx.pool = tb.PoolFor(plat)
 	ctx.pool.SetQueueCapacity(4096)
@@ -581,7 +586,7 @@ type ioDevice request
 func (h *ioDevice) HandleEvent(any) {
 	r := (*request)(h)
 	now := r.ctx.tb.Eng.Now()
-	r.ctx.stage(r.root, spanDevice, r.mark, now)
+	r.ctx.stage(r, spanDevice, r.mark, now)
 	r.mark = now
 	r.resp = nic.Packet{Size: storageBlock, SentAt: r.sentAt}
 	r.hop = hopStored
@@ -639,7 +644,7 @@ type switchedForward request
 //snicvet:hotpath
 func (h *switchedForward) HandleEvent(any) {
 	r := (*request)(h)
-	r.ctx.stage(r.root, spanIngress, r.sentAt, r.ctx.tb.Eng.Now())
+	r.ctx.stage(r, spanIngress, r.sentAt, r.ctx.tb.Eng.Now())
 	r.respond(r.size)
 }
 

@@ -8,13 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// The unified Workload API. Five run families grew five parallel entry
-// points (Run, ReplayTrace, ReplayServer, RunFaulted, RunBalanced);
-// pipelines would have been a sixth. Workload is the single spec that
-// subsumes them: Execute validates it with typed errors and dispatches
-// to each family's implementation. Run, ReplayTrace, ReplayServer and
-// RunFaulted remain as wrappers over Execute that panic on its error,
-// for drivers whose inputs are known good.
+// The unified Workload API: Workload is the single spec of every run
+// family, and Execute validates it with typed errors and dispatches to
+// each family's implementation. Run, ReplayTrace, ReplayServer,
+// RunFaulted, RunPipeline and RunOffload are wrappers over Execute that
+// panic on its error, for drivers whose inputs are known good; balanced
+// replays run through Execute alone.
 
 // WorkloadKind selects a run family.
 type WorkloadKind string

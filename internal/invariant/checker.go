@@ -51,6 +51,8 @@ type Checker struct {
 
 	injected, completed, dropped  uint64
 	bytesIn, bytesDone, bytesDrop uint64
+	// spans counts the child spans audited (see Span).
+	spans uint64
 	// state is each request's lifecycle state, indexed by its sequence
 	// number (see dense).
 	state []uint8

@@ -9,9 +9,9 @@
 //     in-flight), for plain runs, trace replays, fleet servers and
 //     faulted/failover replays alike;
 //   - byte conservation: payload bytes follow the same ledger;
-//   - causality: every recorded phase of a request starts no earlier
-//     than its arrival and (straggler-free runs) ends no later than its
-//     completion, and no span has negative duration;
+//   - causality: every span of a request, audited as it is recorded,
+//     has ended, starts no earlier than its request, has no negative
+//     duration, and belongs to a request still in flight;
 //   - clock monotonicity: observed virtual time never runs backwards;
 //   - queue sanity: station occupancy is never negative, never exceeds
 //     the server count, and queues never exceed their capacity.
@@ -47,7 +47,8 @@ const (
 	// RuleRequestState: an impossible per-request transition (complete
 	// without inject, double complete, drop after complete, ...).
 	RuleRequestState Rule = "request-state"
-	// RuleCausality: a span violates arrival ≤ enter ≤ exit ≤ completion.
+	// RuleCausality: a span violates arrival ≤ enter ≤ exit ≤ now, or
+	// outlives its request.
 	RuleCausality Rule = "causality"
 	// RuleClock: observed virtual time ran backwards.
 	RuleClock Rule = "clock-monotonic"

@@ -1,67 +1,50 @@
 package invariant
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// SpanCheckOpts tunes the end-of-run span audit.
-type SpanCheckOpts struct {
-	// AllowStragglers permits a child span to end after its parent
-	// closes. Failover replays need this: a request abandoned at its
-	// retry timeout closes its root span while the stale in-service
-	// copy still finishes (and records) later.
-	AllowStragglers bool
-}
-
-// CheckSpans audits a finished run's span tree for causality: no closed
-// span has negative duration, every child starts no earlier than its
-// parent (a request phase cannot precede the request's arrival), and —
-// unless AllowStragglers — every closed child ends no later than its
-// closed parent. Open spans are legitimate (requests shed mid-flight)
-// and are only checked on the start side. Spans are read in place in
-// record order through Recorder.Timing, which touches no name; a
-// violation's requests/<name> label is built only when one is found, so
-// a clean audit allocates nothing. Returns the first *Violation found,
-// obs.ErrSpansDropped if the recorder no longer holds its spans (audit
-// before handing a run to its Collector), or nil. Nil-safe.
-func CheckSpans(rec *obs.Recorder, opts SpanCheckOpts) error {
-	n := obs.SpanID(rec.SpanCount())
-	for id := obs.SpanID(1); id <= n; id++ {
-		s, ok := rec.Timing(id)
-		if !ok {
-			return obs.ErrSpansDropped
-		}
-		if !s.Open && s.End < s.Start {
-			return spanViolation(rec, id, s.Start,
-				fmt.Sprintf("span %d has negative duration (%v .. %v)", id, s.Start, s.End))
-		}
-		if s.Parent == 0 {
-			continue
-		}
-		p, ok := rec.Timing(s.Parent)
-		if !ok || s.Parent == id {
-			return spanViolation(rec, id, s.Start,
-				fmt.Sprintf("span %d links to impossible parent %d", id, s.Parent))
-		}
-		if s.Start < p.Start {
-			return spanViolation(rec, id, s.Start,
-				fmt.Sprintf("span %d starts at %v before its parent at %v", id, s.Start, p.Start))
-		}
-		if !opts.AllowStragglers && !s.Open && !p.Open && s.End > p.End {
-			return spanViolation(rec, id, s.End,
-				fmt.Sprintf("span %d ends at %v after its parent at %v", id, s.End, p.End))
-		}
+// Span audits one child span of request seq, named name, as the run
+// records it at now. sentAt is the request's start, where its root span
+// begins. Every rule is local to the request, so the audit needs no
+// stored span:
+//   - the span ends no earlier than it starts;
+//   - it starts no earlier than its request;
+//   - it has already ended (end <= now);
+//   - its request is still in flight in the ledger, unless stale: a
+//     failover copy still in service after its request resolved (a
+//     retry completed first, or the request was abandoned) records its
+//     stages late.
+//
+// A clean span costs four compares and allocates nothing, and Span is
+// small enough to inline into the run's span hook. A broken span is a
+// RuleCausality violation on requests/<name> at now, naming the
+// request. Nil-safe.
+//
+//snicvet:hotpath
+func (c *Checker) Span(name string, seq uint64, sentAt, start, end, now sim.Time, stale bool) {
+	if c == nil {
+		return
 	}
-	return nil
+	c.spans++
+	if end < start || start < sentAt || end > now ||
+		!stale && (seq >= uint64(len(c.state)) || c.state[seq] != reqInFlight) {
+		//snicvet:ignore hotpath -- allocates only the *Violation it reports
+		c.violate(&Violation{Rule: RuleCausality, Time: now, Station: obs.TrackRequests + "/" + name,
+			Request: seq, Detail: spanRules})
+	}
 }
 
-// spanViolation is the causality violation for span id, labelled
-// requests/<name>.
-func spanViolation(rec *obs.Recorder, id obs.SpanID, at sim.Time, detail string) *Violation {
-	s, _ := rec.View(id)
-	return &Violation{Rule: RuleCausality, Run: rec.Label(), Time: at,
-		Station: obs.TrackRequests + "/" + s.Name, Detail: detail}
+// spanRules is a span violation's detail. It is a constant, not the
+// span's values formatted, so that Span stays inlinable.
+const spanRules = "a span must end no earlier than it starts, start no earlier than its request, " +
+	"end no later than now, and belong to a request still in flight"
+
+// Spans returns how many child spans the checker audited. Nil-safe.
+func (c *Checker) Spans() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.spans
 }

@@ -1,121 +1,148 @@
 package invariant
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
+// spanViolation returns the violation a soft checker recorded, failing
+// the test unless it is a span's causality violation.
+func spanViolation(t *testing.T, c *Checker) *Violation {
+	t.Helper()
+	v, ok := c.Err().(*Violation)
+	if !ok || v.Rule != RuleCausality || v.Detail != spanRules {
+		t.Fatalf("err = %v, want a span's causality violation", c.Err())
+	}
+	return v
+}
+
+// A request's stages, audited as they are recorded while it is in
+// flight, pass; the checker counts each one.
 func TestCheckSpansCleanTree(t *testing.T) {
-	rec := obs.NewRecorder(1, "clean")
-	root := rec.Open(obs.TrackRequests, "request", sim.Time(100))
-	child := rec.Begin(rec.Intern("serve"), root, sim.Time(120))
-	rec.Close(child, sim.Time(180))
-	rec.Close(root, sim.Time(200))
-	if err := CheckSpans(rec, SpanCheckOpts{}); err != nil {
-		t.Fatalf("clean tree flagged: %v", err)
+	c := New("clean")
+	c.Inject(1, 64, 100)
+	c.Span("wire+switch", 1, 100, 100, 120, 120, false) // starts with its request, ends now
+	c.Span("queue", 1, 100, 120, 120, 130, false)       // zero duration
+	c.Span("cpu-service", 1, 100, 120, 180, 190, false)
+	c.Complete(1, 64, 200)
+	if err := c.Finish(200); err != nil {
+		t.Fatalf("clean request flagged: %v", err)
+	}
+	if c.Spans() != 3 {
+		t.Fatalf("Spans = %d, want 3", c.Spans())
 	}
 }
 
 func TestCheckSpansNegativeDuration(t *testing.T) {
-	rec := obs.NewRecorder(1, "neg")
-	rec.Record(rec.Intern("serve"), 0, sim.Time(100), sim.Time(60))
-	err := CheckSpans(rec, SpanCheckOpts{})
-	v, ok := err.(*Violation)
-	if !ok || v.Rule != RuleCausality {
-		t.Fatalf("err = %v, want a causality violation", err)
+	c := New("neg").Soft()
+	c.Inject(1, 64, 0)
+	c.Span("serve", 1, 0, 100, 60, 100, false)
+	v := spanViolation(t, c)
+	if v.Run != "neg" || v.Station != "requests/serve" || v.Request != 1 || v.Time != 100 {
+		t.Fatalf("context = %q/%q/%d at %v, want the run, requests/name, the request and the record time",
+			v.Run, v.Station, v.Request, v.Time)
 	}
-	if !strings.Contains(v.Detail, "negative duration") {
-		t.Fatalf("detail = %q", v.Detail)
-	}
-	if v.Run != "neg" || v.Station != "requests/serve" {
-		t.Fatalf("context = %q/%q, want run and requests/name", v.Run, v.Station)
-	}
+
+	// Checks fail fast outside Soft mode.
+	defer func() {
+		if _, ok := recover().(*Violation); !ok {
+			t.Fatal("fail-fast checker did not panic with a *Violation")
+		}
+	}()
+	f := New("neg")
+	f.Inject(1, 64, 0)
+	f.Span("serve", 1, 0, 100, 60, 100, false)
 }
 
 func TestCheckSpansChildBeforeParent(t *testing.T) {
-	rec := obs.NewRecorder(1, "early")
-	root := rec.Open(obs.TrackRequests, "request", sim.Time(100))
-	// Child claims to start before the request arrived.
-	child := rec.Begin(rec.Intern("serve"), root, sim.Time(50))
-	rec.Close(child, sim.Time(150))
-	rec.Close(root, sim.Time(200))
-	err := CheckSpans(rec, SpanCheckOpts{})
-	v, ok := err.(*Violation)
-	if !ok || !strings.Contains(v.Detail, "before its parent") {
-		t.Fatalf("err = %v, want a child-before-parent violation", err)
-	}
+	c := New("early").Soft()
+	c.Inject(1, 64, 100)
+	// The stage claims to start before its request was sent.
+	c.Span("serve", 1, 100, 50, 150, 150, false)
+	spanViolation(t, c)
 }
 
+// A span is recorded once it has ended, so one ending after the time it
+// is recorded at is an error in the run wiring.
+func TestCheckSpansUnendedSpan(t *testing.T) {
+	c := New("future").Soft()
+	c.Inject(1, 64, 100)
+	c.Span("serve", 1, 100, 120, 300, 200, false)
+	spanViolation(t, c)
+}
+
+// A stage recorded after its request resolved fails, whether the
+// request completed or was dropped, and so does one of a request never
+// injected. A failover copy still in service after its request
+// resolved (a retry completed first, or the request was abandoned at
+// its timeout) is stale, and its late stages pass.
 func TestCheckSpansStraggler(t *testing.T) {
-	rec := obs.NewRecorder(1, "strag")
-	root := rec.Open(obs.TrackRequests, "request", sim.Time(100))
-	child := rec.Begin(rec.Intern("serve"), root, sim.Time(120))
-	rec.Close(root, sim.Time(150))  // request abandoned at timeout
-	rec.Close(child, sim.Time(300)) // stale service copy finishes later
-	if err := CheckSpans(rec, SpanCheckOpts{}); err == nil {
-		t.Fatal("straggler not flagged in strict mode")
-	}
-	if err := CheckSpans(rec, SpanCheckOpts{AllowStragglers: true}); err != nil {
-		t.Fatalf("straggler flagged despite AllowStragglers: %v", err)
+	for _, tc := range []struct {
+		name    string
+		resolve func(*Checker)
+	}{
+		{"completed", func(c *Checker) { c.Complete(1, 64, 150) }},
+		{"abandoned", func(c *Checker) { c.Drop(1, 64, 150) }},
+		{"never injected", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New("strag").Soft()
+			if tc.resolve != nil {
+				c.Inject(1, 64, 100)
+				tc.resolve(c)
+			}
+			c.Span("serve", 1, 100, 120, 300, 300, true)
+			if err := c.Err(); err != nil {
+				t.Fatalf("stale copy's span flagged: %v", err)
+			}
+			c.Span("serve", 1, 100, 120, 300, 300, false)
+			spanViolation(t, c)
+		})
 	}
 }
 
-// Shed requests legitimately leave their root span open; only the start
-// side is checkable.
+// A request shed at a full queue leaves its root span open: the stages
+// it crossed before the drop pass, and so does the run.
 func TestCheckSpansOpenSpansPass(t *testing.T) {
-	rec := obs.NewRecorder(1, "open")
-	root := rec.Open(obs.TrackRequests, "request", sim.Time(100))
-	rec.Begin(rec.Intern("serve"), root, sim.Time(120)) // never closed
-	rec.Close(root, sim.Time(150))
-	if err := CheckSpans(rec, SpanCheckOpts{}); err != nil {
-		t.Fatalf("open child flagged: %v", err)
+	c := New("open")
+	c.Inject(1, 64, 100)
+	c.Span("wire+switch", 1, 100, 100, 120, 120, false)
+	c.Drop(1, 64, 120) // shed: the root never closes
+	if err := c.Finish(150); err != nil {
+		t.Fatalf("shed request flagged: %v", err)
 	}
 }
 
+// A nil checker, as in a run with checks off, audits nothing.
 func TestCheckSpansNilRecorder(t *testing.T) {
-	if err := CheckSpans(nil, SpanCheckOpts{}); err != nil {
-		t.Fatalf("nil recorder flagged: %v", err)
+	var c *Checker
+	c.Span("serve", 1, 100, 50, 10, 0, false) // breaks every rule
+	if c.Spans() != 0 || c.Err() != nil {
+		t.Fatalf("nil checker audited %d spans, err %v", c.Spans(), c.Err())
 	}
 }
 
-// A clean audit reads spans in place and builds no label, so it
-// allocates nothing however many spans the run recorded.
+// A clean span costs compares and a ledger read, so a clean stream of
+// them allocates nothing however long it runs.
 func TestCheckSpansCleanAuditAllocatesNothing(t *testing.T) {
-	rec := obs.NewRecorder(1, "clean")
-	for i := 0; i < 2500; i++ {
-		at := sim.Time(i * 100)
-		root := rec.Open(obs.TrackRequests, "request", at)
-		rec.Record(rec.Intern("queue"), root, at, at+10)
-		rec.Record(rec.Intern("cpu-service"), root, at+10, at+60)
-		rec.Close(root, at+70)
-		rec.Open(obs.TrackRequests, "request", at) // left open, like a shed request
+	c := New("clean")
+	const n = 2500
+	for i := uint64(0); i < n; i++ {
+		c.Inject(i, 64, sim.Time(i*100))
 	}
-	if n := rec.SpanCount(); n != 10000 {
-		t.Fatalf("recorded %d spans, want 10000", n)
-	}
-	var err error
-	allocs := testing.AllocsPerRun(10, func() { err = CheckSpans(rec, SpanCheckOpts{}) })
-	if err != nil {
-		t.Fatalf("clean tree flagged: %v", err)
-	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := uint64(0); i < n; i++ {
+			at := sim.Time(i * 100)
+			c.Span("queue", i, at, at, at+10, at+10, false)
+			c.Span("cpu-service", i, at, at+10, at+60, at+60, false)
+			c.Span("wire-return", i, at, at+60, at+70, at+90, true)
+		}
+	})
 	if allocs != 0 {
-		t.Fatalf("CheckSpans allocated %v times on a clean 10,000-span run, want 0", allocs)
+		t.Fatalf("a clean stream of %d spans allocated %v times, want 0", 3*n, allocs)
 	}
-}
-
-// An audit needs the spans themselves: once a collector that writes no
-// trace has taken the run and dropped them, CheckSpans says so instead
-// of passing vacuously.
-func TestCheckSpansAfterDrop(t *testing.T) {
-	c := obs.NewCollector()
-	rec := c.NewRecorder(1, "dropped")
-	rec.Record(rec.Intern("serve"), 0, sim.Time(100), sim.Time(60)) // would violate
-	c.Attach(rec)
-	if err := CheckSpans(rec, SpanCheckOpts{}); !errors.Is(err, obs.ErrSpansDropped) {
-		t.Fatalf("CheckSpans after drop = %v, want obs.ErrSpansDropped", err)
+	if err := c.Err(); err != nil {
+		t.Fatalf("clean stream flagged: %v", err)
 	}
 }

@@ -40,11 +40,11 @@ func NewCollector() *Collector {
 	return &Collector{byID: make(map[uint64]*Recorder)}
 }
 
-// EnableTrace makes the collector keep every run's spans for
-// WriteTrace. Without it, Attach returns each run's span storage to the
-// free list and keeps only the counts manifests read; WriteTrace then
-// returns ErrSpansDropped. Call it before the runs the trace should
-// show.
+// EnableTrace makes the recorders the collector hands out from then on
+// store their spans for WriteTrace. Without it a recorder counts spans,
+// request roots and open spans for manifests and stores none, and
+// WriteTrace returns ErrSpansDropped. Call it before NewRecorder for
+// every run the trace should show, not only before Attach.
 func (c *Collector) EnableTrace() {
 	if c == nil {
 		return
@@ -55,38 +55,39 @@ func (c *Collector) EnableTrace() {
 }
 
 // NewRecorder returns a recorder for the run identified by key, or nil
-// when the collector itself is nil (telemetry disabled).
+// when the collector itself is nil (telemetry disabled). The recorder
+// stores its spans only if EnableTrace came first.
 func (c *Collector) NewRecorder(runID uint64, label string) *Recorder {
 	if c == nil {
 		return nil
 	}
-	return NewRecorder(runID, label)
+	r := NewRecorder(runID, label)
+	c.mu.Lock()
+	r.store = c.trace
+	c.mu.Unlock()
+	return r
 }
 
 // Attach hands a finished recorder to the collector. Duplicate run IDs
 // (two workers raced the same memoized run; both simulated identical
-// event sequences) keep the first attached copy. Unless EnableTrace was
-// called, the kept copy's spans go back on the free list right away,
-// and so do a duplicate's, rather than waiting for the garbage
-// collector; the counts manifests read stay. Callers audit a run's
-// spans before attaching it. Nil-safe on both sides.
+// event sequences) keep the first attached copy, and the duplicate's
+// spans go back on the free list right away rather than waiting for the
+// garbage collector. Nil-safe on both sides.
 func (c *Collector) Attach(r *Recorder) {
 	if c == nil || r == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, dup := c.byID[r.runID]
-	if dup || !c.trace {
+	if _, dup := c.byID[r.runID]; dup {
 		r.releaseSpans()
+		return
 	}
-	if !dup {
-		c.byID[r.runID] = r
-	}
+	c.byID[r.runID] = r
 }
 
 // spansKept returns ErrSpansDropped unless the collector keeps spans
-// for a trace and every attached run still holds its own.
+// for a trace and every attached run stored its own.
 func (c *Collector) spansKept() error {
 	if c == nil {
 		return nil
@@ -97,7 +98,7 @@ func (c *Collector) spansKept() error {
 		return ErrSpansDropped
 	}
 	for _, r := range c.byID {
-		if r.dropped {
+		if !r.store {
 			return ErrSpansDropped
 		}
 	}

@@ -123,13 +123,14 @@ func appendCSVField(b []byte, s string) []byte {
 
 // ErrSpansDropped is WriteTrace's error for a collector that did not
 // keep the spans a trace is made of: EnableTrace was not called before
-// the runs were attached, so their spans went back to the free list.
+// the runs' recorders were made, so those recorders only counted their
+// spans.
 var ErrSpansDropped = errors.New("obs: spans were not kept for a trace (call EnableTrace before recording)")
 
 // WriteTrace emits the Chrome trace-event JSON form of every attached
 // run, loadable in Perfetto or chrome://tracing. It returns
 // ErrSpansDropped, and writes nothing, unless EnableTrace came before
-// the runs were attached.
+// NewRecorder for every attached run.
 //
 // Layout: each run is a process (pid in export order) whose name is the
 // run label. Its spans are async events ("b"/"e") on the requests

@@ -136,7 +136,11 @@ func TestSamplerGroupsByPeriod(t *testing.T) {
 
 // buildRecorder makes a deterministic recorder with spans and metrics.
 func buildRecorder(id uint64, label string) *Recorder {
-	r := NewRecorder(id, label)
+	return fillRecorder(NewRecorder(id, label))
+}
+
+// fillRecorder records buildRecorder's spans and metrics into r.
+func fillRecorder(r *Recorder) *Recorder {
 	for i := 0; i < 3; i++ {
 		at := sim.Time(i * 1000)
 		root := r.Open(TrackRequests, "request", at)

@@ -4,9 +4,9 @@
 // A Recorder belongs to exactly one simulation run (one sim.Engine) and
 // is driven synchronously from that run's event loop, so it needs no
 // locking. Recorders are handed to a Collector when the run finishes;
-// the Collector keeps a run's spans only when a trace will be written,
-// and sorts and deduplicates at export time so output is byte-identical
-// at any parallelism.
+// a Collector's recorders store spans only when a trace will be
+// written, and it sorts and deduplicates at export time so output is
+// byte-identical at any parallelism.
 //
 // Everything here is a pure observer: recording never mutates model
 // state, never draws from model RNG streams, and never schedules model
@@ -52,9 +52,9 @@ const openEnd = sim.Time(-1)
 // A run records millions of spans, and slice growth re-copies the whole
 // backing array each time it doubles — profiled at ~25% of a
 // telemetry-enabled run before chunking. Chunks never move once
-// allocated, and recorders whose spans no trace will read (every run
-// without EnableTrace, and deduplicated replays at -jN) hand their
-// chunks back to a free list instead of the garbage collector.
+// allocated, and a deduplicated replay at -jN hands its chunks back to
+// a free list instead of the garbage collector. A recorder whose spans
+// no trace will read stores none and takes no chunk.
 const (
 	spanChunkShift = 12 // 4096 spans (96 KiB) per chunk
 	spanChunkSize  = 1 << spanChunkShift
@@ -70,14 +70,15 @@ type Recorder struct {
 
 	names   []string
 	nameIdx map[string]SpanLabel
-	chunks  []*[spanChunkSize]span
+	// store marks a recorder that keeps its spans in chunks: a
+	// standalone one, or one its collector made for a trace. Any other
+	// recorder only counts them.
+	store  bool
+	chunks []*[spanChunkSize]span
 	// nspans, nroots and nopen count spans, request roots and spans
 	// still open as they are recorded, so manifests read them without a
-	// scan and they survive a drop of the spans themselves.
+	// scan, whether or not the spans themselves are stored.
 	nspans, nroots, nopen int
-	// dropped marks a recorder whose span storage went back to the free
-	// list (see releaseSpans): it records no further spans.
-	dropped bool
 
 	// reg is the run's metric registry: counters (Count/SetCount) and
 	// sampled gauges (Gauge/AddSeries) both live here, in registration
@@ -90,13 +91,15 @@ type Recorder struct {
 	resourceKeys []string
 }
 
-// NewRecorder returns a recorder for one run. runID must be unique and
-// deterministic across processes (see DeriveRunID); label is the
-// human-readable run description used in exports.
+// NewRecorder returns a recorder for one run that stores its spans.
+// runID must be unique and deterministic across processes (see
+// DeriveRunID); label is the human-readable run description used in
+// exports.
 func NewRecorder(runID uint64, label string) *Recorder {
 	return &Recorder{
 		runID:     runID,
 		label:     label,
+		store:     true,
 		nameIdx:   make(map[string]SpanLabel),
 		reg:       NewRegistry(),
 		resources: make(map[string]*Resource),
@@ -136,23 +139,21 @@ func (r *Recorder) Intern(name string) SpanLabel {
 	return l
 }
 
-// alloc reserves the next span slot, pulling a fresh chunk from the
+// slot returns the next span's slot, pulling a fresh chunk from the
 // free list when the current one fills. Slots are written in full by
 // every caller, so recycled chunk contents never leak into exports.
 //
 //snicvet:hotpath
-func (r *Recorder) alloc() *span {
+func (r *Recorder) slot() *span {
 	if r.nspans>>spanChunkShift == len(r.chunks) {
 		//snicvet:ignore hotpath -- chunk boundary, amortized over 4096 spans; chunks come from the shared pool
 		r.chunks = append(r.chunks, spanChunkPool.Get().(*[spanChunkSize]span))
 	}
-	sp := &r.chunks[r.nspans>>spanChunkShift][r.nspans&spanChunkMask]
-	r.nspans++
-	return sp
+	return &r.chunks[r.nspans>>spanChunkShift][r.nspans&spanChunkMask]
 }
 
 // spanAt returns the i-th recorded span (0-based). Callers bound i by
-// nspans.
+// nspans and check store.
 //
 //snicvet:hotpath
 func (r *Recorder) spanAt(i int) *span {
@@ -160,25 +161,23 @@ func (r *Recorder) spanAt(i int) *span {
 }
 
 // releaseSpans returns the recorder's span storage to the shared free
-// list. The Collector calls it from Attach, after the run's end-of-run
-// audit, unless a trace will be written, and for a deduplicated replay
-// of a run it already holds. The span, request and open-span counts
-// survive; from then on Begin, Record and Open record nothing and
-// return 0, Close is a no-op, and View finds no span.
+// list. The Collector calls it from Attach for a deduplicated replay of
+// a run it already holds. The span, request and open-span counts stay;
+// View finds no span from then on.
 func (r *Recorder) releaseSpans() {
 	for _, c := range r.chunks {
 		spanChunkPool.Put(c)
 	}
-	r.chunks = nil
-	r.dropped = true
+	r.chunks, r.store = nil, false
 }
 
-// record stores one span and counts it: the one recording path.
-// Parentless spans are request roots; spans ending at openEnd are open.
+// record counts one span and stores it if the recorder stores spans:
+// the one recording path. Parentless spans are request roots; spans
+// ending at openEnd are open.
 //
 //snicvet:hotpath
 func (r *Recorder) record(l SpanLabel, parent SpanID, start, end sim.Time) SpanID {
-	if r == nil || r.dropped {
+	if r == nil {
 		return 0
 	}
 	if parent == 0 {
@@ -187,7 +186,10 @@ func (r *Recorder) record(l SpanLabel, parent SpanID, start, end sim.Time) SpanI
 	if end == openEnd {
 		r.nopen++
 	}
-	*r.alloc() = span{start: start, end: end, parent: parent, name: l}
+	if r.store {
+		*r.slot() = span{start: start, end: end, parent: parent, name: l}
+	}
+	r.nspans++
 	return SpanID(r.nspans)
 }
 
@@ -218,61 +220,47 @@ func (r *Recorder) Open(track, name string, start sim.Time) SpanID {
 	return r.Begin(r.Intern(name), 0, start)
 }
 
-// Close ends an open span. Closing span 0 or an already-closed span is
-// a no-op. Nil-safe.
+// Close ends an open span. Closing span 0 is a no-op. Each span is
+// closed at most once: a recorder that stores its spans ignores a
+// second Close, but one that only counts them cannot tell and would
+// count the span closed twice. Nil-safe.
 //
 //snicvet:hotpath
 func (r *Recorder) Close(id SpanID, end sim.Time) {
-	if r == nil || r.dropped || id == 0 || int(id) > r.nspans {
+	if r == nil || id == 0 || int(id) > r.nspans || end == openEnd {
 		return
 	}
-	sp := r.spanAt(int(id) - 1)
-	if sp.end == openEnd && end != openEnd {
+	if r.store {
+		sp := r.spanAt(int(id) - 1)
+		if sp.end != openEnd {
+			return
+		}
 		sp.end = end
-		r.nopen--
 	}
+	r.nopen--
 }
 
-// SpanTiming is one recorded span's timing and link, without its
-// labels. Open marks spans whose Close was never reached; their End is
-// meaningless.
-type SpanTiming struct {
+// SpanView is the read-only view of one stored span: its timing and
+// link, with the interned name resolved back to its string. Open marks
+// a span whose Close was never reached; its End is meaningless.
+type SpanView struct {
+	Name       string
 	Parent     SpanID
 	Start, End sim.Time
 	Open       bool
 }
 
-// Timing returns span id's timing (1-based, in record order) in place,
-// touching no string. ok is false for span 0, for an ID past the last
-// span, and for every ID once the recorder's spans were dropped. The
-// span audit in internal/invariant reads spans through it. Nil-safe.
-//
-//snicvet:hotpath
-func (r *Recorder) Timing(id SpanID) (t SpanTiming, ok bool) {
-	if r == nil || r.dropped || id == 0 || int(id) > r.nspans {
-		return SpanTiming{}, false
-	}
-	sp := r.spanAt(int(id) - 1)
-	return SpanTiming{Parent: sp.parent, Start: sp.start, End: sp.end, Open: sp.end == openEnd}, true
-}
-
-// SpanView is the read-only view of one recorded span: its timing, with
-// the interned name resolved back to its string.
-type SpanView struct {
-	Name string
-	SpanTiming
-}
-
-// View returns span id as Timing does, with its name. Nothing is copied
-// or allocated; Name is the interned string. The span audit calls it
-// only to label a violation. Nil-safe.
+// View returns stored span id (1-based, in record order). Nothing is
+// copied or allocated; Name is the interned string. ok is false for
+// span 0, for an ID past the last span, and on a recorder that stores
+// no spans. Nil-safe.
 func (r *Recorder) View(id SpanID) (s SpanView, ok bool) {
-	t, ok := r.Timing(id)
-	if !ok {
+	if r == nil || !r.store || id == 0 || int(id) > r.nspans {
 		return SpanView{}, false
 	}
 	sp := r.spanAt(int(id) - 1)
-	return SpanView{Name: r.names[sp.name], SpanTiming: t}, true
+	return SpanView{Name: r.names[sp.name], Parent: sp.parent, Start: sp.start, End: sp.end,
+		Open: sp.end == openEnd}, true
 }
 
 // SpanCount returns the number of spans recorded so far.

@@ -3,15 +3,16 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 )
 
 // Spans live in fixed chunks; the interesting cases are the boundary
-// (IDs spanning two chunks) and release (chunks going back to the free
-// list when the Collector drops a recorder's spans: a deduplicated
-// replay, or any run when no trace will be written).
+// (IDs spanning two chunks), release (a deduplicated replay's chunks
+// going back to the free list at Attach), and a recorder that stores
+// no spans because no trace will be written.
 
 func TestSpanChunkBoundary(t *testing.T) {
 	r := NewRecorder(1, "chunks")
@@ -72,40 +73,43 @@ func TestCollectorReleasesDuplicateSpans(t *testing.T) {
 	}
 }
 
-// Without EnableTrace, Attach drops every run's spans and keeps the
-// counts: the manifest of a dropped run matches the one it had before.
-// A dropped recorder records nothing more and never touches the chunks
-// it handed back.
+// Without EnableTrace a collector's recorder stores no span and takes
+// no chunk, yet counts spans, roots and open spans as a storing
+// recorder does: its manifest matches a standalone recorder's fed the
+// same calls, before and after Attach, and Close still closes.
 func TestCountsSurviveSpanDrop(t *testing.T) {
 	c := NewCollector()
-	r := buildRecorder(3, "drop")
-	shed := r.Open(TrackRequests, "request", 5000) // dangling
-	before := r.Manifest()
-	c.Attach(r)
+	r := fillRecorder(c.NewRecorder(3, "drop"))
+	ref := buildRecorder(3, "drop")
+	var shed SpanID
+	for _, rec := range []*Recorder{r, ref} {
+		shed = rec.Open(TrackRequests, "request", 5000) // dangling
+	}
 	if len(r.chunks) != 0 {
-		t.Fatalf("recorder kept %d chunks after Attach without EnableTrace", len(r.chunks))
+		t.Fatalf("untraced recorder took %d chunks", len(r.chunks))
 	}
+	if _, ok := r.View(1); ok {
+		t.Fatal("untraced recorder yields a span")
+	}
+	want := ref.Manifest()
+	if m := r.Manifest(); !reflect.DeepEqual(m, want) {
+		t.Fatalf("untraced manifest = %+v, storing recorder's = %+v", m, want)
+	}
+	c.Attach(r)
 	after := c.Manifests()
-	if len(after) != 1 {
-		t.Fatalf("manifest count = %d, want 1", len(after))
+	if len(after) != 1 || !reflect.DeepEqual(after[0], want) {
+		t.Fatalf("manifests after Attach = %+v, want [%+v]", after, want)
 	}
-	if m := after[0]; m.Requests != 4 || m.Spans != 7 || m.OpenSpans != 1 ||
-		m.Requests != before.Requests || m.Spans != before.Spans || m.OpenSpans != before.OpenSpans {
-		t.Fatalf("manifest after drop = %+v, before = %+v", m, before)
+	if m := after[0]; m.Requests != 4 || m.Spans != 7 || m.OpenSpans != 1 {
+		t.Fatalf("manifest = %+v, want 4 requests, 7 spans, 1 open", m)
 	}
 
 	r.Close(shed, 6000)
-	if id := r.Open(TrackRequests, "request", 7000); id != 0 {
-		t.Fatalf("dropped recorder opened span %d", id)
+	if id := r.Record(r.Intern("stage"), shed, 6000, 6100); id != 8 {
+		t.Fatalf("untraced recorder numbered its eighth span %d", id)
 	}
-	if id := r.Record(r.Intern("stage"), 1, 7000, 7100); id != 0 {
-		t.Fatalf("dropped recorder recorded span %d", id)
-	}
-	if _, ok := r.View(1); ok {
-		t.Fatal("dropped recorder still yields spans")
-	}
-	if r.SpanCount() != 7 || r.RootCount() != 4 || r.OpenCount() != 1 || len(r.chunks) != 0 {
-		t.Fatalf("dropped recorder moved: %d spans, %d roots, %d open, %d chunks",
+	if r.SpanCount() != 8 || r.RootCount() != 4 || r.OpenCount() != 0 || len(r.chunks) != 0 {
+		t.Fatalf("untraced recorder: %d spans, %d roots, %d open, %d chunks; want 8, 4, 0, 0",
 			r.SpanCount(), r.RootCount(), r.OpenCount(), len(r.chunks))
 	}
 }
@@ -124,9 +128,27 @@ func TestWriteTraceWithoutEnableTrace(t *testing.T) {
 		t.Fatalf("WriteTrace wrote %d bytes before failing", buf.Len())
 	}
 
-	// Runs attached before a late EnableTrace lost their spans too.
+	// A recorder made before a late EnableTrace stored no spans, so the
+	// trace still cannot be written once it is attached.
+	c = NewCollector()
+	early := c.NewRecorder(2, "early")
 	c.EnableTrace()
+	late := c.NewRecorder(3, "late")
+	early.Open(TrackRequests, "request", 0)
+	late.Open(TrackRequests, "request", 0)
+	if _, ok := late.View(1); !ok {
+		t.Fatal("recorder made after EnableTrace stored no span")
+	}
+	c.Attach(late)
+	if err := c.WriteTrace(&buf); err != nil {
+		t.Fatalf("WriteTrace of a traced run = %v", err)
+	}
+	c.Attach(early)
+	buf.Reset()
 	if err := c.WriteTrace(&buf); !errors.Is(err, ErrSpansDropped) {
 		t.Fatalf("WriteTrace after a late EnableTrace = %v, want ErrSpansDropped", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("WriteTrace wrote %d bytes before failing", buf.Len())
 	}
 }

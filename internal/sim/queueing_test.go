@@ -2,10 +2,11 @@ package sim
 
 // Analytic oracles for the substrate: a Station fed Poisson arrivals
 // with exponential service is an M/M/c queue, whose mean wait is the
-// Erlang-C closed form; a Link fed Poisson frames of one size is an
-// M/D/1 queue, whose mean wait is the Pollaczek–Khinchine formula; and
-// a BatchStation fed Poisson tasks flushes at whichever comes first of
-// a full batch and its timeout, a closed-form fill time. The waits come
+// Erlang-C closed form; a single-server Station with bimodal service
+// and a Link fed Poisson frames of one size are M/G/1 and M/D/1 queues,
+// whose mean waits are the Pollaczek–Khinchine formula; and a
+// BatchStation fed Poisson tasks flushes at whichever comes first of a
+// full batch and its timeout, a closed-form fill time. The waits come
 // from bound observers, the same hooks telemetry uses. Each run's mean
 // wait must fall within a 99.9% confidence bound built from batch
 // means, which accounts for the waits' autocorrelation.
@@ -123,6 +124,36 @@ func TestStationMatchesErlangC(t *testing.T) {
 			checkMeanWait(t, log.waits, Duration(erlangC(tc.servers, a)/(float64(tc.servers)*mu-a*mu)))
 		})
 	}
+}
+
+// A single server whose jobs are short, with a tenth of them ten times
+// longer, is an M/G/1 queue with bimodal service, like the M/B
+// generator of xmp_sched_sim. Pollaczek–Khinchine sets its mean wait by
+// the service time's second moment, which the rare long jobs dominate.
+func TestStationMatchesPollaczekKhinchineBimodal(t *testing.T) {
+	const (
+		short, long = 1 * Microsecond, 10 * Microsecond
+		pLong       = 0.1
+		rho         = 0.7
+	)
+	e := NewEngine()
+	st := NewStation(e, 1)
+	log := &stationWaits{}
+	st.Observe(log)
+	rng := NewRNG(4)
+	mean := (1-pLong)*float64(short) + pLong*float64(long)
+	poissonArrivals(e, rng, Duration(mean/rho), 600_000, func() {
+		svc := short
+		if rng.Float64() < pLong {
+			svc = long
+		}
+		st.Exec(svc, nil)
+	})
+	e.Run()
+
+	// M/G/1: Wq = λE[S²] / (2(1−ρ)), with λ = ρ/E[S]: about 6,693 ns.
+	second := (1-pLong)*float64(short)*float64(short) + pLong*float64(long)*float64(long)
+	checkMeanWait(t, log.waits, Duration(rho/mean*second/(2*(1-rho))))
 }
 
 func TestLinkMatchesPollaczekKhinchine(t *testing.T) {

@@ -139,10 +139,11 @@ type Telemetry struct {
 // NewTelemetry returns an empty collector.
 func NewTelemetry() *Telemetry { return &Telemetry{c: obs.NewCollector()} }
 
-// EnableTrace keeps every run's spans so WriteTrace can export them.
-// Without it the collector drops a run's spans once the run finishes and
-// keeps only the counts manifests read, so recording costs about what a
-// bare run does; WriteTrace then returns obs.ErrSpansDropped.
+// EnableTrace makes every run recorded from then on keep its spans so
+// WriteTrace can export them: call it before the runs, not only before
+// exporting. Without it a run counts its spans for the manifests and
+// stores none, so recording costs about what a bare run does; WriteTrace
+// then returns obs.ErrSpansDropped.
 func (t *Telemetry) EnableTrace() *Telemetry {
 	t.c.EnableTrace()
 	return t
@@ -211,7 +212,7 @@ func WithInvariantChecks() Option {
 
 // WriteTrace writes all collected runs as Chrome trace-event JSON,
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. It needs
-// EnableTrace before the runs.
+// EnableTrace before the runs are recorded.
 func (t *Telemetry) WriteTrace(w io.Writer) error { return t.c.WriteTrace(w) }
 
 // WriteMetricsCSV writes every sampled series as long-format CSV.

@@ -72,8 +72,11 @@ check "fig4 nat" -exp fig4 -func nat -q -trace trace.json -metrics metrics.csv
 check "fleet" -exp fleet -q -manifest manifest.json
 check "pipeline" -exp pipeline -q -trace trace.json -metrics metrics.csv -manifest manifest.json
 check "offload" -exp offload -q -trace trace.json -metrics metrics.csv -manifest manifest.json
-# Checked and recorded without a trace: spans are audited and dropped,
-# so these manifests are built from the recorder's counters.
+# Checked and recorded without a trace: each span is audited as it is
+# recorded and never stored, so these manifests are built from the
+# recorder's counters. Fig4 reaches the local (crypto, compress),
+# storage (fio) and switched (OvS) request paths.
+check "fig4 checked" -exp fig4 -q -j 1 -check -manifest manifest.json
 check "faults checked" -exp faults -q -j 1 -check -metrics metrics.json -manifest manifest.json
 check "pipeline checked" -exp pipeline -q -j 1 -check -manifest manifest.json
 check "offload checked" -exp offload -q -j 1 -check -metrics metrics.json -manifest manifest.json
@@ -81,8 +84,8 @@ check "strategies checked" -exp strategies -q -j 1 -check -metrics metrics.json 
 check "fleet checked" -exp fleet -q -j 1 -check -metrics metrics.json -manifest manifest.json
 # Traced: the failover replays' spans, stragglers included, by digest.
 check "faults traced" -exp faults -q -j 1 -trace trace.json
-# Checked and traced: the span audit and the trace export read the same
-# runs' spans.
+# Checked and traced: the runs the span audit checks as they record are
+# the runs the trace exports.
 check "pipeline checked traced" -exp pipeline -q -j 1 -check -trace trace.json
 
 if [ "$failed" -ne 0 ]; then
