@@ -202,27 +202,30 @@ func BenchmarkFig4ParallelSpeedup(b *testing.B) {
 }
 
 // BenchmarkFleetProvisioningSearch times the S22 provisioning search on
-// the paper's headline app: binary-searching the minimum NIC-only and
-// SNIC-accelerator fleets that serve Compress's target load. A fresh
-// testbed per iteration keeps the runner's memo cache cold.
+// two of Table 5's apps: Compress, whose capacity predicate sizes both
+// fleets by arithmetic over their measured max throughput, and REM,
+// whose FleetSim predicate replays an SLO-aware fleet per probe the
+// wire could carry. A fresh testbed per iteration keeps the runner's
+// memo cache cold.
 func BenchmarkFleetProvisioningSearch(b *testing.B) {
-	var spec snic.ProvisionSpec
-	for _, s := range snic.Table5Specs() {
-		if s.App == "Compress" {
-			spec = s
+	for _, spec := range snic.Table5Specs() {
+		if spec.App != "Compress" && spec.App != "REM" {
+			continue
 		}
+		b.Run(spec.App, func(b *testing.B) {
+			var res snic.ProvisionResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				res, err = snic.NewTestbed().Provision(spec, snic.ProvisionOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(res.Ratio, "nicPerSnic")
+			b.ReportMetric(float64(res.Probes), "probes")
+		})
 	}
-	var res snic.ProvisionResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = snic.NewTestbed().Provision(spec, snic.ProvisionOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(res.Ratio, "nicPerSnic")
-	b.ReportMetric(float64(res.Probes), "probes")
 }
 
 // ---- Ablations ----

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -49,6 +51,32 @@ func (r *Runner) ReplayServer(cfg *Config, plat Platform, rates []float64, inter
 		panic(err)
 	}
 	return *res.Server
+}
+
+// ReplayServerCeilingGbps bounds the AvgTputGbps of every ReplayServer
+// of cfg on this runner's testbed over a series of the given number of
+// intervals, each interval long, whatever its rates: the most payload
+// the client→server link lets the replay's meter credit.
+//
+// The link serializes one ReqSize+EthernetOverhead-byte frame per
+// ser = sim.DurationOf(frame, link rate) ns, the whole nanoseconds it
+// computes itself, and a frame starts no earlier than the one before it
+// ends, so the k-th request reaches the server no earlier than k·ser.
+// The meter opens at 0 and closes at the last send, L ≥
+// intervals·interval (the source's last interval ends no earlier). Up
+// to L it credits at most L/ser completions; after L, record credits
+// one only while the meter holds fewer than minWindowOps. So it credits
+// at most max(L/ser, minWindowOps) requests of ReqSize bytes over at
+// least L ns, and bits per ns are Gb/s. The bound is raised by 2^-50
+// relative, which covers the meter's three float roundings and its own.
+func (r *Runner) ReplayServerCeilingGbps(cfg *Config, intervals int, interval sim.Duration) float64 {
+	ser := sim.DurationOf(cfg.ReqSize+nic.EthernetOverhead, r.TBConfig.LinkGbps()*1e9)
+	window := sim.Duration(intervals) * interval
+	if ser <= 0 || window <= 0 {
+		return math.Inf(1)
+	}
+	bits := float64(cfg.ReqSize) * 8
+	return math.Max(bits/float64(ser), minWindowOps*bits/float64(window)) * (1 + 0x1p-50)
 }
 
 // replayServer executes one fleet-server replay on a fresh testbed.

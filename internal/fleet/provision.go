@@ -76,7 +76,8 @@ type ProvisionResult struct {
 	TCONIC      float64
 	SavingsFrac float64
 
-	// Probes counts predicate evaluations across both searches.
+	// Probes counts predicate evaluations across both searches,
+	// FleetSim probes that wireShort decides without simulating included.
 	Probes int
 }
 
@@ -118,26 +119,18 @@ func Provision(r *core.Runner, spec ProvisionSpec, opts ProvisionOpts) (Provisio
 				return float64(n)*capGbps >= res.TargetGbps
 			}
 		}
-		// Probes replay the diurnal trace, subsampled and time-compressed
-		// for speed and rescaled so its mean hits the target load, and
-		// gate on the fleet's default SLO (300 µs) and attainment target
-		// (0.99).
-		shape := trace.NewHyperscalerTrace(trace.DefaultHyperscalerConfig()).
-			Subsample(16).Compress(150 * sim.Microsecond)
+		tr := probeTrace(res.TargetGbps)
 		return func(n int) bool {
 			probes++
-			fc := Config{
-				Classes:  []Class{{Name: "prov-" + string(plat), Platform: plat, Count: n}},
-				Policy:   SLOAware,
-				Function: spec.Function,
-				Variant:  spec.Variant,
-				Trace:    shape.Scale(res.TargetGbps / shape.MeanGbps()),
+			fc := probeFleet(spec, plat, n, tr)
+			if wireShort(r, &fc) {
+				return false
 			}
 			fr, err := Run(r, fc)
 			if err != nil {
 				panic(err) // config is internally constructed; can't fail
 			}
-			return fr.MeetsSLO && fr.DeliveredFrac >= 0.97
+			return meetsTarget(fr)
 		}
 	}
 
@@ -157,6 +150,52 @@ func Provision(r *core.Runner, spec ProvisionSpec, opts ProvisionOpts) (Provisio
 	res.TCONIC = m.FleetTCO(homogeneous(res.ServersNIC, false, res.NICPowerW))
 	res.SavingsFrac = 1 - res.TCOSNIC/res.TCONIC
 	return res, nil
+}
+
+// minDeliveredFrac is the share of its offered load a probed fleet
+// must deliver, besides meeting its SLO.
+const minDeliveredFrac = 0.97
+
+// probeTrace is every FleetSim probe's offered load: the diurnal trace,
+// subsampled and time-compressed for speed and rescaled so its mean
+// hits targetGbps.
+func probeTrace(targetGbps float64) *trace.HyperscalerTrace {
+	shape := trace.NewHyperscalerTrace(trace.DefaultHyperscalerConfig()).
+		Subsample(16).Compress(150 * sim.Microsecond)
+	return shape.Scale(targetGbps / shape.MeanGbps())
+}
+
+// probeFleet is the fleet a FleetSim probe replays: n servers on plat
+// under the SLO-aware dispatcher, gated on the fleet's default SLO
+// (300 µs) and attainment target (0.99).
+func probeFleet(spec ProvisionSpec, plat core.Platform, n int, tr *trace.HyperscalerTrace) Config {
+	return Config{
+		Classes:  []Class{{Name: "prov-" + string(plat), Platform: plat, Count: n}},
+		Policy:   SLOAware,
+		Function: spec.Function,
+		Variant:  spec.Variant,
+		Trace:    tr,
+	}
+}
+
+// meetsTarget is a simulated probe's verdict.
+func meetsTarget(fr Result) bool {
+	return fr.MeetsSLO && fr.DeliveredFrac >= minDeliveredFrac
+}
+
+// wireShort reports whether fc's servers, however the trace is
+// dispatched, cannot deliver minDeliveredFrac of it, so that Run's
+// verdict is false before it starts: Run's AggTputGbps sums one
+// AvgTputGbps per server, each at most the client→server link's
+// ReplayServerCeilingGbps, and DeliveredFrac divides that sum by the
+// trace mean. Its left side is raised by (n+4)·2^-52 relative, twice
+// the unit roundoff (2^-53) of each of the sum's n-1 additions, the
+// quotient and the test's own three operations.
+func wireShort(r *core.Runner, fc *Config) bool {
+	fn, variant := fc.function()
+	ceiling := r.ReplayServerCeilingGbps(core.TraceWorkload(fn, variant), len(fc.Trace.RatesGbps), fc.Trace.Interval)
+	n := fc.Servers()
+	return float64(n)*ceiling*(1+float64(n+4)*0x1p-52) < minDeliveredFrac*fc.Trace.MeanGbps()
 }
 
 // ProvisionTable5 provisions every Table 5 application.

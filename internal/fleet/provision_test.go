@@ -105,3 +105,42 @@ func TestProvisionFleetSimREM(t *testing.T) {
 		t.Fatalf("provisioning not deterministic:\n%+v\n%+v", res, res2)
 	}
 }
+
+// TestWireShortProbesFailSimulated simulates every REM provisioning
+// probe that wireShort decides, on both sides, at baselines of 4 and
+// the default 8 SNIC servers: each must fail its simulated verdict too.
+// This is what keeps searchMin's path, and with it the probe count and
+// every fleet size, the same as when every probe simulated.
+func TestWireShortProbesFailSimulated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("overloaded fleet replays in -short mode")
+	}
+	spec := ProvisionSpec{App: "REM", Function: "rem", Variant: "file_executable",
+		SNICPlatform: core.SNICAccel, FleetSim: true}
+	r := core.NewRunner()
+	r.Parallelism = 4
+	snicCap := r.MaxThroughput(core.TraceWorkload(spec.Function, spec.Variant), spec.SNICPlatform)
+	for _, baseline := range []int{4, 8} {
+		tr := probeTrace(float64(baseline) * snicCap.TputGbps)
+		for _, plat := range []core.Platform{spec.SNICPlatform, core.HostCPU} {
+			n := 1
+			for ; ; n++ {
+				fc := probeFleet(spec, plat, n, tr)
+				if !wireShort(r, &fc) {
+					break
+				}
+				fr, err := Run(r, fc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if meetsTarget(fr) {
+					t.Errorf("baseline %d, %d× %s: wire-short probe meets its target (delivered %.4f)",
+						baseline, n, plat, fr.DeliveredFrac)
+				}
+			}
+			if n == 1 {
+				t.Errorf("baseline %d, %s: no probe decided by the wire", baseline, plat)
+			}
+		}
+	}
+}

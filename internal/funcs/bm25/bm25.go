@@ -19,9 +19,6 @@ const (
 	B  = 0.75
 )
 
-// PaperCorpusSizes are the two configurations of Table 3.
-var PaperCorpusSizes = []int{100, 1000}
-
 // Document is one indexed document.
 type Document struct {
 	ID    int

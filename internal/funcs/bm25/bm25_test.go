@@ -125,12 +125,6 @@ func TestGenCorpusShape(t *testing.T) {
 	}
 }
 
-func TestPaperCorpusSizes(t *testing.T) {
-	if PaperCorpusSizes[0] != 100 || PaperCorpusSizes[1] != 1000 {
-		t.Fatal("paper corpus sizes are 100 and 1000 (Table 3)")
-	}
-}
-
 func TestScoreOutOfRangePanics(t *testing.T) {
 	idx := NewIndex(docsFrom("a"))
 	defer func() {

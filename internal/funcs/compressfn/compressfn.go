@@ -30,9 +30,6 @@ const (
 	InputTxt Input = "txt"
 )
 
-// PaperInputs lists the Table 3 configurations.
-func PaperInputs() []Input { return []Input{InputApp, InputTxt} }
-
 // PaperLevel is the paper's Deflate setting.
 const PaperLevel = 9
 

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRoundTripBothInputs(t *testing.T) {
-	for _, in := range PaperInputs() {
+	for _, in := range []Input{InputApp, InputTxt} {
 		data := GenCorpus(in, 256<<10, 42)
 		comp, err := Compress(data, PaperLevel)
 		if err != nil {

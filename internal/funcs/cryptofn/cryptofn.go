@@ -29,9 +29,6 @@ const (
 	SHA Algo = "sha-1"
 )
 
-// PaperAlgos lists the Table 3 configuration set.
-func PaperAlgos() []Algo { return []Algo{AES, RSA, SHA} }
-
 // AESCipher is a reusable AES-256-CTR encryptor.
 type AESCipher struct {
 	block cipher.Block

@@ -85,13 +85,6 @@ func TestCalibratedHostRatesMatchPaperRatios(t *testing.T) {
 	}
 }
 
-func TestPaperAlgos(t *testing.T) {
-	algos := PaperAlgos()
-	if len(algos) != 3 {
-		t.Fatal("paper evaluates AES, RSA, SHA-1")
-	}
-}
-
 func BenchmarkAESEncrypt1KB(b *testing.B) {
 	c := NewAESCipher("bench")
 	buf := make([]byte, 1024)

@@ -124,7 +124,7 @@ func TestYCSBDrivesStore(t *testing.T) {
 		t.Fatalf("loaded %d records", s.Len())
 	}
 	misses := 0
-	for i := 0; i < trace.PaperOps; i++ {
+	for i := 0; i < 10_000; i++ {
 		op := g.Next()
 		var c Command
 		if op.Type == trace.OpRead {
@@ -198,7 +198,7 @@ func TestMICA100PercentGetWorkload(t *testing.T) {
 	for _, k := range g.LoadKeys() {
 		m.Set(k, []byte("value"))
 	}
-	for _, batchSize := range PaperBatchSizes {
+	for _, batchSize := range []int{4, 32} { // Table 3's batch sizes
 		batch := make([]string, batchSize)
 		for i := 0; i < 100; i++ {
 			for j := range batch {

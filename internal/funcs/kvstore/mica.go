@@ -16,9 +16,6 @@ type partition struct {
 	data map[string][]byte
 }
 
-// PaperBatchSizes are the Table 3 configurations.
-var PaperBatchSizes = []int{4, 32}
-
 // NewMICA returns a store with the given partition count (one per
 // serving core; 8 in the paper's runs).
 func NewMICA(partitions int) *MICA {

@@ -165,7 +165,3 @@ func GenForwardingRules(s *Switch, nTenants int) []FiveTuple {
 	s.AddRule(Rule{Priority: 0, Action: Drop}) // wildcard-all drop
 	return keys
 }
-
-// PaperLoads are the Table 3 traffic-load configurations (fractions of
-// the 100 Gb/s line rate, MTU packets).
-var PaperLoads = []float64{0.10, 1.00}

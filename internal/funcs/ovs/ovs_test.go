@@ -149,9 +149,3 @@ func TestCacheTransparencyProperty(t *testing.T) {
 		t.Fatalf("hit rate %v implausibly low for repeated keys", s.HitRate())
 	}
 }
-
-func TestPaperLoads(t *testing.T) {
-	if PaperLoads[0] != 0.10 || PaperLoads[1] != 1.00 {
-		t.Fatal("paper evaluates 10% and 100% traffic loads")
-	}
-}

@@ -70,9 +70,10 @@ func (c *Collector) NewRecorder(runID uint64, label string) *Recorder {
 
 // Attach hands a finished recorder to the collector. Duplicate run IDs
 // (two workers raced the same memoized run; both simulated identical
-// event sequences) keep the first attached copy, and the duplicate's
-// spans go back on the free list right away rather than waiting for the
-// garbage collector. Nil-safe on both sides.
+// event sequences) keep the first attached copy; the duplicate drops
+// its spans to the garbage collector and keeps its span, request and
+// open-span counts, so View finds no span in it from then on. Nil-safe
+// on both sides.
 func (c *Collector) Attach(r *Recorder) {
 	if c == nil || r == nil {
 		return
@@ -80,7 +81,7 @@ func (c *Collector) Attach(r *Recorder) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.byID[r.runID]; dup {
-		r.releaseSpans()
+		r.chunks, r.store = nil, false
 		return
 	}
 	c.byID[r.runID] = r

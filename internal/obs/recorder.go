@@ -15,7 +15,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -52,16 +51,13 @@ const openEnd = sim.Time(-1)
 // A run records millions of spans, and slice growth re-copies the whole
 // backing array each time it doubles — profiled at ~25% of a
 // telemetry-enabled run before chunking. Chunks never move once
-// allocated, and a deduplicated replay at -jN hands its chunks back to
-// a free list instead of the garbage collector. A recorder whose spans
-// no trace will read stores none and takes no chunk.
+// allocated. A recorder whose spans no trace will read stores none and
+// takes no chunk.
 const (
 	spanChunkShift = 12 // 4096 spans (96 KiB) per chunk
 	spanChunkSize  = 1 << spanChunkShift
 	spanChunkMask  = spanChunkSize - 1
 )
-
-var spanChunkPool = sync.Pool{New: func() any { return new([spanChunkSize]span) }}
 
 // Recorder captures one run's telemetry.
 type Recorder struct {
@@ -139,15 +135,14 @@ func (r *Recorder) Intern(name string) SpanLabel {
 	return l
 }
 
-// slot returns the next span's slot, pulling a fresh chunk from the
-// free list when the current one fills. Slots are written in full by
-// every caller, so recycled chunk contents never leak into exports.
+// slot returns the next span's slot, allocating a fresh chunk when the
+// current one fills.
 //
 //snicvet:hotpath
 func (r *Recorder) slot() *span {
 	if r.nspans>>spanChunkShift == len(r.chunks) {
-		//snicvet:ignore hotpath -- chunk boundary, amortized over 4096 spans; chunks come from the shared pool
-		r.chunks = append(r.chunks, spanChunkPool.Get().(*[spanChunkSize]span))
+		//snicvet:ignore hotpath -- chunk boundary, amortized over 4096 spans
+		r.chunks = append(r.chunks, new([spanChunkSize]span))
 	}
 	return &r.chunks[r.nspans>>spanChunkShift][r.nspans&spanChunkMask]
 }
@@ -158,17 +153,6 @@ func (r *Recorder) slot() *span {
 //snicvet:hotpath
 func (r *Recorder) spanAt(i int) *span {
 	return &r.chunks[i>>spanChunkShift][i&spanChunkMask]
-}
-
-// releaseSpans returns the recorder's span storage to the shared free
-// list. The Collector calls it from Attach for a deduplicated replay of
-// a run it already holds. The span, request and open-span counts stay;
-// View finds no span from then on.
-func (r *Recorder) releaseSpans() {
-	for _, c := range r.chunks {
-		spanChunkPool.Put(c)
-	}
-	r.chunks, r.store = nil, false
 }
 
 // record counts one span and stores it if the recorder stores spans:

@@ -10,9 +10,9 @@ import (
 )
 
 // Spans live in fixed chunks; the interesting cases are the boundary
-// (IDs spanning two chunks), release (a deduplicated replay's chunks
-// going back to the free list at Attach), and a recorder that stores
-// no spans because no trace will be written.
+// (IDs spanning two chunks), release (a deduplicated replay dropping
+// its chunks at Attach), and a recorder that stores no spans because no
+// trace will be written.
 
 func TestSpanChunkBoundary(t *testing.T) {
 	r := NewRecorder(1, "chunks")

@@ -75,7 +75,6 @@ type YCSBGen struct {
 const (
 	PaperRecords   = 30_000
 	PaperValueSize = 1024
-	PaperOps       = 10_000
 )
 
 // NewYCSBGen returns a generator. Records and valueSize must be positive.
