@@ -63,11 +63,12 @@ profile-smoke: bin/snicbench
 # Byte-identical output against a base commit: builds cmd/snicbench at
 # BASE (extracted with git archive) and in the working tree, then
 # compares -exp all stdout and its -profile JSON, -exp all's metrics and
-# manifests, the fig4 nat trace and metrics, the fleet manifest, the
-# pipeline and offload traces, metrics and manifests, the checked and
-# untraced fig4, faults, pipeline, offload, strategies and fleet runs
-# (their manifests come from the recorders' counts), the faults trace,
-# and the checked and traced pipeline run, by digest.
+# manifests, the fig4 nat trace and metrics, the fleet manifest and
+# metrics CSV, the pipeline and offload traces, metrics and manifests,
+# the checked and untraced fig4, faults, pipeline, offload, strategies
+# and fleet runs (their manifests come from the recorders' counts), the
+# faults trace and metrics CSV, and the checked and traced pipeline run,
+# by digest.
 # A change that must not move any number runs this against its parent.
 BASE ?= HEAD
 same-output:

@@ -299,8 +299,7 @@ func (r *Runner) runFaulted(scn FaultScenario, hr *HealthRouter, tr *trace.Hyper
 	fo.settleEnd = fo.faultEnd.Add(pol.MaxDelay())
 	ctx.fo = fo
 
-	// Failover-specific gauges ride alongside the standard testbed set;
-	// both must be registered before instrumentTestbed starts the sampler.
+	// Failover-specific gauges ride alongside the standard testbed set.
 	ctx.rec.Gauge("failover/engine-healthy", "bool", 0, func() float64 {
 		if tb.REM.Health() == accel.Healthy {
 			return 1

@@ -284,8 +284,6 @@ func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 	ctx.offload, ctx.asn = spec, mix.NewAssigner()
 	ctx.tbl = flow.NewTable(eng, spec.Table)
 	ctx.ctl = flow.NewController(ctx.tbl, spec.Policy.build())
-	// flow/ gauges must register before instrumentTestbed starts the
-	// sampler: gauges added after StartSampler are never polled.
 	if ctx.rec != nil {
 		tbl := ctx.tbl
 		ctx.rec.Gauge("flow/table/occupancy", "rules", 0, func() float64 { return float64(tbl.Occupancy()) })

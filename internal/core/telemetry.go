@@ -166,11 +166,6 @@ func (r *Runner) finish(ctx *runctx) {
 		rec.AddSeries("power/bmc-trace", "W", tb.BMC.Period, tb.BMC.Trace.Times, tb.BMC.Trace.Values)
 		rec.AddSeries("power/yoctowatt-trace", "W", tb.YoctoWatt.Period, tb.YoctoWatt.Trace.Times, tb.YoctoWatt.Trace.Values)
 	}
-	// The recorder's gauges keep the testbed, and through its sinks this
-	// run, alive until export: let the drained run's free lists, and a
-	// routed run's flight table, go.
-	ctx.freeReqs, ctx.freePkts = nil, nil
-	ctx.flights = nil
 	r.Telemetry.Attach(rec)
 }
 

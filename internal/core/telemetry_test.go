@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -232,4 +234,77 @@ func TestInstrumentedResourcesCarryTraffic(t *testing.T) {
 			t.Errorf("resource %s has no nonzero counter in any run's manifest", res)
 		}
 	}
+}
+
+// A finished run keeps none of its model: once the collector holds a
+// recorded, checked run of each request path, or of a fleet server
+// replay, the testbed's host CPU and memory specs are garbage while the
+// runner, its collector and the run's result stay reachable. The specs
+// are leaves only the model reaches. The testbed and the run's wiring
+// sit in reference cycles (testbed → eSwitch sink → runctx → testbed),
+// and Go runs no finalizer on an object in a cycle, so the finalizers go
+// on the leaves.
+func TestFinishedRunReleasesItsTestbed(t *testing.T) {
+	nat, err := Lookup("nat", "10K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append(auditWorkloads(t), struct {
+		path string
+		w    Workload
+	}{"fleet server replay", Workload{Kind: WorkloadServer, Config: nat, Platform: HostCPU,
+		Rates: []float64{0.3, 1, 0, 0.6}, Interval: sim.Millisecond, Seed: 5}})
+	for _, tc := range cases {
+		t.Run(tc.path, func(t *testing.T) {
+			r := NewRunner()
+			r.Checks = true
+			r.Telemetry = obs.NewCollector()
+			set := 0
+			// Each workload is one run with two leaves; the spare room
+			// keeps a finalizer from ever blocking on the send.
+			freed := make(chan struct{}, 8)
+			r.finished = func(ctx *runctx) {
+				for _, leaf := range []any{ctx.tb.HostMem, ctx.tb.HostSpec} {
+					set++
+					runtime.SetFinalizer(leaf, func(any) { freed <- struct{}{} })
+				}
+			}
+			res, err := r.Execute(tc.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if set == 0 {
+				t.Fatal("no run finished")
+			}
+			if got := finalized(freed, set); got != set {
+				t.Errorf("%d of %d testbed leaves are still reachable after the run finished", set-got, set)
+			}
+			if len(r.Telemetry.Runs()) == 0 {
+				t.Fatal("the collector holds no run")
+			}
+			runtime.KeepAlive(r)
+			runtime.KeepAlive(res)
+		})
+	}
+}
+
+// finalized runs up to three GC cycles, each followed by a wait for the
+// finalizer goroutine, until n finalizers have signalled on freed, and
+// returns how many did.
+func finalized(freed <-chan struct{}, n int) int {
+	got := 0
+	for round := 0; round < 3 && got < n; round++ {
+		runtime.GC()
+		timeout := time.After(100 * time.Millisecond)
+	wait:
+		for got < n {
+			select {
+			case <-freed:
+				got++
+			case <-timeout:
+				break wait
+			}
+		}
+	}
+	return got
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -170,10 +169,4 @@ func GenQuery(nTerms int, r *sim.RNG) []string {
 		q[i] = word(z.Next())
 	}
 	return q
-}
-
-// ParseQuery splits a whitespace query payload, the wire format of the
-// UDP benchmark server.
-func ParseQuery(payload []byte) []string {
-	return strings.Fields(string(payload))
 }

@@ -2,6 +2,7 @@ package bm25
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -10,7 +11,7 @@ import (
 func docsFrom(texts ...string) []Document {
 	docs := make([]Document, len(texts))
 	for i, t := range texts {
-		docs[i] = Document{ID: i, Terms: ParseQuery([]byte(t))}
+		docs[i] = Document{ID: i, Terms: strings.Fields(t)}
 	}
 	return docs
 }
@@ -133,13 +134,6 @@ func TestScoreOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	idx.Score(5, []string{"a"})
-}
-
-func TestParseQuery(t *testing.T) {
-	q := ParseQuery([]byte("  foo  bar\tbaz\n"))
-	if len(q) != 3 || q[0] != "foo" || q[2] != "baz" {
-		t.Fatalf("ParseQuery = %v", q)
-	}
 }
 
 func BenchmarkTopK1000Docs(b *testing.B) {

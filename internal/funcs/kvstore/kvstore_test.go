@@ -153,10 +153,9 @@ func TestMICAPartitioning(t *testing.T) {
 	for i := 0; i < 8000; i++ {
 		m.Set(trace.Key(uint64(i)), []byte("v"))
 	}
-	lens := m.PartitionLens()
-	for i, l := range lens {
-		if l < 500 || l > 1500 {
-			t.Fatalf("partition %d holds %d records: badly unbalanced %v", i, l, lens)
+	for i := range m.partitions {
+		if l := len(m.partitions[i].data); l < 500 || l > 1500 {
+			t.Fatalf("partition %d holds %d records: badly unbalanced", i, l)
 		}
 	}
 	if m.Len() != 8000 {

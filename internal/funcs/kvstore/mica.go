@@ -80,15 +80,6 @@ func (m *MICA) Len() int {
 	return n
 }
 
-// PartitionLens returns per-partition record counts, for balance checks.
-func (m *MICA) PartitionLens() []int {
-	out := make([]int, len(m.partitions))
-	for i := range m.partitions {
-		out[i] = len(m.partitions[i].data)
-	}
-	return out
-}
-
 // Gets and Hits expose counters.
 func (m *MICA) Gets() uint64 { return m.gets }
 func (m *MICA) Hits() uint64 { return m.hits }

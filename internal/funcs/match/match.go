@@ -140,9 +140,6 @@ func (m *Matcher) Scan(data []byte) []Match {
 	return out
 }
 
-// NumPatterns returns the compiled pattern count.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }
-
 // Pattern returns the i-th compiled pattern.
 func (m *Matcher) Pattern(i int) string { return m.patterns[i] }
 

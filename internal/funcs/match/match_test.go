@@ -158,7 +158,7 @@ func TestPaperRuleSetsCompile(t *testing.T) {
 	for _, name := range []trace.RuleSetName{trace.RuleSetImage, trace.RuleSetFlash, trace.RuleSetExecutable} {
 		rs := trace.GenRuleSet(name, 42)
 		m := mustMatcher(rs.Patterns)
-		if m.NumPatterns() != len(rs.Patterns) {
+		if len(m.patterns) != len(rs.Patterns) {
 			t.Fatalf("%s: pattern count mismatch", name)
 		}
 		pg := trace.NewPayloadGen(rs, 7)

@@ -86,16 +86,10 @@ func (s *Switch) AddRule(r Rule) {
 	s.FlushCache()
 }
 
-// NumRules returns the classifier size.
-func (s *Switch) NumRules() int { return len(s.rules) }
-
 // FlushCache clears the megaflow cache.
 func (s *Switch) FlushCache() {
 	s.megaflow = make(map[FiveTuple]Action)
 }
-
-// CacheLen returns the megaflow cache occupancy.
-func (s *Switch) CacheLen() int { return len(s.megaflow) }
 
 // Classify runs the full lookup: fast path first, slow path on miss with
 // megaflow installation. Unmatched packets drop (OvS default for a

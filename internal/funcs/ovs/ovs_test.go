@@ -78,7 +78,7 @@ func TestRuleInstallFlushesCache(t *testing.T) {
 	s.AddRule(Rule{Priority: 1, Mask: anyMask, Action: Action{OutPort: 1}})
 	k := FiveTuple{SrcIP: 42}
 	s.Classify(k)
-	if s.CacheLen() != 1 {
+	if len(s.megaflow) != 1 {
 		t.Fatal("megaflow not installed")
 	}
 	// A higher-priority rule must not be shadowed by the stale cache.
@@ -95,8 +95,8 @@ func TestCacheCapacity(t *testing.T) {
 	for i := uint32(0); i < 100; i++ {
 		s.Classify(FiveTuple{SrcIP: i})
 	}
-	if s.CacheLen() > 10 {
-		t.Fatalf("cache grew to %d past capacity", s.CacheLen())
+	if len(s.megaflow) > 10 {
+		t.Fatalf("cache grew to %d past capacity", len(s.megaflow))
 	}
 }
 
@@ -116,8 +116,8 @@ func TestGenForwardingRules(t *testing.T) {
 	if len(keys) != 16 {
 		t.Fatalf("keys = %d", len(keys))
 	}
-	if s.NumRules() != 17 { // 16 tenants + drop-all
-		t.Fatalf("rules = %d", s.NumRules())
+	if len(s.rules) != 17 { // 16 tenants + drop-all
+		t.Fatalf("rules = %d", len(s.rules))
 	}
 	for i, k := range keys {
 		a := s.Classify(k)

@@ -113,11 +113,6 @@ func (d *RAMDisk) WriteBlock(idx int64, src []byte) error {
 func (d *RAMDisk) Reads() uint64  { return d.reads }
 func (d *RAMDisk) Writes() uint64 { return d.writes }
 
-// MaterializedBytes reports resident memory (written blocks only).
-func (d *RAMDisk) MaterializedBytes() int64 {
-	return int64(len(d.blocks)) * int64(d.blockSize)
-}
-
 // JobSpec is a fio job description.
 type JobSpec struct {
 	Op     OpKind

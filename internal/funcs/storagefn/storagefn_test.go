@@ -44,8 +44,8 @@ func TestRAMDiskSparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One 64 KB block materialized from a 16 GB device.
-	if d.MaterializedBytes() != BlockBytes {
-		t.Fatalf("materialized = %d", d.MaterializedBytes())
+	if n := len(d.blocks) * d.blockSize; n != BlockBytes {
+		t.Fatalf("materialized = %d", n)
 	}
 }
 

@@ -68,16 +68,19 @@ func (c *Collector) NewRecorder(runID uint64, label string) *Recorder {
 	return r
 }
 
-// Attach hands a finished recorder to the collector. Duplicate run IDs
-// (two workers raced the same memoized run; both simulated identical
-// event sequences) keep the first attached copy; the duplicate drops
-// its spans to the garbage collector and keeps its span, request and
+// Attach hands a finished recorder to the collector, which drops its
+// gauges' sampling closures: the run keeps what its exports read and
+// none of the model state the closures read. Duplicate run IDs (two
+// workers raced the same memoized run; both simulated identical event
+// sequences) keep the first attached copy; the duplicate drops its
+// spans to the garbage collector and keeps its span, request and
 // open-span counts, so View finds no span in it from then on. Nil-safe
 // on both sides.
 func (c *Collector) Attach(r *Recorder) {
 	if c == nil || r == nil {
 		return
 	}
+	r.reg.release()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.byID[r.runID]; dup {

@@ -11,7 +11,8 @@ const DefaultSamplePeriod = sim.Millisecond
 // Series is one sampled metric: (time, value) pairs at a nominal
 // period. Sensor traces imported from the power model reuse the same
 // shape, so exporters treat emulated IPMI/Yocto-Watt readings and
-// simulator gauges uniformly.
+// simulator gauges uniformly. The gauges one sampler polls at one
+// period share one Times slice: treat it as read-only.
 type Series struct {
 	Name   string
 	Unit   string
@@ -20,10 +21,12 @@ type Series struct {
 	Values []float64
 }
 
-// Gauge registers a sampled metric in the run's registry. fn is polled
-// on the virtual-time sampler at the given period (0 means
-// DefaultSamplePeriod) and must be a pure read of model state. Series
-// names are unique per run. Nil-safe.
+// Gauge registers a sampled metric in the run's registry, before
+// StartSampler or it panics. fn is polled on the virtual-time sampler
+// at the given period (0 means DefaultSamplePeriod), must be a pure
+// read of model state, and is dropped, samples kept, when
+// Collector.Attach takes the finished run. Series names are unique per
+// run. Nil-safe.
 func (r *Recorder) Gauge(name, unit string, period sim.Duration, fn func() float64) {
 	if r == nil {
 		return

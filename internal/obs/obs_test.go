@@ -134,6 +134,117 @@ func TestSamplerGroupsByPeriod(t *testing.T) {
 	}
 }
 
+// The gauges one sampler polls at one period share one time axis: they
+// report equal Times held in one slice, capped so that an append
+// through one gauge's Times copies instead of writing into the others'.
+// A gauge of another period keeps its own axis.
+func TestSamplerSharesOneTimeAxisPerPeriod(t *testing.T) {
+	eng := sim.NewEngine()
+	r := NewRegistry()
+	a := r.Gauge("a", "u", 10, func() float64 { return 1 })
+	b := r.Gauge("b", "u", 10, func() float64 { return 2 })
+	c := r.Gauge("c", "u", 40, func() float64 { return 3 })
+	r.StartSampler(eng)
+	eng.At(100, func() {}) // model horizon
+	eng.Run()
+	ta, tb, tc := a.Series().Times, b.Series().Times, c.Series().Times
+	if len(ta) < 10 || !reflect.DeepEqual(ta, tb) {
+		t.Fatalf("gauges of one period sampled at %v and %v, want the same ≥10 instants", ta, tb)
+	}
+	if &ta[0] != &tb[0] {
+		t.Fatal("gauges of one period hold separate time axes")
+	}
+	if len(tc) >= len(ta) || tc[1] != 40 {
+		t.Fatalf("the 40 ns gauge sampled at %v", tc)
+	}
+	grown := append(ta, 1000)
+	grown[0] = -1
+	if ta[0] != 0 || tb[0] != 0 {
+		t.Fatal("an append through one gauge's Times wrote into the shared axis")
+	}
+}
+
+// AddSeries keeps its own copy of the samples it is given.
+func TestAddSeriesCopiesSamples(t *testing.T) {
+	r := NewRecorder(1, "run")
+	times, values := []sim.Time{0, 10}, []float64{5, 6}
+	r.AddSeries("imported", "W", 10, times, values)
+	times[0], values[0] = 99, 99
+	if s := r.Series()[0]; !reflect.DeepEqual(s.Times, []sim.Time{0, 10}) || !reflect.DeepEqual(s.Values, []float64{5, 6}) {
+		t.Fatalf("series reads %v/%v after the caller's slices changed", s.Times, s.Values)
+	}
+}
+
+// A sampled gauge registered after StartSampler would never be polled:
+// it panics. A pre-sampled series added when the run ends is allowed.
+func TestGaugeAfterSamplerStartPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	r := NewRecorder(1, "run")
+	r.Gauge("early", "u", 10, func() float64 { return 1 })
+	r.StartSampler(eng)
+	eng.At(15, func() {})
+	eng.Run()
+	r.AddSeries("imported", "W", 10, []sim.Time{0, 10}, []float64{5, 6})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a gauge registered after StartSampler did not panic")
+		}
+	}()
+	r.Gauge("late", "u", 10, func() float64 { return 2 })
+}
+
+// Attach drops a finished run's sampling closures and nothing its
+// exports read: every read-out gives the same bytes before and after.
+func TestAttachReleasesSamplingClosures(t *testing.T) {
+	eng := sim.NewEngine()
+	r := fillRecorder(NewRecorder(1, "run"))
+	q := 0.0
+	r.Gauge("polled/fast", "u", 10, func() float64 { q++; return q })
+	r.Gauge("polled/slow", "u", 40, func() float64 { return q / 2 })
+	r.StartSampler(eng)
+	eng.At(100, func() {}) // model horizon
+	eng.Run()
+
+	type readout struct {
+		last      []float64
+		snapshot  []MetricValue
+		manifest  RunManifest
+		json, csv string
+	}
+	read := func(c *Collector) readout {
+		var out readout
+		for _, name := range r.reg.order {
+			if e := r.reg.metrics[name]; e.kind == KindGauge {
+				out.last = append(out.last, e.gauge.Last())
+			}
+		}
+		out.snapshot = r.reg.Snapshot()
+		out.manifest = r.Manifest()
+		var js, csv bytes.Buffer
+		if err := c.WriteMetricsJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteMetricsCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		out.json, out.csv = js.String(), csv.String()
+		return out
+	}
+	// A collector that holds the live recorder, closures and all.
+	live := &Collector{byID: map[uint64]*Recorder{r.runID: r}}
+	before := read(live)
+	c := NewCollector()
+	c.Attach(r)
+	for _, name := range r.reg.order {
+		if e := r.reg.metrics[name]; e.kind == KindGauge && e.gauge.fn != nil {
+			t.Fatalf("gauge %s kept its sampling closure after Attach", name)
+		}
+	}
+	if after := read(c); !reflect.DeepEqual(before, after) {
+		t.Fatalf("read-outs changed when Attach released the closures:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
 // buildRecorder makes a deterministic recorder with spans and metrics.
 func buildRecorder(id uint64, label string) *Recorder {
 	return fillRecorder(NewRecorder(id, label))

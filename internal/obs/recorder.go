@@ -10,7 +10,9 @@
 //
 // Everything here is a pure observer: recording never mutates model
 // state, never draws from model RNG streams, and never schedules model
-// events, so enabling telemetry cannot change simulation results.
+// events, so enabling telemetry cannot change simulation results. Nor
+// does it keep the model alive: Collector.Attach drops the gauges'
+// sampling closures, so a finished run keeps none of its testbed.
 package obs
 
 import (

@@ -26,6 +26,8 @@ import (
 type Registry struct {
 	metrics map[string]*metricEntry
 	order   []string // registration order
+	// sampling is set once StartSampler has taken the gauges it polls.
+	sampling bool
 }
 
 // MetricKind discriminates the three metric types.
@@ -126,7 +128,8 @@ func (c *CounterMetric) Value() float64 {
 
 // GaugeMetric is a sampled metric: a sampling closure polled on the
 // virtual-time ticker, feeding a Series. A pre-sampled gauge (imported
-// sensor trace) has no closure and is never polled.
+// sensor trace) has no closure and is never polled, and a finished
+// run's gauges have dropped theirs (see Collector.Attach).
 type GaugeMetric struct {
 	series *Series
 	fn     func() float64
@@ -191,13 +194,17 @@ func (r *Registry) Counter(name, unit string) *CounterMetric {
 // Gauge registers a sampled gauge. fn is polled on the virtual-time
 // sampler at period (0 means DefaultSamplePeriod) and must be a pure
 // read of model state; nil fn registers a pre-sampled gauge whose
-// series the caller fills (imported sensor traces). Nil-safe.
+// series the caller fills (imported sensor traces). A sampled gauge
+// registered after StartSampler, never to be polled, panics. Nil-safe.
 func (r *Registry) Gauge(name, unit string, period sim.Duration, fn func() float64) *GaugeMetric {
 	if r == nil {
 		return nil
 	}
 	if e := r.lookup(name, KindGauge); e != nil {
 		return e.gauge
+	}
+	if fn != nil && r.sampling {
+		panic(fmt.Sprintf("obs: gauge %q registered after the sampler started", name))
 	}
 	if period <= 0 {
 		period = DefaultSamplePeriod
@@ -223,14 +230,16 @@ func (r *Registry) Histogram(name, unit string) *HistogramMetric {
 // ---- sampling ----
 
 // StartSampler begins polling registered gauge closures on eng's
-// virtual-time tickers. Gauges sharing a period share one ticker, every
-// gauge is sampled once immediately (the t=0 baseline), and sampling
-// stops by itself when the model drains (see sim.Engine.Ticker).
-// Nil-safe.
+// virtual-time tickers. Gauges sharing a period share one ticker and
+// one time axis: each tick appends its instant once, and every gauge of
+// the period reads its Times from that one read-only slice. Every gauge
+// is sampled once immediately (the t=0 baseline), and sampling stops by
+// itself when the model drains (see sim.Engine.Ticker). Nil-safe.
 func (r *Registry) StartSampler(eng *sim.Engine) {
 	if r == nil {
 		return
 	}
+	r.sampling = true
 	byPeriod := make(map[sim.Duration][]*GaugeMetric)
 	var periods []sim.Duration
 	for _, name := range r.order {
@@ -246,15 +255,33 @@ func (r *Registry) StartSampler(eng *sim.Engine) {
 	}
 	for _, p := range periods {
 		group := byPeriod[p]
+		var times []sim.Time
 		sample := func() {
-			now := eng.Now()
+			times = append(times, eng.Now())
+			// Capped at its length, the shared axis is copied, not
+			// overwritten, by an append through one gauge's Times.
+			axis := times[:len(times):len(times)]
 			for _, g := range group {
-				g.series.Times = append(g.series.Times, now)
+				g.series.Times = axis
 				g.series.Values = append(g.series.Values, g.fn())
 			}
 		}
 		sample()
 		eng.Ticker(p, sample)
+	}
+}
+
+// release drops every sampled gauge's closure, in registration order.
+// The series keep every sample; the model state the closures read is
+// no longer reachable from the registry. Nil-safe.
+func (r *Registry) release() {
+	if r == nil {
+		return
+	}
+	for _, name := range r.order {
+		if e := r.metrics[name]; e.kind == KindGauge {
+			e.gauge.fn = nil
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ check() {
 check "all" -exp all -q -j 1 -profile profile.json
 check "all recorded" -exp all -q -j 1 -metrics metrics.json -manifest manifest.json
 check "fig4 nat" -exp fig4 -func nat -q -trace trace.json -metrics metrics.csv
-check "fleet" -exp fleet -q -manifest manifest.json
+check "fleet" -exp fleet -q -manifest manifest.json -metrics metrics.csv
 check "pipeline" -exp pipeline -q -trace trace.json -metrics metrics.csv -manifest manifest.json
 check "offload" -exp offload -q -trace trace.json -metrics metrics.csv -manifest manifest.json
 # Checked and recorded without a trace: each span is audited as it is
@@ -82,8 +82,9 @@ check "pipeline checked" -exp pipeline -q -j 1 -check -manifest manifest.json
 check "offload checked" -exp offload -q -j 1 -check -metrics metrics.json -manifest manifest.json
 check "strategies checked" -exp strategies -q -j 1 -check -metrics metrics.json -manifest manifest.json
 check "fleet checked" -exp fleet -q -j 1 -check -metrics metrics.json -manifest manifest.json
-# Traced: the failover replays' spans, stragglers included, by digest.
-check "faults traced" -exp faults -q -j 1 -trace trace.json
+# Traced: the failover replays' spans, stragglers included, by digest,
+# with their failover gauges and imported sensor series as CSV.
+check "faults traced" -exp faults -q -j 1 -trace trace.json -metrics metrics.csv
 # Checked and traced: the runs the span audit checks as they record are
 # the runs the trace exports.
 check "pipeline checked traced" -exp pipeline -q -j 1 -check -trace trace.json
