@@ -192,6 +192,13 @@ func (b *ByteEngine) Utilization() float64 { return b.batch.Utilization() }
 // QueueLen returns batches waiting behind the engine.
 func (b *ByteEngine) QueueLen() int { return b.batch.EngineQueueLen() }
 
+// The engines' batch-assembly timeouts: a task waits at most this long
+// for its batch to fill before the batch is submitted anyway.
+const (
+	REMMaxWait     = 11 * sim.Microsecond
+	DeflateMaxWait = 20 * sim.Microsecond
+)
+
 // REMEngine returns the BlueField-2 regular-expression engine (RXP).
 // Sustained scan rate ~50 Gb/s regardless of rule set (paper Fig. 5: "the
 // maximum throughput of the SNIC accelerator processing REM is capped to
@@ -204,7 +211,7 @@ func REMEngine(eng *sim.Engine) *ByteEngine {
 		Name:            "BF-2 REM (RXP)",
 		RateBits:        66e9,
 		MaxBatch:        48,
-		MaxWait:         11 * sim.Microsecond,
+		MaxWait:         REMMaxWait,
 		PerBatch:        2500 * sim.Nanosecond,
 		PerTaskOverhead: 25 * sim.Nanosecond,
 	})
@@ -221,7 +228,7 @@ func CompressEngine(eng *sim.Engine) *ByteEngine {
 		Name:            "BF-2 Deflate",
 		RateBits:        55e9,
 		MaxBatch:        16,
-		MaxWait:         20 * sim.Microsecond,
+		MaxWait:         DeflateMaxWait,
 		PerBatch:        3 * sim.Microsecond,
 		PerTaskOverhead: 250 * sim.Nanosecond,
 	})

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/accel"
 	"repro/internal/netstack"
+	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Advisor implements Strategy 2 of §5.3: "more intelligent policies to
@@ -16,9 +17,10 @@ import (
 // it, then recommend the platform that meets the SLO at the best
 // efficiency.
 //
-// The predictor is the same analytic capacity/latency model the runner's
-// search is seeded from, which makes it fast (microseconds per query) and
-// lets tests quantify its agreement with full simulation.
+// The predictor is the analytic service model (model.go) that the
+// request path draws its service times from and the runner's search is
+// seeded from, which makes it fast (microseconds per query) and lets
+// tests quantify its agreement with full simulation.
 type Advisor struct {
 	runner *Runner
 }
@@ -58,106 +60,78 @@ func (r Recommendation) String() string {
 	return fmt.Sprintf("%s (SLO %v): %s — %s", r.Config.Name(), r.SLOP99, r.Chosen, r.Reason)
 }
 
-// Predict estimates a platform's behaviour for the config.
+// Efficiency is the prediction's server-level efficiency: throughput
+// over the server's idle draw plus the active delta (see Advise).
+func (p Prediction) Efficiency() float64 {
+	return p.TputGbps / (float64(power.ServerIdleW) + p.ActivePowerW)
+}
+
+// Predict estimates a platform's behaviour for the config from the
+// analytic service model (model.go).
 func (a *Advisor) Predict(cfg *Config, plat Platform) Prediction {
-	p := Prediction{Platform: plat}
-	p.TputGbps = a.runner.estimateCapacityGbps(cfg, plat)
-	p.P99 = a.predictP99(cfg, plat)
-	p.ActivePowerW = a.predictActivePower(cfg, plat)
-	return p
+	tbc := a.runner.TBConfig
+	tb := NewTestbed(tbc.withCores(cfg.HostCores, cfg.SNICCores))
+	return Prediction{
+		Platform:     plat,
+		TputGbps:     configGbps(tb, tbc.LinkGbps(), cfg, plat),
+		P99:          predictP99(tb, cfg, plat),
+		ActivePowerW: activePower(tb, cfg, plat),
+	}
 }
 
 // predictP99 composes the fixed latency path with a moderate queueing
 // allowance (~2 services at 70% load) — deliberately simple, as Clara's
 // models are, and validated against simulation in the tests.
-func (a *Advisor) predictP99(cfg *Config, plat Platform) sim.Duration {
-	prof := netstack.ByKind(cfg.Stack)
-	tb := NewTestbed(a.runner.TBConfig)
-	size := cfg.ReqSize
-	if cfg.Mixed {
-		size = int(trace.CTUMixed().Mean())
-	}
-
+func predictP99(tb *Testbed, cfg *Config, plat Platform) sim.Duration {
 	if plat == SNICAccel {
 		// Staging + batch wait + engine service + return.
-		var engineBits float64
-		var batchWait sim.Duration
+		engineBits, batchWait := 30e9, 10*sim.Microsecond // no engine bound (OvS)
 		switch cfg.Engine {
 		case EngineREM:
-			engineBits = tb.REM.RateBits
-			batchWait = 11 * sim.Microsecond
+			engineBits, batchWait = tb.REM.RateBits, accel.REMMaxWait
 		case EngineDeflate:
-			engineBits = tb.Deflate.RateBits
-			batchWait = 20 * sim.Microsecond
+			engineBits, batchWait = tb.Deflate.RateBits, accel.DeflateMaxWait
 		case EnginePKABulk:
-			engineBits = tb.PKA.BulkRateBits[cfg.PKAAlgo]
-			batchWait = 2 * sim.Microsecond
+			engineBits, batchWait = tb.PKA.BulkRateBits[cfg.PKAAlgo], 2*sim.Microsecond
 		case EnginePKAOp:
 			return sim.Duration(2.2 * float64(sim.Second) / tb.PKA.OpRate[cfg.PKAAlgo])
-		default:
-			engineBits = 30e9
-			batchWait = 10 * sim.Microsecond
 		}
-		opBytes := size
+		opBytes := meanReq(cfg.ReqSize, cfg.Mixed)
 		if cfg.Mode == ModeLocal {
 			opBytes = cfg.LocalOpBytes
 		}
-		svc := sim.DurationOf(opBytes, engineBits)
-		return batchWait + 3*svc + 2*sim.Microsecond
+		return batchWait + 3*sim.DurationOf(opBytes, engineBits) + 2*sim.Microsecond
 	}
-
-	spec := tb.SpecFor(plat)
-	app := cfg.HostBaseCycles + cfg.HostPerByteCycles*float64(size)
-	if plat != HostCPU {
-		app *= cfg.SNICFactor
-	}
+	prof := netstack.ByKind(cfg.Stack)
 	var svc sim.Duration
-	switch {
-	case cfg.HostRateOps > 0:
-		svc = sim.Duration(float64(sim.Second) / cfg.HostRateOps)
-	case cfg.HostRateBits > 0:
-		svc = sim.DurationOf(cfg.LocalOpBytes, cfg.HostRateBits)
-	default:
-		cycles := prof.RxCycles(spec.Arch, size) + prof.TxCycles(spec.Arch, cfg.RespSize) + app
-		ws := cfg.WorkingSetHost
-		if plat != HostCPU {
-			ws = cfg.WorkingSetSNIC
-		}
-		pen := tb.MemFor(plat).Penalty(cfg.MemIntensity, ws, spec.L3Bytes)
-		svc = sim.Duration(float64(sim.Cycles(cycles/spec.IPC, spec.BaseHz)) * pen)
-	}
-	if plat != HostCPU && (cfg.HostRateBits > 0 || cfg.HostRateOps > 0) {
-		host := tb.HostSpec
-		gap := (host.BaseHz * host.IPC) / (spec.BaseHz * spec.IPC)
-		svc = sim.Duration(float64(svc) * gap * cfg.SNICFactor)
+	if cfg.HostRateOps > 0 || cfg.HostRateBits > 0 {
+		svc = localOpTime(tb, cfg, plat, cfg.LocalOpBytes)
+	} else {
+		svc = phaseTime(tb, &prof, configPipeline(cfg, plat), 0, meanReq(cfg.ReqSize, cfg.Mixed), false)
 	}
 	// Fixed path both ways at p99-ish quantile plus a 2-service queue.
-	fixed := prof.FixedOneWay
-	if plat != HostCPU && prof.ArmFixedMult > 0 {
-		fixed = sim.Duration(float64(fixed) * prof.ArmFixedMult)
-	}
+	fixed := prof.FixedMedian(tb.SpecFor(plat).Arch)
 	return 2*sim.Duration(float64(fixed)*2.2) + 3*svc
 }
 
-// predictActivePower uses the calibrated power budget: host platforms
-// light up the package and the io-traffic path; SNIC platforms only the
-// card's 5.4 W envelope.
-func (a *Advisor) predictActivePower(cfg *Config, plat Platform) float64 {
+// activePower is the active power delta of serving on plat with tb's
+// cores, from power's anchor decomposition, whose CPU watts are for
+// eight cores: host platforms light up the package and the io-traffic
+// path; SNIC platforms only the card's envelope, of which an
+// accelerator run uses the engines and its staging cores.
+func activePower(tb *Testbed, cfg *Config, plat Platform) float64 {
 	switch plat {
 	case HostCPU:
-		cores := cfg.HostCores
-		if cores == 0 {
-			cores = a.runner.TBConfig.HostCores
-		}
-		cpuW := 105.0 * float64(cores) / 8.0
+		cpuW := float64(power.HostCPUActiveW) * float64(tb.HostPool.Cores()) / 8.0
 		if cfg.Stack != netstack.KindDPDK {
 			cpuW *= 0.9 // interrupt-driven stacks idle between packets
 		}
-		return cpuW + 10
+		return cpuW + float64(power.HostIOActiveW)
 	case SNICCPU:
-		return 3.4
+		return float64(power.SNICArmActiveW)
 	case SNICAccel:
-		return 3.4*0.25 + 2.0 // two staging cores + engine
+		staging := float64(tb.StagingPool.Cores()) / 8
+		return float64(power.SNICArmActiveW)*staging + float64(power.SNICEngineActiveW)
 	default:
 		panic(fmt.Sprintf("core: unknown platform %q", plat))
 	}
@@ -185,20 +159,15 @@ func (a *Advisor) Advise(cfg *Config, sloP99 sim.Duration) Recommendation {
 		rec.Reason = "no platform meets the SLO; scale out on the host instead"
 		return rec
 	}
-	// Rank by throughput per active watt.
+	// Rank by server-level efficiency.
 	sort.Slice(ok, func(i, j int) bool {
-		return effScore(ok[i]) > effScore(ok[j])
+		return ok[i].Efficiency() > ok[j].Efficiency()
 	})
 	best := ok[0]
 	rec.Chosen = best.Platform
 	rec.Reason = fmt.Sprintf("predicted %.2f Gb/s at p99 %v for %.1f W active",
 		best.TputGbps, best.P99, best.ActivePowerW)
 	return rec
-}
-
-func effScore(p Prediction) float64 {
-	const idleW = 252
-	return p.TputGbps / (idleW + p.ActivePowerW)
 }
 
 // AdviseAll runs the advisor over the whole catalog at a common SLO.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/netstack"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Category groups Fig. 4's bars.
@@ -523,31 +522,30 @@ func Lookup(function, variant string) (*Config, error) {
 //
 //	want = tput_snic/tput_host = svc_host/svc_snic
 //
-// and the factor follows from inverting the SNIC service-time model.
+// and the factor follows from inverting the model's CPU cost on the
+// SNIC, in float seconds: cycles at the spec's IPC and clock under the
+// memory penalty, where the SNIC's cycles are the stack's plus the
+// host's application cycles times the factor.
 func solveSNICFactor(c *Config) float64 {
 	host, snic := cpu.XeonGold6140(), cpu.BlueField2Arm()
-	hostMem, snicMem := mem.ServerDDR4(), mem.BlueField2DDR4()
 	prof := netstack.ByKind(c.Stack)
-	size := c.ReqSize
-	if c.Mixed {
-		size = int(trace.CTUMixed().Mean())
-	}
-	appH := c.HostBaseCycles + c.HostPerByteCycles*float64(size)
-	stackH := prof.RxCycles(host.Arch, size) + prof.TxCycles(host.Arch, c.RespSize)
-	penH := hostMem.Penalty(c.MemIntensity, c.WorkingSetHost, host.L3Bytes)
-	svcH := (stackH + appH + c.MixedExtraCycles) / host.IPC / host.BaseHz * penH
+	ph := configPhase(c, HostCPU)
+	size := meanReq(c.ReqSize, c.Mixed)
+	cyclesH := stackCycles(&prof, true, true, size, c.RespSize, host.Arch) + ph.appCycles(size, false)
+	penH := mem.ServerDDR4().Penalty(c.MemIntensity, c.WorkingSetHost, host.L3Bytes)
+	svcH := cyclesH / host.IPC / host.BaseHz * penH
 
 	svcS := svcH / c.WantTputRatio
-	penS := snicMem.Penalty(c.MemIntensity, c.WorkingSetSNIC, snic.L3Bytes)
+	penS := mem.BlueField2DDR4().Penalty(c.MemIntensity, c.WorkingSetSNIC, snic.L3Bytes)
 	nominalS := svcS / penS * snic.IPC * snic.BaseHz
-	stackS := prof.RxCycles(snic.Arch, size) + prof.TxCycles(snic.Arch, c.RespSize)
-	appS := nominalS - stackS
+	appS := nominalS - stackCycles(&prof, true, true, size, c.RespSize, snic.Arch)
 	if appS <= 0 {
 		// The stack alone already exceeds the target service time; the
 		// achievable ratio is stack-determined. Run the app essentially
 		// for free on the SNIC and let the ratio land where it lands.
 		return 0.05
 	}
+	appH := c.HostBaseCycles + c.HostPerByteCycles*float64(size)
 	if appH <= 0 {
 		return 1
 	}

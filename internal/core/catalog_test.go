@@ -104,7 +104,8 @@ func TestSolvedFactorsArePositive(t *testing.T) {
 
 func TestSolverLandsOnTargetAnalytically(t *testing.T) {
 	// For entries where the solver produced a non-clamped factor, the
-	// analytic service-time ratio must equal the target.
+	// model's capacity ratio must equal the target.
+	a := NewAdvisor()
 	for _, c := range Catalog() {
 		if c.Mode != ModeNetServe || c.WantTputRatio == 0 || c.SNICFactor <= 0.051 {
 			continue
@@ -112,30 +113,11 @@ func TestSolverLandsOnTargetAnalytically(t *testing.T) {
 		if c.Function == "dpdk-pingpong" || c.Function == "rem" {
 			continue // manual factors / accel comparisons
 		}
-		// Invert: recompute what ratio this factor produces.
-		probe := *c
-		got := analyticRatio(&probe)
+		got := a.Predict(c, SNICCPU).TputGbps / a.Predict(c, HostCPU).TputGbps
 		if got < c.WantTputRatio*0.98 || got > c.WantTputRatio*1.02 {
 			t.Errorf("%s: analytic ratio %.3f, want %.3f", c.Name(), got, c.WantTputRatio)
 		}
 	}
-}
-
-// analyticRatio computes svcHost/svcSNIC from the same model the solver
-// inverts.
-func analyticRatio(c *Config) float64 {
-	tb := NewTestbed(DefaultTestbedConfig())
-	prof := netstack.ByKind(c.Stack)
-	size := c.ReqSize
-	hostSpec, snicSpec := tb.HostSpec, tb.SNICSpec
-	appH := c.HostBaseCycles + c.HostPerByteCycles*float64(size)
-	svcH := (prof.RxCycles(hostSpec.Arch, size) + prof.TxCycles(hostSpec.Arch, c.RespSize) + appH) /
-		hostSpec.IPC / hostSpec.BaseHz *
-		tb.HostMem.Penalty(c.MemIntensity, c.WorkingSetHost, hostSpec.L3Bytes)
-	svcS := (prof.RxCycles(snicSpec.Arch, size) + prof.TxCycles(snicSpec.Arch, c.RespSize) + appH*c.SNICFactor) /
-		snicSpec.IPC / snicSpec.BaseHz *
-		tb.SNICMem.Penalty(c.MemIntensity, c.WorkingSetSNIC, snicSpec.L3Bytes)
-	return svcH / svcS
 }
 
 func TestLookupUnknown(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 
 // hostPerByteCycles converts a calibrated single-core host byte rate
 // (bits/s, the internal/funcs calibration currency) into the host
-// spec's per-byte cycle cost: the runner's phaseSvc divides cycles by
+// spec's per-byte cycle cost: the model's cpuTime divides cycles by
 // IPC at BaseHz, so cycles/byte = 8·IPC·BaseHz/rate.
 func hostPerByteCycles(rateBits float64) float64 {
 	spec := cpu.XeonGold6140()
@@ -63,19 +63,12 @@ func CryptoCompressSendPipeline() *PipelineSpec {
 				Name:       "send",
 				Resource:   ResSNICCore,
 				BaseCycles: 600, PerByteCycles: 0.05,
-				CycleFactor: bf2CycleFactor(),
+				// Portable per-packet code pays the Arm cores' gap.
+				CycleFactor: armGap(cpu.XeonGold6140(), cpu.BlueField2Arm()),
 			},
 		},
 		KneeP99Mult: 3.0,
 	}
-}
-
-// bf2CycleFactor is the generic Arm-vs-Skylake slowdown applied to
-// portable per-packet code moved onto the SNIC cores — the same
-// frequency/IPC gap the catalog solver starts from.
-func bf2CycleFactor() float64 {
-	host, snic := cpu.XeonGold6140(), cpu.BlueField2Arm()
-	return (host.BaseHz * host.IPC) / (snic.BaseHz * snic.IPC)
 }
 
 // NATIDSPipeline chains the ingress tax path: translate each packet

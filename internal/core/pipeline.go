@@ -36,7 +36,7 @@ const (
 // PhaseSpec is one stage of a pipeline: a resource binding plus a
 // service-time model in the same shape the legacy cost model uses, so a
 // converted config is arithmetic-identical (float operation order
-// matters for bit-reproducibility — see phaseSvc).
+// matters for bit-reproducibility — see model.go).
 type PhaseSpec struct {
 	// Name labels the phase in spans, invariant ledgers and reports.
 	Name string
@@ -285,6 +285,29 @@ func PipelineFromConfig(cfg *Config, plat Platform) *PipelineSpec {
 	if cfg.Mode != ModeNetServe {
 		panic(fmt.Sprintf("core: PipelineFromConfig needs a net-served config, %s is %q", cfg.Name(), cfg.Mode))
 	}
+	return configPipeline(cfg, plat)
+}
+
+// configPipeline is PipelineFromConfig for a config of any mode: the
+// analytic model prices a storage or switched config's cores with the
+// same one phase.
+func configPipeline(cfg *Config, plat Platform) *PipelineSpec {
+	return &PipelineSpec{
+		Name:        cfg.Name(),
+		Stack:       cfg.Stack,
+		ReqSize:     cfg.ReqSize,
+		RespSize:    cfg.RespSize,
+		Mixed:       cfg.Mixed,
+		Phases:      []PhaseSpec{configPhase(cfg, plat)},
+		HostCores:   cfg.HostCores,
+		SNICCores:   cfg.SNICCores,
+		FixedExtra:  cfg.ExtraLatency[plat],
+		KneeP99Mult: cfg.KneeP99Mult,
+	}
+}
+
+// configPhase is the one phase of cfg's pipeline on plat.
+func configPhase(cfg *Config, plat Platform) PhaseSpec {
 	ph := PhaseSpec{
 		Name:          cfg.Function,
 		BaseCycles:    cfg.HostBaseCycles,
@@ -306,6 +329,8 @@ func PipelineFromConfig(cfg *Config, plat Platform) *PipelineSpec {
 		ph.WorkingSet = cfg.WorkingSetSNIC
 	case SNICAccel:
 		ph.Resource = ResEngine
+		// A switched config's upcalls run on the staging (Arm) cores.
+		ph.CycleFactor = cfg.SNICFactor
 		ph.Engine = cfg.Engine
 		ph.PKAAlgo = cfg.PKAAlgo
 		ph.WorkingSet = cfg.WorkingSetSNIC
@@ -315,18 +340,7 @@ func PipelineFromConfig(cfg *Config, plat Platform) *PipelineSpec {
 	default:
 		panic(fmt.Sprintf("core: unknown platform %q", plat))
 	}
-	return &PipelineSpec{
-		Name:        cfg.Name(),
-		Stack:       cfg.Stack,
-		ReqSize:     cfg.ReqSize,
-		RespSize:    cfg.RespSize,
-		Mixed:       cfg.Mixed,
-		Phases:      []PhaseSpec{ph},
-		HostCores:   cfg.HostCores,
-		SNICCores:   cfg.SNICCores,
-		FixedExtra:  cfg.ExtraLatency[plat],
-		KneeP99Mult: cfg.KneeP99Mult,
-	}
+	return ph
 }
 
 // ---- fallback policies ----

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/accel"
 	"repro/internal/netstack"
-	"repro/internal/nic"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -145,7 +143,7 @@ func (r *Runner) SaturationSearch(ps *PipelineSpec, so SaturationOpts) Saturatio
 	}
 	lo, hi := so.MinGbps, so.MaxGbps
 	if lo <= 0 || hi <= 0 {
-		est := r.estimatePipelineGbps(ps)
+		est := pipelineGbps(NewTestbed(r.TBConfig.withCores(ps.HostCores, ps.SNICCores)), r.TBConfig.LinkGbps(), ps)
 		if lo <= 0 {
 			lo = est * 0.2
 		}
@@ -179,60 +177,4 @@ func (r *Runner) SaturationSearch(ps *PipelineSpec, so SaturationOpts) Saturatio
 		}
 	}
 	return res
-}
-
-// estimatePipelineGbps computes an analytic capacity seed: the minimum
-// over phases of each phase's standalone capacity (pool sharing between
-// phases is ignored — the walk's range only needs to bracket the knee).
-func (r *Runner) estimatePipelineGbps(ps *PipelineSpec) float64 {
-	tb := NewTestbed(r.TBConfig.withCores(ps.HostCores, ps.SNICCores))
-	meanReq := ps.ReqSize
-	if ps.Mixed {
-		meanReq = int(trace.CTUMixed().Mean())
-	}
-	link := r.TBConfig.LinkGbps()
-	best := link * float64(meanReq) / float64(meanReq+nic.EthernetOverhead)
-	prof := netstack.ByKind(ps.Stack)
-	size := meanReq
-	for i := range ps.Phases {
-		ph := &ps.Phases[i]
-		var gbps float64
-		if ph.Resource == ResEngine {
-			engineBits := tb.engineRateBits(ph.Engine, ph.PKAAlgo, 64<<10)
-			spec := tb.SNICSpec
-			stageCycles := accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(size) + 100
-			if i == 0 {
-				stageCycles += prof.RxCycles(spec.Arch, size)
-			}
-			stageTime := sim.Cycles(stageCycles/spec.IPC, spec.BaseHz)
-			stageBits := float64(tb.StagingPool.Cores()) / stageTime.Seconds() * float64(size) * 8
-			gbps = math.Min(engineBits, stageBits) / 1e9
-		} else {
-			plat := ph.platform()
-			spec := tb.SpecFor(plat)
-			pool := tb.PoolFor(plat)
-			factor := ph.CycleFactor
-			if factor <= 0 {
-				factor = 1
-			}
-			app := (ph.BaseCycles+ph.PerByteCycles*float64(size))*factor + ph.ExtraCycles
-			cycles := app
-			if i == 0 {
-				cycles += prof.RxCycles(spec.Arch, size)
-			}
-			if i == len(ps.Phases)-1 {
-				cycles += prof.TxCycles(spec.Arch, ps.RespSize)
-			}
-			pen := tb.MemFor(plat).Penalty(ph.MemIntensity, ph.WorkingSet, spec.L3Bytes)
-			t := sim.Duration(float64(sim.Cycles(cycles/spec.IPC, spec.BaseHz)) * pen)
-			// Capacity in wire-payload terms: a phase serving shrunken
-			// payloads still gates the same request stream.
-			gbps = float64(pool.Cores()) / t.Seconds() * float64(meanReq) * 8 / 1e9
-		}
-		if gbps < best {
-			best = gbps
-		}
-		size = ph.outSize(size)
-	}
-	return best
 }

@@ -302,14 +302,6 @@ func (tb *Testbed) backlog(e EngineKind) int {
 	return tb.StagingPool.QueueLen() + tb.engineQueueLen(e)*16
 }
 
-// stagingCycles is a staging core's cost to stage one task of size
-// bytes into an engine, on top of rx cycles of receive work.
-//
-//snicvet:hotpath
-func stagingCycles(rx float64, size int) float64 {
-	return rx + accel.StagingCyclesPerTask + accel.StagingCyclesPerByte*float64(size)
-}
-
 // engineUtilization reads an engine's utilization.
 func (tb *Testbed) engineUtilization(e EngineKind) float64 {
 	switch e {

@@ -343,8 +343,8 @@ func (s *netSink) HandleEvent(arg any) {
 // its pool (phase 0 after the inbound stack delay); an engine phase asks
 // the fallback policy whether to spill to a host core, and otherwise
 // queues for a staging core that feeds the engine (the DOCA path of
-// §2.2). The staging cost includes the result pickup work (~100
-// cycles), so completions ride a small fixed delay rather than
+// §2.2). The staging cost includes the result pickup work (see
+// stageTime), so completions ride a small fixed delay rather than
 // re-entering the staging queue: a dropped RX must never be able to
 // orphan a finished engine task.
 //
@@ -371,13 +371,8 @@ func (ctx *runctx) startPhase(r *request) {
 		ctx.execPhase(r, ctx.tb.HostPool, hopServed, ctx.phaseSvc(r, ph))
 		return
 	}
-	spec := ctx.tb.SNICSpec
-	cycles := 0.0
-	if r.phase == 0 {
-		cycles = ctx.prof.RxCycles(spec.Arch, r.in)
-	}
-	cycles = stagingCycles(cycles, r.in) + 100
-	ctx.execPhase(r, ctx.tb.StagingPool, hopStaged, ctx.jit.LogNormalDur(sim.Cycles(cycles/spec.IPC, spec.BaseHz), 0.15))
+	svc := stageTime(&ctx.prof, ctx.tb.SNICSpec, r.phase == 0, r.in)
+	ctx.execPhase(r, ctx.tb.StagingPool, hopStaged, ctx.jit.LogNormalDur(svc, 0.15))
 }
 
 // phaseMark is one pipeline phase's span name and label and its ledger
@@ -469,49 +464,16 @@ type reqTx request
 //snicvet:hotpath
 func (h *reqTx) HandleEvent(any) { (*request)(h).respond(h.ctx.ps.RespSize) }
 
-// phaseSvc composes stack and phase cycles into a jittered service time
-// for the request's current phase. The float evaluation order is the
-// config cost model's ((base + perByte·size)·factor + extra, after the
-// RX and TX stack cycles), so a one-phase path is bit-identical to it.
-// Phase 0 carries the RX stack cycles and the last phase the TX cycles;
-// a spilled engine phase runs its software model on a host core.
+// phaseSvc draws the service time of the request's current phase: the
+// model's phaseTime (see model.go) under the phase's log-normal jitter.
 //
 //snicvet:hotpath
 func (ctx *runctx) phaseSvc(r *request, ph *PhaseSpec) sim.Duration {
-	base, perByte, factor := ph.BaseCycles, ph.PerByteCycles, ph.CycleFactor
-	plat := ph.platform()
-	if r.spilled {
-		if ph.SpillBaseCycles > 0 || ph.SpillPerByteCycles > 0 {
-			base, perByte = ph.SpillBaseCycles, ph.SpillPerByteCycles
-		}
-		factor, plat = 1, HostCPU
-	}
-	if factor <= 0 {
-		factor = 1
-	}
-	app := base + perByte*float64(r.in)
-	app *= factor
-	app += ph.ExtraCycles
-
-	spec := ctx.tb.SpecFor(plat)
-	cycles := 0.0
-	if r.phase == 0 {
-		cycles = ctx.prof.RxCycles(spec.Arch, r.in)
-	}
-	if r.phase == len(ctx.ps.Phases)-1 {
-		cycles += ctx.prof.TxCycles(spec.Arch, ctx.ps.RespSize)
-	}
-	cycles += app
-
-	svc := sim.Cycles(cycles/spec.IPC, spec.BaseHz)
-	//snicvet:ignore hotpath -- allocates only to format its panic on a memory intensity outside [0,1]
-	pen := ctx.tb.MemFor(plat).Penalty(ph.MemIntensity, ph.WorkingSet, spec.L3Bytes)
-	svc = sim.Duration(float64(svc) * pen)
 	sigma := ph.Sigma
 	if sigma <= 0 {
 		sigma = 0.20
 	}
-	return ctx.jit.LogNormalDur(svc, sigma)
+	return ctx.jit.LogNormalDur(phaseTime(ctx.tb, &ctx.prof, ctx.ps, r.phase, r.in, r.spilled), sigma)
 }
 
 // engineSubmit dispatches one task of size bytes to an engine; done

@@ -130,11 +130,12 @@ type runctx struct {
 
 	// ps is the net-serve request path the sinks step requests through:
 	// the single phase PipelineFromConfig builds for a point or replay
-	// run, or a pipeline's chain. Nil on local, storage, switched and
-	// offload runs. tally counts each phase's requests. phaseMarks holds
-	// each phase's span label and ledger handle; only pipeline runs set
-	// it, and only they emit phase spans, phase-ledger calls and phase/
-	// counters.
+	// run, or a pipeline's chain. A storage or switched run's ps is its
+	// config's phase, which prices the posting and upcall jobs; nil on
+	// local and offload runs. tally counts each phase's requests.
+	// phaseMarks holds each phase's span label and ledger handle; only
+	// pipeline runs set it, and only they emit phase spans, phase-ledger
+	// calls and phase/ counters.
 	ps         *PipelineSpec
 	pol        FallbackPolicy
 	tally      []PhaseStat
@@ -304,8 +305,11 @@ func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement 
 	ctx := r.atPoint(cfg.HostCores, cfg.SNICCores, plat, cfg.Stack, opts,
 		runKey(cfg, plat, r.TBConfig, opts), runLabel(cfg, plat, opts))
 	ctx.cfg = cfg
-	if cfg.Mode == ModeNetServe {
+	switch cfg.Mode {
+	case ModeNetServe:
 		ctx.setPath(PipelineFromConfig(cfg, plat))
+	case ModeStorage, ModeSwitched:
+		ctx.ps = configPipeline(cfg, plat)
 	}
 	if cfg.Mixed {
 		ctx.sizes = trace.CTUMixed()
@@ -332,21 +336,6 @@ func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement 
 	m := ctx.measurement()
 	m.Function, m.Variant = cfg.Function, cfg.Variant
 	return m
-}
-
-// appCycles returns the application cycle cost for a request of size
-// bytes on the current platform.
-func (ctx *runctx) appCycles(size int) float64 {
-	c := ctx.cfg.HostBaseCycles + ctx.cfg.HostPerByteCycles*float64(size)
-	if ctx.plat != HostCPU {
-		c *= ctx.cfg.SNICFactor
-	}
-	if ctx.cfg.Mixed && ctx.plat == HostCPU {
-		// Real-trace payloads cost the software scanner extra match
-		// verification (see Config.MixedExtraCycles).
-		c += ctx.cfg.MixedExtraCycles
-	}
-	return c
 }
 
 // extraLatency returns the per-platform calibrated fixed residual.
@@ -465,7 +454,7 @@ func (ctx *runctx) localIssue() {
 	ctx.noteInject(r.seq, r.size)
 	switch ctx.plat {
 	case HostCPU, SNICCPU:
-		r.exec(ctx.pool, hopLocalServed, ctx.localSvcTime(r.size))
+		r.exec(ctx.pool, hopLocalServed, ctx.jit.LogNormalDur(localOpTime(ctx.tb, ctx.cfg, ctx.plat, r.size), 0.12))
 	case SNICAccel:
 		// One staging core programs the engine's command registers.
 		spec := ctx.tb.SNICSpec
@@ -492,29 +481,6 @@ func (ctx *runctx) closedDepth() int {
 		d = 1
 	}
 	return d
-}
-
-// localSvcTime converts the config's ISA-path rates into per-op service
-// time on a CPU platform.
-func (ctx *runctx) localSvcTime(size int) sim.Duration {
-	var base sim.Duration
-	switch {
-	case ctx.cfg.HostRateOps > 0:
-		base = sim.Duration(float64(sim.Second) / ctx.cfg.HostRateOps)
-	case ctx.cfg.HostRateBits > 0:
-		base = sim.DurationOf(size, ctx.cfg.HostRateBits)
-	default:
-		panic(fmt.Sprintf("core: %s local mode needs a host rate", ctx.cfg.Name()))
-	}
-	if ctx.plat != HostCPU {
-		// The SNIC CPU lacks the ISA path entirely; it runs the portable
-		// implementation SNICFactor× slower after the IPC/frequency gap.
-		spec := ctx.tb.SNICSpec
-		host := ctx.tb.HostSpec
-		gap := (host.BaseHz * host.IPC) / (spec.BaseHz * spec.IPC)
-		base = sim.Duration(float64(base) * gap * ctx.cfg.SNICFactor)
-	}
-	return ctx.jit.LogNormalDur(base, 0.12)
 }
 
 // ---- ModeStorage (fio over NVMe-oF) ----
@@ -555,7 +521,7 @@ func (s *storageIssue) HandleEvent(any) {
 	r.root = ctx.openRequest()
 	spec := ctx.tb.SpecFor(ctx.plat)
 	r.exec(ctx.pool, hopPosted, ctx.jit.LogNormalDur(
-		sim.Cycles(ctx.appCycles(ctx.cfg.ReqSize)/spec.IPC, spec.BaseHz), 0.15))
+		sim.Cycles(ctx.ps.Phases[0].appCycles(ctx.cfg.ReqSize, false)/spec.IPC, spec.BaseHz), 0.15))
 	ctx.tb.Eng.AfterCall(ctx.arrivals.Gap(storageBlock, ctx.opts.OfferedGbps*1e9), s, nil)
 }
 
@@ -632,7 +598,7 @@ func (ctx *runctx) switchedArrival(p *nic.Packet) {
 	ctx.tb.Eng.AfterCall(ctx.tb.Sw.SwitchDelay, (*switchedForward)(r), nil)
 	if ctx.upcall.Float64() < ctx.cfg.UpcallFrac {
 		spec := ctx.tb.SpecFor(ctx.plat)
-		ctx.pool.ExecDuration(sim.Cycles(ctx.appCycles(r.size)/spec.IPC, spec.BaseHz), nil)
+		ctx.pool.ExecDuration(sim.Cycles(ctx.ps.Phases[0].appCycles(r.size, false)/spec.IPC, spec.BaseHz), nil)
 	}
 }
 
@@ -723,7 +689,7 @@ func (r *Runner) MaxThroughput(cfg *Config, plat Platform) Measurement {
 
 	// 11 runs: light-load baseline, 9 binary-search probes, final point.
 	prog := r.newProgress(11)
-	est := r.estimateCapacityGbps(cfg, plat)
+	est := configGbps(NewTestbed(r.TBConfig.withCores(cfg.HostCores, cfg.SNICCores)), r.TBConfig.LinkGbps(), cfg, plat)
 	// Baseline latency at light load defines the "reasonable p99" bound
 	// for the knee search (cf. Fig. 5: the host's REM throughput is
 	// quoted "when a reasonable p99 latency value is considered").
@@ -772,73 +738,4 @@ func (c *Config) kneeMult() float64 {
 		return c.KneeP99Mult
 	}
 	return 3.0
-}
-
-// estimateCapacityGbps computes an analytic capacity seed for the search.
-func (r *Runner) estimateCapacityGbps(cfg *Config, plat Platform) float64 {
-	tb := NewTestbed(r.TBConfig.withCores(cfg.HostCores, cfg.SNICCores))
-	meanReq := cfg.ReqSize
-	if cfg.Mixed {
-		meanReq = int(trace.CTUMixed().Mean())
-	}
-	link := r.TBConfig.LinkGbps()
-	lineGbps := link * float64(meanReq) / float64(meanReq+nic.EthernetOverhead)
-	if cfg.Mode == ModeStorage {
-		// Block I/O saturates the wire with 64 KB transfers.
-		return link * 65536 / (65536 + 44*nic.EthernetOverhead)
-	}
-	if cfg.Mode == ModeLocal {
-		return r.estimateLocalGbps(tb, cfg, plat)
-	}
-
-	if plat == SNICAccel {
-		engineBits := tb.engineRateBits(cfg.Engine, cfg.PKAAlgo, cfg.LocalOpBytes)
-		spec := tb.SNICSpec
-		stageCycles := stagingCycles(netstack.ByKind(cfg.Stack).RxCycles(spec.Arch, meanReq), meanReq) + 100
-		stageTime := sim.Cycles(stageCycles/spec.IPC, spec.BaseHz)
-		stageBits := float64(tb.StagingPool.Cores()) / stageTime.Seconds() * float64(meanReq) * 8
-		return math.Min(math.Min(engineBits, stageBits)/1e9, lineGbps)
-	}
-
-	app := cfg.HostBaseCycles + cfg.HostPerByteCycles*float64(meanReq)
-	pool := tb.PoolFor(plat)
-	spec := tb.SpecFor(plat)
-	prof := netstack.ByKind(cfg.Stack)
-	if plat != HostCPU {
-		app *= cfg.SNICFactor
-	} else if cfg.Mixed {
-		app += cfg.MixedExtraCycles
-	}
-	cycles := prof.RxCycles(spec.Arch, meanReq) + prof.TxCycles(spec.Arch, cfg.RespSize) + app
-	ws := cfg.WorkingSetHost
-	if plat != HostCPU {
-		ws = cfg.WorkingSetSNIC
-	}
-	pen := tb.MemFor(plat).Penalty(cfg.MemIntensity, ws, spec.L3Bytes)
-	t := sim.Duration(float64(sim.Cycles(cycles/spec.IPC, spec.BaseHz)) * pen)
-	opsPerSec := float64(pool.Cores()) / t.Seconds()
-	gbps := opsPerSec * float64(meanReq) * 8 / 1e9
-	return math.Min(gbps, lineGbps)
-}
-
-// estimateLocalGbps predicts closed-loop local throughput from the
-// rate-based model (the crypto/compression entries).
-func (r *Runner) estimateLocalGbps(tb *Testbed, cfg *Config, plat Platform) float64 {
-	switch plat {
-	case SNICAccel:
-		return tb.engineRateBits(cfg.Engine, cfg.PKAAlgo, cfg.LocalOpBytes) / 1e9
-	case HostCPU:
-		if cfg.HostRateOps > 0 {
-			return cfg.HostRateOps * float64(cfg.LocalOpBytes) * 8 / 1e9
-		}
-		return cfg.HostRateBits / 1e9
-	default:
-		host, snic := tb.HostSpec, tb.SNICSpec
-		gap := (host.BaseHz * host.IPC) / (snic.BaseHz * snic.IPC)
-		base := cfg.HostRateBits
-		if cfg.HostRateOps > 0 {
-			base = cfg.HostRateOps * float64(cfg.LocalOpBytes) * 8
-		}
-		return base / gap / cfg.SNICFactor / 1e9
-	}
 }

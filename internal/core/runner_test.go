@@ -176,15 +176,15 @@ func TestSNICPowerDomainIsolation(t *testing.T) {
 }
 
 func TestEstimateCapacityOrdering(t *testing.T) {
-	r := NewRunner()
+	a := NewAdvisor()
 	cfg, _ := Lookup("udp-echo", "64B")
-	h := r.estimateCapacityGbps(cfg, HostCPU)
-	s := r.estimateCapacityGbps(cfg, SNICCPU)
+	h := a.Predict(cfg, HostCPU).TputGbps
+	s := a.Predict(cfg, SNICCPU).TputGbps
 	if s >= h {
 		t.Fatalf("SNIC capacity estimate %v must be below host %v for UDP", s, h)
 	}
 	big, _ := Lookup("udp-echo", "1024B")
-	if r.estimateCapacityGbps(big, HostCPU) <= h {
+	if a.Predict(big, HostCPU).TputGbps <= h {
 		t.Fatal("1KB capacity in Gb/s must exceed 64B capacity")
 	}
 }

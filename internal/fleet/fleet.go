@@ -354,9 +354,7 @@ func capacities(r *core.Runner, workload *core.Config, cfg *Config) (caps, score
 		e, ok := byPlat[cl.Platform]
 		if !ok {
 			p := adv.Predict(workload, cl.Platform)
-			// Efficiency: predicted throughput per total watt (idle
-			// server draw + active delta), as the advisor ranks.
-			e = est{cap: p.TputGbps, score: p.TputGbps / (252 + p.ActivePowerW)}
+			e = est{cap: p.TputGbps, score: p.Efficiency()}
 			byPlat[cl.Platform] = e
 		}
 		caps[s] = e.cap

@@ -166,7 +166,7 @@ func ByKind(k Kind) Profile {
 
 // archMult returns the cycle multiplier for running this stack on the
 // given architecture with the given packet size.
-func (p Profile) archMult(arch cpu.Arch, size int) float64 {
+func (p *Profile) archMult(arch cpu.Arch, size int) float64 {
 	if arch != cpu.ArchArm {
 		return 1.0
 	}
@@ -178,7 +178,7 @@ func (p Profile) archMult(arch cpu.Arch, size int) float64 {
 
 // RxCycles returns the nominal cycle cost to receive a size-byte packet
 // on the given architecture.
-func (p Profile) RxCycles(arch cpu.Arch, size int) float64 {
+func (p *Profile) RxCycles(arch cpu.Arch, size int) float64 {
 	c := p.RxBaseCycles + p.RxPerByte*float64(size)
 	if p.TransportInNIC && arch == cpu.ArchX86 {
 		c += p.HostVerbExtraCycles
@@ -187,7 +187,7 @@ func (p Profile) RxCycles(arch cpu.Arch, size int) float64 {
 }
 
 // TxCycles returns the nominal cycle cost to send a size-byte packet.
-func (p Profile) TxCycles(arch cpu.Arch, size int) float64 {
+func (p *Profile) TxCycles(arch cpu.Arch, size int) float64 {
 	c := p.TxBaseCycles + p.TxPerByte*float64(size)
 	if p.TransportInNIC && arch == cpu.ArchX86 {
 		c += p.HostVerbExtraCycles
@@ -209,15 +209,21 @@ func NewEndpoint(prof Profile, pool *cpu.Pool, seed uint64) *Endpoint {
 	return &Endpoint{Profile: prof, Pool: pool, rng: sim.NewRNG(seed)}
 }
 
-// FixedDelay samples the stack's non-CPU one-way latency, including the
-// host's longer path to NIC transport hardware when applicable and the
-// SNIC SoC's slower interrupt path for kernel stacks.
-func (e *Endpoint) FixedDelay() sim.Duration {
-	base := e.Profile.FixedOneWay
-	if e.Pool.Spec.Arch == cpu.ArchArm && e.Profile.ArmFixedMult > 0 {
-		base = sim.Duration(float64(base) * e.Profile.ArmFixedMult)
+// FixedMedian returns the median of the stack's non-CPU one-way latency
+// on a core of arch: FixedOneWay, scaled by ArmFixedMult on the SNIC
+// SoC's slower interrupt path.
+func (p *Profile) FixedMedian(arch cpu.Arch) sim.Duration {
+	if arch == cpu.ArchArm && p.ArmFixedMult > 0 {
+		return sim.Duration(float64(p.FixedOneWay) * p.ArmFixedMult)
 	}
-	d := e.rng.LogNormalDur(base, e.Profile.FixedSigma)
+	return p.FixedOneWay
+}
+
+// FixedDelay samples the stack's non-CPU one-way latency around its
+// FixedMedian, including the host's longer path to NIC transport
+// hardware when applicable.
+func (e *Endpoint) FixedDelay() sim.Duration {
+	d := e.rng.LogNormalDur(e.Profile.FixedMedian(e.Pool.Spec.Arch), e.Profile.FixedSigma)
 	if e.Profile.TransportInNIC && e.Pool.Spec.Arch == cpu.ArchX86 {
 		d += e.Profile.HostPathExtra
 	}

@@ -11,10 +11,8 @@ func TestStackCostOrdering(t *testing.T) {
 	// Per-packet CPU cost must be TCP > UDP >> DPDK > RDMA for a 1 KB
 	// packet on x86 — the whole premise of kernel-bypass.
 	const size = 1024
-	tcp := TCP().RxCycles(cpu.ArchX86, size)
-	udp := UDP().RxCycles(cpu.ArchX86, size)
-	dpdk := DPDK().RxCycles(cpu.ArchX86, size)
-	rdma := RDMA().RxCycles(cpu.ArchX86, size)
+	rx := func(p Profile) float64 { return p.RxCycles(cpu.ArchX86, size) }
+	tcp, udp, dpdk, rdma := rx(TCP()), rx(UDP()), rx(DPDK()), rx(RDMA())
 	if !(tcp > udp && udp > 10*dpdk && dpdk < 1000 && rdma < 1000) {
 		t.Fatalf("cost ordering broken: tcp=%v udp=%v dpdk=%v rdma=%v", tcp, udp, dpdk, rdma)
 	}

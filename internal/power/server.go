@@ -43,6 +43,16 @@ type Testbed struct {
 	SNIC *Model
 }
 
+// The active anchors' decomposition (see NewTestbed): the host
+// package's full-load draw, the I/O share a CPU-bound workload adds to
+// it, and the SNIC's Arm cores and engines.
+const (
+	HostCPUActiveW    Watts = 105
+	HostIOActiveW     Watts = 10
+	SNICArmActiveW    Watts = 3.4
+	SNICEngineActiveW Watts = 2.0
+)
+
 // NewTestbed wires the standard domains from live signals, with the
 // component watts calibrated to the paper's anchors:
 //
@@ -56,12 +66,12 @@ type Testbed struct {
 func NewTestbed(sig Signals) *Testbed {
 	snic := NewModel("snic")
 	snic.Add(Fixed{Label: "snic-soc-idle", W: SNICIdleW})
-	snic.Add(Linear{Label: "snic-arm-cores", MaxActiveW: 3.4, Util: orZero(sig.SNICCPU)})
-	snic.Add(Linear{Label: "snic-engines", MaxActiveW: 2.0, Util: orZero(sig.SNICEngines)})
+	snic.Add(Linear{Label: "snic-arm-cores", MaxActiveW: SNICArmActiveW, Util: orZero(sig.SNICCPU)})
+	snic.Add(Linear{Label: "snic-engines", MaxActiveW: SNICEngineActiveW, Util: orZero(sig.SNICEngines)})
 
 	server := NewModel("server")
 	server.Add(Fixed{Label: "rest-of-server", W: 140})
-	server.Add(Linear{Label: "host-cpu", IdleW: 58, MaxActiveW: 105, Util: orZero(sig.HostCPU)})
+	server.Add(Linear{Label: "host-cpu", IdleW: 58, MaxActiveW: HostCPUActiveW, Util: orZero(sig.HostCPU)})
 	server.Add(Linear{Label: "host-dram", IdleW: 25, MaxActiveW: 15, Util: orZero(sig.HostMemBW)})
 	server.Add(Linear{Label: "misc-active", MaxActiveW: 20.6, Util: orZero(sig.HostCPU)})
 	server.Add(Linear{Label: "io-traffic", MaxActiveW: 70, Util: orZero(sig.WireUtil)})
