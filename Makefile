@@ -99,7 +99,10 @@ bin/snicbench: FORCE
 
 # Short-budget native fuzzing over the property layer: the engine
 # scheduler, the fault-plan validator, the fleet dispatcher, the flow
-# table, and the checked point, pipeline, offload and failover runs. FUZZTIME bounds each target's budget so the
+# table, the checked point, pipeline, offload and failover runs, and the
+# two exactness contracts of the per-request arithmetic (the Box–Muller
+# cosine against math.Cos, the histogram's bucket table against
+# math.Log2). FUZZTIME bounds each target's budget so the
 # smoke fits CI; run with a bigger FUZZTIME locally to dig. The go
 # command shrinks each new interesting input for up to a minute by
 # default, which can take all of a short budget; 100 executions per
@@ -116,6 +119,8 @@ fuzz-smoke:
 	$(FUZZ) -fuzz '^FuzzFlowTable$$' ./internal/flow
 	$(FUZZ) -fuzz '^FuzzOffloadRun$$' ./internal/core
 	$(FUZZ) -fuzz '^FuzzFaultedRun$$' ./internal/core
+	$(FUZZ) -fuzz '^FuzzCos2Pi$$' ./internal/sim
+	$(FUZZ) -fuzz '^FuzzHistogramBucket$$' ./internal/stats
 
 # Telemetry exports must be byte-identical at every parallelism: run
 # each experiment sequentially and fully parallel and compare what it

@@ -158,7 +158,7 @@ func pipelineGbps(tb *Testbed, link float64, ps *PipelineSpec) float64 {
 		ph := &ps.Phases[i]
 		var gbps float64
 		if ph.Resource == ResEngine {
-			engineBits := tb.engineRateBits(ph.Engine, ph.PKAAlgo, 64<<10)
+			engineBits := tb.engineRateBits(ph.Engine, ph.PKAAlgo, size)
 			stage := stageTime(&prof, tb.SNICSpec, i == 0, size)
 			stageBits := float64(tb.StagingPool.Cores()) / stage.Seconds() * float64(size) * 8
 			gbps = math.Min(engineBits, stageBits) / 1e9

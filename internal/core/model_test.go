@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/accel"
 	"repro/internal/netstack"
 	"repro/internal/obs"
 )
@@ -115,4 +116,31 @@ func batchMeans(xs []float64) (mean, half float64) {
 	}
 	mean = sum / batches
 	return mean, tBatches * math.Sqrt((sumSq-batches*mean*mean)/(batches-1)) / math.Sqrt(batches)
+}
+
+// pipelineGbps prices a PKA-operation engine phase at the phase's
+// input size, not at a 64 KiB operation: a one-phase RSA pipeline on
+// 256 B requests signs OpRate requests a second, far below its staging
+// cores' bound, and a saturation walk seeded from the model brackets
+// that capacity and finds its knee.
+func TestPipelineGbpsPricesPKAOpsAtTheirInput(t *testing.T) {
+	ps := &PipelineSpec{
+		Name: "rsa-sign", Stack: netstack.KindDPDK, ReqSize: 256, RespSize: 256,
+		Phases: []PhaseSpec{{Name: "sign", Resource: ResEngine, Engine: EnginePKAOp, PKAAlgo: accel.AlgoRSA}},
+	}
+	r := NewRunner()
+	tb := NewTestbed(r.TBConfig)
+	want := tb.PKA.OpRate[accel.AlgoRSA] * 256 * 8 / 1e9
+	if got := pipelineGbps(tb, r.TBConfig.LinkGbps(), ps); got != want {
+		t.Fatalf("model capacity %.4f Gb/s, want OpRate·256·8 = %.4f Gb/s", got, want)
+	}
+	res := r.SaturationSearch(ps, SaturationOpts{Points: 4, Seed: 42})
+	lo, hi := res.Points[0].OfferedGbps, res.Points[len(res.Points)-1].OfferedGbps
+	if !(lo < want && want < hi) {
+		t.Fatalf("walk offered %.4f–%.4f Gb/s, which does not bracket the %.4f Gb/s capacity", lo, hi, want)
+	}
+	if res.KneeGbps <= 0 {
+		t.Fatalf("walk over %.4f–%.4f Gb/s found no knee", lo, hi)
+	}
+	t.Logf("capacity %.4f Gb/s, walk %.4f–%.4f Gb/s, knee %.4f Gb/s", want, lo, hi, res.KneeGbps)
 }

@@ -466,6 +466,10 @@ func (h *reqTx) HandleEvent(any) { (*request)(h).respond(h.ctx.ps.RespSize) }
 
 // phaseSvc draws the service time of the request's current phase: the
 // model's phaseTime (see model.go) under the phase's log-normal jitter.
+// The median is recomputed only when the phase's (in, spilled) differs
+// from its last request's: phaseTime reads nothing but the run's fixed
+// specs (a throttle acts on Pool.ServiceTime, which it does not call),
+// so a repeated key repeats its value.
 //
 //snicvet:hotpath
 func (ctx *runctx) phaseSvc(r *request, ph *PhaseSpec) sim.Duration {
@@ -473,7 +477,20 @@ func (ctx *runctx) phaseSvc(r *request, ph *PhaseSpec) sim.Duration {
 	if sigma <= 0 {
 		sigma = 0.20
 	}
-	return ctx.jit.LogNormalDur(phaseTime(ctx.tb, &ctx.prof, ctx.ps, r.phase, r.in, r.spilled), sigma)
+	m := &ctx.medians[r.phase]
+	if !m.set || m.in != r.in || m.spilled != r.spilled {
+		*m = phaseMedian{set: true, in: r.in, spilled: r.spilled,
+			median: phaseTime(ctx.tb, &ctx.prof, ctx.ps, r.phase, r.in, r.spilled)}
+	}
+	return ctx.jit.LogNormalDur(m.median, sigma)
+}
+
+// phaseMedian is a phase's last phaseTime and the input it was for.
+type phaseMedian struct {
+	set     bool
+	spilled bool
+	in      int
+	median  sim.Duration
 }
 
 // engineSubmit dispatches one task of size bytes to an engine; done

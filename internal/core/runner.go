@@ -140,6 +140,9 @@ type runctx struct {
 	pol        FallbackPolicy
 	tally      []PhaseStat
 	phaseMarks []phaseMark
+	// medians memoizes each phase's last median service time (see
+	// phaseSvc); setPath sizes it with tally.
+	medians []phaseMedian
 
 	prof     netstack.Profile
 	pool     *cpu.Pool // the platform's pool, where the stack terminates
@@ -287,6 +290,7 @@ func (r *Runner) atPoint(hostCores, snicCores int, plat Platform, stack netstack
 func (ctx *runctx) setPath(ps *PipelineSpec) {
 	ctx.ps, ctx.pol = ps, ps.policy()
 	ctx.tally = make([]PhaseStat, len(ps.Phases))
+	ctx.medians = make([]phaseMedian, len(ps.Phases))
 	for i := range ps.Phases {
 		ph := &ps.Phases[i]
 		ctx.tally[i] = PhaseStat{Name: ph.Name, Resource: ph.Resource}

@@ -157,6 +157,9 @@ func (w *Workload) Validate() error {
 			if w.Opts.OfferedGbps == 0 {
 				return fail("Opts.OfferedGbps", fmt.Sprintf("must be positive for the open-loop %s mode", w.Config.Mode))
 			}
+		case ModeLocal:
+		default:
+			return fail("Config.Mode", fmt.Sprintf("%s has unknown mode %q", w.Config.Name(), w.Config.Mode))
 		}
 	case WorkloadReplay:
 		if err := validTrace(w.Kind, w.Trace); err != nil {

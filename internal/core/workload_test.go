@@ -146,6 +146,27 @@ func TestWorkloadValidateTypedErrors(t *testing.T) {
 	}
 }
 
+// A config of no known mode is a typed error from Execute: Validate
+// rejects it before the point run's mode dispatch, which would panic.
+func TestExecuteRejectsUnknownMode(t *testing.T) {
+	nat, err := Lookup("nat", "10K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := *nat
+	cfg.Mode = "bogus"
+	for _, kind := range []WorkloadKind{WorkloadPoint, WorkloadReplay, WorkloadServer} {
+		w := Workload{Kind: kind, Config: &cfg, Platform: HostCPU,
+			Opts:  RunOpts{Requests: 50, OfferedGbps: 1},
+			Trace: BurstyTrace(1, 2, 4, 2, sim.Millisecond), Rates: []float64{1}, Interval: sim.Millisecond}
+		_, err := NewRunner().Execute(w)
+		var we *WorkloadError
+		if !errors.As(err, &we) || we.Field != "Config.Mode" {
+			t.Errorf("%s of an unknown mode: Execute returned %v, want a *WorkloadError on Config.Mode", kind, err)
+		}
+	}
+}
+
 // A zero rate stays valid where nothing is driven open loop: a
 // closed-loop local point runs, and a fleet server may idle an interval.
 func TestWorkloadValidateAcceptsZeroRateWhereMeaningful(t *testing.T) {

@@ -195,18 +195,27 @@ func (p *Profile) TxCycles(arch cpu.Arch, size int) float64 {
 	return c * p.archMult(arch, size)
 }
 
-// Endpoint binds a stack profile to the CPU pool that runs it and draws
-// the stack's fixed one-way latency from its own stream. The request
-// path charges the pool the profile's RX and TX cycles itself.
+// Endpoint draws a stack's fixed one-way latency on one CPU pool from
+// its own stream. The request path charges the pool the profile's RX
+// and TX cycles itself.
 type Endpoint struct {
-	Profile Profile
-	Pool    *cpu.Pool
-	rng     *sim.RNG
+	// fixed draws the fixed latency around its median with the
+	// profile's sigma; extra is the host's longer path to NIC transport
+	// hardware, or zero.
+	fixed sim.LogNormalStream
+	extra sim.Duration
 }
 
-// NewEndpoint returns an endpoint for the profile on the pool.
+// NewEndpoint returns an endpoint for the profile on the pool. The
+// fixed latency's median, sigma and path extra are taken from the
+// profile and the pool's architecture here, once.
 func NewEndpoint(prof Profile, pool *cpu.Pool, seed uint64) *Endpoint {
-	return &Endpoint{Profile: prof, Pool: pool, rng: sim.NewRNG(seed)}
+	arch := pool.Spec.Arch
+	e := &Endpoint{fixed: sim.NewLogNormalStream(seed, prof.FixedMedian(arch), prof.FixedSigma)}
+	if prof.TransportInNIC && arch == cpu.ArchX86 {
+		e.extra = prof.HostPathExtra
+	}
+	return e
 }
 
 // FixedMedian returns the median of the stack's non-CPU one-way latency
@@ -222,10 +231,8 @@ func (p *Profile) FixedMedian(arch cpu.Arch) sim.Duration {
 // FixedDelay samples the stack's non-CPU one-way latency around its
 // FixedMedian, including the host's longer path to NIC transport
 // hardware when applicable.
+//
+//snicvet:hotpath
 func (e *Endpoint) FixedDelay() sim.Duration {
-	d := e.rng.LogNormalDur(e.Profile.FixedMedian(e.Pool.Spec.Arch), e.Profile.FixedSigma)
-	if e.Profile.TransportInNIC && e.Pool.Spec.Arch == cpu.ArchX86 {
-		d += e.Profile.HostPathExtra
-	}
-	return d
+	return e.fixed.Next() + e.extra
 }

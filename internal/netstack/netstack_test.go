@@ -106,3 +106,26 @@ func TestByKind(t *testing.T) {
 	}()
 	ByKind(Kind("bogus"))
 }
+
+// FixedDelay draws its latencies a block ahead, around a median and
+// sigma fixed when the endpoint is built: its k-th delay is the k-th
+// LogNormalDur of a same-seeded RNG around the profile's FixedMedian,
+// plus the host's NIC-path extra for RDMA, on every stack and core.
+func TestFixedDelayMatchesPerCall(t *testing.T) {
+	eng := sim.NewEngine()
+	for _, prof := range []Profile{UDP(), TCP(), DPDK(), RDMA()} {
+		for _, spec := range []*cpu.Spec{cpu.XeonGold6140(), cpu.BlueField2Arm()} {
+			e := NewEndpoint(prof, cpu.NewPool(eng, spec, 1), 3)
+			r := sim.NewRNG(3)
+			for k := 0; k < 10_000; k++ {
+				want := r.LogNormalDur(prof.FixedMedian(spec.Arch), prof.FixedSigma)
+				if prof.TransportInNIC && spec.Arch == cpu.ArchX86 {
+					want += prof.HostPathExtra
+				}
+				if got := e.FixedDelay(); got != want {
+					t.Fatalf("%s on %s: delay %d = %v, per-call sampler %v", prof.Name, spec.Arch, k, got, want)
+				}
+			}
+		}
+	}
+}

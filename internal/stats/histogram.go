@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/sim"
@@ -27,30 +28,78 @@ type Histogram struct {
 const (
 	histOctaves = 40 // 2^40 ns ≈ 18 minutes, ample for any latency
 	histSub     = 32 // sub-buckets per octave
+	histBuckets = histOctaves * histSub
 )
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
 	return &Histogram{
-		counts: make([]uint64, histOctaves*histSub),
+		counts: make([]uint64, histBuckets),
 		min:    math.MaxInt64,
 	}
 }
 
-// bucket maps a duration to a bucket index.
+// log2Bucket is the histogram's scale: ⌊32·log2 d⌋ for d ≥ 1, as
+// math.Log2 computes it, before clamping to the buckets there are.
+// bucket reads it from two tables built from it at init.
+func log2Bucket(d sim.Duration) int {
+	return int(math.Log2(float64(d)) * histSub)
+}
+
+// bucketFloor[i] is the least duration whose log2Bucket is at least i:
+// the lower edge of bucket i. bucketFloor[histBuckets] bounds the last
+// bucket from above.
+var bucketFloor [histBuckets + 1]sim.Duration
+
+// octaveGuess[s] is the bucket, counted from the first of its octave,
+// of 256+s: the first duration of the s-th of 256 equal slices of the
+// octave [256, 512). A slice is too narrow to hold two bucket edges (a
+// bucket spans at least 2.2% of its octave's start, a slice 0.4%), and
+// every octave's s-th slice starts in the same bucket of its octave,
+// so a slice's durations fall in the guessed bucket or the next.
+// bucket_test.go checks both against math.Log2.
+var octaveGuess [256]uint8
+
+func init() {
+	bucketFloor[0] = 1
+	for i := 1; i <= histBuckets; i++ {
+		// 2^(i/32) rounded up, then settled against math.Log2's own
+		// rounding.
+		d := sim.Duration(math.Ceil(math.Exp2(float64(i) / histSub)))
+		for d > 1 && log2Bucket(d-1) >= i {
+			d--
+		}
+		for log2Bucket(d) < i {
+			d++
+		}
+		bucketFloor[i] = d
+	}
+	for s := range octaveGuess {
+		octaveGuess[s] = uint8(log2Bucket(sim.Duration(256+s)) - 8*histSub)
+	}
+}
+
+// bucket maps a duration to a bucket index: log2Bucket clamped to
+// [0, histBuckets), found without a logarithm. The octave comes from
+// the duration's bit length, a first guess from the eight bits after
+// its leading one, and one compare with the next bucket's floor settles
+// it.
+//
+//snicvet:hotpath
 func (h *Histogram) bucket(d sim.Duration) int {
 	if d < 1 {
 		d = 1
 	}
-	f := float64(d)
-	idx := int(math.Log2(f) * histSub)
-	if idx < 0 {
-		idx = 0
+	n := bits.Len64(uint64(d)) // d is in [2^(n-1), 2^n)
+	if n > histOctaves {
+		return histBuckets - 1
 	}
-	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
+	slice := uint64(d) << (64 - n) >> 55 & 255
+	idx := (n-1)*histSub + int(octaveGuess[slice])
+	if d >= bucketFloor[idx+1] {
+		idx++
 	}
-	return idx
+	return min(idx, histBuckets-1)
 }
 
 // bucketValue maps a bucket index back to a representative duration

@@ -66,6 +66,24 @@ func TestArrivalsPoissonMeanRate(t *testing.T) {
 	}
 }
 
+// Gap draws its exponentials a block ahead and applies each gap's mean
+// when the gap is used, so its k-th gap is the k-th gap of the per-call
+// sampler, RNG.Exp at DurationOf(size, rate) on a same-seeded RNG, at
+// any mix of sizes and rates. A zero mean (an empty packet, or one
+// whose time at the rate rounds to 0 ns) yields 0 and draws nothing.
+func TestArrivalsGapMatchesPerCall(t *testing.T) {
+	a := NewPoissonArrivals(5)
+	r := sim.NewRNG(5)
+	sizes := []int{64, 0, 1500, 745, 1, 9000, 0}
+	rates := []float64{100e9, 1e9, 25e9, 3.3e6, 400e9}
+	for k := 0; k < 20_000; k++ {
+		size, rate := sizes[k%len(sizes)], rates[(k/3)%len(rates)]
+		if got, want := a.Gap(size, rate), r.Exp(sim.DurationOf(size, rate)); got != want {
+			t.Fatalf("gap %d (%d B at %g b/s) = %v, per-call sampler %v", k, size, rate, got, want)
+		}
+	}
+}
+
 func TestHyperscalerTraceMeanExact(t *testing.T) {
 	tr := NewHyperscalerTrace(DefaultHyperscalerConfig())
 	if m := tr.MeanGbps(); math.Abs(m-0.76) > 1e-9 {
