@@ -11,38 +11,40 @@ import (
 	"repro/internal/trace"
 )
 
-// The measurement cache memoizes simulation results under a key that
-// captures every input the simulation reads: the config's full cost
-// model, the platform, the testbed sizing, and the run options. Because
-// the simulator is deterministic, a cache hit returns the byte-identical
-// Measurement the simulation would have produced, so Fig. 4, Fig. 6,
-// Table 4 and capacity probes stop re-measuring operating points they
-// have already visited: snicbench -exp all runs every experiment on one
-// testbed and answers 551 of its 1,208 lookups from the cache (fig6
-// reruns fig4's whole search, table5 revisits fig4 and table4 points).
+// The measurement cache memoizes point and trace replay results under a
+// key that captures every input the simulation reads: the config's full
+// cost model, the platform, the testbed sizing, and the run options.
+// Because the simulator is deterministic, a cache hit returns the
+// byte-identical Measurement the simulation would have produced, so
+// Fig. 4, Fig. 6, Table 4 and capacity probes stop re-measuring
+// operating points they have already visited: snicbench -exp all runs
+// every experiment on one testbed and answers 551 of its 1,131 lookups
+// from the cache (fig6 reruns fig4's whole search, table5 revisits fig4
+// and table4 points). The other families never repeat a run within an
+// invocation and are not memoized; their keys below still name their
+// telemetry runs (newRecorder).
 //
 // Two workers that look up one key at once would both simulate and
 // store; the results are identical, so last-write-wins is harmless. No
 // snicbench experiment does that, so the cache never makes one worker
 // wait for another's simulation.
 
-// measureCache is a mutex-guarded memo table over every run family's
-// results; the families' keys never collide (each starts with its own
-// tag). The zero value is ready to use; the map allocates on first
+// measureCache is a mutex-guarded memo table over the point and replay
+// results; the two families' keys never collide (each starts with its
+// own tag). The zero value is ready to use; the map allocates on first
 // store.
 type measureCache struct {
 	mu      sync.Mutex
 	results map[string]any
-	// prof, when set, receives every lookup outcome (Runner.SetProfiler).
-	prof *Profiler
 }
 
-// memo returns the result cached under key, or runs simulate and caches
-// what it returns.
-func memo[T any](c *measureCache, key string, simulate func() T) T {
+// memo returns the result cached on r under key, or runs simulate and
+// caches what it returns. The runner's profiler counts every lookup.
+func memo[T any](r *Runner, key string, simulate func() T) T {
+	c := &r.cache
 	c.mu.Lock()
 	v, ok := c.results[key]
-	c.prof.noteCache(ok)
+	r.prof.noteCache(ok)
 	c.mu.Unlock()
 	if ok {
 		return v.(T)
@@ -97,25 +99,25 @@ func replayKey(cfg *Config, plat Platform, tbc TestbedConfig, tr *trace.Hypersca
 		cfg.cacheKey(), plat, tbc, traceFingerprint(tr), seed)
 }
 
-// serverKey is the memo key of one fleet server replay. The group string
-// (the fleet run ID) is part of the key so that telemetry labels — which
-// must be pure functions of the memo key for -j determinism — can carry
-// the fleet identity without breaking cross-fleet reuse semantics.
+// serverKey is the run key of one fleet server replay, from which its
+// telemetry run ID derives. The group string (the fleet run ID) is part
+// of the key so that two fleets' identical servers record as two runs.
 func serverKey(cfg *Config, plat Platform, tbc TestbedConfig, rates []float64, interval int64, seed uint64, group string) string {
 	tr := &trace.HyperscalerTrace{Interval: sim.Duration(interval), RatesGbps: rates}
 	return fmt.Sprintf("server|%s|@%s|tb:%+v|tr:%s|seed:%d|grp:%s",
 		cfg.cacheKey(), plat, tbc, traceFingerprint(tr), seed, group)
 }
 
-// pipelineKey is the memo key of one Runner.RunPipeline invocation: the
-// full spec (including the policy's Key) plus testbed and options.
+// pipelineKey is the run key of one pipeline run, from which its
+// telemetry run ID derives: the full spec (including the policy's Key)
+// plus testbed and options.
 func pipelineKey(ps *PipelineSpec, tbc TestbedConfig, opts RunOpts) string {
 	return fmt.Sprintf("pipeline|%s|tb:%+v|opts:%+v", ps.key(), tbc, opts)
 }
 
-// offloadKey is the memo key of one offload run: the full spec (the
-// policy by its Key, which serializes kind and parameters) plus the
-// testbed sizing.
+// offloadKey is the run key of one offload run, from which its
+// telemetry run ID derives: the full spec (the policy by its Key, which
+// serializes kind and parameters) plus the testbed sizing.
 func offloadKey(spec *OffloadSpec, tbc TestbedConfig) string {
 	return fmt.Sprintf("offload|%s|tr:%s|mix:%+v|tbl:%+v|pol:%s|ctl:%d|slo:%d|seed:%d|pkt:%d|cyc:%g/%g/%g|sig:%g|q:%d|tb:%+v",
 		spec.Name, traceFingerprint(spec.Trace), spec.Mix, spec.Table, spec.Policy.Key(),

@@ -189,8 +189,11 @@ func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 	rkey := replayKey(cfg, plat, r.TBConfig, tr, seed)
 	rlabel := fmt.Sprintf("replay %s @ %s | seed %d", cfg.Name(), plat, seed)
 	ctx := r.newReplayCtx(cfg, plat, r.runSeed(seed), rkey, rlabel)
-	ctx.warmupN = 1 // no warmup: the whole trace is the measurement
-	ctx.replay(tr.RatesGbps, tr.Interval)
+	// A one-completion warmup: the first completion opens the meter at
+	// its own time and is neither metered nor recorded; every later one
+	// is, up to the end of the trace.
+	ctx.warmupN = 1
+	ctx.drive(tr.RatesGbps, tr.Interval)
 	r.finish(ctx)
 
 	res := TraceReplayResult{Platform: plat, P99: ctx.hist.P99(), Dropped: ctx.pool.Dropped(),
@@ -203,79 +206,13 @@ func (r *Runner) replayTrace(cfg *Config, plat Platform, tr *trace.HyperscalerTr
 	return res
 }
 
-// newReplayCtx wires a fresh testbed for a trace or fleet-server replay
-// of cfg on plat: pools poll as on a deployed server, the eSwitch feeds
-// the config's phase path, and key and label name the run's telemetry.
-// Replays send fixed-size packets: trace rates are data rates.
+// newReplayCtx wires a trace or fleet-server replay of cfg on plat: a
+// net-served run whose stack polls as on a deployed server, whatever
+// its kind, and whose packets are fixed-size, since trace rates are
+// data rates.
 func (r *Runner) newReplayCtx(cfg *Config, plat Platform, seed uint64, key, label string) *runctx {
-	ctx := r.newRunctx(r.TBConfig.withCores(cfg.HostCores, cfg.SNICCores), plat, cfg.Stack, seed, key, label)
-	ctx.cfg = cfg
-	ctx.opts = RunOpts{Requests: 1 << 62, Seed: seed} // the rate series decides the end
+	ctx := r.netServed(PipelineFromConfig(cfg, plat), seed, key, label)
 	ctx.sizes = trace.Fixed(cfg.ReqSize)
-	ctx.setPath(PipelineFromConfig(cfg, plat))
-	instrumentTestbed(ctx.tb, ctx.rec, ctx.chk)
-	ctx.tb.setPower(plat == HostCPU, plat == SNICCPU, plat == SNICAccel, true)
-	ctx.connectSinks()
+	ctx.tb.SetPolling(plat, true)
 	return ctx
-}
-
-// replay runs the open-loop client over a rate series, one entry per
-// interval, until the series ends and the testbed drains.
-func (ctx *runctx) replay(rates []float64, interval sim.Duration) {
-	ctx.tb.Eng.AtCall(0, &replaySource{ctx: ctx, rates: rates, interval: interval, i: -1}, nil)
-	ctx.tb.Eng.Run()
-	ctx.finishEngineUtil()
-}
-
-// replaySource is the replays' client: Poisson arrivals at each
-// interval's rate, none while the rate is zero. An interval starts at
-// the first arrival at or after the previous one's end. On an offload
-// run each packet carries the next flow of the run's decomposition; on
-// a routed run each request opens its flight as it leaves.
-type replaySource struct {
-	ctx      *runctx
-	rates    []float64
-	interval sim.Duration
-	// i is the current interval (-1 before the first) and end is when
-	// it ends.
-	i   int
-	end sim.Time
-	// prog, when set, steps once per interval under label.
-	prog  *progressTracker
-	label string
-}
-
-// HandleEvent enters the next interval when the current one has ended,
-// then issues one request, or waits out an idle interval.
-//
-//snicvet:hotpath
-func (s *replaySource) HandleEvent(any) {
-	ctx := s.ctx
-	eng := ctx.tb.Eng
-	if eng.Now() >= s.end {
-		s.i++
-		if s.i >= len(s.rates) {
-			ctx.lastSend = eng.Now()
-			return
-		}
-		s.end = eng.Now().Add(s.interval)
-		s.prog.step(s.label)
-	}
-	rate := s.rates[s.i]
-	if rate <= 0 {
-		eng.AtCall(s.end, s, nil)
-		return
-	}
-	ctx.sent++
-	size := ctx.sizes.Next(ctx.jit)
-	pkt := ctx.newPacket(uint64(ctx.sent), size, ctx.openRequest())
-	if ctx.asn != nil {
-		pkt.Flow, _ = ctx.asn.Next()
-	}
-	ctx.noteInject(pkt.Seq, size)
-	ctx.tb.Wire.SendToServer(pkt, ctx.ingress)
-	if ctx.router != nil {
-		ctx.routeSent(pkt)
-	}
-	eng.AfterCall(ctx.arrivals.Gap(size, rate*1e9), s, nil)
 }

@@ -283,7 +283,7 @@ func (r *Runner) runFaulted(scn FaultScenario, hr *HealthRouter, tr *trace.Hyper
 		AddPool("staging", tb.StagingPool).
 		AddSensor("bmc", tb.BMC).
 		AddSensor("yoctowatt", tb.YoctoWatt)
-	flog, err := scn.Plan.Arm(tb.Eng, reg, nil)
+	flog, err := scn.Plan.Arm(tb.Eng, reg)
 	if err != nil {
 		return FaultResult{}, err
 	}

@@ -17,8 +17,8 @@ import (
 // and returns the raw latency histogram so package fleet can merge
 // distributions and compute SLO attainment post-hoc at any target.
 //
-// The SLO target is deliberately NOT part of the memo key: attainment is
-// a query against the histogram, so one cached replay answers every SLO.
+// The SLO target is deliberately NOT an input of the replay: attainment
+// is a query against the histogram, so one replay answers every SLO.
 
 // ServerReplay is the measured behaviour of one fleet server over its
 // assigned rate series.
@@ -32,18 +32,18 @@ type ServerReplay struct {
 	Sent        uint64
 	Completed   uint64
 	Latency     stats.Summary
-	// Hist is the full latency distribution. It is owned by the memo
-	// cache and shared between identical servers: treat it as read-only
-	// and Merge it into a fresh histogram for fleet-level quantiles.
+	// Hist is the full latency distribution. fleet.Run shares it
+	// between identical servers: treat it as read-only and Merge it into
+	// a fresh histogram for fleet-level quantiles.
 	Hist *stats.Histogram
 }
 
 // ReplayServer simulates one fleet server fed the given per-interval
-// rates (Gb/s, one entry per trace interval of the given length). Runs
-// memoize like ReplayTrace does; identical servers — same config,
-// platform, rate row, seed and fleet group — share one simulation, which
-// is what makes a homogeneous 1000-server fleet under an even-split
-// policy cost one simulation instead of a thousand.
+// rates (Gb/s, one entry per trace interval of the given length). It is
+// not memoized: fleet.Run gives identical servers — same class and rate
+// row — one simulation, which is what makes a homogeneous 1000-server
+// fleet under an even-split policy cost one simulation instead of a
+// thousand.
 func (r *Runner) ReplayServer(cfg *Config, plat Platform, rates []float64, interval sim.Duration, seed uint64, group string) ServerReplay {
 	res, err := r.Execute(Workload{Kind: WorkloadServer, Config: cfg, Platform: plat,
 		Rates: rates, Interval: interval, Seed: seed, Group: group})
@@ -89,7 +89,7 @@ func (r *Runner) replayServer(cfg *Config, plat Platform, rates []float64, inter
 	// trace, so the meter opens at t=0 and warmup never triggers.
 	ctx.meter = stats.NewMeter(0)
 	ctx.warmupN = -1
-	ctx.replay(rates, interval)
+	ctx.drive(rates, interval)
 	r.finish(ctx)
 
 	var offered float64

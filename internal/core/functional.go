@@ -303,7 +303,7 @@ func funcFio(rep FunctionalReport, variant string, n int, seed uint64) (Function
 	offsets := job.NextOffsets(disk.NumBlocks())
 	block := make([]byte, storagefn.BlockBytes)
 	out := make([]byte, storagefn.BlockBytes)
-	for i, off := range offsets {
+	for _, off := range offsets {
 		// Write a block stamped with its offset, read it back.
 		block[0] = byte(off)
 		block[1] = byte(off >> 8)
@@ -322,16 +322,8 @@ func funcFio(rep FunctionalReport, variant string, n int, seed uint64) (Function
 		if out[0] != block[0] || out[1] != block[1] {
 			rep.Failures++
 		}
-		_ = i
 	}
 	rep.Notes = fmt.Sprintf("%d reads, %d writes on a %d-block device",
 		disk.Reads(), disk.Writes(), disk.NumBlocks())
 	return rep, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

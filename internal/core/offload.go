@@ -36,7 +36,7 @@ const (
 )
 
 // OffloadPolicy is the pure-data policy spec (kept serializable for
-// memo keys; build() turns it into the live flow.Policy).
+// run keys; build() turns it into the live flow.Policy).
 type OffloadPolicy struct {
 	Kind OffloadPolicyKind
 	// Threshold is the fixed K for OffloadStaticFlow.
@@ -61,7 +61,7 @@ func (p OffloadPolicy) build() flow.Policy {
 }
 
 // Key serializes the policy's identity and parameters for labels and
-// memo keys.
+// run keys.
 func (p OffloadPolicy) Key() string { return p.build().Key() }
 
 // validate checks the policy spec with workload-style typed errors.
@@ -242,7 +242,8 @@ func (o *OffloadResult) FastPathShare() float64 {
 	return float64(o.FastPath) / float64(o.Sent)
 }
 
-// RunOffload measures one offload spec, memoized like every family.
+// RunOffload measures one offload spec. It is a thin adapter over
+// Execute that panics on its error.
 func (r *Runner) RunOffload(spec OffloadSpec) OffloadResult {
 	res, err := r.Execute(Workload{Kind: WorkloadOffload, Offload: &spec})
 	if err != nil {
@@ -296,7 +297,7 @@ func (r *Runner) runOffload(spec *OffloadSpec) OffloadResult {
 	tb.Sw.ConnectSink(nic.ToSNICCPU, (*slowSink)(ctx))
 	ctx.ingress = tb.Sw.Ingress
 	eng.Ticker(spec.ControlInterval, func() { ctx.ctl.Tick(eng.Now()) })
-	ctx.replay(spec.Trace.RatesGbps, spec.Trace.Interval)
+	ctx.drive(spec.Trace.RatesGbps, spec.Trace.Interval)
 	r.finish(ctx)
 
 	c := ctx.tbl.Counters()

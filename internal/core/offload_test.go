@@ -96,20 +96,6 @@ func TestOffloadExperimentParallelDeterminism(t *testing.T) {
 	}
 }
 
-func TestOffloadMemoization(t *testing.T) {
-	r := NewRunner()
-	spec := shortOffloadSpec()
-	a := r.RunOffload(spec)
-	sims := r.Sims()
-	b := r.RunOffload(spec)
-	if r.Sims() != sims {
-		t.Fatal("identical offload spec should hit the memo cache")
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("memoized result differs from the original")
-	}
-}
-
 // The headline claim of the offload experiment: under flow churn the
 // adaptive controller beats BOTH static policies on SLO attainment at
 // equal load. Static per-function floods the insert path and thrashes

@@ -63,7 +63,7 @@ func (r *Runner) forEachN(n int, fn func(int)) {
 	if workers > n {
 		workers = n
 	}
-	r.Prof.notePool(workers, n)
+	r.prof.notePool(workers, n)
 	forEach(workers, n, fn)
 }
 

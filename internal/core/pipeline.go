@@ -260,7 +260,8 @@ func (ps *PipelineSpec) policy() FallbackPolicy {
 }
 
 // key serializes every field the simulation reads, in fixed order, for
-// the memo cache (same contract as Config.cacheKey).
+// the run key its telemetry run ID derives from (same contract as
+// Config.cacheKey).
 func (ps *PipelineSpec) key() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%s|%d/%d/%v|cores:%d/%d|fx:%d|knee:%g|pol:%s",
@@ -351,7 +352,7 @@ func configPhase(cfg *Config, plat Platform) PhaseSpec {
 // core running the phase's software model, or stays on the accelerator
 // path and takes its chances with the staging queue. Implementations
 // must be deterministic pure functions of their inputs; Key() feeds the
-// memo cache and must uniquely encode the policy's parameters.
+// run key and must uniquely encode the policy's parameters.
 type FallbackPolicy interface {
 	Key() string
 	// Spill is consulted once per request per engine phase, before the

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/netstack"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Pipeline execution: a pipeline run is a point run whose net-serve path
@@ -43,15 +41,14 @@ func (m PipelineMeasurement) String() string {
 		m.Pipeline, m.Policy, m.Point.TputGbps, m.Point.Latency.P99, m.Spilled, m.Dropped)
 }
 
-// RunPipeline measures one pipeline at one operating point, memoized
-// under a key covering the full spec, policy, testbed and options.
+// RunPipeline measures one pipeline at one operating point. It is a
+// thin adapter over Execute that panics on its error.
 func (r *Runner) RunPipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasurement {
-	if err := ps.Validate(); err != nil {
+	res, err := r.Execute(Workload{Kind: WorkloadPipeline, Pipeline: ps, Opts: opts})
+	if err != nil {
 		panic(err)
 	}
-	return memo(&r.cache, pipelineKey(ps, r.TBConfig, opts), func() PipelineMeasurement {
-		return r.simulatePipeline(ps, opts)
-	})
+	return *res.Pipeline
 }
 
 // pipelineLabel is the run description used in telemetry exports and
@@ -62,21 +59,12 @@ func pipelineLabel(ps *PipelineSpec, opts RunOpts) string {
 }
 
 // simulatePipeline builds a fresh testbed and executes one pipeline run.
-// The first phase's pool terminates the stack, as the platform's pool
-// does on a point run.
+// Only pipeline runs emit phase spans, phase ledgers and phase/
+// counters.
 func (r *Runner) simulatePipeline(ps *PipelineSpec, opts RunOpts) PipelineMeasurement {
-	ctx := r.atPoint(ps.HostCores, ps.SNICCores, ps.Phases[0].platform(), ps.Stack, opts,
-		pipelineKey(ps, r.TBConfig, opts), pipelineLabel(ps, opts))
-	ctx.setPath(ps)
+	ctx := r.netServed(ps, r.runSeed(opts.Seed), pipelineKey(ps, r.TBConfig, opts), pipelineLabel(ps, opts))
 	ctx.markPhases()
-	if ps.Mixed {
-		ctx.sizes = trace.CTUMixed()
-	} else {
-		ctx.sizes = trace.Fixed(ps.ReqSize)
-	}
-	instrumentTestbed(ctx.tb, ctx.rec, ctx.chk)
-	ctx.tb.setPower(ps.uses(ResHostCore), ps.uses(ResSNICCore), ps.uses(ResEngine), ps.Stack == netstack.KindDPDK)
-	ctx.runNetServe()
+	ctx.runAt(opts)
 	r.finish(ctx)
 
 	pm := PipelineMeasurement{Pipeline: ps.Name, Policy: ctx.pol.Key(), Point: ctx.measurement(), Phases: ctx.tally}
@@ -126,14 +114,20 @@ type SaturationOpts struct {
 // SaturationSearch walks offered load up to the SLO knee for one
 // pipeline under one policy (run_until_saturation): points are sampled
 // in parallel (byte-identical at any parallelism — each point is an
-// independent memoized run), then scanned in load order against the
-// light-load baseline's p99. The knee is the highest load with
-// delivered ≥ 97% of offered and p99 within the spec's knee multiple
-// of the first point's p99.
+// independent run), then scanned in load order against the light-load
+// baseline's p99. The knee is the highest load with delivered ≥ 97% of
+// offered and p99 within the spec's knee multiple of the first point's
+// p99. It is a thin adapter over Execute that panics on its error.
 func (r *Runner) SaturationSearch(ps *PipelineSpec, so SaturationOpts) SaturationResult {
-	if err := ps.Validate(); err != nil {
+	res, err := r.Execute(Workload{Kind: WorkloadSaturation, Pipeline: ps, Saturation: so})
+	if err != nil {
 		panic(err)
 	}
+	return *res.Saturation
+}
+
+// saturationSearch executes one validated saturation walk.
+func (r *Runner) saturationSearch(ps *PipelineSpec, so SaturationOpts) SaturationResult {
 	n := so.Points
 	if n <= 0 {
 		n = 12
@@ -164,7 +158,7 @@ func (r *Runner) SaturationSearch(ps *PipelineSpec, so SaturationOpts) Saturatio
 			opts.Requests = so.Requests
 		}
 		opts.OfferedGbps = lo + (hi-lo)*float64(i)/float64(n-1)
-		res.Points[i] = SaturationPoint{OfferedGbps: opts.OfferedGbps, M: r.RunPipeline(ps, opts)}
+		res.Points[i] = SaturationPoint{OfferedGbps: opts.OfferedGbps, M: r.simulatePipeline(ps, opts)}
 		prog.step(label)
 	})
 	// Knee scan: the first point anchors the "reasonable p99" bound.

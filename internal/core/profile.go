@@ -154,7 +154,4 @@ func (p *Profiler) WriteProfile(w io.Writer) error {
 // SetProfiler attaches a profiler to the runner: every simulation's
 // engine profile, every memo-cache lookup and every worker-pool fan-out
 // is folded into it. Call before launching experiments.
-func (r *Runner) SetProfiler(p *Profiler) {
-	r.Prof = p
-	r.cache.prof = p
-}
+func (r *Runner) SetProfiler(p *Profiler) { r.prof = p }

@@ -9,14 +9,14 @@ import (
 )
 
 // The routed replays: §5.3's balanced replay and the failover replay
-// built on it. replaySource sends MTU REM packets at the trace's rates,
-// and the eSwitch program is the router: a health router that picks the
-// host or the SNIC accelerator from the engine's health and the backlog
-// the balancer sees. A balanced run's router has no failover policy, so
-// its balancer's spill threshold decides. The host and accelerator
-// sinks step the request's record through one of two routes: host
-// service, or staging and then REM, falling back to a host core when a
-// crashed engine rejects the task.
+// built on it. The open-loop client (source) sends MTU REM packets at
+// the trace's rates, and the eSwitch program is the router: a health
+// router that picks the host or the SNIC accelerator from the engine's
+// health and the backlog the balancer sees. A balanced run's router
+// has no failover policy, so its balancer's spill threshold decides.
+// The host and accelerator sinks step the request's record through one
+// of two routes: host service, or staging and then REM, falling back
+// to a host core when a crashed engine rejects the task.
 //
 // The families differ where a request ends. A balanced request
 // completes when its service ends. A failover request completes when
@@ -65,7 +65,7 @@ func (r *Runner) runRouted(ctx *runctx, tr *trace.HyperscalerTrace, horizon sim.
 	tb.Sw.ConnectSink(nic.ToHostCPU, (*hostSink)(ctx))
 	tb.Sw.ConnectSink(nic.ToAccelerator, (*accelSink)(ctx))
 	ctx.ingress = tb.Sw.Ingress
-	src := &replaySource{ctx: ctx, rates: tr.RatesGbps, interval: tr.Interval, i: -1,
+	src := &source{ctx: ctx, rates: tr.RatesGbps, interval: tr.Interval, i: -1,
 		prog: r.newProgress(len(tr.RatesGbps)), label: label}
 	eng.AtCall(0, src, nil)
 	if sensors {

@@ -99,11 +99,11 @@ type Runner struct {
 	// *invariant.Violation on the first broken law. Off by default; see
 	// snic.WithInvariantChecks and internal/invariant.
 	Checks bool
-	// Prof, when set (via SetProfiler), aggregates simulator
-	// self-profiling — engine events, heap high-water, cancel sweeps,
-	// cache and pool traffic — across every simulation. Nil disables all
+	// prof, set by SetProfiler, aggregates simulator self-profiling —
+	// engine events, heap high-water, cancel sweeps, cache and pool
+	// traffic — across every simulation. Nil disables all
 	// self-profiling (the default); see snic.WithSelfProfile.
-	Prof *Profiler
+	prof *Profiler
 
 	cache  measureCache
 	sims   atomic.Uint64
@@ -124,8 +124,11 @@ func (r *Runner) Sims() uint64 { return r.sims.Load() }
 // and failover replays.
 type runctx struct {
 	tb   *Testbed
-	cfg  *Config // the point or replay config; nil on pipeline and offload runs
+	cfg  *Config // a local, storage, switched or routed run's config; nil on net-served and offload runs
 	plat Platform
+	// opts is a point or pipeline run's operating point. Every other
+	// run has no cap: opts.Requests is math.MaxInt, and the client stops
+	// when its rate series ends.
 	opts RunOpts
 
 	// ps is the net-serve request path the sinks step requests through:
@@ -185,7 +188,7 @@ type runctx struct {
 	swArrived func(*nic.Packet)
 
 	// The offload run's flow plane (see offload.go): its spec, the flow
-	// table and controller, the decomposition replaySource draws each
+	// table and controller, the decomposition the client draws each
 	// packet's flow from, and the fast- and slow-path packet counts.
 	offload    *OffloadSpec
 	tbl        *flow.Table
@@ -219,12 +222,9 @@ func (ctx *runctx) noteSent() {
 // byte-identical by determinism — on every repeat of the same
 // (config, platform, testbed, options) key.
 //
-// Run is a thin adapter over Execute (the unified Workload API); it
-// keeps the legacy panic on an impossible (config, platform) pairing.
+// Run is a thin adapter over Execute (the unified Workload API) that
+// panics on its error.
 func (r *Runner) Run(cfg *Config, plat Platform, opts RunOpts) Measurement {
-	if !cfg.HasPlatform(plat) {
-		panic(fmt.Sprintf("core: %s does not run on %s", cfg.Name(), plat))
-	}
 	res, err := r.Execute(Workload{Kind: WorkloadPoint, Config: cfg, Platform: plat, Opts: opts})
 	if err != nil {
 		panic(err)
@@ -244,13 +244,14 @@ func (r *Runner) runSeed(seed uint64) uint64 {
 // derives the run's random streams, plat's pool serves (queue-bounded;
 // the run draws service jitter from its own stream), stack
 // terminates there unless it is empty, and key and label name the run's
-// telemetry. The caller instruments the testbed once its pools and
-// gauges are set.
+// telemetry. The run has no cap until atPoint sets its operating point.
+// The caller instruments the testbed once its pools and gauges are set.
 func (r *Runner) newRunctx(tbc TestbedConfig, plat Platform, stack netstack.Kind, seed uint64, key, label string) *runctx {
 	r.sims.Add(1)
 	tb := NewTestbed(tbc)
 	ctx := &runctx{
 		tb: tb, plat: plat,
+		opts:     RunOpts{Requests: math.MaxInt},
 		arrivals: trace.NewPoissonArrivals(seed ^ 0xabcdef),
 		jit:      sim.NewRNG(seed ^ 0x1234),
 		hist:     stats.NewHistogram(),
@@ -263,16 +264,15 @@ func (r *Runner) newRunctx(tbc TestbedConfig, plat Platform, stack netstack.Kind
 	ctx.pool.SetQueueCapacity(4096)
 	if stack != "" {
 		ctx.prof = netstack.ByKind(stack)
-		ctx.ep = netstack.NewEndpoint(ctx.prof, ctx.pool, seed^0x77)
+		ctx.ep = netstack.NewEndpoint(ctx.prof, ctx.pool.Spec.Arch, seed^0x77)
 	}
 	return ctx
 }
 
-// atPoint wires a run at an operating point: the run's streams derive
-// from opts.Seed and the cores default unless overridden.
-func (r *Runner) atPoint(hostCores, snicCores int, plat Platform, stack netstack.Kind, opts RunOpts, key, label string) *runctx {
-	seed := r.runSeed(opts.Seed)
-	ctx := r.newRunctx(r.TBConfig.withCores(hostCores, snicCores), plat, stack, seed, key, label)
+// atPoint sets the run's operating point: the client stops after
+// opts.Requests, and the first opts.WarmupFrac of completions stay out
+// of the statistics.
+func (ctx *runctx) atPoint(opts RunOpts) {
 	ctx.opts = opts
 	ctx.warmupN = int(float64(opts.Requests) * opts.WarmupFrac)
 	if ctx.warmupN == 0 {
@@ -280,6 +280,25 @@ func (r *Runner) atPoint(hostCores, snicCores int, plat Platform, stack netstack
 		// every completion counts.
 		ctx.meter = stats.NewMeter(0)
 	}
+}
+
+// netServed wires a net-served run of ps on a fresh testbed: point runs
+// of net-served configs (the one phase PipelineFromConfig builds),
+// pipelines, and Table 4 and fleet replays. The first phase's pool
+// terminates the stack, the packets are sized as ps says, the
+// observers are bound, the power model counts the resources the phases
+// use, and the eSwitch feeds the first phase.
+func (r *Runner) netServed(ps *PipelineSpec, seed uint64, key, label string) *runctx {
+	ctx := r.newRunctx(r.TBConfig.withCores(ps.HostCores, ps.SNICCores), ps.Phases[0].platform(), ps.Stack, seed, key, label)
+	ctx.setPath(ps)
+	if ps.Mixed {
+		ctx.sizes = trace.CTUMixed()
+	} else {
+		ctx.sizes = trace.Fixed(ps.ReqSize)
+	}
+	instrumentTestbed(ctx.tb, ctx.rec, ctx.chk)
+	ctx.tb.setPower(ps.uses(ResHostCore), ps.uses(ResSNICCore), ps.uses(ResEngine), ps.Stack == netstack.KindDPDK)
+	ctx.connectSinks()
 	return ctx
 }
 
@@ -306,32 +325,20 @@ func (ctx *runctx) setPath(ps *PipelineSpec) {
 // simulate builds a fresh testbed and executes one point run. A
 // net-served config runs the single phase PipelineFromConfig builds.
 func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement {
-	ctx := r.atPoint(cfg.HostCores, cfg.SNICCores, plat, cfg.Stack, opts,
-		runKey(cfg, plat, r.TBConfig, opts), runLabel(cfg, plat, opts))
-	ctx.cfg = cfg
+	seed, key, label := r.runSeed(opts.Seed), runKey(cfg, plat, r.TBConfig, opts), runLabel(cfg, plat, opts)
+	var ctx *runctx
 	switch cfg.Mode {
 	case ModeNetServe:
-		ctx.setPath(PipelineFromConfig(cfg, plat))
-	case ModeStorage, ModeSwitched:
-		ctx.ps = configPipeline(cfg, plat)
-	}
-	if cfg.Mixed {
-		ctx.sizes = trace.CTUMixed()
-	} else {
-		ctx.sizes = trace.Fixed(cfg.ReqSize)
-	}
-	instrumentTestbed(ctx.tb, ctx.rec, ctx.chk)
-	ctx.tb.setPower(plat == HostCPU, plat == SNICCPU, plat == SNICAccel,
-		cfg.Stack == netstack.KindDPDK && cfg.Mode != ModeSwitched)
-
-	switch cfg.Mode {
-	case ModeNetServe:
-		ctx.runNetServe()
+		ctx = r.netServed(PipelineFromConfig(cfg, plat), seed, key, label)
+		ctx.runAt(opts)
 	case ModeLocal:
+		ctx = r.pointCtx(cfg, plat, opts, seed, key, label)
 		ctx.runLocal()
 	case ModeStorage:
+		ctx = r.pointCtx(cfg, plat, opts, seed, key, label)
 		ctx.runStorage()
 	case ModeSwitched:
+		ctx = r.pointCtx(cfg, plat, opts, seed, key, label)
 		ctx.runSwitched()
 	default:
 		panic(fmt.Sprintf("core: unknown mode %q", cfg.Mode))
@@ -340,6 +347,22 @@ func (r *Runner) simulate(cfg *Config, plat Platform, opts RunOpts) Measurement 
 	m := ctx.measurement()
 	m.Function, m.Variant = cfg.Function, cfg.Variant
 	return m
+}
+
+// pointCtx wires a point run of a local, storage or switched config on
+// a fresh testbed. A storage or switched run prices its posting and
+// upcall jobs with its config's phase.
+func (r *Runner) pointCtx(cfg *Config, plat Platform, opts RunOpts, seed uint64, key, label string) *runctx {
+	ctx := r.newRunctx(r.TBConfig.withCores(cfg.HostCores, cfg.SNICCores), plat, cfg.Stack, seed, key, label)
+	ctx.cfg = cfg
+	ctx.atPoint(opts)
+	if cfg.Mode != ModeLocal {
+		ctx.ps = configPipeline(cfg, plat)
+	}
+	instrumentTestbed(ctx.tb, ctx.rec, ctx.chk)
+	ctx.tb.setPower(plat == HostCPU, plat == SNICCPU, plat == SNICAccel,
+		cfg.Stack == netstack.KindDPDK && cfg.Mode != ModeSwitched)
+	return ctx
 }
 
 // extraLatency returns the per-platform calibrated fixed residual.
@@ -376,34 +399,85 @@ func (ctx *runctx) record(rtt sim.Duration, bytes int) {
 	ctx.meter.Mark(ctx.tb.Eng.Now(), bytes)
 }
 
-// ---- ModeNetServe ----
+// ---- The open-loop client ----
 
-// runNetServe drives the open-loop client through the run's phase path.
-func (ctx *runctx) runNetServe() {
-	ctx.connectSinks()
-	ctx.tb.Eng.AtCall(0, (*netSubmit)(ctx), nil)
+// runAt drives a net-served run at the operating point opts: one rate
+// whose interval never ends, until opts.Requests are sent and the
+// testbed drains.
+func (ctx *runctx) runAt(opts RunOpts) {
+	ctx.atPoint(opts)
+	ctx.drive([]float64{opts.OfferedGbps}, sim.Duration(math.MaxInt64))
+}
+
+// drive runs the open-loop client over a rate series, one entry per
+// interval, until the client stops and the testbed drains.
+func (ctx *runctx) drive(rates []float64, interval sim.Duration) {
+	ctx.tb.Eng.AtCall(0, &source{ctx: ctx, rates: rates, interval: interval, i: -1}, nil)
 	ctx.tb.Eng.Run()
 	ctx.finishEngineUtil()
 }
 
-// netSubmit issues the open-loop client's next request, then re-arms
-// itself one arrival gap later.
-type netSubmit runctx
+// source is the open-loop client of every run whose packets the
+// eSwitch steers to a sink: net-served point runs, pipelines, Table 4
+// and fleet replays, and the offload and routed replays. It sends
+// Poisson arrivals at each interval's rate, none while the rate is
+// zero; an interval starts at the first arrival at or after the
+// previous one's end. A point or pipeline run's series is one rate
+// whose interval never ends, and the client stops after opts.Requests
+// sends; the other runs have no cap, and their client stops when the
+// series ends. On an offload run each packet carries the next flow of
+// the run's decomposition; on a routed run each request opens its
+// flight as it leaves.
+type source struct {
+	ctx      *runctx
+	rates    []float64
+	interval sim.Duration
+	// i is the current interval (-1 before the first) and end is when
+	// it ends.
+	i   int
+	end sim.Time
+	// prog, when set, steps once per interval under label.
+	prog  *progressTracker
+	label string
+}
 
-// HandleEvent sends one request toward the eSwitch.
+// HandleEvent stops at the run's cap, enters the next interval when the
+// current one has ended, then issues one request, or waits out an idle
+// interval.
 //
 //snicvet:hotpath
-func (s *netSubmit) HandleEvent(any) {
-	ctx := (*runctx)(s)
+func (s *source) HandleEvent(any) {
+	ctx := s.ctx
 	if ctx.sent >= ctx.opts.Requests {
+		return
+	}
+	eng := ctx.tb.Eng
+	if eng.Now() >= s.end {
+		s.i++
+		if s.i >= len(s.rates) {
+			ctx.lastSend = eng.Now()
+			return
+		}
+		s.end = eng.Now().Add(s.interval)
+		s.prog.step(s.label)
+	}
+	rate := s.rates[s.i]
+	if rate <= 0 {
+		eng.AtCall(s.end, s, nil)
 		return
 	}
 	ctx.noteSent()
 	size := ctx.sizes.Next(ctx.jit)
 	pkt := ctx.newPacket(uint64(ctx.sent), size, ctx.openRequest())
+	if ctx.asn != nil {
+		pkt.Flow, _ = ctx.asn.Next()
+	}
 	ctx.noteInject(pkt.Seq, size)
 	ctx.tb.Wire.SendToServer(pkt, ctx.ingress)
-	ctx.tb.Eng.AfterCall(ctx.arrivals.Gap(size, ctx.opts.OfferedGbps*1e9), s, nil)
+	if ctx.router != nil {
+		ctx.routeSent(pkt)
+	}
+	eng.AfterCall(ctx.arrivals.Gap(size, rate*1e9), s, nil)
 }
 
 // connectSinks steers every ingress packet to the sink of the first

@@ -49,9 +49,10 @@ var stageNames = [numStageSpans]string{
 	spanDevice:  "device",
 }
 
-// newRecorder derives a run's recorder from its memoization key: the
-// run ID is a pure function of the key, so two workers racing the same
-// run produce the same ID and the collector deduplicates them.
+// newRecorder derives a run's recorder from its run key (the memo key,
+// for the families that memoize): the run ID is a pure function of the
+// key, so two workers racing the same run produce the same ID and the
+// collector deduplicates them.
 func (r *Runner) newRecorder(key, label string) *obs.Recorder {
 	if r.Telemetry == nil {
 		return nil
@@ -128,7 +129,7 @@ func (r *Runner) finish(ctx *runctx) {
 			panic(err)
 		}
 	}
-	r.Prof.NoteEngine(ctx.tb.Eng)
+	r.prof.NoteEngine(ctx.tb.Eng)
 	rec := ctx.rec
 	if rec == nil {
 		return

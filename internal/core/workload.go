@@ -11,9 +11,9 @@ import (
 // The unified Workload API: Workload is the single spec of every run
 // family, and Execute validates it with typed errors and dispatches to
 // each family's implementation. Run, ReplayTrace, ReplayServer,
-// RunFaulted, RunPipeline and RunOffload are wrappers over Execute that
-// panic on its error, for drivers whose inputs are known good; balanced
-// replays run through Execute alone.
+// RunFaulted, RunPipeline, SaturationSearch and RunOffload are wrappers
+// over Execute that panic on its error, for drivers whose inputs are
+// known good; balanced replays run through Execute alone.
 
 // WorkloadKind selects a run family.
 type WorkloadKind string
@@ -278,10 +278,11 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Execute validates w and runs it, returning the family's result in the
 // matching Result field. Results are byte-identical at any parallelism.
-// Point, replay, server and offload runs are memoized, so a repeat is
-// served from the cache. Faulted and balanced replays never repeat
-// within an invocation and are not memoized; pipeline and saturation
-// runs memoize their operating points (pipelinerun.go).
+// Point and trace replay runs are memoized, so a repeat is served from
+// the cache: Fig. 6 reruns Fig. 4's searches, and Table 5 revisits
+// Fig. 4 and Table 4. No other family repeats a run within an
+// invocation, so the others run directly; fleet.Run gives identical
+// servers one simulation itself.
 func (r *Runner) Execute(w Workload) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
@@ -289,20 +290,18 @@ func (r *Runner) Execute(w Workload) (Result, error) {
 	res := Result{Kind: w.Kind}
 	switch w.Kind {
 	case WorkloadPoint:
-		m := memo(&r.cache, runKey(w.Config, w.Platform, r.TBConfig, w.Opts), func() Measurement {
+		m := memo(r, runKey(w.Config, w.Platform, r.TBConfig, w.Opts), func() Measurement {
 			return r.simulate(w.Config, w.Platform, w.Opts)
 		})
 		res.Point = &m
 	case WorkloadReplay:
-		t := memo(&r.cache, replayKey(w.Config, w.Platform, r.TBConfig, w.Trace, w.Seed), func() TraceReplayResult {
+		t := memo(r, replayKey(w.Config, w.Platform, r.TBConfig, w.Trace, w.Seed), func() TraceReplayResult {
 			return r.replayTrace(w.Config, w.Platform, w.Trace, w.Seed)
 		})
 		res.Replay = &t
 	case WorkloadServer:
 		key := serverKey(w.Config, w.Platform, r.TBConfig, w.Rates, int64(w.Interval), w.Seed, w.Group)
-		s := memo(&r.cache, key, func() ServerReplay {
-			return r.replayServer(w.Config, w.Platform, w.Rates, w.Interval, w.Seed, key)
-		})
+		s := r.replayServer(w.Config, w.Platform, w.Rates, w.Interval, w.Seed, key)
 		res.Server = &s
 	case WorkloadFaulted:
 		f, err := r.runFaulted(*w.Scenario, w.Router, w.Trace, w.HostCores, w.Seed)
@@ -314,13 +313,13 @@ func (r *Runner) Execute(w Workload) (Result, error) {
 		b := r.runBalanced(*w.Balancer, w.Trace, w.HostCores, w.Seed)
 		res.Balanced = &b
 	case WorkloadPipeline:
-		p := r.RunPipeline(w.Pipeline, w.Opts)
+		p := r.simulatePipeline(w.Pipeline, w.Opts)
 		res.Pipeline = &p
 	case WorkloadSaturation:
-		s := r.SaturationSearch(w.Pipeline, w.Saturation)
+		s := r.saturationSearch(w.Pipeline, w.Saturation)
 		res.Saturation = &s
 	case WorkloadOffload:
-		o := memo(&r.cache, offloadKey(w.Offload, r.TBConfig), func() OffloadResult { return r.runOffload(w.Offload) })
+		o := r.runOffload(w.Offload)
 		res.Offload = &o
 	}
 	return res, nil

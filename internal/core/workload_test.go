@@ -303,3 +303,32 @@ func TestZeroWarmupMeasuresEveryCompletion(t *testing.T) {
 			m.Ops, m.DeliveredFrac, m.Latency.P99)
 	}
 }
+
+// RunPipeline is a door onto Execute: an operating point Execute
+// rejects panics with Execute's typed error, not with whatever the
+// simulator would have hit.
+func TestRunPipelinePanicsWithWorkloadError(t *testing.T) {
+	defer func() {
+		err, _ := recover().(error)
+		var we *WorkloadError
+		if !errors.As(err, &we) || we.Field != "Opts.OfferedGbps" {
+			t.Fatalf("RunPipeline at 0 Gb/s panicked with %v, want a *WorkloadError on Opts.OfferedGbps", err)
+		}
+	}()
+	NewRunner().RunPipeline(NATIDSPipeline(), RunOpts{Requests: 100, Seed: 1})
+}
+
+// A point run's cap is opts.Requests even at zero: the open-loop client
+// sends nothing and the run ends at once. Replays share the client
+// with no cap, and reading zero as "no cap" would run this one until
+// the test binary's timeout.
+func TestZeroRequestPointRunSendsNothing(t *testing.T) {
+	cfg, err := Lookup("udp-echo", "64B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewRunner().Run(cfg, HostCPU, RunOpts{OfferedGbps: 1, Seed: 3})
+	if m.Ops != 0 || m.Latency.Count != 0 {
+		t.Fatalf("a point run of 0 requests measured %d ops and %d latencies", m.Ops, m.Latency.Count)
+	}
+}

@@ -226,15 +226,13 @@ type Log struct {
 }
 
 // Arm schedules every event's begin and clear transitions on eng against
-// the registry's components and returns the live log. onChange, if
-// non-nil, fires after each transition is applied — experiments hook it to
-// timestamp fault windows. Every event is resolved against the registry
+// the registry's components and returns the live log. Every event is resolved against the registry
 // before anything is scheduled: an event naming an unregistered target
 // (or an unknown kind, or a factor outside (0,1]) fails with a typed
 // *PlanError and leaves eng untouched. A plan aimed at nothing is a
 // configuration bug, and failing at injection time would be silent until
 // the report looked wrong.
-func (p *Plan) Arm(eng *sim.Engine, reg *Registry, onChange func(Transition)) (*Log, error) {
+func (p *Plan) Arm(eng *sim.Engine, reg *Registry) (*Log, error) {
 	begins := make([]func(), len(p.Events))
 	clears := make([]func(), len(p.Events))
 	for i, ev := range p.Events {
@@ -246,19 +244,13 @@ func (p *Plan) Arm(eng *sim.Engine, reg *Registry, onChange func(Transition)) (*
 	log := &Log{}
 	for i, ev := range p.Events {
 		begin, clear := begins[i], clears[i]
-		note := func(tr Transition) {
-			log.Transitions = append(log.Transitions, tr)
-			if onChange != nil {
-				onChange(tr)
-			}
-		}
 		eng.At(ev.At, func() {
 			begin()
-			note(Transition{At: eng.Now(), Event: ev, Begin: true})
+			log.Transitions = append(log.Transitions, Transition{At: eng.Now(), Event: ev, Begin: true})
 		})
 		eng.At(ev.End(), func() {
 			clear()
-			note(Transition{At: eng.Now(), Event: ev, Begin: false})
+			log.Transitions = append(log.Transitions, Transition{At: eng.Now(), Event: ev, Begin: false})
 		})
 	}
 	return log, nil

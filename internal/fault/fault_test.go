@@ -69,7 +69,7 @@ func TestPlanArmAppliesAndClearsInVirtualTime(t *testing.T) {
 	p.Add(Event{At: 600, For: 20, Kind: EngineDegrade, Target: "rem", Factor: 0.7})
 	p.Add(Event{At: 700, For: 10, Kind: LinkRateCap, Target: "wire", Factor: 0.25})
 
-	log, err := p.Arm(eng, reg, nil)
+	log, err := p.Arm(eng, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPlanArmUnknownTargetFails(t *testing.T) {
 	var p Plan
 	p.Add(Event{At: 1, For: 1, Kind: EngineCrash, Target: "rem"})
 	p.Add(Event{At: 5, For: 1, Kind: LinkFlap, Target: "nope"})
-	log, err := p.Arm(eng, reg, nil)
+	log, err := p.Arm(eng, reg)
 	var pe *PlanError
 	if !errors.As(err, &pe) || pe.Index != 1 {
 		t.Fatalf("arming a plan at an unregistered target: got %v, want a *PlanError for event 1", err)
@@ -148,7 +148,7 @@ func TestPlanDrivesRealEngine(t *testing.T) {
 	reg := NewRegistry().AddEngine("rem", rem)
 	var p Plan
 	p.Add(Event{At: sim.Time(10 * sim.Microsecond), For: 20 * sim.Microsecond, Kind: EngineCrash, Target: "rem"})
-	if _, err := p.Arm(eng, reg, nil); err != nil {
+	if _, err := p.Arm(eng, reg); err != nil {
 		t.Fatal(err)
 	}
 

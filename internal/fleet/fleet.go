@@ -172,7 +172,7 @@ func (c *Config) validate() error {
 }
 
 // key serializes the fleet run identity; the group component of every
-// server's memo key derives from it.
+// server's run key derives from it.
 func (c *Config) key() string {
 	fn, variant := c.function()
 	classes := ""
@@ -228,8 +228,8 @@ type Result struct {
 
 // Run simulates the fleet: dispatch the trace across the servers, replay
 // every server (one parallel worker per distinct server behaviour,
-// memoized and merged in server order, so output is byte-identical at
-// any parallelism), and roll the measurements up.
+// merged in server order, so output is byte-identical at any
+// parallelism), and roll the measurements up.
 func Run(r *core.Runner, cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err

@@ -46,7 +46,7 @@ func TestFleetRunBasics(t *testing.T) {
 	}
 	// Identical servers within a class share one simulation.
 	if got := r.Sims(); got > 2 {
-		t.Fatalf("symmetric 2-class fleet should memoize to ≤2 sims, ran %d", got)
+		t.Fatalf("symmetric 2-class fleet should share one simulation per class (≤2), ran %d", got)
 	}
 }
 

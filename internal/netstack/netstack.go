@@ -206,11 +206,10 @@ type Endpoint struct {
 	extra sim.Duration
 }
 
-// NewEndpoint returns an endpoint for the profile on the pool. The
-// fixed latency's median, sigma and path extra are taken from the
-// profile and the pool's architecture here, once.
-func NewEndpoint(prof Profile, pool *cpu.Pool, seed uint64) *Endpoint {
-	arch := pool.Spec.Arch
+// NewEndpoint returns an endpoint for the profile on a core of arch.
+// The fixed latency's median, sigma and path extra are taken from the
+// profile and the architecture here, once.
+func NewEndpoint(prof Profile, arch cpu.Arch, seed uint64) *Endpoint {
 	e := &Endpoint{fixed: sim.NewLogNormalStream(seed, prof.FixedMedian(arch), prof.FixedSigma)}
 	if prof.TransportInNIC && arch == cpu.ArchX86 {
 		e.extra = prof.HostPathExtra

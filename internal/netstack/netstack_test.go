@@ -60,9 +60,8 @@ func TestRDMAHostPaysLongerPath(t *testing.T) {
 	}
 	_ = snicRx
 	// ...and extra fixed latency.
-	eng := sim.NewEngine()
-	host := NewEndpoint(p, cpu.NewPool(eng, cpu.XeonGold6140(), 1), 1)
-	snic := NewEndpoint(p, cpu.NewPool(eng, cpu.BlueField2Arm(), 1), 1)
+	host := NewEndpoint(p, cpu.ArchX86, 1)
+	snic := NewEndpoint(p, cpu.ArchArm, 1)
 	var hSum, sSum sim.Duration
 	for i := 0; i < 1000; i++ {
 		hSum += host.FixedDelay()
@@ -112,18 +111,17 @@ func TestByKind(t *testing.T) {
 // LogNormalDur of a same-seeded RNG around the profile's FixedMedian,
 // plus the host's NIC-path extra for RDMA, on every stack and core.
 func TestFixedDelayMatchesPerCall(t *testing.T) {
-	eng := sim.NewEngine()
 	for _, prof := range []Profile{UDP(), TCP(), DPDK(), RDMA()} {
-		for _, spec := range []*cpu.Spec{cpu.XeonGold6140(), cpu.BlueField2Arm()} {
-			e := NewEndpoint(prof, cpu.NewPool(eng, spec, 1), 3)
+		for _, arch := range []cpu.Arch{cpu.ArchX86, cpu.ArchArm} {
+			e := NewEndpoint(prof, arch, 3)
 			r := sim.NewRNG(3)
 			for k := 0; k < 10_000; k++ {
-				want := r.LogNormalDur(prof.FixedMedian(spec.Arch), prof.FixedSigma)
-				if prof.TransportInNIC && spec.Arch == cpu.ArchX86 {
+				want := r.LogNormalDur(prof.FixedMedian(arch), prof.FixedSigma)
+				if prof.TransportInNIC && arch == cpu.ArchX86 {
 					want += prof.HostPathExtra
 				}
 				if got := e.FixedDelay(); got != want {
-					t.Fatalf("%s on %s: delay %d = %v, per-call sampler %v", prof.Name, spec.Arch, k, got, want)
+					t.Fatalf("%s on %s: delay %d = %v, per-call sampler %v", prof.Name, arch, k, got, want)
 				}
 			}
 		}

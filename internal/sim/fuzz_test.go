@@ -63,8 +63,10 @@ func (c *callDelivery) HandleEvent(any) { c.deliver() }
 // ctl drives what a run does around the schedule. ctl[0]%8, when not
 // zero, is the period of a Ticker armed before the first event. ctl[1]%16,
 // when not zero, runs the engine through RunUntil deadlines that far
-// apart instead of Run. ctl[2:] gives the At events, in firing order,
-// one op each (see the op constants). Every event and tick reads the
+// apart instead of Run; the rounds must drain the queue by the latest At
+// time plus the link time of every frame sent, the propagation, one
+// ticker period and one step. ctl[2:] gives the At events, in firing
+// order, one op each (see the op constants). Every event and tick reads the
 // queue while the slot it fired from may still be empty, and Pending()
 // must count exactly the live events the fuzz knows of: cancelled ones
 // never, however long their records stay queued.
@@ -106,6 +108,10 @@ func FuzzEngineSchedule(f *testing.F) {
 	// stop rule then reads Pending while t=2's slot is still empty and
 	// the ghost of t=40 is queued, and t=41 must still fire.
 	f.Add([]byte{1, 2, 40, 41}, []byte{5, 0, opCancelPending | 1<<3, opCancelOwn})
+	// 128 roots at t=21, each sending a 3+3+0+2-byte burst: 1,024 bytes
+	// queue on the link, so RunUntil rounds 1 ns apart beside a 1 ns
+	// ticker drain only at t=1,047, past a thousand rounds.
+	f.Add(bytes.Repeat([]byte{143}, 128), []byte{1, 1})
 
 	f.Fuzz(func(t *testing.T, data, ctl []byte) {
 		if len(data) > 128 {
@@ -145,6 +151,10 @@ func FuzzEngineSchedule(f *testing.F) {
 			// live counts the model's events (At events and frames) that
 			// are neither fired nor cancelled.
 			live := 0
+			// latest is the latest time any At event was scheduled for,
+			// and sentBytes the size of every frame sent so far.
+			var latest Time
+			sentBytes := 0
 			var evs []*atEvent
 			var firedEvs []*atEvent
 			ticks, ticker := 0, 0
@@ -171,6 +181,7 @@ func FuzzEngineSchedule(f *testing.F) {
 				myOrd := ord
 				ord++
 				live++
+				sentBytes += int(b % 4)
 				deliver := func() {
 					live--
 					check("delivery", ticker)
@@ -191,6 +202,9 @@ func FuzzEngineSchedule(f *testing.F) {
 				ev := &atEvent{at: at}
 				evs = append(evs, ev)
 				live++
+				if at > latest {
+					latest = at
+				}
 				ev.id = e.At(at, func() {
 					if e.Now() != at {
 						t.Fatalf("event scheduled for %v fired at %v", at, e.Now())
@@ -268,9 +282,15 @@ func FuzzEngineSchedule(f *testing.F) {
 			if step == 0 {
 				e.Run()
 			} else {
-				for rounds := 0; e.Pending() > 0; rounds++ {
-					if rounds > 1000 {
-						t.Fatalf("RunUntil rounds never drained the queue: %d pending", e.Pending())
+				for e.Pending() > 0 {
+					// Every frame is sent by an At event, so at one byte
+					// a nanosecond the link is idle by latest+sentBytes
+					// and the last frame arrives a propagation delay
+					// later; after the last event the ticker ticks once
+					// more, and the rounds overshoot by less than a step.
+					drainBy := latest.Add(Duration(sentBytes) + 2 + period + step)
+					if e.Now() > drainBy {
+						t.Fatalf("RunUntil rounds never drained the queue: %d pending at %v, past %v", e.Pending(), e.Now(), drainBy)
 					}
 					deadline := e.Now().Add(step)
 					e.RunUntil(deadline)

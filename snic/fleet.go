@@ -43,9 +43,9 @@ func SNICAccels(n int) FleetClass { return fleet.SNICAccels(n) }
 
 // RunFleet simulates a fleet on this testbed: dispatches the trace
 // across the servers under the configured policy, replays every server
-// (in parallel, memoized, byte-identical at any parallelism) and rolls
-// up throughput, SLO attainment, utilization, power, energy and 5-year
-// TCO.
+// (in parallel, identical servers once, byte-identical at any
+// parallelism) and rolls up throughput, SLO attainment, utilization,
+// power, energy and 5-year TCO.
 func (t *Testbed) RunFleet(cfg FleetConfig) (FleetResult, error) {
 	return fleet.Run(t.runner, cfg)
 }
